@@ -33,7 +33,7 @@ pull-workers claim them under lease timeouts, and interrupted campaigns
 resume with zero recomputation of finished units::
 
     python -m repro serve figure1 --store /tmp/units --workers 2 --json -
-    python -m repro worker --store /tmp/units        # extra pullers, any host
+    python -m repro worker --store /tmp/units        # extra pullers, same host
     python -m repro serve figure1 --store /tmp/units --workers 1 \\
         --fault-plan kill-after:3                    # chaos drill
 
@@ -520,13 +520,16 @@ def _command_worker(args) -> int:
     from .experiments.service import FaultPlan, run_worker
 
     store = JobStore(args.store, lease_timeout=args.lease_timeout)
-    stats = run_worker(
-        store,
-        worker_id=args.worker_id,
-        fault=FaultPlan.parse(args.fault_plan),
-        exit_when_idle=not args.keep_alive,
-        max_units=args.max_units,
-    )
+    try:
+        stats = run_worker(
+            store,
+            worker_id=args.worker_id,
+            fault=FaultPlan.parse(args.fault_plan),
+            exit_when_idle=not args.keep_alive,
+            max_units=args.max_units,
+        )
+    finally:
+        store.close()
     print(json.dumps(stats.to_jsonable(), indent=2, sort_keys=True))
     return 0
 

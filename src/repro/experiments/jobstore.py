@@ -2,54 +2,57 @@
 
 The campaign service (:mod:`repro.experiments.service`) shards sweeps and
 verification campaigns into self-describing *work units* persisted in a
-:class:`JobStore` — a plain directory, shareable between any number of worker
-processes on one filesystem.  The store is the single source of truth for a
-campaign's progress: every unit is exactly one JSON *ticket* file living in
-the directory named after its state, and every transition is one atomic
-filesystem operation, so a crash at any instant leaves the store recoverable:
+:class:`JobStore`: one SQLite database file, ``<store>/store.sqlite3``, in WAL
+mode, shared by any number of coordinator and worker processes on one host.
+The store is the single source of truth for a campaign's progress.  A unit is
+one row of the ``units`` table, so it is in exactly one state at a time, and
+every transition is one ``BEGIN IMMEDIATE`` transaction that writes the state
+change together with its ``journal`` row — a crash at any instant leaves
+either the whole transition or none of it:
 
-``pending/``
-    claimable tickets.  ``claim()`` is ``os.rename(pending/X, leased/X)`` —
-    atomic on POSIX, so exactly one worker wins a unit no matter how many
-    race for it.
-``leased/``
-    tickets being executed.  A lease sidecar (``leases/X.json``, written with
-    ``os.replace``) records the worker, a fencing ``lease_id`` and a wall
-    clock deadline; workers renew it by heartbeat.  A crashed or wedged
-    worker stops renewing, the deadline passes, and :meth:`recover` moves the
-    ticket back to ``pending/`` — worker death is a re-dispatch, not a loss.
-``done/``
-    completed tickets; the unit's result lives in ``results/X.json``
-    (``os.replace``-d into place *before* the ticket moves, so a ``done``
-    ticket always has a complete result behind it — or is quarantined for
-    recomputation if that result turns out unreadable).
-``failed/``
-    tickets awaiting their retry backoff (exponential in the attempt count).
-``quarantine/``
+``pending``
+    claimable units.  ``claim()`` flips the first ready row to ``leased``
+    inside a write transaction, so exactly one worker wins a unit no matter
+    how many race for it.
+``leased``
+    units being executed.  The row carries the worker, a fencing
+    ``lease_id`` and a wall clock deadline; workers renew the deadline by
+    heartbeat.  A crashed or wedged worker stops renewing, the deadline
+    passes, and :meth:`JobStore.recover` moves the unit back to ``pending`` —
+    worker death is a re-dispatch, not a loss.
+``done``
+    completed units; the result is committed in the same row by the same
+    transaction, so a ``done`` unit always has its result — or is requeued
+    for recomputation if that result turns out unreadable.
+``failed``
+    units awaiting their retry backoff (exponential in the attempt count).
+``quarantine``
     poison units that failed ``max_attempts`` times.  A failure artifact is
     recorded under ``artifacts/`` and the campaign *continues* — graceful
     degradation, never a hang.
 
-An append-only ``journal.jsonl`` records every transition (enqueue, claim,
-done, failed, lease-expired, requeue, retry, speculate, quarantine, ...) so
-resume semantics are auditable: the chaos tests assert "zero recomputation of
+The ``journal`` table records every transition (enqueue, claim, done, failed,
+lease-expired, requeue, retry, speculate, quarantine, ...) so resume
+semantics are auditable: the chaos tests assert "zero recomputation of
 ``done`` units" directly from the journal.
 
 Execution is **at-least-once**: a lease can expire under a worker that is
 merely slow, and speculation deliberately double-dispatches stragglers, so
 the same unit may run twice.  That is safe here by construction — campaign
 units are deterministic (the reset-equivalence and parallel==serial
-contracts), so duplicate executions produce identical results and whichever
-commit lands first wins; the loser is fenced by its stale ``lease_id`` or by
-the ticket having already moved.
+contracts), so duplicate executions produce identical results; a commit
+whose ``lease_id`` no longer matches the row is fenced.
+
+SQLite's locking needs a local filesystem: many processes on one host may
+share a store, but a store on a network filesystem is not supported.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-import os
-import tempfile
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -58,7 +61,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import JobStoreError
 
-#: Work-unit states; a ticket is exactly one file in the directory of its state.
+#: Work-unit states; a unit is one row whose ``state`` column is one of these.
 PENDING = "pending"
 LEASED = "leased"
 DONE = "done"
@@ -67,12 +70,38 @@ QUARANTINED = "quarantine"
 
 STATES = (PENDING, LEASED, DONE, FAILED, QUARANTINED)
 
-#: Resolution priority when a crash mid-transition leaves a unit's ticket in
-#: two state directories at once (transitions write the target before
-#: unlinking the source): the *target* of any legal transition outranks its
-#: source, so keeping the highest-priority copy always lands the unit where
-#: the interrupted transition was headed.
-_PRIORITY = (DONE, QUARANTINED, FAILED, PENDING, LEASED)
+#: Seconds a transaction waits for another process's write lock before the
+#: store gives up with ``sqlite3.OperationalError: database is locked``.
+BUSY_TIMEOUT = 60.0
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS units (
+    id TEXT PRIMARY KEY,
+    kind TEXT NOT NULL,
+    description TEXT NOT NULL,
+    payload TEXT NOT NULL,
+    state TEXT NOT NULL,
+    attempts INTEGER NOT NULL,
+    not_before REAL NOT NULL,
+    enqueued_at REAL NOT NULL,
+    last_error TEXT,
+    lease_id TEXT,
+    worker_id TEXT,
+    deadline REAL,
+    claimed_at REAL,
+    result TEXT
+);
+CREATE INDEX IF NOT EXISTS units_by_state ON units (state, id);
+CREATE TABLE IF NOT EXISTS journal (
+    seq INTEGER PRIMARY KEY,
+    record TEXT NOT NULL
+);
+"""
+
+#: The ``units`` columns a :class:`WorkUnit` is rebuilt from, in field order.
+_UNIT_COLUMNS = (
+    "id, kind, description, payload, attempts, not_before, enqueued_at, last_error"
+)
 
 
 @dataclass
@@ -102,6 +131,11 @@ class WorkUnit:
     def from_jsonable(cls, data: Dict) -> "WorkUnit":
         return cls(**data)
 
+    @classmethod
+    def from_row(cls, row) -> "WorkUnit":
+        unit_id, kind, description, payload, *rest = row
+        return cls(unit_id, kind, description, json.loads(payload), *rest)
+
 
 @dataclass
 class Lease:
@@ -114,11 +148,14 @@ class Lease:
 
 
 class JobStore:
-    """Filesystem-backed durable work queue (see the module docstring).
+    """SQLite-backed durable work queue (see the module docstring).
 
     All timestamps are wall-clock seconds from ``clock`` (default
     :func:`time.time`); tests inject a fake clock to exercise lease expiry
-    and retry backoff without sleeping.
+    and retry backoff without sleeping.  One store object may be shared by
+    the threads of a process (a worker's heartbeat thread does this): its
+    single connection is guarded by a re-entrant lock, so queries may run
+    inside a transaction and see its writes.
     """
 
     def __init__(
@@ -130,114 +167,122 @@ class JobStore:
         backoff_cap: float = 30.0,
         clock: Callable[[], float] = time.time,
     ) -> None:
+        # Imported here, not at module level: importing repro.experiments
+        # must not pay for sqlite3 unless a store is actually opened.
+        import sqlite3
+
         self.root = Path(root).expanduser()
         self.lease_timeout = float(lease_timeout)
         self.max_attempts = int(max_attempts)
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self.clock = clock
-        for state in STATES:
-            (self.root / state).mkdir(parents=True, exist_ok=True)
-        (self.root / "leases").mkdir(exist_ok=True)
-        (self.root / "results").mkdir(exist_ok=True)
         self.artifacts_dir = self.root / "artifacts"
-        self.artifacts_dir.mkdir(exist_ok=True)
-        self.journal_path = self.root / "journal.jsonl"
+        self.artifacts_dir.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.RLock()
+        self._db = sqlite3.connect(
+            self.root / "store.sqlite3",
+            timeout=BUSY_TIMEOUT,
+            isolation_level=None,  # explicit BEGIN IMMEDIATE per transition
+            check_same_thread=False,  # shared under self._lock
+        )
+        self._db.execute("PRAGMA journal_mode=WAL")
+        # WAL + NORMAL survives any process crash; only an OS crash or power
+        # loss can drop the last few commits.
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        self._db.executescript(_SCHEMA)
 
     # ------------------------------------------------------------ primitives
 
-    def _ticket(self, state: str, unit_id: str) -> Path:
-        return self.root / state / f"{unit_id}.json"
-
-    def _lease_path(self, unit_id: str) -> Path:
-        return self.root / "leases" / f"{unit_id}.json"
-
-    def result_path(self, unit_id: str) -> Path:
-        return self.root / "results" / f"{unit_id}.json"
-
-    def _write_json(self, path: Path, payload: Dict) -> None:
-        """Atomic write: unique temp file in the same directory + os.replace."""
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(payload, sort_keys=True))
-            os.replace(tmp_name, path)
-        except BaseException:
+    @contextlib.contextmanager
+    def _write(self):
+        """One write transaction: every statement in it commits or none does."""
+        with self._lock:
+            self._db.execute("BEGIN IMMEDIATE")
             try:
-                os.unlink(tmp_name)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            raise
+                yield self._db
+            except BaseException:
+                self._db.execute("ROLLBACK")
+                raise
+            self._db.execute("COMMIT")
 
-    def _read_json(self, path: Path) -> Optional[Dict]:
-        try:
-            return json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, ValueError) as error:
-            raise JobStoreError(f"unreadable store file {path}: {error}") from error
+    def _query(self, sql: str, *args) -> List[tuple]:
+        with self._lock:
+            return self._db.execute(sql, args).fetchall()
 
-    def journal(self, event: str, unit_id: str = "", **fields) -> None:
-        """Append one transition record; a single O_APPEND write per line."""
+    def _log(self, db, event: str, unit_id: str = "", **fields) -> None:
+        """Append one journal record inside the caller's transaction."""
         record = {"t": round(self.clock(), 3), "event": event}
         if unit_id:
             record["unit"] = unit_id
         record.update(fields)
-        line = (json.dumps(record, sort_keys=True) + "\n").encode()
-        fd = os.open(self.journal_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
+        db.execute(
+            "INSERT INTO journal (record) VALUES (?)",
+            (json.dumps(record, sort_keys=True),),
+        )
+
+    def _settle(self, db, unit: WorkUnit, state: str) -> None:
+        """Write ``unit``'s retry bookkeeping and move it to ``state``.
+
+        Any lease on the row is dropped, which fences its holder.
+        """
+        db.execute(
+            "UPDATE units SET state = ?, attempts = ?, not_before = ?,"
+            " last_error = ?, lease_id = NULL, worker_id = NULL,"
+            " deadline = NULL, claimed_at = NULL WHERE id = ?",
+            (state, unit.attempts, unit.not_before, unit.last_error, unit.unit_id),
+        )
+
+    def journal(self, event: str, unit_id: str = "", **fields) -> None:
+        """Append one record to the journal, in its own transaction."""
+        with self._write() as db:
+            self._log(db, event, unit_id, **fields)
 
     def journal_entries(self, offset: int = 0) -> List[Dict]:
-        """Parsed journal records, skipping the first ``offset`` lines."""
-        try:
-            lines = self.journal_path.read_text().splitlines()
-        except FileNotFoundError:
-            return []
-        entries = []
-        for line in lines[offset:]:
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:  # torn final line after a crash
-                continue
-        return entries
+        """Parsed journal records after the first ``offset``."""
+        rows = self._query(
+            "SELECT record FROM journal WHERE seq > ? ORDER BY seq", offset
+        )
+        return [json.loads(record) for (record,) in rows]
 
     def journal_offset(self) -> int:
         """Current journal length, for run-scoped summaries after a resume."""
-        try:
-            return len(self.journal_path.read_text().splitlines())
-        except FileNotFoundError:
-            return 0
+        return self._query("SELECT COALESCE(MAX(seq), 0) FROM journal")[0][0]
 
     # ----------------------------------------------------------------- query
 
     def find(self, unit_id: str) -> Optional[str]:
         """The state a unit is currently in, or None if unknown."""
-        for state in _PRIORITY:
-            if self._ticket(state, unit_id).exists():
-                return state
-        return None
+        rows = self._query("SELECT state FROM units WHERE id = ?", unit_id)
+        return rows[0][0] if rows else None
 
     def ids(self, state: str) -> List[str]:
         """Sorted unit ids currently in ``state``."""
-        return sorted(
-            path.stem for path in (self.root / state).glob("*.json")
-        )
+        rows = self._query("SELECT id FROM units WHERE state = ? ORDER BY id", state)
+        return [unit_id for (unit_id,) in rows]
 
     def counts(self) -> Dict[str, int]:
-        return {state: len(self.ids(state)) for state in STATES}
+        counts = dict.fromkeys(STATES, 0)
+        counts.update(
+            self._query("SELECT state, COUNT(*) FROM units GROUP BY state")
+        )
+        return counts
 
     def unit(self, unit_id: str) -> WorkUnit:
-        """Load a unit's ticket from whatever state it is in."""
-        state = self.find(unit_id)
-        if state is None:
+        """Load a unit from whatever state it is in."""
+        rows = self._query(f"SELECT {_UNIT_COLUMNS} FROM units WHERE id = ?", unit_id)
+        if not rows:
             raise JobStoreError(f"unknown unit {unit_id!r}")
-        data = self._read_json(self._ticket(state, unit_id))
-        if data is None:
-            raise JobStoreError(f"unit {unit_id!r} vanished mid-read")
-        return WorkUnit.from_jsonable(data)
+        return WorkUnit.from_row(rows[0])
+
+    def stragglers(self, older_than: float) -> List[str]:
+        """Sorted ids of leased units claimed at least ``older_than`` s ago."""
+        rows = self._query(
+            "SELECT id FROM units WHERE state = ? AND claimed_at <= ? ORDER BY id",
+            LEASED,
+            self.clock() - older_than,
+        )
+        return [unit_id for (unit_id,) in rows]
 
     # --------------------------------------------------------------- enqueue
 
@@ -248,12 +293,26 @@ class JobStore:
         store already has a committed result for this id and nothing will be
         recomputed.
         """
-        existing = self.find(unit.unit_id)
-        if existing is not None:
-            return existing
-        ticket = dataclasses.replace(unit, enqueued_at=self.clock())
-        self._write_json(self._ticket(PENDING, unit.unit_id), ticket.to_jsonable())
-        self.journal("enqueue", unit.unit_id, kind=unit.kind)
+        with self._write() as db:
+            existing = self.find(unit.unit_id)
+            if existing is not None:
+                return existing
+            db.execute(
+                f"INSERT INTO units ({_UNIT_COLUMNS}, state)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    unit.unit_id,
+                    unit.kind,
+                    unit.description,
+                    json.dumps(unit.payload, sort_keys=True),
+                    unit.attempts,
+                    unit.not_before,
+                    self.clock(),
+                    unit.last_error,
+                    PENDING,
+                ),
+            )
+            self._log(db, "enqueue", unit.unit_id, kind=unit.kind)
         return PENDING
 
     # ----------------------------------------------------------------- claim
@@ -261,65 +320,50 @@ class JobStore:
     def claim(self, worker_id: str) -> Optional[Lease]:
         """Atomically claim one ready pending unit, or None.
 
-        The winning rename is the *only* arbitration: concurrent claimants
-        racing for the same ticket all attempt the same rename and exactly
-        one succeeds; the rest move on to the next candidate.
+        The write transaction is the only arbitration: concurrent claimants
+        serialise on it, and each sees the rows its predecessors flipped.
         """
         now = self.clock()
-        for unit_id in self.ids(PENDING):
-            source = self._ticket(PENDING, unit_id)
-            data = self._read_json(source)
-            if data is None:  # lost the race before we even tried
-                continue
-            unit = WorkUnit.from_jsonable(data)
-            if unit.not_before > now:
-                continue
-            target = self._ticket(LEASED, unit_id)
-            try:
-                os.rename(source, target)
-            except FileNotFoundError:
-                continue  # another claimant won this ticket
+        with self._write() as db:
+            row = db.execute(
+                f"SELECT {_UNIT_COLUMNS} FROM units WHERE state = ?"
+                " AND not_before <= ? ORDER BY id LIMIT 1",
+                (PENDING, now),
+            ).fetchone()
+            if row is None:
+                return None
             lease = Lease(
-                unit=unit,
+                unit=WorkUnit.from_row(row),
                 lease_id=uuid.uuid4().hex,
                 worker_id=worker_id,
                 deadline=now + self.lease_timeout,
             )
-            self._write_json(
-                self._lease_path(unit_id),
-                {
-                    "lease_id": lease.lease_id,
-                    "worker_id": worker_id,
-                    "deadline": lease.deadline,
-                    "claimed_at": now,
-                },
+            db.execute(
+                "UPDATE units SET state = ?, lease_id = ?, worker_id = ?,"
+                " deadline = ?, claimed_at = ? WHERE id = ?",
+                (LEASED, lease.lease_id, worker_id, lease.deadline, now, row[0]),
             )
-            self.journal(
-                "claim", unit_id, worker=worker_id, attempt=unit.attempts + 1
+            self._log(
+                db, "claim", row[0], worker=worker_id, attempt=lease.unit.attempts + 1
             )
-            return lease
-        return None
+        return lease
 
     def heartbeat(self, lease: Lease) -> bool:
         """Renew the lease deadline; False means the lease was lost (fenced)."""
-        sidecar = self._read_json(self._lease_path(lease.unit.unit_id))
-        if sidecar is None or sidecar.get("lease_id") != lease.lease_id:
-            return False
-        lease.deadline = self.clock() + self.lease_timeout
-        self._write_json(
-            self._lease_path(lease.unit.unit_id),
-            {**sidecar, "deadline": lease.deadline},
-        )
-        return True
-
-    def _holds_lease(self, lease: Lease) -> bool:
-        sidecar = self._read_json(self._lease_path(lease.unit.unit_id))
-        return sidecar is not None and sidecar.get("lease_id") == lease.lease_id
+        deadline = self.clock() + self.lease_timeout
+        with self._write() as db:
+            renewed = db.execute(
+                "UPDATE units SET deadline = ? WHERE id = ? AND lease_id = ?",
+                (deadline, lease.unit.unit_id, lease.lease_id),
+            ).rowcount
+        if renewed:
+            lease.deadline = deadline
+        return bool(renewed)
 
     # ---------------------------------------------------------- transitions
 
     def complete(self, lease: Lease, result: Dict, _corrupt: bool = False) -> bool:
-        """Commit a finished unit: result first, then the ticket to ``done``.
+        """Commit a finished unit: result and ``done`` state in one transaction.
 
         Returns False when the commit was fenced — the lease expired and the
         unit was re-dispatched (or already completed) elsewhere.  Fencing a
@@ -327,49 +371,42 @@ class JobStore:
         whichever commit landed recorded the same values.
 
         ``_corrupt`` is the :class:`~repro.experiments.service.FaultPlan`
-        chaos hook: it commits a deliberately torn result write so the
-        read-side corruption quarantine can be tested end to end.
+        chaos hook: it commits a deliberately garbled result so the
+        read-side corruption check can be tested end to end.
         """
         unit_id = lease.unit.unit_id
-        if not self._holds_lease(lease):
-            self.journal("commit-fenced", unit_id, worker=lease.worker_id)
-            return False
-        if _corrupt:
-            # Simulate a torn write: bypass the atomic temp-file protocol.
-            self.result_path(unit_id).write_text('{"kind": "torn')
-        else:
-            self._write_json(
-                self.result_path(unit_id),
-                {"unit_id": unit_id, "kind": lease.unit.kind, "result": result},
-            )
-        source = self._ticket(LEASED, unit_id)
-        try:
-            os.rename(source, self._ticket(DONE, unit_id))
-        except FileNotFoundError:
-            self.journal("commit-fenced", unit_id, worker=lease.worker_id)
-            return False
-        self._lease_path(unit_id).unlink(missing_ok=True)
-        self.journal("done", unit_id, worker=lease.worker_id)
-        return True
+        text = '{"kind": "torn' if _corrupt else json.dumps(result, sort_keys=True)
+        with self._write() as db:
+            committed = db.execute(
+                "UPDATE units SET state = ?, result = ?, lease_id = NULL,"
+                " deadline = NULL WHERE id = ? AND lease_id = ?",
+                (DONE, text, unit_id, lease.lease_id),
+            ).rowcount
+            event = "done" if committed else "commit-fenced"
+            self._log(db, event, unit_id, worker=lease.worker_id)
+        return bool(committed)
 
     def _backoff(self, attempts: int) -> float:
         return min(self.backoff_cap, self.backoff_base * (2 ** max(0, attempts - 1)))
 
-    def _retire(self, unit: WorkUnit, reason: str, worker: str = "") -> str:
+    def _retire(self, db, unit: WorkUnit, reason: str, worker: str = "") -> str:
         """Move a unit that just failed an attempt to ``failed`` or quarantine."""
         unit_id = unit.unit_id
         if unit.attempts >= self.max_attempts:
-            self._write_json(self._ticket(QUARANTINED, unit_id), unit.to_jsonable())
             artifact = self.artifacts_dir / f"{unit_id}.poison.json"
-            self._write_json(
-                artifact,
-                {
-                    "format": "repro-poison-unit-v1",
-                    "unit": unit.to_jsonable(),
-                    "reason": reason,
-                },
+            artifact.write_text(
+                json.dumps(
+                    {
+                        "format": "repro-poison-unit-v1",
+                        "unit": unit.to_jsonable(),
+                        "reason": reason,
+                    },
+                    sort_keys=True,
+                )
             )
-            self.journal(
+            self._settle(db, unit, QUARANTINED)
+            self._log(
+                db,
                 "quarantine",
                 unit_id,
                 attempts=unit.attempts,
@@ -377,8 +414,9 @@ class JobStore:
                 worker=worker,
             )
             return QUARANTINED
-        self._write_json(self._ticket(FAILED, unit_id), unit.to_jsonable())
-        self.journal(
+        self._settle(db, unit, FAILED)
+        self._log(
+            db,
             "failed",
             unit_id,
             attempts=unit.attempts,
@@ -387,148 +425,110 @@ class JobStore:
         )
         return FAILED
 
+    def _holds_lease(self, lease: Lease) -> bool:
+        return bool(
+            self._query(
+                "SELECT 1 FROM units WHERE id = ? AND lease_id = ?",
+                lease.unit.unit_id,
+                lease.lease_id,
+            )
+        )
+
     def fail(self, lease: Lease, error: str) -> str:
         """Record a failed attempt; backoff-retry or quarantine after N tries."""
-        if not self._holds_lease(lease):
-            # The lease expired and the unit was re-dispatched: its fate now
-            # belongs to the new holder, not to this stale attempt.
-            self.journal("fail-fenced", lease.unit.unit_id, worker=lease.worker_id)
-            return self.find(lease.unit.unit_id) or PENDING
-        unit = dataclasses.replace(
-            lease.unit,
-            attempts=lease.unit.attempts + 1,
-            last_error=str(error)[-2000:],
-        )
-        unit.not_before = self.clock() + self._backoff(unit.attempts)
-        state = self._retire(unit, unit.last_error, worker=lease.worker_id)
-        self._ticket(LEASED, unit.unit_id).unlink(missing_ok=True)
-        self._lease_path(unit.unit_id).unlink(missing_ok=True)
-        return state
+        with self._write() as db:
+            if not self._holds_lease(lease):
+                # The lease expired and the unit was re-dispatched: its fate
+                # now belongs to the new holder, not to this stale attempt.
+                self._log(db, "fail-fenced", lease.unit.unit_id, worker=lease.worker_id)
+                return self.find(lease.unit.unit_id) or PENDING
+            unit = dataclasses.replace(
+                lease.unit,
+                attempts=lease.unit.attempts + 1,
+                last_error=str(error)[-2000:],
+            )
+            unit.not_before = self.clock() + self._backoff(unit.attempts)
+            return self._retire(db, unit, unit.last_error, worker=lease.worker_id)
 
     def release(self, lease: Lease) -> None:
         """Hand an unfinished unit back (graceful shutdown; no attempt burned)."""
-        if not self._holds_lease(lease):
-            return
-        self._write_json(
-            self._ticket(PENDING, lease.unit.unit_id), lease.unit.to_jsonable()
-        )
-        self._ticket(LEASED, lease.unit.unit_id).unlink(missing_ok=True)
-        self._lease_path(lease.unit.unit_id).unlink(missing_ok=True)
-        self.journal("release", lease.unit.unit_id, worker=lease.worker_id)
+        with self._write() as db:
+            if self._holds_lease(lease):
+                self._settle(db, lease.unit, PENDING)
+                self._log(db, "release", lease.unit.unit_id, worker=lease.worker_id)
 
     # ---------------------------------------------------------------- results
 
     def load_result(self, unit_id: str) -> Optional[Dict]:
         """The committed result payload of a ``done`` unit.
 
-        A torn or garbled result file (crash or fault injection mid-write) is
-        quarantined to ``<name>.corrupt`` and the unit is re-queued for
-        recomputation; the caller sees None now and a fresh result after the
-        next drain.
+        A garbled result (fault injection, or an edit to the database) is
+        copied to ``artifacts/<id>.result.corrupt`` and the unit is requeued
+        for recomputation; the caller sees None now and a fresh result after
+        the next drain.
         """
-        path = self.result_path(unit_id)
+        rows = self._query("SELECT result FROM units WHERE id = ?", unit_id)
+        if not rows or rows[0][0] is None:
+            return None
+        text = rows[0][0]
         try:
-            envelope = json.loads(path.read_text())
-            return envelope["result"]
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            corrupt = Path(str(path) + ".corrupt")
-            try:
-                os.replace(path, corrupt)
-            except OSError:  # pragma: no cover - already gone
-                corrupt = None
-            ticket = self._ticket(DONE, unit_id)
-            if ticket.exists():
-                data = self._read_json(ticket)
-                if data is not None:
-                    self._write_json(self._ticket(PENDING, unit_id), data)
-                ticket.unlink(missing_ok=True)
-            self.journal(
-                "result-corrupt",
-                unit_id,
-                quarantined=str(corrupt) if corrupt else None,
-            )
-            return None
+            return json.loads(text)
+        except ValueError:
+            pass
+        corrupt = self.artifacts_dir / f"{unit_id}.result.corrupt"
+        with self._write() as db:
+            # Requeue only if nobody recomputed the unit since our read.
+            requeued = db.execute(
+                "UPDATE units SET state = ?, result = NULL WHERE id = ? AND result = ?",
+                (PENDING, unit_id, text),
+            ).rowcount
+            if requeued:
+                corrupt.write_text(text)
+                self._log(db, "result-corrupt", unit_id, quarantined=str(corrupt))
+        return None
 
     # --------------------------------------------------------------- recovery
 
-    def _dedupe(self) -> None:
-        """Resolve units left in two state dirs by a crash mid-transition."""
-        seen: Dict[str, str] = {}
-        for state in _PRIORITY:
-            for unit_id in self.ids(state):
-                if unit_id in seen:
-                    self._ticket(state, unit_id).unlink(missing_ok=True)
-                    if state == LEASED:
-                        self._lease_path(unit_id).unlink(missing_ok=True)
-                else:
-                    seen[unit_id] = state
-
-    def _expire(self, unit_id: str, reason: str) -> None:
+    def _expire(self, db, unit: WorkUnit, reason: str) -> None:
         """One expired lease: burn an attempt and requeue (or quarantine)."""
-        source = self._ticket(LEASED, unit_id)
-        data = self._read_json(source)
-        if data is None:
-            return
-        unit = WorkUnit.from_jsonable(data)
         unit.attempts += 1
         unit.last_error = reason
         unit.not_before = self.clock() + self._backoff(unit.attempts)
-        self.journal("lease-expired", unit_id, reason=reason, attempts=unit.attempts)
+        self._log(db, "lease-expired", unit.unit_id, reason=reason, attempts=unit.attempts)
         if unit.attempts >= self.max_attempts:
-            self._retire(unit, reason)
+            self._retire(db, unit, reason)
         else:
-            self._write_json(self._ticket(PENDING, unit_id), unit.to_jsonable())
-            self.journal("requeue", unit_id, attempts=unit.attempts)
-        source.unlink(missing_ok=True)
-        self._lease_path(unit_id).unlink(missing_ok=True)
+            self._settle(db, unit, PENDING)
+            self._log(db, "requeue", unit.unit_id, attempts=unit.attempts)
 
     def recover(self) -> Dict[str, int]:
         """Reclaim expired leases and requeue due retries; safe to call often.
 
-        Any process sharing the store may run recovery — transitions stay
-        atomic single-file operations, so concurrent recovery and claiming
-        interleave safely (a lost race shows up as FileNotFoundError and is
-        skipped).
+        Any process sharing the store may run recovery: it is one write
+        transaction, so it interleaves with claims and commits atomically.
         """
-        self._dedupe()
         now = self.clock()
-        expired = 0
-        for unit_id in self.ids(LEASED):
-            sidecar = self._read_json(self._lease_path(unit_id))
-            if sidecar is None:
-                # Claim crashed between rename and sidecar write: give the
-                # claimant a full lease from the ticket's mtime before
-                # declaring it dead.
-                try:
-                    age = now - self._ticket(LEASED, unit_id).stat().st_mtime
-                except OSError:
-                    continue
-                if age < self.lease_timeout:
-                    continue
-                self._expire(unit_id, "lease sidecar missing")
-                expired += 1
-            elif sidecar.get("deadline", 0.0) < now:
+        with self._write() as db:
+            expired = db.execute(
+                f"SELECT {_UNIT_COLUMNS}, worker_id FROM units"
+                " WHERE state = ? AND deadline < ? ORDER BY id",
+                (LEASED, now),
+            ).fetchall()
+            for *row, worker_id in expired:
                 self._expire(
-                    unit_id,
-                    f"lease expired (worker {sidecar.get('worker_id', '?')})",
+                    db, WorkUnit.from_row(row), f"lease expired (worker {worker_id})"
                 )
-                expired += 1
-        retried = 0
-        for unit_id in self.ids(FAILED):
-            source = self._ticket(FAILED, unit_id)
-            data = self._read_json(source)
-            if data is None:
-                continue
-            unit = WorkUnit.from_jsonable(data)
-            if unit.not_before > now:
-                continue
-            self._write_json(self._ticket(PENDING, unit_id), data)
-            source.unlink(missing_ok=True)
-            self.journal("retry", unit_id, attempts=unit.attempts)
-            retried += 1
-        return {"expired": expired, "retried": retried}
+            due = db.execute(
+                "SELECT id, attempts FROM units WHERE state = ? AND not_before <= ?"
+                " ORDER BY id",
+                (FAILED, now),
+            ).fetchall()
+            for unit_id, attempts in due:
+                db.execute(
+                    "UPDATE units SET state = ? WHERE id = ?", (PENDING, unit_id)
+                )
+                self._log(db, "retry", unit_id, attempts=attempts)
+        return {"expired": len(expired), "retried": len(due)}
 
     def expire_worker(self, worker_id: str) -> int:
         """Force-expire every lease held by ``worker_id`` (observed dead).
@@ -537,47 +537,52 @@ class JobStore:
         so a worker that died holding leases is re-dispatched immediately
         instead of after the wall-clock lease timeout.
         """
-        expired = 0
-        for unit_id in self.ids(LEASED):
-            sidecar = self._read_json(self._lease_path(unit_id))
-            if sidecar is not None and sidecar.get("worker_id") == worker_id:
-                self._expire(unit_id, f"worker {worker_id} died")
-                expired += 1
-        return expired
+        with self._write() as db:
+            held = db.execute(
+                f"SELECT {_UNIT_COLUMNS} FROM units"
+                " WHERE state = ? AND worker_id = ? ORDER BY id",
+                (LEASED, worker_id),
+            ).fetchall()
+            for row in held:
+                self._expire(db, WorkUnit.from_row(row), f"worker {worker_id} died")
+        return len(held)
 
     # ------------------------------------------------------------ speculation
 
     def speculate(self, unit_id: str) -> bool:
-        """Double-dispatch a leased straggler: copy its ticket back to pending.
+        """Double-dispatch a leased straggler: make it claimable again.
 
-        The first commit (original or speculative) wins; the loser is fenced.
-        Deterministic units make the duplicate execution observationally
-        harmless — this trades redundant work for tail latency, exactly the
-        HPC-workflow straggler pattern.
+        The unit returns to ``pending`` with its current lease intact.  If
+        the straggler commits before anyone claims the copy, it wins.  Once
+        another worker claims the copy, that claim replaces the lease, so the
+        straggler is fenced and the speculative commit wins.  Deterministic
+        units make the duplicate execution observationally harmless — this
+        trades redundant work for tail latency, exactly the HPC-workflow
+        straggler pattern.
         """
-        source = self._ticket(LEASED, unit_id)
-        target = self._ticket(PENDING, unit_id)
-        if not source.exists() or target.exists():
-            return False
-        data = self._read_json(source)
-        if data is None:
-            return False
-        unit = WorkUnit.from_jsonable(data)
-        unit.not_before = 0.0
-        self._write_json(target, unit.to_jsonable())
-        self.journal("speculate", unit_id)
-        return True
+        with self._write() as db:
+            moved = db.execute(
+                "UPDATE units SET state = ?, not_before = 0 WHERE id = ? AND state = ?",
+                (PENDING, unit_id, LEASED),
+            ).rowcount
+            if moved:
+                self._log(db, "speculate", unit_id)
+        return bool(moved)
 
     # ------------------------------------------------------------------ misc
 
     def finished(self, unit_ids: Optional[List[str]] = None) -> bool:
         """True when every unit has reached ``done`` or ``quarantine``."""
         if unit_ids is not None:
-            return all(
-                self.find(unit_id) in (DONE, QUARANTINED) for unit_id in unit_ids
-            )
+            settled = set(self.ids(DONE)).union(self.ids(QUARANTINED))
+            return settled.issuperset(unit_ids)
         counts = self.counts()
         return not (counts[PENDING] or counts[LEASED] or counts[FAILED])
+
+    def close(self) -> None:
+        """Close the database connection; the store is unusable afterwards."""
+        with self._lock:
+            self._db.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JobStore({str(self.root)!r}, {self.counts()})"

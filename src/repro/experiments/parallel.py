@@ -175,6 +175,83 @@ def shutdown_pool(pool, abandoned: bool) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+def chunk_indices(
+    indices: Sequence[int], key: Callable[[int], object], workers: int
+) -> List[List[int]]:
+    """Group indices by ``key(index)``, then slice for load balance.
+
+    Keeping a chunk within one key means the worker that runs it builds (or
+    reuses) exactly one system; slicing keys into roughly
+    ``total / workers``-sized pieces keeps all workers busy even when one key
+    dominates.
+    """
+    by_key: Dict[object, List[int]] = {}
+    for index in indices:
+        by_key.setdefault(key(index), []).append(index)
+    chunk_size = max(1, -(-len(indices) // max(1, workers)))
+    chunks: List[List[int]] = []
+    for group in by_key.values():
+        for start in range(0, len(group), chunk_size):
+            chunks.append(group[start : start + chunk_size])
+    return chunks
+
+
+def run_pool(
+    entry: Callable[[List], List],
+    items: Sequence,
+    chunks: List[List[int]],
+    workers: int,
+    timeout: Optional[float],
+    on_result: Callable[[int, object], None],
+    what: str,
+) -> int:
+    """Run ``chunks`` of ``items`` on a process pool of ``workers`` processes.
+
+    ``entry`` is a picklable module-level function mapping a list of items to
+    their results; ``on_result(index, result)`` receives each result as its
+    chunk completes.  A chunk that exceeds ``timeout`` is abandoned and
+    logged.  Returns ``workers``, or 0 when the platform refused the pool
+    (:data:`POOL_FALLBACK_ERRORS`).  Either way the caller runs whatever
+    ``on_result`` never received serially, so results are identical to a
+    serial run.
+    """
+    try:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+        abandoned = False
+        try:
+            futures = {
+                pool.submit(entry, [items[i] for i in chunk]): chunk
+                for chunk in chunks
+            }
+
+            def collect(chunk: List[int], future) -> None:
+                for index, result in zip(chunk, future.result()):
+                    on_result(index, result)
+
+            timed_out = drain_futures(futures, collect, timeout)
+            if timed_out:
+                abandoned = True
+                logger.warning(
+                    "%d %s exceeded the %.1fs task timeout; abandoning their "
+                    "pool tasks and retrying serially",
+                    sum(len(chunk) for chunk in timed_out),
+                    what,
+                    timeout,
+                )
+        finally:
+            shutdown_pool(pool, abandoned)
+    except POOL_FALLBACK_ERRORS:
+        # Restricted environments (no semaphores / fork) and payloads that
+        # turn out not to pickle leave the rest to the caller's serial path
+        # (results the pool did complete are kept).  A genuine simulation
+        # error re-raises from that serial run, so broad catching here
+        # cannot mask it.
+        return 0
+    return workers
+
+
 def available_workers() -> int:
     """Worker count to use by default: $REPRO_SWEEP_WORKERS or the CPU count."""
     env = os.environ.get(WORKERS_ENV)
@@ -342,9 +419,9 @@ class SweepCache:
             raise
 
 
-def _run_spec(spec: PointSpec) -> SweepPoint:
-    """Module-level worker entry point (must be picklable itself)."""
-    return spec.run()
+def _run_specs(specs: List[PointSpec]) -> List[SweepPoint]:
+    """Module-level worker entry point for unbatched (build-per-point) runs."""
+    return [spec.run() for spec in specs]
 
 
 #: Per-process batch runner: worker processes live for the whole pool, so one
@@ -353,7 +430,7 @@ def _run_spec(spec: PointSpec) -> SweepPoint:
 _PROCESS_RUNNER: Optional[BatchRunner] = None
 
 
-def _process_runner() -> BatchRunner:
+def process_runner() -> BatchRunner:
     global _PROCESS_RUNNER
     if _PROCESS_RUNNER is None:
         _PROCESS_RUNNER = BatchRunner()
@@ -362,28 +439,7 @@ def _process_runner() -> BatchRunner:
 
 def _run_chunk(specs: List[PointSpec]) -> List[SweepPoint]:
     """Module-level worker entry point for one batched chunk of specs."""
-    return _process_runner().run_specs(specs)
-
-
-def _chunk_pending(
-    specs: Sequence[PointSpec], indices: List[int], workers: int
-) -> List[List[int]]:
-    """Group pending indices by batch key, then slice for load balance.
-
-    Keeping a chunk within one batch key means the worker that runs it builds
-    (or reuses) exactly one system; slicing keys into roughly
-    ``total / workers``-sized pieces keeps all workers busy even when one key
-    dominates the sweep.
-    """
-    by_key: Dict[object, List[int]] = {}
-    for index in indices:
-        by_key.setdefault(spec_batch_key(specs[index]), []).append(index)
-    chunk_size = max(1, -(-len(indices) // max(1, workers)))
-    chunks: List[List[int]] = []
-    for group in by_key.values():
-        for start in range(0, len(group), chunk_size):
-            chunks.append(group[start : start + chunk_size])
-    return chunks
+    return process_runner().run_specs(specs)
 
 
 # ------------------------------------------------------------------ executor
@@ -471,7 +527,6 @@ def run_sweep(
             for index, point in zip(service_indices, points):
                 finish(index, point)
         parallel_indices: List[int] = []
-        parallel_set = set(parallel_indices)
         serial_indices = [i for i in pending if not specs[i].is_portable()]
     else:
         parallel_indices = [
@@ -481,50 +536,25 @@ def run_sweep(
         serial_indices = [i for i in pending if i not in parallel_set]
 
     if parallel_indices:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            max_workers = min(workers, len(parallel_indices))
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            abandoned = False
-            try:
-                if batch:
-                    chunks = _chunk_pending(specs, parallel_indices, max_workers)
-                    futures = {
-                        pool.submit(_run_chunk, [specs[i] for i in chunk]): chunk
-                        for chunk in chunks
-                    }
-                else:
-                    futures = {
-                        pool.submit(_run_spec, specs[i]): [i]
-                        for i in parallel_indices
-                    }
-
-                def on_result(chunk: List[int], future) -> None:
-                    points = future.result() if batch else [future.result()]
-                    for index, point in zip(chunk, points):
-                        finish(index, point)
-
-                timed_out = drain_futures(futures, on_result, timeout)
-                if timed_out:
-                    abandoned = True
-                    hung = sorted(i for chunk in timed_out for i in chunk)
-                    logger.warning(
-                        "%d sweep point(s) exceeded the %.1fs task timeout; "
-                        "abandoning their pool tasks and retrying serially",
-                        len(hung),
-                        timeout,
-                    )
-                    serial_indices = sorted(set(serial_indices).union(hung))
-            finally:
-                shutdown_pool(pool, abandoned)
-        except POOL_FALLBACK_ERRORS:
-            # Restricted environments (no semaphores / fork) and specs that
-            # turn out not to pickle fall back to the serial path (points the
-            # pool did complete are kept).  A genuine simulation error
-            # re-raises from the serial run below, so broad catching here
-            # cannot mask it; results are identical either way.
-            serial_indices = sorted(parallel_set.union(serial_indices))
+        max_workers = min(workers, len(parallel_indices))
+        if batch:
+            chunks = chunk_indices(
+                parallel_indices, lambda i: spec_batch_key(specs[i]), max_workers
+            )
+        else:
+            chunks = [[i] for i in parallel_indices]
+        run_pool(
+            _run_chunk if batch else _run_specs,
+            specs,
+            chunks,
+            max_workers,
+            timeout,
+            finish,
+            "sweep point(s)",
+        )
+        # Timed-out points and a refused pool both leave holes; the serial
+        # loop skips every point the pool did finish.
+        serial_indices = sorted({*parallel_indices, *serial_indices})
 
     if serial_indices:
         runner = BatchRunner() if batch else None

@@ -10,8 +10,8 @@ resumable, chaos-tolerant campaign:
 * **Workers** — :func:`run_worker` is the pull loop (also behind
   ``python -m repro worker --store DIR``): claim a unit under a lease,
   renew the lease from a heartbeat thread while executing, commit the result
-  atomically, repeat.  Workers are elastic — start more anywhere that can see
-  the store directory — and expendable: a crashed or wedged worker's lease
+  atomically, repeat.  Workers are elastic — start more on the host that
+  holds the store — and expendable: a crashed or wedged worker's lease
   expires and its unit is re-dispatched.
 * **Coordinator** — :class:`CampaignService` (behind ``python -m repro
   serve`` / :func:`run_service_sweep`) enqueues units, spawns local workers,
@@ -350,7 +350,10 @@ def _worker_process_entry(
 ) -> None:
     """Module-level target for coordinator-spawned worker processes."""
     store = JobStore(root, **store_kwargs)
-    run_worker(store, worker_id=worker_id, fault=fault, exit_when_idle=True)
+    try:
+        run_worker(store, worker_id=worker_id, fault=fault, exit_when_idle=True)
+    finally:
+        store.close()
 
 
 # ---------------------------------------------------------------- coordinator
@@ -483,13 +486,8 @@ class CampaignService:
         counts = self.store.counts()
         if counts[PENDING] or counts[FAILED] or not counts[LEASED]:
             return
-        now = self.store.clock()
-        for unit_id in self.store.ids(LEASED):
-            sidecar = self.store._read_json(self.store._lease_path(unit_id))
-            if sidecar is None:
-                continue
-            if now - sidecar.get("claimed_at", now) >= self.speculate_after:
-                self.store.speculate(unit_id)
+        for unit_id in self.store.stragglers(self.speculate_after):
+            self.store.speculate(unit_id)
 
     # -------------------------------------------------------------------- run
 
@@ -651,23 +649,6 @@ _SPAWN_FALLBACK_ERRORS = (OSError, ImportError, RuntimeError, pickle.PicklingErr
 # ------------------------------------------------------------ campaign fronts
 
 
-def _drive(
-    units: Sequence[WorkUnit],
-    config: ServiceConfig,
-    workers: Optional[int],
-    fault_plan: Optional[FaultPlan],
-) -> Tuple[JobStore, ServiceSummary]:
-    store = config.job_store()
-    service = CampaignService(
-        store,
-        workers=config.workers if workers is None else workers,
-        fault_plan=config.fault_plan if fault_plan is None else fault_plan,
-        stall_timeout=config.stall_timeout,
-        speculate_after=config.speculate_after,
-    )
-    return store, service.run(units)
-
-
 def _quarantine_error(store: JobStore, summary: ServiceSummary) -> ServiceError:
     details = []
     for unit_id in summary.quarantined[:5]:
@@ -681,6 +662,38 @@ def _quarantine_error(store: JobStore, summary: ServiceSummary) -> ServiceError:
         f"{store.max_attempts} attempts (artifacts under "
         f"{store.artifacts_dir}): " + "; ".join(details)
     )
+
+
+def _run_units(
+    units: Sequence[WorkUnit],
+    service,
+    workers: Optional[int],
+    fault_plan: Optional[FaultPlan],
+    strict: bool,
+    decode,
+) -> Tuple[List, ServiceSummary]:
+    """Drive ``units`` through the service; decode results in input order."""
+    config = resolve_service(service)
+    store = config.job_store()
+    summary = CampaignService(
+        store,
+        workers=config.workers if workers is None else workers,
+        fault_plan=config.fault_plan if fault_plan is None else fault_plan,
+        stall_timeout=config.stall_timeout,
+        speculate_after=config.speculate_after,
+    ).run(units)
+    if strict and summary.quarantined:
+        raise _quarantine_error(store, summary)
+    decoded = []
+    for unit in units:
+        result = store.load_result(unit.unit_id)
+        decoded.append(decode(result) if result is not None else None)
+    if strict and any(item is None for item in decoded):
+        raise ServiceError(
+            "service campaign finished but some results are unreadable; "
+            f"inspect {store.root}"
+        )
+    return decoded, summary
 
 
 def run_service_sweep(
@@ -698,21 +711,8 @@ def run_service_sweep(
     the store, so a retry costs only the quarantined units.  ``strict=False``
     (the ``serve`` CLI) leaves ``None`` holes and reports instead.
     """
-    config = resolve_service(service)
     units = [unit_for_spec(spec) for spec in specs]
-    store, summary = _drive(units, config, workers, fault_plan)
-    if strict and summary.quarantined:
-        raise _quarantine_error(store, summary)
-    points: List[Optional[SweepPoint]] = []
-    for unit in units:
-        result = store.load_result(unit.unit_id)
-        points.append(point_from_result(result) if result is not None else None)
-    if strict and any(point is None for point in points):
-        raise ServiceError(
-            "service campaign finished but some results are unreadable; "
-            f"inspect {store.root}"
-        )
-    return points, summary
+    return _run_units(units, service, workers, fault_plan, strict, point_from_result)
 
 
 def run_service_campaign(
@@ -723,20 +723,5 @@ def run_service_campaign(
     strict: bool = True,
 ) -> Tuple[List[object], ServiceSummary]:
     """Run verification tasks through the durable campaign service."""
-    config = resolve_service(service)
     units = [unit_for_task(task) for task in tasks]
-    store, summary = _drive(units, config, workers, fault_plan)
-    if strict and summary.quarantined:
-        raise _quarantine_error(store, summary)
-    outcomes: List[object] = []
-    for unit in units:
-        result = store.load_result(unit.unit_id)
-        outcomes.append(
-            outcome_from_result(result) if result is not None else None
-        )
-    if strict and any(outcome is None for outcome in outcomes):
-        raise ServiceError(
-            "service campaign finished but some results are unreadable; "
-            f"inspect {store.root}"
-        )
-    return outcomes, summary
+    return _run_units(units, service, workers, fault_plan, strict, outcome_from_result)

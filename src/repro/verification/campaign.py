@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,14 +35,12 @@ from ..common.config import ProtocolName
 from ..errors import VerificationError
 from ..experiments.batch import BatchRunner
 from ..experiments.parallel import (
-    POOL_FALLBACK_ERRORS,
     available_workers,
-    drain_futures,
+    chunk_indices,
+    process_runner,
     resolve_task_timeout,
-    shutdown_pool,
+    run_pool,
 )
-
-logger = logging.getLogger(__name__)
 from .differential import (
     ALL_PROTOCOLS,
     MemoryTrace,
@@ -597,37 +594,11 @@ class CampaignResult:
 
 # ------------------------------------------------------------- pool execution
 
-#: Per-process batch runner: worker processes live for the whole pool, so one
-#: runner per process lets every task reuse (reset) previously built systems.
-_PROCESS_RUNNER: Optional[BatchRunner] = None
-
-
-def _process_runner() -> BatchRunner:
-    global _PROCESS_RUNNER
-    if _PROCESS_RUNNER is None:
-        _PROCESS_RUNNER = BatchRunner()
-    return _PROCESS_RUNNER
-
 
 def _run_task_chunk(tasks: List[VerificationTask]) -> List[TaskOutcome]:
     """Module-level worker entry point (must be picklable itself)."""
-    runner = _process_runner()
+    runner = process_runner()
     return [run_task(task, runner) for task in tasks]
-
-
-def _chunk_tasks(
-    tasks: Sequence[VerificationTask], workers: int
-) -> List[List[int]]:
-    """Group task indices by system shape, then slice for load balance."""
-    by_key: Dict[Tuple, List[int]] = {}
-    for index, task in enumerate(tasks):
-        by_key.setdefault((task.num_processors,), []).append(index)
-    chunk_size = max(1, -(-len(tasks) // max(1, workers)))
-    chunks: List[List[int]] = []
-    for group in by_key.values():
-        for start in range(0, len(group), chunk_size):
-            chunks.append(group[start : start + chunk_size])
-    return chunks
 
 
 def _run_campaign_tasks(
@@ -666,42 +637,19 @@ def _run_campaign_tasks(
         )
 
     if workers > 1 and len(tasks) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            max_workers = min(workers, len(tasks))
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            abandoned = False
-            try:
-                chunks = _chunk_tasks(tasks, max_workers)
-                futures = {
-                    pool.submit(_run_task_chunk, [tasks[i] for i in chunk]): chunk
-                    for chunk in chunks
-                }
-
-                def on_result(chunk: List[int], future) -> None:
-                    for index, outcome in zip(chunk, future.result()):
-                        results[index] = outcome
-
-                timed_out = drain_futures(futures, on_result, timeout)
-                if timed_out:
-                    abandoned = True
-                    hung = sorted(i for chunk in timed_out for i in chunk)
-                    logger.warning(
-                        "%d verification task(s) exceeded the %.1fs task "
-                        "timeout; abandoning their pool tasks and retrying "
-                        "serially",
-                        len(hung),
-                        timeout,
-                    )
-            finally:
-                shutdown_pool(pool, abandoned)
-            used_workers = max_workers
-        except POOL_FALLBACK_ERRORS:
-            # Restricted environments and unpicklable payloads fall back to
-            # the serial loop below; outcomes the pool did complete are kept
-            # (mirroring run_sweep's fallback).
-            pass
+        max_workers = min(workers, len(tasks))
+        chunks = chunk_indices(
+            range(len(tasks)), lambda i: tasks[i].num_processors, max_workers
+        )
+        used_workers = run_pool(
+            _run_task_chunk,
+            tasks,
+            chunks,
+            max_workers,
+            timeout,
+            results.__setitem__,
+            "verification task(s)",
+        ) or 1
 
     if any(result is None for result in results):
         runner = BatchRunner()

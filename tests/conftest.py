@@ -16,6 +16,35 @@ ALL_PROTOCOLS = (ProtocolName.SNOOPING, ProtocolName.DIRECTORY, ProtocolName.BAS
 #: Adaptive configuration that reaches its operating point in short test runs.
 FAST_ADAPTIVE = AdaptiveConfig(sampling_interval=64, policy_counter_bits=5)
 
+#: Why the compiled extension could not be built for this session, if it
+#: could not; reported once at the end of the run.
+_BUILD_SKIP_REASON = pytest.StashKey[str]()
+
+
+def pytest_sessionstart(session):
+    """Build the compiled extension once, so both backends run by default.
+
+    This is ``python -m repro._core.build``: a no-op stat when the built
+    ``.so`` is current, one compiler call (~2 s) otherwise.  Without a C
+    compiler the compiled-backend tests skip, and the reason is reported once.
+    """
+    import subprocess
+
+    from repro._core import build
+
+    try:
+        build.build(verbose=False)
+    except (RuntimeError, subprocess.CalledProcessError) as error:
+        session.config.stash[_BUILD_SKIP_REASON] = str(error)
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    reason = config.stash.get(_BUILD_SKIP_REASON, None)
+    if reason is not None:
+        terminalreporter.write_line(
+            f"compiled-backend tests skipped: extension not built ({reason})"
+        )
+
 
 def small_config(
     protocol: ProtocolName,

@@ -221,7 +221,9 @@ class TestServe:
         assert payload["ok"] is True
         assert payload["completed"] == payload["units"] == 6
         assert payload["summary"]["done"] == 6
-        assert (store / "journal.jsonl").exists()
+        from repro.experiments.jobstore import JobStore
+
+        assert JobStore(store).journal_entries()
 
     def test_serve_chaos_run_redispatches_and_completes(self, capsys, tmp_path):
         assert main(

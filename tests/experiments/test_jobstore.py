@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
+import threading
 import time
 
 import pytest
@@ -21,7 +22,7 @@ from repro.experiments.jobstore import (
 
 
 class FakeClock:
-    """Manually advanced wall clock anchored at real time (mtime-compatible)."""
+    """Manually advanced wall clock anchored at real time."""
 
     def __init__(self) -> None:
         self.now = time.time()
@@ -156,16 +157,6 @@ class TestLeases:
         assert store.expire_worker("w1") == 1
         assert store.find("a") == PENDING
 
-    def test_missing_sidecar_gets_mtime_grace(self, store, clock):
-        store.enqueue(_unit("a"))
-        store.claim("w1")
-        store._lease_path("a").unlink()
-        assert store.recover()["expired"] == 0  # fresh ticket: grace period
-        old = clock() - store.lease_timeout - 1.0
-        os.utime(store._ticket(LEASED, "a"), (old, old))
-        assert store.recover()["expired"] == 1
-        assert store.find("a") == PENDING
-
 
 class TestRetries:
     def test_backoff_is_exponential_and_capped(self, store):
@@ -213,7 +204,7 @@ class TestCorruptResults:
         store.complete(store.claim("w1"), {"value": 1}, _corrupt=True)
         assert store.find("a") == DONE
         assert store.load_result("a") is None  # detected on read
-        assert (store.root / "results" / "a.json.corrupt").exists()
+        assert (store.artifacts_dir / "a.result.corrupt").exists()
         assert store.find("a") == PENDING  # requeued for recomputation
         assert store.complete(store.claim("w2"), {"value": 1})
         assert store.load_result("a") == {"value": 1}
@@ -221,16 +212,6 @@ class TestCorruptResults:
 
 
 class TestRecovery:
-    def test_dedupe_keeps_the_transition_target(self, store):
-        store.enqueue(_unit("a"))
-        # Simulate a crash mid-commit: ticket copied to done, source left.
-        ticket = store.unit("a").to_jsonable()
-        store._write_json(store._ticket(DONE, "a"), ticket)
-        assert store._ticket(PENDING, "a").exists()
-        store.recover()
-        assert store.find("a") == DONE
-        assert not store._ticket(PENDING, "a").exists()
-
     def test_recover_is_idempotent_on_a_quiet_store(self, store):
         store.enqueue(_unit("a"))
         store.complete(store.claim("w1"), {"value": 1})
@@ -267,3 +248,92 @@ class TestSpeculation:
         store.claim("w1")
         assert store.speculate("a")
         assert not store.speculate("a")  # pending copy already exists
+
+    def test_stragglers_are_leases_claimed_before_the_bar(self, store, clock):
+        store.enqueue(_unit("a"))
+        store.enqueue(_unit("b"))
+        lease = store.claim("w1")
+        clock.advance(5.0)
+        store.claim("w2")
+        assert store.stragglers(older_than=5.0) == ["a"]
+        assert store.stragglers(older_than=0.0) == ["a", "b"]
+        # Heartbeats extend the deadline, not the age of the claim.
+        assert store.heartbeat(lease)
+        assert store.stragglers(older_than=5.0) == ["a"]
+        store.complete(lease, {"value": 1})
+        assert store.stragglers(older_than=0.0) == ["b"]
+
+
+def _recover_forever(root: str, ready, stop) -> None:
+    """Second process: hammer recovery and counting until told to stop."""
+    store = JobStore(root)
+    ready.set()
+    while not stop.is_set():
+        store.recover()
+        store.counts()
+
+
+class TestConcurrency:
+    def test_recovery_in_another_process_never_loses_a_claim(self, tmp_path):
+        """Claims racing a recovery loop in a second process all commit."""
+        root = tmp_path / "store"
+        store = JobStore(root)
+        context = multiprocessing.get_context("spawn")
+        ready, stop = context.Event(), context.Event()
+        poller = context.Process(
+            target=_recover_forever, args=(str(root), ready, stop), daemon=True
+        )
+        started = time.monotonic()
+        poller.start()
+        try:
+            assert ready.wait(timeout=10.0)
+            unit_ids = [f"u{index:03d}" for index in range(200)]
+            for unit_id in unit_ids:
+                store.enqueue(_unit(unit_id))
+            # A full pending queue keeps every claim racing the recoveries.
+            for unit_id in unit_ids:
+                lease = store.claim("w1")
+                assert lease is not None and lease.unit.unit_id == unit_id
+                assert store.complete(lease, {"value": unit_id})
+        finally:
+            stop.set()
+            poller.join(timeout=10.0)
+        assert poller.exitcode == 0
+        assert store.ids(DONE) == unit_ids
+        assert store.finished(unit_ids)
+        assert not _events(store, "commit-fenced")
+        assert time.monotonic() - started < 15.0
+
+    def test_heartbeat_thread_shares_the_store_object(self, tmp_path):
+        """A second thread heartbeating on the same object never breaks a commit."""
+        store = JobStore(tmp_path / "store")
+        unit_ids = [f"u{index:03d}" for index in range(50)]
+        for unit_id in unit_ids:
+            store.enqueue(_unit(unit_id))
+        current = []
+        errors = []
+        stop = threading.Event()
+
+        def beat() -> None:
+            try:
+                while not stop.is_set():
+                    if current:
+                        store.heartbeat(current[-1])
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        beater = threading.Thread(target=beat, daemon=True)
+        beater.start()
+        try:
+            for unit_id in unit_ids:
+                lease = store.claim("w1")
+                assert lease is not None and lease.unit.unit_id == unit_id
+                current.append(lease)
+                assert store.complete(lease, {"value": unit_id})
+        finally:
+            stop.set()
+            beater.join(timeout=10.0)
+        assert not beater.is_alive()
+        assert errors == []
+        assert store.ids(DONE) == unit_ids
+        assert not _events(store, "commit-fenced")

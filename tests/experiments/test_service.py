@@ -36,6 +36,11 @@ TINY = dataclasses.replace(
 )
 
 
+#: A regression in the fleet path must fail in seconds, not wait out the
+#: coordinator's 300 s production default.
+STALL_TIMEOUT = 20.0
+
+
 def _specs(protocols=("bash", "snooping")):
     workload = microbenchmark_factory(TINY)
     return [
@@ -83,7 +88,10 @@ class TestServiceEqualsSerial:
         self, tmp_path, serial_points
     ):
         points, summary = run_service_sweep(
-            _specs(), ServiceConfig(store=tmp_path / "store", workers=2)
+            _specs(),
+            ServiceConfig(
+                store=tmp_path / "store", workers=2, stall_timeout=STALL_TIMEOUT
+            ),
         )
         assert _json(points) == _json(serial_points)
         assert summary.done == len(points)
@@ -111,8 +119,8 @@ class TestChaos:
         assert _json(points) == _json(serial_points)
         assert summary.corrupt_results >= 1
         store = config.job_store()
-        corrupt = list((store.root / "results").glob("*.corrupt"))
-        assert corrupt, "torn result file was not quarantined"
+        corrupt = list(store.artifacts_dir.glob("*.result.corrupt"))
+        assert corrupt, "torn result was not quarantined"
 
     def test_dropped_heartbeats_expire_and_redispatch(self, tmp_path, serial_points):
         """With heartbeats off and a tiny lease, every unit survives expiry."""

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Callable, Dict, Iterator, Optional
+from types import FunctionType
+from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple
 
 #: Environment variable naming the requested backend.
 ENV_VAR = "REPRO_BACKEND"
@@ -86,11 +87,27 @@ def provide(pure: type, compiled_factory: Callable[[], type]) -> None:
     _compiled_factory = compiled_factory
 
 
+#: Every type the Python side constructs from the extension.  All three C
+#: files build into one module with one command, so a module lacking any of
+#: them is a stale build: it is refused whole rather than half used.
+REQUIRED_TYPES = (
+    "SchedulerBase",
+    "LinkPush",
+    "Relay",
+    "DataDeliver",
+    "SnoopDeliver",
+    "DirDeliver",
+    "SequencerStep",
+    "MemServe",
+)
+
+
 def load_extension():
     """Import and return ``repro._core._cext``; raise ImportError if absent.
 
-    The import is attempted once; subsequent calls return the cached module
-    or re-raise the cached failure.
+    Also raises ImportError, naming the missing types, when the module lacks
+    any of :data:`REQUIRED_TYPES`.  The import is attempted once; subsequent
+    calls return the cached module or re-raise the cached failure.
     """
     global _ext, _ext_attempted, _import_error
     if _ext is not None:
@@ -103,6 +120,12 @@ def load_extension():
     except ImportError as error:
         _import_error = str(error)
         raise
+    missing = [name for name in REQUIRED_TYPES if not hasattr(_cext, name)]
+    if missing:
+        _import_error = (
+            f"{_cext.__file__} is a stale build lacking {', '.join(missing)}"
+        )
+        raise ImportError(_import_error)
     _ext = _cext
     return _ext
 
@@ -248,25 +271,61 @@ def handler_selections() -> Dict[str, str]:
     return dict(_handler_selections)
 
 
-def handlers_available() -> bool:
-    """True when the loaded extension carries the compiled handler layer.
+#: Each stock class's namespace as it was when the class was created.
+_namespaces: Dict[type, dict] = {}
+#: Stock class -> (the ``(class, namespace)`` pairs of every stock class in
+#: its MRO, the names of every function those classes define).
+_stock: Dict[type, Tuple[Tuple[Tuple[type, dict], ...], FrozenSet[str]]] = {}
 
-    Distinct from :func:`compiled_available`: an older ``.so`` built before
-    the handler fast paths existed still provides the event core but not
-    the delivery objects.  Does not attempt the import itself.
+
+def stock(cls: type) -> type:
+    """Class decorator: register ``cls`` as a class the C fast paths mirror.
+
+    Snapshots the class namespace at creation.  Apply it outermost, after
+    any decorator that rebuilds the class (``@dataclass(slots=True)``).
     """
-    return _ext is not None and hasattr(_ext, "SnoopDeliver")
+    _namespaces[cls] = dict(vars(cls))
+    snapshots = tuple(
+        (klass, _namespaces[klass]) for klass in cls.__mro__ if klass in _namespaces
+    )
+    functions = frozenset(
+        name
+        for _, namespace in snapshots
+        for name, value in namespace.items()
+        if isinstance(value, (FunctionType, staticmethod, classmethod))
+    )
+    _stock[cls] = (snapshots, functions)
+    return cls
 
 
-def issue_available() -> bool:
-    """True when the loaded extension carries the compiled issue chain.
+def is_stock(*objects) -> bool:
+    """True when every object is exactly what the C fast paths mirror.
 
-    Same shape as :func:`handlers_available`: an ``.so`` built before the
-    request-issue fast path existed provides the event core (and possibly
-    the handler layer) but not the ``SequencerStep`` object.  Does not
-    attempt the import itself.
+    For each object: its exact type is a :func:`stock` class, every stock
+    class in that type's MRO still has its creation-time namespace (no
+    class-level patch, added or deleted attribute), and no instance
+    attribute shadows a function of those classes.  A class argument
+    stands for its instances and gets the class-level checks only.
+
+    The pure handlers are the specification; the compiled delivery objects
+    and issue chain run only where this holds, so a test that patches a
+    stock class (to inject a bug, or to count calls) always runs pure.
     """
-    return _ext is not None and hasattr(_ext, "SequencerStep")
+    for obj in objects:
+        if isinstance(obj, type):
+            cls, instance_vars = obj, None
+        else:
+            cls, instance_vars = type(obj), getattr(obj, "__dict__", None)
+        registered = _stock.get(cls)
+        if registered is None:
+            return False
+        snapshots, functions = registered
+        for klass, namespace in snapshots:
+            if vars(klass) != namespace:
+                return False
+        if instance_vars and not functions.isdisjoint(instance_vars):
+            return False
+    return True
 
 
 def accelerator_for(scheduler):
@@ -289,14 +348,7 @@ def backend_info() -> Dict[str, object]:
     _resolve()
     ext = _ext
     version = getattr(ext, "CORE_VERSION", None) if ext is not None else None
-    if _active == COMPILED:
-        event_core = COMPILED
-        handlers = COMPILED if handlers_available() else "unavailable"
-        issue_chain = COMPILED if issue_available() else "unavailable"
-    else:
-        event_core = PURE
-        handlers = PURE
-        issue_chain = PURE
+    component = COMPILED if _active == COMPILED else PURE
     return {
         "name": _active,
         "requested": _requested,
@@ -305,10 +357,8 @@ def backend_info() -> Dict[str, object]:
         "compiled_loaded": ext is not None,
         "compiled_version": version,
         "compiled_import_error": _import_error,
-        "components": {
-            "event_core": event_core,
-            "handlers": handlers,
-            "issue_chain": issue_chain,
-        },
+        "components": dict.fromkeys(
+            ("event_core", "handlers", "issue_chain"), component
+        ),
         "handler_selections": handler_selections(),
     }

@@ -1456,181 +1456,6 @@ static PyTypeObject SnoopDeliver_Type = {
     .tp_new = PyType_GenericNew,
 };
 
-/* ---------------------------------------------------------------- PutDeliver
- *
- * Compiled ordered PUTM entry: only the writer itself reacts cache-side
- * (through the stored bound handler, which also carries the BASH
- * never-retried assertion) and only the home memory controller tracks the
- * PUT.  The other 15 of 16 broadcast deliveries return without entering
- * Python at all. */
-
-typedef struct {
-    PyObject_HEAD
-    long long node_id;
-    int home_inline;       /* home test as C arithmetic (stock config) */
-    long long block_bytes;
-    long long num_procs;
-    PyObject *cache_putm;  /* bound _snoop_putm */
-    PyObject *home_filter; /* node's home memo (dict), or NULL */
-    PyObject *is_home_for; /* or NULL */
-    PyObject *mem_handler; /* bound _ordered_put, or NULL */
-} PutDeliverObject;
-
-static int
-PutDeliver_init(PutDeliverObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *cache_putm;
-    PyObject *home_filter = Py_None, *is_home_for = Py_None;
-    PyObject *mem_handler = Py_None;
-    long long node_id, block_bytes = 0, num_procs = 0;
-    int home_inline = 0;
-    static char *kwlist[] = {"node_id",     "cache_putm",  "home_filter",
-                             "is_home_for", "mem_handler", "home_inline",
-                             "block_bytes", "num_procs",   NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LO|OOOiLL", kwlist,
-                                     &node_id, &cache_putm, &home_filter,
-                                     &is_home_for, &mem_handler, &home_inline,
-                                     &block_bytes, &num_procs))
-        return -1;
-    if (home_inline && (block_bytes <= 0 || num_procs <= 0)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "home_inline requires positive block_bytes and "
-                        "num_procs");
-        return -1;
-    }
-    if (mem_handler != Py_None &&
-        (!PyDict_Check(home_filter) || is_home_for == Py_None)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "a memory handler requires home_filter (dict) and "
-                        "is_home_for");
-        return -1;
-    }
-    self->node_id = node_id;
-    self->home_inline = home_inline;
-    self->block_bytes = block_bytes;
-    self->num_procs = num_procs;
-    Py_INCREF(cache_putm);
-    Py_XSETREF(self->cache_putm, cache_putm);
-#define STORE_OPT(field, value)                                                \
-    do {                                                                       \
-        PyObject *boxed = (value) == Py_None ? NULL : (value);                 \
-        Py_XINCREF(boxed);                                                     \
-        Py_XSETREF(self->field, boxed);                                        \
-    } while (0)
-    STORE_OPT(home_filter, home_filter);
-    STORE_OPT(is_home_for, is_home_for);
-    STORE_OPT(mem_handler, mem_handler);
-#undef STORE_OPT
-    return 0;
-}
-
-static int
-PutDeliver_traverse(PutDeliverObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->cache_putm);
-    Py_VISIT(self->home_filter);
-    Py_VISIT(self->is_home_for);
-    Py_VISIT(self->mem_handler);
-    return 0;
-}
-
-static int
-PutDeliver_clear(PutDeliverObject *self)
-{
-    Py_CLEAR(self->cache_putm);
-    Py_CLEAR(self->home_filter);
-    Py_CLEAR(self->is_home_for);
-    Py_CLEAR(self->mem_handler);
-    return 0;
-}
-
-static void
-PutDeliver_dealloc(PutDeliverObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    PutDeliver_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-PutDeliver_call(PutDeliverObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "PutDeliver takes no keyword arguments");
-        return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "PutDeliver", 1, 1, &message))
-        return NULL;
-    int error = 0;
-    long long requester = attr_ll(message, s_requester, &error);
-    if (error)
-        return NULL;
-    if (requester == self->node_id &&
-        call_discard1(self->cache_putm, message) < 0)
-        return NULL;
-    if (self->mem_handler != NULL) {
-        PyObject *address = PyObject_GetAttr(message, s_address);
-        if (address == NULL)
-            return NULL;
-        int is_home = -2; /* unresolved */
-        if (self->home_inline) {
-            long long addr = PyLong_AsLongLong(address);
-            if (addr == -1 && PyErr_Occurred())
-                PyErr_Clear();
-            else if (addr >= 0)
-                is_home = (addr / self->block_bytes) % self->num_procs ==
-                          self->node_id;
-        }
-        if (is_home == -2) {
-            PyObject *home = PyDict_GetItemWithError(self->home_filter, address);
-            if (home == NULL) {
-                if (PyErr_Occurred()) {
-                    Py_DECREF(address);
-                    return NULL;
-                }
-                home = PyObject_CallOneArg(self->is_home_for, address);
-                if (home == NULL) {
-                    Py_DECREF(address);
-                    return NULL;
-                }
-                if (PyDict_SetItem(self->home_filter, address, home) < 0) {
-                    Py_DECREF(home);
-                    Py_DECREF(address);
-                    return NULL;
-                }
-            }
-            else
-                Py_INCREF(home);
-            is_home = PyObject_IsTrue(home);
-            Py_DECREF(home);
-            if (is_home < 0) {
-                Py_DECREF(address);
-                return NULL;
-            }
-        }
-        Py_DECREF(address);
-        if (is_home && call_discard1(self->mem_handler, message) < 0)
-            return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyTypeObject PutDeliver_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._core._cext.PutDeliver",
-    .tp_basicsize = sizeof(PutDeliverObject),
-    .tp_dealloc = (destructor)PutDeliver_dealloc,
-    .tp_call = (ternaryfunc)PutDeliver_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled ordered PUTM delivery entry (writer + home only).",
-    .tp_traverse = (traverseproc)PutDeliver_traverse,
-    .tp_clear = (inquiry)PutDeliver_clear,
-    .tp_init = (initproc)PutDeliver_init,
-    .tp_new = PyType_GenericNew,
-};
-
 /* ---------------------------------------------------------------- DirDeliver
  *
  * Compiled ordered entry for the Directory protocol's MARKER and
@@ -1862,12 +1687,14 @@ static PyMethodDef chandlers_methods[] = {
      "identity."},
     {NULL}};
 
+/* Registers DataDeliver, SnoopDeliver and DirDeliver.  Ordered PUTM
+ * entries have no compiled object: writebacks are rare, so they always run
+ * the pure _snoop_putm / home handlers. */
 int
 chandlers_add_types(PyObject *module)
 {
     if (PyType_Ready(&DataDeliver_Type) < 0 ||
         PyType_Ready(&SnoopDeliver_Type) < 0 ||
-        PyType_Ready(&PutDeliver_Type) < 0 ||
         PyType_Ready(&DirDeliver_Type) < 0)
         return -1;
 
@@ -1921,8 +1748,6 @@ chandlers_add_types(PyObject *module)
                               (PyObject *)&DataDeliver_Type) < 0 ||
         PyModule_AddObjectRef(module, "SnoopDeliver",
                               (PyObject *)&SnoopDeliver_Type) < 0 ||
-        PyModule_AddObjectRef(module, "PutDeliver",
-                              (PyObject *)&PutDeliver_Type) < 0 ||
         PyModule_AddObjectRef(module, "DirDeliver",
                               (PyObject *)&DirDeliver_Type) < 0)
         return -1;

@@ -11,7 +11,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* Register SnoopDeliver/PutDeliver/DirDeliver and _init_protocol on the
+/* Register DataDeliver/SnoopDeliver/DirDeliver and _init_protocol on the
  * extension module.  Returns 0 on success, -1 with an exception set. */
 int chandlers_add_types(PyObject *module);
 

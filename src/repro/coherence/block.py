@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Set
 
+from .._core import stock
 from .state import MOSIState
 
 
+@stock
 @dataclass(slots=True)
 class CacheBlock:
     """One cache line as seen by its cache controller.

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
+from .._core import stock
 from ..errors import ProtocolError
 from .block import CacheBlock
 from .state import MOSIState
 
 
+@stock
 class CacheBlockStore:
     """Holds the :class:`CacheBlock` records of one cache controller."""
 

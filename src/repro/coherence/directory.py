@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Set
 
+from .._core import stock
 from .state import MEMORY_OWNER
 
 
+@stock
 @dataclass(slots=True)
 class DirectoryEntry:
     """Owner and sharer bookkeeping for one block at its home node."""
@@ -76,6 +78,7 @@ class DirectoryEntry:
         self.awaiting_writeback = False
 
 
+@stock
 class DirectoryStore:
     """All directory entries owned by one memory controller."""
 

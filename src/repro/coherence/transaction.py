@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from .._core import stock
 from ..interconnect.message import Message, MessageType
 
 #: Called when a transaction completes; receives the finished transaction.
@@ -14,6 +15,7 @@ CompletionCallback = Callable[["Transaction"], None]
 _transaction_ids = itertools.count()
 
 
+@stock
 @dataclass(slots=True)
 class Transaction:
     """One in-flight coherence transaction at a cache controller.

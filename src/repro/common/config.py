@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Tuple
 
+from .._core import stock
 from ..errors import ConfigurationError
 from . import constants
 from .units import mb_per_second_to_bytes_per_cycle
@@ -125,6 +126,7 @@ class AdaptiveConfig:
         return busy_delta, idle_delta
 
 
+@stock
 @dataclass(frozen=True)
 class SystemConfig:
     """Complete description of one simulated multiprocessor."""

@@ -15,9 +15,11 @@ import bisect
 import math
 from typing import Dict, List, Optional, Tuple
 
+from .._core import stock
 from ..errors import NetworkError
 
 
+@stock
 class EndpointLink:
     """One direction (in or out) of a node's link to the interconnect."""
 

@@ -21,6 +21,8 @@ import itertools
 from enum import Enum
 from typing import FrozenSet, Optional
 
+from .._core import stock
+
 
 class MessageType(Enum):
     """Kinds of protocol messages."""
@@ -70,6 +72,7 @@ class DestinationUnit(Enum):
 _message_ids = itertools.count()
 
 
+@stock
 class Message:
     """One message travelling over the interconnect.
 

@@ -32,7 +32,7 @@ from heapq import heappush as _heappush
 
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from .._core import accelerator_for
+from .._core import accelerator_for, stock
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
@@ -43,6 +43,7 @@ from .message import Message, MessageType
 OrderedHandler = Callable[[Message], None]
 
 
+@stock
 class TotallyOrderedNetwork:
     """Broadcast/multicast-capable, totally ordered virtual network."""
 

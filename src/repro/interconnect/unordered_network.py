@@ -21,7 +21,7 @@ from heapq import heappush as _heappush
 
 from typing import Callable, Dict, Optional, Tuple
 
-from .._core import accelerator_for
+from .._core import accelerator_for, stock
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
@@ -32,6 +32,7 @@ from .message import DestinationUnit, Message, MessageType
 UnorderedHandler = Callable[[Message], None]
 
 
+@stock
 class UnorderedNetwork:
     """Point-to-point virtual network with fixed traversal latency."""
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import ClassVar, Dict, Mapping, Optional
 
+from .._core import stock
 from ..common.config import SystemConfig
 from ..common.stats import StatsRegistry
 from ..coherence.cache_state import CacheBlockStore
@@ -32,9 +33,10 @@ from ..interconnect.message import DestinationUnit, Message, MessageType
 from ..interconnect.network import Interconnect
 from ..sim.component import Component
 from ..sim.scheduler import Scheduler
-from .dispatch import HandlerTable, compile_handlers, pristine_snapshot, reject
+from .dispatch import HandlerTable, compile_handlers, reject
 
 
+@stock
 class ProtocolController(Component):
     """Common construction for both controller kinds: compiled dispatch tables
     and the prebound hot-path callables the per-message pipeline uses."""
@@ -123,6 +125,7 @@ class ProtocolController(Component):
         return home
 
 
+@stock
 class CacheControllerBase(ProtocolController):
     """Common cache-side behaviour: MSHRs, completion, data responses."""
 
@@ -319,20 +322,7 @@ class CacheControllerBase(ProtocolController):
             self._arena.release_transaction(transaction)
 
 
-#: Captured at import: the memoised home lookup the compiled issue chain
-#: mirrors (memo probe in C, bound ``home_of`` call on a miss).
-HOME_OF_PRISTINE = pristine_snapshot(ProtocolController, ("home_of",))
-
-
-#: Captured at import: the issue entry points the compiled SequencerStep
-#: (repro._core._issue.c) runs in C — transaction allocation, MSHR insert,
-#: request counters and the protocol ``_send_*`` dispatch.  A class-level
-#: patch to any of these keeps the pure per-reference step.
-ISSUE_PRISTINE = pristine_snapshot(
-    CacheControllerBase, ("issue_request", "issue_writeback", "has_outstanding")
-)
-
-
+@stock
 class MemoryControllerBase(ProtocolController):
     """Common memory-side behaviour: directory store and data responses."""
 
@@ -421,9 +411,3 @@ class MemoryControllerBase(ProtocolController):
             message,
             self.full_label(f"control-{msg_type}"),
         )
-
-
-#: Captured at import: the memory-side data response the compiled MemServe
-#: entry (repro._core._issue.c) mirrors — message build, ``data_responses``
-#: count and the DRAM-delayed unordered send.
-MEM_DATA_PRISTINE = pristine_snapshot(MemoryControllerBase, ("_send_data",))

@@ -20,15 +20,16 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..._core import stock
 from ...coherence.block import CacheBlock
 from ...coherence.transaction import Transaction
 from ...errors import ProtocolError
 from ...interconnect.message import Message, MessageType
-from ..dispatch import pristine_snapshot
 from ..snooping.cache_controller import SnoopingCacheController
 from .adaptive import BandwidthAdaptiveMechanism
 
 
+@stock
 class BashCacheController(SnoopingCacheController):
     """Hybrid cache controller: snooping behaviour, adaptive request fan-out."""
 
@@ -229,25 +230,3 @@ class BashCacheController(SnoopingCacheController):
         if message.is_retry and message.requester == self.node_id:
             raise ProtocolError("writebacks are never retried in BASH")
         super()._snoop_putm(message)
-
-
-#: Captured at import, resolving BASH's own overrides: the methods the
-#: compiled delivery objects inline for a BASH cache controller.
-INLINED_PRISTINE = pristine_snapshot(
-    BashCacheController,
-    (
-        "_snoop_request",
-        "_snoop_putm",
-        "_handle_own_request",
-        "_try_complete_at_marker",
-        "_own_request_sufficient",
-        "_serve_stable",
-    ),
-)
-
-#: The DATA-response chain, resolved against BASH's own MRO (all inherited
-#: today, but a class-level patch here must keep the pure DATA path).
-DATA_INLINED_PRISTINE = pristine_snapshot(
-    BashCacheController,
-    ("_handle_data", "_finish_getm", "_finish_gets", "_service_deferred", "_complete"),
-)

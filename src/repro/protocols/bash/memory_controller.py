@@ -22,13 +22,14 @@ nodes that received each ordered request and decide whether the request was
 
 from __future__ import annotations
 
+from ..._core import stock
 from ...coherence.directory import DirectoryEntry
 from ...errors import ProtocolError
 from ...interconnect.message import DestinationUnit, Message, MessageType
 from ..snooping.memory_controller import OrderedHomeMemoryController
-from ..dispatch import pristine_snapshot
 
 
+@stock
 class BashMemoryController(OrderedHomeMemoryController):
     """Home node controller with directory state and sufficiency checking."""
 
@@ -140,11 +141,3 @@ class BashMemoryController(OrderedHomeMemoryController):
             issue_time=self.now,
         )
         self.interconnect.send_unordered(nack)
-
-
-#: Captured at import, resolving BASH's own overrides: the home-serve
-#: methods the compiled delivery objects inline (mem_mode 2).
-INLINED_PRISTINE = pristine_snapshot(
-    BashMemoryController,
-    ("_ordered_request", "_serve_request", "_note_request_observed"),
-)

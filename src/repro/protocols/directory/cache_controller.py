@@ -11,23 +11,18 @@ invalidation or completion acknowledgements are needed.
 
 from __future__ import annotations
 
+from ..._core import is_stock, stock
 from ...coherence.block import CacheBlock
 from ...coherence.state import MOSIState
 from ...coherence.transaction import Transaction
 from ...errors import ProtocolError
 from ...interconnect.message import DestinationUnit, Message, MessageType
+from ...sim.arena import SimulationArena
 from ..base import CacheControllerBase
-from ..dispatch import (
-    ARENA_PRISTINE,
-    BLOCK_PRISTINE,
-    TRANSACTION_PRISTINE,
-    handler_accelerator,
-    is_pristine,
-    note_selection,
-    pristine_snapshot,
-)
+from ..dispatch import handler_accelerator, note_selection
 
 
+@stock
 class DirectoryCacheController(CacheControllerBase):
     """MOSI cache controller that unicasts its requests to the home directory."""
 
@@ -99,11 +94,12 @@ class DirectoryCacheController(CacheControllerBase):
     def compile_accelerated_ordered(self, msg_type, memory_controller, home_filter):
         """A C delivery object for MARKER / forwarded-request entries.
 
-        Same shape as the snooping variant: per-handler, exact class, and
-        default-table-entry checks, declining to the generic path on any
-        customisation.  The Directory home consumes nothing ordered, so a
-        memory controller that *does* register an ordered handler for the
-        type means a customised system — decline.  PUT_ACK/PUT_NACK stay
+        Same shape as the snooping variant: per-handler, exact unpatched
+        class (:func:`repro._core.is_stock`) and default-table-entry
+        checks, declining to the generic path on any customisation.  The
+        Directory home consumes nothing ordered, so a memory controller
+        that *does* register an ordered handler for the type means a
+        customised system — decline.  PUT_ACK/PUT_NACK stay
         pure (rare, and they complete writebacks).
         """
         ext = handler_accelerator(self)
@@ -111,7 +107,7 @@ class DirectoryCacheController(CacheControllerBase):
             return None
         if memory_controller.ordered_handlers.get(msg_type) is not None:
             return None
-        if not is_pristine(INLINED_PRISTINE, TRANSACTION_PRISTINE):
+        if not is_stock(self, Transaction):
             note_selection(self, msg_type, "declined")
             return None
         if msg_type is MessageType.MARKER:
@@ -160,18 +156,10 @@ class DirectoryCacheController(CacheControllerBase):
         ``completer`` — the marker-side completion, which runs the same
         ``_try_complete``/``_complete`` chain.
         """
-        if not hasattr(ext, "DataDeliver"):
-            return None
-        if type(self) is not DirectoryCacheController:
-            return None
-        if self.unordered_handlers.get(MessageType.DATA) != self._handle_data:
-            return None
-        if not is_pristine(
-            INLINED_PRISTINE,
-            DATA_INLINED_PRISTINE,
-            TRANSACTION_PRISTINE,
-            BLOCK_PRISTINE,
-            ARENA_PRISTINE,
+        if (
+            type(self) is not DirectoryCacheController
+            or not is_stock(self, self.blocks, Transaction, CacheBlock, SimulationArena)
+            or self.unordered_handlers.get(MessageType.DATA) != self._handle_data
         ):
             return None
         message_arena = (
@@ -358,45 +346,18 @@ class DirectoryCacheController(CacheControllerBase):
         transaction.clear_deferred()
 
 
-#: Captured at import: the methods the compiled DirDeliver entries inline.
-INLINED_PRISTINE = pristine_snapshot(
-    DirectoryCacheController,
-    ("_handle_marker", "_handle_forward", "_try_complete"),
-)
-
-#: The DATA-response chain the compiled ``DataDeliver`` entry inlines end to
-#: end (delivery, ownership install, deferred service trigger, completion).
-DATA_INLINED_PRISTINE = pristine_snapshot(
-    DirectoryCacheController,
-    ("_handle_data", "_finish_gets", "_service_deferred", "_complete"),
-)
-
-#: Captured at import: the unicast send pair the compiled issue chain (send
-#: mode 2) runs entirely in C — the expects-data downgrade, home routing,
-#: pooled message build, unicast count and the unordered network's injection.
-SEND_PRISTINE = pristine_snapshot(
-    DirectoryCacheController,
-    ("_send_request", "_send_writeback"),
-)
-
-
 def compile_issue_send(cache, ext):
     """``(send_mode, kwargs)`` inlining the unicast send into C, or None.
 
     Mode 2 replicates :meth:`DirectoryCacheController._send_request` /
     ``_send_writeback`` + :meth:`UnorderedNetwork.send` for the exact stock
-    shapes only: pristine send pair, stock unordered network with compiled
-    injection entries, the memoised block-interleaved home map, and a stock
-    endpoint link.  Any other shape returns None and the issue chain falls
-    back to send mode 0 — C bookkeeping around the bound Python ``_send_*``
+    shapes only: unpatched stock controller and config, stock unordered
+    network with compiled injection entries, and a stock endpoint link.
+    Any other shape returns None and the issue chain falls back to send
+    mode 0 — C bookkeeping around the bound Python ``_send_*``
     methods, faithful by construction.
     """
-    from ...common.config import SystemConfig  # noqa: PLC0415
-    from ...interconnect.link import EndpointLink  # noqa: PLC0415
     from ...interconnect.unordered_network import UnorderedNetwork  # noqa: PLC0415
-    from ..base import HOME_OF_PRISTINE, ProtocolController  # noqa: PLC0415
-    from ..dispatch import LINK_PRISTINE, NET_SEND_PRISTINE  # noqa: PLC0415
-    from ..snooping.cache_controller import HOME_PRISTINE  # noqa: PLC0415
 
     net = cache.interconnect.unordered
     if type(net) is not UnorderedNetwork:
@@ -407,16 +368,12 @@ def compile_issue_send(cache, ext):
         or send.__func__ is not UnorderedNetwork.send
     ):
         return None
-    if not is_pristine(
-        SEND_PRISTINE, LINK_PRISTINE, NET_SEND_PRISTINE, HOME_PRISTINE, HOME_OF_PRISTINE
-    ):
-        return None
-    if "home_of" in vars(cache) or type(cache).home_of is not ProtocolController.home_of:
-        return None
-    if net._accel is not ext or type(cache.config) is not SystemConfig:
-        return None
     pair = net.links.get(cache.node_id)
-    if pair is None or type(pair.outgoing) is not EndpointLink:
+    if (
+        net._accel is not ext
+        or pair is None
+        or not is_stock(cache, cache.config, net, pair.outgoing)
+    ):
         return None
     extra = {
         "net_messages": net._messages_counter,

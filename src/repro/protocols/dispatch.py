@@ -31,86 +31,16 @@ from typing import Callable, Dict, Mapping, NoReturn
 
 import inspect
 
+from .. import _core
 from ..coherence.block import CacheBlock
-from ..coherence.cache_state import CacheBlockStore
-from ..coherence.directory import DirectoryEntry
 from ..coherence.transaction import Transaction
 from ..errors import ProtocolError
-from ..interconnect.link import EndpointLink
 from ..interconnect.message import DestinationUnit, Message, MessageType
-from ..interconnect.ordered_network import TotallyOrderedNetwork
-from ..interconnect.unordered_network import UnorderedNetwork
 from ..sim.arena import SimulationArena
 
 #: A compiled dispatch table: message type -> bound handler.
 HandlerTable = Dict[MessageType, Callable[[Message], None]]
 
-
-def pristine_snapshot(cls, names):
-    """Capture ``(cls, name, attribute)`` triples at import time.
-
-    The compiled delivery objects inline the *semantics* of specific
-    methods rather than calling them, so they must decline whenever one of
-    those methods is no longer the definition the C code mirrors — a
-    subclass override (already excluded by the exact-type checks) or a
-    class-level monkeypatch (bug-injection tests patch hooks like
-    ``_serve_stable`` to corrupt a protocol on purpose; the compiled path
-    must not silently mask the injected bug).  Each protocol module
-    snapshots its inlined hooks right after the class definition;
-    :func:`is_pristine` then compares by identity at compile time.
-    """
-    return tuple((cls, name, getattr(cls, name)) for name in names)
-
-
-def is_pristine(*snapshots) -> bool:
-    """True when every snapshotted attribute is still the captured object."""
-    return all(
-        getattr(cls, name) is attribute
-        for snapshot in snapshots
-        for cls, name, attribute in snapshot
-    )
-
-
-#: Data-layer methods the C fast paths mirror field-for-field.
-TRANSACTION_PRISTINE = pristine_snapshot(
-    Transaction, ("record_marker", "invalidated_after")
-)
-BLOCK_PRISTINE = pristine_snapshot(CacheBlock, ("invalidate", "become_owner"))
-DIR_ENTRY_PRISTINE = pristine_snapshot(
-    DirectoryEntry, ("grant_exclusive", "add_sharer", "is_sufficient")
-)
-
-
-#: The arena release hooks the compiled DATA entry calls as bound methods.
-ARENA_PRISTINE = pristine_snapshot(
-    SimulationArena, ("release_transaction", "release_message")
-)
-
-#: The arena *allocation* hooks the compiled issue chain replaces with C-side
-#: free-list pops (field-for-field identical to the recycled ``__init__``).
-ARENA_ALLOC_PRISTINE = pristine_snapshot(
-    SimulationArena, ("message", "transaction")
-)
-
-#: The block-store probes the compiled SequencerStep inlines (hit test,
-#: fullness, LRU candidate scan, drop).
-STORE_PRISTINE = pristine_snapshot(
-    CacheBlockStore, ("get", "is_full", "eviction_candidate", "drop")
-)
-
-#: The endpoint-link transmit pipeline the C ``LinkPush`` injection objects
-#: inline when the issue chain sends inline (modes 1 and 2).
-LINK_PRISTINE = pristine_snapshot(
-    EndpointLink, ("transmit", "occupancy_cycles")
-)
-
-
-#: The network injection halves the compiled issue chain inlines (modes 1 and
-#: 2 run the ``send`` front half — recipients, counters, transmit, push — in
-#: C).  A class-level patch to either ``send`` keeps the pure issue path.
-NET_SEND_PRISTINE = pristine_snapshot(
-    TotallyOrderedNetwork, ("send",)
-) + pristine_snapshot(UnorderedNetwork, ("send", "_compile_injection"))
 
 #: ``Message.__init__``'s default recipients frozenset — a singleton shared by
 #: every message built without an explicit recipient set.  The C message
@@ -149,18 +79,14 @@ def handler_accelerator(controller):
     instance* (exactly like the interconnect's C closures): a controller
     wired to a compiled scheduler gets C delivery objects, one wired to a
     pure scheduler keeps the reference Python entries — so pure and
-    compiled systems interoperate in one process.  Additionally requires
-    the handler layer itself (an ``.so`` built before it existed provides
-    only the event core), and injects the protocol singletons the C side
-    compares by identity on first use.
+    compiled systems interoperate in one process.  Injects the protocol
+    singletons the C side compares by identity on first use.
     """
-    from .. import _core  # noqa: PLC0415 - layer order: dispatch sits above
-
     scheduler = getattr(controller, "scheduler", None)
     if scheduler is None:
         return None
     ext = _core.accelerator_for(scheduler)
-    if ext is None or not hasattr(ext, "SnoopDeliver"):
+    if ext is None:
         return None
     from ..coherence.state import MEMORY_OWNER, MOSIState  # noqa: PLC0415
 
@@ -178,8 +104,6 @@ def handler_accelerator(controller):
 
 def note_selection(controller: object, msg_type: MessageType, status: str) -> None:
     """Record a per-handler compile/decline decision in the backend registry."""
-    from .. import _core  # noqa: PLC0415
-
     _core.note_handler_selection(
         f"{type(controller).__name__}.{msg_type.name}", status
     )
@@ -238,17 +162,13 @@ def issue_accelerator(sequencer):
     """The extension module when the compiled issue chain applies, else None.
 
     Mirrors :func:`handler_accelerator`: keyed off the sequencer's scheduler
-    *instance*, requires the extension to carry the issue layer (an ``.so``
-    built before ``SequencerStep`` existed provides only the earlier
-    components), and injects the singletons the C side compares by identity.
+    *instance*, and injects the singletons the C side compares by identity.
     """
-    from .. import _core  # noqa: PLC0415 - layer order: dispatch sits above
-
     scheduler = getattr(sequencer, "scheduler", None)
     if scheduler is None:
         return None
     ext = _core.accelerator_for(scheduler)
-    if ext is None or not hasattr(ext, "SequencerStep"):
+    if ext is None:
         return None
     inject_issue_singletons(ext)
     return ext
@@ -256,29 +176,7 @@ def issue_accelerator(sequencer):
 
 def note_issue_selection(sequencer, status: str) -> None:
     """Record one per-node issue-chain compile/decline decision."""
-    from .. import _core  # noqa: PLC0415
-
     _core.note_handler_selection(f"Sequencer{sequencer.node_id}.step", status)
-
-
-#: Methods whose presence in an *instance* dict means the node was
-#: customised by hand (tests monkeypatch bound hooks this way): the compiled
-#: step would bypass the patch, so the pure path stays authoritative.
-_SEQUENCER_LOCAL_HOOKS = (
-    "_perform",
-    "_fetch_next",
-    "_finish_stream",
-    "_complete_hit",
-    "_complete_miss",
-    "_account",
-    "_maybe_evict",
-)
-_CACHE_LOCAL_HOOKS = (
-    "issue_request",
-    "issue_writeback",
-    "_send_request",
-    "_send_writeback",
-)
 
 
 def compile_sequencer_step(sequencer):
@@ -289,10 +187,11 @@ def compile_sequencer_step(sequencer):
     GETS/GETM/PUTM issue (transaction allocation, MSHR insert, counters,
     message build and network injection) and the completion/refetch
     bookkeeping all run in C.  Selection follows the compiled-handler
-    contract: per node, stock classes with pristine methods only, with the
-    pure implementation remaining the executable specification — any unusual
-    shape (subclass, instance patch, swapped workload entry point, non-stock
-    arena or network) declines to the pure path for that node, recorded via
+    contract: per node, unpatched stock objects only
+    (:func:`repro._core.is_stock`), with the pure implementation remaining
+    the executable specification — any unusual shape (subclass, class or
+    instance patch, swapped workload entry point, non-stock arena or
+    network) declines to the pure path for that node, recorded via
     :func:`note_issue_selection`.
 
     Called from ``Sequencer.start`` once per run, so constants baked into the
@@ -302,9 +201,7 @@ def compile_sequencer_step(sequencer):
     ext = issue_accelerator(sequencer)
     if ext is None:
         return None
-    from ..system.sequencer import SEQUENCER_PRISTINE, Sequencer  # noqa: PLC0415
     from ..workloads.base import Workload  # noqa: PLC0415
-    from .base import ISSUE_PRISTINE, CacheControllerBase  # noqa: PLC0415
     from .bash.cache_controller import BashCacheController  # noqa: PLC0415
     from .directory.cache_controller import (  # noqa: PLC0415
         DirectoryCacheController,
@@ -319,38 +216,18 @@ def compile_sequencer_step(sequencer):
         note_issue_selection(sequencer, "declined")
         return None
 
-    if type(sequencer) is not Sequencer:
-        return decline()
-    sequencer_vars = vars(sequencer)
-    if any(name in sequencer_vars for name in _SEQUENCER_LOCAL_HOOKS):
-        return decline()
     cache = sequencer.cache
-    cache_vars = vars(cache)
-    if any(name in cache_vars for name in _CACHE_LOCAL_HOOKS):
-        return decline()
-    workload = sequencer.workload
-    if "next_operation" in vars(workload) or "on_complete" in vars(workload):
-        return decline()
     cache_cls = type(cache)
     if cache_cls not in (
         SnoopingCacheController,
         BashCacheController,
         DirectoryCacheController,
+    ) or not _core.is_stock(
+        sequencer, cache, cache.blocks, Transaction, CacheBlock, Message
     ):
         return decline()
-    if (
-        cache_cls.issue_request is not CacheControllerBase.issue_request
-        or cache_cls.issue_writeback is not CacheControllerBase.issue_writeback
-        or cache_cls.has_outstanding is not CacheControllerBase.has_outstanding
-    ):
-        return decline()
-    if not is_pristine(
-        SEQUENCER_PRISTINE,
-        ISSUE_PRISTINE,
-        STORE_PRISTINE,
-        TRANSACTION_PRISTINE,
-        BLOCK_PRISTINE,
-    ):
+    workload = sequencer.workload
+    if "next_operation" in vars(workload) or "on_complete" in vars(workload):
         return decline()
     scheduler = sequencer.scheduler
     config = sequencer.config
@@ -379,9 +256,7 @@ def compile_sequencer_step(sequencer):
     # plain constructors; anything else keeps the pure issue path.
     arena = cache._arena
     if arena is not None:
-        if type(arena) is not SimulationArena or not is_pristine(
-            ARENA_ALLOC_PRISTINE
-        ):
+        if not _core.is_stock(arena):
             return decline()
         if (
             getattr(cache._new_transaction, "__self__", None) is not arena

@@ -17,25 +17,19 @@ or broadcasts."
 
 from __future__ import annotations
 
+from ..._core import is_stock, stock
 from ...coherence.block import CacheBlock
+from ...coherence.directory import DirectoryEntry
 from ...coherence.state import MOSIState
 from ...coherence.transaction import Transaction
-from ...common.config import SystemConfig
 from ...errors import ProtocolError
 from ...interconnect.message import DestinationUnit, Message, MessageType, _message_ids
-from ..base import CacheControllerBase, MemoryControllerBase
-from ..dispatch import (
-    ARENA_PRISTINE,
-    BLOCK_PRISTINE,
-    DIR_ENTRY_PRISTINE,
-    TRANSACTION_PRISTINE,
-    handler_accelerator,
-    is_pristine,
-    note_selection,
-    pristine_snapshot,
-)
+from ...sim.arena import SimulationArena
+from ..base import CacheControllerBase
+from ..dispatch import handler_accelerator, note_selection
 
 
+@stock
 class SnoopingCacheController(CacheControllerBase):
     """MOSI snooping cache controller with broadcast-on-miss behaviour."""
 
@@ -53,18 +47,17 @@ class SnoopingCacheController(CacheControllerBase):
     def compile_accelerated_ordered(self, msg_type, memory_controller, home_filter):
         """A C delivery object for one ordered entry, or None to decline.
 
-        Only offered when this controller's scheduler is a compiled
-        instance and the extension carries the handler layer; within that,
-        the decline rule is *per handler* and strictly more conservative
-        than :meth:`compile_fused_ordered`'s: the controller must be an
-        exact Snooping/BASH class (subclasses may override any hook the C
-        code inlines) and the dispatch-table entry must still be the
-        default bound method.  The memory side compiles only for the exact
-        stock memory controllers; a present-but-custom memory handler is
-        kept as a Python call behind the C home filter, and systems
-        without a home filter decline entirely.  Every decision is
-        recorded via :func:`repro.protocols.dispatch.note_selection` so
-        ``repro backend`` can show what actually ran compiled.
+        Only offered for GETS/GETM when this controller's scheduler is a
+        compiled instance; within that, the decline rule is *per handler*
+        and strictly more conservative than :meth:`compile_fused_ordered`'s:
+        the controller must be an exact, unpatched Snooping/BASH class
+        (:func:`repro._core.is_stock`) and the dispatch-table entry must
+        still be the default bound method.  The memory side compiles only
+        for the exact, unpatched stock memory controllers; a present but
+        custom memory handler is kept as a Python call behind the C home
+        filter, and systems without a home filter decline entirely.  Every
+        decision is recorded via :func:`repro.protocols.dispatch.note_selection`
+        so ``repro backend`` can show what actually ran compiled.
 
         The C objects prebind the same reset-stable containers as the
         fused closures (the transaction dict, the block store's raw dict,
@@ -73,50 +66,24 @@ class SnoopingCacheController(CacheControllerBase):
         ``Node.invalidate_dispatch_cache`` which recompiles and re-runs
         this selection.
         """
+        if msg_type is not MessageType.GETS and msg_type is not MessageType.GETM:
+            return None  # PUTM: rare writebacks always run the pure handlers
         ext = handler_accelerator(self)
         if ext is None:
             return None
-        from ..bash.cache_controller import (  # noqa: PLC0415 - cycle guard
-            INLINED_PRISTINE as BASH_INLINED,
-            BashCacheController,
-        )
+        from ..bash.cache_controller import BashCacheController  # noqa: PLC0415
         from ..bash.memory_controller import BashMemoryController  # noqa: PLC0415
         from .memory_controller import SnoopingMemoryController  # noqa: PLC0415
 
-        if type(self) is BashCacheController:
-            bash = True
-            inlined = BASH_INLINED
-        elif type(self) is SnoopingCacheController:
-            bash = False
-            inlined = INLINED_PRISTINE
-        else:
+        bash = type(self) is BashCacheController
+        if not bash and type(self) is not SnoopingCacheController:
             return None  # unknown subclass: its overrides stay authoritative
-        if not is_pristine(inlined, TRANSACTION_PRISTINE, BLOCK_PRISTINE):
-            # One of the methods the C code inlines has been patched on the
-            # class (bug-injection tests do this on purpose): the pure path
-            # is the only faithful one.
-            note_selection(self, msg_type, "declined")
-            return None
-        if msg_type is MessageType.PUTM:
-            if self.ordered_handlers.get(msg_type) != self._snoop_putm:
-                note_selection(self, msg_type, "declined")
-                return None
-            mem_handler = memory_controller.ordered_handlers.get(msg_type)
-            if mem_handler is not None and home_filter is None:
-                note_selection(self, msg_type, "declined")
-                return None
-            note_selection(self, msg_type, "compiled")
-            return ext.PutDeliver(
-                node_id=self.node_id,
-                cache_putm=self._snoop_putm,
-                home_filter=home_filter,
-                is_home_for=memory_controller.is_home_for,
-                mem_handler=mem_handler,
-                **(_home_inline_args(memory_controller) if mem_handler else {}),
-            )
-        if msg_type is not MessageType.GETS and msg_type is not MessageType.GETM:
-            return None
-        if self.ordered_handlers.get(msg_type) != self._snoop_request:
+        if (
+            not is_stock(self, self.blocks, Transaction, CacheBlock)
+            or self.ordered_handlers.get(msg_type) != self._snoop_request
+        ):
+            # A patched class (bug-injection tests do this on purpose) or a
+            # swapped table entry: the pure path is the only faithful one.
             note_selection(self, msg_type, "declined")
             return None
         mem_handler = memory_controller.ordered_handlers.get(msg_type)
@@ -127,32 +94,18 @@ class SnoopingCacheController(CacheControllerBase):
             # only faithful shape, so decline the whole entry.
             note_selection(self, msg_type, "declined")
             return None
+        elif (
+            type(memory_controller) in (SnoopingMemoryController, BashMemoryController)
+            and mem_handler == memory_controller._ordered_request
+            and is_stock(memory_controller, memory_controller.directory, DirectoryEntry)
+        ):
+            mem_mode = 2
         else:
-            from ..bash.memory_controller import (  # noqa: PLC0415
-                INLINED_PRISTINE as BASH_MEM_INLINED,
-            )
-            from .memory_controller import (  # noqa: PLC0415
-                INLINED_PRISTINE as SNOOPING_MEM_INLINED,
-            )
-
-            if type(memory_controller) is SnoopingMemoryController:
-                mem_inlined = SNOOPING_MEM_INLINED
-            elif type(memory_controller) is BashMemoryController:
-                mem_inlined = BASH_MEM_INLINED
-            else:
-                mem_inlined = None
-            if (
-                mem_inlined is not None
-                and mem_handler == memory_controller._ordered_request
-                and is_pristine(mem_inlined, DIR_ENTRY_PRISTINE)
-            ):
-                mem_mode = 2
-            else:
-                # Custom memory controller, swapped table entry, or patched
-                # home-serve hooks: keep the memory side as a Python call
-                # behind the C home filter (always faithful — it is the same
-                # bound table entry the pure path would call).
-                mem_mode = 1
+            # Custom or patched memory controller, or a swapped table entry:
+            # keep the memory side as a Python call behind the C home filter
+            # (always faithful — it is the same bound table entry the pure
+            # path would call).
+            mem_mode = 1
         note_selection(self, msg_type, "compiled")
         mem_bash = type(memory_controller) is BashMemoryController
         return ext.SnoopDeliver(
@@ -213,26 +166,9 @@ class SnoopingCacheController(CacheControllerBase):
         resets (``RunningMean.reset`` re-initialises in place, the arena
         re-pools through ``__init__``).
         """
-        if not hasattr(ext, "DataDeliver"):
-            return None
-        from ..bash.cache_controller import (  # noqa: PLC0415 - cycle guard
-            DATA_INLINED_PRISTINE as BASH_DATA_INLINED,
-            BashCacheController,
-        )
-
-        if type(self) is BashCacheController:
-            inlined = BASH_DATA_INLINED
-        elif type(self) is SnoopingCacheController:
-            inlined = DATA_INLINED_PRISTINE
-        else:
-            return None
-        if self.unordered_handlers.get(MessageType.DATA) != self._handle_data:
-            return None
-        if not is_pristine(
-            inlined,
-            TRANSACTION_PRISTINE,
-            BLOCK_PRISTINE,
-            ARENA_PRISTINE,
+        if (
+            not is_stock(self, self.blocks, Transaction, CacheBlock, SimulationArena)
+            or self.unordered_handlers.get(MessageType.DATA) != self._handle_data
         ):
             return None
         message_arena = (
@@ -619,51 +555,14 @@ class SnoopingCacheController(CacheControllerBase):
         transaction.clear_deferred()
 
 
-#: Captured at import: the methods the compiled delivery objects inline
-#: (see ``pristine_snapshot`` in repro.protocols.dispatch).  A class-level
-#: patch to any of these makes ``compile_accelerated_ordered`` decline.
-INLINED_PRISTINE = pristine_snapshot(
-    SnoopingCacheController,
-    (
-        "_snoop_request",
-        "_snoop_putm",
-        "_handle_own_request",
-        "_try_complete_at_marker",
-        "_own_request_sufficient",
-        "_serve_stable",
-    ),
-)
-
-#: The DATA-response chain the compiled ``DataDeliver`` entry inlines end to
-#: end (delivery, block install, deferred service trigger, completion).  A
-#: class-level patch to any of these keeps the pure DATA path — without
-#: touching the ordered entries' selection.
-DATA_INLINED_PRISTINE = pristine_snapshot(
-    SnoopingCacheController,
-    ("_handle_data", "_finish_getm", "_finish_gets", "_service_deferred", "_complete"),
-)
-
-#: The home test the C delivery objects may reduce to plain arithmetic:
-#: ``(address // cache_block_bytes) % num_processors == node_id``.  Any patch
-#: to the memoised test or the interleaving keeps the Python memo path.
-HOME_PRISTINE = pristine_snapshot(
-    MemoryControllerBase, ("is_home_for",)
-) + pristine_snapshot(SystemConfig, ("home_node",))
-
-
 def _home_inline_args(memory_controller):
     """Kwargs compiling the stock block-interleaved home test into C.
 
-    Empty — keeping the memoised ``is_home_for`` fallback — when the memory
-    controller overrides the home test, runs a non-stock config class, or
-    either hook has been patched.
+    Empty — keeping the memoised ``is_home_for`` fallback — unless the
+    memory controller and its config are unpatched stock objects.
     """
     config = memory_controller.config
-    if (
-        type(memory_controller).is_home_for is MemoryControllerBase.is_home_for
-        and type(config) is SystemConfig
-        and is_pristine(HOME_PRISTINE)
-    ):
+    if is_stock(memory_controller, config):
         return {
             "home_inline": 1,
             "block_bytes": config.cache_block_bytes,
@@ -672,36 +571,19 @@ def _home_inline_args(memory_controller):
     return {}
 
 
-#: Captured at import: the broadcast send pipeline the compiled issue chain
-#: (send mode 1) runs entirely in C — message build, recipient set, broadcast
-#: count and the ordered network's injection.
-SEND_PRISTINE = pristine_snapshot(
-    SnoopingCacheController,
-    (
-        "_send_request",
-        "_send_writeback",
-        "_build_request_message",
-        "_request_recipients",
-        "_writeback_recipients",
-    ),
-)
-
-
 def compile_issue_send(cache, ext):
     """``(send_mode, kwargs)`` inlining the broadcast send into C, or None.
 
     Mode 1 replicates :meth:`SnoopingCacheController._send_request` /
     ``_send_writeback`` + :meth:`TotallyOrderedNetwork.send` for the exact
-    stock shapes only: pristine send pipeline, stock network with unit
+    stock shapes only: unpatched stock controller, network with unit
     broadcast cost, the full-node recipient set, and a stock endpoint link
     (whose transmit the prebuilt ``LinkPush`` objects inline).  Any other
     shape returns None and the issue chain falls back to send mode 0 — C
     bookkeeping around the bound Python ``_send_*`` methods, faithful by
     construction.
     """
-    from ...interconnect.link import EndpointLink  # noqa: PLC0415
     from ...interconnect.ordered_network import TotallyOrderedNetwork  # noqa: PLC0415
-    from ..dispatch import LINK_PRISTINE, NET_SEND_PRISTINE  # noqa: PLC0415
 
     net = cache.interconnect.ordered
     if type(net) is not TotallyOrderedNetwork:
@@ -712,15 +594,13 @@ def compile_issue_send(cache, ext):
         or send.__func__ is not TotallyOrderedNetwork.send
     ):
         return None
-    if not is_pristine(SEND_PRISTINE, LINK_PRISTINE, NET_SEND_PRISTINE):
-        return None
     if net.broadcast_cost_factor != 1.0 or net._accel is not ext:
         return None
     all_nodes = cache.interconnect.all_nodes
     if type(all_nodes) is not frozenset or all_nodes != net._node_ids:
         return None
     pair = net.links.get(cache.node_id)
-    if pair is None or type(pair.outgoing) is not EndpointLink:
+    if pair is None or not is_stock(cache, net, pair.outgoing):
         return None
     labels = net._inject_labels
     extra = {
@@ -756,28 +636,17 @@ def compile_mem_serve(memory_controller, ext):
     customisation keeps the per-message Python call, which is always
     faithful.
     """
-    from ...sim.arena import SimulationArena  # noqa: PLC0415
-    from ..base import MEM_DATA_PRISTINE  # noqa: PLC0415
-    from ..dispatch import (  # noqa: PLC0415
-        ARENA_ALLOC_PRISTINE,
-        inject_issue_singletons,
-    )
+    from ..dispatch import inject_issue_singletons  # noqa: PLC0415
 
-    if not hasattr(ext, "MemServe"):
-        return None
-    if not is_pristine(MEM_DATA_PRISTINE):
-        return None
     mem = memory_controller
-    if "_send_data" in vars(mem) or "_unordered_send" not in vars(mem):
+    if not is_stock(mem, Message) or "_unordered_send" not in vars(mem):
         return None
     scheduler = mem.scheduler
     if mem._schedule_after_fast1 != scheduler.schedule_after_fast1:
         return None
     arena = mem._arena
     if arena is not None:
-        if type(arena) is not SimulationArena or not is_pristine(
-            ARENA_ALLOC_PRISTINE
-        ):
+        if not is_stock(arena):
             return None
         if (
             getattr(mem._new_message, "__self__", None) is not arena

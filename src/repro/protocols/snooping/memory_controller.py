@@ -17,13 +17,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Set
 
+from ..._core import stock
 from ...coherence.directory import DirectoryEntry
 from ...errors import ProtocolError
 from ...interconnect.message import Message, MessageType
 from ..base import MemoryControllerBase
-from ..dispatch import pristine_snapshot
 
 
+@stock
 class OrderedHomeMemoryController(MemoryControllerBase):
     """Shared home-node behaviour for Snooping and BASH."""
 
@@ -144,6 +145,7 @@ class OrderedHomeMemoryController(MemoryControllerBase):
         raise NotImplementedError
 
 
+@stock
 class SnoopingMemoryController(OrderedHomeMemoryController):
     """Memory controller of the Snooping protocol: one owner bit per block."""
 
@@ -176,11 +178,3 @@ class SnoopingMemoryController(OrderedHomeMemoryController):
             entry.grant_exclusive(requester)
             return
         raise ProtocolError(f"unexpected request kind {kind}")
-
-
-#: Captured at import: the home-serve methods the compiled delivery objects
-#: inline when the memory side runs in C (mem_mode 2).
-INLINED_PRISTINE = pristine_snapshot(
-    SnoopingMemoryController,
-    ("_ordered_request", "_serve_request", "_note_request_observed"),
-)

@@ -35,6 +35,8 @@ import gc
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, List
 
+from .._core import stock
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..coherence.transaction import Transaction
     from ..interconnect.message import Message
@@ -46,6 +48,7 @@ _MAX_POOLED_MESSAGES = 4096
 _MAX_POOLED_TRANSACTIONS = 4096
 
 
+@stock
 class SimulationArena:
     """Free-list pools for hot simulation objects plus run-scoped GC control."""
 

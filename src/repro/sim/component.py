@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from .._core import stock
 from ..common.stats import StatsRegistry
 from .event import Event
 from .scheduler import Scheduler
 
 
+@stock
 class Component:
     """Anything that lives on the simulated clock and records statistics.
 

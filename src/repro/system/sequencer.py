@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import random
 
+from .._core import stock
 from ..common.config import SystemConfig
 from ..common.stats import StatsRegistry
 from ..coherence.state import MOSIState
 from ..coherence.transaction import Transaction
 from ..interconnect.message import MessageType
 from ..protocols.base import CacheControllerBase
-from ..protocols.dispatch import pristine_snapshot
 from ..sim.component import Component
 from ..sim.scheduler import Scheduler
 from ..workloads.base import MemoryOperation, Workload
 
 
+@stock
 class Sequencer(Component):
     """Drives one processor's reference stream through its cache controller."""
 
@@ -226,22 +227,3 @@ class Sequencer(Component):
             self.count("evictions.silent")
             victim.invalidate()
             self._blocks_drop(address)
-
-
-#: Captured at import: the per-reference chain the compiled SequencerStep
-#: (repro._core) fuses into one C call.  A class-level patch to any of these
-#: keeps the pure step (see ``compile_sequencer_step`` in
-#: ``repro.protocols.dispatch``).
-SEQUENCER_PRISTINE = pristine_snapshot(
-    Sequencer,
-    (
-        "_perform",
-        "_fetch_next",
-        "_finish_stream",
-        "_complete_hit",
-        "_complete_miss",
-        "_account",
-        "_maybe_evict",
-        "start",
-    ),
-)

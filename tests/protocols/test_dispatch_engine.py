@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import _core
+from repro.coherence.cache_state import CacheBlockStore
 from repro.common.config import ProtocolName
 from repro.errors import ProtocolError
 from repro.interconnect.message import DestinationUnit, Message, MessageType
@@ -21,6 +22,8 @@ from repro.protocols.directory.cache_controller import DirectoryCacheController
 from repro.protocols.directory.memory_controller import DirectoryMemoryController
 from repro.protocols.snooping.cache_controller import SnoopingCacheController
 from repro.protocols.snooping.memory_controller import SnoopingMemoryController
+from repro.system.multiprocessor import simulate
+from repro.workloads.traffic import ZipfianTrafficSpec
 
 from ..conftest import ALL_PROTOCOLS, build_trace_system
 
@@ -231,7 +234,7 @@ class TestCompiledDataEntries:
     def test_patched_data_chain_declines_to_pure(
         self, monkeypatch, controller_class, method_name
     ):
-        """A class-level monkeypatch of any inlined method keeps the pure
+        """A class-level monkeypatch of any method keeps the pure
         handler authoritative for the DATA entry (bug-injection tests rely
         on exactly this)."""
         protocol = {
@@ -267,3 +270,46 @@ class TestCompiledDataEntries:
             node.invalidate_dispatch_cache()
             entry = node.unordered_entry(DestinationUnit.CACHE, MessageType.DATA)
             assert entry is custom_handler
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "patched_class, method_name",
+    [
+        (SnoopingCacheController, "_handle_other_request"),
+        (CacheBlockStore, "drop"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_class_patch_runs_the_pure_specification(
+    monkeypatch, patched_class, method_name
+):
+    """A class-level patch reaches every call on both backends.
+
+    The compiled entries inline both methods, so they must decline as soon
+    as either is patched on its class; a counting wrapper then sees exactly
+    the calls the pure run makes, and the two runs are identical.
+    """
+    from repro.experiments.runner import QUICK, microbenchmark_config
+
+    original = getattr(patched_class, method_name)
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(patched_class, method_name, counted)
+    config = microbenchmark_config(
+        QUICK, ProtocolName.SNOOPING, 1600.0, num_processors=16, seed=3
+    )
+    workload = ZipfianTrafficSpec(operations_per_processor=300)
+    results, counts = {}, {}
+    for backend in ("pure", "compiled"):
+        calls.clear()
+        with _core.use_backend(backend):
+            results[backend] = simulate(config, workload(3))
+        counts[backend] = len(calls)
+    assert counts["pure"] > 0
+    assert counts["compiled"] == counts["pure"]
+    assert results["compiled"] == results["pure"]

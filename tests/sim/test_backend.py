@@ -19,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,26 @@ class TestPureBypass:
         with pytest.raises(_core.BackendError, match="python -m repro._core.build"):
             _core.set_backend("compiled")
 
+    def test_stale_build_is_refused_whole(self, monkeypatch):
+        """An extension lacking a type the Python side builds does not load.
+
+        All three C files build into one module, so such a module is a stale
+        build: ``auto`` falls back to pure and ``compiled`` fails loudly.
+        """
+        stale = types.ModuleType("repro._core._cext")
+        stale.__file__ = "stale-build.so"
+        stale.SchedulerBase = object
+        monkeypatch.setattr(_core, "_cext", stale, raising=False)
+        monkeypatch.setitem(sys.modules, "repro._core._cext", stale)
+        monkeypatch.setattr(_core, "_ext", None)
+        monkeypatch.setattr(_core, "_ext_attempted", False)
+        monkeypatch.setattr(_core, "_import_error", None)
+        with pytest.raises(ImportError, match="SequencerStep") as error:
+            _core.load_extension()
+        assert "stale-build.so" in str(error.value)
+        assert "SchedulerBase" not in str(error.value)
+        assert not _core.compiled_available()
+
     def test_set_backend_rejects_unknown_names(self):
         with pytest.raises(_core.BackendError, match="turbo"):
             _core.set_backend("turbo")
@@ -126,9 +147,11 @@ class TestBackendInfo:
                 "issue_chain": "pure",
             }
         else:
-            assert info["components"]["event_core"] == "compiled"
-            assert info["components"]["handlers"] in ("compiled", "unavailable")
-            assert info["components"]["issue_chain"] in ("compiled", "unavailable")
+            assert info["components"] == {
+                "event_core": "compiled",
+                "handlers": "compiled",
+                "issue_chain": "compiled",
+            }
         assert all(
             status in ("compiled", "declined")
             for status in info["handler_selections"].values()
@@ -177,3 +200,47 @@ class TestCompiledBackend:
             info = _core.backend_info()
         assert info["compiled_loaded"] is True
         assert info["compiled_version"] == _core.load_extension().CORE_VERSION
+
+
+@_core.stock
+class _StockBase:
+    def method(self):
+        return 1
+
+
+@_core.stock
+class _StockLeaf(_StockBase):
+    pass
+
+
+class TestStockRule:
+    """``is_stock``: the one rule gating every compiled fast path."""
+
+    def test_unpatched_instances_and_classes_are_stock(self):
+        leaf = _StockLeaf()
+        leaf.data = 1  # plain instance state shadows nothing
+        assert _core.is_stock(leaf, _StockBase, _StockLeaf)
+
+    def test_unregistered_types_are_not_stock(self):
+        class Subclass(_StockLeaf):
+            pass
+
+        assert not _core.is_stock(Subclass())
+        assert not _core.is_stock(_StockLeaf(), object())
+
+    def test_class_patch_anywhere_in_the_mro_is_not_stock(self, monkeypatch):
+        monkeypatch.setattr(_StockBase, "method", lambda self: 2)
+        assert not _core.is_stock(_StockLeaf())
+        assert not _core.is_stock(_StockLeaf)
+
+    def test_added_and_restored_attributes(self, monkeypatch):
+        monkeypatch.setattr(_StockLeaf, "method", _StockBase.method, raising=False)
+        assert not _core.is_stock(_StockLeaf())
+        monkeypatch.undo()
+        assert _core.is_stock(_StockLeaf())
+
+    def test_instance_shadowing_a_method_is_not_stock(self):
+        leaf = _StockLeaf()
+        leaf.method = lambda: 2
+        assert not _core.is_stock(leaf)
+        assert _core.is_stock(_StockLeaf(), _StockLeaf)

@@ -3,12 +3,11 @@
 The compiled ``SequencerStep`` (``repro._core``) fuses the sequencer's
 per-reference path — block probe, hit test, eviction, miss bookkeeping,
 request issue and think-time rescheduling — into one C delivery object.  The
-offer follows the same contract as the compiled protocol handlers: stock
-classes with pristine methods get the C step, *any* unusual shape (a
-subclassed sequencer, a monkeypatched send hook, a swapped workload entry
-point) keeps the pure path for that node, and both paths are bit-identical
-by construction (pinned by the backend-parametrized golden traces and the
-full-stats equivalence here).
+offer follows the same contract as the compiled protocol handlers: unpatched
+stock objects get the C step, *any* unusual shape (a subclassed sequencer, a
+monkeypatched send hook, a swapped workload entry point) keeps the pure path
+for that node, and both paths are bit-identical by construction (pinned by
+the backend-parametrized golden traces and the full-stats equivalence here).
 """
 
 from __future__ import annotations

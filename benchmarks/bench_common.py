@@ -6,15 +6,14 @@ so that ``pytest benchmarks/ --benchmark-only`` completes in minutes.  The
 same drivers accept ``repro.experiments.PAPER`` for full-scale offline runs.
 
 Benchmarks print the regenerated rows/series (the same quantities the paper
-plots) so the harness output doubles as the reproduction record summarised in
-EXPERIMENTS.md.
+plots), so the harness output doubles as the reproduction record.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.experiments.parallel import WORKERS_ENV, available_workers
+from repro.experiments.parallel import available_workers
 from repro.experiments.runner import ExperimentScale
 
 #: Worker-pool size for the sweep-based benchmarks: honours

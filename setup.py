@@ -13,12 +13,26 @@ error (CI's compiled job does), or ``REPRO_SKIP_CEXT=1`` to not attempt it
 at all.  The extension can always be (re)built later, in place, with::
 
     python -m repro._core.build
+
+Both builds compile the one source list, ``SOURCES``/``HEADERS`` in
+``src/repro/_core/build.py`` (stdlib-only, so it runs here before the
+package is installed).
 """
 
 import os
+import runpy
+from pathlib import Path
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
+
+ROOT = Path(__file__).resolve().parent
+_BUILD = runpy.run_path(str(ROOT / "src" / "repro" / "_core" / "build.py"))
+
+
+def _relative(paths):
+    """setuptools wants /-separated paths relative to this file."""
+    return [path.relative_to(ROOT).as_posix() for path in paths]
 
 
 class OptionalBuildExt(build_ext):
@@ -53,11 +67,8 @@ if not os.environ.get("REPRO_SKIP_CEXT"):
     ext_modules = [
         Extension(
             "repro._core._cext",
-            sources=[
-                "src/repro/_core/_cext.c",
-                "src/repro/_core/_chandlers.c",
-            ],
-            depends=["src/repro/_core/_core.h"],
+            sources=_relative(_BUILD["SOURCES"]),
+            depends=_relative(_BUILD["HEADERS"]),
             optional=not os.environ.get("REPRO_REQUIRE_CEXT"),
         )
     ]

@@ -54,6 +54,7 @@ logger = logging.getLogger(__name__)
 
 from .. import _core
 from ..common.config import ProtocolName
+from ..errors import ConfigurationError
 from ..system.multiprocessor import RunResult
 from .batch import BatchRunner, spec_batch_key
 from .runner import ExperimentScale, SweepPoint, run_point
@@ -92,16 +93,27 @@ CACHE_ENV = "REPRO_SWEEP_CACHE"
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 
 
-def default_task_timeout() -> Optional[float]:
-    """Per-task pool timeout from $REPRO_TASK_TIMEOUT, or None (disabled)."""
-    env = os.environ.get(TASK_TIMEOUT_ENV)
+def _env_number(name: str, parse: Callable[[str], float]):
+    """Parse $name with ``parse``, or None when unset or empty.
+
+    A value that does not parse raises :class:`ConfigurationError` naming
+    the variable and the value.
+    """
+    env = os.environ.get(name)
     if not env:
         return None
     try:
-        value = float(env)
+        return parse(env)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        raise ConfigurationError(
+            f"${name}={env!r} is not a valid {parse.__name__}"
+        ) from None
+
+
+def default_task_timeout() -> Optional[float]:
+    """Per-task pool timeout from $REPRO_TASK_TIMEOUT, or None (disabled)."""
+    value = _env_number(TASK_TIMEOUT_ENV, float)
+    return value if value is not None and value > 0 else None
 
 
 def resolve_task_timeout(task_timeout) -> Optional[float]:
@@ -254,12 +266,9 @@ def run_pool(
 
 def available_workers() -> int:
     """Worker count to use by default: $REPRO_SWEEP_WORKERS or the CPU count."""
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    value = _env_number(WORKERS_ENV, int)
+    if value is not None:
+        return max(1, value)
     return os.cpu_count() or 1
 
 

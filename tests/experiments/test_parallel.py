@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.common.config import ProtocolName
+from repro.errors import ConfigurationError
 from repro.experiments.parallel import (
     TASK_TIMEOUT_ENV,
     PointSpec,
@@ -161,7 +162,10 @@ class TestFallbacks:
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
         assert available_workers() == 3
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "garbage")
-        assert available_workers() >= 1
+        with pytest.raises(
+            ConfigurationError, match=r"\$REPRO_SWEEP_WORKERS='garbage'"
+        ):
+            available_workers()
 
     def test_sweep_curves_groups_in_input_order(self):
         specs = _specs()
@@ -251,7 +255,11 @@ class TestTaskTimeout:
         assert resolve_task_timeout(10) == 10.0
         assert resolve_task_timeout(False) is None  # False beats the env
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "garbage")
-        assert resolve_task_timeout(None) is None
+        with pytest.raises(
+            ConfigurationError, match=r"\$REPRO_TASK_TIMEOUT='garbage'"
+        ):
+            resolve_task_timeout(None)
+        assert resolve_task_timeout(5) == 5.0  # an explicit argument wins
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "0")
         assert resolve_task_timeout(None) is None
 

@@ -246,6 +246,7 @@ class TestBatchRunner:
         unbatched = run_sweep(specs, workers=1, batch=False)
         for a, b in zip(batched, unbatched):
             assert a.results == b.results
+            assert a.results and a.results[0].operations > 0
 
     def test_batch_key_uses_explicit_processor_count(self):
         specs = self._specs()

@@ -3,7 +3,8 @@
  *
  * Contract: bit-identical observable behaviour with the pure-Python
  * reference implementation in repro/sim/scheduler.py and the compiled
- * closures in repro/interconnect/{ordered,unordered}_network.py.  The
+ * closures in repro/interconnect/ (link_push in link.py, the per-hop
+ * pipelines in {ordered,unordered}_network.py).  The
  * golden-trace, reset-equivalence, figure-snapshot and differential
  * verification suites run against both backends; any divergence is a bug
  * here, not there.
@@ -24,7 +25,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.2.0"
+#define CORE_VERSION "1.3.0"
 
 /* Compaction threshold; mirrors _COMPACT_MIN_CANCELLED in scheduler.py. */
 #define COMPACT_MIN_CANCELLED 64
@@ -46,9 +47,8 @@ static PyObject *str__messages;
 static PyObject *str__bytes;
 static PyObject *str_occupancy_cycles;
 static PyObject *str__occupancy_cache;
-static PyObject *str__segment_starts;
-static PyObject *str__segment_finishes;
-static PyObject *str__segment_prefix;
+static PyObject *str__period_start;
+static PyObject *str__period_prefix;
 static PyObject *empty_string;
 
 /* ------------------------------------------------------------------ helpers */
@@ -1061,24 +1061,21 @@ static PyTypeObject Scheduler_Type = {
 
 /* ---------------------------------------------------------------- LinkPush
  *
- * The compiled form of the unit-cost "occupy the incoming link, then push
- * the delivery entry" closure shared by the ordered network's arrival path
- * and the unordered network's delivery path.  Calling it with a message
- * performs the inlined EndpointLink.transmit plus the scheduler bucket push,
- * all in C.  The link stays the source of truth for its own scalars (they
- * are read/written through attributes so reset and the occupancy queries
- * observe every update), while the segment lists and occupancy memo are
- * prebound — the same objects the pure closures capture, cleared in place
- * by resets. */
+ * The compiled form of link_push in repro/interconnect/link.py: the
+ * unit-cost "occupy the incoming link, then push the delivery entry" closure
+ * shared by the ordered network's arrival path and the unordered network's
+ * delivery path.  Calling it with a message performs the inlined
+ * EndpointLink.transmit plus the scheduler bucket push, all in C.  The link
+ * stays the source of truth for its scalars (busy period, totals, counters:
+ * read and written through attributes, so reset, the Python transmit path
+ * and the busy-time queries observe every update); only the occupancy memo
+ * dict is prebound, the same object the pure closure captures. */
 
 typedef struct {
     PyObject_HEAD
     SchedulerObject *sched;
     PyObject *link;
     PyObject *occupancy; /* link._occupancy_cache (dict) */
-    PyObject *starts;    /* link._segment_starts (list) */
-    PyObject *finishes;  /* link._segment_finishes (list) */
-    PyObject *prefix;    /* link._segment_prefix (list) */
     PyObject *deliver;   /* delivery callable */
     PyObject *label;     /* delivery label */
 } LinkPushObject;
@@ -1099,32 +1096,10 @@ LinkPush_init(LinkPushObject *self, PyObject *args, PyObject *kwds)
     PyObject *occupancy = PyObject_GetAttr(link, str__occupancy_cache);
     if (occupancy == NULL)
         return -1;
-    PyObject *starts = PyObject_GetAttr(link, str__segment_starts);
-    if (starts == NULL) {
-        Py_DECREF(occupancy);
-        return -1;
-    }
-    PyObject *finishes = PyObject_GetAttr(link, str__segment_finishes);
-    if (finishes == NULL) {
-        Py_DECREF(occupancy);
-        Py_DECREF(starts);
-        return -1;
-    }
-    PyObject *prefix = PyObject_GetAttr(link, str__segment_prefix);
-    if (prefix == NULL) {
-        Py_DECREF(occupancy);
-        Py_DECREF(starts);
-        Py_DECREF(finishes);
-        return -1;
-    }
-    if (!PyDict_Check(occupancy) || !PyList_Check(starts) ||
-        !PyList_Check(finishes) || !PyList_Check(prefix)) {
+    if (!PyDict_Check(occupancy)) {
         PyErr_SetString(PyExc_TypeError,
-                        "link segment containers have unexpected types");
+                        "link occupancy memo is not a dict");
         Py_DECREF(occupancy);
-        Py_DECREF(starts);
-        Py_DECREF(finishes);
-        Py_DECREF(prefix);
         return -1;
     }
     Py_INCREF(sched);
@@ -1132,9 +1107,6 @@ LinkPush_init(LinkPushObject *self, PyObject *args, PyObject *kwds)
     Py_INCREF(link);
     Py_XSETREF(self->link, link);
     Py_XSETREF(self->occupancy, occupancy);
-    Py_XSETREF(self->starts, starts);
-    Py_XSETREF(self->finishes, finishes);
-    Py_XSETREF(self->prefix, prefix);
     Py_INCREF(deliver);
     Py_XSETREF(self->deliver, deliver);
     Py_INCREF(label);
@@ -1148,9 +1120,6 @@ LinkPush_traverse(LinkPushObject *self, visitproc visit, void *arg)
     Py_VISIT(self->sched);
     Py_VISIT(self->link);
     Py_VISIT(self->occupancy);
-    Py_VISIT(self->starts);
-    Py_VISIT(self->finishes);
-    Py_VISIT(self->prefix);
     Py_VISIT(self->deliver);
     Py_VISIT(self->label);
     return 0;
@@ -1162,9 +1131,6 @@ LinkPush_clear(LinkPushObject *self)
     Py_CLEAR(self->sched);
     Py_CLEAR(self->link);
     Py_CLEAR(self->occupancy);
-    Py_CLEAR(self->starts);
-    Py_CLEAR(self->finishes);
-    Py_CLEAR(self->prefix);
     Py_CLEAR(self->deliver);
     Py_CLEAR(self->label);
     return 0;
@@ -1253,58 +1219,25 @@ LinkPush_call(LinkPushObject *self, PyObject *args, PyObject *kwds)
         return NULL;
     }
     int error = 0;
+    PyObject *done_obj = NULL;
     long long busy_until = get_ll_attr(link, str__busy_until, &error);
-    if (error) {
-        Py_DECREF(size_obj);
-        return NULL;
-    }
-    long long now = sched->now;
-    long long start = now > busy_until ? now : busy_until;
-    long long done = start + cycles;
-    PyObject *done_obj = PyLong_FromLongLong(done);
-    if (done_obj == NULL) {
-        Py_DECREF(size_obj);
-        return NULL;
-    }
-    /* Merge into the trailing busy segment when contiguous, else open a new
-     * segment carrying the pre-segment busy total (prefix sums for the
-     * occupancy queries). */
-    Py_ssize_t nfinishes = PyList_GET_SIZE(self->finishes);
-    int merged = 0;
-    if (nfinishes > 0) {
-        long long last = PyLong_AsLongLong(
-            PyList_GET_ITEM(self->finishes, nfinishes - 1));
-        if (last == -1 && PyErr_Occurred())
-            goto fail;
-        if (start <= last) {
-            PyObject *old = PyList_GET_ITEM(self->finishes, nfinishes - 1);
-            Py_INCREF(done_obj);
-            PyList_SET_ITEM(self->finishes, nfinishes - 1, done_obj);
-            Py_DECREF(old);
-            merged = 1;
-        }
-    }
+    if (error)
+        goto fail;
     long long busy_total = get_ll_attr(link, str__busy_total, &error);
     if (error)
         goto fail;
-    if (!merged) {
-        PyObject *start_obj = PyLong_FromLongLong(start);
-        if (start_obj == NULL)
+    long long now = sched->now;
+    if (now > busy_until) {
+        /* The link was idle: a new busy period opens. */
+        if (set_ll_attr(link, str__period_start, now) < 0 ||
+            set_ll_attr(link, str__period_prefix, busy_total) < 0)
             goto fail;
-        int rc = PyList_Append(self->starts, start_obj);
-        Py_DECREF(start_obj);
-        if (rc < 0)
-            goto fail;
-        if (PyList_Append(self->finishes, done_obj) < 0)
-            goto fail;
-        PyObject *total_obj = PyLong_FromLongLong(busy_total);
-        if (total_obj == NULL)
-            goto fail;
-        rc = PyList_Append(self->prefix, total_obj);
-        Py_DECREF(total_obj);
-        if (rc < 0)
-            goto fail;
+        busy_until = now;
     }
+    long long done = busy_until + cycles;
+    done_obj = PyLong_FromLongLong(done);
+    if (done_obj == NULL)
+        goto fail;
     if (PyObject_SetAttr(link, str__busy_until, done_obj) < 0)
         goto fail;
     if (set_ll_attr(link, str__busy_total, busy_total + cycles) < 0)
@@ -1345,7 +1278,7 @@ LinkPush_call(LinkPushObject *self, PyObject *args, PyObject *kwds)
 
 fail:
     Py_XDECREF(size_obj);
-    Py_DECREF(done_obj);
+    Py_XDECREF(done_obj);
     return NULL;
 }
 
@@ -1670,9 +1603,8 @@ PyInit__cext(void)
     INTERN(str__bytes, "_bytes");
     INTERN(str_occupancy_cycles, "occupancy_cycles");
     INTERN(str__occupancy_cache, "_occupancy_cache");
-    INTERN(str__segment_starts, "_segment_starts");
-    INTERN(str__segment_finishes, "_segment_finishes");
-    INTERN(str__segment_prefix, "_segment_prefix");
+    INTERN(str__period_start, "_period_start");
+    INTERN(str__period_prefix, "_period_prefix");
 #undef INTERN
     empty_string = PyUnicode_InternFromString("");
     if (empty_string == NULL)

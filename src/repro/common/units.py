@@ -47,7 +47,13 @@ def transfer_cycles(size_bytes: int, bytes_per_cycle: float) -> int:
 
     The occupancy is rounded up to a whole cycle and is never less than one
     cycle, matching a link that transmits at most ``bytes_per_cycle`` each
-    cycle.
+    cycle.  A quotient within two units in the last place of a whole number
+    *is* that whole number: float division can overshoot an exact quotient
+    (``693 / 0.35`` gives ``1980.0000000000002``), which would otherwise
+    charge a spurious extra cycle.
+
+    >>> transfer_cycles(693, 0.35)
+    1980
     """
     if size_bytes <= 0:
         raise ConfigurationError(f"message size must be positive, got {size_bytes}")
@@ -55,8 +61,8 @@ def transfer_cycles(size_bytes: int, bytes_per_cycle: float) -> int:
         raise ConfigurationError(
             f"bandwidth must be positive, got {bytes_per_cycle!r} bytes/cycle"
         )
-    cycles = math.ceil(size_bytes / bytes_per_cycle)
-    return max(1, cycles)
+    quotient = size_bytes / bytes_per_cycle
+    return max(1, math.ceil(quotient - 2 * math.ulp(quotient)))
 
 
 def nanoseconds_to_cycles(nanoseconds: float) -> int:

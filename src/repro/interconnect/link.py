@@ -7,15 +7,22 @@ the link for ``ceil(size / bytes_per_cycle)`` cycles and queues FIFO behind any
 message already in flight.  The same links also provide the *local utilization
 estimate* that drives BASH's adaptive mechanism and the endpoint-utilization
 curves of Figure 6.
+
+A link's state is O(1): besides its running totals it keeps only the current
+busy period (back-to-back transfers merge into one period) and the busy total
+before it.  That answers every present-time utilization query exactly; the
+link keeps no history before the current period.  This module owns the format:
+the unit-cost push closure below and its C mirror (``LinkPush`` in
+``repro/_core/_cext.c``) are the only other code that touches it.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
-from typing import Dict, List, Optional, Tuple
+from heapq import heappush as _heappush
+from typing import Callable, Dict, Optional, Tuple
 
-from .._core import stock
+from .._core import accelerator_for, stock
+from ..common.units import transfer_cycles
 from ..errors import NetworkError
 
 
@@ -28,14 +35,11 @@ class EndpointLink:
         "bytes_per_cycle",
         "_busy_until",
         "_busy_total",
+        "_period_start",
+        "_period_prefix",
         "_messages",
         "_bytes",
-        "_segment_starts",
-        "_segment_finishes",
-        "_segment_prefix",
         "_occupancy_cache",
-        "_query_memo",
-        "_query_memo2",
     )
 
     def __init__(self, name: str, bytes_per_cycle: float) -> None:
@@ -47,24 +51,16 @@ class EndpointLink:
         self.bytes_per_cycle = bytes_per_cycle
         self._busy_until = 0
         self._busy_total = 0
+        # The current busy period starts at _period_start; _period_prefix is
+        # the busy total accumulated before it.
+        self._period_start = 0
+        self._period_prefix = 0
         self._messages = 0
         self._bytes = 0
-        # Busy periods as merged [start, finish) segments plus a prefix-sum of
-        # the busy cycles before each segment, so busy_time_up_to() is exact
-        # for any query time (utilization windows look into the past).
-        self._segment_starts: List[int] = []
-        self._segment_finishes: List[int] = []
-        self._segment_prefix: List[int] = []
         # Memoised (size_bytes, cost_factor) -> occupancy cycles; messages come
-        # in a handful of distinct sizes, so this avoids a float divide + ceil
-        # on the transmit fast path.
+        # in a handful of distinct sizes, so the exact ceiling is computed once
+        # per size instead of on the transmit fast path.
         self._occupancy_cache: Dict[Tuple[int, float], int] = {}
-        # Two-deep memo of recent busy_time_up_to() queries.  The adaptive
-        # mechanism samples utilization over [previous_now, now) windows, so
-        # each sample's window_start query repeats the previous sample's
-        # window_end query exactly.
-        self._query_memo: Tuple[int, int] = (-1, 0)
-        self._query_memo2: Tuple[int, int] = (-1, 0)
 
     @property
     def busy_until(self) -> int:
@@ -90,7 +86,7 @@ class EndpointLink:
             raise NetworkError(f"message size must be positive, got {size_bytes}")
         if cost_factor < 1.0:
             raise NetworkError(f"cost factor must be >= 1, got {cost_factor}")
-        cycles = max(1, math.ceil(size_bytes * cost_factor / self.bytes_per_cycle))
+        cycles = transfer_cycles(size_bytes * cost_factor, self.bytes_per_cycle)
         self._occupancy_cache[(size_bytes, cost_factor)] = cycles
         return cycles
 
@@ -116,16 +112,12 @@ class EndpointLink:
             if cycles is None:
                 cycles = self.occupancy_cycles(size_bytes, cost_factor)
         busy_until = self._busy_until
-        start = now if now > busy_until else busy_until
-        finish = start + cycles
-        finishes = self._segment_finishes
-        if finishes and start <= finishes[-1]:
-            # Back-to-back transfer: extend the current busy period.
-            finishes[-1] = finish
-        else:
-            self._segment_starts.append(start)
-            finishes.append(finish)
-            self._segment_prefix.append(self._busy_total)
+        if now > busy_until:
+            # The link was idle: a new busy period opens.
+            self._period_start = now
+            self._period_prefix = self._busy_total
+            busy_until = now
+        finish = busy_until + cycles
         self._busy_until = finish
         self._busy_total += cycles
         self._messages += 1
@@ -135,9 +127,10 @@ class EndpointLink:
     def reset(self, bytes_per_cycle: Optional[float] = None) -> None:
         """Re-arm the link for a fresh run, optionally at a new bandwidth.
 
-        All occupancy history is cleared in place; the memoised occupancy
-        table is only invalidated when the bandwidth actually changes (it is
-        keyed by message size, which does not vary across sweep points).
+        The memoised occupancy table is only invalidated when the bandwidth
+        actually changes (it is keyed by message size, which does not vary
+        across sweep points); it is cleared in place, so closures holding it
+        stay valid.
         """
         if bytes_per_cycle is not None and bytes_per_cycle != self.bytes_per_cycle:
             if bytes_per_cycle <= 0:
@@ -149,49 +142,82 @@ class EndpointLink:
             self._occupancy_cache.clear()
         self._busy_until = 0
         self._busy_total = 0
+        self._period_start = 0
+        self._period_prefix = 0
         self._messages = 0
         self._bytes = 0
-        self._segment_starts.clear()
-        self._segment_finishes.clear()
-        self._segment_prefix.clear()
-        self._query_memo = (-1, 0)
-        self._query_memo2 = (-1, 0)
 
     def busy_time_up_to(self, time: int) -> int:
-        """Total busy cycles in ``[0, time)``, exact for any query time."""
-        # O(1) fast path: once every transfer has finished, the answer is the
-        # running total — the common case for the adaptive mechanism's
-        # "utilization up to now" queries on a link that has gone idle.
+        """Total busy cycles in ``[0, time)``.
+
+        Exact for any ``time`` at or after the start of the current busy
+        period, which covers every query for the present; an earlier ``time``
+        raises :class:`NetworkError`.
+        """
         if time >= self._busy_until:
             return self._busy_total
-        memo = self._query_memo
-        if memo[0] == time:
-            return memo[1]
-        memo2 = self._query_memo2
-        if memo2[0] == time:
-            return memo2[1]
-        if not self._segment_starts:
-            return 0
-        index = bisect.bisect_right(self._segment_starts, time) - 1
-        if index < 0:
-            return 0
-        start = self._segment_starts[index]
-        finish = self._segment_finishes[index]
-        busy = self._segment_prefix[index] + max(0, min(finish, time) - start)
-        # Memoising is only sound for times the link's history can no longer
-        # change: past segments are immutable once a later transfer starts,
-        # but the final segment may still be extended in place.
-        if self._segment_finishes[-1] > time or index < len(self._segment_starts) - 1:
-            self._query_memo2 = memo
-            self._query_memo = (time, busy)
-        return busy
+        start = self._period_start
+        if time < start:
+            raise NetworkError(
+                f"link {self.name!r} keeps no busy history before cycle "
+                f"{start}; cannot answer busy time up to cycle {time}"
+            )
+        return self._period_prefix + (time - start)
 
-    def utilization(self, window_start: int, window_end: int) -> float:
-        """Fraction of cycles busy within ``[window_start, window_end)``."""
-        if window_end <= window_start:
-            return 0.0
-        busy = self.busy_time_up_to(window_end) - self.busy_time_up_to(window_start)
-        return min(1.0, busy / (window_end - window_start))
+
+def link_push(
+    scheduler, link: EndpointLink, deliver: Callable, label: str
+) -> Callable:
+    """The unit-cost "occupy ``link``, then schedule ``deliver``" closure.
+
+    Calling it with a message transmits the message on ``link`` at the
+    scheduler's current cycle (:meth:`EndpointLink.transmit` inlined, unit
+    cost) and pushes the delivery event ``(done, sequence, deliver, label,
+    message)`` straight into the scheduler's bucket queue.  The ordered
+    network's arrivals and the unordered network's deliveries both run it —
+    a broadcast fan-out once per recipient, making it the hottest code in the
+    repository.  On a compiled scheduler it is the C ``LinkPush`` object,
+    which performs the same steps.
+
+    It holds only objects that survive a system reset (the link, its occupancy
+    memo dict, the scheduler's containers), so it stays valid across resets.
+    """
+    accel = accelerator_for(scheduler)
+    if accel is not None:
+        return accel.LinkPush(scheduler, link, deliver, label)
+    buckets = scheduler._buckets
+    buckets_get = buckets.get
+    times = scheduler._times
+    occupancy = link._occupancy_cache
+    occupancy_get = occupancy.get
+
+    def push(message) -> None:
+        size = message.size_bytes
+        cycles = occupancy_get(size)
+        if cycles is None:
+            cycles = occupancy[size] = link.occupancy_cycles(size)
+        now = scheduler.now
+        busy_until = link._busy_until
+        if now > busy_until:
+            link._period_start = now
+            link._period_prefix = link._busy_total
+            busy_until = now
+        done = busy_until + cycles
+        link._busy_until = done
+        link._busy_total += cycles
+        link._messages += 1
+        link._bytes += size
+        sequence = scheduler._sequence
+        scheduler._sequence = sequence + 1
+        entry = (done, sequence, deliver, label, message)
+        bucket = buckets_get(done)
+        if bucket is None:
+            buckets[done] = [entry]
+            _heappush(times, done)
+        else:
+            bucket.append(entry)
+
+    return push
 
 
 class LinkPair:
@@ -208,38 +234,3 @@ class LinkPair:
         """Re-arm both directions, optionally at a new bandwidth."""
         self.outgoing.reset(bytes_per_cycle)
         self.incoming.reset(bytes_per_cycle)
-
-    def utilization(self, window_start: int, window_end: int) -> float:
-        """Local utilization estimate: the busier of the two directions.
-
-        The paper's mechanism samples "the utilization of its link to the
-        interconnection network"; taking the bottleneck direction makes the
-        estimate sensitive both to broadcast floods (incoming) and to data
-        response pressure (outgoing).
-
-        Computed as ``min(1.0, max(busy_in, busy_out) / window)`` — identical
-        to taking the max of the two per-direction utilizations (same
-        numerator and denominator reach the one division), with half the
-        calls; the adaptive mechanism queries this once per node per sampling
-        interval.
-        """
-        if window_end <= window_start:
-            return 0.0
-        incoming = self.incoming
-        outgoing = self.outgoing
-        busy_in = incoming.busy_time_up_to(window_end) - incoming.busy_time_up_to(
-            window_start
-        )
-        busy_out = outgoing.busy_time_up_to(window_end) - outgoing.busy_time_up_to(
-            window_start
-        )
-        busy = busy_in if busy_in > busy_out else busy_out
-        utilization = busy / (window_end - window_start)
-        return utilization if utilization < 1.0 else 1.0
-
-    def busy_time_up_to(self, time: int) -> int:
-        """Bottleneck-direction busy cycles in ``[0, time)``."""
-        return max(
-            self.incoming.busy_time_up_to(time),
-            self.outgoing.busy_time_up_to(time),
-        )

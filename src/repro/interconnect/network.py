@@ -117,15 +117,19 @@ class Interconnect:
         """Send a point-to-point message on the unordered network."""
         self.unordered.send(message)
 
-    def link_utilization(self, node_id: int, window_start: int, window_end: int) -> float:
-        """Local endpoint-link utilization of ``node_id`` over a window."""
-        return self.links[node_id].utilization(window_start, window_end)
+    def mean_endpoint_utilization(self, now: int) -> float:
+        """Average endpoint-link utilization over ``[0, now)`` (Figure 6).
 
-    def mean_endpoint_utilization(self, window_start: int, window_end: int) -> float:
-        """Average endpoint-link utilization across all nodes (Figure 6)."""
-        if not self.links:
+        A node's utilization is that of its busier direction, as in the
+        paper's local estimate of "the utilization of its link to the
+        interconnection network": sensitive both to broadcast floods
+        (incoming) and to data-response pressure (outgoing).
+        """
+        if not self.links or now <= 0:
             return 0.0
         total = sum(
-            pair.utilization(window_start, window_end) for pair in self.links.values()
+            max(pair.incoming.busy_time_up_to(now), pair.outgoing.busy_time_up_to(now))
+            / now
+            for pair in self.links.values()
         )
         return total / len(self.links)

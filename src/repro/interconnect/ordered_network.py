@@ -36,7 +36,7 @@ from .._core import accelerator_for, stock
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
-from .link import LinkPair
+from .link import LinkPair, link_push
 from .message import Message, MessageType
 
 #: Signature of a node's handler for ordered (request network) deliveries.
@@ -253,10 +253,6 @@ class TotallyOrderedNetwork:
         deliver_label = f"ordered-deliver:{msg_type}:n{node_id}"
         in_link = self.links[node_id].incoming
         scheduler = self.scheduler
-        buckets = scheduler._buckets
-        buckets_get = buckets.get
-        times = scheduler._times
-        transmit = in_link.transmit
         broadcast_cost = self.broadcast_cost_factor
 
         if deliver is None:
@@ -266,59 +262,18 @@ class TotallyOrderedNetwork:
                     f"no ordered handler registered for node {node_id}"
                 )
 
-        elif self._accel is not None and broadcast_cost == 1.0:
-            # Compiled backend: the unit-cost arrival is a C closure object
-            # performing the same inlined transmit + bucket push (see
-            # LinkPush in repro/_core/_cext.c).  It captures the same
-            # reset-stable containers as the Python closure below.
-            arrive = self._accel.LinkPush(scheduler, in_link, deliver, deliver_label)
-
         elif broadcast_cost == 1.0:
             # Unit broadcast cost (the default): every message on this link
-            # costs occupancy_cycles(size), so EndpointLink.transmit is
-            # inlined — same statements, no call frame.  A broadcast fan-out
-            # runs this once per recipient, making it the hottest code in the
-            # repository.  The closure reads occupancy through the link's
-            # memo dict (cleared when a reset changes the bandwidth) and
-            # mutates the link's segment lists in place (reset clears them in
-            # place too), so it stays valid across system resets; a changed
+            # costs occupancy_cycles(size), so the shared unit-cost push
+            # closure applies (C LinkPush on a compiled scheduler).  A changed
             # broadcast cost factor recompiles it (Interconnect.reset).
-            occupancy = in_link._occupancy_cache
-            occupancy_get = occupancy.get
-            starts = in_link._segment_starts
-            finishes = in_link._segment_finishes
-            prefix = in_link._segment_prefix
-
-            def arrive(message: Message) -> None:
-                size = message.size_bytes
-                cycles = occupancy_get(size)
-                if cycles is None:
-                    cycles = occupancy[size] = in_link.occupancy_cycles(size)
-                now = scheduler.now
-                busy_until = in_link._busy_until
-                start = now if now > busy_until else busy_until
-                done = start + cycles
-                if finishes and start <= finishes[-1]:
-                    finishes[-1] = done
-                else:
-                    starts.append(start)
-                    finishes.append(done)
-                    prefix.append(in_link._busy_total)
-                in_link._busy_until = done
-                in_link._busy_total += cycles
-                in_link._messages += 1
-                in_link._bytes += size
-                sequence = scheduler._sequence
-                scheduler._sequence = sequence + 1
-                entry = (done, sequence, deliver, deliver_label, message)
-                bucket = buckets_get(done)
-                if bucket is None:
-                    buckets[done] = [entry]
-                    _heappush(times, done)
-                else:
-                    bucket.append(entry)
+            arrive = link_push(scheduler, in_link, deliver, deliver_label)
 
         else:
+            buckets = scheduler._buckets
+            buckets_get = buckets.get
+            times = scheduler._times
+            transmit = in_link.transmit
 
             def arrive(message: Message) -> None:
                 done = transmit(

@@ -25,7 +25,7 @@ from .._core import accelerator_for, stock
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
-from .link import LinkPair
+from .link import LinkPair, link_push
 from .message import DestinationUnit, Message, MessageType
 
 #: Signature of a node's handler for unordered (point-to-point) deliveries.
@@ -195,12 +195,10 @@ class UnorderedNetwork:
     ) -> Tuple[str, Callable[[Message], None], Callable[[Message], None]]:
         """Resolve (deliver label, delivery entry, occupy-and-schedule) once.
 
-        The third element is the hot half of :meth:`_arrive`: a closure that
-        inlines the destination's incoming-link ``transmit`` (unordered
-        messages always carry unit cost) and pushes the delivery event's
-        bucket entry, with every object prebound.  Its prebound dicts and
-        lists are the ones system resets clear *in place*, so compiled
-        closures survive resets.
+        The third element is the hot half of :meth:`_arrive`: the shared
+        unit-cost :func:`~repro.interconnect.link.link_push` closure on the
+        destination's incoming link (unordered messages always carry unit
+        cost), which survives system resets.
 
         When a :class:`~repro.sim.arena.SimulationArena` is attached to the
         scheduler, the delivery callable is wrapped to release the message to
@@ -226,54 +224,8 @@ class UnorderedNetwork:
 
             deliver = deliver_and_release
         label = f"unordered-deliver:{msg_type}:n{dest}"
-        in_link = self.links[dest].incoming
-        scheduler = self.scheduler
-        if self._accel is not None:
-            occupy = self._accel.LinkPush(scheduler, in_link, deliver, label)
-            entry = (label, deliver, occupy)
-            self._deliver_entries[(msg_type, dest, dest_unit)] = entry
-            return entry
-        sched_buckets = scheduler._buckets
-        sched_buckets_get = sched_buckets.get
-        sched_times = scheduler._times
-        occupancy = in_link._occupancy_cache
-        occupancy_get = occupancy.get
-        starts = in_link._segment_starts
-        finishes = in_link._segment_finishes
-        prefix = in_link._segment_prefix
-
-        def occupy_and_schedule(message: Message) -> None:
-            # [Inlined EndpointLink.transmit, unit cost — see the ordered
-            # network's arrive closure for the same pattern.]
-            size = message.size_bytes
-            cycles = occupancy_get(size)
-            if cycles is None:
-                cycles = occupancy[size] = in_link.occupancy_cycles(size)
-            now = scheduler.now
-            busy_until = in_link._busy_until
-            start = now if now > busy_until else busy_until
-            done = start + cycles
-            if finishes and start <= finishes[-1]:
-                finishes[-1] = done
-            else:
-                starts.append(start)
-                finishes.append(done)
-                prefix.append(in_link._busy_total)
-            in_link._busy_until = done
-            in_link._busy_total += cycles
-            in_link._messages += 1
-            in_link._bytes += size
-            sequence = scheduler._sequence
-            scheduler._sequence = sequence + 1
-            item = (done, sequence, deliver, label, message)
-            bucket = sched_buckets_get(done)
-            if bucket is None:
-                sched_buckets[done] = [item]
-                _heappush(sched_times, done)
-            else:
-                bucket.append(item)
-
-        entry = (label, deliver, occupy_and_schedule)
+        occupy = link_push(self.scheduler, self.links[dest].incoming, deliver, label)
+        entry = (label, deliver, occupy)
         self._deliver_entries[(msg_type, dest, dest_unit)] = entry
         return entry
 

@@ -37,11 +37,11 @@ time, loose enough for the deterministic-service gap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.config import ProtocolName, SystemConfig
+from ..common.units import transfer_cycles
 from ..errors import VerificationError
 from ..system.multiprocessor import MultiprocessorSystem
 from ..workloads.traffic import OpenLoopHomeWorkload
@@ -179,7 +179,7 @@ def _run_open_loop(
     """One simulated point: (utilisation, throughput, miss latency, ops, cycles).
 
     Utilisation is the home's outbound-link busy fraction measured directly
-    from the link's exact busy-segment accounting — the very signal BASH's
+    from the link's exact busy-period accounting — the very signal BASH's
     adaptive mechanism samples.
     """
     workload = OpenLoopHomeWorkload(
@@ -216,8 +216,8 @@ def service_time_cycles(config: SystemConfig) -> int:
     on the home's outbound link.
     """
     bytes_per_cycle = config.bytes_per_cycle
-    data = max(1, math.ceil(config.data_message_bytes / bytes_per_cycle))
-    marker = max(1, math.ceil(config.request_message_bytes / bytes_per_cycle))
+    data = transfer_cycles(config.data_message_bytes, bytes_per_cycle)
+    marker = transfer_cycles(config.request_message_bytes, bytes_per_cycle)
     return data + marker
 
 

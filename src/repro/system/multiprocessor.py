@@ -275,10 +275,7 @@ class MultiprocessorSystem:
 
     def mean_endpoint_utilization(self) -> float:
         """Average endpoint link utilization over the whole run (Figure 6)."""
-        now = self.simulator.now
-        if now <= 0:
-            return 0.0
-        return self.interconnect.mean_endpoint_utilization(0, now)
+        return self.interconnect.mean_endpoint_utilization(self.simulator.now)
 
     def broadcast_fraction(self) -> float:
         """Fraction of coherence requests sent as broadcasts."""

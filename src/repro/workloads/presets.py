@@ -27,8 +27,9 @@ describes:
   fraction during tree building, low variability.
 
 The numbers are synthetic calibration constants, not measurements of the
-original applications; EXPERIMENTS.md discusses how this substitution affects
-the comparison with the paper's absolute results.
+original applications; README.md ("Running scenarios from the command line")
+discusses how this substitution affects the comparison with the paper's
+absolute results.
 """
 
 from __future__ import annotations

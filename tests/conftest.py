@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import _core
 from repro.common.config import AdaptiveConfig, ProtocolName, SystemConfig
@@ -15,6 +16,10 @@ ALL_PROTOCOLS = (ProtocolName.SNOOPING, ProtocolName.DIRECTORY, ProtocolName.BAS
 
 #: Adaptive configuration that reaches its operating point in short test runs.
 FAST_ADAPTIVE = AdaptiveConfig(sampling_interval=64, policy_counter_bits=5)
+
+#: More randomised examples for CI's compiled job:
+#: ``python -m pytest --hypothesis-profile=deep ...``.
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 #: Why the compiled extension could not be built for this session, if it
 #: could not; reported once at the end of the run.

@@ -1,9 +1,9 @@
-"""Endpoint link bandwidth, FIFO occupancy and utilization accounting."""
+"""Endpoint link bandwidth, FIFO occupancy and busy-time accounting."""
 
 import pytest
 
 from repro.errors import NetworkError
-from repro.interconnect.link import EndpointLink, LinkPair
+from repro.interconnect.link import EndpointLink
 
 
 class TestEndpointLink:
@@ -28,21 +28,43 @@ class TestEndpointLink:
         assert first == 36
         assert second == 40
 
-    def test_busy_time_accounting(self):
+    def test_busy_time_up_to_the_present(self):
         link = EndpointLink("l", bytes_per_cycle=2.0)
         link.transmit(now=0, size_bytes=20)    # busy 0-10
-        link.transmit(now=50, size_bytes=20)   # busy 50-60
+        assert link.busy_time_up_to(0) == 0
+        assert link.busy_time_up_to(4) == 4    # mid-transfer: partial credit
         assert link.busy_time_up_to(10) == 10
+        assert link.busy_time_up_to(50) == 10  # idle cycles are not busy
+        link.transmit(now=50, size_bytes=20)   # new period, busy 50-60
         assert link.busy_time_up_to(50) == 10
         assert link.busy_time_up_to(55) == 15
         assert link.busy_time_up_to(100) == 20
 
-    def test_utilization_window(self):
+    def test_queued_transfers_extend_the_busy_period(self):
         link = EndpointLink("l", bytes_per_cycle=1.0)
-        link.transmit(now=0, size_bytes=50)
-        assert link.utilization(0, 100) == pytest.approx(0.5)
-        assert link.utilization(0, 50) == pytest.approx(1.0)
-        assert link.utilization(50, 100) == pytest.approx(0.0)
+        link.transmit(now=10, size_bytes=20)           # busy 10-30
+        assert link.transmit(now=15, size_bytes=5) == 35  # queued, busy to 35
+        assert link.transmit(now=35, size_bytes=5) == 40  # back-to-back
+        assert link.busy_time_up_to(20) == 10
+        assert link.busy_time_up_to(38) == 28
+        assert link.busy_time_up_to(100) == 30
+
+    def test_busy_time_before_the_current_period_raises(self):
+        link = EndpointLink("node3.in", bytes_per_cycle=1.0)
+        link.transmit(now=0, size_bytes=10)
+        link.transmit(now=50, size_bytes=10)
+        with pytest.raises(NetworkError, match="node3.in"):
+            link.busy_time_up_to(49)
+
+    def test_reset_clears_busy_state(self):
+        link = EndpointLink("l", bytes_per_cycle=1.0)
+        link.transmit(now=0, size_bytes=10)
+        link.transmit(now=40, size_bytes=10)   # period from 40, 10 cycles before
+        link.reset(bytes_per_cycle=2.0)
+        assert link.busy_until == 0
+        assert link.busy_time_up_to(0) == 0
+        assert link.transmit(now=0, size_bytes=10) == 5
+        assert link.busy_time_up_to(3) == 3
 
     def test_counters(self):
         link = EndpointLink("l", bytes_per_cycle=1.0)
@@ -59,15 +81,3 @@ class TestEndpointLink:
             link.occupancy_cycles(0)
         with pytest.raises(NetworkError):
             link.occupancy_cycles(8, cost_factor=0.5)
-
-
-class TestLinkPair:
-    def test_utilization_is_bottleneck_direction(self):
-        pair = LinkPair(0, bytes_per_cycle=1.0)
-        pair.incoming.transmit(now=0, size_bytes=80)
-        pair.outgoing.transmit(now=0, size_bytes=20)
-        assert pair.utilization(0, 100) == pytest.approx(0.8)
-
-    def test_idle_pair_has_zero_utilization(self):
-        pair = LinkPair(3, bytes_per_cycle=1.0)
-        assert pair.utilization(0, 100) == 0.0

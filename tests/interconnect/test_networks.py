@@ -125,4 +125,19 @@ class TestUnorderedNetwork:
         _, scheduler, interconnect, _ = make_interconnect(bandwidth=800.0)
         interconnect.broadcast(request(src=0))
         scheduler.run()
-        assert 0.0 < interconnect.mean_endpoint_utilization(0, scheduler.now) <= 1.0
+        assert 0.0 < interconnect.mean_endpoint_utilization(scheduler.now) <= 1.0
+
+    def test_endpoint_utilization_is_the_busier_direction(self):
+        _, _, interconnect, _ = make_interconnect(num_nodes=2, bandwidth=1000.0)
+        pair = interconnect.links[0]                    # 1 byte per cycle
+        pair.incoming.transmit(now=0, size_bytes=80)
+        pair.outgoing.transmit(now=0, size_bytes=20)
+        # Node 0's incoming link is busy 80 of 100 cycles (all of the first
+        # 40); node 1 is idle.
+        assert interconnect.mean_endpoint_utilization(100) == pytest.approx(0.4)
+        assert interconnect.mean_endpoint_utilization(40) == pytest.approx(0.5)
+
+    def test_idle_interconnect_has_zero_utilization(self):
+        _, _, interconnect, _ = make_interconnect()
+        assert interconnect.mean_endpoint_utilization(100) == 0.0
+        assert interconnect.mean_endpoint_utilization(0) == 0.0

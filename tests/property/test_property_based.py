@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import AdaptiveConfig
@@ -68,34 +68,52 @@ class TestLfsrProperties:
             assert lfsr.state != 0
 
 
+def union_length_before(intervals, time):
+    """Cycles in ``[0, time)`` covered by any ``[start, finish)`` interval."""
+    covered, reach = 0, 0
+    for start, finish in sorted(intervals):
+        start, finish = max(start, reach), min(finish, time)
+        if finish > start:
+            covered += finish - start
+        reach = max(reach, finish)
+    return covered
+
+
 class TestLinkProperties:
     @given(
+        st.sampled_from([0.35, 1.0, 1.6]),
         st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=2000),
+                st.integers(min_value=0, max_value=300),
                 st.integers(min_value=1, max_value=200),
+                st.sampled_from([1.0, 1.0, 4.0, 2.5]),
             ),
             min_size=1,
             max_size=60,
-        )
+        ),
     )
-    def test_busy_time_is_monotone_and_bounded(self, events):
-        link = EndpointLink("l", bytes_per_cycle=1.0)
+    def test_present_busy_time_is_the_union_of_busy_intervals(
+        self, bandwidth, transfers
+    ):
+        link = EndpointLink("l", bytes_per_cycle=bandwidth)
+        intervals = []
         now = 0
-        for delay, size in events:
+        for delay, size, cost in transfers:
             now += delay
-            link.transmit(now=now, size_bytes=size)
-        horizon = link.busy_until + 10
-        previous = 0
-        for t in range(0, horizon, max(1, horizon // 50)):
-            busy = link.busy_time_up_to(t)
-            assert busy >= previous
-            assert busy <= t
-            previous = busy
-        total_payload = sum(size for _, size in events)
-        assert link.busy_time_up_to(horizon) == total_payload
+            finish = link.transmit(now=now, size_bytes=size, cost_factor=cost)
+            intervals.append((finish - link.occupancy_cycles(size, cost), finish))
+            # Every time from the present on is answerable and exact.
+            for t in (now, (now + finish) // 2, finish, finish + 7):
+                assert link.busy_time_up_to(t) == union_length_before(intervals, t)
+        assert link.busy_time_up_to(link.busy_until) == sum(
+            finish - start for start, finish in intervals
+        )
 
-    @given(st.integers(min_value=1, max_value=4096), st.floats(min_value=0.05, max_value=64.0))
+    @given(
+        size=st.integers(min_value=1, max_value=4096),
+        bandwidth=st.floats(min_value=0.05, max_value=64.0),
+    )
+    @example(size=693, bandwidth=0.35)
     def test_transfer_cycles_cover_the_payload(self, size, bandwidth):
         cycles = transfer_cycles(size, bandwidth)
         assert cycles * bandwidth >= size - 1e-6

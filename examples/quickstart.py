@@ -15,11 +15,11 @@ independent simulations, and every sweep accepts ``workers`` and
     from repro.experiments.figures import figure1_microbenchmark_performance
     from repro.experiments.runner import QUICK, PAPER
 
-    # Fan the 21 sweep points across 8 worker processes.
+    # Fan the 21 sweep points across 8 job-store worker processes.
     curves = figure1_microbenchmark_performance(QUICK, workers=8)
 
-    # Memoise completed points on disk: re-running a figure (or resuming an
-    # interrupted PAPER-scale reproduction) skips everything already done.
+    # Keep completed points in a job store: re-running a figure (or resuming
+    # an interrupted PAPER-scale reproduction) skips everything already done.
     curves = figure1_microbenchmark_performance(
         PAPER, workers=8, cache_dir="~/.cache/repro-sweeps"
     )
@@ -28,18 +28,18 @@ independent simulations, and every sweep accepts ``workers`` and
 default (``None``) stays serial.  Parallel and serial runs are guaranteed to
 produce identical results point for point, because every point derives its
 seeds from its own configuration (``scale.seeds``), never from worker
-scheduling.  The cache key hashes the full point configuration (scale,
-protocol, bandwidth, workload, adaptive parameters), so a changed experiment
-never reuses stale results; completed points are written atomically (temp
-file + rename), so an interrupted run never leaves a corrupt cache entry.
+scheduling.  The unit id in the store hashes the full point configuration
+(scale, protocol, bandwidth, workload, adaptive parameters, backend), so a
+changed experiment never reuses stale results; each completed point is
+committed in one SQLite transaction, so an interrupted run never leaves a
+torn entry.
 
-Sweeps are *batched* by default: points sharing a (protocol, processor
-count) run on one constructed system that is ``reset()`` between points —
-with pooled hot objects and the cyclic GC parked — instead of rebuilding
-nodes, dispatch tables and networks per point.  A reset system is
-contractually identical to a fresh one (bit-identical event traces), and
-``run_sweep(..., batch=False)`` forces the rebuild-per-point path if you want
-to verify that on your own configuration.
+Points sharing a (protocol, processor count) run on one constructed system
+that is ``reset()`` between points — with pooled hot objects and the cyclic
+GC parked — instead of rebuilding nodes, dispatch tables and networks per
+point.  A reset system is contractually identical to a fresh one
+(bit-identical event traces); ``repro.experiments.runner.run_point`` builds
+fresh systems if you want to verify that on your own configuration.
 
 Running the figures without Python: the scenario engine
 -------------------------------------------------------

@@ -9,8 +9,8 @@ studies — without writing Python::
         --cache-dir ~/.cache/repro-sweeps
     python -m repro run migratory --axis bandwidth=800,3200 --json results.json
 
-``--workers`` fans sweep points across a process pool, ``--cache-dir``
-memoises completed points on disk (so an interrupted PAPER-scale campaign
+``--workers`` fans sweep points across worker processes, ``--cache-dir``
+keeps completed points in a job store (so an interrupted PAPER-scale campaign
 resumes instead of recomputing; ``$REPRO_SWEEP_CACHE`` supplies the default),
 ``--axis name=v1,v2,...`` overrides any axis grid of a grid scenario, and
 ``--json`` exports the full result (unified frame included) for downstream
@@ -143,8 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="memoise completed sweep points under DIR (resumable campaigns; "
-        "$REPRO_SWEEP_CACHE supplies the default)",
+        help="keep completed sweep points in the job store at DIR "
+        "(resumable campaigns; $REPRO_SWEEP_CACHE supplies the default)",
     )
     run_parser.add_argument(
         "--axis", action="append", metavar="NAME=V1,V2", dest="axes",

@@ -19,7 +19,7 @@ objects stay warm and the cyclic GC stays out of the event loop.  The contract
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..common.config import ProtocolName, SystemConfig
 from ..sim.arena import SimulationArena
@@ -33,30 +33,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BatchKey = Tuple[ProtocolName, int]
 
 
-def spec_batch_key(spec: "PointSpec") -> BatchKey:
-    """The (protocol, processor count) family a sweep point belongs to."""
-    return (
-        ProtocolName(spec.protocol),
-        spec.num_processors or spec.scale.microbenchmark_processors,
-    )
-
-
 class BatchRunner:
     """Executes sweep points against pooled, resettable simulation systems.
 
     One instance owns one arena and at most one live system per batch key;
     it is cheap to create and safe to discard (dropping it releases the
-    systems and free lists).  Not thread-safe — each process-pool worker owns
-    its own runner (see ``repro.experiments.parallel``).
+    systems and free lists).  Not thread-safe — the serial executor and each
+    job-store worker own one runner each (see ``repro.experiments.parallel``).
     """
 
-    def __init__(self, use_arena: bool = True) -> None:
-        self.arena: Optional[SimulationArena] = SimulationArena() if use_arena else None
+    def __init__(self) -> None:
+        self.arena = SimulationArena()
         self._systems: Dict[BatchKey, MultiprocessorSystem] = {}
-        self.runs_completed = 0
-        self.systems_built = 0
-
-    # ------------------------------------------------------------------ runs
 
     def acquire(self, config: SystemConfig, workload) -> MultiprocessorSystem:
         """A built system for ``config``, reset and ready to run ``workload``.
@@ -65,23 +53,16 @@ class BatchRunner:
         one exists; otherwise a fresh system is built (and kept).  Callers
         that drive the system themselves — the verification engine replays
         traces through the cache controllers directly — use this instead of
-        :meth:`run_config`.
+        :meth:`run_spec`.
         """
         key = (ProtocolName(config.protocol), config.num_processors)
         system = self._systems.get(key)
         if system is None:
             system = MultiprocessorSystem(config, workload, arena=self.arena)
             self._systems[key] = system
-            self.systems_built += 1
         else:
             system.reset(workload, config)
         return system
-
-    def run_config(self, config: SystemConfig, workload) -> RunResult:
-        """Run one (config, workload) pair on the pooled system for its key."""
-        system = self.acquire(config, workload)
-        self.runs_completed += 1
-        return system.run()
 
     def run_spec(self, spec: "PointSpec") -> SweepPoint:
         """Execute one :class:`PointSpec`, seed-averaged like ``run_point``."""
@@ -95,41 +76,8 @@ class BatchRunner:
             cache_capacity_blocks=spec.cache_capacity_blocks,
         )
         results: List[RunResult] = [
-            self.run_config(config, spec.workload(config.random_seed))
+            self.acquire(config, spec.workload(config.random_seed)).run()
             for config in configs
         ]
         x = spec.bandwidth if spec.x_value is None else spec.x_value
         return aggregate_point(spec.protocol, x, results)
-
-    def run_specs(self, specs) -> List[SweepPoint]:
-        """Execute several specs in order on this runner's pooled systems.
-
-        The arena's GC guard is held across the whole batch — the per-run
-        guards inside ``MultiprocessorSystem.run`` are reentrant no-ops then —
-        so the collector stays out of resets and result aggregation too, not
-        just the event loops.
-        """
-        if self.arena is None:
-            return [self.run_spec(spec) for spec in specs]
-        with self.arena.runtime():
-            return [self.run_spec(spec) for spec in specs]
-
-    # ------------------------------------------------------------- lifecycle
-
-    def drop(self, key: Optional[BatchKey] = None) -> None:
-        """Release the system for ``key`` (or all systems) to bound memory."""
-        if key is None:
-            self._systems.clear()
-        else:
-            self._systems.pop(key, None)
-
-    @property
-    def live_systems(self) -> int:
-        """Number of constructed systems currently held."""
-        return len(self._systems)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BatchRunner(systems={len(self._systems)}, "
-            f"runs={self.runs_completed}, built={self.systems_built})"
-        )

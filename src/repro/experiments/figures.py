@@ -68,8 +68,8 @@ def figure1_microbenchmark_performance(
 ) -> Curves:
     """Performance vs available bandwidth for the locking microbenchmark.
 
-    ``workers``/``cache_dir`` fan the sweep across processes and memoise
-    completed points on disk (see :mod:`repro.experiments.parallel`).
+    ``workers``/``cache_dir`` fan the sweep across processes and keep
+    completed points in a job store (see :mod:`repro.experiments.parallel`).
     """
     return run_scenario(
         "figure1",

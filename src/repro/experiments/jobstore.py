@@ -57,7 +57,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from ..errors import JobStoreError
 
@@ -210,6 +210,16 @@ class JobStore:
         with self._lock:
             return self._db.execute(sql, args).fetchall()
 
+    @staticmethod
+    def _scope(unit_ids: Optional[Collection[str]]) -> Tuple[str, tuple]:
+        """SQL filter (and its argument) restricting a query to ``unit_ids``."""
+        if unit_ids is None:
+            return "", ()
+        return (
+            " AND id IN (SELECT value FROM json_each(?))",
+            (json.dumps(sorted(unit_ids)),),
+        )
+
     def _log(self, db, event: str, unit_id: str = "", **fields) -> None:
         """Append one journal record inside the caller's transaction."""
         record = {"t": round(self.clock(), 3), "event": event}
@@ -256,15 +266,25 @@ class JobStore:
         rows = self._query("SELECT state FROM units WHERE id = ?", unit_id)
         return rows[0][0] if rows else None
 
-    def ids(self, state: str) -> List[str]:
-        """Sorted unit ids currently in ``state``."""
-        rows = self._query("SELECT id FROM units WHERE state = ? ORDER BY id", state)
+    def ids(
+        self, state: str, unit_ids: Optional[Collection[str]] = None
+    ) -> List[str]:
+        """Sorted unit ids (of ``unit_ids``, if given) currently in ``state``."""
+        scope, args = self._scope(unit_ids)
+        rows = self._query(
+            f"SELECT id FROM units WHERE state = ?{scope} ORDER BY id", state, *args
+        )
         return [unit_id for (unit_id,) in rows]
 
-    def counts(self) -> Dict[str, int]:
+    def counts(self, unit_ids: Optional[Collection[str]] = None) -> Dict[str, int]:
+        """Units per state, over the whole store or only over ``unit_ids``."""
+        scope, args = self._scope(unit_ids)
         counts = dict.fromkeys(STATES, 0)
         counts.update(
-            self._query("SELECT state, COUNT(*) FROM units GROUP BY state")
+            self._query(
+                f"SELECT state, COUNT(*) FROM units WHERE 1{scope} GROUP BY state",
+                *args,
+            )
         )
         return counts
 
@@ -275,12 +295,17 @@ class JobStore:
             raise JobStoreError(f"unknown unit {unit_id!r}")
         return WorkUnit.from_row(rows[0])
 
-    def stragglers(self, older_than: float) -> List[str]:
+    def stragglers(
+        self, older_than: float, unit_ids: Optional[Collection[str]] = None
+    ) -> List[str]:
         """Sorted ids of leased units claimed at least ``older_than`` s ago."""
+        scope, args = self._scope(unit_ids)
         rows = self._query(
-            "SELECT id FROM units WHERE state = ? AND claimed_at <= ? ORDER BY id",
+            f"SELECT id FROM units WHERE state = ? AND claimed_at <= ?{scope}"
+            " ORDER BY id",
             LEASED,
             self.clock() - older_than,
+            *args,
         )
         return [unit_id for (unit_id,) in rows]
 
@@ -317,18 +342,23 @@ class JobStore:
 
     # ----------------------------------------------------------------- claim
 
-    def claim(self, worker_id: str) -> Optional[Lease]:
+    def claim(
+        self, worker_id: str, unit_ids: Optional[Collection[str]] = None
+    ) -> Optional[Lease]:
         """Atomically claim one ready pending unit, or None.
 
+        With ``unit_ids`` only those units are claimable, so a coordinator's
+        workers never pick up another campaign's units from a shared store.
         The write transaction is the only arbitration: concurrent claimants
         serialise on it, and each sees the rows its predecessors flipped.
         """
         now = self.clock()
+        scope, args = self._scope(unit_ids)
         with self._write() as db:
             row = db.execute(
                 f"SELECT {_UNIT_COLUMNS} FROM units WHERE state = ?"
-                " AND not_before <= ? ORDER BY id LIMIT 1",
-                (PENDING, now),
+                f" AND not_before <= ?{scope} ORDER BY id LIMIT 1",
+                (PENDING, now, *args),
             ).fetchone()
             if row is None:
                 return None
@@ -571,12 +601,15 @@ class JobStore:
 
     # ------------------------------------------------------------------ misc
 
-    def finished(self, unit_ids: Optional[List[str]] = None) -> bool:
-        """True when every unit has reached ``done`` or ``quarantine``."""
+    def finished(self, unit_ids: Optional[Collection[str]] = None) -> bool:
+        """True when every unit (of ``unit_ids``, if given) has settled.
+
+        Settled means ``done`` or ``quarantine``; an id the store does not
+        know is not settled.
+        """
+        counts = self.counts(unit_ids)
         if unit_ids is not None:
-            settled = set(self.ids(DONE)).union(self.ids(QUARANTINED))
-            return settled.issuperset(unit_ids)
-        counts = self.counts()
+            return counts[DONE] + counts[QUARANTINED] == len(set(unit_ids))
         return not (counts[PENDING] or counts[LEASED] or counts[FAILED])
 
     def close(self) -> None:

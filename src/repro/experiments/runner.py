@@ -212,7 +212,7 @@ class LockingWorkloadSpec:
 
     Calling the spec with a seed builds a fresh workload, so it drops into the
     ``workload_factory`` slot of :func:`run_point` while remaining cheap to
-    ship to process-pool workers and stable to hash for the result cache.
+    ship to worker processes and stable to hash for the result cache.
     """
 
     num_locks: int
@@ -283,9 +283,10 @@ def protocol_sweep(
 
     ``workers`` and ``cache_dir`` are forwarded to
     :func:`repro.experiments.parallel.run_sweep`: the sweep's (protocol,
-    bandwidth) points are independent simulations, so they fan out across a
-    process pool and memoise to the on-disk cache.  The default (``None``)
-    runs serially and produces point-for-point identical results.
+    bandwidth) points are independent simulations, so they fan out across
+    job-store worker processes and are kept in the store's result cache.  The
+    default (``None``) runs serially and produces point-for-point identical
+    results.
     """
     from .parallel import PointSpec, run_sweep, sweep_curves
 

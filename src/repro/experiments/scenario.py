@@ -169,14 +169,12 @@ class GridScenario:
         scale=QUICK,
         workers: Optional[int] = None,
         cache_dir=None,
-        batch: bool = True,
         axes: Optional[Mapping[str, Iterable]] = None,
         fixed: Optional[Mapping[str, object]] = None,
-        service=None,
     ) -> ScenarioResult:
         scale = resolve_scale(scale)
         frame = self.grid(scale, axes=axes, fixed=fixed).run(
-            workers=workers, cache_dir=cache_dir, batch=batch, service=service
+            workers=workers, cache_dir=cache_dir
         )
         try:
             data = (
@@ -251,16 +249,13 @@ def run_scenario(
     scale=QUICK,
     workers: Optional[int] = None,
     cache_dir=None,
-    batch: bool = True,
     axes: Optional[Mapping[str, Iterable]] = None,
     fixed: Optional[Mapping[str, object]] = None,
-    service=None,
 ) -> ScenarioResult:
     """Execute a registered scenario by name.
 
-    ``service`` routes grid sweeps through the fault-tolerant campaign
-    service (durable work units over a shared store); see
-    :func:`repro.experiments.parallel.run_sweep`.
+    ``workers`` and ``cache_dir`` (a job-store directory) reach grid sweeps
+    through :func:`repro.experiments.parallel.run_sweep`.
     """
     scenario = get_scenario(name)
     if scenario.kind == "grid":
@@ -268,10 +263,8 @@ def run_scenario(
             scale=scale,
             workers=workers,
             cache_dir=cache_dir,
-            batch=batch,
             axes=axes,
             fixed=fixed,
-            service=service,
         )
     if axes or fixed:
         raise StudyError(
@@ -599,7 +592,7 @@ def _compute_verification(scale: ExperimentScale) -> Dict:
     from ..verification.campaign import run_campaign
 
     # AnalyticScenario.run drops the sweep-engine knobs (workers, cache dir),
-    # so the deep campaign asks for the auto worker pool itself — thousands
+    # so the deep campaign asks for the auto worker count itself — thousands
     # of tasks must not run serially by accident.  `python -m repro verify`
     # is the front end with full control.
     campaign = "quick" if scale.name == "quick" else "deep"

@@ -1,7 +1,8 @@
 """Fault-tolerant campaign service: leased pull-workers over a durable store.
 
-This is the seam that turns one process pool in one process lifetime into a
-resumable, chaos-tolerant campaign:
+This is the executor behind every parallel or store-backed run (see
+:func:`repro.experiments.parallel.run_units`): a resumable, chaos-tolerant
+work queue.
 
 * **Work units** — :func:`unit_for_spec` / :func:`unit_for_task` serialise
   sweep points and verification tasks into self-describing
@@ -46,7 +47,7 @@ import traceback
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ServiceError
 from .batch import BatchRunner
@@ -183,22 +184,21 @@ def spec_from_unit(unit: WorkUnit):
 
 
 def execute_unit(
-    unit: WorkUnit, runner: Optional[BatchRunner] = None, store: Optional[JobStore] = None
+    unit: WorkUnit, runner: BatchRunner, store: Optional[JobStore] = None
 ) -> Dict:
     """Run one work unit and return its JSON-encodable result payload.
 
-    Sweep units execute on ``runner``'s pooled reset-reusable systems (one
-    per worker process, like the process-pool path).  Verification units that
-    trip the deadlock watchdog persist their hang dumps as replayable
-    artifacts under the store *before* returning, so the evidence survives
-    even if this worker's lease then expires.
+    Units execute on ``runner``'s pooled reset-reusable systems (one runner
+    per worker).  Verification units that trip the deadlock watchdog persist
+    their hang dumps as replayable artifacts under the store *before*
+    returning, so the evidence survives even if this worker's lease then
+    expires.
     """
     if unit.kind == SWEEP_UNIT:
         from .parallel import _point_to_json
 
         spec = spec_from_unit(unit)
-        point = runner.run_spec(spec) if runner is not None else spec.run()
-        return {"point": _point_to_json(point)}
+        return {"point": _point_to_json(runner.run_spec(spec))}
     if unit.kind == VERIFICATION_UNIT:
         from ..verification.campaign import VerificationTask, run_task, write_artifact
 
@@ -247,19 +247,25 @@ class WorkerStats:
 
 
 class _Heartbeat:
-    """Daemon thread renewing one lease until stopped (or fenced)."""
+    """Daemon thread renewing the worker's current lease, if any, until stopped.
 
-    def __init__(self, store: JobStore, lease: Lease, interval: float) -> None:
+    One thread serves a worker's whole life: starting and joining one per
+    unit costs milliseconds per unit on a busy host.  A renewal that races a
+    commit finds the lease already gone and changes nothing.
+    """
+
+    def __init__(self, store: JobStore, interval: float) -> None:
         self.store = store
-        self.lease = lease
         self.interval = interval
+        self.lease: Optional[Lease] = None
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
-            if not self.store.heartbeat(self.lease):
-                return  # fenced: the commit-side check reports it
+            lease = self.lease
+            if lease is not None:
+                self.store.heartbeat(lease)  # fenced: the commit reports it
 
     def __enter__(self) -> "_Heartbeat":
         self._thread.start()
@@ -277,11 +283,17 @@ def run_worker(
     exit_when_idle: bool = True,
     poll_interval: float = 0.05,
     max_units: Optional[int] = None,
+    unit_ids: Optional[Collection[str]] = None,
     _hard_exit: bool = True,
 ) -> WorkerStats:
     """The pull-worker loop: claim → heartbeat → execute → commit.
 
-    Exits when the queue is drained (``exit_when_idle``) or after
+    With ``unit_ids`` the worker claims and waits on only those units (a
+    coordinator's own campaign); without, on every unit in the store.  With
+    ``exit_when_idle`` the worker exits once none of them is pending, failed
+    or leased — a leased unit can still come back to the queue, through
+    lease expiry or tail speculation, and needs a live worker to claim it.
+    Without it the worker polls until killed.  It also exits after
     ``max_units`` completions (bounded workers; also how the resume tests
     interrupt a campaign mid-flight).  ``_hard_exit=False`` turns a FaultPlan
     kill into :exc:`WorkerKilled` instead of ``os._exit`` so the inline
@@ -291,67 +303,70 @@ def run_worker(
     fault = fault or FaultPlan()
     stats = WorkerStats(worker_id=worker_id)
     runner = BatchRunner()
-    heartbeat_interval = max(0.02, store.lease_timeout / 3.0)
+    heartbeat = _Heartbeat(store, max(0.02, store.lease_timeout / 3.0))
     store.journal("worker-start", worker=worker_id, fault=fault.describe())
-    while True:
-        if max_units is not None and stats.completed >= max_units:
-            break
-        store.recover()
-        lease = store.claim(worker_id)
-        if lease is None:
-            counts = store.counts()
-            if counts[PENDING] or counts[FAILED]:
-                time.sleep(poll_interval)  # backoff window pending
+    with heartbeat:
+        while True:
+            if max_units is not None and stats.completed >= max_units:
+                break
+            store.recover()
+            lease = store.claim(worker_id, unit_ids)
+            if lease is None:
+                counts = store.counts(unit_ids)
+                busy = counts[PENDING] or counts[FAILED] or counts[LEASED]
+                if busy or not exit_when_idle:
+                    # Backoff windows, or another worker's lease, which may
+                    # expire or be speculated back to pending.
+                    time.sleep(poll_interval)
+                    continue
+                break
+            stats.claimed += 1
+            if fault.kill_after is not None and stats.completed >= fault.kill_after:
+                # Chaos: die mid-unit, lease held, nothing committed.
+                store.journal("worker-killed", lease.unit.unit_id, worker=worker_id)
+                if _hard_exit:
+                    os._exit(KILL_EXIT_CODE)
+                raise WorkerKilled(
+                    f"fault plan killed {worker_id} after {stats.completed} unit(s)"
+                )
+            if not fault.drop_heartbeats:
+                heartbeat.lease = lease
+            try:
+                result = execute_unit(lease.unit, runner, store)
+            except WorkerKilled:
+                raise
+            except Exception as error:  # noqa: BLE001 - unit failure, not ours
+                store.fail(lease, f"{error}\n{traceback.format_exc(limit=10)}")
+                stats.failed += 1
                 continue
-            if counts[LEASED] and not exit_when_idle:
-                time.sleep(poll_interval)
-                continue
-            break
-        stats.claimed += 1
-        if fault.kill_after is not None and stats.completed >= fault.kill_after:
-            # Chaos: die mid-unit, lease held, nothing committed.
-            store.journal("worker-killed", lease.unit.unit_id, worker=worker_id)
-            if _hard_exit:
-                os._exit(KILL_EXIT_CODE)
-            raise WorkerKilled(
-                f"fault plan killed {worker_id} after {stats.completed} unit(s)"
-            )
-        heartbeat = (
-            _Heartbeat(store, lease, heartbeat_interval)
-            if not fault.drop_heartbeats
-            else None
-        )
-        try:
-            if heartbeat is not None:
-                heartbeat.__enter__()
-            result = execute_unit(lease.unit, runner, store)
-        except WorkerKilled:
-            raise
-        except Exception as error:  # noqa: BLE001 - unit failure, not ours
-            store.fail(
-                lease, f"{error}\n{traceback.format_exc(limit=10)}"
-            )
-            stats.failed += 1
-            continue
-        finally:
-            if heartbeat is not None:
-                heartbeat.__exit__(None, None, None)
-        corrupt = stats.completed < fault.corrupt_results
-        if store.complete(lease, result, _corrupt=corrupt):
-            stats.completed += 1
-        else:
-            stats.fenced += 1
+            finally:
+                heartbeat.lease = None
+            corrupt = stats.completed < fault.corrupt_results
+            if store.complete(lease, result, _corrupt=corrupt):
+                stats.completed += 1
+            else:
+                stats.fenced += 1
     store.journal("worker-exit", worker=worker_id, **stats.to_jsonable())
     return stats
 
 
 def _worker_process_entry(
-    root: str, store_kwargs: Dict, worker_id: str, fault: Optional[FaultPlan]
+    root: str,
+    store_kwargs: Dict,
+    worker_id: str,
+    fault: Optional[FaultPlan],
+    unit_ids: List[str],
 ) -> None:
     """Module-level target for coordinator-spawned worker processes."""
     store = JobStore(root, **store_kwargs)
     try:
-        run_worker(store, worker_id=worker_id, fault=fault, exit_when_idle=True)
+        run_worker(
+            store,
+            worker_id=worker_id,
+            fault=fault,
+            exit_when_idle=True,
+            unit_ids=unit_ids,
+        )
     finally:
         store.close()
 
@@ -389,9 +404,10 @@ class ServiceSummary:
 class ServiceConfig:
     """Everything the service seam needs besides the units themselves.
 
-    ``run_sweep(service=...)`` and ``run_campaign(service=...)`` accept a
-    bare store path, a :class:`JobStore`, or one of these when fault
-    injection / lease tuning matter.
+    ``run_service_sweep``, ``run_service_campaign`` and
+    ``run_campaign(service=...)`` accept a bare store path, a
+    :class:`JobStore`, or one of these when fault injection / lease tuning
+    matter.
     """
 
     store: Union[str, os.PathLike, JobStore]
@@ -455,7 +471,7 @@ class CampaignService:
 
     # ------------------------------------------------------------- local fleet
 
-    def _spawn(self, index: int, fault: Optional[FaultPlan]):
+    def _spawn(self, index: int, fault: Optional[FaultPlan], unit_ids: List[str]):
         import multiprocessing
 
         worker_id = f"local-{index}-{uuid.uuid4().hex[:6]}"
@@ -467,26 +483,26 @@ class CampaignService:
         }
         process = multiprocessing.Process(
             target=_worker_process_entry,
-            args=(str(self.store.root), store_kwargs, worker_id, fault),
+            args=(str(self.store.root), store_kwargs, worker_id, fault, unit_ids),
             daemon=True,
         )
         process.start()
         return worker_id, process
 
-    def _validate_new_results(self, validated: set) -> None:
+    def _validate_new_results(self, validated: set, unit_ids: List[str]) -> None:
         """Parse-check freshly committed results; corrupt ones requeue."""
-        for unit_id in self.store.ids(DONE):
+        for unit_id in self.store.ids(DONE, unit_ids):
             if unit_id in validated:
                 continue
             if self.store.load_result(unit_id) is not None:
                 validated.add(unit_id)
 
-    def _speculate_tail(self) -> None:
+    def _speculate_tail(self, unit_ids: List[str]) -> None:
         """Near the tail, double-dispatch leases held longer than the bar."""
-        counts = self.store.counts()
+        counts = self.store.counts(unit_ids)
         if counts[PENDING] or counts[FAILED] or not counts[LEASED]:
             return
-        for unit_id in self.store.stragglers(self.speculate_after):
+        for unit_id in self.store.stragglers(self.speculate_after, unit_ids):
             self.store.speculate(unit_id)
 
     # -------------------------------------------------------------------- run
@@ -509,15 +525,15 @@ class CampaignService:
                 self._run_fleet(unit_ids, requested, summary)
             except _SPAWN_FALLBACK_ERRORS:
                 # Restricted sandbox: drain inline over the same store.
-                self._run_inline(summary)
+                self._run_inline(unit_ids, summary)
         else:
-            self._run_inline(summary)
+            self._run_inline(unit_ids, summary)
         summary.wall_seconds = time.monotonic() - started
         self._summarise(summary, unit_ids, journal_start)
         return summary
 
-    def _run_inline(self, summary: ServiceSummary) -> None:
-        """Process-free drain: in-process workers over the same store.
+    def _run_inline(self, unit_ids: List[str], summary: ServiceSummary) -> None:
+        """Process-free drain of ``unit_ids``: in-process workers over the store.
 
         A FaultPlan kill raises :exc:`WorkerKilled`; the coordinator treats
         it exactly like an observed process death — force-expires the dead
@@ -526,7 +542,7 @@ class CampaignService:
         """
         fault = self.fault_plan
         deaths = 0
-        while not self.store.finished():
+        while not self.store.finished(unit_ids):
             summary.workers = max(summary.workers, 1)
             worker_id = f"inline-{uuid.uuid4().hex[:6]}"
             try:
@@ -536,6 +552,7 @@ class CampaignService:
                     fault=fault,
                     exit_when_idle=True,
                     poll_interval=self.poll_interval,
+                    unit_ids=unit_ids,
                     _hard_exit=False,
                 )
             except WorkerKilled:
@@ -548,9 +565,8 @@ class CampaignService:
                         f"limit ({self.respawn_limit}) allows"
                     )
             fault = None  # replacements run fault-free
-            validated: set = set()
-            self._validate_new_results(validated)
-            if not self.store.finished():
+            self._validate_new_results(set(), unit_ids)
+            if not self.store.finished(unit_ids):
                 # Stale leases (earlier run / killed worker) or backoff
                 # windows: let recovery clocks advance instead of hot-spinning.
                 time.sleep(self.poll_interval)
@@ -566,14 +582,14 @@ class CampaignService:
         try:
             for index in range(requested):
                 worker_id, process = self._spawn(
-                    index, self.fault_plan if index == 0 else None
+                    index, self.fault_plan if index == 0 else None, unit_ids
                 )
                 fleet[worker_id] = process
             summary.workers = len(fleet)
             while not self.store.finished(unit_ids):
                 self.store.recover()
-                self._validate_new_results(validated)
-                self._speculate_tail()
+                self._validate_new_results(validated, unit_ids)
+                self._speculate_tail(unit_ids)
                 for worker_id, process in list(fleet.items()):
                     if process.is_alive():
                         continue
@@ -581,12 +597,14 @@ class CampaignService:
                     if process.exitcode not in (0, None):
                         summary.worker_deaths += 1
                         self.store.expire_worker(worker_id)
-                counts = self.store.counts()
+                counts = self.store.counts(unit_ids)
                 outstanding = counts[PENDING] + counts[LEASED] + counts[FAILED]
                 if outstanding and not fleet and respawns < self.respawn_limit:
                     respawns += 1
                     summary.respawns += 1
-                    worker_id, process = self._spawn(requested + respawns, None)
+                    worker_id, process = self._spawn(
+                        requested + respawns, None, unit_ids
+                    )
                     fleet[worker_id] = process
                 done_now = counts[DONE] + counts[QUARANTINED]
                 if done_now != last_done:
@@ -598,15 +616,20 @@ class CampaignService:
                         f"{self.stall_timeout:.0f}s ({counts})"
                     )
                 time.sleep(self.poll_interval)
-            self._validate_new_results(validated)
+            self._validate_new_results(validated, unit_ids)
             if not self.store.finished(unit_ids):
                 # A corrupt result was requeued at the last validation pass.
-                self._run_inline(summary)
+                self._run_inline(unit_ids, summary)
         finally:
+            # Workers exit by themselves once this run's units settle.  One
+            # still running after a short grace is wedged, or executing a
+            # duplicate whose commit would be fenced: stop it.
+            deadline = time.monotonic() + 2.0
             for process in fleet.values():
-                process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - hung worker
+                process.join(timeout=max(0.0, deadline - time.monotonic()))
+                if process.is_alive():
                     process.terminate()
+                    process.join()
 
     def _summarise(
         self, summary: ServiceSummary, unit_ids: List[str], journal_start: int
@@ -631,18 +654,15 @@ class CampaignService:
         summary.worker_deaths = max(
             summary.worker_deaths, tally.get("worker-killed", 0)
         )
-        summary.done = sum(
-            1 for unit_id in unit_ids if self.store.find(unit_id) == DONE
-        )
+        summary.done = len(self.store.ids(DONE, unit_ids))
+        quarantined = set(self.store.ids(QUARANTINED, unit_ids))
         summary.quarantined = [
-            unit_id
-            for unit_id in unit_ids
-            if self.store.find(unit_id) == QUARANTINED
+            unit_id for unit_id in unit_ids if unit_id in quarantined
         ]
 
 
-#: Errors that demote process spawning to the inline drain (mirrors the
-#: sweep executor's pool fallback).
+#: Errors that demote process spawning to the inline drain (restricted
+#: sandboxes without semaphores or fork).
 _SPAWN_FALLBACK_ERRORS = (OSError, ImportError, RuntimeError, pickle.PicklingError)
 
 
@@ -675,19 +695,23 @@ def _run_units(
     """Drive ``units`` through the service; decode results in input order."""
     config = resolve_service(service)
     store = config.job_store()
-    summary = CampaignService(
-        store,
-        workers=config.workers if workers is None else workers,
-        fault_plan=config.fault_plan if fault_plan is None else fault_plan,
-        stall_timeout=config.stall_timeout,
-        speculate_after=config.speculate_after,
-    ).run(units)
-    if strict and summary.quarantined:
-        raise _quarantine_error(store, summary)
-    decoded = []
-    for unit in units:
-        result = store.load_result(unit.unit_id)
-        decoded.append(decode(result) if result is not None else None)
+    try:
+        summary = CampaignService(
+            store,
+            workers=config.workers if workers is None else workers,
+            fault_plan=config.fault_plan if fault_plan is None else fault_plan,
+            stall_timeout=config.stall_timeout,
+            speculate_after=config.speculate_after,
+        ).run(units)
+        if strict and summary.quarantined:
+            raise _quarantine_error(store, summary)
+        decoded = []
+        for unit in units:
+            result = store.load_result(unit.unit_id)
+            decoded.append(decode(result) if result is not None else None)
+    finally:
+        if store is not config.store:
+            store.close()  # opened here; a caller's JobStore stays open
     if strict and any(item is None for item in decoded):
         raise ServiceError(
             "service campaign finished but some results are unreadable; "

@@ -8,7 +8,7 @@ that shape the scenario engine is built on:
 * :class:`StudyGrid` expands a scenario's axis definitions into the full
   cross-product of :class:`~repro.experiments.parallel.PointSpec`\\ s and
   executes them through :func:`~repro.experiments.parallel.run_sweep` — so
-  batching, on-disk caching and process-pool workers all come for free — and
+  batching, the job-store cache and worker processes all come for free — and
 * :class:`ResultFrame` collects the completed points into a tidy
   column-oriented table carrying both the grid coordinates and the per-point
   metrics, with derived-metric helpers (normalisation against a baseline
@@ -243,25 +243,16 @@ class StudyGrid:
         self,
         workers: Optional[int] = None,
         cache_dir=None,
-        batch: bool = True,
-        service=None,
     ) -> "ResultFrame":
-        """Execute the grid through the batched sweep executor.
+        """Execute the grid through :func:`~repro.experiments.parallel.run_sweep`.
 
-        ``service`` (a store directory, JobStore, or ServiceConfig) routes
-        the sweep through the fault-tolerant campaign service — durable
-        leased work units with retry, resume, and straggler re-dispatch —
-        instead of the in-process pool; results are identical either way.
+        ``cache_dir`` names a job-store directory: points run as durable
+        leased work units there (retry, resume, straggler re-dispatch) and
+        completed ones are not recomputed; results are identical either way.
         """
         coords = self.coords()
         specs = [self.build_spec(point) for point in coords]
-        points = run_sweep(
-            specs,
-            workers=workers,
-            cache_dir=cache_dir,
-            batch=batch,
-            service=service,
-        )
+        points = run_sweep(specs, workers=workers, cache_dir=cache_dir)
         return ResultFrame.from_grid(
             self.axis_names, coords, points, domains=self.axis_values
         )

@@ -4,11 +4,11 @@ A :class:`VerificationCampaign` fans verification *tasks* — differential
 trace replays (see :mod:`repro.verification.differential`) and random-tester
 runs (see :mod:`repro.verification.random_tester`) — across seeds × protocols
 × configuration axes (processors, hot blocks, bandwidth, outstanding
-operations per node, adaptive thresholds, cache capacity).  Execution mirrors
-the experiment sweep executor: tasks run on a process pool when workers are
-available (each worker keeps one :class:`~repro.experiments.batch.BatchRunner`
-whose pooled systems are *reset*, not rebuilt, between tasks) and fall back
-to a serial loop in restricted sandboxes.
+operations per node, adaptive thresholds, cache capacity).  Tasks run under
+the same rule as sweep points (:func:`repro.experiments.parallel.run_units`):
+serially on one :class:`~repro.experiments.batch.BatchRunner`, whose pooled
+systems are *reset*, not rebuilt, between tasks — or, with a store or several
+workers, as units of the job-store service.
 
 When a task fails, the campaign **shrinks** the failing trace to a minimal
 reproducer — greedy chunked op-removal, re-running the differential checker
@@ -34,13 +34,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..common.config import ProtocolName
 from ..errors import VerificationError
 from ..experiments.batch import BatchRunner
-from ..experiments.parallel import (
-    available_workers,
-    chunk_indices,
-    process_runner,
-    resolve_task_timeout,
-    run_pool,
-)
+from ..experiments.parallel import run_units
+from ..experiments.service import run_service_campaign
 from .differential import (
     ALL_PROTOCOLS,
     MemoryTrace,
@@ -61,7 +56,7 @@ WINDOWED = "windowed"
 
 @dataclass(frozen=True)
 class VerificationTask:
-    """One unit of campaign work, picklable for the process pool."""
+    """One unit of campaign work (a job-store unit via its JSON form)."""
 
     kind: str
     seed: int
@@ -118,7 +113,7 @@ class VerificationTask:
 
 @dataclass
 class TaskOutcome:
-    """What one task produced (picklable; crosses the pool boundary)."""
+    """What one task produced (JSON round-trips through the job store)."""
 
     task: VerificationTask
     ok: bool
@@ -549,7 +544,7 @@ class CampaignResult:
     wall_seconds: float
     workers: int
     #: ServiceSummary.to_jsonable() when the campaign ran through the durable
-    #: job service (verify --service-store); None for pool/serial runs.
+    #: job service (a store or several workers); None for serial runs.
     service: Optional[Dict] = None
 
     @property
@@ -592,83 +587,35 @@ class CampaignResult:
         }
 
 
-# ------------------------------------------------------------- pool execution
-
-
-def _run_task_chunk(tasks: List[VerificationTask]) -> List[TaskOutcome]:
-    """Module-level worker entry point (must be picklable itself)."""
-    runner = process_runner()
-    return [run_task(task, runner) for task in tasks]
+# ------------------------------------------------------------------ execution
 
 
 def _run_campaign_tasks(
     tasks: Sequence[VerificationTask],
     workers: Optional[int] = None,
     service=None,
-    task_timeout=None,
 ) -> Tuple[List[TaskOutcome], int, Optional[Dict]]:
     """Run tasks; returns (outcomes in order, workers used, service summary).
 
-    ``workers=0`` means "auto" ($REPRO_SWEEP_WORKERS or the CPU count), like
-    the sweep executor.  Restricted sandboxes fall back to a serial loop on a
-    single reset-reusing runner; results are identical either way.
-
-    ``service`` shards the campaign into the fault-tolerant job service
-    (durable leased work units over a shared store) instead of the ad-hoc
-    pool.  ``task_timeout`` (default $REPRO_TASK_TIMEOUT) bounds each pool
-    task's wall clock: a hung task is cancelled, logged, and retried
-    serially rather than stalling the campaign.
+    ``workers`` and ``service`` (a store directory, JobStore or
+    ServiceConfig) follow :func:`repro.experiments.parallel.run_units`:
+    ``workers=0`` means "auto", and results are identical on every path.
     """
-    if workers == 0:
-        workers = available_workers()
-    workers = 1 if workers is None else max(1, workers)
-    timeout = resolve_task_timeout(task_timeout)
-    results: List[Optional[TaskOutcome]] = [None] * len(tasks)
-    used_workers = 1
-
-    if service is not None:
-        from ..experiments.service import run_service_campaign
-
-        outcomes, summary = run_service_campaign(
-            tasks, service, workers=None if workers <= 1 else workers
-        )
-        return (  # type: ignore[return-value]
-            list(outcomes), max(1, workers), summary.to_jsonable()
-        )
-
-    if workers > 1 and len(tasks) > 1:
-        max_workers = min(workers, len(tasks))
-        chunks = chunk_indices(
-            range(len(tasks)), lambda i: tasks[i].num_processors, max_workers
-        )
-        used_workers = run_pool(
-            _run_task_chunk,
-            tasks,
-            chunks,
-            max_workers,
-            timeout,
-            results.__setitem__,
-            "verification task(s)",
-        ) or 1
-
-    if any(result is None for result in results):
-        runner = BatchRunner()
-        for index, task in enumerate(tasks):
-            if results[index] is None:
-                results[index] = run_task(task, runner)
-    return results, used_workers, None  # type: ignore[return-value]
+    outcomes, summary = run_units(
+        tasks, run_task, run_service_campaign, workers=workers, store=service
+    )
+    if summary is None:
+        return outcomes, 1, None
+    return outcomes, max(1, summary.workers), summary.to_jsonable()
 
 
 def run_campaign_tasks(
     tasks: Sequence[VerificationTask],
     workers: Optional[int] = None,
     service=None,
-    task_timeout=None,
 ) -> List[TaskOutcome]:
-    """Run every task — across a process pool when ``workers`` > 1 — in order."""
-    return _run_campaign_tasks(
-        tasks, workers, service=service, task_timeout=task_timeout
-    )[0]
+    """Run every task — through the job store when ``workers`` > 1 — in order."""
+    return _run_campaign_tasks(tasks, workers, service=service)[0]
 
 
 class VerificationCampaign:
@@ -680,22 +627,17 @@ class VerificationCampaign:
         artifact_dir=None,
         shrink: bool = True,
         service=None,
-        task_timeout=None,
     ) -> None:
         self.spec = spec
         self.artifact_dir = artifact_dir
         self.shrink = shrink
         self.service = service
-        self.task_timeout = task_timeout
 
     def run(self, workers: Optional[int] = None) -> CampaignResult:
         started = time.perf_counter()
         tasks = self.spec.tasks()
         outcomes, resolved_workers, service_summary = _run_campaign_tasks(
-            tasks,
-            workers,
-            service=self.service,
-            task_timeout=self.task_timeout,
+            tasks, workers, service=self.service
         )
         failures: List[TaskFailure] = []
         runner = BatchRunner()
@@ -709,8 +651,8 @@ class VerificationCampaign:
                 try:
                     failure.shrunk_trace = shrink_trace(trace, predicate)
                 except VerificationError:
-                    # Not reproducible in the parent process (e.g. the pool
-                    # worker hit an environment-dependent failure): keep the
+                    # Not reproducible in this process (e.g. a worker
+                    # process hit an environment-dependent failure): keep the
                     # original failure report without a reproducer.
                     failure.shrunk_trace = None
             if self.artifact_dir is not None:
@@ -742,7 +684,6 @@ def run_campaign(
     artifact_dir=None,
     shrink: bool = True,
     service=None,
-    task_timeout=None,
 ) -> CampaignResult:
     """Run a named (or explicit) campaign spec and return its result."""
     if isinstance(campaign, CampaignSpec):
@@ -761,5 +702,4 @@ def run_campaign(
         artifact_dir=artifact_dir,
         shrink=shrink,
         service=service,
-        task_timeout=task_timeout,
     ).run(workers=workers)

@@ -11,8 +11,8 @@ through :class:`~repro.workloads.trace.TraceWorkload`.
 Each workload has a matching frozen ``*Spec`` dataclass mirroring
 :class:`repro.experiments.runner.LockingWorkloadSpec`: calling the spec with
 a seed builds a fresh workload, so it drops straight into the sweep
-executor's ``workload_factory`` slot while staying picklable for process
-pools and stable to hash for the on-disk result cache.
+executor's ``workload_factory`` slot while staying picklable for worker
+processes and stable to hash for the job-store result cache.
 """
 
 from __future__ import annotations

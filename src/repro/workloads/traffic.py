@@ -32,7 +32,7 @@ and multi-tenant) are therefore exactly streamable.
 
 Each shape ships as a frozen picklable spec (``__call__(seed) -> Workload``
 plus ``cache_token()``) mirroring the PR-4 pattern specs, so the sweep
-executor, on-disk result cache and campaign service run them unchanged.
+executor and the job-store service (its result cache) run them unchanged.
 """
 
 from __future__ import annotations

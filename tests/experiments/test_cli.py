@@ -65,7 +65,7 @@ class TestRun:
                 "--axis", "protocol=bash", "--cache-dir", str(tmp_path)]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert list(tmp_path.glob("*.json"))
+        assert (tmp_path / "store.sqlite3").exists()
         assert main(args) == 0
         assert capsys.readouterr().out == first
 

@@ -1,21 +1,20 @@
-"""The parallel sweep executor: determinism, caching, and fallback."""
+"""The sweep executor: determinism, the store-backed cache, and dispatch."""
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import time
+import tempfile
 
 import pytest
 
 from repro.common.config import ProtocolName
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServiceError
+from repro.experiments import parallel as parallel_module
+from repro.experiments.batch import BatchRunner
+from repro.experiments.jobstore import DONE, JobStore
 from repro.experiments.parallel import (
-    TASK_TIMEOUT_ENV,
     PointSpec,
-    SweepCache,
     available_workers,
-    resolve_task_timeout,
     run_sweep,
     sweep_curves,
 )
@@ -26,6 +25,7 @@ from repro.experiments.runner import (
     microbenchmark_factory,
     protocol_sweep,
 )
+from repro.experiments.service import unit_for_spec
 
 #: A deliberately tiny scale so each test point simulates in milliseconds.
 TINY = dataclasses.replace(
@@ -46,6 +46,19 @@ def _specs(protocols=PROTOCOLS):
         for protocol in protocols
         for bandwidth in TINY.bandwidth_points
     ]
+
+
+def _store_path(directory):
+    return directory / "store.sqlite3"
+
+
+def _poison_execution(monkeypatch):
+    """Make any simulation of a sweep point fail the test."""
+
+    def boom(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("cache miss: a point was simulated again")
+
+    monkeypatch.setattr(BatchRunner, "run_spec", boom)
 
 
 def _key(point):
@@ -86,16 +99,24 @@ class TestCache:
     def test_cache_hit_skips_resimulation(self, tmp_path, monkeypatch):
         specs = _specs(protocols=(ProtocolName.BASH,))
         first = run_sweep(specs, cache_dir=tmp_path)
-        # Poison run_point: a cache hit must not re-simulate.
-        import repro.experiments.parallel as parallel_module
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("cache miss: run_point was called")
-
-        monkeypatch.setattr(parallel_module, "run_point", boom)
+        offset = JobStore(tmp_path).journal_offset()
+        # Poison execution: a done unit in the store must not re-simulate.
+        _poison_execution(monkeypatch)
         second = run_sweep(specs, cache_dir=tmp_path)
         assert [_key(p) for p in first] == [_key(p) for p in second]
         assert second[0].results[0].stats  # full RunResults survive the cache
+        events = JobStore(tmp_path).journal_entries(offset=offset)
+        assert not [event for event in events if event["event"] == "claim"]
+
+    def test_stale_json_entries_are_ignored(self, tmp_path):
+        """A directory from the retired JSON cache is reused, not migrated."""
+        specs = _specs(protocols=(ProtocolName.SNOOPING,))[:1]
+        stale = tmp_path / f"{specs[0].cache_key()}.json"
+        stale.write_text('{"torn":')
+        (point,) = run_sweep(specs, cache_dir=tmp_path)
+        assert [_key(point)] == [_key(p) for p in run_sweep(specs, workers=1)]
+        assert stale.read_text() == '{"torn":'
+        assert JobStore(tmp_path).ids(DONE) == [specs[0].cache_key()]
 
     def test_cache_key_distinguishes_configs(self):
         workload = microbenchmark_factory(TINY)
@@ -131,14 +152,6 @@ class TestCache:
             pytest.skip("compiled extension not built")
         with _core.use_backend("compiled"):
             assert spec.cache_key() != pure_key
-
-    def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
-        specs = _specs(protocols=(ProtocolName.SNOOPING,))[:1]
-        run_sweep(specs, cache_dir=tmp_path)
-        entry = tmp_path / f"{specs[0].cache_key()}.json"
-        entry.write_text("{not json")
-        again = run_sweep(specs, cache_dir=tmp_path)
-        assert again[0].performance > 0
 
 
 class TestFallbacks:
@@ -184,19 +197,11 @@ class TestCacheEnvDefault:
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
         specs = _specs(protocols=(ProtocolName.SNOOPING,))
         first = run_sweep(specs)
-        cached_files = list(tmp_path.glob("*.json"))
-        assert cached_files, "sweep points were not memoised in $REPRO_SWEEP_CACHE"
-
-        calls = []
-        original = PointSpec.run
-
-        def counting_run(spec):
-            calls.append(spec)
-            return original(spec)
-
-        monkeypatch.setattr(PointSpec, "run", counting_run)
+        assert len(JobStore(tmp_path).ids(DONE)) == len(specs), (
+            "sweep points were not kept in the $REPRO_SWEEP_CACHE store"
+        )
+        _poison_execution(monkeypatch)
         second = run_sweep(specs)
-        assert not calls, "cached points were re-simulated despite the env cache"
         assert [_key(p) for p in second] == [_key(p) for p in first]
 
     def test_explicit_cache_dir_wins_over_env(self, tmp_path, monkeypatch):
@@ -204,7 +209,7 @@ class TestCacheEnvDefault:
         explicit_dir = tmp_path / "explicit"
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(env_dir))
         run_sweep(_specs(protocols=(ProtocolName.SNOOPING,)), cache_dir=explicit_dir)
-        assert list(explicit_dir.glob("*.json"))
+        assert _store_path(explicit_dir).exists()
         assert not env_dir.exists()
 
     def test_unset_env_means_no_cache(self, monkeypatch):
@@ -217,79 +222,130 @@ class TestCacheEnvDefault:
         """Benchmarks pass cache_dir=False so timed sweeps really run."""
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
         run_sweep(_specs(protocols=(ProtocolName.SNOOPING,)), cache_dir=False)
-        assert not list(tmp_path.glob("*.json")), (
+        assert not list(tmp_path.iterdir()), (
             "cache_dir=False must neither read nor write the env cache"
         )
 
     def test_cache_dir_true_means_default_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
         run_sweep(_specs(protocols=(ProtocolName.SNOOPING,)), cache_dir=True)
-        assert list(tmp_path.glob("*.json"))
+        assert _store_path(tmp_path).exists()
         monkeypatch.delenv("REPRO_SWEEP_CACHE")
         # True with no env default degrades to "no cache", not a crash.
         run_sweep(_specs(protocols=(ProtocolName.SNOOPING,))[:1], cache_dir=True)
 
 
-# --------------------------------------------------------------- robustness
-
-_PARENT_PID = os.getpid()
+# ----------------------------------------------------------------- dispatch
 
 
-def _hang_in_child(specs_chunk):
-    """Pool chunk runner that wedges only inside a pool worker process."""
-    if os.getpid() != _PARENT_PID:
-        time.sleep(600)  # terminated by shutdown_pool, never finishes
-    from repro.experiments.parallel import _run_chunk
+class TestDispatch:
+    def test_uncached_serial_run_never_touches_the_service(self, monkeypatch):
+        """workers=1, cache_dir=False (the benchmarked path) stays in-process."""
 
-    return _run_chunk(specs_chunk)
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the serial path reached the job service")
 
+        monkeypatch.setattr(parallel_module, "run_service_sweep", boom)
+        points = run_sweep(_specs(), workers=1, cache_dir=False)
+        assert all(point.performance > 0 for point in points)
 
-class TestTaskTimeout:
-    def test_timeout_resolution_argument_env_and_disable(self, monkeypatch):
-        monkeypatch.delenv(TASK_TIMEOUT_ENV, raising=False)
-        assert resolve_task_timeout(None) is None
-        assert resolve_task_timeout(5) == 5.0
-        assert resolve_task_timeout(False) is None
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "2.5")
-        assert resolve_task_timeout(None) == 2.5
-        assert resolve_task_timeout(10) == 10.0
-        assert resolve_task_timeout(False) is None  # False beats the env
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "garbage")
-        with pytest.raises(
-            ConfigurationError, match=r"\$REPRO_TASK_TIMEOUT='garbage'"
-        ):
-            resolve_task_timeout(None)
-        assert resolve_task_timeout(5) == 5.0  # an explicit argument wins
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "0")
-        assert resolve_task_timeout(None) is None
-
-    def test_hung_pool_task_is_cancelled_and_retried_serially(
-        self, monkeypatch, caplog
+    def test_parallel_run_removes_its_temporary_store(
+        self, tmp_path, monkeypatch
     ):
-        import logging
-
-        import repro.experiments.parallel as parallel_module
-
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
         specs = _specs(protocols=(ProtocolName.SNOOPING,))
-        expected = run_sweep(specs, workers=1)
-        monkeypatch.setattr(parallel_module, "_run_chunk", _hang_in_child)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
-            points = run_sweep(specs, workers=2, task_timeout=0.5)
-        assert [_key(p) for p in points] == [_key(p) for p in expected]
-        assert any("task timeout" in record.message for record in caplog.records)
+        points = run_sweep(specs, workers=2)
+        assert [_key(p) for p in points] == [
+            _key(p) for p in run_sweep(specs, workers=1)
+        ]
+        assert not list(tmp_path.iterdir()), "the temporary store was left behind"
+
+    def test_one_portable_point_never_builds_a_store(self, monkeypatch):
+        """Spare workers with nothing to share them out do not make a fleet."""
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a one-point sweep reached the job service")
+
+        monkeypatch.setattr(parallel_module, "run_service_sweep", boom)
+        (point,) = run_sweep(_specs()[:1], workers=4, cache_dir=False)
+        assert point.performance > 0
 
 
-class TestCacheQuarantine:
-    def test_corrupt_entry_is_renamed_not_left_in_place(self, tmp_path):
-        specs = _specs(protocols=(ProtocolName.SNOOPING,))[:1]
-        first = run_sweep(specs, cache_dir=tmp_path)
-        entry = tmp_path / f"{specs[0].cache_key()}.json"
-        entry.write_text('{"torn":')
-        again = run_sweep(specs, cache_dir=tmp_path)
-        assert [_key(p) for p in again] == [_key(p) for p in first]
-        quarantined = tmp_path / f"{specs[0].cache_key()}.json.corrupt"
-        assert quarantined.exists(), "corrupt cache entry was not quarantined"
-        # The recomputed point was re-memoised over the old key.
-        assert entry.exists()
-        third = run_sweep(specs, cache_dir=tmp_path)
-        assert [_key(p) for p in third] == [_key(p) for p in first]
+class TestSharedStore:
+    """A cache directory is shared: a run drains its own units, no others."""
+
+    @staticmethod
+    def _foreign_units(store):
+        """A stale-looking foreign lease and a foreign pending unit."""
+        foreign = _specs(protocols=(ProtocolName.DIRECTORY,))
+        held = unit_for_spec(foreign[0])
+        waiting = unit_for_spec(foreign[1])
+        store.enqueue(held)
+        lease = store.claim("ghost-worker")
+        assert lease is not None
+        store.enqueue(waiting)
+        return held.unit_id, waiting.unit_id
+
+    def _assert_untouched(self, store, offset, held, waiting):
+        assert store.find(held) == "leased"
+        assert store.find(waiting) == "pending"
+        claims = {
+            event["unit"]
+            for event in store.journal_entries(offset=offset)
+            if event["event"] == "claim"
+        }
+        assert not claims & {held, waiting}, "a foreign unit was claimed"
+        return store.journal_entries(offset=offset)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cached_sweep_never_claims_foreign_units(self, tmp_path, workers):
+        store = JobStore(tmp_path)
+        held, waiting = self._foreign_units(store)
+        offset = store.journal_offset()
+        specs = _specs(protocols=(ProtocolName.SNOOPING,))
+        points = run_sweep(specs, workers=workers, cache_dir=tmp_path)
+        assert [_key(p) for p in points] == [
+            _key(p) for p in run_sweep(specs, workers=1)
+        ]
+        events = self._assert_untouched(store, offset, held, waiting)
+        if workers > 1:
+            # Every fleet worker went idle and left by itself once this
+            # run's units settled, despite the foreign lease still live.
+            starts = [e for e in events if e["event"] == "worker-start"]
+            exits = [e for e in events if e["event"] == "worker-exit"]
+            assert len(starts) >= 2
+            assert len(exits) == len(starts)
+
+
+class TestFailingPoints:
+    @staticmethod
+    def _sabotage(monkeypatch):
+        """Every run of a 3200 MB/s point raises; the others run normally."""
+        original = BatchRunner.run_spec
+
+        def sabotaged(runner, spec):
+            if spec.bandwidth == 3200.0:
+                raise RuntimeError("synthetic point failure")
+            return original(runner, spec)
+
+        monkeypatch.setattr(BatchRunner, "run_spec", sabotaged)
+
+    def test_uncached_serial_run_raises_the_error_directly(self, monkeypatch):
+        self._sabotage(monkeypatch)
+        with pytest.raises(RuntimeError, match="synthetic point failure"):
+            run_sweep(
+                _specs(protocols=(ProtocolName.SNOOPING,)), workers=1, cache_dir=False
+            )
+
+    def test_store_backed_run_quarantines_and_names_the_error(
+        self, tmp_path, monkeypatch
+    ):
+        self._sabotage(monkeypatch)
+        specs = _specs(protocols=(ProtocolName.SNOOPING,))
+        with pytest.raises(ServiceError, match="synthetic point failure"):
+            run_sweep(specs, cache_dir=tmp_path)
+        # The healthy point was committed before the sweep raised.
+        store = JobStore(tmp_path)
+        assert store.ids(DONE) == [specs[0].cache_key()]
+        assert store.find(specs[1].cache_key()) == "quarantine"

@@ -343,13 +343,10 @@ class TestFigureDriverPlumbing:
         captured = {}
         original = study.run_sweep
 
-        def spy(specs, workers=None, cache_dir=None, batch=True, service=None):
+        def spy(specs, workers=None, cache_dir=None):
             captured["workers"] = workers
             captured["cache_dir"] = cache_dir
-            return original(
-                specs, workers=None, cache_dir=cache_dir, batch=batch,
-                service=service,
-            )
+            return original(specs, workers=None, cache_dir=cache_dir)
 
         monkeypatch.setattr(study, "run_sweep", spy)
         figures.figure5_normalized_performance(
@@ -357,7 +354,7 @@ class TestFigureDriverPlumbing:
         )
         assert captured["workers"] == 3
         assert captured["cache_dir"] == tmp_path
-        assert list(tmp_path.glob("*.json"))  # points actually memoised
+        assert (tmp_path / "store.sqlite3").exists()  # points actually kept
 
     def test_figure5_cached_rerun_matches(self, tmp_path):
         from repro.experiments import figures

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import time
 
 import pytest
 
@@ -214,8 +216,54 @@ class TestPoisonUnits:
 class TestSweepIntegration:
     def test_run_sweep_routes_through_the_service(self, tmp_path, serial_points):
         specs = _specs()
-        points = run_sweep(specs, service=ServiceConfig(store=tmp_path / "store"))
+        points = run_sweep(specs, cache_dir=tmp_path / "store")
         assert _json(points) == _json(serial_points)
         # The store now holds every unit durably.
         store = JobStore(tmp_path / "store")
         assert len(store.ids(DONE)) == len(specs)
+
+
+_PARENT_PID = os.getpid()
+
+
+class TestStragglerRescue:
+    def test_wedged_fleet_worker_is_rescued_by_speculation(
+        self, tmp_path, monkeypatch
+    ):
+        """Exactly one worker process wedges mid-unit, heartbeats still going.
+
+        Its lease never expires, so only tail speculation can finish the
+        campaign — and only if an idle worker is still alive to claim the
+        speculated copy.
+        """
+        from repro.experiments import service as service_module
+
+        specs = _specs(protocols=("bash", "snooping", "directory"))
+        serial = run_sweep(specs, workers=1)
+        marker = tmp_path / "wedged"
+        original = service_module.execute_unit
+
+        def wedge_first_child(unit, runner, store=None):
+            if os.getpid() != _PARENT_PID:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                except FileExistsError:
+                    pass
+                else:
+                    time.sleep(3600)  # terminated by the coordinator
+            return original(unit, runner, store)
+
+        monkeypatch.setattr(service_module, "execute_unit", wedge_first_child)
+        points, summary = run_service_sweep(
+            specs,
+            ServiceConfig(
+                store=tmp_path / "store",
+                workers=2,
+                lease_timeout=2.0,
+                stall_timeout=15.0,
+            ),
+        )
+        assert marker.exists(), "no worker process wedged"
+        assert _json(points) == _json(serial)
+        assert summary.speculated >= 1
+        assert not summary.quarantined

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import AdaptiveConfig, ProtocolName, SystemConfig
-from repro.experiments.batch import BatchRunner, spec_batch_key
-from repro.experiments.parallel import PointSpec, run_sweep
+from repro.experiments.batch import BatchRunner
+from repro.experiments.parallel import PointSpec
 from repro.experiments.runner import QUICK, microbenchmark_factory, run_point
 from repro.sim.arena import SimulationArena
 from repro.system.multiprocessor import MultiprocessorSystem, simulate
@@ -236,23 +236,18 @@ class TestBatchRunner:
                 spec.scale, spec.protocol, spec.bandwidth, spec.workload
             )
             assert batched.results == rebuilt.results
+            assert len(batched.results) == len(spec.scale.seeds)
+            assert all(result.operations > 0 for result in batched.results)
         # One system per (protocol, processor count), not one per point.
-        assert runner.systems_built == len({spec_batch_key(s) for s in specs})
-        assert runner.runs_completed == len(specs) * len(specs[0].scale.seeds)
-
-    def test_run_sweep_batched_equals_unbatched(self):
-        specs = self._specs()
-        batched = run_sweep(specs, workers=1)
-        unbatched = run_sweep(specs, workers=1, batch=False)
-        for a, b in zip(batched, unbatched):
-            assert a.results == b.results
-            assert a.results and a.results[0].operations > 0
+        assert len(runner._systems) == len({spec.protocol for spec in specs})
 
     def test_batch_key_uses_explicit_processor_count(self):
         specs = self._specs()
-        spec = dataclasses.replace(specs[0], num_processors=8)
-        assert spec_batch_key(spec) == (specs[0].protocol, 8)
-        assert spec_batch_key(specs[0]) == (
-            specs[0].protocol,
-            specs[0].scale.microbenchmark_processors,
-        )
+        runner = BatchRunner()
+        runner.run_spec(specs[0])
+        runner.run_spec(dataclasses.replace(specs[0], num_processors=8))
+        runner.run_spec(specs[0])
+        assert set(runner._systems) == {
+            (specs[0].protocol, specs[0].scale.microbenchmark_processors),
+            (specs[0].protocol, 8),
+        }

@@ -81,10 +81,23 @@ class TestExecution:
     def test_workers_match_serial_results(self):
         tasks = TINY.tasks()
         serial = run_campaign_tasks(tasks, workers=1)
-        pooled = run_campaign_tasks(tasks, workers=2)
+        fleet = run_campaign_tasks(tasks, workers=2)
         assert [o.to_jsonable() for o in serial] == [
-            o.to_jsonable() for o in pooled
+            o.to_jsonable() for o in fleet
         ]
+
+    def test_store_backed_rerun_recomputes_nothing(self, tmp_path):
+        from repro.experiments.jobstore import JobStore
+
+        tasks = TINY.tasks()
+        first = run_campaign_tasks(tasks, service=tmp_path)
+        offset = JobStore(tmp_path).journal_offset()
+        second = run_campaign_tasks(tasks, service=tmp_path)
+        assert [o.to_jsonable() for o in first] == [
+            o.to_jsonable() for o in second
+        ]
+        events = JobStore(tmp_path).journal_entries(offset=offset)
+        assert not [event for event in events if event["event"] == "claim"]
 
     def test_run_campaign_accepts_spec_objects(self):
         result = run_campaign(TINY)
@@ -190,36 +203,7 @@ class TestShrinking:
         assert len(paths) == 2
 
 
-# ------------------------------------------------------- robustness / service
-
-import os as _os
-import time as _time
-
-_PARENT_PID = _os.getpid()
-
-
-def _hang_chunk_in_child(tasks):
-    """Chunk runner that wedges only inside a pool worker process."""
-    if _os.getpid() != _PARENT_PID:
-        _time.sleep(600)
-    from repro.verification.campaign import _run_task_chunk
-
-    return _run_task_chunk(tasks)
-
-
-class TestTaskTimeout:
-    def test_hung_task_is_cancelled_and_retried_serially(self, monkeypatch):
-        import repro.verification.campaign as campaign_module
-
-        tasks = TINY.tasks()
-        serial = run_campaign_tasks(tasks, workers=1)
-        monkeypatch.setattr(
-            campaign_module, "_run_task_chunk", _hang_chunk_in_child
-        )
-        rescued = run_campaign_tasks(tasks, workers=2, task_timeout=0.5)
-        assert [o.to_jsonable() for o in serial] == [
-            o.to_jsonable() for o in rescued
-        ]
+# ------------------------------------------------------------------ service
 
 
 class TestServiceCampaign:
@@ -239,7 +223,7 @@ class TestServiceCampaign:
         assert chaotic.service is not None
         assert chaotic.service["worker_deaths"] >= 1
         assert chaotic.to_jsonable()["service"]["ok"] is True
-        # Pool/serial runs report no service block at all.
+        # Serial runs report no service block at all.
         assert "service" not in serial.to_jsonable()
 
 

@@ -212,6 +212,6 @@ class TestOutstandingConcurrency:
         ).run()
         first.raise_on_failure()
         second.raise_on_failure()
-        assert runner.systems_built == 1
+        assert len(runner._systems) == 1
         assert first.operations_issued == second.operations_issued
         assert first.reads == second.reads and first.writes == second.writes

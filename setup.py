@@ -69,6 +69,7 @@ if not os.environ.get("REPRO_SKIP_CEXT"):
             "repro._core._cext",
             sources=_relative(_BUILD["SOURCES"]),
             depends=_relative(_BUILD["HEADERS"]),
+            extra_compile_args=[] if os.name == "nt" else list(_BUILD["CFLAGS"]),
             optional=not os.environ.get("REPRO_REQUIRE_CEXT"),
         )
     ]

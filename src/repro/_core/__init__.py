@@ -99,6 +99,7 @@ REQUIRED_TYPES = (
     "DirDeliver",
     "SequencerStep",
     "MemServe",
+    "BashSample",
 )
 
 

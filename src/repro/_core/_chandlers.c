@@ -13,9 +13,12 @@
  * its read-only checks and takes over exactly where the pure path would
  * have been, so traces stay identical by construction.
  *
- * Nothing here schedules: every message send, retry, or nack goes through
- * the delegated Python method, which keeps sequence numbers, event labels
- * and ordering byte-for-byte the same as the pure backend.
+ * The delivery objects never schedule: every message send, retry, or nack
+ * goes through the delegated Python method (or the MemServe entry), which
+ * keeps sequence numbers, event labels and ordering byte-for-byte the same
+ * as the pure backend.  The one scheduling object here is BashSample, the
+ * BASH sampling event, which re-arms itself exactly as the pure
+ * _sample_utilization does.
  *
  * Like the compiled scheduler, the delivery objects prebind containers
  * that every system reset clears *in place* (the transaction dict, the
@@ -1325,7 +1328,7 @@ home_serve(SnoopDeliverObject *self, PyObject *message, PyObject *address,
                                      owner == requester))
                        : owner == MEMORY_OWNER_ID) {
         int served = -1;
-        if (!self->mem_bash && self->mem_serve != NULL)
+        if (self->mem_serve != NULL)
             served = issue_mem_serve(self->mem_serve, message, entry,
                                      is_getm);
         if (served < 0 && PyErr_Occurred())
@@ -1652,6 +1655,507 @@ static PyTypeObject DirDeliver_Type = {
     .tp_new = PyType_GenericNew,
 };
 
+/* --------------------------------------------------------------- BashSample
+ *
+ * BASH's periodic sampling event (BashCacheController._sample_utilization
+ * fused with BandwidthAdaptiveMechanism.observe_window), scheduled as the
+ * sampling callback in place of the bound Python method.  One object per
+ * node, rebuilt by every _schedule_sampling (construction and each
+ * reset_state), so it always binds the mechanism's current policy counter
+ * and history.  Per fire it reads both endpoint links' busy totals (the
+ * busy_time_up_to rule), derives the busier direction's utilisation, moves
+ * the saturating policy counter, appends one AdaptiveSample, records the
+ * three running means in the pure order and reschedules itself under the
+ * same label.  The window scalars live on the controller, read and
+ * written through its attributes.
+ *
+ * The links, the policy counter, the running means and the samples are
+ * instances of exact, unpatched __slots__ classes (the Python selection
+ * checks that), so their fields are read and written straight through the
+ * slot offsets the classes' member descriptors publish -- the same cells
+ * the descriptors themselves access.  Anything unusual (a field holding a
+ * non-int or non-float, values past exact double range, `now` before a
+ * link's current busy period, whose NetworkError the Python method raises)
+ * delegates to the bound Python _sample_utilization before any mutation;
+ * that method reschedules itself, so the node continues on the pure
+ * path. */
+
+/* Integers a double holds exactly: int/int true division and int*float
+ * products equal their C double forms only inside this range. */
+#define EXACT_DOUBLE_INT (1LL << 53)
+
+#define SLOT_CELL(obj, offset) ((PyObject **)((char *)(obj) + (offset)))
+
+enum { LINK_BUSY_UNTIL, LINK_BUSY_TOTAL, LINK_PERIOD_START, LINK_PERIOD_PREFIX,
+       LINK_SLOTS };
+enum { MEAN_COUNT, MEAN_TOTAL, MEAN_MEAN, MEAN_M2, MEAN_MINIMUM, MEAN_MAXIMUM,
+       MEAN_SLOTS };
+enum { SAMPLE_TIME, SAMPLE_UTILIZATION, SAMPLE_COUNTER, SAMPLE_POLICY,
+       SAMPLE_PROBABILITY, SAMPLE_SLOTS };
+
+/* Slot names, interned at module init (a type's attribute cache keeps
+ * the looked-up name alive, so lookups must not mint fresh strings). */
+static const char *link_slot_text[LINK_SLOTS] = {
+    "_busy_until", "_busy_total", "_period_start", "_period_prefix"};
+static const char *mean_slot_text[MEAN_SLOTS] = {
+    "_count", "_total", "_mean", "_m2", "_minimum", "_maximum"};
+static const char *sample_slot_text[SAMPLE_SLOTS] = {
+    "time", "utilization", "utilization_counter", "policy_counter",
+    "unicast_probability"};
+static PyObject *link_slot_names[LINK_SLOTS];
+static PyObject *mean_slot_names[MEAN_SLOTS];
+static PyObject *sample_slot_names[SAMPLE_SLOTS];
+static PyObject *s__value;
+static PyObject *s__maximum;
+static PyObject *s_append;
+
+typedef struct {
+    PyObject_HEAD
+    long long busy_delta;      /* q - p: added per busy cycle */
+    long long idle_delta;      /* p: subtracted per idle cycle */
+    PyObject *controller;      /* BashCacheController (window attrs) */
+    PyObject *scheduler;       /* compiled SchedulerBase */
+    PyObject *link_in;         /* the node's two EndpointLinks */
+    PyObject *link_out;
+    PyObject *pure;            /* bound _sample_utilization (bail target) */
+    PyObject *policy;          /* UnsignedSaturatingCounter */
+    PyObject *history;         /* mechanism.history: list or deque */
+    PyObject *history_append;  /* bound deque.append, NULL for a list */
+    PyObject *sample_cls;      /* AdaptiveSample */
+    PyObject *means[3];        /* RunningMeans: node and system utilisation,
+                                  system unicast probability */
+    PyObject *label;
+    Py_ssize_t link_slots[LINK_SLOTS];
+    Py_ssize_t mean_slots[MEAN_SLOTS];
+    Py_ssize_t sample_slots[SAMPLE_SLOTS];
+    Py_ssize_t policy_value;   /* UnsignedSaturatingCounter._value */
+    Py_ssize_t policy_maximum; /* UnsignedSaturatingCounter._maximum */
+} BashSampleObject;
+
+static PyObject *s__window_start;
+static PyObject *s__window_busy_in;
+static PyObject *s__window_busy_out;
+static PyObject *s__sampling_interval;
+static PyObject *sample_empty_tuple;
+
+/* The byte offset of the writable object slot `name` of class `cls`, or
+ * -1 with TypeError set when `name` is anything else. */
+static Py_ssize_t
+slot_offset(PyObject *cls, PyObject *name)
+{
+    PyObject *descr = PyObject_GetAttr(cls, name);
+    if (descr == NULL)
+        return -1;
+    Py_ssize_t offset = -1;
+    if (Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
+        PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
+        if (member->type == T_OBJECT_EX && !(member->flags & READONLY))
+            offset = member->offset;
+    }
+    Py_DECREF(descr);
+    if (offset < 0)
+        PyErr_Format(PyExc_TypeError, "%R has no object slot %R", cls, name);
+    return offset;
+}
+
+static int
+slot_offsets(PyObject *cls, PyObject **names, int count,
+             Py_ssize_t *offsets)
+{
+    for (int i = 0; i < count; i++) {
+        offsets[i] = slot_offset(cls, names[i]);
+        if (offsets[i] < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* An int slot as long long; 0 when unset, not an exact int or too big. */
+static int
+slot_ll(PyObject *obj, Py_ssize_t offset, long long *out)
+{
+    PyObject *value = *SLOT_CELL(obj, offset);
+    if (value == NULL || !PyLong_CheckExact(value))
+        return 0;
+    *out = PyLong_AsLongLong(value);
+    if (*out == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return 0;
+    }
+    return 1;
+}
+
+/* A float slot; 0 when unset or not an exact float. */
+static int
+slot_double(PyObject *obj, Py_ssize_t offset, double *out)
+{
+    PyObject *value = *SLOT_CELL(obj, offset);
+    if (value == NULL || !PyFloat_CheckExact(value))
+        return 0;
+    *out = PyFloat_AS_DOUBLE(value);
+    return 1;
+}
+
+/* Store a new reference (stolen; NULL is an error passed through). */
+static int
+slot_store(PyObject *obj, Py_ssize_t offset, PyObject *value)
+{
+    if (value == NULL)
+        return -1;
+    PyObject **cell = SLOT_CELL(obj, offset);
+    PyObject *old = *cell;
+    *cell = value;
+    Py_XDECREF(old);
+    return 0;
+}
+
+static int
+BashSample_init(BashSampleObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *controller, *scheduler, *link_in, *link_out, *pure, *policy;
+    PyObject *history, *sample_cls, *mean_node, *mean_util, *mean_prob;
+    PyObject *label;
+    long long busy_delta, idle_delta;
+    static char *kwlist[] = {
+        "controller", "scheduler",  "link_in",    "link_out",  "pure",
+        "policy",     "history",    "sample_cls", "mean_node", "mean_util",
+        "mean_prob",  "label",      "busy_delta", "idle_delta", NULL};
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "OOOOOOOOOOOOLL", kwlist, &controller, &scheduler,
+            &link_in, &link_out, &pure, &policy, &history, &sample_cls,
+            &mean_node, &mean_util, &mean_prob, &label, &busy_delta,
+            &idle_delta))
+        return -1;
+    if (!core_scheduler_check(scheduler)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "BashSample requires a compiled SchedulerBase");
+        return -1;
+    }
+    if (!PyType_Check(sample_cls) ||
+        Py_TYPE(link_in) != Py_TYPE(link_out) ||
+        Py_TYPE(mean_node) != Py_TYPE(mean_util) ||
+        Py_TYPE(mean_node) != Py_TYPE(mean_prob)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "sample_cls must be a class; the links and the "
+                        "running means must share one class each");
+        return -1;
+    }
+    if (busy_delta < 0 || idle_delta < 0 || busy_delta >= EXACT_DOUBLE_INT ||
+        idle_delta >= EXACT_DOUBLE_INT) {
+        PyErr_SetString(PyExc_ValueError,
+                        "counter deltas must be small non-negative ints");
+        return -1;
+    }
+    if (slot_offsets((PyObject *)Py_TYPE(link_in), link_slot_names,
+                     LINK_SLOTS, self->link_slots) < 0 ||
+        slot_offsets((PyObject *)Py_TYPE(mean_node), mean_slot_names,
+                     MEAN_SLOTS, self->mean_slots) < 0 ||
+        slot_offsets(sample_cls, sample_slot_names, SAMPLE_SLOTS,
+                     self->sample_slots) < 0)
+        return -1;
+    self->policy_value = slot_offset((PyObject *)Py_TYPE(policy), s__value);
+    if (self->policy_value < 0)
+        return -1;
+    self->policy_maximum =
+        slot_offset((PyObject *)Py_TYPE(policy), s__maximum);
+    if (self->policy_maximum < 0)
+        return -1;
+    PyObject *append = NULL;
+    if (!PyList_CheckExact(history)) {
+        append = PyObject_GetAttr(history, s_append);
+        if (append == NULL)
+            return -1;
+    }
+    Py_XSETREF(self->history_append, append);
+    self->busy_delta = busy_delta;
+    self->idle_delta = idle_delta;
+#define STORE_SAMPLE(field, value)                                             \
+    do {                                                                       \
+        Py_INCREF(value);                                                      \
+        Py_XSETREF(self->field, value);                                        \
+    } while (0)
+    STORE_SAMPLE(controller, controller);
+    STORE_SAMPLE(scheduler, scheduler);
+    STORE_SAMPLE(link_in, link_in);
+    STORE_SAMPLE(link_out, link_out);
+    STORE_SAMPLE(pure, pure);
+    STORE_SAMPLE(policy, policy);
+    STORE_SAMPLE(history, history);
+    STORE_SAMPLE(sample_cls, sample_cls);
+    STORE_SAMPLE(means[0], mean_node);
+    STORE_SAMPLE(means[1], mean_util);
+    STORE_SAMPLE(means[2], mean_prob);
+    STORE_SAMPLE(label, label);
+#undef STORE_SAMPLE
+    return 0;
+}
+
+static int
+BashSample_traverse(BashSampleObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->controller);
+    Py_VISIT(self->scheduler);
+    Py_VISIT(self->link_in);
+    Py_VISIT(self->link_out);
+    Py_VISIT(self->pure);
+    Py_VISIT(self->policy);
+    Py_VISIT(self->history);
+    Py_VISIT(self->history_append);
+    Py_VISIT(self->sample_cls);
+    Py_VISIT(self->means[0]);
+    Py_VISIT(self->means[1]);
+    Py_VISIT(self->means[2]);
+    Py_VISIT(self->label);
+    return 0;
+}
+
+static int
+BashSample_clear(BashSampleObject *self)
+{
+    Py_CLEAR(self->controller);
+    Py_CLEAR(self->scheduler);
+    Py_CLEAR(self->link_in);
+    Py_CLEAR(self->link_out);
+    Py_CLEAR(self->pure);
+    Py_CLEAR(self->policy);
+    Py_CLEAR(self->history);
+    Py_CLEAR(self->history_append);
+    Py_CLEAR(self->sample_cls);
+    Py_CLEAR(self->means[0]);
+    Py_CLEAR(self->means[1]);
+    Py_CLEAR(self->means[2]);
+    Py_CLEAR(self->label);
+    return 0;
+}
+
+static void
+BashSample_dealloc(BashSampleObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    BashSample_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* EndpointLink.busy_time_up_to(now): 1 answered, 0 delegate. */
+static int
+link_busy_up_to(BashSampleObject *self, PyObject *link, long long now,
+                long long *busy)
+{
+    const Py_ssize_t *slots = self->link_slots;
+    long long busy_until, total, start, prefix;
+    if (!slot_ll(link, slots[LINK_BUSY_UNTIL], &busy_until) ||
+        !slot_ll(link, slots[LINK_BUSY_TOTAL], &total))
+        return 0;
+    if (now >= busy_until) {
+        *busy = total;
+        return 1;
+    }
+    if (!slot_ll(link, slots[LINK_PERIOD_START], &start) ||
+        !slot_ll(link, slots[LINK_PERIOD_PREFIX], &prefix) || now < start)
+        return 0;
+    *busy = prefix + (now - start);
+    return 1;
+}
+
+/* A RunningMean's fields. */
+typedef struct {
+    long long count;
+    double total, mean, m2, minimum, maximum;
+} MeanFields;
+
+/* Read a RunningMean whose state RunningMean.record can update in C (an
+ * int count, float accumulators); 0 for anything else. */
+static int
+mean_read(BashSampleObject *self, PyObject *mean, MeanFields *fields)
+{
+    const Py_ssize_t *slots = self->mean_slots;
+    return slot_ll(mean, slots[MEAN_COUNT], &fields->count) &&
+           fields->count >= 0 && fields->count + 1 < EXACT_DOUBLE_INT &&
+           slot_double(mean, slots[MEAN_TOTAL], &fields->total) &&
+           slot_double(mean, slots[MEAN_MEAN], &fields->mean) &&
+           slot_double(mean, slots[MEAN_M2], &fields->m2) &&
+           slot_double(mean, slots[MEAN_MINIMUM], &fields->minimum) &&
+           slot_double(mean, slots[MEAN_MAXIMUM], &fields->maximum);
+}
+
+/* RunningMean.record(value) (Welford), on a mean mean_read() accepted
+ * (read afresh, so one object passed twice records twice).  0 / -1. */
+static int
+mean_record(BashSampleObject *self, PyObject *mean, double value)
+{
+    const Py_ssize_t *slots = self->mean_slots;
+    MeanFields fields;
+    mean_read(self, mean, &fields);
+    fields.count += 1;
+    fields.total += value;
+    double delta = value - fields.mean;
+    fields.mean += delta / (double)fields.count;
+    fields.m2 += delta * (value - fields.mean);
+    if (slot_store(mean, slots[MEAN_COUNT], PyLong_FromLongLong(fields.count)) <
+            0 ||
+        slot_store(mean, slots[MEAN_TOTAL], PyFloat_FromDouble(fields.total)) <
+            0 ||
+        slot_store(mean, slots[MEAN_MEAN], PyFloat_FromDouble(fields.mean)) <
+            0 ||
+        slot_store(mean, slots[MEAN_M2], PyFloat_FromDouble(fields.m2)) < 0)
+        return -1;
+    if (value < fields.minimum &&
+        slot_store(mean, slots[MEAN_MINIMUM], PyFloat_FromDouble(value)) < 0)
+        return -1;
+    if (value > fields.maximum &&
+        slot_store(mean, slots[MEAN_MAXIMUM], PyFloat_FromDouble(value)) < 0)
+        return -1;
+    return 0;
+}
+
+static int
+set_ll_attr(PyObject *obj, PyObject *name, long long value)
+{
+    PyObject *boxed = PyLong_FromLongLong(value);
+    if (boxed == NULL)
+        return -1;
+    int rc = PyObject_SetAttr(obj, name, boxed);
+    Py_DECREF(boxed);
+    return rc;
+}
+
+/* AdaptiveSample(time, utilization, utilization_counter, policy_counter,
+ * unicast_probability): allocated bare, every slot assigned, exactly the
+ * fields the stock dataclass __init__ stores. */
+static PyObject *
+new_sample(BashSampleObject *self, long long now, double utilization,
+           long long value, long long policy, double probability)
+{
+    PyTypeObject *cls = (PyTypeObject *)self->sample_cls;
+    PyObject *sample = cls->tp_new(cls, sample_empty_tuple, NULL);
+    if (sample == NULL)
+        return NULL;
+    const Py_ssize_t *slots = self->sample_slots;
+    if (slot_store(sample, slots[SAMPLE_TIME], PyLong_FromLongLong(now)) <
+            0 ||
+        slot_store(sample, slots[SAMPLE_UTILIZATION],
+                   PyFloat_FromDouble(utilization)) < 0 ||
+        slot_store(sample, slots[SAMPLE_COUNTER], PyLong_FromLongLong(value)) <
+            0 ||
+        slot_store(sample, slots[SAMPLE_POLICY], PyLong_FromLongLong(policy)) <
+            0 ||
+        slot_store(sample, slots[SAMPLE_PROBABILITY],
+                   PyFloat_FromDouble(probability)) < 0) {
+        Py_DECREF(sample);
+        return NULL;
+    }
+    return sample;
+}
+
+static PyObject *
+sample_bail(BashSampleObject *self)
+{
+    if (PyErr_Occurred())
+        PyErr_Clear();
+    return PyObject_CallNoArgs(self->pure);
+}
+
+static PyObject *
+BashSample_call(BashSampleObject *self, PyObject *args, PyObject *kwds)
+{
+    if ((kwds != NULL && PyDict_GET_SIZE(kwds) != 0) ||
+        PyTuple_GET_SIZE(args) != 0) {
+        PyErr_SetString(PyExc_TypeError, "BashSample takes no arguments");
+        return NULL;
+    }
+    long long now = core_scheduler_now(self->scheduler);
+    /* Every read and check happens before the first write, so a
+     * delegation leaves no trace. */
+    int error = 0;
+    long long window_start =
+        attr_ll(self->controller, s__window_start, &error);
+    long long window_in =
+        error ? 0 : attr_ll(self->controller, s__window_busy_in, &error);
+    long long window_out =
+        error ? 0 : attr_ll(self->controller, s__window_busy_out, &error);
+    long long interval =
+        error ? 0 : attr_ll(self->controller, s__sampling_interval, &error);
+    if (error || interval < 0)
+        return sample_bail(self);
+    long long busy_in_now, busy_out_now, policy, maximum;
+    MeanFields unused;
+    if (!link_busy_up_to(self, self->link_in, now, &busy_in_now) ||
+        !link_busy_up_to(self, self->link_out, now, &busy_out_now) ||
+        !slot_ll(self->policy, self->policy_value, &policy) ||
+        !slot_ll(self->policy, self->policy_maximum, &maximum) ||
+        maximum <= 0 || maximum >= EXACT_DOUBLE_INT || policy < 0 ||
+        policy > maximum || !mean_read(self, self->means[0], &unused) ||
+        !mean_read(self, self->means[1], &unused) ||
+        !mean_read(self, self->means[2], &unused))
+        return sample_bail(self);
+    long long busy_in = busy_in_now - window_in;
+    long long busy_out = busy_out_now - window_out;
+    long long span = now - window_start;
+    long long bottleneck = busy_in > busy_out ? busy_in : busy_out;
+    if (span < 0 || bottleneck < 0 || bottleneck >= EXACT_DOUBLE_INT ||
+        span >= EXACT_DOUBLE_INT / (self->busy_delta + self->idle_delta + 1))
+        return sample_bail(self);
+    double utilization = 0.0;
+    if (span > 0) {
+        utilization = (double)bottleneck / (double)span;
+        if (utilization > 1.0)
+            utilization = 1.0;
+    }
+    /* int(round(x)): Python rounds floats half to even, as rint() does
+     * under the default rounding mode. */
+    long long busy = (long long)rint(utilization * (double)span);
+    long long value =
+        busy * self->busy_delta - (span - busy) * self->idle_delta;
+    long long moved = policy;
+    if (value > 0) {
+        if (moved < maximum)
+            moved += 1;
+    }
+    else if (value < 0) {
+        if (moved > 0)
+            moved -= 1;
+    }
+    double probability = (double)moved / (double)maximum;
+    if (set_ll_attr(self->controller, s__window_busy_in, busy_in_now) < 0 ||
+        set_ll_attr(self->controller, s__window_busy_out, busy_out_now) <
+            0)
+        return NULL;
+    if (moved != policy &&
+        slot_store(self->policy, self->policy_value,
+                   PyLong_FromLongLong(moved)) < 0)
+        return NULL;
+    PyObject *sample =
+        new_sample(self, now, utilization, value, moved, probability);
+    if (sample == NULL)
+        return NULL;
+    int rc = self->history_append == NULL
+                 ? PyList_Append(self->history, sample)
+                 : call_discard1(self->history_append, sample);
+    Py_DECREF(sample);
+    if (rc < 0 || mean_record(self, self->means[0], utilization) < 0 ||
+        mean_record(self, self->means[1], utilization) < 0 ||
+        mean_record(self, self->means[2], probability) < 0 ||
+        set_ll_attr(self->controller, s__window_start, now) < 0 ||
+        core_push_fast(self->scheduler, now + interval, (PyObject *)self,
+                       self->label, NULL) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyTypeObject BashSample_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._core._cext.BashSample",
+    .tp_basicsize = sizeof(BashSampleObject),
+    .tp_dealloc = (destructor)BashSample_dealloc,
+    .tp_call = (ternaryfunc)BashSample_call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Compiled BASH sampling event (one per node).",
+    .tp_traverse = (traverseproc)BashSample_traverse,
+    .tp_clear = (inquiry)BashSample_clear,
+    .tp_init = (initproc)BashSample_init,
+    .tp_new = PyType_GenericNew,
+};
+
 /* ------------------------------------------------------------- module glue */
 
 /* _init_protocol(GETS, GETM, MODIFIED, OWNED, SHARED, INVALID,
@@ -1687,7 +2191,7 @@ static PyMethodDef chandlers_methods[] = {
      "identity."},
     {NULL}};
 
-/* Registers DataDeliver, SnoopDeliver and DirDeliver.  Ordered PUTM
+/* Registers DataDeliver, SnoopDeliver, DirDeliver and BashSample.  Ordered PUTM
  * entries have no compiled object: writebacks are rare, so they always run
  * the pure _snoop_putm / home handlers. */
 int
@@ -1695,7 +2199,8 @@ chandlers_add_types(PyObject *module)
 {
     if (PyType_Ready(&DataDeliver_Type) < 0 ||
         PyType_Ready(&SnoopDeliver_Type) < 0 ||
-        PyType_Ready(&DirDeliver_Type) < 0)
+        PyType_Ready(&DirDeliver_Type) < 0 ||
+        PyType_Ready(&BashSample_Type) < 0)
         return -1;
 
 #define INTERN(var, text)                                                      \
@@ -1739,9 +2244,23 @@ chandlers_add_types(PyObject *module)
     INTERN(s_completion_time, "completion_time");
     INTERN(s_issue_time, "issue_time");
     INTERN(s_now, "now");
+    INTERN(s__window_start, "_window_start");
+    INTERN(s__window_busy_in, "_window_busy_in");
+    INTERN(s__window_busy_out, "_window_busy_out");
+    INTERN(s__sampling_interval, "_sampling_interval");
+    INTERN(s__value, "_value");
+    INTERN(s__maximum, "_maximum");
+    INTERN(s_append, "append");
+    for (int i = 0; i < LINK_SLOTS; i++)
+        INTERN(link_slot_names[i], link_slot_text[i]);
+    for (int i = 0; i < MEAN_SLOTS; i++)
+        INTERN(mean_slot_names[i], mean_slot_text[i]);
+    for (int i = 0; i < SAMPLE_SLOTS; i++)
+        INTERN(sample_slot_names[i], sample_slot_text[i]);
 #undef INTERN
     ll_one = PyLong_FromLong(1);
-    if (ll_one == NULL)
+    sample_empty_tuple = PyTuple_New(0);
+    if (ll_one == NULL || sample_empty_tuple == NULL)
         return -1;
 
     if (PyModule_AddObjectRef(module, "DataDeliver",
@@ -1749,7 +2268,9 @@ chandlers_add_types(PyObject *module)
         PyModule_AddObjectRef(module, "SnoopDeliver",
                               (PyObject *)&SnoopDeliver_Type) < 0 ||
         PyModule_AddObjectRef(module, "DirDeliver",
-                              (PyObject *)&DirDeliver_Type) < 0)
+                              (PyObject *)&DirDeliver_Type) < 0 ||
+        PyModule_AddObjectRef(module, "BashSample",
+                              (PyObject *)&BashSample_Type) < 0)
         return -1;
     if (PyModule_AddFunctions(module, chandlers_methods) < 0)
         return -1;

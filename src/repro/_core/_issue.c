@@ -104,6 +104,19 @@ static PyObject *n_writebacks;
 static PyObject *n_evictions_writeback;
 static PyObject *n_evictions_silent;
 static PyObject *n_broadcast_requests;
+static PyObject *n_unicast_requests;
+static PyObject *n_broadcast_decisions;
+static PyObject *n_unicast_decisions;
+static PyObject *s__state;
+static PyObject *s__value;
+static PyObject *s__broadcasts;
+static PyObject *s__unicasts;
+static PyObject *s_lfsr;
+static PyObject *s_policy_counter;
+static PyObject *s__tap_shifts;
+static PyObject *s__mask;
+static PyObject *s__width;
+static PyObject *s__bits;
 static PyObject *n_data_responses;
 static PyObject *n_memory_responses;
 static PyObject *ll_zero;
@@ -510,8 +523,18 @@ done:
  *
  * send_mode: 0 = delegate sends to the stored bound _send_request /
  * _send_writeback (still compiled issue bookkeeping); 1 = inline the
- * snooping ordered broadcast; 2 = inline the directory unordered unicast.
+ * snooping ordered broadcast; 2 = inline the directory unordered unicast;
+ * 3 = inline BASH's adaptive send: the LFSR draw against the policy
+ * counter, then an ordered broadcast or a {home, requester} dualcast
+ * (writebacks always dualcast).
  */
+
+/* Widest policy counter the C integer path holds: the LFSR draw is packed
+ * into 64 bits, and the sampler's policy/maximum division is exact only
+ * below 2**53.  Wider counters keep send mode 0 (checked on the Python
+ * side as well). */
+#define BASH_MAX_POLICY_BITS 53
+#define BASH_MAX_TAPS 8
 
 typedef struct {
     PyObject_HEAD
@@ -561,7 +584,80 @@ typedef struct {
     PyObject *home_memo;       /* cache._home_memo dict (mode 2) */
     PyObject *home_of;         /* bound memoised home_of (mode 2) */
     PyObject *complete_cb;     /* bound self.complete */
+    /* Mode 3 (BASH): the node's mechanism and its LFSR and policy counter
+     * (states read and written through attributes), the LFSR taps fixed at
+     * selection, and the block-interleaved home arithmetic. */
+    PyObject *adaptive;        /* BandwidthAdaptiveMechanism */
+    PyObject *lfsr;            /* LinearFeedbackShiftRegister */
+    PyObject *policy;          /* UnsignedSaturatingCounter */
+    PyObject *sys_broadcast_decisions; /* system.*_decisions Counters */
+    PyObject *sys_unicast_decisions;
+    PyObject *net_multicasts;  /* ordered multicasts counter */
+    long long num_procs;
+    unsigned long long lfsr_mask;
+    int lfsr_top;
+    int lfsr_taps;
+    int lfsr_shifts[BASH_MAX_TAPS];
+    int policy_bits;
 } SequencerStepObject;
+
+/* Mode 3 selection: bind the mechanism's LFSR and policy counter and fix
+ * the LFSR's taps, mask and width.  0 / -1 (ValueError on any shape the
+ * C integer path cannot mirror exactly). */
+static int
+sstep_bind_adaptive(SequencerStepObject *self, PyObject *adaptive)
+{
+    PyObject *lfsr = PyObject_GetAttr(adaptive, s_lfsr);
+    if (lfsr == NULL)
+        return -1;
+    PyObject *policy = PyObject_GetAttr(adaptive, s_policy_counter);
+    if (policy == NULL) {
+        Py_DECREF(lfsr);
+        return -1;
+    }
+    int rc = -1;
+    PyObject *shifts = PyObject_GetAttr(lfsr, s__tap_shifts);
+    if (shifts == NULL)
+        goto done;
+    int error = 0;
+    long long width = attr_ll(lfsr, s__width, &error);
+    long long mask = error ? 0 : attr_ll(lfsr, s__mask, &error);
+    long long bits = error ? 0 : attr_ll(policy, s__bits, &error);
+    if (error)
+        goto done;
+    if (!PyTuple_CheckExact(shifts) || PyTuple_GET_SIZE(shifts) < 1 ||
+        PyTuple_GET_SIZE(shifts) > BASH_MAX_TAPS || width < 1 ||
+        width > 62 || mask != (1LL << width) - 1 || bits < 1 ||
+        bits > BASH_MAX_POLICY_BITS) {
+        PyErr_SetString(PyExc_ValueError,
+                        "send_mode 3 needs an LFSR of at most 62 bits with "
+                        "at most 8 taps and a policy counter of at most 53 "
+                        "bits");
+        goto done;
+    }
+    self->lfsr_taps = (int)PyTuple_GET_SIZE(shifts);
+    for (int i = 0; i < self->lfsr_taps; i++) {
+        long long shift = PyLong_AsLongLong(PyTuple_GET_ITEM(shifts, i));
+        if (shift == -1 && PyErr_Occurred())
+            goto done;
+        if (shift < 0 || shift >= width) {
+            PyErr_SetString(PyExc_ValueError, "LFSR tap outside the register");
+            goto done;
+        }
+        self->lfsr_shifts[i] = (int)shift;
+    }
+    self->lfsr_mask = (unsigned long long)mask;
+    self->lfsr_top = (int)(width - 1);
+    self->policy_bits = (int)bits;
+    Py_XSETREF(self->lfsr, Py_NewRef(lfsr));
+    Py_XSETREF(self->policy, Py_NewRef(policy));
+    rc = 0;
+done:
+    Py_XDECREF(shifts);
+    Py_DECREF(policy);
+    Py_DECREF(lfsr);
+    return rc;
+}
 
 static int
 SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
@@ -578,7 +674,9 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     PyObject *push_gets = Py_None, *push_getm = Py_None, *push_putm = Py_None;
     PyObject *net_messages = Py_None, *net_broadcasts = Py_None;
     PyObject *ctr_unicast = Py_None, *home_memo = Py_None, *home_of = Py_None;
-    long long node_id, block_bytes, capacity;
+    PyObject *adaptive = Py_None, *sys_broadcast_decisions = Py_None;
+    PyObject *sys_unicast_decisions = Py_None, *net_multicasts = Py_None;
+    long long node_id, block_bytes, capacity, num_procs = 0;
     int send_mode;
     static char *kwlist[] = {
         "sequencer",      "scheduler",         "cache",
@@ -595,9 +693,11 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
         "data_bytes",     "all_nodes",         "push_gets",
         "push_getm",      "push_putm",         "net_messages",
         "net_broadcasts", "ctr_unicast",       "home_memo",
-        "home_of",        NULL};
+        "home_of",        "adaptive",          "sys_broadcast_decisions",
+        "sys_unicast_decisions", "net_multicasts", "num_procs",
+        NULL};
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOOOO",
+            args, kwds, "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOOOOOOOOL",
             kwlist, &sequencer, &scheduler, &cache, &node_id, &block_bytes,
             &capacity, &blocks, &transactions, &writebacks, &perform,
             &finish_stream, &next_operation, &schedule_after, &send_request,
@@ -607,7 +707,9 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
             &msg_cls, &msg_id_next, &request_bytes, &send_mode, &on_complete,
             &txn_pool, &msg_pool, &data_bytes, &all_nodes, &push_gets,
             &push_getm, &push_putm, &net_messages, &net_broadcasts,
-            &ctr_unicast, &home_memo, &home_of))
+            &ctr_unicast, &home_memo, &home_of, &adaptive,
+            &sys_broadcast_decisions, &sys_unicast_decisions,
+            &net_multicasts, &num_procs))
         return -1;
     if (!issue_injected())
         return -1;
@@ -627,8 +729,8 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
                         "block_bytes and capacity must be positive");
         return -1;
     }
-    if (send_mode < 0 || send_mode > 2) {
-        PyErr_SetString(PyExc_ValueError, "send_mode must be 0, 1 or 2");
+    if (send_mode < 0 || send_mode > 3) {
+        PyErr_SetString(PyExc_ValueError, "send_mode must be 0, 1, 2 or 3");
         return -1;
     }
     if ((txn_pool != Py_None && !PyList_Check(txn_pool)) ||
@@ -644,12 +746,25 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
                         "and net_messages");
         return -1;
     }
-    if (send_mode == 1 &&
+    if ((send_mode == 1 || send_mode == 3) &&
         (!PyFrozenSet_CheckExact(all_nodes) || net_broadcasts == Py_None)) {
         PyErr_SetString(PyExc_TypeError,
-                        "send_mode 1 requires all_nodes (frozenset) and "
-                        "net_broadcasts");
+                        "send modes 1 and 3 require all_nodes (frozenset) "
+                        "and net_broadcasts");
         return -1;
+    }
+    if (send_mode == 3) {
+        if (adaptive == Py_None || sys_broadcast_decisions == Py_None ||
+            sys_unicast_decisions == Py_None || net_multicasts == Py_None ||
+            num_procs <= 0 || PySet_GET_SIZE(all_nodes) != num_procs) {
+            PyErr_SetString(PyExc_TypeError,
+                            "send_mode 3 requires adaptive, the decision "
+                            "counters, net_multicasts and num_procs matching "
+                            "all_nodes");
+            return -1;
+        }
+        if (sstep_bind_adaptive(self, adaptive) < 0)
+            return -1;
     }
     if (send_mode == 2 &&
         (!PyDict_Check(home_memo) || home_of == Py_None ||
@@ -718,7 +833,12 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     STORE_OPT(ctr_unicast, ctr_unicast);
     STORE_OPT(home_memo, home_memo);
     STORE_OPT(home_of, home_of);
+    STORE_OPT(adaptive, adaptive);
+    STORE_OPT(sys_broadcast_decisions, sys_broadcast_decisions);
+    STORE_OPT(sys_unicast_decisions, sys_unicast_decisions);
+    STORE_OPT(net_multicasts, net_multicasts);
 #undef STORE_OPT
+    self->num_procs = num_procs;
     PyObject *complete_cb = PyObject_GetAttr((PyObject *)self, s_complete);
     if (complete_cb == NULL)
         return -1;
@@ -770,6 +890,12 @@ SequencerStep_traverse(SequencerStepObject *self, visitproc visit, void *arg)
     Py_VISIT(self->home_memo);
     Py_VISIT(self->home_of);
     Py_VISIT(self->complete_cb);
+    Py_VISIT(self->adaptive);
+    Py_VISIT(self->lfsr);
+    Py_VISIT(self->policy);
+    Py_VISIT(self->sys_broadcast_decisions);
+    Py_VISIT(self->sys_unicast_decisions);
+    Py_VISIT(self->net_multicasts);
     return 0;
 }
 
@@ -817,6 +943,12 @@ SequencerStep_clear(SequencerStepObject *self)
     Py_CLEAR(self->home_memo);
     Py_CLEAR(self->home_of);
     Py_CLEAR(self->complete_cb);
+    Py_CLEAR(self->adaptive);
+    Py_CLEAR(self->lfsr);
+    Py_CLEAR(self->policy);
+    Py_CLEAR(self->sys_broadcast_decisions);
+    Py_CLEAR(self->sys_unicast_decisions);
+    Py_CLEAR(self->net_multicasts);
     return 0;
 }
 
@@ -841,6 +973,99 @@ home_for(SequencerStepObject *self, PyObject *address)
     if (PyErr_Occurred())
         return NULL;
     return PyObject_CallOneArg(self->home_of, address);
+}
+
+/* BandwidthAdaptiveMechanism.should_broadcast: one policy_bits-wide LFSR
+ * draw (LinearFeedbackShiftRegister.next_bits, bit by bit), compared
+ * against the policy counter, plus the mechanism's decision tally.
+ * 1 broadcast, 0 unicast, -1 error. */
+static int
+sstep_bash_decide(SequencerStepObject *self)
+{
+    int error = 0;
+    long long raw = attr_ll(self->lfsr, s__state, &error);
+    if (error)
+        return -1;
+    if (raw < 0) {
+        PyErr_SetString(PyExc_ValueError, "negative LFSR state");
+        return -1;
+    }
+    unsigned long long state = (unsigned long long)raw;
+    unsigned long long drawn = 0;
+    for (int i = 0; i < self->policy_bits; i++) {
+        unsigned long long feedback = 0;
+        for (int k = 0; k < self->lfsr_taps; k++)
+            feedback ^= (state >> self->lfsr_shifts[k]) & 1ULL;
+        drawn = (drawn << 1) | (state & 1ULL);
+        state = ((state >> 1) | (feedback << self->lfsr_top)) &
+                self->lfsr_mask;
+    }
+    PyObject *state_obj = PyLong_FromUnsignedLongLong(state);
+    if (state_obj == NULL)
+        return -1;
+    int rc = PyObject_SetAttr(self->lfsr, s__state, state_obj);
+    Py_DECREF(state_obj);
+    if (rc < 0)
+        return -1;
+    long long policy = attr_ll(self->policy, s__value, &error);
+    if (error)
+        return -1;
+    int broadcast = policy < 0 || (unsigned long long)policy <= drawn;
+    if (bump_attr(self->adaptive, broadcast ? s__broadcasts : s__unicasts,
+                  ll_one) < 0)
+        return -1;
+    return broadcast;
+}
+
+/* frozenset({home, node}) for `address`: the BASH dualcast recipients,
+ * with the stock block-interleaved home mapping inlined. */
+static PyObject *
+sstep_dualcast(SequencerStepObject *self, PyObject *address)
+{
+    long long addr = PyLong_AsLongLong(address);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *home = PyLong_FromLongLong(
+        (addr / self->block_bytes) % self->num_procs);
+    if (home == NULL)
+        return NULL;
+    PyObject *recipients = PyFrozenSet_New(NULL);
+    if (recipients == NULL || PySet_Add(recipients, home) < 0 ||
+        PySet_Add(recipients, self->node_id_obj) < 0) {
+        Py_XDECREF(recipients);
+        Py_DECREF(home);
+        return NULL;
+    }
+    Py_DECREF(home);
+    return recipients;
+}
+
+/* TotallyOrderedNetwork.send for a mode-3 request: build the (unpooled)
+ * request message carrying its recipients, count it as a broadcast when it
+ * reaches every node and as a multicast otherwise, then inject it through
+ * the prebuilt LinkPush.  Steals no references; 0 / -1. */
+static int
+sstep_ordered_send(SequencerStepObject *self, PyObject *push,
+                   PyObject *kind, PyObject *address, PyObject *recipients,
+                   PyObject *txn_id, PyObject *token, PyObject *now_obj)
+{
+    int is_broadcast =
+        PySet_GET_SIZE(recipients) == PySet_GET_SIZE(self->all_nodes);
+    PyObject *msg = build_message(
+        NULL, self->msg_cls, self->msg_id_next, kind, self->node_id_obj,
+        address, self->request_bytes, self->node_id_obj, Py_None, DU_CACHE_U,
+        recipients, txn_id, is_broadcast ? Py_True : Py_False, token,
+        now_obj);
+    if (msg == NULL)
+        return -1;
+    int rc = 0;
+    if (bump_attr(self->net_messages, s__count, ll_one) < 0 ||
+        bump_attr(is_broadcast ? self->net_broadcasts : self->net_multicasts,
+                  s__count, ll_one) < 0 ||
+        call_discard1(push, msg) < 0)
+        rc = -1;
+    Py_DECREF(msg);
+    return rc;
 }
 
 /* issue_request's bookkeeping + the protocol _send_request, inlined.  The
@@ -895,6 +1120,34 @@ sstep_issue_request(SequencerStepObject *self, PyObject *address,
             goto fail;
         }
         Py_DECREF(msg);
+    }
+    else if (self->send_mode == 3) {
+        /* BASH: the adaptive decision, its counters, the recipients, the
+         * request count, then the ordered send. */
+        int broadcast = sstep_bash_decide(self);
+        if (broadcast < 0)
+            goto fail;
+        if (PyObject_SetAttr(txn, s_was_broadcast,
+                             broadcast ? Py_True : Py_False) < 0 ||
+            count_stat(self->cache, broadcast ? n_broadcast_decisions
+                                              : n_unicast_decisions) < 0 ||
+            bump_attr(broadcast ? self->sys_broadcast_decisions
+                                : self->sys_unicast_decisions,
+                      s__count, ll_one) < 0)
+            goto fail;
+        PyObject *recipients = broadcast ? Py_NewRef(self->all_nodes)
+                                         : sstep_dualcast(self, address);
+        if (recipients == NULL)
+            goto fail;
+        int rc = count_stat(self->cache, broadcast ? n_broadcast_requests
+                                                   : n_unicast_requests);
+        if (rc == 0)
+            rc = sstep_ordered_send(
+                self, is_getm ? self->push_getm : self->push_gets, kind,
+                address, recipients, txn_id, token, now_obj);
+        Py_DECREF(recipients);
+        if (rc < 0)
+            goto fail;
     }
     else {
         /* Directory: unicast to the home, pooled message, owner-upgrade
@@ -976,6 +1229,17 @@ sstep_issue_writeback(SequencerStepObject *self, PyObject *address,
             goto fail;
         }
         Py_DECREF(msg);
+    }
+    else if (self->send_mode == 3) {
+        /* BASH: writebacks always dualcast to {home, writer}. */
+        PyObject *recipients = sstep_dualcast(self, address);
+        if (recipients == NULL)
+            goto fail;
+        int rc = sstep_ordered_send(self, self->push_putm, MT_PUTM, address,
+                                    recipients, txn_id, ll_zero, now_obj);
+        Py_DECREF(recipients);
+        if (rc < 0)
+            goto fail;
     }
     else {
         /* Directory: a pooled data-sized PUTM to the home carrying the
@@ -1443,7 +1707,8 @@ static PyMethodDef SequencerStep_methods[] = {
 
 static PyMemberDef SequencerStep_members[] = {
     {"send_mode", T_INT, offsetof(SequencerStepObject, send_mode), READONLY,
-     "0: delegated sends, 1: inlined ordered broadcast, 2: inlined unicast"},
+     "0: delegated sends, 1: inlined ordered broadcast, 2: inlined unicast, "
+     "3: inlined BASH adaptive send"},
     {"node_id", T_LONGLONG, offsetof(SequencerStepObject, node_id), READONLY,
      NULL},
     {NULL}};
@@ -1579,6 +1844,19 @@ issue_add_types(PyObject *module)
     INTERN(n_evictions_writeback, "evictions.writeback");
     INTERN(n_evictions_silent, "evictions.silent");
     INTERN(n_broadcast_requests, "broadcast_requests");
+    INTERN(n_unicast_requests, "unicast_requests");
+    INTERN(n_broadcast_decisions, "broadcast_decisions");
+    INTERN(n_unicast_decisions, "unicast_decisions");
+    INTERN(s__state, "_state");
+    INTERN(s__value, "_value");
+    INTERN(s__broadcasts, "_broadcasts");
+    INTERN(s__unicasts, "_unicasts");
+    INTERN(s_lfsr, "lfsr");
+    INTERN(s_policy_counter, "policy_counter");
+    INTERN(s__tap_shifts, "_tap_shifts");
+    INTERN(s__mask, "_mask");
+    INTERN(s__width, "_width");
+    INTERN(s__bits, "_bits");
     INTERN(n_data_responses, "data_responses");
     INTERN(n_memory_responses, "memory_responses");
 #undef INTERN

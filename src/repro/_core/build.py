@@ -14,6 +14,18 @@ newer than every C source (and this script), the cc invocation is skipped
 entirely so repeated ``python -m repro._core.build`` calls (CI steps,
 editor hooks) cost a stat, not a compile.  ``--force`` rebuilds
 unconditionally.
+
+``--sanitize`` builds the same sources with AddressSanitizer and
+UndefinedBehaviorSanitizer (``-O1 -g``) for memory checks.  Such a build
+imports only into a process that loads the ASan runtime first::
+
+    python -m repro._core.build --sanitize
+    LD_PRELOAD=$(gcc -print-file-name=libasan.so) ASAN_OPTIONS=detect_leaks=0 \
+        python -m pytest -q tests/sim/test_golden_trace.py
+
+A stamp file beside the extension marks it as a sanitizer build; a plain
+build treats it as stale unless the running process has the ASan runtime
+loaded, so the next ordinary ``pytest`` or ``build`` call replaces it.
 """
 
 from __future__ import annotations
@@ -31,6 +43,14 @@ HERE = Path(__file__).resolve().parent
 # it triggers a rebuild too.
 SOURCES = (HERE / "_cext.c", HERE / "_chandlers.c", HERE / "_issue.c")
 HEADERS = (HERE / "_core.h",)
+#: Flags for every build.  Contraction into fused multiply-adds would round
+#: the C running-mean arithmetic differently from Python's.
+CFLAGS = ("-ffp-contract=off",)
+#: Replaces -O2 in a ``--sanitize`` build.
+SANITIZE_FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer",
+                  "-fsanitize=address,undefined")
+#: Present while the built extension is a ``--sanitize`` build.
+SANITIZE_STAMP = HERE / "_cext.sanitize-stamp"
 
 
 def extension_path() -> Path:
@@ -39,9 +59,26 @@ def extension_path() -> Path:
     return HERE / f"_cext{suffix}"
 
 
-def is_stale(output: Path) -> bool:
-    """True when the built extension is missing or older than any input."""
+def asan_loaded() -> bool:
+    """True when this process runs with the AddressSanitizer runtime."""
+    import ctypes  # noqa: PLC0415 - only sanitizer builds need it
+
+    try:
+        return hasattr(ctypes.CDLL(None), "__asan_init")
+    except OSError:
+        return False
+
+
+def is_stale(output: Path, sanitize: bool = False) -> bool:
+    """True when the built extension is missing or older than any input.
+
+    Also true when it is the wrong kind: a sanitizer build when a plain one
+    is wanted (unless this process has the ASan runtime, which is how a
+    sanitizer test run keeps it), or the reverse.
+    """
     if not output.exists():
+        return True
+    if SANITIZE_STAMP.exists() != sanitize and (sanitize or not asan_loaded()):
         return True
     built = output.stat().st_mtime
     inputs = [*SOURCES, *HEADERS, Path(__file__)]
@@ -64,11 +101,12 @@ def find_compiler() -> str | None:
     return None
 
 
-def build_command(cc: str, output: Path) -> list:
+def build_command(cc: str, output: Path, sanitize: bool = False) -> list:
     include = sysconfig.get_path("include")
     command = [
         cc,
-        "-O2",
+        *(SANITIZE_FLAGS if sanitize else ("-O2",)),
+        *CFLAGS,
         "-fno-semantic-interposition",
         "-fPIC",
         "-shared",
@@ -84,16 +122,17 @@ def build_command(cc: str, output: Path) -> list:
     return command
 
 
-def build(verbose: bool = True, force: bool = False) -> Path:
+def build(verbose: bool = True, force: bool = False, sanitize: bool = False) -> Path:
     """Compile the extension in place and return its path.
 
     Skips the compiler entirely when the built ``.so`` is already newer
-    than every C source (pass ``force=True`` to override).  Raises
+    than every C source and of the requested kind (pass ``force=True`` to
+    override).  ``sanitize=True`` builds with ASan and UBSan.  Raises
     ``RuntimeError`` when no compiler is available and
     ``subprocess.CalledProcessError`` when compilation fails.
     """
     output = extension_path()
-    if not force and not is_stale(output):
+    if not force and not is_stale(output, sanitize):
         if verbose:
             print(f"{output.name} is up to date (--force rebuilds)")
         return output
@@ -103,10 +142,13 @@ def build(verbose: bool = True, force: bool = False) -> Path:
             "no C compiler found (looked for $CC, cc, gcc, clang); "
             "the pure backend remains available"
         )
-    command = build_command(cc, output)
+    command = build_command(cc, output, sanitize)
     if verbose:
         print(" ".join(command))
+    SANITIZE_STAMP.unlink(missing_ok=True)
     subprocess.run(command, check=True, capture_output=not verbose)
+    if sanitize:
+        SANITIZE_STAMP.touch()
     return output
 
 
@@ -123,9 +165,15 @@ def main(argv=None) -> int:
         action="store_true",
         help="recompile even when the built extension is up to date",
     )
+    parser.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="build with AddressSanitizer and UndefinedBehaviorSanitizer "
+        "(-O1 -g); import it with the ASan runtime in LD_PRELOAD",
+    )
     args = parser.parse_args(argv)
     try:
-        output = build(verbose=not args.quiet, force=args.force)
+        output = build(verbose=not args.quiet, force=args.force, sanitize=args.sanitize)
     except RuntimeError as error:
         print(f"repro._core.build: {error}", file=sys.stderr)
         return 1

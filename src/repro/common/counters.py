@@ -16,6 +16,7 @@ property-tested in isolation from the simulator.
 
 from __future__ import annotations
 
+from .._core import stock
 from ..errors import ConfigurationError
 
 
@@ -61,6 +62,7 @@ class SignedSaturatingCounter:
         return f"SignedSaturatingCounter(value={self._value}, limit={self._limit})"
 
 
+@stock
 class UnsignedSaturatingCounter:
     """An unsigned counter that saturates at ``0`` and ``2**bits - 1``."""
 

@@ -10,6 +10,7 @@ implement a Fibonacci LFSR with the maximal-length 16-bit polynomial
 
 from __future__ import annotations
 
+from .._core import stock
 from ..errors import ConfigurationError
 
 #: Default register width.
@@ -24,6 +25,7 @@ _MAXIMAL_TAPS = {
 }
 
 
+@stock
 class LinearFeedbackShiftRegister:
     """A Fibonacci LFSR producing a deterministic pseudo-random bit stream."""
 

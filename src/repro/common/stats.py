@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from .._core import stock
 
+
+@stock
 class Counter:
     """A monotonically increasing event counter."""
 
@@ -38,6 +41,7 @@ class Counter:
         return f"Counter({self.name!r}, count={self._count})"
 
 
+@stock
 class RunningMean:
     """Streaming mean / variance / extrema accumulator (Welford's algorithm)."""
 

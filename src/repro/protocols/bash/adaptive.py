@@ -13,11 +13,13 @@ a local estimate of interconnect utilization:
    counter is positive and decremented when it is negative; the utilization
    counter is then reset.
 3. A request is unicast when the policy counter exceeds a pseudo-random number
-   of the same width drawn from an LFSR, i.e. with probability
-   ``policy / (2**bits - 1)``; otherwise it is broadcast.
+   ``r`` of the same width drawn from an LFSR (``r < policy``); otherwise it is
+   broadcast.  ``r`` takes ``2**bits`` values, so the unicast probability is
+   ``policy / 2**bits``: 0 at an empty counter, at most ``255/256`` at a
+   saturated 8-bit one (a broadcast still happens when ``r`` is all ones).
 
 With the default parameters the mechanism can swing from always-broadcast to
-always-unicast (or back) in ``512 * 255 ≈ 130,000`` cycles of consistently
+mostly-unicast (or back) in ``512 * 255 ≈ 130,000`` cycles of consistently
 high/low utilization — about a thousand L2 misses on the paper's target system.
 """
 
@@ -27,11 +29,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List, MutableSequence, Optional, Sequence
 
+from ..._core import stock
 from ...common.config import AdaptiveConfig
 from ...common.counters import SignedSaturatingCounter, UnsignedSaturatingCounter
 from ...common.lfsr import LinearFeedbackShiftRegister
 
 
+@stock
 @dataclass(slots=True)
 class AdaptiveSample:
     """Snapshot of one sampling-interval update (useful for tests and plots).
@@ -48,6 +52,7 @@ class AdaptiveSample:
     unicast_probability: float
 
 
+@stock
 class BandwidthAdaptiveMechanism:
     """Per-processor broadcast/unicast policy driven by local link utilization."""
 
@@ -184,7 +189,13 @@ class BandwidthAdaptiveMechanism:
 
     @property
     def unicast_probability(self) -> float:
-        """Probability that the next request is unicast rather than broadcast."""
+        """The policy counter as a fraction of its maximum, ``policy / (2**bits - 1)``.
+
+        This is the statistic every sample records (and the figures plot).
+        The true chance that :meth:`should_broadcast` unicasts is slightly
+        lower, ``policy / 2**bits``, since the drawn number ranges over
+        ``2**bits`` values; it never reaches 1.
+        """
         return self.policy_counter.fraction()
 
     def should_broadcast(self) -> bool:
@@ -192,8 +203,10 @@ class BandwidthAdaptiveMechanism:
 
         The processor compares the policy counter against a freshly generated
         pseudo-random number of the same width: it unicasts when the policy
-        counter is larger, and broadcasts otherwise.  The comparison happens
-        off the critical path in hardware, so it adds no latency here either.
+        counter is larger, and broadcasts otherwise (so even a saturated
+        counter broadcasts when the number is all ones).  The comparison
+        happens off the critical path in hardware, so it adds no latency here
+        either.
         """
         random_value = self.lfsr.next_int(self.policy_counter.bits)
         broadcast = self.policy_counter.value <= random_value

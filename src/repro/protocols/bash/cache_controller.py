@@ -18,15 +18,26 @@ with two additions from footnote 2 and Section 3.3 of the paper:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
-from ..._core import stock
+from ..._core import is_stock, note_handler_selection, stock
 from ...coherence.block import CacheBlock
 from ...coherence.transaction import Transaction
 from ...errors import ProtocolError
+from ...interconnect.link import EndpointLink
 from ...interconnect.message import Message, MessageType
-from ..snooping.cache_controller import SnoopingCacheController
-from .adaptive import BandwidthAdaptiveMechanism
+from ..dispatch import handler_accelerator
+from ..snooping.cache_controller import (
+    SnoopingCacheController,
+    compile_issue_send as snooping_issue_send,
+)
+from .adaptive import AdaptiveSample, BandwidthAdaptiveMechanism
+
+#: Widest policy counter the compiled sampler and send hold exactly: the
+#: LFSR draw is packed into 64 bits, and ``policy / maximum`` is an exact
+#: double division only below ``2**53``.  Wider counters run pure.
+C_POLICY_BITS = 53
 
 
 @stock
@@ -92,6 +103,8 @@ class BashCacheController(SnoopingCacheController):
         super().reset_state(config)
         adaptive_config = config.adaptive
         self.adaptive.reset(adaptive_config, self._node_lfsr_seed(adaptive_config))
+        # Re-prebound so a hook set on the mechanism instance takes effect.
+        self._observe_window = self.adaptive.observe_window
         self._sampling_interval = adaptive_config.sampling_interval
         self._window_start = 0
         self._window_busy_in = 0
@@ -111,8 +124,16 @@ class BashCacheController(SnoopingCacheController):
         # count decisions in _request_recipients with ``now > 0`` and
         # ``now % self._sampling_interval == 0``, and among them those with
         # ``self._window_start != now`` (the sample has not fired yet).
+        #
+        # The event's callback is chosen here, at construction and on every
+        # reset (after the mechanism has rebuilt its counters and history):
+        # the C ``BashSample`` on a compiled scheduler when every object it
+        # mirrors is stock, else the pure method below.  Either way the event
+        # keeps its label and sequence number.
         self._schedule_after_fast(
-            self._sampling_interval, self._sample_utilization, self._sampling_label
+            self._sampling_interval,
+            compile_sampler(self) or self._sample_utilization,
+            self._sampling_label,
         )
 
     def _sample_utilization(self) -> None:
@@ -229,3 +250,133 @@ class BashCacheController(SnoopingCacheController):
         if message.is_retry and message.requester == self.node_id:
             raise ProtocolError("writebacks are never retried in BASH")
         super()._snoop_putm(message)
+
+
+def compile_sampler(controller):
+    """A C ``BashSample`` for ``controller``'s sampling event, or None.
+
+    The object mirrors :meth:`BashCacheController._sample_utilization` with
+    :meth:`BandwidthAdaptiveMechanism.observe_window` fused in.  It is offered
+    only on a compiled scheduler, for the exact stock controller whose
+    mechanism, counters, running means, links and sample class are all
+    unpatched stock objects (:func:`repro._core.is_stock`) and whose prebound
+    handles still point at them.  Anything else keeps the pure method for
+    this node; the decision is recorded as ``BashCacheController<N>.sample``.
+    """
+    ext = handler_accelerator(controller)
+    if ext is None:
+        return None
+    sampler = _bash_sampler(controller, ext)
+    note_handler_selection(
+        f"BashCacheController{controller.node_id}.sample",
+        "declined" if sampler is None else "compiled",
+    )
+    return sampler
+
+
+def _bound_to(method, owner, function) -> bool:
+    """Is ``method`` ``function`` bound to exactly ``owner``?"""
+    return (
+        getattr(method, "__self__", None) is owner
+        and getattr(method, "__func__", None) is function
+    )
+
+
+def _bash_sampler(controller, ext):
+    mechanism = controller.adaptive
+    policy = mechanism.policy_counter
+    link_in = getattr(controller._busy_in_up_to, "__self__", None)
+    link_out = getattr(controller._busy_out_up_to, "__self__", None)
+    means = (
+        controller._mean_link_utilization,
+        controller._sys_link_utilization,
+        controller._sys_unicast_probability,
+    )
+    if (
+        type(controller) is not BashCacheController
+        or not is_stock(
+            controller,
+            mechanism,
+            mechanism.lfsr,
+            policy,
+            link_in,
+            link_out,
+            *means,
+            AdaptiveSample,
+        )
+        or not _bound_to(
+            controller._observe_window,
+            mechanism,
+            BandwidthAdaptiveMechanism.observe_window,
+        )
+        or not _bound_to(
+            controller._busy_in_up_to, link_in, EndpointLink.busy_time_up_to
+        )
+        or not _bound_to(
+            controller._busy_out_up_to, link_out, EndpointLink.busy_time_up_to
+        )
+        or controller._schedule_after_fast != controller.scheduler.schedule_after_fast
+        or policy.bits > C_POLICY_BITS
+        or type(mechanism.history) not in (list, deque)
+    ):
+        return None
+    return ext.BashSample(
+        controller=controller,
+        scheduler=controller.scheduler,
+        link_in=link_in,
+        link_out=link_out,
+        pure=controller._sample_utilization,
+        policy=policy,
+        history=mechanism.history,
+        sample_cls=AdaptiveSample,
+        mean_node=means[0],
+        mean_util=means[1],
+        mean_prob=means[2],
+        label=controller._sampling_label,
+        busy_delta=mechanism._busy_delta,
+        idle_delta=mechanism._idle_delta,
+    )
+
+
+def compile_issue_send(cache, ext):
+    """``(3, kwargs)`` inlining BASH's adaptive send into C, or None.
+
+    Send mode 3 replicates :meth:`BashCacheController._request_recipients`
+    (:meth:`BandwidthAdaptiveMechanism.should_broadcast` with its LFSR draw,
+    the decision counters, the broadcast or ``{home, requester}`` dualcast)
+    inside the snooping ``_send_request``/``_send_writeback`` bodies and
+    :meth:`TotallyOrderedNetwork.send`.  It takes mode 1's network-shape
+    rules (:func:`repro.protocols.snooping.cache_controller.compile_issue_send`)
+    and adds its own: an unpatched stock mechanism, LFSR, policy counter and
+    decision counters, a policy counter of at most :data:`C_POLICY_BITS`
+    bits, and nodes numbered ``0..num_processors-1`` under the stock home
+    mapping.  Any other shape returns None and the issue chain keeps send
+    mode 0.
+    """
+    shape = snooping_issue_send(cache, ext)
+    if shape is None:
+        return None
+    _, extra = shape
+    mechanism = cache.adaptive
+    config = cache.config
+    if (
+        not is_stock(
+            mechanism,
+            mechanism.lfsr,
+            mechanism.policy_counter,
+            config,
+            cache._sys_broadcast_decisions,
+            cache._sys_unicast_decisions,
+        )
+        or mechanism.policy_counter.bits > C_POLICY_BITS
+        or extra["all_nodes"] != frozenset(range(config.num_processors))
+    ):
+        return None
+    extra.update(
+        adaptive=mechanism,
+        sys_broadcast_decisions=cache._sys_broadcast_decisions,
+        sys_unicast_decisions=cache._sys_unicast_decisions,
+        net_multicasts=cache.interconnect.ordered._multicasts_counter,
+        num_procs=config.num_processors,
+    )
+    return 3, extra

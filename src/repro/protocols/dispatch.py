@@ -174,9 +174,17 @@ def issue_accelerator(sequencer):
     return ext
 
 
-def note_issue_selection(sequencer, status: str) -> None:
-    """Record one per-node issue-chain compile/decline decision."""
-    _core.note_handler_selection(f"Sequencer{sequencer.node_id}.step", status)
+def note_issue_selection(sequencer, status: str, send_status: str = "") -> None:
+    """Record one per-node issue-chain decision and its send-mode decision.
+
+    ``Sequencer<N>.step`` says whether the C step runs; ``Sequencer<N>.send``
+    whether it also inlines the protocol's send (modes 1-3) rather than
+    calling the bound Python ``_send_*`` methods (mode 0).  A declined step
+    declines its send too.
+    """
+    node = sequencer.node_id
+    _core.note_handler_selection(f"Sequencer{node}.step", status)
+    _core.note_handler_selection(f"Sequencer{node}.send", send_status or status)
 
 
 def compile_sequencer_step(sequencer):
@@ -202,7 +210,10 @@ def compile_sequencer_step(sequencer):
     if ext is None:
         return None
     from ..workloads.base import Workload  # noqa: PLC0415
-    from .bash.cache_controller import BashCacheController  # noqa: PLC0415
+    from .bash.cache_controller import (  # noqa: PLC0415
+        BashCacheController,
+        compile_issue_send as bash_issue_send,
+    )
     from .directory.cache_controller import (  # noqa: PLC0415
         DirectoryCacheController,
         compile_issue_send as directory_issue_send,
@@ -274,15 +285,16 @@ def compile_sequencer_step(sequencer):
         ):
             return decline()
         txn_pool = msg_pool = None
-    # Protocol-specific send inlining: mode 1 (snooping broadcast) or mode 2
-    # (directory unicast) when the whole send pipeline is stock, else mode 0
-    # (C bookkeeping, bound Python _send_* call — always faithful).
+    # Protocol-specific send inlining: mode 1 (snooping broadcast), mode 2
+    # (directory unicast) or mode 3 (BASH adaptive broadcast/dualcast) when
+    # the whole send pipeline is stock, else mode 0 (C bookkeeping, bound
+    # Python _send_* call — always faithful).
     if cache_cls is SnoopingCacheController:
         send = snooping_issue_send(cache, ext)
     elif cache_cls is DirectoryCacheController:
         send = directory_issue_send(cache, ext)
     else:
-        send = None  # BASH: dualcast policy stays in Python (mode 0)
+        send = bash_issue_send(cache, ext)
     send_mode, extra = send if send is not None else (0, {})
     # The directory controller prebinds its request size at construction;
     # its helper supplies that binding so the compiled build matches it.
@@ -331,5 +343,7 @@ def compile_sequencer_step(sequencer):
         msg_pool=msg_pool,
         **extra,
     )
-    note_issue_selection(sequencer, "compiled")
+    note_issue_selection(
+        sequencer, "compiled", "compiled" if send_mode else "declined"
+    )
     return step

@@ -17,7 +17,7 @@ or broadcasts."
 
 from __future__ import annotations
 
-from ..._core import is_stock, stock
+from ..._core import is_stock, note_handler_selection, stock
 from ...coherence.block import CacheBlock
 from ...coherence.directory import DirectoryEntry
 from ...coherence.state import MOSIState
@@ -108,6 +108,13 @@ class SnoopingCacheController(CacheControllerBase):
             mem_mode = 1
         note_selection(self, msg_type, "compiled")
         mem_bash = type(memory_controller) is BashMemoryController
+        mem_serve = None
+        if mem_mode == 2:
+            mem_serve = compile_mem_serve(memory_controller, ext)
+            note_handler_selection(
+                f"MemoryController{memory_controller.node_id}.serve",
+                "declined" if mem_serve is None else "compiled",
+            )
         return ext.SnoopDeliver(
             kind=msg_type,
             node_id=self.node_id,
@@ -128,11 +135,7 @@ class SnoopingCacheController(CacheControllerBase):
             dir_entries=memory_controller.directory._entries if mem_mode == 2 else None,
             dir_lookup=memory_controller.directory.lookup if mem_mode == 2 else None,
             completer=self._compiled_data_deliver(ext),
-            mem_serve=(
-                compile_mem_serve(memory_controller, ext)
-                if mem_mode == 2 and not mem_bash
-                else None
-            ),
+            mem_serve=mem_serve,
             **(_home_inline_args(memory_controller) if mem_mode else {}),
         )
 

@@ -94,6 +94,8 @@ REQUIRED_TYPES = (
     "SchedulerBase",
     "LinkPush",
     "Relay",
+    "SwitchEnter",
+    "UnorderedArrive",
     "DataDeliver",
     "SnoopDeliver",
     "DirDeliver",
@@ -359,7 +361,7 @@ def backend_info() -> Dict[str, object]:
         "compiled_version": version,
         "compiled_import_error": _import_error,
         "components": dict.fromkeys(
-            ("event_core", "handlers", "issue_chain"), component
+            ("event_core", "interconnect", "handlers", "issue_chain"), component
         ),
         "handler_selections": handler_selections(),
     }

@@ -17,6 +17,17 @@
  * are implemented in C; the cold ones (drain/reset/step/_compact/fire hooks)
  * are reused verbatim from the pure class by the Python subclass built in
  * repro/sim/scheduler.py.
+ *
+ * The per-hop objects cover a message's whole path on a compiled scheduler:
+ * sched_push (injection), SwitchEnter (ordering point and fan-out), Relay
+ * (unordered traversal), UnorderedArrive (unordered delivery lookup) and
+ * LinkPush (endpoint-link occupancy and the delivery push).  Like every
+ * object the scheduler fires, they are called through vectorcall, and they
+ * read Message and EndpointLink fields straight from the classes' slots
+ * (the helpers in _core.h).  LinkPush keeps the pure closure it mirrors
+ * for any message or link state it does not handle; SwitchEnter and
+ * UnorderedArrive use the networks' attributes generically and call back
+ * into Python only to resolve a memo miss.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -25,7 +36,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.4.0"
+#define CORE_VERSION "1.5.0"
 
 /* Compaction threshold; mirrors _COMPACT_MIN_CANCELLED in scheduler.py. */
 #define COMPACT_MIN_CANCELLED 64
@@ -40,16 +51,16 @@ static PyObject *str__scheduler;
 static PyObject *str_callback;
 static PyObject *str_label;
 static PyObject *str__compact;
-static PyObject *str_size_bytes;
-static PyObject *str__busy_until;
-static PyObject *str__busy_total;
-static PyObject *str__messages;
-static PyObject *str__bytes;
 static PyObject *str_occupancy_cycles;
 static PyObject *str__occupancy_cache;
-static PyObject *str__period_start;
-static PyObject *str__period_prefix;
+static PyObject *str__order_sequence;
+static PyObject *str_traversal_cycles;
+static PyObject *str__fanout_memo;
+static PyObject *str__fanout;
+static PyObject *str__deliver_entries;
+static PyObject *str__compile_delivery;
 static PyObject *empty_string;
+static PyObject *int_one;
 
 /* ------------------------------------------------------------------ helpers */
 
@@ -1059,40 +1070,96 @@ static PyTypeObject Scheduler_Type = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ------------------------------------------------------------ Message slots
+ *
+ * _init_message(Message) resolves the slots of the fields every compiled
+ * object reads (the declarations are in _core.h).  Called by the
+ * interconnect whenever it builds compiled hops; the resolution is reused
+ * while the class is unmodified, and a class whose fields are not plain
+ * slots leaves every read on generic attribute access. */
+
+SlotLayout core_message_layout;
+PyObject *core_message_names[MSG_FIELDS];
+static const char *message_field_text[MSG_FIELDS] = {
+    "msg_type",   "address",        "size_bytes",     "requester",
+    "dest",       "dest_unit",      "recipients",     "transaction_id",
+    "is_retry",   "original_type",  "order_seq",      "data_token"};
+
+static PyObject *
+cext_init_message(PyObject *Py_UNUSED(module), PyObject *cls)
+{
+    if (!PyType_Check(cls)) {
+        PyErr_SetString(PyExc_TypeError, "_init_message expects a class");
+        return NULL;
+    }
+    if (slot_layout(&core_message_layout, (PyTypeObject *)cls,
+                    core_message_names, MSG_FIELDS) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 /* ---------------------------------------------------------------- LinkPush
  *
  * The compiled form of link_push in repro/interconnect/link.py: the
  * unit-cost "occupy the incoming link, then push the delivery entry" closure
- * shared by the ordered network's arrival path and the unordered network's
- * delivery path.  Calling it with a message performs the inlined
- * EndpointLink.transmit plus the scheduler bucket push, all in C.  The link
- * stays the source of truth for its scalars (busy period, totals, counters:
- * read and written through attributes, so reset, the Python transmit path
- * and the busy-time queries observe every update); only the occupancy memo
- * dict is prebound, the same object the pure closure captures. */
+ * shared by the ordered network's arrival path, the unordered network's
+ * delivery path and the issue chain's inlined sends.  Calling it with a
+ * message performs the inlined EndpointLink.transmit plus the scheduler
+ * bucket push, all in C.  The link stays the source of truth for its
+ * scalars: they are read and written in the link's own slots, so reset,
+ * the Python transmit path and the busy-time queries observe every update.
+ * The occupancy memo dict is prebound, the same object the pure closure
+ * captures.
+ *
+ * A link class whose scalars are not writable object slots is refused at
+ * construction (link_push then keeps the pure closure).  Per call, a
+ * message that is not exactly the stock Message, or a link scalar that is
+ * not a plain int, takes the pure closure before anything is written; the
+ * closure is built on the first such call, from the factory link_push
+ * passes in. */
+
+enum { LINK_BUSY_UNTIL, LINK_BUSY_TOTAL, LINK_PERIOD_START, LINK_PERIOD_PREFIX,
+       LINK_MESSAGES, LINK_BYTES, LINK_SLOTS };
+static const char *link_slot_text[LINK_SLOTS] = {
+    "_busy_until", "_busy_total", "_period_start", "_period_prefix",
+    "_messages",   "_bytes"};
+static PyObject *link_slot_names[LINK_SLOTS];
+static SlotLayout link_layout;
 
 typedef struct {
     PyObject_HEAD
+    vectorcallfunc vectorcall;
     SchedulerObject *sched;
     PyObject *link;
     PyObject *occupancy; /* link._occupancy_cache (dict) */
     PyObject *deliver;   /* delivery callable */
     PyObject *label;     /* delivery label */
+    PyObject *factory;   /* builds the pure closure from the four above */
+    PyObject *fallback;  /* that closure, or NULL until first needed */
+    Py_ssize_t slots[LINK_SLOTS];
 } LinkPushObject;
+
+static PyObject *LinkPush_vectorcall(LinkPushObject *self,
+                                     PyObject *const *args, size_t nargsf,
+                                     PyObject *kwnames);
 
 static int
 LinkPush_init(LinkPushObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *sched, *link, *deliver, *label;
-    static char *kwlist[] = {"scheduler", "link", "deliver", "label", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO", kwlist, &sched,
-                                     &link, &deliver, &label))
+    PyObject *sched, *link, *deliver, *label, *factory;
+    static char *kwlist[] = {"scheduler", "link", "deliver", "label",
+                             "factory", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO", kwlist, &sched,
+                                     &link, &deliver, &label, &factory))
         return -1;
     if (!Scheduler_CheckExactBase(sched)) {
         PyErr_SetString(PyExc_TypeError,
                         "LinkPush requires a compiled SchedulerBase");
         return -1;
     }
+    if (slot_layout_required(&link_layout, Py_TYPE(link), link_slot_names,
+                             LINK_SLOTS) < 0)
+        return -1;
     PyObject *occupancy = PyObject_GetAttr(link, str__occupancy_cache);
     if (occupancy == NULL)
         return -1;
@@ -1102,15 +1169,15 @@ LinkPush_init(LinkPushObject *self, PyObject *args, PyObject *kwds)
         Py_DECREF(occupancy);
         return -1;
     }
-    Py_INCREF(sched);
-    Py_XSETREF(self->sched, (SchedulerObject *)sched);
-    Py_INCREF(link);
-    Py_XSETREF(self->link, link);
+    memcpy(self->slots, link_layout.offsets, sizeof(self->slots));
+    Py_XSETREF(self->sched, (SchedulerObject *)Py_NewRef(sched));
+    Py_XSETREF(self->link, Py_NewRef(link));
     Py_XSETREF(self->occupancy, occupancy);
-    Py_INCREF(deliver);
-    Py_XSETREF(self->deliver, deliver);
-    Py_INCREF(label);
-    Py_XSETREF(self->label, label);
+    Py_XSETREF(self->deliver, Py_NewRef(deliver));
+    Py_XSETREF(self->label, Py_NewRef(label));
+    Py_XSETREF(self->factory, Py_NewRef(factory));
+    Py_CLEAR(self->fallback);
+    self->vectorcall = (vectorcallfunc)LinkPush_vectorcall;
     return 0;
 }
 
@@ -1122,6 +1189,8 @@ LinkPush_traverse(LinkPushObject *self, visitproc visit, void *arg)
     Py_VISIT(self->occupancy);
     Py_VISIT(self->deliver);
     Py_VISIT(self->label);
+    Py_VISIT(self->factory);
+    Py_VISIT(self->fallback);
     return 0;
 }
 
@@ -1133,6 +1202,8 @@ LinkPush_clear(LinkPushObject *self)
     Py_CLEAR(self->occupancy);
     Py_CLEAR(self->deliver);
     Py_CLEAR(self->label);
+    Py_CLEAR(self->factory);
+    Py_CLEAR(self->fallback);
     return 0;
 }
 
@@ -1144,142 +1215,95 @@ LinkPush_dealloc(LinkPushObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* Read an int attribute as long long; -1 with error set on failure. */
-static long long
-get_ll_attr(PyObject *obj, PyObject *name, int *error)
+/* Hand `message` to the pure closure, building it on first use. */
+static PyObject *
+link_push_fallback(LinkPushObject *self, PyObject *message)
 {
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL) {
-        *error = 1;
-        return -1;
+    if (self->fallback == NULL) {
+        PyObject *argv[4] = {(PyObject *)self->sched, self->link,
+                             self->deliver, self->label};
+        PyObject *closure = PyObject_Vectorcall(self->factory, argv, 4, NULL);
+        if (closure == NULL)
+            return NULL;
+        Py_XSETREF(self->fallback, closure);
     }
-    long long result = PyLong_AsLongLong(value);
-    Py_DECREF(value);
-    if (result == -1 && PyErr_Occurred()) {
-        *error = 1;
-        return -1;
-    }
-    return result;
-}
-
-static int
-set_ll_attr(PyObject *obj, PyObject *name, long long value)
-{
-    PyObject *boxed = PyLong_FromLongLong(value);
-    if (boxed == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, boxed);
-    Py_DECREF(boxed);
-    return rc;
+    return PyObject_CallOneArg(self->fallback, message);
 }
 
 static PyObject *
-LinkPush_call(LinkPushObject *self, PyObject *args, PyObject *kwds)
+LinkPush_vectorcall(LinkPushObject *self, PyObject *const *args,
+                    size_t nargsf, PyObject *kwnames)
 {
-    PyObject *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError, "LinkPush takes no keyword arguments");
+    if (!vectorcall_args("LinkPush", nargsf, kwnames, 1))
         return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "LinkPush", 1, 1, &message))
-        return NULL;
-    SchedulerObject *sched = self->sched;
+    PyObject *message = args[0];
     PyObject *link = self->link;
-
-    PyObject *size_obj = PyObject_GetAttr(message, str_size_bytes);
-    if (size_obj == NULL)
-        return NULL;
+    const Py_ssize_t *slots = self->slots;
+    const Py_ssize_t size_slot = core_message_layout.offsets[MSG_SIZE_BYTES];
+    long long size, cycles = 0, busy_until, busy_total, messages, bytes;
+    if (!core_is_message(message) || !slot_ll(message, size_slot, &size))
+        return link_push_fallback(self, message);
+    PyObject *size_obj = Py_NewRef(*SLOT_CELL(message, size_slot));
     /* Occupancy memo: size -> cycles, filled through the link method on a
      * miss (exactly like the pure closure, so the memo dict the reset path
      * clears is the one populated here). */
     PyObject *cycles_obj = PyDict_GetItemWithError(self->occupancy, size_obj);
-    if (cycles_obj == NULL) {
-        if (PyErr_Occurred()) {
-            Py_DECREF(size_obj);
-            return NULL;
-        }
+    if (cycles_obj != NULL)
+        Py_INCREF(cycles_obj);
+    else if (!PyErr_Occurred()) {
         cycles_obj =
             PyObject_CallMethodOneArg(link, str_occupancy_cycles, size_obj);
-        if (cycles_obj == NULL) {
-            Py_DECREF(size_obj);
-            return NULL;
-        }
-        if (PyDict_SetItem(self->occupancy, size_obj, cycles_obj) < 0) {
-            Py_DECREF(size_obj);
-            Py_DECREF(cycles_obj);
-            return NULL;
-        }
+        if (cycles_obj != NULL &&
+            PyDict_SetItem(self->occupancy, size_obj, cycles_obj) < 0)
+            Py_CLEAR(cycles_obj);
     }
-    else
-        Py_INCREF(cycles_obj);
-    long long cycles = PyLong_AsLongLong(cycles_obj);
-    Py_DECREF(cycles_obj);
-    if (cycles == -1 && PyErr_Occurred()) {
-        Py_DECREF(size_obj);
+    Py_DECREF(size_obj);
+    if (cycles_obj == NULL)
         return NULL;
-    }
-    int error = 0;
-    PyObject *done_obj = NULL;
-    long long busy_until = get_ll_attr(link, str__busy_until, &error);
-    if (error)
-        goto fail;
-    long long busy_total = get_ll_attr(link, str__busy_total, &error);
-    if (error)
-        goto fail;
-    long long now = sched->now;
+    int overflow = 1;
+    if (PyLong_CheckExact(cycles_obj))
+        cycles = PyLong_AsLongLongAndOverflow(cycles_obj, &overflow);
+    Py_DECREF(cycles_obj);
+    long long now = self->sched->now;
+    long long done, total, count, carried;
+    /* Every read and check precedes the first write to the link, so an
+     * unusual value takes the pure closure with nothing changed (the memo
+     * it re-reads holds what it would have stored itself). */
+    if (overflow || !slot_ll(link, slots[LINK_BUSY_UNTIL], &busy_until) ||
+        !slot_ll(link, slots[LINK_BUSY_TOTAL], &busy_total) ||
+        !slot_ll(link, slots[LINK_MESSAGES], &messages) ||
+        !slot_ll(link, slots[LINK_BYTES], &bytes) ||
+        __builtin_add_overflow(now > busy_until ? now : busy_until, cycles,
+                               &done) ||
+        __builtin_add_overflow(busy_total, cycles, &total) ||
+        __builtin_add_overflow(messages, 1, &count) ||
+        __builtin_add_overflow(bytes, size, &carried))
+        return link_push_fallback(self, message);
     if (now > busy_until) {
         /* The link was idle: a new busy period opens. */
-        if (set_ll_attr(link, str__period_start, now) < 0 ||
-            set_ll_attr(link, str__period_prefix, busy_total) < 0)
-            goto fail;
-        busy_until = now;
+        PyObject *prefix = *SLOT_CELL(link, slots[LINK_BUSY_TOTAL]);
+        if (slot_store(link, slots[LINK_PERIOD_START],
+                       PyLong_FromLongLong(now)) < 0 ||
+            slot_store(link, slots[LINK_PERIOD_PREFIX], Py_NewRef(prefix)) <
+                0)
+            return NULL;
     }
-    long long done = busy_until + cycles;
-    done_obj = PyLong_FromLongLong(done);
-    if (done_obj == NULL)
-        goto fail;
-    if (PyObject_SetAttr(link, str__busy_until, done_obj) < 0)
-        goto fail;
-    if (set_ll_attr(link, str__busy_total, busy_total + cycles) < 0)
-        goto fail;
-    long long messages = get_ll_attr(link, str__messages, &error);
-    if (error)
-        goto fail;
-    if (set_ll_attr(link, str__messages, messages + 1) < 0)
-        goto fail;
-    long long bytes = get_ll_attr(link, str__bytes, &error);
-    if (error)
-        goto fail;
-    long long size = PyLong_AsLongLong(size_obj);
-    if (size == -1 && PyErr_Occurred())
-        goto fail;
-    if (set_ll_attr(link, str__bytes, bytes + size) < 0)
-        goto fail;
-    Py_DECREF(size_obj);
-    size_obj = NULL;
-    /* Push the delivery entry (done, seq, deliver, label, message). */
-    {
-        PyObject *seq = PyLong_FromLongLong(sched->sequence);
-        if (seq == NULL)
-            goto fail;
-        sched->sequence += 1;
-        PyObject *entry = PyTuple_Pack(5, done_obj, seq, self->deliver,
-                                       self->label, message);
-        Py_DECREF(seq);
-        if (entry == NULL)
-            goto fail;
-        int rc = push_entry(sched, done_obj, entry);
-        Py_DECREF(entry);
-        if (rc < 0)
-            goto fail;
+    PyObject *done_obj = PyLong_FromLongLong(done);
+    if (done_obj == NULL ||
+        slot_store(link, slots[LINK_BUSY_UNTIL], Py_NewRef(done_obj)) < 0 ||
+        slot_store(link, slots[LINK_BUSY_TOTAL], PyLong_FromLongLong(total)) <
+            0 ||
+        slot_store(link, slots[LINK_MESSAGES], PyLong_FromLongLong(count)) <
+            0 ||
+        slot_store(link, slots[LINK_BYTES], PyLong_FromLongLong(carried)) <
+            0 ||
+        push_fast(self->sched, done_obj, self->deliver, self->label,
+                     message) < 0) {
+        Py_XDECREF(done_obj);
+        return NULL;
     }
     Py_DECREF(done_obj);
     Py_RETURN_NONE;
-
-fail:
-    Py_XDECREF(size_obj);
-    Py_XDECREF(done_obj);
-    return NULL;
 }
 
 static PyTypeObject LinkPush_Type = {
@@ -1287,8 +1311,10 @@ static PyTypeObject LinkPush_Type = {
     .tp_name = "repro._core._cext.LinkPush",
     .tp_basicsize = sizeof(LinkPushObject),
     .tp_dealloc = (destructor)LinkPush_dealloc,
-    .tp_call = (ternaryfunc)LinkPush_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_vectorcall_offset = offsetof(LinkPushObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_doc = "Compiled unit-cost link-occupancy + delivery-push closure.",
     .tp_traverse = (traverseproc)LinkPush_traverse,
     .tp_clear = (inquiry)LinkPush_clear,
@@ -1303,11 +1329,15 @@ static PyTypeObject LinkPush_Type = {
 
 typedef struct {
     PyObject_HEAD
+    vectorcallfunc vectorcall;
     SchedulerObject *sched;
     long long delay;
     PyObject *callback;
     PyObject *label;
 } RelayObject;
+
+static PyObject *Relay_vectorcall(RelayObject *self, PyObject *const *args,
+                                  size_t nargsf, PyObject *kwnames);
 
 static int
 Relay_init(RelayObject *self, PyObject *args, PyObject *kwds)
@@ -1327,13 +1357,11 @@ Relay_init(RelayObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "Relay delay must be non-negative");
         return -1;
     }
-    Py_INCREF(sched);
-    Py_XSETREF(self->sched, (SchedulerObject *)sched);
+    Py_XSETREF(self->sched, (SchedulerObject *)Py_NewRef(sched));
     self->delay = delay;
-    Py_INCREF(callback);
-    Py_XSETREF(self->callback, callback);
-    Py_INCREF(label);
-    Py_XSETREF(self->label, label);
+    Py_XSETREF(self->callback, Py_NewRef(callback));
+    Py_XSETREF(self->label, Py_NewRef(label));
+    self->vectorcall = (vectorcallfunc)Relay_vectorcall;
     return 0;
 }
 
@@ -1363,46 +1391,18 @@ Relay_dealloc(RelayObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* `callback` is writable so relays can be chained into rings after
- * construction (the event-core benchmark measures the all-C hop ceiling
- * with a self-referential relay); `delay`/`label` are introspection aids. */
-static PyMemberDef Relay_members[] = {
-    {"callback", T_OBJECT_EX, offsetof(RelayObject, callback), 0,
-     "entry callback pushed by each relay hop"},
-    {"delay", T_LONGLONG, offsetof(RelayObject, delay), READONLY, NULL},
-    {"label", T_OBJECT_EX, offsetof(RelayObject, label), READONLY, NULL},
-    {NULL}
-};
-
 static PyObject *
-Relay_call(RelayObject *self, PyObject *args, PyObject *kwds)
+Relay_vectorcall(RelayObject *self, PyObject *const *args, size_t nargsf,
+                 PyObject *kwnames)
 {
-    PyObject *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError, "Relay takes no keyword arguments");
-        return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "Relay", 1, 1, &message))
+    if (!vectorcall_args("Relay", nargsf, kwnames, 1))
         return NULL;
     SchedulerObject *sched = self->sched;
     PyObject *time_obj = PyLong_FromLongLong(sched->now + self->delay);
     if (time_obj == NULL)
         return NULL;
-    PyObject *seq = PyLong_FromLongLong(sched->sequence);
-    if (seq == NULL) {
-        Py_DECREF(time_obj);
-        return NULL;
-    }
-    sched->sequence += 1;
-    PyObject *entry = PyTuple_Pack(5, time_obj, seq, self->callback,
-                                   self->label, message);
-    Py_DECREF(seq);
-    if (entry == NULL) {
-        Py_DECREF(time_obj);
-        return NULL;
-    }
-    int rc = push_entry(sched, time_obj, entry);
-    Py_DECREF(entry);
+    int rc = push_fast(sched, time_obj, self->callback, self->label,
+                          args[0]);
     Py_DECREF(time_obj);
     if (rc < 0)
         return NULL;
@@ -1414,13 +1414,338 @@ static PyTypeObject Relay_Type = {
     .tp_name = "repro._core._cext.Relay",
     .tp_basicsize = sizeof(RelayObject),
     .tp_dealloc = (destructor)Relay_dealloc,
-    .tp_call = (ternaryfunc)Relay_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_vectorcall_offset = offsetof(RelayObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_doc = "Compiled fixed-delay relay closure (push now+delay entry).",
     .tp_traverse = (traverseproc)Relay_traverse,
     .tp_clear = (inquiry)Relay_clear,
-    .tp_members = Relay_members,
     .tp_init = (initproc)Relay_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------- SwitchEnter
+ *
+ * The compiled form of TotallyOrderedNetwork._enter_switch: assign the
+ * message its total-order sequence number (the network's
+ * `_order_sequence`, read and written through its attributes), look up the
+ * resolved fan-out for (msg_type, recipients) in the network's memo, and
+ * append one (exit, seq, arrive, label, message) entry per recipient to
+ * the exit cycle's bucket.  A memo miss calls the network's `_fanout`
+ * method, which fills the memo exactly as the pure method does. */
+
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    SchedulerObject *sched;
+    PyObject *network;
+    PyObject *memo;    /* network._fanout_memo (dict) */
+} SwitchEnterObject;
+
+static PyObject *SwitchEnter_vectorcall(SwitchEnterObject *self,
+                                        PyObject *const *args, size_t nargsf,
+                                        PyObject *kwnames);
+
+static int
+SwitchEnter_init(SwitchEnterObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sched, *network;
+    static char *kwlist[] = {"scheduler", "network", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO", kwlist, &sched,
+                                     &network))
+        return -1;
+    if (!Scheduler_CheckExactBase(sched)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "SwitchEnter requires a compiled SchedulerBase");
+        return -1;
+    }
+    PyObject *memo = PyObject_GetAttr(network, str__fanout_memo);
+    if (memo == NULL)
+        return -1;
+    if (!PyDict_Check(memo)) {
+        PyErr_SetString(PyExc_TypeError, "fan-out memo must be a dict");
+        Py_DECREF(memo);
+        return -1;
+    }
+    Py_XSETREF(self->sched, (SchedulerObject *)Py_NewRef(sched));
+    Py_XSETREF(self->network, Py_NewRef(network));
+    Py_XSETREF(self->memo, memo);
+    self->vectorcall = (vectorcallfunc)SwitchEnter_vectorcall;
+    return 0;
+}
+
+static int
+SwitchEnter_traverse(SwitchEnterObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sched);
+    Py_VISIT(self->network);
+    Py_VISIT(self->memo);
+    return 0;
+}
+
+static int
+SwitchEnter_clear(SwitchEnterObject *self)
+{
+    Py_CLEAR(self->sched);
+    Py_CLEAR(self->network);
+    Py_CLEAR(self->memo);
+    return 0;
+}
+
+static void
+SwitchEnter_dealloc(SwitchEnterObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    SwitchEnter_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* The resolved fan-out for the message (new reference), NULL on error. */
+static PyObject *
+switch_fanout(SwitchEnterObject *self, PyObject *message)
+{
+    PyObject *fanout = NULL;
+    PyObject *msg_type = message_get(message, MSG_MSG_TYPE);
+    PyObject *recipients =
+        msg_type == NULL ? NULL : message_get(message, MSG_RECIPIENTS);
+    PyObject *key =
+        recipients == NULL ? NULL : PyTuple_Pack(2, msg_type, recipients);
+    if (key != NULL) {
+        fanout = PyDict_GetItemWithError(self->memo, key);
+        if (fanout != NULL)
+            Py_INCREF(fanout);
+        else if (!PyErr_Occurred()) {
+            PyObject *argv[3] = {self->network, msg_type, recipients};
+            fanout = PyObject_VectorcallMethod(
+                str__fanout, argv, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+        }
+    }
+    Py_XDECREF(key);
+    Py_XDECREF(recipients);
+    Py_XDECREF(msg_type);
+    if (fanout != NULL && !PyTuple_Check(fanout)) {
+        PyErr_SetString(PyExc_TypeError, "fan-out must be a tuple");
+        Py_CLEAR(fanout);
+    }
+    return fanout;
+}
+
+static PyObject *
+SwitchEnter_vectorcall(SwitchEnterObject *self, PyObject *const *args,
+                       size_t nargsf, PyObject *kwnames)
+{
+    if (!vectorcall_args("SwitchEnter", nargsf, kwnames, 1))
+        return NULL;
+    PyObject *message = args[0];
+    SchedulerObject *sched = self->sched;
+    PyObject *network = self->network;
+    /* message.order_seq = network._order_sequence; the counter += 1 */
+    PyObject *order = PyObject_GetAttr(network, str__order_sequence);
+    if (order == NULL)
+        return NULL;
+    PyObject *next = PyNumber_Add(order, int_one);
+    int rc = next == NULL ? -1 : message_set(message, MSG_ORDER_SEQ, order);
+    Py_DECREF(order);
+    if (rc == 0)
+        rc = PyObject_SetAttr(network, str__order_sequence, next);
+    Py_XDECREF(next);
+    if (rc < 0)
+        return NULL;
+    /* exit = scheduler.now + network.traversal_cycles */
+    PyObject *traversal = PyObject_GetAttr(network, str_traversal_cycles);
+    if (traversal == NULL)
+        return NULL;
+    PyObject *now = PyLong_FromLongLong(sched->now);
+    PyObject *time_obj = now == NULL ? NULL : PyNumber_Add(now, traversal);
+    Py_XDECREF(now);
+    Py_DECREF(traversal);
+    if (time_obj == NULL)
+        return NULL;
+    PyObject *fanout = switch_fanout(self, message);
+    if (fanout == NULL) {
+        Py_DECREF(time_obj);
+        return NULL;
+    }
+    /* All recipients arrive at the same cycle: resolve the bucket once and
+     * append the whole fan-out to it. */
+    PyObject *bucket = PyDict_GetItemWithError(sched->buckets, time_obj);
+    if (bucket != NULL)
+        Py_INCREF(bucket);
+    else if (!PyErr_Occurred()) {
+        bucket = PyList_New(0);
+        if (bucket != NULL &&
+            (PyDict_SetItem(sched->buckets, time_obj, bucket) < 0 ||
+             heap_push(sched->times, time_obj) < 0))
+            Py_CLEAR(bucket);
+    }
+    rc = bucket == NULL ? -1 : 0;
+    Py_ssize_t count = PyTuple_GET_SIZE(fanout);
+    for (Py_ssize_t i = 0; rc == 0 && i < count; i++) {
+        PyObject *pair = PyTuple_GET_ITEM(fanout, i);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "fan-out entries must be (callback, label) pairs");
+            rc = -1;
+            break;
+        }
+        PyObject *seq = PyLong_FromLongLong(sched->sequence);
+        if (seq == NULL) {
+            rc = -1;
+            break;
+        }
+        sched->sequence += 1;
+        PyObject *entry =
+            PyTuple_Pack(5, time_obj, seq, PyTuple_GET_ITEM(pair, 0),
+                         PyTuple_GET_ITEM(pair, 1), message);
+        Py_DECREF(seq);
+        rc = entry == NULL ? -1 : PyList_Append(bucket, entry);
+        Py_XDECREF(entry);
+    }
+    Py_XDECREF(bucket);
+    Py_DECREF(time_obj);
+    Py_DECREF(fanout);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyTypeObject SwitchEnter_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._core._cext.SwitchEnter",
+    .tp_basicsize = sizeof(SwitchEnterObject),
+    .tp_dealloc = (destructor)SwitchEnter_dealloc,
+    .tp_vectorcall_offset = offsetof(SwitchEnterObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Compiled ordered-network switch entry (order + fan-out).",
+    .tp_traverse = (traverseproc)SwitchEnter_traverse,
+    .tp_clear = (inquiry)SwitchEnter_clear,
+    .tp_init = (initproc)SwitchEnter_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* --------------------------------------------------------- UnorderedArrive
+ *
+ * The compiled form of UnorderedNetwork._arrive, the target of every
+ * unordered Relay: look up the (msg_type, dest, dest_unit) delivery entry
+ * in the network's `_deliver_entries` (a miss calls the network's
+ * `_compile_delivery` method, which fills it) and call the entry's
+ * occupy-and-schedule push. */
+
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    PyObject *network;
+    PyObject *entries; /* network._deliver_entries (dict) */
+} UnorderedArriveObject;
+
+static PyObject *UnorderedArrive_vectorcall(UnorderedArriveObject *self,
+                                            PyObject *const *args,
+                                            size_t nargsf, PyObject *kwnames);
+
+static int
+UnorderedArrive_init(UnorderedArriveObject *self, PyObject *args,
+                     PyObject *kwds)
+{
+    PyObject *network;
+    static char *kwlist[] = {"network", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &network))
+        return -1;
+    PyObject *entries = PyObject_GetAttr(network, str__deliver_entries);
+    if (entries == NULL)
+        return -1;
+    if (!PyDict_Check(entries)) {
+        PyErr_SetString(PyExc_TypeError, "delivery entries must be a dict");
+        Py_DECREF(entries);
+        return -1;
+    }
+    Py_XSETREF(self->network, Py_NewRef(network));
+    Py_XSETREF(self->entries, entries);
+    self->vectorcall = (vectorcallfunc)UnorderedArrive_vectorcall;
+    return 0;
+}
+
+static int
+UnorderedArrive_traverse(UnorderedArriveObject *self, visitproc visit,
+                         void *arg)
+{
+    Py_VISIT(self->network);
+    Py_VISIT(self->entries);
+    return 0;
+}
+
+static int
+UnorderedArrive_clear(UnorderedArriveObject *self)
+{
+    Py_CLEAR(self->network);
+    Py_CLEAR(self->entries);
+    return 0;
+}
+
+static void
+UnorderedArrive_dealloc(UnorderedArriveObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    UnorderedArrive_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+UnorderedArrive_vectorcall(UnorderedArriveObject *self, PyObject *const *args,
+                           size_t nargsf, PyObject *kwnames)
+{
+    if (!vectorcall_args("UnorderedArrive", nargsf, kwnames, 1))
+        return NULL;
+    PyObject *message = args[0];
+    PyObject *entry = NULL;
+    /* argv[0] is the network, for the _compile_delivery call on a miss. */
+    PyObject *argv[4] = {self->network, message_get(message, MSG_MSG_TYPE),
+                         NULL, NULL};
+    if (argv[1] != NULL)
+        argv[2] = message_get(message, MSG_DEST);
+    if (argv[2] != NULL)
+        argv[3] = message_get(message, MSG_DEST_UNIT);
+    if (argv[3] != NULL) {
+        PyObject *key = PyTuple_Pack(3, argv[1], argv[2], argv[3]);
+        if (key != NULL) {
+            entry = PyDict_GetItemWithError(self->entries, key);
+            if (entry != NULL)
+                Py_INCREF(entry);
+            else if (!PyErr_Occurred())
+                entry = PyObject_VectorcallMethod(
+                    str__compile_delivery, argv,
+                    4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+            Py_DECREF(key);
+        }
+    }
+    for (int i = 1; i < 4; i++)
+        Py_XDECREF(argv[i]);
+    if (entry == NULL)
+        return NULL;
+    PyObject *occupy = PySequence_GetItem(entry, 2);
+    Py_DECREF(entry);
+    if (occupy == NULL)
+        return NULL;
+    PyObject *result = PyObject_CallOneArg(occupy, message);
+    Py_DECREF(occupy);
+    return result;
+}
+
+static PyTypeObject UnorderedArrive_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._core._cext.UnorderedArrive",
+    .tp_basicsize = sizeof(UnorderedArriveObject),
+    .tp_dealloc = (destructor)UnorderedArrive_dealloc,
+    .tp_vectorcall_offset = offsetof(UnorderedArriveObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Compiled unordered-network arrival (delivery-entry lookup).",
+    .tp_traverse = (traverseproc)UnorderedArrive_traverse,
+    .tp_clear = (inquiry)UnorderedArrive_clear,
+    .tp_init = (initproc)UnorderedArrive_init,
     .tp_new = PyType_GenericNew,
 };
 
@@ -1443,102 +1768,9 @@ cext_sched_push(PyObject *Py_UNUSED(module), PyObject *const *args,
                         "sched_push requires a compiled SchedulerBase");
         return NULL;
     }
-    SchedulerObject *sched = (SchedulerObject *)args[0];
-    PyObject *seq = PyLong_FromLongLong(sched->sequence);
-    if (seq == NULL)
+    if (push_fast((SchedulerObject *)args[0], args[1], args[2], args[3],
+                     args[4]) < 0)
         return NULL;
-    sched->sequence += 1;
-    PyObject *entry =
-        PyTuple_Pack(5, args[1], seq, args[2], args[3], args[4]);
-    Py_DECREF(seq);
-    if (entry == NULL)
-        return NULL;
-    int rc = push_entry(sched, args[1], entry);
-    Py_DECREF(entry);
-    if (rc < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* fanout_push(scheduler, time, fanout, message):
- * the ordered network's switch fan-out — resolve the bucket once and append
- * one (time, seq, callback, label, message) entry per (callback, label)
- * pair, in order. */
-static PyObject *
-cext_fanout_push(PyObject *Py_UNUSED(module), PyObject *const *args,
-                 Py_ssize_t nargs)
-{
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fanout_push expects (scheduler, time, fanout, "
-                        "message)");
-        return NULL;
-    }
-    if (!Scheduler_CheckExactBase(args[0])) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fanout_push requires a compiled SchedulerBase");
-        return NULL;
-    }
-    SchedulerObject *sched = (SchedulerObject *)args[0];
-    PyObject *time_obj = args[1];
-    PyObject *fanout = args[2];
-    PyObject *message = args[3];
-    if (!PyTuple_Check(fanout)) {
-        PyErr_SetString(PyExc_TypeError, "fanout must be a tuple");
-        return NULL;
-    }
-    PyObject *bucket = PyDict_GetItemWithError(sched->buckets, time_obj);
-    int fresh = 0;
-    if (bucket == NULL) {
-        if (PyErr_Occurred())
-            return NULL;
-        bucket = PyList_New(0);
-        if (bucket == NULL)
-            return NULL;
-        if (PyDict_SetItem(sched->buckets, time_obj, bucket) < 0) {
-            Py_DECREF(bucket);
-            return NULL;
-        }
-        if (heap_push(sched->times, time_obj) < 0) {
-            Py_DECREF(bucket);
-            return NULL;
-        }
-        fresh = 1;
-    }
-    else
-        Py_INCREF(bucket);
-    Py_ssize_t count = PyTuple_GET_SIZE(fanout);
-    for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *pair = PyTuple_GET_ITEM(fanout, i);
-        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
-            PyErr_SetString(PyExc_TypeError,
-                            "fanout entries must be (callback, label) pairs");
-            Py_DECREF(bucket);
-            return NULL;
-        }
-        PyObject *seq = PyLong_FromLongLong(sched->sequence);
-        if (seq == NULL) {
-            Py_DECREF(bucket);
-            return NULL;
-        }
-        sched->sequence += 1;
-        PyObject *entry =
-            PyTuple_Pack(5, time_obj, seq, PyTuple_GET_ITEM(pair, 0),
-                         PyTuple_GET_ITEM(pair, 1), message);
-        Py_DECREF(seq);
-        if (entry == NULL) {
-            Py_DECREF(bucket);
-            return NULL;
-        }
-        int rc = PyList_Append(bucket, entry);
-        Py_DECREF(entry);
-        if (rc < 0) {
-            Py_DECREF(bucket);
-            return NULL;
-        }
-    }
-    Py_DECREF(bucket);
-    (void)fresh;
     Py_RETURN_NONE;
 }
 
@@ -1561,9 +1793,8 @@ static PyMethodDef cext_methods[] = {
     {"sched_push", (PyCFunction)(void (*)(void))cext_sched_push,
      METH_FASTCALL,
      "Push one (time, seq, callback, label, message) fast-path entry."},
-    {"fanout_push", (PyCFunction)(void (*)(void))cext_fanout_push,
-     METH_FASTCALL,
-     "Append a whole fan-out of fast-path entries to one bucket."},
+    {"_init_message", cext_init_message, METH_O,
+     "Resolve the slots of the Message fields the compiled objects read."},
     {"_init_classes", cext_init_classes, METH_VARARGS,
      "Inject the Event and SimulationError classes."},
     {NULL}
@@ -1581,7 +1812,9 @@ PyMODINIT_FUNC
 PyInit__cext(void)
 {
     if (PyType_Ready(&Scheduler_Type) < 0 ||
-        PyType_Ready(&LinkPush_Type) < 0 || PyType_Ready(&Relay_Type) < 0)
+        PyType_Ready(&LinkPush_Type) < 0 || PyType_Ready(&Relay_Type) < 0 ||
+        PyType_Ready(&SwitchEnter_Type) < 0 ||
+        PyType_Ready(&UnorderedArrive_Type) < 0)
         return NULL;
 
 #define INTERN(var, text)                                                      \
@@ -1596,18 +1829,22 @@ PyInit__cext(void)
     INTERN(str_callback, "callback");
     INTERN(str_label, "label");
     INTERN(str__compact, "_compact");
-    INTERN(str_size_bytes, "size_bytes");
-    INTERN(str__busy_until, "_busy_until");
-    INTERN(str__busy_total, "_busy_total");
-    INTERN(str__messages, "_messages");
-    INTERN(str__bytes, "_bytes");
     INTERN(str_occupancy_cycles, "occupancy_cycles");
     INTERN(str__occupancy_cache, "_occupancy_cache");
-    INTERN(str__period_start, "_period_start");
-    INTERN(str__period_prefix, "_period_prefix");
+    INTERN(str__order_sequence, "_order_sequence");
+    INTERN(str_traversal_cycles, "traversal_cycles");
+    INTERN(str__fanout_memo, "_fanout_memo");
+    INTERN(str__fanout, "_fanout");
+    INTERN(str__deliver_entries, "_deliver_entries");
+    INTERN(str__compile_delivery, "_compile_delivery");
+    INTERN(empty_string, "");
+    for (int i = 0; i < LINK_SLOTS; i++)
+        INTERN(link_slot_names[i], link_slot_text[i]);
+    for (int i = 0; i < MSG_FIELDS; i++)
+        INTERN(core_message_names[i], message_field_text[i]);
 #undef INTERN
-    empty_string = PyUnicode_InternFromString("");
-    if (empty_string == NULL)
+    int_one = PyLong_FromLong(1);
+    if (int_one == NULL)
         return NULL;
 
     PyObject *module = PyModule_Create(&cext_module);
@@ -1619,6 +1856,10 @@ PyInit__cext(void)
         PyModule_AddObjectRef(module, "LinkPush",
                               (PyObject *)&LinkPush_Type) < 0 ||
         PyModule_AddObjectRef(module, "Relay", (PyObject *)&Relay_Type) < 0 ||
+        PyModule_AddObjectRef(module, "SwitchEnter",
+                              (PyObject *)&SwitchEnter_Type) < 0 ||
+        PyModule_AddObjectRef(module, "UnorderedArrive",
+                              (PyObject *)&UnorderedArrive_Type) < 0 ||
         chandlers_add_types(module) < 0 || issue_add_types(module) < 0) {
         Py_DECREF(module);
         return NULL;

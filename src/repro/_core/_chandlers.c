@@ -25,6 +25,8 @@
  * block store's raw dict, the directory's entry dict, the node's home
  * memo) plus stable bound methods, and hold no statistics handles — cold
  * paths count through controller.count(), exactly like the pure handlers.
+ * Message fields are read through message_get() (_core.h): by slot for the
+ * stock Message, by attribute for anything else.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -46,13 +48,8 @@ static PyObject *ST_INVALID = NULL;
 static long long MEMORY_OWNER_ID = -1;
 
 /* Interned attribute / counter names (module lifetime). */
-static PyObject *s_requester;
 static PyObject *s_address;
 static PyObject *s_transaction_id;
-static PyObject *s_is_retry;
-static PyObject *s_order_seq;
-static PyObject *s_recipients;
-static PyObject *s_original_type;
 static PyObject *s_completed;
 static PyObject *s_retries_observed;
 static PyObject *s_marker_seen;
@@ -113,6 +110,36 @@ static long long
 attr_ll(PyObject *obj, PyObject *name, int *error)
 {
     PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL) {
+        *error = 1;
+        return -1;
+    }
+    long long result = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    if (result == -1 && PyErr_Occurred()) {
+        *error = 1;
+        return -1;
+    }
+    return result;
+}
+
+/* The truth value of a message field; -1 with error set, else 0/1. */
+static int
+message_truth(PyObject *message, int field)
+{
+    PyObject *value = message_get(message, field);
+    if (value == NULL)
+        return -1;
+    int result = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return result;
+}
+
+/* An int message field as long long; sets *error on failure. */
+static long long
+message_ll(PyObject *message, int field, int *error)
+{
+    PyObject *value = message_get(message, field);
     if (value == NULL) {
         *error = 1;
         return -1;
@@ -206,7 +233,7 @@ record_marker(PyObject *transaction, PyObject *message)
 {
     if (PyObject_SetAttr(transaction, s_marker_seen, Py_True) < 0)
         return -1;
-    PyObject *seq = PyObject_GetAttr(message, s_order_seq);
+    PyObject *seq = message_get(message, MSG_ORDER_SEQ);
     if (seq == NULL)
         return -1;
     int rc = PyObject_SetAttr(transaction, s_effective_order_seq, seq);
@@ -220,7 +247,7 @@ record_marker(PyObject *transaction, PyObject *message)
 static PyObject *
 request_kind(PyObject *message, PyObject *fallback, int *error)
 {
-    PyObject *original = PyObject_GetAttr(message, s_original_type);
+    PyObject *original = message_get(message, MSG_ORIGINAL_TYPE);
     if (original == NULL) {
         *error = 1;
         return NULL;
@@ -250,6 +277,7 @@ request_kind(PyObject *message, PyObject *fallback, int *error)
 
 typedef struct DataDeliver {
     PyObject_HEAD
+    vectorcallfunc vectorcall;
     int directory;              /* 1: Directory DATA entry; 0: Snooping/BASH */
     PyObject *controller;       /* cache controller (count() calls) */
     PyObject *transactions;     /* controller.transactions (dict) */
@@ -535,7 +563,7 @@ data_try_complete(DataDeliverObject *self, PyObject *transaction)
 static int
 data_deliver(DataDeliverObject *self, PyObject *message)
 {
-    PyObject *address = PyObject_GetAttr(message, s_address);
+    PyObject *address = message_get(message, MSG_ADDRESS);
     if (address == NULL)
         return -1;
     PyObject *transaction =
@@ -553,7 +581,7 @@ data_deliver(DataDeliverObject *self, PyObject *message)
         if (t_id == NULL)
             stale = -1;
         else {
-            PyObject *m_id = PyObject_GetAttr(message, s_transaction_id);
+            PyObject *m_id = message_get(message, MSG_TRANSACTION_ID);
             if (m_id == NULL)
                 stale = -1;
             else {
@@ -582,7 +610,7 @@ data_deliver(DataDeliverObject *self, PyObject *message)
         Py_DECREF(address);
         return call_discard1(self->fallback, message);
     }
-    PyObject *token = PyObject_GetAttr(message, s_data_token);
+    PyObject *token = message_get(message, MSG_DATA_TOKEN);
     if (token == NULL)
         goto fail;
     int rc = PyObject_SetAttr(transaction, s_data_received, Py_True) < 0 ||
@@ -635,6 +663,10 @@ fail:
     Py_DECREF(address);
     return -1;
 }
+
+static PyObject *DataDeliver_vectorcall(DataDeliverObject *self,
+                                        PyObject *const *args, size_t nargsf,
+                                        PyObject *kwnames);
 
 static int
 DataDeliver_init(DataDeliverObject *self, PyObject *args, PyObject *kwds)
@@ -697,6 +729,7 @@ DataDeliver_init(DataDeliverObject *self, PyObject *args, PyObject *kwds)
     STORE_OPT(arena_release, arena_release);
     STORE_OPT(message_release, message_release);
 #undef STORE_OPT
+    self->vectorcall = (vectorcallfunc)DataDeliver_vectorcall;
     return 0;
 }
 
@@ -745,16 +778,12 @@ DataDeliver_dealloc(DataDeliverObject *self)
 }
 
 static PyObject *
-DataDeliver_call(DataDeliverObject *self, PyObject *args, PyObject *kwds)
+DataDeliver_vectorcall(DataDeliverObject *self, PyObject *const *args,
+                       size_t nargsf, PyObject *kwnames)
 {
-    PyObject *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "DataDeliver takes no keyword arguments");
+    if (!vectorcall_args("DataDeliver", nargsf, kwnames, 1))
         return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "DataDeliver", 1, 1, &message))
-        return NULL;
+    PyObject *message = args[0];
     if (data_deliver(self, message) < 0)
         return NULL;
     /* The unordered network's deliver-and-release wrapper, folded in: a
@@ -782,8 +811,10 @@ static PyTypeObject DataDeliver_Type = {
     .tp_name = "repro._core._cext.DataDeliver",
     .tp_basicsize = sizeof(DataDeliverObject),
     .tp_dealloc = (destructor)DataDeliver_dealloc,
-    .tp_call = (ternaryfunc)DataDeliver_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_vectorcall_offset = offsetof(DataDeliverObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_doc = "Compiled unordered DATA delivery entry.",
     .tp_traverse = (traverseproc)DataDeliver_traverse,
     .tp_clear = (inquiry)DataDeliver_clear,
@@ -813,6 +844,7 @@ static PyTypeObject DataDeliver_Type = {
 
 typedef struct {
     PyObject_HEAD
+    vectorcallfunc vectorcall;
     PyObject *msg_kind;       /* MessageType.GETS or .GETM */
     long long node_id;
     int bash;                 /* owner-side sufficiency check enabled */
@@ -838,6 +870,10 @@ typedef struct {
     PyObject *completer;      /* DataDeliver for upgrade-at-marker, or NULL */
     PyObject *mem_serve;      /* MemServe C data serve (_issue.c), or NULL */
 } SnoopDeliverObject;
+
+static PyObject *SnoopDeliver_vectorcall(SnoopDeliverObject *self,
+                                         PyObject *const *args, size_t nargsf,
+                                         PyObject *kwnames);
 
 static int
 SnoopDeliver_init(SnoopDeliverObject *self, PyObject *args, PyObject *kwds)
@@ -951,6 +987,7 @@ SnoopDeliver_init(SnoopDeliverObject *self, PyObject *args, PyObject *kwds)
     STORE_OPT(completer, completer);
     STORE_OPT(mem_serve, mem_serve);
 #undef STORE_OPT
+    self->vectorcall = (vectorcallfunc)SnoopDeliver_vectorcall;
     return 0;
 }
 
@@ -1015,7 +1052,7 @@ own_sufficient_bash(SnoopDeliverObject *self, PyObject *transaction,
     PyObject *tracked = PyObject_GetAttr(block, s_tracked_sharers);
     if (tracked == NULL)
         return -1;
-    PyObject *recipients = PyObject_GetAttr(message, s_recipients);
+    PyObject *recipients = message_get(message, MSG_RECIPIENTS);
     if (recipients == NULL) {
         Py_DECREF(tracked);
         return -1;
@@ -1051,7 +1088,7 @@ snoop_own(SnoopDeliverObject *self, PyObject *message, PyObject *address)
     PyObject *t_id = PyObject_GetAttr(transaction, s_transaction_id);
     if (t_id == NULL)
         goto fail;
-    PyObject *m_id = PyObject_GetAttr(message, s_transaction_id);
+    PyObject *m_id = message_get(message, MSG_TRANSACTION_ID);
     if (m_id == NULL) {
         Py_DECREF(t_id);
         goto fail;
@@ -1065,7 +1102,7 @@ snoop_own(SnoopDeliverObject *self, PyObject *message, PyObject *address)
         Py_DECREF(transaction);
         return count_stat(self->controller, s_stale_own_requests);
     }
-    int retry = attr_truth(message, s_is_retry);
+    int retry = message_truth(message, MSG_IS_RETRY);
     if (retry < 0)
         goto fail;
     if (retry) {
@@ -1232,7 +1269,7 @@ home_serve(SnoopDeliverObject *self, PyObject *message, PyObject *address,
     if (self->mem_bash) {
         /* a returning BASH retry frees a retry-buffer slot: replay the
          * whole request in Python so the decrement happens exactly once */
-        int retry = attr_truth(message, s_is_retry);
+        int retry = message_truth(message, MSG_IS_RETRY);
         if (retry < 0)
             return -1;
         if (retry)
@@ -1279,7 +1316,7 @@ home_serve(SnoopDeliverObject *self, PyObject *message, PyObject *address,
     if (self->mem_bash) {
         /* DirectoryEntry.is_sufficient: every needed node (sharers plus a
          * cache owner, minus the requester) must be a recipient. */
-        PyObject *recipients = PyObject_GetAttr(message, s_recipients);
+        PyObject *recipients = message_get(message, MSG_RECIPIENTS);
         if (recipients == NULL)
             goto done;
         int sufficient;
@@ -1342,7 +1379,7 @@ home_serve(SnoopDeliverObject *self, PyObject *message, PyObject *address,
     }
     if (is_getm) {
         /* entry.grant_exclusive(requester) */
-        PyObject *req_obj = PyObject_GetAttr(message, s_requester);
+        PyObject *req_obj = message_get(message, MSG_REQUESTER);
         if (req_obj == NULL)
             goto done;
         int set_rc = PyObject_SetAttr(entry, s_owner, req_obj);
@@ -1352,7 +1389,7 @@ home_serve(SnoopDeliverObject *self, PyObject *message, PyObject *address,
     }
     else if (requester != owner) {
         /* entry.add_sharer(requester) */
-        PyObject *req_obj = PyObject_GetAttr(message, s_requester);
+        PyObject *req_obj = message_get(message, MSG_REQUESTER);
         if (req_obj == NULL)
             goto done;
         int add_rc = PySet_Add(sharers, req_obj);
@@ -1413,21 +1450,17 @@ snoop_home(SnoopDeliverObject *self, PyObject *message, PyObject *address,
 }
 
 static PyObject *
-SnoopDeliver_call(SnoopDeliverObject *self, PyObject *args, PyObject *kwds)
+SnoopDeliver_vectorcall(SnoopDeliverObject *self, PyObject *const *args,
+                        size_t nargsf, PyObject *kwnames)
 {
-    PyObject *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "SnoopDeliver takes no keyword arguments");
+    if (!vectorcall_args("SnoopDeliver", nargsf, kwnames, 1))
         return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "SnoopDeliver", 1, 1, &message))
-        return NULL;
-    PyObject *address = PyObject_GetAttr(message, s_address);
+    PyObject *message = args[0];
+    PyObject *address = message_get(message, MSG_ADDRESS);
     if (address == NULL)
         return NULL;
     int error = 0;
-    long long requester = attr_ll(message, s_requester, &error);
+    long long requester = message_ll(message, MSG_REQUESTER, &error);
     if (error) {
         Py_DECREF(address);
         return NULL;
@@ -1450,8 +1483,10 @@ static PyTypeObject SnoopDeliver_Type = {
     .tp_name = "repro._core._cext.SnoopDeliver",
     .tp_basicsize = sizeof(SnoopDeliverObject),
     .tp_dealloc = (destructor)SnoopDeliver_dealloc,
-    .tp_call = (ternaryfunc)SnoopDeliver_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_vectorcall_offset = offsetof(SnoopDeliverObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_doc = "Compiled snoop-and-home delivery entry for one GETS/GETM type.",
     .tp_traverse = (traverseproc)SnoopDeliver_traverse,
     .tp_clear = (inquiry)SnoopDeliver_clear,
@@ -1470,6 +1505,7 @@ static PyTypeObject SnoopDeliver_Type = {
 
 typedef struct {
     PyObject_HEAD
+    vectorcallfunc vectorcall;
     int forward; /* 1: FWD_GETS/FWD_GETM entry; 0: MARKER entry */
     long long node_id;
     PyObject *controller;   /* cache controller (count() calls) */
@@ -1478,6 +1514,10 @@ typedef struct {
     PyObject *try_complete; /* bound _try_complete */
     PyObject *completer;    /* DataDeliver for marker completion, or NULL */
 } DirDeliverObject;
+
+static PyObject *DirDeliver_vectorcall(DirDeliverObject *self,
+                                       PyObject *const *args, size_t nargsf,
+                                       PyObject *kwnames);
 
 static int
 DirDeliver_init(DirDeliverObject *self, PyObject *args, PyObject *kwds)
@@ -1521,6 +1561,7 @@ DirDeliver_init(DirDeliverObject *self, PyObject *args, PyObject *kwds)
     PyObject *comp = completer == Py_None ? NULL : completer;
     Py_XINCREF(comp);
     Py_XSETREF(self->completer, comp);
+    self->vectorcall = (vectorcallfunc)DirDeliver_vectorcall;
     return 0;
 }
 
@@ -1555,19 +1596,15 @@ DirDeliver_dealloc(DirDeliverObject *self)
 }
 
 static PyObject *
-DirDeliver_call(DirDeliverObject *self, PyObject *args, PyObject *kwds)
+DirDeliver_vectorcall(DirDeliverObject *self, PyObject *const *args,
+                      size_t nargsf, PyObject *kwnames)
 {
-    PyObject *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "DirDeliver takes no keyword arguments");
+    if (!vectorcall_args("DirDeliver", nargsf, kwnames, 1))
         return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "DirDeliver", 1, 1, &message))
-        return NULL;
+    PyObject *message = args[0];
     if (self->forward) {
         int error = 0;
-        long long requester = attr_ll(message, s_requester, &error);
+        long long requester = message_ll(message, MSG_REQUESTER, &error);
         if (error)
             return NULL;
         if (requester != self->node_id) {
@@ -1577,7 +1614,7 @@ DirDeliver_call(DirDeliverObject *self, PyObject *args, PyObject *kwds)
         }
     }
     /* _handle_marker (and the own-forward half of _handle_forward) */
-    PyObject *address = PyObject_GetAttr(message, s_address);
+    PyObject *address = message_get(message, MSG_ADDRESS);
     if (address == NULL)
         return NULL;
     PyObject *transaction = PyDict_GetItemWithError(self->transactions, address);
@@ -1593,7 +1630,7 @@ DirDeliver_call(DirDeliverObject *self, PyObject *args, PyObject *kwds)
     PyObject *t_id = PyObject_GetAttr(transaction, s_transaction_id);
     if (t_id == NULL)
         goto fail;
-    PyObject *m_id = PyObject_GetAttr(message, s_transaction_id);
+    PyObject *m_id = message_get(message, MSG_TRANSACTION_ID);
     if (m_id == NULL) {
         Py_DECREF(t_id);
         goto fail;
@@ -1646,8 +1683,10 @@ static PyTypeObject DirDeliver_Type = {
     .tp_name = "repro._core._cext.DirDeliver",
     .tp_basicsize = sizeof(DirDeliverObject),
     .tp_dealloc = (destructor)DirDeliver_dealloc,
-    .tp_call = (ternaryfunc)DirDeliver_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_vectorcall_offset = offsetof(DirDeliverObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_doc = "Compiled Directory MARKER/forward delivery entry.",
     .tp_traverse = (traverseproc)DirDeliver_traverse,
     .tp_clear = (inquiry)DirDeliver_clear,
@@ -1684,14 +1723,13 @@ static PyTypeObject DirDeliver_Type = {
  * products equal their C double forms only inside this range. */
 #define EXACT_DOUBLE_INT (1LL << 53)
 
-#define SLOT_CELL(obj, offset) ((PyObject **)((char *)(obj) + (offset)))
-
 enum { LINK_BUSY_UNTIL, LINK_BUSY_TOTAL, LINK_PERIOD_START, LINK_PERIOD_PREFIX,
        LINK_SLOTS };
 enum { MEAN_COUNT, MEAN_TOTAL, MEAN_MEAN, MEAN_M2, MEAN_MINIMUM, MEAN_MAXIMUM,
        MEAN_SLOTS };
 enum { SAMPLE_TIME, SAMPLE_UTILIZATION, SAMPLE_COUNTER, SAMPLE_POLICY,
        SAMPLE_PROBABILITY, SAMPLE_SLOTS };
+enum { POLICY_VALUE, POLICY_MAXIMUM, POLICY_SLOTS };
 
 /* Slot names, interned at module init (a type's attribute cache keeps
  * the looked-up name alive, so lookups must not mint fresh strings). */
@@ -1702,15 +1740,17 @@ static const char *mean_slot_text[MEAN_SLOTS] = {
 static const char *sample_slot_text[SAMPLE_SLOTS] = {
     "time", "utilization", "utilization_counter", "policy_counter",
     "unicast_probability"};
+static const char *policy_slot_text[POLICY_SLOTS] = {"_value", "_maximum"};
 static PyObject *link_slot_names[LINK_SLOTS];
 static PyObject *mean_slot_names[MEAN_SLOTS];
 static PyObject *sample_slot_names[SAMPLE_SLOTS];
-static PyObject *s__value;
-static PyObject *s__maximum;
+static PyObject *policy_slot_names[POLICY_SLOTS];
+static SlotLayout link_layout, mean_layout, sample_layout, policy_layout;
 static PyObject *s_append;
 
 typedef struct {
     PyObject_HEAD
+    vectorcallfunc vectorcall;
     long long busy_delta;      /* q - p: added per busy cycle */
     long long idle_delta;      /* p: subtracted per idle cycle */
     PyObject *controller;      /* BashCacheController (window attrs) */
@@ -1728,86 +1768,30 @@ typedef struct {
     Py_ssize_t link_slots[LINK_SLOTS];
     Py_ssize_t mean_slots[MEAN_SLOTS];
     Py_ssize_t sample_slots[SAMPLE_SLOTS];
-    Py_ssize_t policy_value;   /* UnsignedSaturatingCounter._value */
-    Py_ssize_t policy_maximum; /* UnsignedSaturatingCounter._maximum */
+    Py_ssize_t policy_slots[POLICY_SLOTS]; /* UnsignedSaturatingCounter */
 } BashSampleObject;
+
+static PyObject *BashSample_vectorcall(BashSampleObject *self,
+                                       PyObject *const *args, size_t nargsf,
+                                       PyObject *kwnames);
+
+/* Resolve `names` on `cls` through the class's layout cache and copy the
+ * offsets out; 0 / -1 with TypeError for a class without those slots. */
+static int
+copy_slots(SlotLayout *layout, PyTypeObject *cls, PyObject *const *names,
+           int count, Py_ssize_t *offsets)
+{
+    if (slot_layout_required(layout, cls, names, count) < 0)
+        return -1;
+    memcpy(offsets, layout->offsets, count * sizeof(Py_ssize_t));
+    return 0;
+}
 
 static PyObject *s__window_start;
 static PyObject *s__window_busy_in;
 static PyObject *s__window_busy_out;
 static PyObject *s__sampling_interval;
 static PyObject *sample_empty_tuple;
-
-/* The byte offset of the writable object slot `name` of class `cls`, or
- * -1 with TypeError set when `name` is anything else. */
-static Py_ssize_t
-slot_offset(PyObject *cls, PyObject *name)
-{
-    PyObject *descr = PyObject_GetAttr(cls, name);
-    if (descr == NULL)
-        return -1;
-    Py_ssize_t offset = -1;
-    if (Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
-        PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
-        if (member->type == T_OBJECT_EX && !(member->flags & READONLY))
-            offset = member->offset;
-    }
-    Py_DECREF(descr);
-    if (offset < 0)
-        PyErr_Format(PyExc_TypeError, "%R has no object slot %R", cls, name);
-    return offset;
-}
-
-static int
-slot_offsets(PyObject *cls, PyObject **names, int count,
-             Py_ssize_t *offsets)
-{
-    for (int i = 0; i < count; i++) {
-        offsets[i] = slot_offset(cls, names[i]);
-        if (offsets[i] < 0)
-            return -1;
-    }
-    return 0;
-}
-
-/* An int slot as long long; 0 when unset, not an exact int or too big. */
-static int
-slot_ll(PyObject *obj, Py_ssize_t offset, long long *out)
-{
-    PyObject *value = *SLOT_CELL(obj, offset);
-    if (value == NULL || !PyLong_CheckExact(value))
-        return 0;
-    *out = PyLong_AsLongLong(value);
-    if (*out == -1 && PyErr_Occurred()) {
-        PyErr_Clear();
-        return 0;
-    }
-    return 1;
-}
-
-/* A float slot; 0 when unset or not an exact float. */
-static int
-slot_double(PyObject *obj, Py_ssize_t offset, double *out)
-{
-    PyObject *value = *SLOT_CELL(obj, offset);
-    if (value == NULL || !PyFloat_CheckExact(value))
-        return 0;
-    *out = PyFloat_AS_DOUBLE(value);
-    return 1;
-}
-
-/* Store a new reference (stolen; NULL is an error passed through). */
-static int
-slot_store(PyObject *obj, Py_ssize_t offset, PyObject *value)
-{
-    if (value == NULL)
-        return -1;
-    PyObject **cell = SLOT_CELL(obj, offset);
-    PyObject *old = *cell;
-    *cell = value;
-    Py_XDECREF(old);
-    return 0;
-}
 
 static int
 BashSample_init(BashSampleObject *self, PyObject *args, PyObject *kwds)
@@ -1846,19 +1830,14 @@ BashSample_init(BashSampleObject *self, PyObject *args, PyObject *kwds)
                         "counter deltas must be small non-negative ints");
         return -1;
     }
-    if (slot_offsets((PyObject *)Py_TYPE(link_in), link_slot_names,
-                     LINK_SLOTS, self->link_slots) < 0 ||
-        slot_offsets((PyObject *)Py_TYPE(mean_node), mean_slot_names,
-                     MEAN_SLOTS, self->mean_slots) < 0 ||
-        slot_offsets(sample_cls, sample_slot_names, SAMPLE_SLOTS,
-                     self->sample_slots) < 0)
-        return -1;
-    self->policy_value = slot_offset((PyObject *)Py_TYPE(policy), s__value);
-    if (self->policy_value < 0)
-        return -1;
-    self->policy_maximum =
-        slot_offset((PyObject *)Py_TYPE(policy), s__maximum);
-    if (self->policy_maximum < 0)
+    if (copy_slots(&link_layout, Py_TYPE(link_in), link_slot_names,
+                   LINK_SLOTS, self->link_slots) < 0 ||
+        copy_slots(&mean_layout, Py_TYPE(mean_node), mean_slot_names,
+                   MEAN_SLOTS, self->mean_slots) < 0 ||
+        copy_slots(&sample_layout, (PyTypeObject *)sample_cls,
+                   sample_slot_names, SAMPLE_SLOTS, self->sample_slots) < 0 ||
+        copy_slots(&policy_layout, Py_TYPE(policy), policy_slot_names,
+                   POLICY_SLOTS, self->policy_slots) < 0)
         return -1;
     PyObject *append = NULL;
     if (!PyList_CheckExact(history)) {
@@ -1887,6 +1866,7 @@ BashSample_init(BashSampleObject *self, PyObject *args, PyObject *kwds)
     STORE_SAMPLE(means[2], mean_prob);
     STORE_SAMPLE(label, label);
 #undef STORE_SAMPLE
+    self->vectorcall = (vectorcallfunc)BashSample_vectorcall;
     return 0;
 }
 
@@ -2056,13 +2036,11 @@ sample_bail(BashSampleObject *self)
 }
 
 static PyObject *
-BashSample_call(BashSampleObject *self, PyObject *args, PyObject *kwds)
+BashSample_vectorcall(BashSampleObject *self, PyObject *const *Py_UNUSED(args),
+                      size_t nargsf, PyObject *kwnames)
 {
-    if ((kwds != NULL && PyDict_GET_SIZE(kwds) != 0) ||
-        PyTuple_GET_SIZE(args) != 0) {
-        PyErr_SetString(PyExc_TypeError, "BashSample takes no arguments");
+    if (!vectorcall_args("BashSample", nargsf, kwnames, 0))
         return NULL;
-    }
     long long now = core_scheduler_now(self->scheduler);
     /* Every read and check happens before the first write, so a
      * delegation leaves no trace. */
@@ -2081,8 +2059,8 @@ BashSample_call(BashSampleObject *self, PyObject *args, PyObject *kwds)
     MeanFields unused;
     if (!link_busy_up_to(self, self->link_in, now, &busy_in_now) ||
         !link_busy_up_to(self, self->link_out, now, &busy_out_now) ||
-        !slot_ll(self->policy, self->policy_value, &policy) ||
-        !slot_ll(self->policy, self->policy_maximum, &maximum) ||
+        !slot_ll(self->policy, self->policy_slots[POLICY_VALUE], &policy) ||
+        !slot_ll(self->policy, self->policy_slots[POLICY_MAXIMUM], &maximum) ||
         maximum <= 0 || maximum >= EXACT_DOUBLE_INT || policy < 0 ||
         policy > maximum || !mean_read(self, self->means[0], &unused) ||
         !mean_read(self, self->means[1], &unused) ||
@@ -2121,7 +2099,7 @@ BashSample_call(BashSampleObject *self, PyObject *args, PyObject *kwds)
             0)
         return NULL;
     if (moved != policy &&
-        slot_store(self->policy, self->policy_value,
+        slot_store(self->policy, self->policy_slots[POLICY_VALUE],
                    PyLong_FromLongLong(moved)) < 0)
         return NULL;
     PyObject *sample =
@@ -2147,8 +2125,10 @@ static PyTypeObject BashSample_Type = {
     .tp_name = "repro._core._cext.BashSample",
     .tp_basicsize = sizeof(BashSampleObject),
     .tp_dealloc = (destructor)BashSample_dealloc,
-    .tp_call = (ternaryfunc)BashSample_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_vectorcall_offset = offsetof(BashSampleObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_doc = "Compiled BASH sampling event (one per node).",
     .tp_traverse = (traverseproc)BashSample_traverse,
     .tp_clear = (inquiry)BashSample_clear,
@@ -2210,13 +2190,8 @@ chandlers_add_types(PyObject *module)
             return -1;                                                         \
     } while (0)
 
-    INTERN(s_requester, "requester");
     INTERN(s_address, "address");
     INTERN(s_transaction_id, "transaction_id");
-    INTERN(s_is_retry, "is_retry");
-    INTERN(s_order_seq, "order_seq");
-    INTERN(s_recipients, "recipients");
-    INTERN(s_original_type, "original_type");
     INTERN(s_completed, "completed");
     INTERN(s_retries_observed, "retries_observed");
     INTERN(s_marker_seen, "marker_seen");
@@ -2248,8 +2223,6 @@ chandlers_add_types(PyObject *module)
     INTERN(s__window_busy_in, "_window_busy_in");
     INTERN(s__window_busy_out, "_window_busy_out");
     INTERN(s__sampling_interval, "_sampling_interval");
-    INTERN(s__value, "_value");
-    INTERN(s__maximum, "_maximum");
     INTERN(s_append, "append");
     for (int i = 0; i < LINK_SLOTS; i++)
         INTERN(link_slot_names[i], link_slot_text[i]);
@@ -2257,6 +2230,8 @@ chandlers_add_types(PyObject *module)
         INTERN(mean_slot_names[i], mean_slot_text[i]);
     for (int i = 0; i < SAMPLE_SLOTS; i++)
         INTERN(sample_slot_names[i], sample_slot_text[i]);
+    for (int i = 0; i < POLICY_SLOTS; i++)
+        INTERN(policy_slot_names[i], policy_slot_text[i]);
 #undef INTERN
     ll_one = PyLong_FromLong(1);
     sample_empty_tuple = PyTuple_New(0);

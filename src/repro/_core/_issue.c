@@ -461,13 +461,13 @@ issue_mem_serve(PyObject *serve, PyObject *message, PyObject *entry,
         PyErr_Clear();
         return 1;
     }
-    PyObject *address = PyObject_GetAttr(message, s_address);
+    PyObject *address = message_get(message, MSG_ADDRESS);
     PyObject *requester = address == NULL
                               ? NULL
-                              : PyObject_GetAttr(message, s_requester);
+                              : message_get(message, MSG_REQUESTER);
     PyObject *txn_id = requester == NULL
                            ? NULL
-                           : PyObject_GetAttr(message, s_transaction_id);
+                           : message_get(message, MSG_TRANSACTION_ID);
     PyObject *data_token = txn_id == NULL
                                ? NULL
                                : PyObject_GetAttr(entry, s_data_token);
@@ -538,6 +538,7 @@ done:
 
 typedef struct {
     PyObject_HEAD
+    vectorcallfunc vectorcall;
     long long node_id;
     long long block_bytes;     /* config.cache_block_bytes */
     long long capacity;        /* config.cache_capacity_blocks */
@@ -658,6 +659,10 @@ done:
     Py_DECREF(lfsr);
     return rc;
 }
+
+static PyObject *SequencerStep_vectorcall(SequencerStepObject *self,
+                                          PyObject *const *args,
+                                          size_t nargsf, PyObject *kwnames);
 
 static int
 SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
@@ -843,6 +848,7 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     if (complete_cb == NULL)
         return -1;
     Py_XSETREF(self->complete_cb, complete_cb);
+    self->vectorcall = (vectorcallfunc)SequencerStep_vectorcall;
     return 0;
 }
 
@@ -1382,16 +1388,12 @@ sstep_bail(SequencerStepObject *self, PyObject *operation)
 
 /* The fused _perform + _fetch_next chain. */
 static PyObject *
-SequencerStep_call(SequencerStepObject *self, PyObject *args, PyObject *kwds)
+SequencerStep_vectorcall(SequencerStepObject *self, PyObject *const *args,
+                         size_t nargsf, PyObject *kwnames)
 {
-    PyObject *operation;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "SequencerStep takes no keyword arguments");
+    if (!vectorcall_args("SequencerStep", nargsf, kwnames, 1))
         return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "SequencerStep", 1, 1, &operation))
-        return NULL;
+    PyObject *operation = args[0];
     long long now = core_scheduler_now(self->scheduler);
     PyObject *address_obj = PyObject_GetAttr(operation, s_address);
     if (address_obj == NULL)
@@ -1718,8 +1720,10 @@ static PyTypeObject SequencerStep_Type = {
     .tp_name = "repro._core._cext.SequencerStep",
     .tp_basicsize = sizeof(SequencerStepObject),
     .tp_dealloc = (destructor)SequencerStep_dealloc,
-    .tp_call = (ternaryfunc)SequencerStep_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_vectorcall_offset = offsetof(SequencerStepObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
     .tp_doc = "Compiled Sequencer perform/fetch-next delivery object.",
     .tp_traverse = (traverseproc)SequencerStep_traverse,
     .tp_clear = (inquiry)SequencerStep_clear,

@@ -415,7 +415,7 @@ def _command_backend(args) -> int:
     else:
         print("compiled: not imported (pure backend forced)")
     for component, status in sorted(info["components"].items()):
-        print(f"  {component + ':':<13}{status}")
+        print(f"  {component + ':':<14}{status}")
     selections = info["handler_selections"]
     if selections:
         # Populated per handler as systems compile their dispatch tables in

@@ -13,7 +13,8 @@ busy period (back-to-back transfers merge into one period) and the busy total
 before it.  That answers every present-time utilization query exactly; the
 link keeps no history before the current period.  This module owns the format:
 the unit-cost push closure below and its C mirror (``LinkPush`` in
-``repro/_core/_cext.c``) are the only other code that touches it.
+``repro/_core/_cext.c``, which reads and writes the scalars in the class's
+slots) are the only other code that touches it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 from heapq import heappush as _heappush
 from typing import Callable, Dict, Optional, Tuple
 
-from .._core import accelerator_for, stock
+from .._core import accelerator_for, note_handler_selection, stock
 from ..common.units import transfer_cycles
 from ..errors import NetworkError
+from .message import Message
 
 
 @stock
@@ -165,6 +167,19 @@ class EndpointLink:
         return self._period_prefix + (time - start)
 
 
+def interconnect_accelerator(scheduler):
+    """The extension module when ``scheduler`` is compiled, else None.
+
+    The compiled per-hop objects read :class:`Message` fields by slot, so
+    the extension is told the class (and re-resolves its slots if the class
+    was modified) before any of them is built.
+    """
+    accel = accelerator_for(scheduler)
+    if accel is not None:
+        accel._init_message(Message)
+    return accel
+
+
 def link_push(
     scheduler, link: EndpointLink, deliver: Callable, label: str
 ) -> Callable:
@@ -177,14 +192,29 @@ def link_push(
     network's arrivals and the unordered network's deliveries both run it —
     a broadcast fan-out once per recipient, making it the hottest code in the
     repository.  On a compiled scheduler it is the C ``LinkPush`` object,
-    which performs the same steps.
+    which performs the same steps and hands any message that is not exactly
+    a :class:`Message` to the pure closure (:func:`_push_closure`, built on
+    first use).  A link class that does not keep its scalars in plain slots
+    keeps the pure closure outright (recorded as a ``<LinkClass>.link_push``
+    decline).
 
     It holds only objects that survive a system reset (the link, its occupancy
     memo dict, the scheduler's containers), so it stays valid across resets.
     """
-    accel = accelerator_for(scheduler)
+    accel = interconnect_accelerator(scheduler)
     if accel is not None:
-        return accel.LinkPush(scheduler, link, deliver, label)
+        try:
+            return accel.LinkPush(scheduler, link, deliver, label, _push_closure)
+        except TypeError:
+            # The link's scalars are not plain object slots.
+            note_handler_selection(f"{type(link).__name__}.link_push", "declined")
+    return _push_closure(scheduler, link, deliver, label)
+
+
+def _push_closure(
+    scheduler, link: EndpointLink, deliver: Callable, label: str
+) -> Callable:
+    """The pure-Python :func:`link_push` closure."""
     buckets = scheduler._buckets
     buckets_get = buckets.get
     times = scheduler._times

@@ -32,11 +32,11 @@ from heapq import heappush as _heappush
 
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from .._core import accelerator_for, stock
+from .._core import is_stock, note_handler_selection, stock
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
-from .link import LinkPair, link_push
+from .link import LinkPair, interconnect_accelerator, link_push
 from .message import Message, MessageType
 
 #: Signature of a node's handler for ordered (request network) deliveries.
@@ -78,7 +78,6 @@ class TotallyOrderedNetwork:
         self._broadcasts_counter = stats.counter("network.ordered.broadcasts")
         self._multicasts_counter = stats.counter("network.ordered.multicasts")
         self._out_transmit: Dict[int, Callable] = {}
-        self._enter_switch_callback = self._enter_switch
         self._inject_labels: Dict[MessageType, str] = {}
         self._arrive_entries: Dict[
             Tuple[MessageType, int], Tuple[str, Callable[[Message], None]]
@@ -92,9 +91,10 @@ class TotallyOrderedNetwork:
         self._fanout_memo: Dict[object, Tuple[Tuple[Callable, str], ...]] = {}
         # Compiled-backend accelerator (repro._core._cext) when the scheduler
         # is a compiled instance, else None: C replacements for the inline
-        # injection push, the switch fan-out and the unit-cost arrival
+        # injection push, the switch entry and the unit-cost arrival
         # closures below — same entries, same ordering, no bytecode.
-        self._accel = accelerator_for(scheduler)
+        self._accel = interconnect_accelerator(scheduler)
+        self._enter_switch_callback = self._compile_enter_switch()
 
     @property
     def next_order_sequence(self) -> int:
@@ -196,6 +196,22 @@ class TotallyOrderedNetwork:
         else:
             bucket.append(entry)
 
+    def _compile_enter_switch(self) -> Callable[[Message], None]:
+        """The callback every injected message fires on reaching the switch.
+
+        On a compiled scheduler the stock network gets the C ``SwitchEnter``
+        (:meth:`_enter_switch` in C, calling :meth:`_fanout` on a memo
+        miss); a subclassed or patched network keeps the bound method.
+        """
+        if self._accel is None:
+            return self._enter_switch
+        name = f"{type(self).__name__}.enter_switch"
+        if not is_stock(self):
+            note_handler_selection(name, "declined")
+            return self._enter_switch
+        note_handler_selection(name, "compiled")
+        return self._accel.SwitchEnter(self.scheduler, self)
+
     def _enter_switch(self, message: Message) -> None:
         """Assign the total-order sequence number and fan the message out."""
         message.order_seq = self._order_sequence
@@ -206,26 +222,10 @@ class TotallyOrderedNetwork:
         recipients = message.recipients
         fanout = self._fanout_memo.get((msg_type, recipients))
         if fanout is None:
-            order = self._sorted_recipients.get(recipients)
-            if order is None:
-                order = tuple(sorted(recipients))
-                self._sorted_recipients[recipients] = order
-            entries = self._arrive_entries
-            resolved = []
-            for node_id in order:
-                entry = entries.get((msg_type, node_id))
-                if entry is None:
-                    entry = self._compile_arrival(msg_type, node_id)
-                resolved.append((entry[1], entry[0]))
-            fanout = tuple(resolved)
-            self._fanout_memo[(msg_type, recipients)] = fanout
+            fanout = self._fanout(msg_type, recipients)
         # All recipients arrive at the same cycle: resolve the bucket once and
         # append the whole fan-out to it — a broadcast costs one dict probe
         # plus N list appends instead of N heap pushes.
-        accel = self._accel
-        if accel is not None:
-            accel.fanout_push(scheduler, exit_time, fanout, message)
-            return
         buckets = scheduler._buckets
         bucket = buckets.get(exit_time)
         if bucket is None:
@@ -237,6 +237,29 @@ class TotallyOrderedNetwork:
             append((exit_time, sequence, callback, label, message))
             sequence += 1
         scheduler._sequence = sequence
+
+    def _fanout(
+        self, msg_type: MessageType, recipients: FrozenSet[int]
+    ) -> Tuple[Tuple[Callable, str], ...]:
+        """Resolve and memoise the fan-out of ``msg_type`` to ``recipients``.
+
+        One ``(arrival closure, label)`` pair per recipient, in delivery
+        (node id) order.
+        """
+        order = self._sorted_recipients.get(recipients)
+        if order is None:
+            order = tuple(sorted(recipients))
+            self._sorted_recipients[recipients] = order
+        entries = self._arrive_entries
+        resolved = []
+        for node_id in order:
+            entry = entries.get((msg_type, node_id))
+            if entry is None:
+                entry = self._compile_arrival(msg_type, node_id)
+            resolved.append((entry[1], entry[0]))
+        fanout = tuple(resolved)
+        self._fanout_memo[(msg_type, recipients)] = fanout
+        return fanout
 
     def _compile_arrival(
         self, msg_type: MessageType, node_id: int

@@ -21,11 +21,11 @@ from heapq import heappush as _heappush
 
 from typing import Callable, Dict, Optional, Tuple
 
-from .._core import accelerator_for, stock
+from .._core import is_stock, note_handler_selection, stock
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
-from .link import LinkPair, link_push
+from .link import LinkPair, interconnect_accelerator, link_push
 from .message import DestinationUnit, Message, MessageType
 
 #: Signature of a node's handler for unordered (point-to-point) deliveries.
@@ -69,7 +69,8 @@ class UnorderedNetwork:
         ] = {}
         # Compiled-backend accelerator (repro._core._cext) when the scheduler
         # is a compiled instance, else None; see the ordered network.
-        self._accel = accelerator_for(scheduler)
+        self._accel = interconnect_accelerator(scheduler)
+        self._arrive_callback = self._compile_arrive()
 
     def reset(self) -> None:
         """Re-arm the network for a fresh run.
@@ -152,7 +153,7 @@ class UnorderedNetwork:
         buckets_get = buckets.get
         times = scheduler._times
         traversal = self.traversal_cycles
-        arrive = self._arrive
+        arrive = self._arrive_callback
 
         if self._accel is not None:
             entry = (
@@ -178,6 +179,23 @@ class UnorderedNetwork:
         entry = (inject_label, traverse)
         self._inject_entries[msg_type] = entry
         return entry
+
+    def _compile_arrive(self) -> Callable[[Message], None]:
+        """The callback every message fires on crossing the switch fabric.
+
+        On a compiled scheduler the stock network gets the C
+        ``UnorderedArrive`` (:meth:`_arrive` in C, calling
+        :meth:`_compile_delivery` on a miss); a subclassed or patched network
+        keeps the bound method.
+        """
+        if self._accel is None:
+            return self._arrive
+        name = f"{type(self).__name__}.arrive"
+        if not is_stock(self):
+            note_handler_selection(name, "declined")
+            return self._arrive
+        note_handler_selection(name, "compiled")
+        return self._accel.UnorderedArrive(self)
 
     def _arrive(self, message: Message) -> None:
         """Occupy the destination's incoming link, then deliver."""

@@ -357,6 +357,7 @@ def compile_issue_send(cache, ext):
     mode 0 — C bookkeeping around the bound Python ``_send_*``
     methods, faithful by construction.
     """
+    from ...interconnect.link import link_push  # noqa: PLC0415
     from ...interconnect.unordered_network import UnorderedNetwork  # noqa: PLC0415
 
     net = cache.interconnect.unordered
@@ -392,5 +393,5 @@ def compile_issue_send(cache, ext):
         if entry is None:
             entry = net._compile_injection(kind)
         inject_label, relay = entry
-        extra[key] = ext.LinkPush(net.scheduler, pair.outgoing, relay, inject_label)
+        extra[key] = link_push(net.scheduler, pair.outgoing, relay, inject_label)
     return 2, extra

@@ -587,6 +587,7 @@ def compile_issue_send(cache, ext):
     construction.
     """
     from ...interconnect.ordered_network import TotallyOrderedNetwork  # noqa: PLC0415
+    from ...interconnect.link import link_push  # noqa: PLC0415
 
     net = cache.interconnect.ordered
     if type(net) is not TotallyOrderedNetwork:
@@ -621,7 +622,7 @@ def compile_issue_send(cache, ext):
             # Fill the network's own memo so pure and compiled sends of this
             # type share the one label object.
             label = labels[kind] = f"ordered-inject:{kind}"
-        extra[key] = ext.LinkPush(
+        extra[key] = link_push(
             net.scheduler, pair.outgoing, net._enter_switch_callback, label
         )
     return 1, extra

@@ -139,19 +139,13 @@ class TestBackendInfo:
         }
         assert info["name"] in ("pure", "compiled")
         assert info["env_var"] == "REPRO_BACKEND"
-        assert set(info["components"]) == {"event_core", "handlers", "issue_chain"}
-        if info["name"] == "pure":
-            assert info["components"] == {
-                "event_core": "pure",
-                "handlers": "pure",
-                "issue_chain": "pure",
-            }
-        else:
-            assert info["components"] == {
-                "event_core": "compiled",
-                "handlers": "compiled",
-                "issue_chain": "compiled",
-            }
+        assert set(info["components"]) == {
+            "event_core",
+            "interconnect",
+            "handlers",
+            "issue_chain",
+        }
+        assert set(info["components"].values()) == {info["name"]}
         assert all(
             status in ("compiled", "declined")
             for status in info["handler_selections"].values()

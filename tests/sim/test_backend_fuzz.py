@@ -57,7 +57,7 @@ def run_on(backend: str, config: SystemConfig, kind: str):
 @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 @given(
     protocol=st.sampled_from(ALL_PROTOCOLS),
-    num_processors=st.integers(min_value=2, max_value=16),
+    num_processors=st.integers(min_value=2, max_value=64),
     bandwidth=st.sampled_from([200.0, 350.0, 1600.0, 12800.0]),
     broadcast_cost=st.sampled_from([1.0, 4.0]),
     kind=st.sampled_from(["locking", "zipfian"]),

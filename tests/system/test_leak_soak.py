@@ -1,14 +1,17 @@
-"""Leak soak over the reset path: one BatchRunner, many runs, flat memory.
+"""Leak soaks: many runs, flat memory, on both backends.
 
 Every sweep point and verification task runs on a pooled system that is
-``reset()`` between runs, on both backends.  A reference leaked per run — or
-per message, as a refcount slip in the compiled handlers or issue chain would
-be — shows up as allocated blocks that grow with the run count.  After a
-warm-up (systems built, memo tables and free lists filled) the interpreter's
-block count must stay flat.
+``reset()`` between runs.  A reference leaked per run — or per message, as a
+refcount slip in the compiled handlers or issue chain would be — shows up as
+allocated blocks that grow with the run count.  After a warm-up (systems
+built, memo tables and free lists filled) the interpreter's block count must
+stay flat.  The second soak builds, runs and drops a whole system per cycle,
+so a slip in constructing or freeing the compiled objects (each holds class
+references and slot offsets) leaks once per build.
 
-The run count scales with the hypothesis profile: 360 runs per backend in
-tier-1, ten times that under ``--hypothesis-profile=deep``.
+The run count scales with the hypothesis profile: 360 reset-path runs and 180
+build cycles per backend in tier-1, ten times that under
+``--hypothesis-profile=deep``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,13 @@ from hypothesis import settings
 from repro.common.config import ProtocolName
 from repro.experiments.batch import BatchRunner
 from repro.experiments.parallel import PointSpec
-from repro.experiments.runner import QUICK, microbenchmark_factory
+from repro.experiments.runner import (
+    QUICK,
+    microbenchmark_config,
+    microbenchmark_factory,
+)
 from repro.sim import arena as arena_module
+from repro.system.multiprocessor import MultiprocessorSystem
 
 SOAK = dataclasses.replace(
     QUICK,
@@ -71,3 +79,29 @@ def test_reset_path_allocations_stay_flat(backend):
     )
     assert runner.arena.pooled_messages <= arena_module._MAX_POOLED_MESSAGES
     assert runner.arena.pooled_transactions <= arena_module._MAX_POOLED_TRANSACTIONS
+
+
+def _build_run_drop(protocol: ProtocolName, bandwidth: float) -> None:
+    config = microbenchmark_config(SOAK, protocol, bandwidth)
+    workload = microbenchmark_factory(SOAK)(config.random_seed)
+    MultiprocessorSystem(config, workload).run()
+
+
+def test_build_and_teardown_allocations_stay_flat(backend):
+    shapes = [
+        (protocol, bandwidth) for protocol in ProtocolName for bandwidth in BANDWIDTHS
+    ]
+    for shape in shapes:  # warm-up
+        _build_run_drop(*shape)
+    rounds = max(1, settings().max_examples // 5)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(rounds):
+        for shape in shapes:
+            _build_run_drop(*shape)
+    gc.collect()
+    growth = sys.getallocatedblocks() - before
+    builds = rounds * len(shapes)
+    assert growth < BLOCKS_PER_RUN * builds, (
+        f"{growth} blocks allocated and kept over {builds} {backend} builds"
+    )

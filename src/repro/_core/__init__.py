@@ -96,11 +96,14 @@ REQUIRED_TYPES = (
     "Relay",
     "SwitchEnter",
     "UnorderedArrive",
+    "UnorderedSend",
+    "OrderedSend",
     "DataDeliver",
     "SnoopDeliver",
     "DirDeliver",
     "SequencerStep",
     "MemServe",
+    "DirHome",
     "BashSample",
 )
 
@@ -276,6 +279,10 @@ def handler_selections() -> Dict[str, str]:
 
 #: Each stock class's namespace as it was when the class was created.
 _namespaces: Dict[type, dict] = {}
+#: Stock class -> (type version tag, namespace unchanged?) at its last full
+#: comparison.  Any class-level assignment to the class or a base resets
+#: its tag, so an unchanged nonzero tag carries the verdict over.
+_verdicts: Dict[type, Tuple[int, bool]] = {}
 #: Stock class -> (the ``(class, namespace)`` pairs of every stock class in
 #: its MRO, the names of every function those classes define).
 _stock: Dict[type, Tuple[Tuple[Tuple[type, dict], ...], FrozenSet[str]]] = {}
@@ -324,11 +331,31 @@ def is_stock(*objects) -> bool:
             return False
         snapshots, functions = registered
         for klass, namespace in snapshots:
-            if vars(klass) != namespace:
+            if not _namespace_unchanged(klass, namespace):
                 return False
         if instance_vars and not functions.isdisjoint(instance_vars):
             return False
     return True
+
+
+def _namespace_unchanged(klass: type, namespace: dict) -> bool:
+    """Is ``vars(klass)`` still ``namespace``?
+
+    With the extension loaded the verdict is cached under the class's type
+    version tag (the one the C slot layouts trust); a tag of 0 or a
+    changed tag compares the namespaces in full.
+    """
+    ext = _ext
+    if ext is None:
+        return vars(klass) == namespace
+    tag = ext._type_version(klass)
+    cached = _verdicts.get(klass)
+    if tag and cached is not None and cached[0] == tag:
+        return cached[1]
+    unchanged = vars(klass) == namespace
+    if tag:
+        _verdicts[klass] = (tag, unchanged)
+    return unchanged
 
 
 def accelerator_for(scheduler):

@@ -19,15 +19,17 @@
  * repro/sim/scheduler.py.
  *
  * The per-hop objects cover a message's whole path on a compiled scheduler:
- * sched_push (injection), SwitchEnter (ordering point and fan-out), Relay
+ * UnorderedSend and OrderedSend (the two networks' send methods: source
+ * link and injection push), SwitchEnter (ordering point and fan-out), Relay
  * (unordered traversal), UnorderedArrive (unordered delivery lookup) and
  * LinkPush (endpoint-link occupancy and the delivery push).  Like every
  * object the scheduler fires, they are called through vectorcall, and they
  * read Message and EndpointLink fields straight from the classes' slots
  * (the helpers in _core.h).  LinkPush keeps the pure closure it mirrors
- * for any message or link state it does not handle; SwitchEnter and
- * UnorderedArrive use the networks' attributes generically and call back
- * into Python only to resolve a memo miss.
+ * for any message or link state it does not handle, and the sends call
+ * the network's Python send method for any shape they do not; SwitchEnter
+ * and UnorderedArrive use the networks' attributes generically and call
+ * back into Python only to resolve a memo miss.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -36,7 +38,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.5.0"
+#define CORE_VERSION "1.6.0"
 
 /* Compaction threshold; mirrors _COMPACT_MIN_CANCELLED in scheduler.py. */
 #define COMPACT_MIN_CANCELLED 64
@@ -59,8 +61,23 @@ static PyObject *str__fanout_memo;
 static PyObject *str__fanout;
 static PyObject *str__deliver_entries;
 static PyObject *str__compile_delivery;
+static PyObject *str__compile_injection;
+static PyObject *str_links;
+static PyObject *str__messages_counter;
+static PyObject *str__inject_entries;
+static PyObject *str__node_ids;
+static PyObject *str__inject_labels;
+static PyObject *str__enter_switch_callback;
+static PyObject *str__broadcasts_counter;
+static PyObject *str__multicasts_counter;
+static PyObject *str_send;
+static PyObject *str_outgoing;
+static PyObject *str_broadcast_cost_factor;
+static PyObject *str__count;
+static PyObject *str___init__;
 static PyObject *empty_string;
 static PyObject *int_one;
+static PyObject *float_one;
 
 /* ------------------------------------------------------------------ helpers */
 
@@ -1081,9 +1098,10 @@ static PyTypeObject Scheduler_Type = {
 SlotLayout core_message_layout;
 PyObject *core_message_names[MSG_FIELDS];
 static const char *message_field_text[MSG_FIELDS] = {
-    "msg_type",   "address",        "size_bytes",     "requester",
-    "dest",       "dest_unit",      "recipients",     "transaction_id",
-    "is_retry",   "original_type",  "order_seq",      "data_token"};
+    "msg_type",       "src",        "address",       "size_bytes",
+    "requester",      "dest",       "dest_unit",     "recipients",
+    "transaction_id", "is_retry",   "original_type", "order_seq",
+    "data_token",     "is_broadcast"};
 
 static PyObject *
 cext_init_message(PyObject *Py_UNUSED(module), PyObject *cls)
@@ -1096,6 +1114,79 @@ cext_init_message(PyObject *Py_UNUSED(module), PyObject *cls)
                     core_message_names, MSG_FIELDS) < 0)
         return NULL;
     Py_RETURN_NONE;
+}
+
+/* ----------------------------------------------------------- stock classes
+ *
+ * _init_stock(Counter, RunningMean, Component.count, CacheBlock) injects
+ * the stock classes _core.h's helpers update or build by slot; each
+ * argument is None when that class (or Component) is patched, which
+ * leaves every such update or construction on the Python code. */
+
+SlotLayout core_counter_layout;
+SlotLayout core_mean_layout;
+SlotLayout core_block_layout;
+PyObject *core_count_function;
+PyObject *core_s_count;
+PyObject *core_s_counter_cache;
+PyObject *core_s_record;
+static const char *counter_slot_text[COUNTER_SLOTS] = {"_count"};
+static const char *mean_slot_text[MEAN_SLOTS] = {
+    "_count", "_total", "_mean", "_m2", "_minimum", "_maximum"};
+static const char *block_slot_text[BLOCK_SLOTS] = {
+    "address", "state", "data_token", "tracked_sharers", "last_access_time"};
+static PyObject *counter_slot_names[COUNTER_SLOTS];
+static PyObject *mean_slot_names[MEAN_SLOTS];
+static PyObject *block_slot_names[BLOCK_SLOTS];
+
+/* Resolve `cls` into `layout`, or forget the layout for None or a class
+ * without those slots.  0 / -1. */
+static int
+stats_layout(SlotLayout *layout, PyObject *cls, PyObject *const *names,
+             int count)
+{
+    if (cls == Py_None) {
+        Py_CLEAR(layout->cls);
+        return 0;
+    }
+    if (!PyType_Check(cls)) {
+        PyErr_SetString(PyExc_TypeError, "_init_stock expects classes or None");
+        return -1;
+    }
+    return slot_layout(layout, (PyTypeObject *)cls, names, count) < 0 ? -1 : 0;
+}
+
+static PyObject *
+cext_init_stock(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *counter_cls, *mean_cls, *count_function, *block_cls;
+    if (!PyArg_ParseTuple(args, "OOOO", &counter_cls, &mean_cls,
+                          &count_function, &block_cls))
+        return NULL;
+    if (stats_layout(&core_counter_layout, counter_cls, counter_slot_names,
+                     COUNTER_SLOTS) < 0 ||
+        stats_layout(&core_mean_layout, mean_cls, mean_slot_names,
+                     MEAN_SLOTS) < 0 ||
+        stats_layout(&core_block_layout, block_cls, block_slot_names,
+                     BLOCK_SLOTS) < 0)
+        return NULL;
+    Py_XSETREF(core_count_function,
+               count_function == Py_None ? NULL : Py_NewRef(count_function));
+    Py_RETURN_NONE;
+}
+
+/* _type_version(cls): the class's type version tag (0 when it has none),
+ * which every class-level assignment to it or a base resets.  A lookup
+ * through the attribute cache first assigns a tag where it can. */
+static PyObject *
+cext_type_version(PyObject *Py_UNUSED(module), PyObject *cls)
+{
+    if (!PyType_Check(cls)) {
+        PyErr_SetString(PyExc_TypeError, "_type_version expects a class");
+        return NULL;
+    }
+    (void)_PyType_Lookup((PyTypeObject *)cls, str___init__);
+    return PyLong_FromUnsignedLong(((PyTypeObject *)cls)->tp_version_tag);
 }
 
 /* ---------------------------------------------------------------- LinkPush
@@ -1119,12 +1210,86 @@ cext_init_message(PyObject *Py_UNUSED(module), PyObject *cls)
  * passes in. */
 
 enum { LINK_BUSY_UNTIL, LINK_BUSY_TOTAL, LINK_PERIOD_START, LINK_PERIOD_PREFIX,
-       LINK_MESSAGES, LINK_BYTES, LINK_SLOTS };
-static const char *link_slot_text[LINK_SLOTS] = {
+       LINK_MESSAGES, LINK_BYTES, LINK_SLOTS,
+       /* the sends also read the occupancy memo from its slot */
+       LINK_OCCUPANCY = LINK_SLOTS, LINK_SEND_SLOTS };
+static const char *link_slot_text[LINK_SEND_SLOTS] = {
     "_busy_until", "_busy_total", "_period_start", "_period_prefix",
-    "_messages",   "_bytes"};
-static PyObject *link_slot_names[LINK_SLOTS];
+    "_messages",   "_bytes",      "_occupancy_cache"};
+static PyObject *link_slot_names[LINK_SEND_SLOTS];
 static SlotLayout link_layout;
+
+/* The unit-cost EndpointLink.transmit(now, message.size_bytes) on `link`,
+ * whose scalars live at `slots` and whose occupancy memo is `occupancy`:
+ * 1 with *done_obj (a new reference) the cycle the transfer completes, 0
+ * when the message is not exactly the stock Message or a scalar is not a
+ * plain int (nothing written; the caller takes the pure code), -1 on
+ * error.  Every read and check precedes the first write to the link (the
+ * memo the pure code re-reads holds what it would have stored itself). */
+static int
+link_transmit(PyObject *link, const Py_ssize_t *slots, PyObject *occupancy,
+              PyObject *message, long long now, PyObject **done_obj)
+{
+    const Py_ssize_t size_slot = core_message_layout.offsets[MSG_SIZE_BYTES];
+    long long size, cycles = 0, busy_until, busy_total, messages, bytes;
+    if (!core_is_message(message) || !slot_ll(message, size_slot, &size))
+        return 0;
+    PyObject *size_obj = Py_NewRef(*SLOT_CELL(message, size_slot));
+    /* Occupancy memo: size -> cycles, filled through the link method on a
+     * miss (exactly like the pure closure, so the memo dict the reset path
+     * clears is the one populated here). */
+    PyObject *cycles_obj = PyDict_GetItemWithError(occupancy, size_obj);
+    if (cycles_obj != NULL)
+        Py_INCREF(cycles_obj);
+    else if (!PyErr_Occurred()) {
+        cycles_obj =
+            PyObject_CallMethodOneArg(link, str_occupancy_cycles, size_obj);
+        if (cycles_obj != NULL &&
+            PyDict_SetItem(occupancy, size_obj, cycles_obj) < 0)
+            Py_CLEAR(cycles_obj);
+    }
+    Py_DECREF(size_obj);
+    if (cycles_obj == NULL)
+        return -1;
+    int overflow = 1;
+    if (PyLong_CheckExact(cycles_obj))
+        cycles = PyLong_AsLongLongAndOverflow(cycles_obj, &overflow);
+    Py_DECREF(cycles_obj);
+    long long done, total, count, carried;
+    if (overflow || !slot_ll(link, slots[LINK_BUSY_UNTIL], &busy_until) ||
+        !slot_ll(link, slots[LINK_BUSY_TOTAL], &busy_total) ||
+        !slot_ll(link, slots[LINK_MESSAGES], &messages) ||
+        !slot_ll(link, slots[LINK_BYTES], &bytes) ||
+        __builtin_add_overflow(now > busy_until ? now : busy_until, cycles,
+                               &done) ||
+        __builtin_add_overflow(busy_total, cycles, &total) ||
+        __builtin_add_overflow(messages, 1, &count) ||
+        __builtin_add_overflow(bytes, size, &carried))
+        return 0;
+    if (now > busy_until) {
+        /* The link was idle: a new busy period opens. */
+        PyObject *prefix = *SLOT_CELL(link, slots[LINK_BUSY_TOTAL]);
+        if (slot_store(link, slots[LINK_PERIOD_START],
+                       PyLong_FromLongLong(now)) < 0 ||
+            slot_store(link, slots[LINK_PERIOD_PREFIX], Py_NewRef(prefix)) <
+                0)
+            return -1;
+    }
+    PyObject *finish = PyLong_FromLongLong(done);
+    if (finish == NULL ||
+        slot_store(link, slots[LINK_BUSY_UNTIL], Py_NewRef(finish)) < 0 ||
+        slot_store(link, slots[LINK_BUSY_TOTAL], PyLong_FromLongLong(total)) <
+            0 ||
+        slot_store(link, slots[LINK_MESSAGES], PyLong_FromLongLong(count)) <
+            0 ||
+        slot_store(link, slots[LINK_BYTES], PyLong_FromLongLong(carried)) <
+            0) {
+        Py_XDECREF(finish);
+        return -1;
+    }
+    *done_obj = finish;
+    return 1;
+}
 
 typedef struct {
     PyObject_HEAD
@@ -1237,72 +1402,17 @@ LinkPush_vectorcall(LinkPushObject *self, PyObject *const *args,
     if (!vectorcall_args("LinkPush", nargsf, kwnames, 1))
         return NULL;
     PyObject *message = args[0];
-    PyObject *link = self->link;
-    const Py_ssize_t *slots = self->slots;
-    const Py_ssize_t size_slot = core_message_layout.offsets[MSG_SIZE_BYTES];
-    long long size, cycles = 0, busy_until, busy_total, messages, bytes;
-    if (!core_is_message(message) || !slot_ll(message, size_slot, &size))
+    PyObject *done_obj;
+    int rc = link_transmit(self->link, self->slots, self->occupancy, message,
+                           self->sched->now, &done_obj);
+    if (rc == 0)
         return link_push_fallback(self, message);
-    PyObject *size_obj = Py_NewRef(*SLOT_CELL(message, size_slot));
-    /* Occupancy memo: size -> cycles, filled through the link method on a
-     * miss (exactly like the pure closure, so the memo dict the reset path
-     * clears is the one populated here). */
-    PyObject *cycles_obj = PyDict_GetItemWithError(self->occupancy, size_obj);
-    if (cycles_obj != NULL)
-        Py_INCREF(cycles_obj);
-    else if (!PyErr_Occurred()) {
-        cycles_obj =
-            PyObject_CallMethodOneArg(link, str_occupancy_cycles, size_obj);
-        if (cycles_obj != NULL &&
-            PyDict_SetItem(self->occupancy, size_obj, cycles_obj) < 0)
-            Py_CLEAR(cycles_obj);
-    }
-    Py_DECREF(size_obj);
-    if (cycles_obj == NULL)
+    if (rc < 0)
         return NULL;
-    int overflow = 1;
-    if (PyLong_CheckExact(cycles_obj))
-        cycles = PyLong_AsLongLongAndOverflow(cycles_obj, &overflow);
-    Py_DECREF(cycles_obj);
-    long long now = self->sched->now;
-    long long done, total, count, carried;
-    /* Every read and check precedes the first write to the link, so an
-     * unusual value takes the pure closure with nothing changed (the memo
-     * it re-reads holds what it would have stored itself). */
-    if (overflow || !slot_ll(link, slots[LINK_BUSY_UNTIL], &busy_until) ||
-        !slot_ll(link, slots[LINK_BUSY_TOTAL], &busy_total) ||
-        !slot_ll(link, slots[LINK_MESSAGES], &messages) ||
-        !slot_ll(link, slots[LINK_BYTES], &bytes) ||
-        __builtin_add_overflow(now > busy_until ? now : busy_until, cycles,
-                               &done) ||
-        __builtin_add_overflow(busy_total, cycles, &total) ||
-        __builtin_add_overflow(messages, 1, &count) ||
-        __builtin_add_overflow(bytes, size, &carried))
-        return link_push_fallback(self, message);
-    if (now > busy_until) {
-        /* The link was idle: a new busy period opens. */
-        PyObject *prefix = *SLOT_CELL(link, slots[LINK_BUSY_TOTAL]);
-        if (slot_store(link, slots[LINK_PERIOD_START],
-                       PyLong_FromLongLong(now)) < 0 ||
-            slot_store(link, slots[LINK_PERIOD_PREFIX], Py_NewRef(prefix)) <
-                0)
-            return NULL;
-    }
-    PyObject *done_obj = PyLong_FromLongLong(done);
-    if (done_obj == NULL ||
-        slot_store(link, slots[LINK_BUSY_UNTIL], Py_NewRef(done_obj)) < 0 ||
-        slot_store(link, slots[LINK_BUSY_TOTAL], PyLong_FromLongLong(total)) <
-            0 ||
-        slot_store(link, slots[LINK_MESSAGES], PyLong_FromLongLong(count)) <
-            0 ||
-        slot_store(link, slots[LINK_BYTES], PyLong_FromLongLong(carried)) <
-            0 ||
-        push_fast(self->sched, done_obj, self->deliver, self->label,
-                     message) < 0) {
-        Py_XDECREF(done_obj);
-        return NULL;
-    }
+    rc = push_fast(self->sched, done_obj, self->deliver, self->label, message);
     Py_DECREF(done_obj);
+    if (rc < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -1749,6 +1859,471 @@ static PyTypeObject UnorderedArrive_Type = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ------------------------------------------------ UnorderedSend, OrderedSend
+ *
+ * The compiled forms of UnorderedNetwork.send and TotallyOrderedNetwork.send,
+ * bound as the controllers' _unordered_send / _ordered_send and scheduled as
+ * the callback of every delayed send: occupy the source node's outgoing
+ * link (link_transmit, the same slot-direct transmit LinkPush runs), count
+ * the message, and push the injection entry.  The network's containers
+ * (links, injection memos, counters) are the ones its Python method uses.
+ * Both read a message by slot, so anything but the stock Message -- and an
+ * unknown node, a link of another class (or its class patched since
+ * construction), a recipient set that is not a plain set, a broadcast
+ * whose cost factor is not 1, a label memo miss -- calls the network's
+ * Python send method before anything is written, which raises or handles
+ * it exactly as the pure path does. */
+
+/* The fields both sends share. */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    SchedulerObject *sched;
+    PyObject *network;
+    PyObject *links;       /* network.links (dict: node -> LinkPair) */
+    PyObject *out_links;   /* node -> outgoing link, filled on first use */
+    PyObject *messages;    /* network._messages_counter */
+    SlotLayout link_layout; /* the link class pinned at construction */
+} SendObject;
+
+static int
+send_init(SendObject *self, PyObject *sched, PyObject *network,
+          PyObject *link_cls, const char *name)
+{
+    if (!Scheduler_CheckExactBase(sched)) {
+        PyErr_Format(PyExc_TypeError, "%s requires a compiled SchedulerBase",
+                     name);
+        return -1;
+    }
+    if (!PyType_Check(link_cls)) {
+        PyErr_Format(PyExc_TypeError, "%s requires a link class", name);
+        return -1;
+    }
+    if (slot_layout_required(&self->link_layout, (PyTypeObject *)link_cls,
+                             link_slot_names, LINK_SEND_SLOTS) < 0)
+        return -1;
+    PyObject *links = PyObject_GetAttr(network, str_links);
+    if (links == NULL)
+        return -1;
+    PyObject *messages = PyObject_GetAttr(network, str__messages_counter);
+    PyObject *out_links = PyDict_New();
+    if (messages == NULL || out_links == NULL || !PyDict_Check(links)) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_TypeError, "%s requires a links dict", name);
+        Py_DECREF(links);
+        Py_XDECREF(messages);
+        Py_XDECREF(out_links);
+        return -1;
+    }
+    Py_XSETREF(self->sched, (SchedulerObject *)Py_NewRef(sched));
+    Py_XSETREF(self->network, Py_NewRef(network));
+    Py_XSETREF(self->links, links);
+    Py_XSETREF(self->out_links, out_links);
+    Py_XSETREF(self->messages, messages);
+    return 0;
+}
+
+static int
+send_traverse(SendObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sched);
+    Py_VISIT(self->network);
+    Py_VISIT(self->links);
+    Py_VISIT(self->out_links);
+    Py_VISIT(self->messages);
+    Py_VISIT(self->link_layout.cls);
+    return 0;
+}
+
+static int
+send_clear(SendObject *self)
+{
+    Py_CLEAR(self->sched);
+    Py_CLEAR(self->network);
+    Py_CLEAR(self->links);
+    Py_CLEAR(self->out_links);
+    Py_CLEAR(self->messages);
+    Py_CLEAR(self->link_layout.cls);
+    return 0;
+}
+
+/* The source link's transmit for a stock `message`: 1 with *done_obj set,
+ * 0 when the pure send must run (nothing written), -1 on error. */
+static int
+send_transmit(SendObject *self, PyObject *message, PyObject **done_obj)
+{
+    PyObject *src = *SLOT_CELL(message, core_message_layout.offsets[MSG_SRC]);
+    if (src == NULL)
+        return 0;
+    PyObject *link = PyDict_GetItemWithError(self->out_links, src);
+    if (link == NULL) {
+        if (PyErr_Occurred())
+            return -1;
+        PyObject *pair = PyDict_GetItemWithError(self->links, src);
+        if (pair == NULL)
+            return PyErr_Occurred() ? -1 : 0;
+        PyObject *outgoing = PyObject_GetAttr(pair, str_outgoing);
+        if (outgoing == NULL) {
+            PyErr_Clear(); /* the pure send raises it */
+            return 0;
+        }
+        int rc = PyDict_SetItem(self->out_links, src, outgoing);
+        Py_DECREF(outgoing);
+        if (rc < 0)
+            return -1;
+        link = outgoing; /* borrowed from out_links */
+    }
+    if (!layout_current(&self->link_layout, link))
+        return 0;
+    const Py_ssize_t *slots = self->link_layout.offsets;
+    PyObject *occupancy = *SLOT_CELL(link, slots[LINK_OCCUPANCY]);
+    if (occupancy == NULL || !PyDict_CheckExact(occupancy))
+        return 0;
+    /* A memo miss runs the link's Python occupancy_cycles. */
+    Py_INCREF(link);
+    Py_INCREF(occupancy);
+    int rc = link_transmit(link, slots, occupancy, message, self->sched->now,
+                           done_obj);
+    Py_DECREF(occupancy);
+    Py_DECREF(link);
+    return rc;
+}
+
+/* network.send(*args): the pure method, for every shape the C path does
+ * not take. */
+static PyObject *
+send_pure(SendObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *argv[3] = {self->network, args[0], nargs > 1 ? args[1] : NULL};
+    return PyObject_VectorcallMethod(str_send, argv,
+                                     (1 + nargs) |
+                                         PY_VECTORCALL_ARGUMENTS_OFFSET,
+                                     NULL);
+}
+
+typedef struct {
+    SendObject base;
+    PyObject *entries; /* network._inject_entries (dict) */
+} UnorderedSendObject;
+
+static PyObject *UnorderedSend_vectorcall(UnorderedSendObject *self,
+                                          PyObject *const *args,
+                                          size_t nargsf, PyObject *kwnames);
+
+static int
+UnorderedSend_init(UnorderedSendObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sched, *network, *link_cls;
+    static char *kwlist[] = {"scheduler", "network", "link_cls", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO", kwlist, &sched,
+                                     &network, &link_cls))
+        return -1;
+    if (send_init(&self->base, sched, network, link_cls, "UnorderedSend") < 0)
+        return -1;
+    PyObject *entries = PyObject_GetAttr(network, str__inject_entries);
+    if (entries == NULL)
+        return -1;
+    if (!PyDict_Check(entries)) {
+        PyErr_SetString(PyExc_TypeError, "injection entries must be a dict");
+        Py_DECREF(entries);
+        return -1;
+    }
+    Py_XSETREF(self->entries, entries);
+    self->base.vectorcall = (vectorcallfunc)UnorderedSend_vectorcall;
+    return 0;
+}
+
+static int
+UnorderedSend_traverse(UnorderedSendObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->entries);
+    return send_traverse(&self->base, visit, arg);
+}
+
+static int
+UnorderedSend_clear(UnorderedSendObject *self)
+{
+    Py_CLEAR(self->entries);
+    return send_clear(&self->base);
+}
+
+static void
+UnorderedSend_dealloc(UnorderedSendObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    UnorderedSend_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+UnorderedSend_vectorcall(UnorderedSendObject *self, PyObject *const *args,
+                         size_t nargsf, PyObject *kwnames)
+{
+    if (!vectorcall_args("UnorderedSend", nargsf, kwnames, 1))
+        return NULL;
+    SendObject *base = &self->base;
+    PyObject *message = args[0];
+    if (!core_is_message(message))
+        return send_pure(base, args, 1);
+    const Py_ssize_t *fields = core_message_layout.offsets;
+    PyObject *dest = *SLOT_CELL(message, fields[MSG_DEST]);
+    PyObject *msg_type = *SLOT_CELL(message, fields[MSG_MSG_TYPE]);
+    if (dest == NULL || msg_type == NULL)
+        return send_pure(base, args, 1);
+    int known = PyDict_Contains(base->links, dest);
+    if (known <= 0)
+        return known < 0 ? NULL : send_pure(base, args, 1);
+    /* The (inject label, traverse) entry; a miss compiles it exactly as
+     * the pure send does (it has no other effect). */
+    PyObject *entry = PyDict_GetItemWithError(self->entries, msg_type);
+    if (entry != NULL)
+        Py_INCREF(entry);
+    else if (PyErr_Occurred())
+        return NULL;
+    else {
+        PyObject *argv[2] = {base->network, msg_type};
+        entry = PyObject_VectorcallMethod(
+            str__compile_injection, argv, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+            NULL);
+        if (entry == NULL)
+            return NULL;
+    }
+    if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 2) {
+        Py_DECREF(entry);
+        return send_pure(base, args, 1);
+    }
+    PyObject *done_obj;
+    int rc = send_transmit(base, message, &done_obj);
+    if (rc <= 0) {
+        Py_DECREF(entry);
+        return rc < 0 ? NULL : send_pure(base, args, 1);
+    }
+    rc = counter_bump(base->messages, str__count);
+    if (rc == 0)
+        rc = push_fast(base->sched, done_obj, PyTuple_GET_ITEM(entry, 1),
+                       PyTuple_GET_ITEM(entry, 0), message);
+    Py_DECREF(done_obj);
+    Py_DECREF(entry);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyTypeObject UnorderedSend_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._core._cext.UnorderedSend",
+    .tp_basicsize = sizeof(UnorderedSendObject),
+    .tp_dealloc = (destructor)UnorderedSend_dealloc,
+    .tp_vectorcall_offset = offsetof(SendObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Compiled UnorderedNetwork.send (source link + injection).",
+    .tp_traverse = (traverseproc)UnorderedSend_traverse,
+    .tp_clear = (inquiry)UnorderedSend_clear,
+    .tp_init = (initproc)UnorderedSend_init,
+    .tp_new = PyType_GenericNew,
+};
+
+typedef struct {
+    SendObject base;
+    PyObject *node_ids;      /* network._node_ids (frozenset) */
+    PyObject *labels;        /* network._inject_labels (dict) */
+    PyObject *enter_switch;  /* network._enter_switch_callback */
+    PyObject *broadcasts;    /* network._broadcasts_counter */
+    PyObject *multicasts;    /* network._multicasts_counter */
+} OrderedSendObject;
+
+static PyObject *OrderedSend_vectorcall(OrderedSendObject *self,
+                                        PyObject *const *args, size_t nargsf,
+                                        PyObject *kwnames);
+
+static int
+OrderedSend_init(OrderedSendObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sched, *network, *link_cls;
+    static char *kwlist[] = {"scheduler", "network", "link_cls", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO", kwlist, &sched,
+                                     &network, &link_cls))
+        return -1;
+    if (send_init(&self->base, sched, network, link_cls, "OrderedSend") < 0)
+        return -1;
+    PyObject *node_ids = PyObject_GetAttr(network, str__node_ids);
+    PyObject *labels =
+        node_ids == NULL ? NULL : PyObject_GetAttr(network, str__inject_labels);
+    PyObject *enter =
+        labels == NULL ? NULL
+                       : PyObject_GetAttr(network, str__enter_switch_callback);
+    PyObject *broadcasts =
+        enter == NULL ? NULL
+                      : PyObject_GetAttr(network, str__broadcasts_counter);
+    PyObject *multicasts =
+        broadcasts == NULL
+            ? NULL
+            : PyObject_GetAttr(network, str__multicasts_counter);
+    if (multicasts != NULL &&
+        (!PyFrozenSet_CheckExact(node_ids) || !PyDict_Check(labels)))
+        PyErr_SetString(PyExc_TypeError,
+                        "OrderedSend requires a node-id frozenset and a "
+                        "label dict");
+    if (PyErr_Occurred()) {
+        Py_XDECREF(node_ids);
+        Py_XDECREF(labels);
+        Py_XDECREF(enter);
+        Py_XDECREF(broadcasts);
+        Py_XDECREF(multicasts);
+        return -1;
+    }
+    Py_XSETREF(self->node_ids, node_ids);
+    Py_XSETREF(self->labels, labels);
+    Py_XSETREF(self->enter_switch, enter);
+    Py_XSETREF(self->broadcasts, broadcasts);
+    Py_XSETREF(self->multicasts, multicasts);
+    self->base.vectorcall = (vectorcallfunc)OrderedSend_vectorcall;
+    return 0;
+}
+
+static int
+OrderedSend_traverse(OrderedSendObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->node_ids);
+    Py_VISIT(self->labels);
+    Py_VISIT(self->enter_switch);
+    Py_VISIT(self->broadcasts);
+    Py_VISIT(self->multicasts);
+    return send_traverse(&self->base, visit, arg);
+}
+
+static int
+OrderedSend_clear(OrderedSendObject *self)
+{
+    Py_CLEAR(self->node_ids);
+    Py_CLEAR(self->labels);
+    Py_CLEAR(self->enter_switch);
+    Py_CLEAR(self->broadcasts);
+    Py_CLEAR(self->multicasts);
+    return send_clear(&self->base);
+}
+
+static void
+OrderedSend_dealloc(OrderedSendObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    OrderedSend_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* TotallyOrderedNetwork.send(message, recipients). */
+static PyObject *
+ordered_send(OrderedSendObject *self, PyObject *message, PyObject *recipients)
+{
+    SendObject *base = &self->base;
+    PyObject *argv[2] = {message, recipients};
+    if (!core_is_message(message) || !PyAnySet_CheckExact(recipients) ||
+        PySet_GET_SIZE(recipients) == 0)
+        return send_pure(base, argv, 2);
+    const Py_ssize_t *fields = core_message_layout.offsets;
+    PyObject *msg_type = *SLOT_CELL(message, fields[MSG_MSG_TYPE]);
+    if (msg_type == NULL)
+        return send_pure(base, argv, 2);
+    int subset = PyObject_RichCompareBool(recipients, self->node_ids, Py_LE);
+    if (subset <= 0)
+        return subset < 0 ? NULL : send_pure(base, argv, 2);
+    int broadcast =
+        PySet_GET_SIZE(recipients) == PySet_GET_SIZE(self->node_ids);
+    if (broadcast) {
+        /* Only a unit-cost broadcast occupies the link like LinkPush. */
+        PyObject *factor =
+            PyObject_GetAttr(base->network, str_broadcast_cost_factor);
+        if (factor == NULL)
+            return NULL;
+        int unit = PyObject_RichCompareBool(factor, float_one, Py_EQ);
+        Py_DECREF(factor);
+        if (unit <= 0)
+            return unit < 0 ? NULL : send_pure(base, argv, 2);
+    }
+    PyObject *label = PyDict_GetItemWithError(self->labels, msg_type);
+    if (label == NULL)
+        return PyErr_Occurred() ? NULL : send_pure(base, argv, 2);
+    Py_INCREF(label);
+    /* frozenset(recipients): an exact frozenset is returned as is. */
+    PyObject *frozen = PyFrozenSet_CheckExact(recipients)
+                           ? Py_NewRef(recipients)
+                           : PyFrozenSet_New(recipients);
+    if (frozen == NULL) {
+        Py_DECREF(label);
+        return NULL;
+    }
+    PyObject *done_obj = NULL;
+    int rc = send_transmit(base, message, &done_obj);
+    if (rc == 0) {
+        Py_DECREF(frozen);
+        Py_DECREF(label);
+        return send_pure(base, argv, 2);
+    }
+    if (rc > 0) {
+        rc = slot_store(message, fields[MSG_RECIPIENTS], Py_NewRef(frozen));
+        if (rc == 0)
+            rc = slot_store(message, fields[MSG_IS_BROADCAST],
+                            PyBool_FromLong(broadcast));
+        if (rc == 0)
+            rc = counter_bump(base->messages, str__count);
+        if (rc == 0)
+            rc = counter_bump(broadcast ? self->broadcasts : self->multicasts,
+                              str__count);
+        if (rc == 0)
+            rc = push_fast(base->sched, done_obj, self->enter_switch, label,
+                           message);
+    }
+    Py_XDECREF(done_obj);
+    Py_DECREF(frozen);
+    Py_DECREF(label);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* send(message, recipients), or send(message) with the recipients riding
+ * on the message (DirectoryMemoryController._inject_ordered's form, the
+ * callback of the Directory home's delayed markers and forwards). */
+static PyObject *
+OrderedSend_vectorcall(OrderedSendObject *self, PyObject *const *args,
+                       size_t nargsf, PyObject *kwnames)
+{
+    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    if (nargs != 1 && !vectorcall_args("OrderedSend", nargsf, kwnames, 2))
+        return NULL;
+    if (kwnames != NULL && PyTuple_GET_SIZE(kwnames) != 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "OrderedSend takes no keyword arguments");
+        return NULL;
+    }
+    if (nargs == 2)
+        return ordered_send(self, args[0], args[1]);
+    PyObject *recipients = message_get(args[0], MSG_RECIPIENTS);
+    if (recipients == NULL)
+        return NULL;
+    PyObject *result = ordered_send(self, args[0], recipients);
+    Py_DECREF(recipients);
+    return result;
+}
+
+static PyTypeObject OrderedSend_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._core._cext.OrderedSend",
+    .tp_basicsize = sizeof(OrderedSendObject),
+    .tp_dealloc = (destructor)OrderedSend_dealloc,
+    .tp_vectorcall_offset = offsetof(SendObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Compiled TotallyOrderedNetwork.send (source link + injection).",
+    .tp_traverse = (traverseproc)OrderedSend_traverse,
+    .tp_clear = (inquiry)OrderedSend_clear,
+    .tp_init = (initproc)OrderedSend_init,
+    .tp_new = PyType_GenericNew,
+};
+
 /* -------------------------------------------------------- module functions */
 
 /* sched_push(scheduler, time, callback, label, message):
@@ -1795,6 +2370,11 @@ static PyMethodDef cext_methods[] = {
      "Push one (time, seq, callback, label, message) fast-path entry."},
     {"_init_message", cext_init_message, METH_O,
      "Resolve the slots of the Message fields the compiled objects read."},
+    {"_init_stock", cext_init_stock, METH_VARARGS,
+     "Inject the stock Counter, RunningMean and CacheBlock classes and "
+     "Component.count (None for any that is patched)."},
+    {"_type_version", cext_type_version, METH_O,
+     "A class's type version tag (0 when it has none)."},
     {"_init_classes", cext_init_classes, METH_VARARGS,
      "Inject the Event and SimulationError classes."},
     {NULL}
@@ -1814,7 +2394,9 @@ PyInit__cext(void)
     if (PyType_Ready(&Scheduler_Type) < 0 ||
         PyType_Ready(&LinkPush_Type) < 0 || PyType_Ready(&Relay_Type) < 0 ||
         PyType_Ready(&SwitchEnter_Type) < 0 ||
-        PyType_Ready(&UnorderedArrive_Type) < 0)
+        PyType_Ready(&UnorderedArrive_Type) < 0 ||
+        PyType_Ready(&UnorderedSend_Type) < 0 ||
+        PyType_Ready(&OrderedSend_Type) < 0)
         return NULL;
 
 #define INTERN(var, text)                                                      \
@@ -1837,14 +2419,38 @@ PyInit__cext(void)
     INTERN(str__fanout, "_fanout");
     INTERN(str__deliver_entries, "_deliver_entries");
     INTERN(str__compile_delivery, "_compile_delivery");
+    INTERN(str__compile_injection, "_compile_injection");
+    INTERN(str_send, "send");
+    INTERN(str_outgoing, "outgoing");
+    INTERN(str_broadcast_cost_factor, "broadcast_cost_factor");
+    INTERN(str__count, "_count");
+    INTERN(str___init__, "__init__");
+    INTERN(str_links, "links");
+    INTERN(str__messages_counter, "_messages_counter");
+    INTERN(str__inject_entries, "_inject_entries");
+    INTERN(str__node_ids, "_node_ids");
+    INTERN(str__inject_labels, "_inject_labels");
+    INTERN(str__enter_switch_callback, "_enter_switch_callback");
+    INTERN(str__broadcasts_counter, "_broadcasts_counter");
+    INTERN(str__multicasts_counter, "_multicasts_counter");
     INTERN(empty_string, "");
-    for (int i = 0; i < LINK_SLOTS; i++)
+    INTERN(core_s_count, "count");
+    INTERN(core_s_counter_cache, "_counter_cache");
+    INTERN(core_s_record, "record");
+    for (int i = 0; i < LINK_SEND_SLOTS; i++)
         INTERN(link_slot_names[i], link_slot_text[i]);
     for (int i = 0; i < MSG_FIELDS; i++)
         INTERN(core_message_names[i], message_field_text[i]);
+    for (int i = 0; i < COUNTER_SLOTS; i++)
+        INTERN(counter_slot_names[i], counter_slot_text[i]);
+    for (int i = 0; i < MEAN_SLOTS; i++)
+        INTERN(mean_slot_names[i], mean_slot_text[i]);
+    for (int i = 0; i < BLOCK_SLOTS; i++)
+        INTERN(block_slot_names[i], block_slot_text[i]);
 #undef INTERN
     int_one = PyLong_FromLong(1);
-    if (int_one == NULL)
+    float_one = PyFloat_FromDouble(1.0);
+    if (int_one == NULL || float_one == NULL)
         return NULL;
 
     PyObject *module = PyModule_Create(&cext_module);
@@ -1860,6 +2466,10 @@ PyInit__cext(void)
                               (PyObject *)&SwitchEnter_Type) < 0 ||
         PyModule_AddObjectRef(module, "UnorderedArrive",
                               (PyObject *)&UnorderedArrive_Type) < 0 ||
+        PyModule_AddObjectRef(module, "UnorderedSend",
+                              (PyObject *)&UnorderedSend_Type) < 0 ||
+        PyModule_AddObjectRef(module, "OrderedSend",
+                              (PyObject *)&OrderedSend_Type) < 0 ||
         chandlers_add_types(module) < 0 || issue_add_types(module) < 0) {
         Py_DECREF(module);
         return NULL;

@@ -4,29 +4,34 @@
  * Contract: bit-identical observable behaviour with the pure-Python
  * reference handlers in repro/protocols/{snooping,bash,directory}.  The
  * pure classes remain the executable specification; each compiled delivery
- * object implements only the *common case* of one handler fully in C and
- * delegates to the stored Python bound method — before any C-side mutation
- * — whenever it meets anything unusual (live transactions that defer,
- * owners that must send data, insufficient BASH requests, unexpected
- * message kinds, customised containers).  Because delegation happens with
- * the whole message and zero prior side effects, the Python handler redoes
- * its read-only checks and takes over exactly where the pure path would
- * have been, so traces stay identical by construction.
+ * object implements the common cases of one handler fully in C and
+ * delegates to the stored Python bound method -- before any C-side
+ * mutation -- whenever it meets anything unusual (live transactions that
+ * defer or note invalidations, BASH retries, unexpected message kinds,
+ * customised containers).  Because delegation happens with the whole
+ * message and zero prior side effects, the Python handler redoes its
+ * read-only checks and takes over exactly where the pure path would have
+ * been, so traces stay identical by construction.
  *
- * The delivery objects never schedule: every message send, retry, or nack
- * goes through the delegated Python method (or the MemServe entry), which
- * keeps sequence numbers, event labels and ordering byte-for-byte the same
- * as the pure backend.  The one scheduling object here is BashSample, the
- * BASH sampling event, which re-arms itself exactly as the pure
+ * Sending: the objects push messages only through the pushes the pure
+ * handlers make.  An owner's or a home memory's DATA reply goes through
+ * issue_send_data (_issue.c): the same message build, data_responses count
+ * and schedule_after_fast1 entry -- time, sequence number, callback (the
+ * controller's _unordered_send) and label -- as the pure _send_data.
+ * Retries, nacks and writebacks stay in the delegated Python methods.
+ * BashSample, the BASH sampling event, re-arms itself exactly as the pure
  * _sample_utilization does.
  *
  * Like the compiled scheduler, the delivery objects prebind containers
  * that every system reset clears *in place* (the transaction dict, the
  * block store's raw dict, the directory's entry dict, the node's home
- * memo) plus stable bound methods, and hold no statistics handles — cold
- * paths count through controller.count(), exactly like the pure handlers.
- * Message fields are read through message_get() (_core.h): by slot for the
- * stock Message, by attribute for anything else.
+ * memo) plus stable bound methods and statistics objects.  Counts go
+ * through _core.h's count_stat (the component's own counter cache, so a
+ * reset-pruned name is re-resolved by count()) and running means through
+ * mean_record_int; a patched Counter, RunningMean or Component.count keeps
+ * the Python methods.  Message fields are read through message_get()
+ * (_core.h): by slot for the stock Message, by attribute for anything
+ * else.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -41,6 +46,8 @@
  * is the faithful mirror. */
 static PyObject *MT_GETS = NULL;
 static PyObject *MT_GETM = NULL;
+static PyObject *MT_FWD_GETS = NULL;
+static PyObject *MT_FWD_GETM = NULL;
 static PyObject *ST_MODIFIED = NULL;
 static PyObject *ST_OWNED = NULL;
 static PyObject *ST_SHARED = NULL;
@@ -62,10 +69,12 @@ static PyObject *s_tracked_sharers;
 static PyObject *s_owner;
 static PyObject *s_sharers;
 static PyObject *s_awaiting_writeback;
-static PyObject *s_count;
 static PyObject *s_stale_own_requests;
 static PyObject *s_invalidations;
 static PyObject *s_stale_markers;
+static PyObject *s_stale_forwards;
+static PyObject *s_cache_to_cache;
+static PyObject *s_insufficient_observed;
 static PyObject *s_data_token;
 static PyObject *s_store_token;
 static PyObject *s_received_token;
@@ -78,6 +87,7 @@ static PyObject *s_completion_time;
 static PyObject *s_issue_time;
 static PyObject *s_now;
 static PyObject *ll_one;
+static PyObject *empty_args;
 
 /* ------------------------------------------------------------------ helpers */
 
@@ -175,23 +185,13 @@ call_discard2(PyObject *callable, PyObject *a, PyObject *b)
     return 0;
 }
 
-/* controller.count(name) — the same per-event statistics path the pure
- * handlers use on their cold branches. */
+/* Is every member of `members` (skipping the ids `skip` and `skip_too`)
+ * in `recipients`?  Mirrors needed-set .issubset(recipients) with the
+ * needed set built by discarding both ids.  Returns 1/0, or -1 with error
+ * set. */
 static int
-count_stat(PyObject *controller, PyObject *name)
-{
-    PyObject *result = PyObject_CallMethodOneArg(controller, s_count, name);
-    if (result == NULL)
-        return -1;
-    Py_DECREF(result);
-    return 0;
-}
-
-/* Is every member of `members` (skipping the id `skip`) in `recipients`?
- * Mirrors needed-set .issubset(recipients) with the needed set built by
- * discarding `skip`.  Returns 1/0, or -1 with error set. */
-static int
-members_covered(PyObject *members, PyObject *recipients, long long skip)
+members_covered(PyObject *members, PyObject *recipients, long long skip,
+                long long skip_too)
 {
     PyObject *iter = PyObject_GetIter(members);
     if (iter == NULL)
@@ -205,7 +205,7 @@ members_covered(PyObject *members, PyObject *recipients, long long skip)
             result = -1;
             break;
         }
-        if (value != skip) {
+        if (value != skip && value != skip_too) {
             int contained = PySet_Contains(recipients, item);
             if (contained < 0) {
                 Py_DECREF(item);
@@ -262,6 +262,91 @@ request_kind(PyObject *message, PyObject *fallback, int *error)
     return original;
 }
 
+/* CacheBlockStore.lookup(address): the raw-dict probe, and on a miss the
+ * Invalid record CacheBlock(address) stores -- built by slot when the
+ * stock class is injected and unmodified, else through the bound lookup.
+ * New reference. */
+static PyObject *
+block_lookup(PyObject *blocks, PyObject *lookup, PyObject *address)
+{
+    PyObject *block = PyDict_GetItemWithError(blocks, address);
+    if (block != NULL)
+        return Py_NewRef(block);
+    if (PyErr_Occurred())
+        return NULL;
+    PyTypeObject *cls = core_block_layout.cls;
+    if (cls == NULL || cls->tp_version_tag != core_block_layout.version)
+        return PyObject_CallOneArg(lookup, address);
+    block = cls->tp_new(cls, empty_args, NULL);
+    if (block == NULL)
+        return NULL;
+    const Py_ssize_t *slots = core_block_layout.offsets;
+    if (slot_store(block, slots[BLOCK_ADDRESS], Py_NewRef(address)) < 0 ||
+        slot_store(block, slots[BLOCK_STATE], Py_NewRef(ST_INVALID)) < 0 ||
+        slot_store(block, slots[BLOCK_DATA_TOKEN], PyLong_FromLong(0)) < 0 ||
+        slot_store(block, slots[BLOCK_TRACKED_SHARERS], PySet_New(NULL)) < 0 ||
+        slot_store(block, slots[BLOCK_LAST_ACCESS_TIME], PyLong_FromLong(0)) <
+            0 ||
+        PyDict_SetItem(blocks, address, block) < 0) {
+        Py_DECREF(block);
+        return NULL;
+    }
+    return block;
+}
+
+/* The owner's reply to another node's request: the M/O branches of
+ * _serve_stable (Snooping/BASH) and _serve_forward (Directory).  The DATA
+ * reply goes out through `serve` (issue_send_data: the cache's _send_data
+ * plus its push); then a GETS leaves the block OWNED, tracking the
+ * requester as a sharer, and a GETM invalidates and drops it; both count
+ * cache_to_cache.  1 when the Python handler must run (nothing changed),
+ * 0 served, -1 error. */
+static int
+owner_serve(PyObject *serve, PyObject *controller, PyObject *blocks,
+            PyObject *block, PyObject *message, int getm)
+{
+    PyObject *tracked = PyObject_GetAttr(block, s_tracked_sharers);
+    if (tracked == NULL)
+        return -1;
+    if (!PySet_Check(tracked)) {
+        Py_DECREF(tracked);
+        return 1;
+    }
+    Py_INCREF(block); /* keep alive across the dict removal */
+    PyObject *address = PyObject_GetAttr(block, s_address);
+    PyObject *token =
+        address == NULL ? NULL : PyObject_GetAttr(block, s_data_token);
+    PyObject *requester =
+        token == NULL ? NULL : message_get(message, MSG_REQUESTER);
+    PyObject *txn_id =
+        requester == NULL ? NULL : message_get(message, MSG_TRANSACTION_ID);
+    int rc = txn_id == NULL
+                 ? -1
+                 : issue_send_data(serve, address, requester, token, txn_id);
+    if (rc == 0) {
+        if (getm) {
+            /* block.invalidate(); blocks.drop(block.address) */
+            if (PyObject_SetAttr(block, s_state, ST_INVALID) < 0 ||
+                PySet_Clear(tracked) < 0)
+                rc = -1;
+            else if (PyDict_DelItem(blocks, address) < 0)
+                PyErr_Clear(); /* pop(address, None) semantics */
+        }
+        else if (PyObject_SetAttr(block, s_state, ST_OWNED) < 0 ||
+                 PySet_Add(tracked, requester) < 0)
+            rc = -1;
+        if (rc == 0)
+            rc = count_stat(controller, s_cache_to_cache);
+    }
+    Py_XDECREF(txn_id);
+    Py_XDECREF(requester);
+    Py_XDECREF(token);
+    Py_XDECREF(address);
+    Py_DECREF(block);
+    Py_DECREF(tracked);
+    return rc;
+}
+
 /* --------------------------------------------------------------- DataDeliver
  *
  * Compiled unordered-network delivery entry for DATA responses, plus the
@@ -287,8 +372,8 @@ typedef struct DataDeliver {
     PyObject *fallback;         /* bound _handle_data */
     PyObject *service_deferred; /* bound _service_deferred */
     PyObject *try_complete;     /* bound _try_complete (directory), or NULL */
-    PyObject *miss_record;      /* bound _miss_latency_mean.record */
-    PyObject *system_record;    /* bound _system_miss_latency.record */
+    PyObject *miss_mean;        /* controller._miss_latency_mean */
+    PyObject *system_mean;      /* controller._system_miss_latency */
     PyObject *arena_release;    /* bound arena.release_transaction, or NULL */
     PyObject *message_release;  /* bound arena.release_message, or NULL */
 } DataDeliverObject;
@@ -350,21 +435,6 @@ txn_invalidated_after(PyObject *transaction)
     return result;
 }
 
-/* The block record for `address`: raw-dict probe, with the bound lookup
- * (which creates absent records) as the fallback.  New reference. */
-static PyObject *
-data_block_for(DataDeliverObject *self, PyObject *address)
-{
-    PyObject *block = PyDict_GetItemWithError(self->blocks, address);
-    if (block != NULL) {
-        Py_INCREF(block);
-        return block;
-    }
-    if (PyErr_Occurred())
-        return NULL;
-    return PyObject_CallOneArg(self->blocks_lookup, address);
-}
-
 /* _complete(transaction): completion bookkeeping in C; the issuer's
  * completion callback and the arena release stay Python calls. */
 static int
@@ -395,8 +465,8 @@ complete_transaction(DataDeliverObject *self, PyObject *transaction,
     PyObject *latency = PyLong_FromLongLong(now_ll - issued);
     if (latency == NULL)
         return -1;
-    if (call_discard1(self->miss_record, latency) < 0 ||
-        call_discard1(self->system_record, latency) < 0) {
+    if (mean_record_int(self->miss_mean, latency) < 0 ||
+        mean_record_int(self->system_mean, latency) < 0) {
         Py_DECREF(latency);
         return -1;
     }
@@ -537,7 +607,8 @@ data_try_complete(DataDeliverObject *self, PyObject *transaction)
     PyObject *address = PyObject_GetAttr(transaction, s_address);
     if (address == NULL)
         return -1;
-    PyObject *block = data_block_for(self, address);
+    PyObject *block =
+        block_lookup(self->blocks, self->blocks_lookup, address);
     if (block == NULL) {
         Py_DECREF(address);
         return -1;
@@ -621,7 +692,8 @@ data_deliver(DataDeliverObject *self, PyObject *message)
     if (self->directory) {
         if (is_getm) {
             /* install ownership now; completion waits for the marker */
-            PyObject *block = data_block_for(self, address);
+            PyObject *block =
+                block_lookup(self->blocks, self->blocks_lookup, address);
             if (block == NULL)
                 goto fail;
             int installed = data_install_owner(self, transaction, block);
@@ -644,7 +716,8 @@ data_deliver(DataDeliverObject *self, PyObject *message)
         Py_DECREF(address);
         return 0;
     }
-    PyObject *block = data_block_for(self, address);
+    PyObject *block =
+        block_lookup(self->blocks, self->blocks_lookup, address);
     if (block == NULL)
         goto fail;
     int done = is_getm
@@ -672,20 +745,20 @@ static int
 DataDeliver_init(DataDeliverObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *controller, *transactions, *blocks, *blocks_lookup, *scheduler;
-    PyObject *fallback, *service_deferred, *miss_record, *system_record;
+    PyObject *fallback, *service_deferred, *miss_mean, *system_mean;
     PyObject *try_complete = Py_None, *arena_release = Py_None;
     PyObject *message_release = Py_None;
     int directory;
     static char *kwlist[] = {
         "directory",     "controller",    "transactions",
         "blocks",        "blocks_lookup", "scheduler",
-        "fallback",      "service_deferred", "miss_record",
-        "system_record", "try_complete",  "arena_release",
+        "fallback",      "service_deferred", "miss_mean",
+        "system_mean",   "try_complete",  "arena_release",
         "message_release", NULL};
     if (!PyArg_ParseTupleAndKeywords(
             args, kwds, "iOOOOOOOOO|OOO", kwlist, &directory, &controller,
             &transactions, &blocks, &blocks_lookup, &scheduler, &fallback,
-            &service_deferred, &miss_record, &system_record, &try_complete,
+            &service_deferred, &miss_mean, &system_mean, &try_complete,
             &arena_release, &message_release))
         return -1;
     if (!protocol_injected())
@@ -715,10 +788,10 @@ DataDeliver_init(DataDeliverObject *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->fallback, fallback);
     Py_INCREF(service_deferred);
     Py_XSETREF(self->service_deferred, service_deferred);
-    Py_INCREF(miss_record);
-    Py_XSETREF(self->miss_record, miss_record);
-    Py_INCREF(system_record);
-    Py_XSETREF(self->system_record, system_record);
+    Py_INCREF(miss_mean);
+    Py_XSETREF(self->miss_mean, miss_mean);
+    Py_INCREF(system_mean);
+    Py_XSETREF(self->system_mean, system_mean);
 #define STORE_OPT(field, value)                                                \
     do {                                                                       \
         PyObject *boxed = (value) == Py_None ? NULL : (value);                 \
@@ -744,8 +817,8 @@ DataDeliver_traverse(DataDeliverObject *self, visitproc visit, void *arg)
     Py_VISIT(self->fallback);
     Py_VISIT(self->service_deferred);
     Py_VISIT(self->try_complete);
-    Py_VISIT(self->miss_record);
-    Py_VISIT(self->system_record);
+    Py_VISIT(self->miss_mean);
+    Py_VISIT(self->system_mean);
     Py_VISIT(self->arena_release);
     Py_VISIT(self->message_release);
     return 0;
@@ -762,8 +835,8 @@ DataDeliver_clear(DataDeliverObject *self)
     Py_CLEAR(self->fallback);
     Py_CLEAR(self->service_deferred);
     Py_CLEAR(self->try_complete);
-    Py_CLEAR(self->miss_record);
-    Py_CLEAR(self->system_record);
+    Py_CLEAR(self->miss_mean);
+    Py_CLEAR(self->system_mean);
     Py_CLEAR(self->arena_release);
     Py_CLEAR(self->message_release);
     return 0;
@@ -833,13 +906,15 @@ static PyTypeObject DataDeliver_Type = {
  *     recording and the upgrade-at-marker completion, in C (completion
  *     itself delegates to _finish_getm);
  *   other nodes              -> the 15-of-16 "no block, no transaction"
- *     early-out and the stable SHARED-invalidation entirely in C; live
- *     transactions and data-sending owners delegate to
- *     _handle_other_request;
- *   home node                -> the home memo and the directory's
- *     grant_exclusive/add_sharer bookkeeping (plus the BASH sufficiency
- *     check) in C; anything that sends data, retries, nacks or holds
- *     requests delegates to the memory controller's _ordered_request.
+ *     early-out, the stable SHARED-invalidation and the stable owner's
+ *     DATA reply (owner_serve, with BASH's owner-side sufficiency check)
+ *     entirely in C; live transactions, which may defer or note an
+ *     invalidation, delegate to _handle_other_request;
+ *   home node                -> the home memo, the memory's DATA reply
+ *     (issue_mem_serve) and the directory's grant_exclusive/add_sharer
+ *     bookkeeping (plus the BASH sufficiency check) in C; anything that
+ *     retries, nacks or holds requests delegates to the memory
+ *     controller's _ordered_request.
  */
 
 typedef struct {
@@ -869,6 +944,8 @@ typedef struct {
     PyObject *dir_lookup;     /* bound DirectoryStore.lookup, or NULL */
     PyObject *completer;      /* DataDeliver for upgrade-at-marker, or NULL */
     PyObject *mem_serve;      /* MemServe C data serve (_issue.c), or NULL */
+    PyObject *data_serve;     /* the cache's MemServe (owner replies), or
+                                 NULL: owners delegate */
 } SnoopDeliverObject;
 
 static PyObject *SnoopDeliver_vectorcall(SnoopDeliverObject *self,
@@ -884,6 +961,7 @@ SnoopDeliver_init(SnoopDeliverObject *self, PyObject *args, PyObject *kwds)
     PyObject *mem_handler = Py_None, *mem_controller = Py_None;
     PyObject *dir_entries = Py_None, *dir_lookup = Py_None;
     PyObject *completer = Py_None, *mem_serve = Py_None;
+    PyObject *data_serve = Py_None;
     long long node_id, block_bytes = 0, num_procs = 0;
     int bash, mem_mode, mem_bash = 0, home_inline = 0;
     static char *kwlist[] = {
@@ -893,22 +971,24 @@ SnoopDeliver_init(SnoopDeliverObject *self, PyObject *args, PyObject *kwds)
         "mem_mode",      "mem_bash",     "home_filter", "is_home_for",
         "mem_handler",   "mem_controller", "dir_entries", "dir_lookup",
         "home_inline",   "block_bytes",  "num_procs",  "completer",
-        "mem_serve",     NULL};
+        "mem_serve",     "data_serve",   NULL};
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OLiOOOOOOOi|iOOOOOOiLLOO", kwlist, &kind, &node_id,
+            args, kwds, "OLiOOOOOOOi|iOOOOOOiLLOOO", kwlist, &kind, &node_id,
             &bash, &controller, &transactions, &blocks, &blocks_lookup,
             &handle_other, &finish_getm, &own_sufficient, &mem_mode,
             &mem_bash, &home_filter, &is_home_for, &mem_handler,
             &mem_controller, &dir_entries, &dir_lookup, &home_inline,
-            &block_bytes, &num_procs, &completer, &mem_serve))
+            &block_bytes, &num_procs, &completer, &mem_serve, &data_serve))
         return -1;
     if (completer != Py_None &&
         !PyObject_TypeCheck(completer, &DataDeliver_Type)) {
         PyErr_SetString(PyExc_TypeError, "completer must be a DataDeliver");
         return -1;
     }
-    if (mem_serve != Py_None && !issue_is_memserve(mem_serve)) {
-        PyErr_SetString(PyExc_TypeError, "mem_serve must be a MemServe");
+    if ((mem_serve != Py_None && !issue_is_memserve(mem_serve)) ||
+        (data_serve != Py_None && !issue_is_memserve(data_serve))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "mem_serve and data_serve must be MemServe objects");
         return -1;
     }
     if (home_inline && (block_bytes <= 0 || num_procs <= 0)) {
@@ -986,6 +1066,7 @@ SnoopDeliver_init(SnoopDeliverObject *self, PyObject *args, PyObject *kwds)
     STORE_OPT(dir_lookup, dir_lookup);
     STORE_OPT(completer, completer);
     STORE_OPT(mem_serve, mem_serve);
+    STORE_OPT(data_serve, data_serve);
 #undef STORE_OPT
     self->vectorcall = (vectorcallfunc)SnoopDeliver_vectorcall;
     return 0;
@@ -1010,6 +1091,7 @@ SnoopDeliver_traverse(SnoopDeliverObject *self, visitproc visit, void *arg)
     Py_VISIT(self->dir_lookup);
     Py_VISIT(self->completer);
     Py_VISIT(self->mem_serve);
+    Py_VISIT(self->data_serve);
     return 0;
 }
 
@@ -1032,6 +1114,7 @@ SnoopDeliver_clear(SnoopDeliverObject *self)
     Py_CLEAR(self->dir_lookup);
     Py_CLEAR(self->completer);
     Py_CLEAR(self->mem_serve);
+    Py_CLEAR(self->data_serve);
     return 0;
 }
 
@@ -1059,7 +1142,8 @@ own_sufficient_bash(SnoopDeliverObject *self, PyObject *transaction,
     }
     int result;
     if (PyAnySet_Check(tracked) && PyAnySet_Check(recipients)) {
-        result = members_covered(tracked, recipients, self->node_id);
+        result = members_covered(tracked, recipients, self->node_id,
+                                 self->node_id);
     }
     else {
         /* unusual containers: the Python check is authoritative */
@@ -1122,16 +1206,10 @@ snoop_own(SnoopDeliverObject *self, PyObject *message, PyObject *address)
     }
     if (record_marker(transaction, message) < 0)
         goto fail;
-    PyObject *block = PyDict_GetItemWithError(self->blocks, address);
-    if (block == NULL) {
-        if (PyErr_Occurred())
-            goto fail;
-        block = PyObject_CallOneArg(self->blocks_lookup, address);
-        if (block == NULL)
-            goto fail;
-    }
-    else
-        Py_INCREF(block);
+    PyObject *block =
+        block_lookup(self->blocks, self->blocks_lookup, address);
+    if (block == NULL)
+        goto fail;
     /* _try_complete_at_marker: a GETM issued from M/O completes at its
      * marker without waiting for data (when the request was sufficient). */
     PyObject *kind = PyObject_GetAttr(transaction, s_kind);
@@ -1190,10 +1268,38 @@ fail:
     return -1;
 }
 
-/* Another node's GETS/GETM: the early-out and the stable SHARED
- * invalidation in C; everything else delegates to _handle_other_request. */
+/* BashCacheController._owner_getm_sufficient: a broadcast always is;
+ * otherwise every tracked sharer but the requester and this node must be
+ * a recipient.  1/0, 2 for containers only the Python check reads, -1
+ * error. */
 static int
-snoop_other(SnoopDeliverObject *self, PyObject *message, PyObject *address)
+owner_getm_sufficient(SnoopDeliverObject *self, PyObject *block,
+                      PyObject *message, long long requester)
+{
+    int broadcast = message_truth(message, MSG_IS_BROADCAST);
+    if (broadcast != 0)
+        return broadcast;
+    PyObject *tracked = PyObject_GetAttr(block, s_tracked_sharers);
+    if (tracked == NULL)
+        return -1;
+    PyObject *recipients = message_get(message, MSG_RECIPIENTS);
+    int result = -1;
+    if (recipients != NULL)
+        result = PyAnySet_Check(tracked) && PyAnySet_Check(recipients)
+                     ? members_covered(tracked, recipients, requester,
+                                       self->node_id)
+                     : 2;
+    Py_XDECREF(recipients);
+    Py_DECREF(tracked);
+    return result;
+}
+
+/* Another node's GETS/GETM: the early-out and the stable block's reaction
+ * (_serve_stable: the owner's reply, the SHARED invalidation) in C; live
+ * transactions and odd shapes delegate to _handle_other_request. */
+static int
+snoop_other(SnoopDeliverObject *self, PyObject *message, PyObject *address,
+            long long requester)
 {
     PyObject *transaction = PyDict_GetItemWithError(self->transactions, address);
     if (transaction == NULL && PyErr_Occurred())
@@ -1215,8 +1321,7 @@ snoop_other(SnoopDeliverObject *self, PyObject *message, PyObject *address)
     }
     if (live) /* may defer / note invalidates: Python decides */
         return call_discard1(self->handle_other, message);
-    /* Stable block (_serve_stable): owners send data and unexpected kinds
-     * raise — both through Python; the S-invalidation runs here. */
+    /* Stable block (_serve_stable); unexpected kinds raise in Python. */
     int error = 0;
     PyObject *kind = request_kind(message, self->msg_kind, &error);
     if (error)
@@ -1225,14 +1330,33 @@ snoop_other(SnoopDeliverObject *self, PyObject *message, PyObject *address)
     if (state == NULL)
         return -1;
     int known_kind = (kind == MT_GETS || kind == MT_GETM);
-    int known_state = (state == ST_MODIFIED || state == ST_OWNED ||
-                       state == ST_SHARED || state == ST_INVALID);
+    int owner = (state == ST_MODIFIED || state == ST_OWNED);
+    int shared = (state == ST_SHARED);
+    int known_state = owner || shared || state == ST_INVALID;
+    Py_DECREF(state);
+    if (!known_kind || !known_state)
+        return call_discard1(self->handle_other, message);
     int rc = 0;
-    if (!known_kind || !known_state ||
-        state == ST_MODIFIED || state == ST_OWNED) {
-        rc = call_discard1(self->handle_other, message);
+    if (owner) {
+        rc = 1;
+        if (self->data_serve != NULL) {
+            int sufficient =
+                kind == MT_GETM && self->bash
+                    ? owner_getm_sufficient(self, block, message, requester)
+                    : 1;
+            if (sufficient == 0)
+                rc = count_stat(self->controller, s_insufficient_observed);
+            else if (sufficient == 1)
+                rc = owner_serve(self->data_serve, self->controller,
+                                 self->blocks, block, message,
+                                 kind == MT_GETM);
+            else if (sufficient < 0)
+                rc = -1;
+        }
+        if (rc == 1)
+            rc = call_discard1(self->handle_other, message);
     }
-    else if (kind == MT_GETM && state == ST_SHARED) {
+    else if (kind == MT_GETM && shared) {
         /* block.invalidate(); blocks.drop(address); count("invalidations") */
         PyObject *tracked = PyObject_GetAttr(block, s_tracked_sharers);
         if (tracked == NULL)
@@ -1256,7 +1380,6 @@ snoop_other(SnoopDeliverObject *self, PyObject *message, PyObject *address)
         }
     }
     /* GETS at a non-owner and GETM at Invalid: no reaction. */
-    Py_DECREF(state);
     return rc;
 }
 
@@ -1326,7 +1449,8 @@ home_serve(SnoopDeliverObject *self, PyObject *message, PyObject *address,
             goto done;
         }
         if (is_getm) {
-            sufficient = members_covered(sharers, recipients, requester);
+            sufficient = members_covered(sharers, recipients, requester,
+                                         requester);
             if (sufficient == 1 && owner != MEMORY_OWNER_ID &&
                 owner != requester) {
                 PyObject *owner_obj = PyLong_FromLongLong(owner);
@@ -1366,8 +1490,7 @@ home_serve(SnoopDeliverObject *self, PyObject *message, PyObject *address,
                        : owner == MEMORY_OWNER_ID) {
         int served = -1;
         if (self->mem_serve != NULL)
-            served = issue_mem_serve(self->mem_serve, message, entry,
-                                     is_getm);
+            served = issue_mem_serve(self->mem_serve, message, entry);
         if (served < 0 && PyErr_Occurred())
             goto done;
         if (served != 0) {
@@ -1469,7 +1592,7 @@ SnoopDeliver_vectorcall(SnoopDeliverObject *self, PyObject *const *args,
     if (requester == self->node_id)
         rc = snoop_own(self, message, address);
     else
-        rc = snoop_other(self, message, address);
+        rc = snoop_other(self, message, address, requester);
     if (rc == 0 && self->mem_mode != 0)
         rc = snoop_home(self, message, address, requester);
     Py_DECREF(address);
@@ -1500,8 +1623,12 @@ static PyTypeObject SnoopDeliver_Type = {
  * FWD_GETS/FWD_GETM types.  The Directory home consumes nothing ordered,
  * so there is no memory side.  The own-request path (every MARKER, and a
  * forward returning to its requester) runs the stale check, the marker
- * recording and the wait-for-data early-out in C; completion and other
- * nodes' forwards delegate. */
+ * recording and the wait-for-data early-out in C, with completion through
+ * the DataDeliver `completer`.  Another node's forward with no live
+ * transaction runs _serve_forward in C: the owner's DATA reply
+ * (owner_serve), the SHARED invalidation on FWD_GETM, and the
+ * stale_forwards / invalidations counts; a live transaction (which may
+ * defer the forward) delegates to _handle_other_forward. */
 
 typedef struct {
     PyObject_HEAD
@@ -1513,6 +1640,10 @@ typedef struct {
     PyObject *handle_other; /* bound _handle_other_forward, or NULL */
     PyObject *try_complete; /* bound _try_complete */
     PyObject *completer;    /* DataDeliver for marker completion, or NULL */
+    PyObject *blocks;       /* controller.blocks._blocks (dict), or NULL */
+    PyObject *blocks_lookup; /* bound CacheBlockStore.lookup, or NULL */
+    PyObject *data_serve;   /* the cache's MemServe, or NULL: other nodes'
+                               forwards delegate */
 } DirDeliverObject;
 
 static PyObject *DirDeliver_vectorcall(DirDeliverObject *self,
@@ -1524,15 +1655,28 @@ DirDeliver_init(DirDeliverObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *controller, *transactions, *try_complete;
     PyObject *handle_other = Py_None, *completer = Py_None;
+    PyObject *blocks = Py_None, *blocks_lookup = Py_None;
+    PyObject *data_serve = Py_None;
     long long node_id;
     int forward;
-    static char *kwlist[] = {"forward",      "node_id",     "controller",
+    static char *kwlist[] = {"forward",      "node_id",      "controller",
                              "transactions", "try_complete", "handle_other",
-                             "completer",    NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iLOOO|OO", kwlist, &forward,
-                                     &node_id, &controller, &transactions,
-                                     &try_complete, &handle_other, &completer))
+                             "completer",    "blocks",       "blocks_lookup",
+                             "data_serve",   NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iLOOO|OOOOO", kwlist,
+                                     &forward, &node_id, &controller,
+                                     &transactions, &try_complete,
+                                     &handle_other, &completer, &blocks,
+                                     &blocks_lookup, &data_serve))
         return -1;
+    if (data_serve != Py_None &&
+        (!issue_is_memserve(data_serve) || !PyDict_Check(blocks) ||
+         blocks_lookup == Py_None)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "data_serve must be a MemServe, with blocks (dict) "
+                        "and blocks_lookup");
+        return -1;
+    }
     if (completer != Py_None &&
         !PyObject_TypeCheck(completer, &DataDeliver_Type)) {
         PyErr_SetString(PyExc_TypeError, "completer must be a DataDeliver");
@@ -1561,6 +1705,10 @@ DirDeliver_init(DirDeliverObject *self, PyObject *args, PyObject *kwds)
     PyObject *comp = completer == Py_None ? NULL : completer;
     Py_XINCREF(comp);
     Py_XSETREF(self->completer, comp);
+    int serves = data_serve != Py_None;
+    Py_XSETREF(self->blocks, serves ? Py_NewRef(blocks) : NULL);
+    Py_XSETREF(self->blocks_lookup, serves ? Py_NewRef(blocks_lookup) : NULL);
+    Py_XSETREF(self->data_serve, serves ? Py_NewRef(data_serve) : NULL);
     self->vectorcall = (vectorcallfunc)DirDeliver_vectorcall;
     return 0;
 }
@@ -1573,6 +1721,9 @@ DirDeliver_traverse(DirDeliverObject *self, visitproc visit, void *arg)
     Py_VISIT(self->handle_other);
     Py_VISIT(self->try_complete);
     Py_VISIT(self->completer);
+    Py_VISIT(self->blocks);
+    Py_VISIT(self->blocks_lookup);
+    Py_VISIT(self->data_serve);
     return 0;
 }
 
@@ -1584,6 +1735,9 @@ DirDeliver_clear(DirDeliverObject *self)
     Py_CLEAR(self->handle_other);
     Py_CLEAR(self->try_complete);
     Py_CLEAR(self->completer);
+    Py_CLEAR(self->blocks);
+    Py_CLEAR(self->blocks_lookup);
+    Py_CLEAR(self->data_serve);
     return 0;
 }
 
@@ -1593,6 +1747,89 @@ DirDeliver_dealloc(DirDeliverObject *self)
     PyObject_GC_UnTrack(self);
     DirDeliver_clear(self);
     Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* _serve_forward for a stable block: 1 when _handle_other_forward must
+ * run (nothing changed), 0 served, -1 error. */
+static int
+dir_serve_forward(DirDeliverObject *self, PyObject *block, PyObject *message)
+{
+    PyObject *msg_type = message_get(message, MSG_MSG_TYPE);
+    if (msg_type == NULL)
+        return -1;
+    int getm = msg_type == MT_FWD_GETM;
+    int gets = msg_type == MT_FWD_GETS;
+    Py_DECREF(msg_type);
+    PyObject *state = PyObject_GetAttr(block, s_state);
+    if (state == NULL)
+        return -1;
+    int owner = (state == ST_MODIFIED || state == ST_OWNED);
+    int shared = (state == ST_SHARED);
+    int known_state = owner || shared || state == ST_INVALID;
+    Py_DECREF(state);
+    if (!(getm || gets) || !known_state) /* raises in Python */
+        return 1;
+    if (owner)
+        return owner_serve(self->data_serve, self->controller, self->blocks,
+                           block, message, getm);
+    if (gets)
+        return count_stat(self->controller, s_stale_forwards);
+    if (!shared)
+        return 0; /* FWD_GETM at Invalid: a stale sharer in the superset */
+    /* block.invalidate(); blocks.drop(block.address); count(...) */
+    PyObject *tracked = PyObject_GetAttr(block, s_tracked_sharers);
+    if (tracked == NULL)
+        return -1;
+    if (!PySet_Check(tracked)) {
+        Py_DECREF(tracked);
+        return 1;
+    }
+    int rc = -1;
+    PyObject *address = PyObject_GetAttr(block, s_address);
+    if (address != NULL && PyObject_SetAttr(block, s_state, ST_INVALID) == 0 &&
+        PySet_Clear(tracked) == 0) {
+        if (PyDict_DelItem(self->blocks, address) < 0)
+            PyErr_Clear(); /* pop(address, None) semantics */
+        rc = count_stat(self->controller, s_invalidations);
+    }
+    Py_XDECREF(address);
+    Py_DECREF(tracked);
+    return rc;
+}
+
+/* _handle_other_forward: a live transaction delegates; otherwise the
+ * block record (created Invalid when absent, as blocks.lookup does) is
+ * served in C. */
+static int
+dir_other_forward(DirDeliverObject *self, PyObject *message)
+{
+    if (self->data_serve == NULL)
+        return call_discard1(self->handle_other, message);
+    PyObject *address = message_get(message, MSG_ADDRESS);
+    if (address == NULL)
+        return -1;
+    PyObject *transaction = PyDict_GetItemWithError(self->transactions, address);
+    int live = 0;
+    if (transaction != NULL) {
+        int completed = attr_truth(transaction, s_completed);
+        live = completed < 0 ? -1 : !completed;
+    }
+    else if (PyErr_Occurred())
+        live = -1;
+    PyObject *block = NULL;
+    if (live == 0) {
+        block = block_lookup(self->blocks, self->blocks_lookup, address);
+        if (block == NULL)
+            live = -1;
+    }
+    Py_DECREF(address);
+    if (live < 0)
+        return -1;
+    int rc = live ? 1 : dir_serve_forward(self, block, message);
+    Py_XDECREF(block);
+    if (rc == 1)
+        rc = call_discard1(self->handle_other, message);
+    return rc;
 }
 
 static PyObject *
@@ -1608,7 +1845,7 @@ DirDeliver_vectorcall(DirDeliverObject *self, PyObject *const *args,
         if (error)
             return NULL;
         if (requester != self->node_id) {
-            if (call_discard1(self->handle_other, message) < 0)
+            if (dir_other_forward(self, message) < 0)
                 return NULL;
             Py_RETURN_NONE;
         }
@@ -1719,14 +1956,8 @@ static PyTypeObject DirDeliver_Type = {
  * that method reschedules itself, so the node continues on the pure
  * path. */
 
-/* Integers a double holds exactly: int/int true division and int*float
- * products equal their C double forms only inside this range. */
-#define EXACT_DOUBLE_INT (1LL << 53)
-
 enum { LINK_BUSY_UNTIL, LINK_BUSY_TOTAL, LINK_PERIOD_START, LINK_PERIOD_PREFIX,
        LINK_SLOTS };
-enum { MEAN_COUNT, MEAN_TOTAL, MEAN_MEAN, MEAN_M2, MEAN_MINIMUM, MEAN_MAXIMUM,
-       MEAN_SLOTS };
 enum { SAMPLE_TIME, SAMPLE_UTILIZATION, SAMPLE_COUNTER, SAMPLE_POLICY,
        SAMPLE_PROBABILITY, SAMPLE_SLOTS };
 enum { POLICY_VALUE, POLICY_MAXIMUM, POLICY_SLOTS };
@@ -1791,7 +2022,6 @@ static PyObject *s__window_start;
 static PyObject *s__window_busy_in;
 static PyObject *s__window_busy_out;
 static PyObject *s__sampling_interval;
-static PyObject *sample_empty_tuple;
 
 static int
 BashSample_init(BashSampleObject *self, PyObject *args, PyObject *kwds)
@@ -1937,57 +2167,6 @@ link_busy_up_to(BashSampleObject *self, PyObject *link, long long now,
     return 1;
 }
 
-/* A RunningMean's fields. */
-typedef struct {
-    long long count;
-    double total, mean, m2, minimum, maximum;
-} MeanFields;
-
-/* Read a RunningMean whose state RunningMean.record can update in C (an
- * int count, float accumulators); 0 for anything else. */
-static int
-mean_read(BashSampleObject *self, PyObject *mean, MeanFields *fields)
-{
-    const Py_ssize_t *slots = self->mean_slots;
-    return slot_ll(mean, slots[MEAN_COUNT], &fields->count) &&
-           fields->count >= 0 && fields->count + 1 < EXACT_DOUBLE_INT &&
-           slot_double(mean, slots[MEAN_TOTAL], &fields->total) &&
-           slot_double(mean, slots[MEAN_MEAN], &fields->mean) &&
-           slot_double(mean, slots[MEAN_M2], &fields->m2) &&
-           slot_double(mean, slots[MEAN_MINIMUM], &fields->minimum) &&
-           slot_double(mean, slots[MEAN_MAXIMUM], &fields->maximum);
-}
-
-/* RunningMean.record(value) (Welford), on a mean mean_read() accepted
- * (read afresh, so one object passed twice records twice).  0 / -1. */
-static int
-mean_record(BashSampleObject *self, PyObject *mean, double value)
-{
-    const Py_ssize_t *slots = self->mean_slots;
-    MeanFields fields;
-    mean_read(self, mean, &fields);
-    fields.count += 1;
-    fields.total += value;
-    double delta = value - fields.mean;
-    fields.mean += delta / (double)fields.count;
-    fields.m2 += delta * (value - fields.mean);
-    if (slot_store(mean, slots[MEAN_COUNT], PyLong_FromLongLong(fields.count)) <
-            0 ||
-        slot_store(mean, slots[MEAN_TOTAL], PyFloat_FromDouble(fields.total)) <
-            0 ||
-        slot_store(mean, slots[MEAN_MEAN], PyFloat_FromDouble(fields.mean)) <
-            0 ||
-        slot_store(mean, slots[MEAN_M2], PyFloat_FromDouble(fields.m2)) < 0)
-        return -1;
-    if (value < fields.minimum &&
-        slot_store(mean, slots[MEAN_MINIMUM], PyFloat_FromDouble(value)) < 0)
-        return -1;
-    if (value > fields.maximum &&
-        slot_store(mean, slots[MEAN_MAXIMUM], PyFloat_FromDouble(value)) < 0)
-        return -1;
-    return 0;
-}
-
 static int
 set_ll_attr(PyObject *obj, PyObject *name, long long value)
 {
@@ -2007,7 +2186,7 @@ new_sample(BashSampleObject *self, long long now, double utilization,
            long long value, long long policy, double probability)
 {
     PyTypeObject *cls = (PyTypeObject *)self->sample_cls;
-    PyObject *sample = cls->tp_new(cls, sample_empty_tuple, NULL);
+    PyObject *sample = cls->tp_new(cls, empty_args, NULL);
     if (sample == NULL)
         return NULL;
     const Py_ssize_t *slots = self->sample_slots;
@@ -2062,9 +2241,10 @@ BashSample_vectorcall(BashSampleObject *self, PyObject *const *Py_UNUSED(args),
         !slot_ll(self->policy, self->policy_slots[POLICY_VALUE], &policy) ||
         !slot_ll(self->policy, self->policy_slots[POLICY_MAXIMUM], &maximum) ||
         maximum <= 0 || maximum >= EXACT_DOUBLE_INT || policy < 0 ||
-        policy > maximum || !mean_read(self, self->means[0], &unused) ||
-        !mean_read(self, self->means[1], &unused) ||
-        !mean_read(self, self->means[2], &unused))
+        policy > maximum ||
+        !mean_read(self->mean_slots, self->means[0], &unused) ||
+        !mean_read(self->mean_slots, self->means[1], &unused) ||
+        !mean_read(self->mean_slots, self->means[2], &unused))
         return sample_bail(self);
     long long busy_in = busy_in_now - window_in;
     long long busy_out = busy_out_now - window_out;
@@ -2110,9 +2290,10 @@ BashSample_vectorcall(BashSampleObject *self, PyObject *const *Py_UNUSED(args),
                  ? PyList_Append(self->history, sample)
                  : call_discard1(self->history_append, sample);
     Py_DECREF(sample);
-    if (rc < 0 || mean_record(self, self->means[0], utilization) < 0 ||
-        mean_record(self, self->means[1], utilization) < 0 ||
-        mean_record(self, self->means[2], probability) < 0 ||
+    if (rc < 0 ||
+        mean_record(self->mean_slots, self->means[0], utilization, NULL) < 0 ||
+        mean_record(self->mean_slots, self->means[1], utilization, NULL) < 0 ||
+        mean_record(self->mean_slots, self->means[2], probability, NULL) < 0 ||
         set_ll_attr(self->controller, s__window_start, now) < 0 ||
         core_push_fast(self->scheduler, now + interval, (PyObject *)self,
                        self->label, NULL) < 0)
@@ -2138,21 +2319,26 @@ static PyTypeObject BashSample_Type = {
 
 /* ------------------------------------------------------------- module glue */
 
-/* _init_protocol(GETS, GETM, MODIFIED, OWNED, SHARED, INVALID,
- * memory_owner): inject the enum singletons the fast paths compare by
- * identity.  Idempotent; called by repro.protocols.dispatch on first use. */
+/* _init_protocol(GETS, GETM, FWD_GETS, FWD_GETM, MODIFIED, OWNED, SHARED,
+ * INVALID, memory_owner): inject the enum singletons the fast paths compare
+ * by identity.  Idempotent; called by repro.protocols.dispatch on first
+ * use. */
 static PyObject *
 chandlers_init_protocol(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *gets, *getm, *modified, *owned, *shared, *invalid;
+    PyObject *gets, *getm, *fwd_gets, *fwd_getm, *modified, *owned, *shared;
+    PyObject *invalid;
     long long memory_owner;
-    if (!PyArg_ParseTuple(args, "OOOOOOL", &gets, &getm, &modified, &owned,
-                          &shared, &invalid, &memory_owner))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOL", &gets, &getm, &fwd_gets,
+                          &fwd_getm, &modified, &owned, &shared, &invalid,
+                          &memory_owner))
         return NULL;
     Py_INCREF(gets);
     Py_XSETREF(MT_GETS, gets);
     Py_INCREF(getm);
     Py_XSETREF(MT_GETM, getm);
+    Py_XSETREF(MT_FWD_GETS, Py_NewRef(fwd_gets));
+    Py_XSETREF(MT_FWD_GETM, Py_NewRef(fwd_getm));
     Py_INCREF(modified);
     Py_XSETREF(ST_MODIFIED, modified);
     Py_INCREF(owned);
@@ -2204,10 +2390,12 @@ chandlers_add_types(PyObject *module)
     INTERN(s_owner, "owner");
     INTERN(s_sharers, "sharers");
     INTERN(s_awaiting_writeback, "awaiting_writeback");
-    INTERN(s_count, "count");
     INTERN(s_stale_own_requests, "stale_own_requests");
     INTERN(s_invalidations, "invalidations");
     INTERN(s_stale_markers, "stale_markers");
+    INTERN(s_stale_forwards, "stale_forwards");
+    INTERN(s_cache_to_cache, "cache_to_cache");
+    INTERN(s_insufficient_observed, "insufficient_observed");
     INTERN(s_data_token, "data_token");
     INTERN(s_store_token, "store_token");
     INTERN(s_received_token, "received_token");
@@ -2234,8 +2422,8 @@ chandlers_add_types(PyObject *module)
         INTERN(policy_slot_names[i], policy_slot_text[i]);
 #undef INTERN
     ll_one = PyLong_FromLong(1);
-    sample_empty_tuple = PyTuple_New(0);
-    if (ll_one == NULL || sample_empty_tuple == NULL)
+    empty_args = PyTuple_New(0);
+    if (ll_one == NULL || empty_args == NULL)
         return -1;
 
     if (PyModule_AddObjectRef(module, "DataDeliver",

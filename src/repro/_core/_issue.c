@@ -23,6 +23,10 @@
  * directly (the same `_transactions`/`_messages` lists the pure
  * arena.message/arena.transaction pop) and re-initialises every field
  * exactly as the dataclass __init__ would.
+ *
+ * The same message builder serves the reply side: MemServe is one
+ * controller's DATA reply (_send_data), and DirHome the Directory home's
+ * GETS/GETM entry with its memory reply, marker and forward.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -38,6 +42,9 @@ static PyObject *MT_GETS = NULL;
 static PyObject *MT_GETM = NULL;
 static PyObject *MT_PUTM = NULL;
 static PyObject *MT_DATA = NULL;
+static PyObject *MT_MARKER = NULL;
+static PyObject *MT_FWD_GETS = NULL;
+static PyObject *MT_FWD_GETM = NULL;
 static PyObject *ST_MODIFIED = NULL;
 static PyObject *ST_OWNED = NULL;
 static PyObject *ST_SHARED = NULL;
@@ -47,6 +54,7 @@ static PyObject *DU_MEMORY_U = NULL;
 /* Message.__init__'s default-argument frozenset, so recycled messages get
  * the very same `recipients` object a pure construction would. */
 static PyObject *EMPTY_RECIPIENTS = NULL;
+static long long MEMORY_OWNER_ID = -1;
 
 /* Interned attribute / counter names (module lifetime). */
 static PyObject *s_address;
@@ -95,11 +103,8 @@ static PyObject *s_misses;
 static PyObject *s_operations_completed;
 static PyObject *s__store_tokens;
 static PyObject *s__count;
-static PyObject *s_count;
 static PyObject *s_complete;
 static PyObject *s__dram_latency;
-static PyObject *s_config;
-static PyObject *s_data_message_bytes;
 static PyObject *n_writebacks;
 static PyObject *n_evictions_writeback;
 static PyObject *n_evictions_silent;
@@ -119,6 +124,10 @@ static PyObject *s__width;
 static PyObject *s__bits;
 static PyObject *n_data_responses;
 static PyObject *n_memory_responses;
+static PyObject *n_forwards;
+static PyObject *s__cache_response_latency;
+static PyObject *s_owner;
+static PyObject *s_sharers;
 static PyObject *ll_zero;
 static PyObject *ll_one;
 static PyObject *issue_empty_tuple;
@@ -172,18 +181,6 @@ static int
 call_discard1(PyObject *callable, PyObject *arg)
 {
     PyObject *result = PyObject_CallOneArg(callable, arg);
-    if (result == NULL)
-        return -1;
-    Py_DECREF(result);
-    return 0;
-}
-
-/* component.count(name) — the same per-event statistics path the pure
- * code uses on its cold branches. */
-static int
-count_stat(PyObject *component, PyObject *name)
-{
-    PyObject *result = PyObject_CallMethodOneArg(component, s_count, name);
     if (result == NULL)
         return -1;
     Py_DECREF(result);
@@ -311,21 +308,26 @@ build_message(PyObject *pool, PyObject *cls, PyObject *msg_id_next,
 
 /* ------------------------------------------------------------------ MemServe
  *
- * The memory controller's DATA reply for a home-served GETS/GETM at a
- * memory-owned line (SnoopingMemoryController._serve_request's sending
- * half), entered from _chandlers.c's home_serve via issue_mem_serve().
- * Builds the (pooled) DATA message and pushes the stock
- * `_unordered_send` callback entry after the DRAM latency — identical to
- * _send_data + schedule_after_fast1 — then counts data_responses /
- * memory_responses through the same count() path. */
+ * One controller's DATA reply: MemoryControllerBase._send_data (a home
+ * memory, after _dram_latency under _memory_data_label) or
+ * CacheControllerBase._send_data (an owner cache, after
+ * _cache_response_latency under _data_response_label).  issue_send_data
+ * builds the (pooled) DATA message, counts data_responses and pushes the
+ * controller's `_unordered_send` callback entry after the latency --
+ * identical to _send_data + schedule_after_fast1.  Entered from
+ * _chandlers.c's home and owner serves and from DirHome below. */
 
 typedef struct {
     PyObject_HEAD
-    PyObject *controller;     /* memory controller (count() + config reads) */
+    PyObject *controller;     /* the sending controller (latency, count()) */
     PyObject *scheduler;      /* compiled SchedulerBase */
     PyObject *src;            /* boxed node id (message src) */
-    PyObject *unordered_send; /* bound controller._unordered_send */
-    PyObject *data_label;     /* controller._memory_data_label */
+    PyObject *unordered_send; /* controller._unordered_send */
+    PyObject *data_label;     /* the controller's DATA label */
+    PyObject *latency_name;   /* "_dram_latency" or "_cache_response_latency" */
+    PyObject *data_bytes;     /* config.data_message_bytes */
+    PyObject *data_counter;   /* controller._ctr_data_responses, or NULL:
+                                 count("data_responses") */
     PyObject *msg_cls;        /* Message class */
     PyObject *msg_pool;       /* arena._messages list, or NULL */
     PyObject *msg_id_next;    /* bound _message_ids.__next__ */
@@ -335,14 +337,18 @@ static int
 MemServe_init(MemServeObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *controller, *scheduler, *src, *unordered_send, *data_label;
-    PyObject *msg_cls, *msg_id_next, *msg_pool = Py_None;
-    static char *kwlist[] = {"controller",     "scheduler", "src",
+    PyObject *msg_cls, *msg_id_next, *data_bytes, *msg_pool = Py_None;
+    PyObject *data_counter = Py_None;
+    int from_memory = 1;
+    static char *kwlist[] = {"controller",     "scheduler",  "src",
                              "unordered_send", "data_label", "msg_cls",
-                             "msg_id_next",    "msg_pool",   NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOOOO|O", kwlist,
+                             "msg_id_next",    "data_bytes", "msg_pool",
+                             "from_memory",    "data_counter", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOOOOO|OpO", kwlist,
                                      &controller, &scheduler, &src,
                                      &unordered_send, &data_label, &msg_cls,
-                                     &msg_id_next, &msg_pool))
+                                     &msg_id_next, &data_bytes, &msg_pool,
+                                     &from_memory, &data_counter))
         return -1;
     if (!issue_injected())
         return -1;
@@ -355,23 +361,21 @@ MemServe_init(MemServeObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "msg_pool must be a list or None");
         return -1;
     }
-    Py_INCREF(controller);
-    Py_XSETREF(self->controller, controller);
-    Py_INCREF(scheduler);
-    Py_XSETREF(self->scheduler, scheduler);
-    Py_INCREF(src);
-    Py_XSETREF(self->src, src);
-    Py_INCREF(unordered_send);
-    Py_XSETREF(self->unordered_send, unordered_send);
-    Py_INCREF(data_label);
-    Py_XSETREF(self->data_label, data_label);
-    Py_INCREF(msg_cls);
-    Py_XSETREF(self->msg_cls, msg_cls);
-    Py_INCREF(msg_id_next);
-    Py_XSETREF(self->msg_id_next, msg_id_next);
-    PyObject *pool = msg_pool == Py_None ? NULL : msg_pool;
-    Py_XINCREF(pool);
-    Py_XSETREF(self->msg_pool, pool);
+    Py_XSETREF(self->controller, Py_NewRef(controller));
+    Py_XSETREF(self->scheduler, Py_NewRef(scheduler));
+    Py_XSETREF(self->src, Py_NewRef(src));
+    Py_XSETREF(self->unordered_send, Py_NewRef(unordered_send));
+    Py_XSETREF(self->data_label, Py_NewRef(data_label));
+    Py_XSETREF(self->latency_name,
+               Py_NewRef(from_memory ? s__dram_latency
+                                     : s__cache_response_latency));
+    Py_XSETREF(self->data_bytes, Py_NewRef(data_bytes));
+    Py_XSETREF(self->data_counter,
+               data_counter == Py_None ? NULL : Py_NewRef(data_counter));
+    Py_XSETREF(self->msg_cls, Py_NewRef(msg_cls));
+    Py_XSETREF(self->msg_pool,
+               msg_pool == Py_None ? NULL : Py_NewRef(msg_pool));
+    Py_XSETREF(self->msg_id_next, Py_NewRef(msg_id_next));
     return 0;
 }
 
@@ -383,6 +387,9 @@ MemServe_traverse(MemServeObject *self, visitproc visit, void *arg)
     Py_VISIT(self->src);
     Py_VISIT(self->unordered_send);
     Py_VISIT(self->data_label);
+    Py_VISIT(self->latency_name);
+    Py_VISIT(self->data_bytes);
+    Py_VISIT(self->data_counter);
     Py_VISIT(self->msg_cls);
     Py_VISIT(self->msg_pool);
     Py_VISIT(self->msg_id_next);
@@ -397,6 +404,9 @@ MemServe_clear(MemServeObject *self)
     Py_CLEAR(self->src);
     Py_CLEAR(self->unordered_send);
     Py_CLEAR(self->data_label);
+    Py_CLEAR(self->latency_name);
+    Py_CLEAR(self->data_bytes);
+    Py_CLEAR(self->data_counter);
     Py_CLEAR(self->msg_cls);
     Py_CLEAR(self->msg_pool);
     Py_CLEAR(self->msg_id_next);
@@ -417,7 +427,7 @@ static PyTypeObject MemServe_Type = {
     .tp_basicsize = sizeof(MemServeObject),
     .tp_dealloc = (destructor)MemServe_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled memory-controller DATA serve for home requests.",
+    .tp_doc = "Compiled DATA reply of one memory or cache controller.",
     .tp_traverse = (traverseproc)MemServe_traverse,
     .tp_clear = (inquiry)MemServe_clear,
     .tp_init = (initproc)MemServe_init,
@@ -430,37 +440,55 @@ issue_is_memserve(PyObject *op)
     return PyObject_TypeCheck(op, &MemServe_Type);
 }
 
-/* The memory-owner data serve: -1 error, 1 delegate to the Python handler
- * (no C-side mutation has happened), 0 served (caller continues with the
- * directory bookkeeping).  Mirrors MemoryControllerBase._send_data +
- * the count("memory_responses") that follows it in _serve_request. */
-int
-issue_mem_serve(PyObject *serve, PyObject *message, PyObject *entry,
-                int is_getm)
+/* The controller's reply latency: 1 with *latency set when it is a
+ * non-negative int (what schedule_after_fast1 accepts), else 0 with no
+ * error set (the Python path raises or handles it). */
+static int
+reply_latency(PyObject *controller, PyObject *name, long long *latency)
 {
-    (void)is_getm; /* GETS and GETM serve identically; grant differs later */
+    PyObject *value = PyObject_GetAttr(controller, name);
+    int overflow = 1;
+    if (value != NULL && PyLong_CheckExact(value))
+        *latency = PyLong_AsLongLongAndOverflow(value, &overflow);
+    Py_XDECREF(value);
+    if (PyErr_Occurred())
+        PyErr_Clear();
+    return !overflow && *latency >= 0;
+}
+
+int
+issue_send_data(PyObject *serve, PyObject *address, PyObject *dest,
+                PyObject *data_token, PyObject *transaction_id)
+{
     MemServeObject *self = (MemServeObject *)serve;
-    /* Dynamic reads, validated before any mutation: odd shapes delegate to
-     * the Python handler, which replays the whole request from scratch. */
-    int error = 0;
-    long long dram = attr_ll(self->controller, s__dram_latency, &error);
-    if (error) {
-        PyErr_Clear();
+    long long latency;
+    if (!reply_latency(self->controller, self->latency_name, &latency))
         return 1;
-    }
-    if (dram < 0)
-        return 1; /* schedule_after_fast1 would raise: replay in Python */
-    PyObject *config = PyObject_GetAttr(self->controller, s_config);
-    if (config == NULL) {
-        PyErr_Clear();
-        return 1;
-    }
-    PyObject *data_bytes = PyObject_GetAttr(config, s_data_message_bytes);
-    Py_DECREF(config);
-    if (data_bytes == NULL) {
-        PyErr_Clear();
-        return 1;
-    }
+    long long now = core_scheduler_now(self->scheduler);
+    PyObject *now_obj = PyLong_FromLongLong(now);
+    if (now_obj == NULL)
+        return -1;
+    PyObject *msg = build_message(
+        self->msg_pool, self->msg_cls, self->msg_id_next, MT_DATA, self->src,
+        address, self->data_bytes, /*requester=*/dest, dest, DU_CACHE_U,
+        EMPTY_RECIPIENTS, transaction_id, Py_False, data_token, now_obj);
+    Py_DECREF(now_obj);
+    if (msg == NULL)
+        return -1;
+    int rc = self->data_counter != NULL
+                 ? counter_bump(self->data_counter, s__count)
+                 : count_stat(self->controller, n_data_responses);
+    if (rc == 0)
+        rc = core_push_fast(self->scheduler, now + latency,
+                            self->unordered_send, self->data_label, msg);
+    Py_DECREF(msg);
+    return rc;
+}
+
+int
+issue_mem_serve(PyObject *serve, PyObject *message, PyObject *entry)
+{
+    MemServeObject *self = (MemServeObject *)serve;
     PyObject *address = message_get(message, MSG_ADDRESS);
     PyObject *requester = address == NULL
                               ? NULL
@@ -471,44 +499,469 @@ issue_mem_serve(PyObject *serve, PyObject *message, PyObject *entry,
     PyObject *data_token = txn_id == NULL
                                ? NULL
                                : PyObject_GetAttr(entry, s_data_token);
-    if (data_token == NULL) {
-        Py_XDECREF(address);
-        Py_XDECREF(requester);
-        Py_XDECREF(txn_id);
-        Py_DECREF(data_bytes);
-        PyErr_Clear();
-        return 1;
-    }
-    long long now = core_scheduler_now(self->scheduler);
-    PyObject *now_obj = PyLong_FromLongLong(now);
     int rc = -1;
-    PyObject *msg = NULL;
-    if (now_obj == NULL)
-        goto done;
-    msg = build_message(self->msg_pool, self->msg_cls, self->msg_id_next,
-                        MT_DATA, self->src, address, data_bytes, requester,
-                        /*dest=*/requester, DU_CACHE_U, EMPTY_RECIPIENTS,
-                        txn_id, Py_False, data_token, now_obj);
-    if (msg == NULL)
-        goto done;
-    if (count_stat(self->controller, n_data_responses) < 0)
-        goto done;
-    if (core_push_fast(self->scheduler, now + dram, self->unordered_send,
-                       self->data_label, msg) < 0)
-        goto done;
-    if (count_stat(self->controller, n_memory_responses) < 0)
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(msg);
-    Py_XDECREF(now_obj);
-    Py_DECREF(address);
-    Py_DECREF(requester);
-    Py_DECREF(txn_id);
-    Py_DECREF(data_token);
-    Py_DECREF(data_bytes);
+    if (data_token != NULL) {
+        rc = issue_send_data(serve, address, requester, data_token, txn_id);
+        if (rc == 0)
+            rc = count_stat(self->controller, n_memory_responses);
+    }
+    Py_XDECREF(address);
+    Py_XDECREF(requester);
+    Py_XDECREF(txn_id);
+    Py_XDECREF(data_token);
     return rc;
 }
+
+/* ------------------------------------------------------------------- DirHome
+ *
+ * The Directory home's unordered GETS/GETM entry
+ * (DirectoryMemoryController._handle_gets / _handle_getm): the home test
+ * with the stock block-interleaved mapping, the directory probe, the
+ * memory DATA reply (issue_send_data), the MARKER or FWD_GETS/FWD_GETM
+ * build -- unpooled like the pure Message(...) calls, recipients formed as
+ * the pure code forms them -- pushed after _dram_latency to the ordered
+ * inject under the controller's prebuilt labels, and the sharers/owner
+ * update.  A non-home address calls _require_home (which raises); odd
+ * shapes (non-int fields, a non-set sharer container, a negative latency)
+ * call the bound Python handler before anything is written.  The unordered
+ * network's arena release is folded in, as for DataDeliver. */
+
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    int getm;                   /* 1: the GETM entry; 0: GETS */
+    long long node_id;
+    long long block_bytes;      /* config.cache_block_bytes */
+    long long num_procs;        /* config.num_processors */
+    PyObject *controller;       /* DirectoryMemoryController */
+    PyObject *serve;            /* its MemServe (DATA replies) */
+    PyObject *fallback;         /* bound _handle_gets / _handle_getm */
+    PyObject *require_home;     /* bound _require_home */
+    PyObject *entries;          /* directory._entries (dict) */
+    PyObject *lookup;           /* bound DirectoryStore.lookup */
+    PyObject *singletons;       /* controller._singletons (dict) */
+    PyObject *inject;           /* callback for markers and forwards */
+    PyObject *marker_label;
+    PyObject *forward_label;
+    PyObject *request_bytes;    /* controller._request_bytes */
+    PyObject *memory_responses; /* controller._ctr_memory_responses */
+    PyObject *message_release;  /* bound arena.release_message, or NULL */
+} DirHomeObject;
+
+static PyObject *DirHome_vectorcall(DirHomeObject *self, PyObject *const *args,
+                                    size_t nargsf, PyObject *kwnames);
+
+static int
+DirHome_init(DirHomeObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *controller, *serve, *fallback, *require_home, *entries, *lookup;
+    PyObject *singletons, *inject, *marker_label, *forward_label;
+    PyObject *request_bytes, *memory_responses, *message_release = Py_None;
+    long long node_id, block_bytes, num_procs;
+    int getm;
+    static char *kwlist[] = {
+        "getm",          "node_id",       "block_bytes",      "num_procs",
+        "controller",    "serve",         "fallback",         "require_home",
+        "entries",       "lookup",        "singletons",       "inject",
+        "marker_label",  "forward_label", "request_bytes",
+        "memory_responses", "message_release", NULL};
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "pLLLOOOOOOOOOOOO|O", kwlist, &getm, &node_id,
+            &block_bytes, &num_procs, &controller, &serve, &fallback,
+            &require_home, &entries, &lookup, &singletons, &inject,
+            &marker_label, &forward_label, &request_bytes, &memory_responses,
+            &message_release))
+        return -1;
+    if (!issue_injected())
+        return -1;
+    if (!issue_is_memserve(serve) || !PyDict_Check(entries) ||
+        !PyDict_Check(singletons)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "DirHome requires a MemServe and entries and "
+                        "singletons dicts");
+        return -1;
+    }
+    if (block_bytes <= 0 || num_procs <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "block_bytes and num_procs must be positive");
+        return -1;
+    }
+    self->getm = getm;
+    self->node_id = node_id;
+    self->block_bytes = block_bytes;
+    self->num_procs = num_procs;
+    Py_XSETREF(self->controller, Py_NewRef(controller));
+    Py_XSETREF(self->serve, Py_NewRef(serve));
+    Py_XSETREF(self->fallback, Py_NewRef(fallback));
+    Py_XSETREF(self->require_home, Py_NewRef(require_home));
+    Py_XSETREF(self->entries, Py_NewRef(entries));
+    Py_XSETREF(self->lookup, Py_NewRef(lookup));
+    Py_XSETREF(self->singletons, Py_NewRef(singletons));
+    Py_XSETREF(self->inject, Py_NewRef(inject));
+    Py_XSETREF(self->marker_label, Py_NewRef(marker_label));
+    Py_XSETREF(self->forward_label, Py_NewRef(forward_label));
+    Py_XSETREF(self->request_bytes, Py_NewRef(request_bytes));
+    Py_XSETREF(self->memory_responses, Py_NewRef(memory_responses));
+    Py_XSETREF(self->message_release, message_release == Py_None
+                                          ? NULL
+                                          : Py_NewRef(message_release));
+    self->vectorcall = (vectorcallfunc)DirHome_vectorcall;
+    return 0;
+}
+
+static int
+DirHome_traverse(DirHomeObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->controller);
+    Py_VISIT(self->serve);
+    Py_VISIT(self->fallback);
+    Py_VISIT(self->require_home);
+    Py_VISIT(self->entries);
+    Py_VISIT(self->lookup);
+    Py_VISIT(self->singletons);
+    Py_VISIT(self->inject);
+    Py_VISIT(self->marker_label);
+    Py_VISIT(self->forward_label);
+    Py_VISIT(self->request_bytes);
+    Py_VISIT(self->memory_responses);
+    Py_VISIT(self->message_release);
+    return 0;
+}
+
+static int
+DirHome_clear(DirHomeObject *self)
+{
+    Py_CLEAR(self->controller);
+    Py_CLEAR(self->serve);
+    Py_CLEAR(self->fallback);
+    Py_CLEAR(self->require_home);
+    Py_CLEAR(self->entries);
+    Py_CLEAR(self->lookup);
+    Py_CLEAR(self->singletons);
+    Py_CLEAR(self->inject);
+    Py_CLEAR(self->marker_label);
+    Py_CLEAR(self->forward_label);
+    Py_CLEAR(self->request_bytes);
+    Py_CLEAR(self->memory_responses);
+    Py_CLEAR(self->message_release);
+    return 0;
+}
+
+static void
+DirHome_dealloc(DirHomeObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    DirHome_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* One request's per-call values, read and checked before any write. */
+typedef struct {
+    PyObject *address;
+    PyObject *requester;
+    PyObject *transaction_id;
+    PyObject *entry;
+    PyObject *owner;
+    PyObject *sharers;
+    long long requester_id;
+    long long owner_id;
+    long long latency;
+    long long now;
+} HomeRequest;
+
+/* _singleton(node): the memoised frozenset({node}).  New reference. */
+static PyObject *
+home_singleton(DirHomeObject *self, PyObject *node)
+{
+    PyObject *recipients = PyDict_GetItemWithError(self->singletons, node);
+    if (recipients != NULL)
+        return Py_NewRef(recipients);
+    if (PyErr_Occurred())
+        return NULL;
+    PyObject *members = PyTuple_Pack(1, node);
+    recipients = members == NULL ? NULL : PyFrozenSet_New(members);
+    Py_XDECREF(members);
+    if (recipients != NULL &&
+        PyDict_SetItem(self->singletons, node, recipients) < 0)
+        Py_CLEAR(recipients);
+    return recipients;
+}
+
+/* Build an ordered MARKER/FWD message from the request and push it to the
+ * ordered inject after the DRAM latency (_send_marker / _forward). */
+static int
+home_send_ordered(DirHomeObject *self, HomeRequest *request,
+                  PyObject *message, PyObject *msg_type,
+                  PyObject *recipients)
+{
+    MemServeObject *serve = (MemServeObject *)self->serve;
+    int forward = msg_type != MT_MARKER;
+    PyObject *token =
+        forward ? message_get(message, MSG_DATA_TOKEN) : Py_NewRef(ll_zero);
+    if (token == NULL)
+        return -1;
+    PyObject *now_obj = PyLong_FromLongLong(request->now);
+    PyObject *msg = NULL;
+    if (now_obj != NULL)
+        msg = build_message(NULL, serve->msg_cls, serve->msg_id_next,
+                            msg_type, serve->src, request->address,
+                            self->request_bytes, request->requester, Py_None,
+                            DU_CACHE_U, recipients, request->transaction_id,
+                            Py_False, token, now_obj);
+    Py_XDECREF(now_obj);
+    Py_DECREF(token);
+    if (msg == NULL)
+        return -1;
+    int rc = forward ? count_stat(self->controller, n_forwards) : 0;
+    if (rc == 0)
+        rc = core_push_fast(serve->scheduler, request->now + request->latency,
+                            self->inject,
+                            forward ? self->forward_label : self->marker_label,
+                            msg);
+    Py_DECREF(msg);
+    return rc;
+}
+
+static int
+home_marker(DirHomeObject *self, HomeRequest *request, PyObject *message)
+{
+    PyObject *recipients = home_singleton(self, request->requester);
+    if (recipients == NULL)
+        return -1;
+    int rc = home_send_ordered(self, request, message, MT_MARKER, recipients);
+    Py_DECREF(recipients);
+    return rc;
+}
+
+/* frozenset(sharers | {extra..., requester}) for a FWD_GETM (`owner` is
+ * NULL when only the requester joins), or frozenset((owner, requester))
+ * for a FWD_GETS (`sharers` NULL): the pure code's expressions. */
+static PyObject *
+home_recipients(PyObject *sharers, PyObject *owner, PyObject *requester)
+{
+    if (sharers == NULL) {
+        PyObject *pair = PyTuple_Pack(2, owner, requester);
+        PyObject *recipients = pair == NULL ? NULL : PyFrozenSet_New(pair);
+        Py_XDECREF(pair);
+        return recipients;
+    }
+    PyObject *joined = PySet_New(NULL);
+    if (joined == NULL || (owner != NULL && PySet_Add(joined, owner) < 0) ||
+        PySet_Add(joined, requester) < 0) {
+        Py_XDECREF(joined);
+        return NULL;
+    }
+    PyObject *union_set = PyNumber_Or(sharers, joined);
+    Py_DECREF(joined);
+    if (union_set == NULL)
+        return NULL;
+    PyObject *recipients = PyFrozenSet_New(union_set);
+    Py_DECREF(union_set);
+    return recipients;
+}
+
+static int
+home_forward(DirHomeObject *self, HomeRequest *request, PyObject *message,
+             PyObject *recipients)
+{
+    if (recipients == NULL)
+        return -1;
+    int rc = home_send_ordered(self, request, message,
+                               self->getm ? MT_FWD_GETM : MT_FWD_GETS,
+                               recipients);
+    Py_DECREF(recipients);
+    return rc;
+}
+
+/* The memory DATA reply: 1 delegate (nothing written), 0 sent, -1 error. */
+static int
+home_data(DirHomeObject *self, HomeRequest *request)
+{
+    PyObject *token = PyObject_GetAttr(request->entry, s_data_token);
+    if (token == NULL)
+        return -1;
+    int rc = issue_send_data(self->serve, request->address,
+                             request->requester, token,
+                             request->transaction_id);
+    Py_DECREF(token);
+    return rc;
+}
+
+static int
+home_gets(DirHomeObject *self, HomeRequest *request, PyObject *message)
+{
+    int rc;
+    if (request->owner_id == MEMORY_OWNER_ID ||
+        request->owner_id == request->requester_id) {
+        rc = home_data(self, request);
+        if (rc != 0)
+            return rc;
+        if (home_marker(self, request, message) < 0 ||
+            counter_bump(self->memory_responses, s__count) < 0)
+            return -1;
+    }
+    else if (home_forward(self, request, message,
+                          home_recipients(NULL, request->owner,
+                                          request->requester)) < 0)
+        return -1;
+    if (request->requester_id != request->owner_id &&
+        PySet_Add(request->sharers, request->requester) < 0)
+        return -1;
+    return 0;
+}
+
+static int
+home_getm(DirHomeObject *self, HomeRequest *request, PyObject *message)
+{
+    PyObject *sharers = request->sharers;
+    int rc;
+    if (request->owner_id == MEMORY_OWNER_ID) {
+        rc = home_data(self, request);
+        if (rc != 0)
+            return rc;
+        if (counter_bump(self->memory_responses, s__count) < 0)
+            return -1;
+        Py_ssize_t count = PySet_GET_SIZE(sharers);
+        int contains = count ? PySet_Contains(sharers, request->requester) : 0;
+        if (contains < 0)
+            return -1;
+        rc = count && (!contains || count > 1)
+                 ? home_forward(self, request, message,
+                                home_recipients(sharers, NULL,
+                                                request->requester))
+                 : home_marker(self, request, message);
+    }
+    else
+        rc = home_forward(
+            self, request, message,
+            home_recipients(sharers,
+                            request->owner_id == request->requester_id
+                                ? NULL
+                                : request->owner,
+                            request->requester));
+    if (rc < 0)
+        return -1;
+    /* entry.owner = requester; sharers.clear() */
+    if (PyObject_SetAttr(request->entry, s_owner, request->requester) < 0 ||
+        PySet_Clear(sharers) < 0)
+        return -1;
+    return 0;
+}
+
+/* An exact int field as long long; 0 when odd (no error set). */
+static int
+exact_ll(PyObject *value, long long *out)
+{
+    int overflow = 1;
+    if (value != NULL && PyLong_CheckExact(value))
+        *out = PyLong_AsLongLongAndOverflow(value, &overflow);
+    return !overflow;
+}
+
+/* The whole request: 0 handled (in C or by the Python handler), -1 error. */
+static int
+dir_home(DirHomeObject *self, PyObject *message)
+{
+    HomeRequest request = {0};
+    int rc = -1;
+    long long addr;
+    request.address = message_get(message, MSG_ADDRESS);
+    if (request.address == NULL)
+        return -1;
+    if (!exact_ll(request.address, &addr) || addr < 0) {
+        rc = 1;
+        goto done;
+    }
+    if ((addr / self->block_bytes) % self->num_procs != self->node_id) {
+        /* _require_home raises the ProtocolError */
+        rc = call_discard1(self->require_home, message) < 0 ? -1 : 1;
+        goto done;
+    }
+    request.entry = PyDict_GetItemWithError(self->entries, request.address);
+    if (request.entry != NULL)
+        Py_INCREF(request.entry);
+    else if (PyErr_Occurred() ||
+             (request.entry = PyObject_CallOneArg(self->lookup,
+                                                  request.address)) == NULL)
+        goto done;
+    request.requester = message_get(message, MSG_REQUESTER);
+    request.transaction_id =
+        request.requester == NULL
+            ? NULL
+            : message_get(message, MSG_TRANSACTION_ID);
+    request.owner = request.transaction_id == NULL
+                        ? NULL
+                        : PyObject_GetAttr(request.entry, s_owner);
+    request.sharers = request.owner == NULL
+                          ? NULL
+                          : PyObject_GetAttr(request.entry, s_sharers);
+    if (request.sharers == NULL)
+        goto done;
+    if (!exact_ll(request.requester, &request.requester_id) ||
+        !exact_ll(request.owner, &request.owner_id) ||
+        !PySet_CheckExact(request.sharers) ||
+        !reply_latency(self->controller, s__dram_latency, &request.latency)) {
+        rc = 1;
+        goto done;
+    }
+    request.now =
+        core_scheduler_now(((MemServeObject *)self->serve)->scheduler);
+    rc = self->getm ? home_getm(self, &request, message)
+                    : home_gets(self, &request, message);
+done:
+    if (rc == 1)
+        rc = call_discard1(self->fallback, message);
+    Py_XDECREF(request.address);
+    Py_XDECREF(request.entry);
+    Py_XDECREF(request.requester);
+    Py_XDECREF(request.transaction_id);
+    Py_XDECREF(request.owner);
+    Py_XDECREF(request.sharers);
+    return rc;
+}
+
+static PyObject *
+DirHome_vectorcall(DirHomeObject *self, PyObject *const *args, size_t nargsf,
+                   PyObject *kwnames)
+{
+    if (!vectorcall_args("DirHome", nargsf, kwnames, 1))
+        return NULL;
+    if (dir_home(self, args[0]) < 0)
+        return NULL;
+    if (self->message_release != NULL &&
+        call_discard1(self->message_release, args[0]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+DirHome_get_releases(DirHomeObject *self, void *Py_UNUSED(closure))
+{
+    return PyBool_FromLong(self->message_release != NULL);
+}
+
+static PyGetSetDef DirHome_getset[] = {
+    {"releases_message", (getter)DirHome_get_releases, NULL,
+     "True when this entry returns delivered messages to the arena pool.",
+     NULL},
+    {NULL}};
+
+static PyTypeObject DirHome_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._core._cext.DirHome",
+    .tp_basicsize = sizeof(DirHomeObject),
+    .tp_dealloc = (destructor)DirHome_dealloc,
+    .tp_vectorcall_offset = offsetof(DirHomeObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Compiled Directory home entry for one of GETS/GETM.",
+    .tp_traverse = (traverseproc)DirHome_traverse,
+    .tp_clear = (inquiry)DirHome_clear,
+    .tp_getset = DirHome_getset,
+    .tp_init = (initproc)DirHome_init,
+    .tp_new = PyType_GenericNew,
+};
 
 /* -------------------------------------------------------------- SequencerStep
  *
@@ -582,8 +1035,6 @@ typedef struct {
     PyObject *net_messages;    /* network messages counter (modes 1 and 2) */
     PyObject *net_broadcasts;  /* ordered broadcasts counter (mode 1) */
     PyObject *ctr_unicast;     /* _ctr_unicast_requests (mode 2) */
-    PyObject *home_memo;       /* cache._home_memo dict (mode 2) */
-    PyObject *home_of;         /* bound memoised home_of (mode 2) */
     PyObject *complete_cb;     /* bound self.complete */
     /* Mode 3 (BASH): the node's mechanism and its LFSR and policy counter
      * (states read and written through attributes), the LFSR taps fixed at
@@ -594,7 +1045,7 @@ typedef struct {
     PyObject *sys_broadcast_decisions; /* system.*_decisions Counters */
     PyObject *sys_unicast_decisions;
     PyObject *net_multicasts;  /* ordered multicasts counter */
-    long long num_procs;
+    long long num_procs;       /* the home mapping (modes 2 and 3) */
     unsigned long long lfsr_mask;
     int lfsr_top;
     int lfsr_taps;
@@ -678,7 +1129,7 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     PyObject *data_bytes = Py_None, *all_nodes = Py_None;
     PyObject *push_gets = Py_None, *push_getm = Py_None, *push_putm = Py_None;
     PyObject *net_messages = Py_None, *net_broadcasts = Py_None;
-    PyObject *ctr_unicast = Py_None, *home_memo = Py_None, *home_of = Py_None;
+    PyObject *ctr_unicast = Py_None;
     PyObject *adaptive = Py_None, *sys_broadcast_decisions = Py_None;
     PyObject *sys_unicast_decisions = Py_None, *net_multicasts = Py_None;
     long long node_id, block_bytes, capacity, num_procs = 0;
@@ -697,12 +1148,12 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
         "on_complete",    "txn_pool",          "msg_pool",
         "data_bytes",     "all_nodes",         "push_gets",
         "push_getm",      "push_putm",         "net_messages",
-        "net_broadcasts", "ctr_unicast",       "home_memo",
-        "home_of",        "adaptive",          "sys_broadcast_decisions",
-        "sys_unicast_decisions", "net_multicasts", "num_procs",
+        "net_broadcasts", "ctr_unicast",       "adaptive",
+        "sys_broadcast_decisions", "sys_unicast_decisions", "net_multicasts",
+        "num_procs",
         NULL};
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOOOOOOOOL",
+            args, kwds, "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOOOOOOL",
             kwlist, &sequencer, &scheduler, &cache, &node_id, &block_bytes,
             &capacity, &blocks, &transactions, &writebacks, &perform,
             &finish_stream, &next_operation, &schedule_after, &send_request,
@@ -712,7 +1163,7 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
             &msg_cls, &msg_id_next, &request_bytes, &send_mode, &on_complete,
             &txn_pool, &msg_pool, &data_bytes, &all_nodes, &push_gets,
             &push_getm, &push_putm, &net_messages, &net_broadcasts,
-            &ctr_unicast, &home_memo, &home_of, &adaptive,
+            &ctr_unicast, &adaptive,
             &sys_broadcast_decisions, &sys_unicast_decisions,
             &net_multicasts, &num_procs))
         return -1;
@@ -772,11 +1223,10 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
             return -1;
     }
     if (send_mode == 2 &&
-        (!PyDict_Check(home_memo) || home_of == Py_None ||
-         ctr_unicast == Py_None || data_bytes == Py_None)) {
+        (num_procs <= 0 || ctr_unicast == Py_None || data_bytes == Py_None)) {
         PyErr_SetString(PyExc_TypeError,
-                        "send_mode 2 requires home_memo (dict), home_of, "
-                        "ctr_unicast and data_bytes");
+                        "send_mode 2 requires num_procs, ctr_unicast and "
+                        "data_bytes");
         return -1;
     }
     self->node_id = node_id;
@@ -836,8 +1286,6 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     STORE_OPT(net_messages, net_messages);
     STORE_OPT(net_broadcasts, net_broadcasts);
     STORE_OPT(ctr_unicast, ctr_unicast);
-    STORE_OPT(home_memo, home_memo);
-    STORE_OPT(home_of, home_of);
     STORE_OPT(adaptive, adaptive);
     STORE_OPT(sys_broadcast_decisions, sys_broadcast_decisions);
     STORE_OPT(sys_unicast_decisions, sys_unicast_decisions);
@@ -893,8 +1341,6 @@ SequencerStep_traverse(SequencerStepObject *self, visitproc visit, void *arg)
     Py_VISIT(self->net_messages);
     Py_VISIT(self->net_broadcasts);
     Py_VISIT(self->ctr_unicast);
-    Py_VISIT(self->home_memo);
-    Py_VISIT(self->home_of);
     Py_VISIT(self->complete_cb);
     Py_VISIT(self->adaptive);
     Py_VISIT(self->lfsr);
@@ -946,8 +1392,6 @@ SequencerStep_clear(SequencerStepObject *self)
     Py_CLEAR(self->net_messages);
     Py_CLEAR(self->net_broadcasts);
     Py_CLEAR(self->ctr_unicast);
-    Py_CLEAR(self->home_memo);
-    Py_CLEAR(self->home_of);
     Py_CLEAR(self->complete_cb);
     Py_CLEAR(self->adaptive);
     Py_CLEAR(self->lfsr);
@@ -966,19 +1410,15 @@ SequencerStep_dealloc(SequencerStepObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* home_of(address) through the controller's memo dict (filled by the bound
- * method on a miss, exactly like the pure directory send path). */
+/* home_of(address) with the stock block-interleaved mapping inlined (the
+ * miss path's block addresses are non-negative ints).  New reference. */
 static PyObject *
 home_for(SequencerStepObject *self, PyObject *address)
 {
-    PyObject *home = PyDict_GetItemWithError(self->home_memo, address);
-    if (home != NULL) {
-        Py_INCREF(home);
-        return home;
-    }
-    if (PyErr_Occurred())
+    long long addr = PyLong_AsLongLong(address);
+    if (addr == -1 && PyErr_Occurred())
         return NULL;
-    return PyObject_CallOneArg(self->home_of, address);
+    return PyLong_FromLongLong((addr / self->block_bytes) % self->num_procs);
 }
 
 /* BandwidthAdaptiveMechanism.should_broadcast: one policy_bits-wide LFSR
@@ -1028,11 +1468,7 @@ sstep_bash_decide(SequencerStepObject *self)
 static PyObject *
 sstep_dualcast(SequencerStepObject *self, PyObject *address)
 {
-    long long addr = PyLong_AsLongLong(address);
-    if (addr == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *home = PyLong_FromLongLong(
-        (addr / self->block_bytes) % self->num_procs);
+    PyObject *home = home_for(self, address);
     if (home == NULL)
         return NULL;
     PyObject *recipients = PyFrozenSet_New(NULL);
@@ -1735,19 +2171,27 @@ static PyTypeObject SequencerStep_Type = {
 
 /* ------------------------------------------------------------- module glue */
 
-/* _init_issue(GETS, GETM, PUTM, DATA, MODIFIED, OWNED, SHARED, INVALID,
- * du_cache, du_memory, empty_recipients): inject the singletons the issue
- * chain compares by identity, plus Message.__init__'s default recipients
+/* _init_issue(GETS, GETM, PUTM, DATA, MARKER, FWD_GETS, FWD_GETM,
+ * MODIFIED, OWNED, SHARED, INVALID, du_cache, du_memory, empty_recipients,
+ * memory_owner): inject the singletons the issue chain and the home
+ * compare by identity, plus Message.__init__'s default recipients
  * frozenset.  Idempotent; called by repro.protocols.dispatch. */
 static PyObject *
 issue_init(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *gets, *getm, *putm, *data, *modified, *owned, *shared;
-    PyObject *invalid, *du_cache, *du_memory, *empty_recipients;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOO", &gets, &getm, &putm, &data,
-                          &modified, &owned, &shared, &invalid, &du_cache,
-                          &du_memory, &empty_recipients))
+    PyObject *gets, *getm, *putm, *data, *marker, *fwd_gets, *fwd_getm;
+    PyObject *modified, *owned, *shared, *invalid, *du_cache, *du_memory;
+    PyObject *empty_recipients;
+    long long memory_owner;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOL", &gets, &getm, &putm, &data,
+                          &marker, &fwd_gets, &fwd_getm, &modified, &owned,
+                          &shared, &invalid, &du_cache, &du_memory,
+                          &empty_recipients, &memory_owner))
         return NULL;
+    Py_XSETREF(MT_MARKER, Py_NewRef(marker));
+    Py_XSETREF(MT_FWD_GETS, Py_NewRef(fwd_gets));
+    Py_XSETREF(MT_FWD_GETM, Py_NewRef(fwd_getm));
+    MEMORY_OWNER_ID = memory_owner;
     Py_INCREF(gets);
     Py_XSETREF(MT_GETS, gets);
     Py_INCREF(getm);
@@ -1783,6 +2227,7 @@ int
 issue_add_types(PyObject *module)
 {
     if (PyType_Ready(&MemServe_Type) < 0 ||
+        PyType_Ready(&DirHome_Type) < 0 ||
         PyType_Ready(&SequencerStep_Type) < 0)
         return -1;
 
@@ -1839,11 +2284,8 @@ issue_add_types(PyObject *module)
     INTERN(s_operations_completed, "operations_completed");
     INTERN(s__store_tokens, "_store_tokens");
     INTERN(s__count, "_count");
-    INTERN(s_count, "count");
     INTERN(s_complete, "complete");
     INTERN(s__dram_latency, "_dram_latency");
-    INTERN(s_config, "config");
-    INTERN(s_data_message_bytes, "data_message_bytes");
     INTERN(n_writebacks, "writebacks");
     INTERN(n_evictions_writeback, "evictions.writeback");
     INTERN(n_evictions_silent, "evictions.silent");
@@ -1863,6 +2305,10 @@ issue_add_types(PyObject *module)
     INTERN(s__bits, "_bits");
     INTERN(n_data_responses, "data_responses");
     INTERN(n_memory_responses, "memory_responses");
+    INTERN(n_forwards, "forwards");
+    INTERN(s__cache_response_latency, "_cache_response_latency");
+    INTERN(s_owner, "owner");
+    INTERN(s_sharers, "sharers");
 #undef INTERN
     ll_zero = PyLong_FromLong(0);
     ll_one = PyLong_FromLong(1);
@@ -1872,6 +2318,8 @@ issue_add_types(PyObject *module)
 
     if (PyModule_AddObjectRef(module, "MemServe",
                               (PyObject *)&MemServe_Type) < 0 ||
+        PyModule_AddObjectRef(module, "DirHome",
+                              (PyObject *)&DirHome_Type) < 0 ||
         PyModule_AddObjectRef(module, "SequencerStep",
                               (PyObject *)&SequencerStep_Type) < 0)
         return -1;

@@ -36,7 +36,7 @@ from .._core import is_stock, note_handler_selection, stock
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
-from .link import LinkPair, interconnect_accelerator, link_push
+from .link import EndpointLink, LinkPair, interconnect_accelerator, link_push
 from .message import Message, MessageType
 
 #: Signature of a node's handler for ordered (request network) deliveries.
@@ -95,6 +95,7 @@ class TotallyOrderedNetwork:
         # closures below — same entries, same ordering, no bytecode.
         self._accel = interconnect_accelerator(scheduler)
         self._enter_switch_callback = self._compile_enter_switch()
+        self._send_callback = self._compile_send()
 
     @property
     def next_order_sequence(self) -> int:
@@ -195,6 +196,27 @@ class TotallyOrderedNetwork:
             _heappush(scheduler._times, injection_time)
         else:
             bucket.append(entry)
+
+    def _compile_send(self) -> Callable[..., None]:
+        """The callable the controllers bind as ``_ordered_send``.
+
+        On a compiled scheduler the stock network gets the C
+        ``OrderedSend``: :meth:`send` in C, with the source link's
+        transmit inlined as ``LinkPush`` runs it.  It calls this method
+        for any shape it does not take (an unknown recipient, a broadcast
+        whose cost factor is not 1).  Called with the message alone it
+        sends to ``message.recipients``, the Directory home's inject.  A
+        subclassed or patched network, link or message class keeps the
+        bound method.
+        """
+        if self._accel is None:
+            return self.send
+        name = f"{type(self).__name__}.send"
+        if not is_stock(self, EndpointLink, Message):
+            note_handler_selection(name, "declined")
+            return self.send
+        note_handler_selection(name, "compiled")
+        return self._accel.OrderedSend(self.scheduler, self, EndpointLink)
 
     def _compile_enter_switch(self) -> Callable[[Message], None]:
         """The callback every injected message fires on reaching the switch.

@@ -25,7 +25,7 @@ from .._core import is_stock, note_handler_selection, stock
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
-from .link import LinkPair, interconnect_accelerator, link_push
+from .link import EndpointLink, LinkPair, interconnect_accelerator, link_push
 from .message import DestinationUnit, Message, MessageType
 
 #: Signature of a node's handler for unordered (point-to-point) deliveries.
@@ -71,6 +71,7 @@ class UnorderedNetwork:
         # is a compiled instance, else None; see the ordered network.
         self._accel = interconnect_accelerator(scheduler)
         self._arrive_callback = self._compile_arrive()
+        self._send_callback = self._compile_send()
 
     def reset(self) -> None:
         """Re-arm the network for a fresh run.
@@ -141,6 +142,24 @@ class UnorderedNetwork:
             _heappush(scheduler._times, injection_time)
         else:
             bucket.append(item)
+
+    def _compile_send(self) -> Callable[[Message], None]:
+        """The callable the controllers bind as ``_unordered_send``.
+
+        On a compiled scheduler the stock network gets the C
+        ``UnorderedSend`` (:meth:`send` in C, with the source link's
+        transmit inlined as ``LinkPush`` runs it, calling this method for
+        any shape it does not take); a subclassed or patched network, link
+        or message class keeps the bound method.
+        """
+        if self._accel is None:
+            return self.send
+        name = f"{type(self).__name__}.send"
+        if not is_stock(self, EndpointLink, Message):
+            note_handler_selection(name, "declined")
+            return self.send
+        note_handler_selection(name, "compiled")
+        return self._accel.UnorderedSend(self.scheduler, self, EndpointLink)
 
     def _compile_injection(
         self, msg_type: MessageType

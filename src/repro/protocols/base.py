@@ -68,8 +68,10 @@ class ProtocolController(Component):
         )
         # Hot-path prebinds: attribute chains and bound-method allocations cost
         # real time at hundreds of thousands of events per second.
-        self._unordered_send = interconnect.unordered.send
-        self._ordered_send = interconnect.ordered.send
+        # The networks' sends: their C twins on a compiled scheduler with
+        # stock networks, else the bound methods.
+        self._unordered_send = interconnect.unordered._send_callback
+        self._ordered_send = interconnect.ordered._send_callback
         self._schedule_after_fast1 = scheduler.schedule_after_fast1
         latency = config.latency
         self._dram_latency = latency.dram_access

@@ -19,7 +19,7 @@ from ...errors import ProtocolError
 from ...interconnect.message import DestinationUnit, Message, MessageType
 from ...sim.arena import SimulationArena
 from ..base import CacheControllerBase
-from ..dispatch import handler_accelerator, note_selection
+from ..dispatch import compile_data_reply, handler_accelerator, note_selection
 
 
 @stock
@@ -99,8 +99,11 @@ class DirectoryCacheController(CacheControllerBase):
         checks, declining to the generic path on any customisation.  The
         Directory home consumes nothing ordered, so a memory controller
         that *does* register an ordered handler for the type means a
-        customised system — decline.  PUT_ACK/PUT_NACK stay
-        pure (rare, and they complete writebacks).
+        customised system — decline.  A forward entry also serves other
+        nodes' forwards in C (:meth:`_serve_forward`, with the DATA reply
+        through :func:`repro.protocols.dispatch.compile_data_reply`) when
+        the block store is stock.  PUT_ACK/PUT_NACK stay pure (rare, and
+        they complete writebacks).
         """
         ext = handler_accelerator(self)
         if ext is None or type(self) is not DirectoryCacheController:
@@ -120,6 +123,9 @@ class DirectoryCacheController(CacheControllerBase):
             note_selection(self, msg_type, "declined")
             return None
         note_selection(self, msg_type, "compiled")
+        data_serve = None
+        if forward and is_stock(self.blocks, CacheBlock):
+            data_serve = compile_data_reply(self, ext, from_memory=False)
         return ext.DirDeliver(
             forward=forward,
             node_id=self.node_id,
@@ -128,6 +134,9 @@ class DirectoryCacheController(CacheControllerBase):
             try_complete=self._try_complete,
             handle_other=self._handle_other_forward if forward else None,
             completer=self._compiled_data_deliver(ext),
+            blocks=self.blocks._blocks,
+            blocks_lookup=self.blocks.lookup,
+            data_serve=data_serve,
         )
 
     def compile_accelerated_unordered(self, msg_type):
@@ -174,8 +183,8 @@ class DirectoryCacheController(CacheControllerBase):
             scheduler=self.scheduler,
             fallback=self._handle_data,
             service_deferred=self._service_deferred,
-            miss_record=self._miss_latency_mean.record,
-            system_record=self._system_miss_latency.record,
+            miss_mean=self._miss_latency_mean,
+            system_mean=self._system_miss_latency,
             try_complete=self._try_complete,
             arena_release=(
                 self._arena.release_transaction if self._arena is not None else None
@@ -351,9 +360,10 @@ def compile_issue_send(cache, ext):
 
     Mode 2 replicates :meth:`DirectoryCacheController._send_request` /
     ``_send_writeback`` + :meth:`UnorderedNetwork.send` for the exact stock
-    shapes only: unpatched stock controller and config, stock unordered
-    network with compiled injection entries, and a stock endpoint link.
-    Any other shape returns None and the issue chain falls back to send
+    shapes only: unpatched stock controller and config (whose
+    block-interleaved home mapping the C send computes inline), stock
+    unordered network with compiled injection entries, and a stock endpoint
+    link.  Any other shape returns None and the issue chain falls back to send
     mode 0 — C bookkeeping around the bound Python ``_send_*``
     methods, faithful by construction.
     """
@@ -363,11 +373,7 @@ def compile_issue_send(cache, ext):
     net = cache.interconnect.unordered
     if type(net) is not UnorderedNetwork:
         return None
-    send = cache._unordered_send
-    if (
-        getattr(send, "__self__", None) is not net
-        or send.__func__ is not UnorderedNetwork.send
-    ):
+    if cache._unordered_send is not net._send_callback:
         return None
     pair = net.links.get(cache.node_id)
     if (
@@ -379,8 +385,7 @@ def compile_issue_send(cache, ext):
     extra = {
         "net_messages": net._messages_counter,
         "ctr_unicast": cache._ctr_unicast_requests,
-        "home_memo": cache._home_memo,
-        "home_of": cache.home_of,
+        "num_procs": cache.config.num_processors,
         "data_bytes": cache.config.data_message_bytes,
         "request_bytes": cache._request_bytes,
     }

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet
 
+from ... import _core
+from ...coherence.directory import DirectoryEntry
 from ...coherence.state import MEMORY_OWNER
 from ...errors import ProtocolError
 from ...interconnect.message import Message, MessageType
 from ..base import MemoryControllerBase
+from ..dispatch import compile_data_reply, handler_accelerator
 
 
+@_core.stock
 class DirectoryMemoryController(MemoryControllerBase):
     """Full-directory (owner + sharer superset) home node controller."""
 
@@ -63,7 +67,79 @@ class DirectoryMemoryController(MemoryControllerBase):
         self._ctr_memory_responses = self.stats.counter(
             self.stat_name("memory_responses")
         )
-        self._ctr_forwards = self.stats.counter(self.stat_name("forwards"))
+
+    # ----------------------------------------------------- compiled delivery
+
+    def compile_accelerated_unordered(self, msg_type):
+        """A C ``DirHome`` entry for the unordered GETS/GETM, or None.
+
+        ``DirHome`` runs :meth:`_handle_gets` / :meth:`_handle_getm` in C:
+        the home test, the directory probe, the memory DATA reply, the
+        marker or forward and the sharer/owner update, pushing markers and
+        forwards to the network's compiled ordered send.  Offered only on a
+        compiled scheduler for the exact stock controller, directory,
+        config and message classes with the default table entry; the
+        decision is recorded as ``DirectoryMemoryController<N>.<TYPE>``.
+        PUTM (rare writebacks) always runs the pure handler.  The entry
+        carries ``releases_message`` when an arena is attached: the
+        unordered network's deliver-and-release wrapper is folded into it.
+        """
+        if msg_type is MessageType.GETS:
+            handler = self._handle_gets
+        elif msg_type is MessageType.GETM:
+            handler = self._handle_getm
+        else:
+            return None
+        ext = handler_accelerator(self)
+        if ext is None:
+            return None
+        home = self._compile_home(ext, msg_type, handler)
+        _core.note_handler_selection(
+            f"DirectoryMemoryController{self.node_id}.{msg_type.name}",
+            "declined" if home is None else "compiled",
+        )
+        return home
+
+    def _compile_home(self, ext, msg_type, handler):
+        if (
+            type(self) is not DirectoryMemoryController
+            or not _core.is_stock(
+                self, self.directory, DirectoryEntry, self.config, Message
+            )
+            or self.unordered_handlers.get(msg_type) != handler
+            or self._directory_lookup != self.directory.lookup
+        ):
+            return None
+        serve = compile_data_reply(self, ext, from_memory=True)
+        if serve is None:
+            return None
+        # Markers and forwards go straight to the compiled ordered send
+        # when the controller has it; else through _inject_ordered.
+        inject = self._ordered_send
+        if not isinstance(inject, ext.OrderedSend):
+            inject = self._inject_ordered
+        arena = getattr(self.scheduler, "arena", None)
+        getm = msg_type is MessageType.GETM
+        forward = MessageType.FWD_GETM if getm else MessageType.FWD_GETS
+        return ext.DirHome(
+            getm=getm,
+            node_id=self.node_id,
+            block_bytes=self.config.cache_block_bytes,
+            num_procs=self.config.num_processors,
+            controller=self,
+            serve=serve,
+            fallback=handler,
+            require_home=self._require_home,
+            entries=self.directory._entries,
+            lookup=self._directory_lookup,
+            singletons=self._singletons,
+            inject=inject,
+            marker_label=self._marker_label,
+            forward_label=self._forward_labels[forward],
+            request_bytes=self._request_bytes,
+            memory_responses=self._ctr_memory_responses,
+            message_release=arena.release_message if arena is not None else None,
+        )
 
     # ----------------------------------------------------------- GETS / GETM
 

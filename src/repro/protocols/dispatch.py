@@ -93,6 +93,8 @@ def handler_accelerator(controller):
     ext._init_protocol(
         MessageType.GETS,
         MessageType.GETM,
+        MessageType.FWD_GETS,
+        MessageType.FWD_GETM,
         MOSIState.MODIFIED,
         MOSIState.OWNED,
         MOSIState.SHARED,
@@ -100,6 +102,28 @@ def handler_accelerator(controller):
         MEMORY_OWNER,
     )
     return ext
+
+
+def inject_stock_classes(ext) -> None:
+    """Tell the C side which classes it may update or build by slot.
+
+    Each of ``Counter``, ``RunningMean``, ``Component.count`` and
+    ``CacheBlock`` is passed only while its class is stock
+    (:func:`repro._core.is_stock`); a patched one is passed as None, so the
+    C side calls the Python method (or constructor) instead.  Runs with
+    :func:`inject_issue_singletons`, so at least once per node at the start
+    of every compiled run; a class patched later fails the C side's
+    per-call type version check instead.
+    """
+    from ..common.stats import Counter, RunningMean  # noqa: PLC0415
+    from ..sim.component import Component  # noqa: PLC0415
+
+    ext._init_stock(
+        Counter if _core.is_stock(Counter) else None,
+        RunningMean if _core.is_stock(RunningMean) else None,
+        vars(Component)["count"] if _core.is_stock(Component) else None,
+        CacheBlock if _core.is_stock(CacheBlock) else None,
+    )
 
 
 def note_selection(controller: object, msg_type: MessageType, status: str) -> None:
@@ -137,17 +161,20 @@ def rejecter(controller: object, network: str) -> Callable[[Message], None]:
 def inject_issue_singletons(ext) -> None:
     """Inject the identity-compared singletons into the issue-chain C layer.
 
-    Idempotent; must run before any ``SequencerStep`` or ``MemServe`` object
-    is constructed (the C side refuses to build them otherwise, so a missed
-    call fails loudly rather than misbehaving).
+    Idempotent; must run before any ``SequencerStep``, ``MemServe`` or
+    ``DirHome`` object is constructed (the C side refuses to build them
+    otherwise, so a missed call fails loudly rather than misbehaving).
     """
-    from ..coherence.state import MOSIState  # noqa: PLC0415
+    from ..coherence.state import MEMORY_OWNER, MOSIState  # noqa: PLC0415
 
     ext._init_issue(
         MessageType.GETS,
         MessageType.GETM,
         MessageType.PUTM,
         MessageType.DATA,
+        MessageType.MARKER,
+        MessageType.FWD_GETS,
+        MessageType.FWD_GETM,
         MOSIState.MODIFIED,
         MOSIState.OWNED,
         MOSIState.SHARED,
@@ -155,6 +182,65 @@ def inject_issue_singletons(ext) -> None:
         DestinationUnit.CACHE,
         DestinationUnit.MEMORY,
         _EMPTY_RECIPIENTS,
+        MEMORY_OWNER,
+    )
+    inject_stock_classes(ext)
+
+
+def compile_data_reply(controller, ext, from_memory: bool):
+    """A C ``MemServe`` for ``controller``'s DATA replies, or None.
+
+    The object mirrors ``_send_data`` plus its ``schedule_after_fast1``
+    push: :meth:`MemoryControllerBase._send_data` (``from_memory``: DRAM
+    latency, ``_memory_data_label``, ``count("data_responses")``) or
+    :meth:`CacheControllerBase._send_data` (cache response latency,
+    ``_data_response_label``, ``_ctr_data_responses``).  The compiled
+    serves (the Snooping/BASH home and owner, the Directory home and
+    forward) send through it.  Only offered for a stock controller whose
+    prebound scheduling and allocation still point at the scheduler and
+    arena; any customisation keeps the Python reply, which is always
+    faithful.
+    """
+    from ..interconnect.message import _message_ids  # noqa: PLC0415
+
+    if not _core.is_stock(controller, Message) or "_unordered_send" not in vars(
+        controller
+    ):
+        return None
+    scheduler = controller.scheduler
+    if controller._schedule_after_fast1 != scheduler.schedule_after_fast1:
+        return None
+    arena = controller._arena
+    if arena is not None:
+        if not _core.is_stock(arena):
+            return None
+        if (
+            getattr(controller._new_message, "__self__", None) is not arena
+            or controller._new_message.__func__ is not SimulationArena.message
+        ):
+            return None
+        msg_pool = arena._messages
+    else:
+        if controller._new_message is not Message:
+            return None
+        msg_pool = None
+    inject_issue_singletons(ext)
+    return ext.MemServe(
+        controller=controller,
+        scheduler=scheduler,
+        src=controller.node_id,
+        unordered_send=controller._unordered_send,
+        data_label=(
+            controller._memory_data_label
+            if from_memory
+            else controller._data_response_label
+        ),
+        msg_cls=Message,
+        msg_id_next=_message_ids.__next__,
+        data_bytes=controller.config.data_message_bytes,
+        msg_pool=msg_pool,
+        from_memory=from_memory,
+        data_counter=None if from_memory else controller._ctr_data_responses,
     )
 
 

@@ -23,10 +23,10 @@ from ...coherence.directory import DirectoryEntry
 from ...coherence.state import MOSIState
 from ...coherence.transaction import Transaction
 from ...errors import ProtocolError
-from ...interconnect.message import DestinationUnit, Message, MessageType, _message_ids
+from ...interconnect.message import DestinationUnit, Message, MessageType
 from ...sim.arena import SimulationArena
 from ..base import CacheControllerBase
-from ..dispatch import handler_accelerator, note_selection
+from ..dispatch import compile_data_reply, handler_accelerator, note_selection
 
 
 @stock
@@ -110,7 +110,7 @@ class SnoopingCacheController(CacheControllerBase):
         mem_bash = type(memory_controller) is BashMemoryController
         mem_serve = None
         if mem_mode == 2:
-            mem_serve = compile_mem_serve(memory_controller, ext)
+            mem_serve = compile_data_reply(memory_controller, ext, from_memory=True)
             note_handler_selection(
                 f"MemoryController{memory_controller.node_id}.serve",
                 "declined" if mem_serve is None else "compiled",
@@ -136,6 +136,7 @@ class SnoopingCacheController(CacheControllerBase):
             dir_lookup=memory_controller.directory.lookup if mem_mode == 2 else None,
             completer=self._compiled_data_deliver(ext),
             mem_serve=mem_serve,
+            data_serve=compile_data_reply(self, ext, from_memory=False),
             **(_home_inline_args(memory_controller) if mem_mode else {}),
         )
 
@@ -186,8 +187,8 @@ class SnoopingCacheController(CacheControllerBase):
             scheduler=self.scheduler,
             fallback=self._handle_data,
             service_deferred=self._service_deferred,
-            miss_record=self._miss_latency_mean.record,
-            system_record=self._system_miss_latency.record,
+            miss_mean=self._miss_latency_mean,
+            system_mean=self._system_miss_latency,
             arena_release=(
                 self._arena.release_transaction if self._arena is not None else None
             ),
@@ -592,11 +593,7 @@ def compile_issue_send(cache, ext):
     net = cache.interconnect.ordered
     if type(net) is not TotallyOrderedNetwork:
         return None
-    send = cache._ordered_send
-    if (
-        getattr(send, "__self__", None) is not net
-        or send.__func__ is not TotallyOrderedNetwork.send
-    ):
+    if cache._ordered_send is not net._send_callback:
         return None
     if net.broadcast_cost_factor != 1.0 or net._accel is not ext:
         return None
@@ -626,50 +623,3 @@ def compile_issue_send(cache, ext):
             net.scheduler, pair.outgoing, net._enter_switch_callback, label
         )
     return 1, extra
-
-
-def compile_mem_serve(memory_controller, ext):
-    """A C ``MemServe`` data-serve entry for the home memory, or None.
-
-    Replaces the Python re-entry the compiled home serve previously made for
-    the memory-is-owner DATA reply: the C object mirrors
-    :meth:`MemoryControllerBase._send_data` (pooled message build, the
-    ``data_responses``/``memory_responses`` counts and the DRAM-delayed
-    unordered send) while the directory bookkeeping stays in the compiled
-    handler.  Only offered for the exact stock memory controller shape; any
-    customisation keeps the per-message Python call, which is always
-    faithful.
-    """
-    from ..dispatch import inject_issue_singletons  # noqa: PLC0415
-
-    mem = memory_controller
-    if not is_stock(mem, Message) or "_unordered_send" not in vars(mem):
-        return None
-    scheduler = mem.scheduler
-    if mem._schedule_after_fast1 != scheduler.schedule_after_fast1:
-        return None
-    arena = mem._arena
-    if arena is not None:
-        if not is_stock(arena):
-            return None
-        if (
-            getattr(mem._new_message, "__self__", None) is not arena
-            or mem._new_message.__func__ is not SimulationArena.message
-        ):
-            return None
-        msg_pool = arena._messages
-    else:
-        if mem._new_message is not Message:
-            return None
-        msg_pool = None
-    inject_issue_singletons(ext)
-    return ext.MemServe(
-        controller=mem,
-        scheduler=scheduler,
-        src=mem.node_id,
-        unordered_send=mem._unordered_send,
-        data_label=mem._memory_data_label,
-        msg_cls=Message,
-        msg_id_next=_message_ids.__next__,
-        msg_pool=msg_pool,
-    )

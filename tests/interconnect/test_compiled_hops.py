@@ -306,6 +306,7 @@ def compiled_entries():
             ordered._enter_switch_callback,
             unordered._arrive_callback,
             node.sequencer._perform_entry,
+            node.cache_controller._unordered_send,
             *(entry[1] for entry in unordered._inject_entries.values()),
             *(entry[1] for entry in ordered._arrive_entries.values()),
             *(entry[1] for entry in unordered._deliver_entries.values()),
@@ -336,6 +337,8 @@ VECTORCALL_TYPES = (
     "DirDeliver",
     "BashSample",
     "SequencerStep",
+    "UnorderedSend",
+    "DirHome",
 )
 
 

@@ -238,3 +238,17 @@ class TestStockRule:
         leaf.method = lambda: 2
         assert not _core.is_stock(leaf)
         assert _core.is_stock(_StockLeaf(), _StockLeaf)
+
+    @pytest.mark.skipif(
+        not _core.compiled_available(), reason="compiled extension not built"
+    )
+    def test_patch_after_a_cached_verdict_is_not_stock(self, monkeypatch):
+        """A verdict cached under the type version tag does not outlive a patch."""
+        _core.load_extension()
+        assert _core.is_stock(_StockLeaf(), _StockLeaf)
+        assert _core.is_stock(_StockLeaf())  # served from the cached verdict
+        monkeypatch.setattr(_StockBase, "method", lambda self: 3)
+        assert not _core.is_stock(_StockLeaf())
+        assert not _core.is_stock(_StockBase)
+        monkeypatch.undo()
+        assert _core.is_stock(_StockLeaf(), _StockBase)

@@ -7,6 +7,11 @@ and the same final memory image.  A broadcast cost of 4 sends ordered
 broadcasts through ``EndpointLink.transmit`` in Python while unordered
 deliveries use the C ``LinkPush``, so both update the same incoming links.
 
+Besides locking and Zipfian traffic, two workloads stress the reply paths:
+a mixed read/write trace on a small cache (dirty evictions, so writebacks
+race forwards and owner serves) and a streamed write-heavy Zipfian trace
+(``StreamingTraceWorkload``: owners hand blocks on while readers share them).
+
 BASH gets its own draw over the adaptive mechanism's axes (sampling interval
 and policy counter width), comparing every node's full sample history, policy
 counter, LFSR state and decision counts as well, across a reset to a second
@@ -26,6 +31,8 @@ from repro import _core
 from repro.common.config import AdaptiveConfig, ProtocolName, SystemConfig
 from repro.system.multiprocessor import MultiprocessorSystem
 from repro.workloads.microbenchmark import LockingMicrobenchmark
+from repro.workloads.patterns import MixedTraceWorkloadSpec
+from repro.workloads.streaming import StreamingTrafficSpec
 from repro.workloads.traffic import ZipfianTrafficSpec
 
 from ..conftest import ALL_PROTOCOLS, FAST_ADAPTIVE
@@ -36,17 +43,41 @@ from ..conftest import ALL_PROTOCOLS, FAST_ADAPTIVE
 FUZZ_EXAMPLES = settings.default.max_examples // 2
 
 
-def make_workload(kind: str, seed: int):
+#: The workload kinds the main draw picks from.
+KINDS = ["locking", "zipfian", "mixed", "streaming"]
+
+#: Cache blocks per node for the mixed trace: small enough that its private
+#: streaming evicts dirty blocks.
+MIXED_CACHE_BLOCKS = 24
+
+
+def make_workload(kind: str, seed: int, num_processors: int):
     if kind == "locking":
         return LockingMicrobenchmark(
             num_locks=32, acquires_per_processor=20, think_jitter=16
         )
+    if kind == "mixed":
+        return MixedTraceWorkloadSpec(
+            num_processors=num_processors,
+            operations_per_processor=60,
+            shared_blocks=24,
+            private_blocks=32,
+        )(seed)
+    if kind == "streaming":
+        return StreamingTrafficSpec(
+            operations_per_processor=80,
+            num_keys=48,
+            write_fraction=0.4,
+            window_ops=16,
+        )(seed)
     return ZipfianTrafficSpec(operations_per_processor=80, num_keys=64)(seed)
 
 
 def run_on(backend: str, config: SystemConfig, kind: str):
     with _core.use_backend(backend):
-        system = MultiprocessorSystem(config, make_workload(kind, config.random_seed))
+        system = MultiprocessorSystem(
+            config, make_workload(kind, config.random_seed, config.num_processors)
+        )
         result = system.run()
     return dataclasses.asdict(result), system.final_memory_image()
 
@@ -60,7 +91,7 @@ def run_on(backend: str, config: SystemConfig, kind: str):
     num_processors=st.integers(min_value=2, max_value=64),
     bandwidth=st.sampled_from([200.0, 350.0, 1600.0, 12800.0]),
     broadcast_cost=st.sampled_from([1.0, 4.0]),
-    kind=st.sampled_from(["locking", "zipfian"]),
+    kind=st.sampled_from(KINDS),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_pure_and_compiled_agree(
@@ -78,6 +109,7 @@ def test_pure_and_compiled_agree(
         broadcast_cost_factor=broadcast_cost,
         adaptive=FAST_ADAPTIVE,
         random_seed=seed,
+        **({"cache_capacity_blocks": MIXED_CACHE_BLOCKS} if kind == "mixed" else {}),
     )
     pure_result, pure_memory = run_on(_core.PURE, config, kind)
     compiled_result, compiled_memory = run_on(_core.COMPILED, config, kind)
@@ -108,7 +140,7 @@ def run_bash_legs(backend: str, configs, kind: str):
     with _core.use_backend(backend):
         system = None
         for config in configs:
-            workload = make_workload(kind, config.random_seed)
+            workload = make_workload(kind, config.random_seed, config.num_processors)
             if system is None:
                 system = MultiprocessorSystem(config, workload)
             else:

@@ -13,10 +13,12 @@
  * `_buckets` is a real dict of time -> FIFO list of tuples, `_times` a real
  * list managed as a heap, counters exposed as integer members — because the
  * pure network closures push entries into those containers directly and must
- * keep working unchanged against a compiled scheduler.  Only the hot methods
- * are implemented in C; the cold ones (drain/reset/step/_compact/fire hooks)
- * are reused verbatim from the pure class by the Python subclass built in
- * repro/sim/scheduler.py.
+ * keep working unchanged against a compiled scheduler.  Every queue entry is
+ * a (time, seq, callback, label) or (time, seq, callback, label, arg) tuple;
+ * events cannot be cancelled.  Only the hot methods (the two relative
+ * schedule calls and run) are implemented in C; the cold ones (drain/reset/
+ * fire hooks) are reused verbatim from the pure class by the Python subclass
+ * built in repro/sim/scheduler.py.
  *
  * The per-hop objects cover a message's whole path on a compiled scheduler:
  * UnorderedSend and OrderedSend (the two networks' send methods: source
@@ -38,21 +40,12 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.6.0"
+#define CORE_VERSION "1.7.0"
 
-/* Compaction threshold; mirrors _COMPACT_MIN_CANCELLED in scheduler.py. */
-#define COMPACT_MIN_CANCELLED 64
-
-/* Classes injected by repro.sim.scheduler via _init_classes(). */
-static PyObject *EventClass = NULL;
+/* Class injected by repro.sim.scheduler via _init_classes(). */
 static PyObject *SimulationErrorClass = NULL;
 
 /* Interned attribute names (module-lifetime). */
-static PyObject *str_cancelled;
-static PyObject *str__scheduler;
-static PyObject *str_callback;
-static PyObject *str_label;
-static PyObject *str__compact;
 static PyObject *str_occupancy_cycles;
 static PyObject *str__occupancy_cache;
 static PyObject *str__order_sequence;
@@ -226,9 +219,6 @@ typedef struct {
     long long now;
     long long sequence;
     long long fired;
-    long long cancelled;
-    long long compact_watermark;
-    PyObject *active_time;       /* int while draining a bucket, else None */
     PyObject *on_fire;           /* callable(time, label) or None */
     PyObject *fire_hooks;        /* list backing the composed on_fire */
     PyObject *installed_fire;    /* what the hook machinery last installed */
@@ -267,9 +257,6 @@ Scheduler_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
     self->now = 0;
     self->sequence = 0;
     self->fired = 0;
-    self->cancelled = 0;
-    self->compact_watermark = COMPACT_MIN_CANCELLED;
-    Py_XSETREF(self->active_time, Py_NewRef(Py_None));
     Py_XSETREF(self->on_fire, Py_NewRef(Py_None));
     Py_XSETREF(self->installed_fire, Py_NewRef(Py_None));
     Py_XSETREF(self->arena, Py_NewRef(Py_None));
@@ -281,7 +268,6 @@ Scheduler_traverse(SchedulerObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->buckets);
     Py_VISIT(self->times);
-    Py_VISIT(self->active_time);
     Py_VISIT(self->on_fire);
     Py_VISIT(self->fire_hooks);
     Py_VISIT(self->installed_fire);
@@ -294,7 +280,6 @@ Scheduler_clear(SchedulerObject *self)
 {
     Py_CLEAR(self->buckets);
     Py_CLEAR(self->times);
-    Py_CLEAR(self->active_time);
     Py_CLEAR(self->on_fire);
     Py_CLEAR(self->fire_hooks);
     Py_CLEAR(self->installed_fire);
@@ -319,11 +304,6 @@ static PyMemberDef Scheduler_members[] = {
      "current simulation time in cycles"},
     {"_sequence", T_LONGLONG, offsetof(SchedulerObject, sequence), 0, NULL},
     {"_fired", T_LONGLONG, offsetof(SchedulerObject, fired), 0, NULL},
-    {"_cancelled", T_LONGLONG, offsetof(SchedulerObject, cancelled), 0, NULL},
-    {"_compact_watermark", T_LONGLONG,
-     offsetof(SchedulerObject, compact_watermark), 0, NULL},
-    {"_active_time", T_OBJECT_EX, offsetof(SchedulerObject, active_time), 0,
-     NULL},
     {"on_fire", T_OBJECT_EX, offsetof(SchedulerObject, on_fire), 0,
      "optional per-fired-event hook (time, label) -> None"},
     {"_fire_hooks", T_OBJECT_EX, offsetof(SchedulerObject, fire_hooks),
@@ -336,7 +316,7 @@ static PyMemberDef Scheduler_members[] = {
 };
 
 /* Append `entry` to the bucket for `time_obj`, creating bucket + heap entry
- * when the timestamp is new.  Mirrors Scheduler._push. */
+ * when the timestamp is new. */
 static int
 push_entry(SchedulerObject *self, PyObject *time_obj, PyObject *entry)
 {
@@ -361,34 +341,12 @@ push_entry(SchedulerObject *self, PyObject *time_obj, PyObject *entry)
 }
 
 static PyObject *
-raise_before_now(SchedulerObject *self, PyObject *label, long long t)
-{
-    PyErr_Format(SimulationErrorClass != NULL ? SimulationErrorClass
-                                              : PyExc_RuntimeError,
-                 "cannot schedule event %R at %lld before current time %lld",
-                 label, t, self->now);
-    return NULL;
-}
-
-static PyObject *
 raise_negative_delay(long long delay)
 {
     PyErr_Format(SimulationErrorClass != NULL ? SimulationErrorClass
                                               : PyExc_RuntimeError,
                  "delay must be non-negative, got %lld", delay);
     return NULL;
-}
-
-static PyObject *
-Scheduler__push(SchedulerObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "_push expects (time, entry)");
-        return NULL;
-    }
-    if (push_entry(self, args[0], args[1]) < 0)
-        return NULL;
-    Py_RETURN_NONE;
 }
 
 /* Pack and push a fast-path entry; seq consumed from the scheduler. */
@@ -440,26 +398,6 @@ core_push_fast(PyObject *scheduler, long long time, PyObject *callback,
 }
 
 static PyObject *
-Scheduler_schedule_at_fast(SchedulerObject *self, PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    if (nargs < 2 || nargs > 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "schedule_at_fast expects (time, callback[, label])");
-        return NULL;
-    }
-    PyObject *label = nargs == 3 ? args[2] : empty_string;
-    long long t = PyLong_AsLongLong(args[0]);
-    if (t == -1 && PyErr_Occurred())
-        return NULL;
-    if (t < self->now)
-        return raise_before_now(self, label, t);
-    if (push_fast(self, args[0], args[1], label, NULL) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Scheduler_schedule_after_fast(SchedulerObject *self, PyObject *const *args,
                               Py_ssize_t nargs)
 {
@@ -481,27 +419,6 @@ Scheduler_schedule_after_fast(SchedulerObject *self, PyObject *const *args,
     int rc = push_fast(self, time_obj, args[1], label, NULL);
     Py_DECREF(time_obj);
     if (rc < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Scheduler_schedule_at_fast1(SchedulerObject *self, PyObject *const *args,
-                            Py_ssize_t nargs)
-{
-    if (nargs < 3 || nargs > 4) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "schedule_at_fast1 expects (time, callback, arg[, label])");
-        return NULL;
-    }
-    PyObject *label = nargs == 4 ? args[3] : empty_string;
-    long long t = PyLong_AsLongLong(args[0]);
-    if (t == -1 && PyErr_Occurred())
-        return NULL;
-    if (t < self->now)
-        return raise_before_now(self, label, t);
-    if (push_fast(self, args[0], args[1], label, args[2]) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -529,126 +446,6 @@ Scheduler_schedule_after_fast1(SchedulerObject *self, PyObject *const *args,
     Py_DECREF(time_obj);
     if (rc < 0)
         return NULL;
-    Py_RETURN_NONE;
-}
-
-/* schedule_at(time, callback, label="") -> Event.  Cold relative to the fast
- * paths but still frequent enough to keep in C. */
-static PyObject *
-schedule_event(SchedulerObject *self, PyObject *time_obj, long long t,
-               PyObject *callback, PyObject *label)
-{
-    if (EventClass == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "repro._core._cext not initialised "
-                        "(_init_classes was never called)");
-        return NULL;
-    }
-    if (t < self->now)
-        return raise_before_now(self, label, t);
-    PyObject *seq = PyLong_FromLongLong(self->sequence);
-    if (seq == NULL)
-        return NULL;
-    self->sequence += 1;
-    PyObject *event = PyObject_CallFunctionObjArgs(EventClass, time_obj, seq,
-                                                   callback, label, NULL);
-    if (event == NULL) {
-        Py_DECREF(seq);
-        return NULL;
-    }
-    if (PyObject_SetAttr(event, str__scheduler, (PyObject *)self) < 0) {
-        Py_DECREF(seq);
-        Py_DECREF(event);
-        return NULL;
-    }
-    PyObject *entry = PyTuple_Pack(3, time_obj, seq, event);
-    Py_DECREF(seq);
-    if (entry == NULL) {
-        Py_DECREF(event);
-        return NULL;
-    }
-    int rc = push_entry(self, time_obj, entry);
-    Py_DECREF(entry);
-    if (rc < 0) {
-        Py_DECREF(event);
-        return NULL;
-    }
-    return event;
-}
-
-static PyObject *
-Scheduler_schedule_at(SchedulerObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"time", "callback", "label", NULL};
-    PyObject *time_obj, *callback, *label = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O", kwlist, &time_obj,
-                                     &callback, &label))
-        return NULL;
-    if (label == NULL)
-        label = empty_string;
-    long long t = PyLong_AsLongLong(time_obj);
-    if (t == -1 && PyErr_Occurred())
-        return NULL;
-    return schedule_event(self, time_obj, t, callback, label);
-}
-
-static PyObject *
-Scheduler_schedule_after(SchedulerObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"delay", "callback", "label", NULL};
-    PyObject *delay_obj, *callback, *label = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O", kwlist, &delay_obj,
-                                     &callback, &label))
-        return NULL;
-    if (label == NULL)
-        label = empty_string;
-    long long delay = PyLong_AsLongLong(delay_obj);
-    if (delay == -1 && PyErr_Occurred())
-        return NULL;
-    if (delay < 0)
-        return raise_negative_delay(delay);
-    long long t = self->now + delay;
-    PyObject *time_obj = PyLong_FromLongLong(t);
-    if (time_obj == NULL)
-        return NULL;
-    PyObject *event = schedule_event(self, time_obj, t, callback, label);
-    Py_DECREF(time_obj);
-    return event;
-}
-
-/* Lazy-cancellation accounting; mirrors Scheduler._note_cancel including the
- * geometric compaction watermark.  _compact is looked up through the instance
- * so the Python subclass's implementation (shared with the pure class) runs. */
-static PyObject *
-Scheduler__note_cancel(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
-{
-    self->cancelled += 1;
-    if (self->cancelled >= self->compact_watermark) {
-        long long total = 0;
-        Py_ssize_t pos = 0;
-        PyObject *key, *value;
-        while (PyDict_Next(self->buckets, &pos, &key, &value)) {
-            if (PyList_Check(value))
-                total += PyList_GET_SIZE(value);
-            else {
-                Py_ssize_t n = PyObject_Length(value);
-                if (n < 0)
-                    return NULL;
-                total += n;
-            }
-        }
-        if (self->cancelled * 2 > total) {
-            PyObject *res =
-                PyObject_CallMethodNoArgs((PyObject *)self, str__compact);
-            if (res == NULL)
-                return NULL;
-            Py_DECREF(res);
-        }
-        long long watermark = self->cancelled * 2;
-        self->compact_watermark = watermark > COMPACT_MIN_CANCELLED
-                                      ? watermark
-                                      : COMPACT_MIN_CANCELLED;
-    }
     Py_RETURN_NONE;
 }
 
@@ -695,6 +492,13 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
         if (until_ll == -1 && PyErr_Occurred())
             return NULL;
         have_until = 1;
+        if (until_ll < self->now) {
+            PyErr_Format(SimulationErrorClass != NULL ? SimulationErrorClass
+                                                      : PyExc_RuntimeError,
+                         "run(until=%lld) is before the current time %lld",
+                         until_ll, self->now);
+            return NULL;
+        }
     }
     long long fired_before = self->fired;
     long long fired = fired_before;
@@ -737,7 +541,7 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
                 status = -1;
                 break;
             }
-            continue; /* stale timestamp (bucket compacted/exhausted) */
+            continue; /* a timestamp with no bucket has nothing to fire */
         }
         Py_INCREF(bucket);
         long long time_ll = PyLong_AsLongLong(time_obj);
@@ -747,9 +551,6 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
             status = -1;
             break;
         }
-        /* Mark the bucket active before any user code can run (see the pure
-         * implementation's comment about compaction racing the drain). */
-        Py_XSETREF(self->active_time, Py_NewRef(time_obj));
         if (have_until && time_ll > until_ll) {
             if (heap_push(times, time_obj) < 0)
                 status = -1;
@@ -819,54 +620,16 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
                 break; /* stop-cell access drained the bucket */
             PyObject *entry = PyList_GET_ITEM(bucket, index);
             Py_INCREF(entry); /* the callback may clear the bucket */
-            Py_ssize_t esize;
-            if (PyTuple_Check(entry))
-                esize = PyTuple_GET_SIZE(entry);
-            else {
-                esize = PyObject_Length(entry);
-                if (esize < 0) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
-            }
-            PyObject *event = NULL;
-            if (esize == 3) {
-                event = PyTuple_Check(entry) ? PyTuple_GET_ITEM(entry, 2)
-                                             : NULL;
-                if (event == NULL) {
-                    event = PySequence_GetItem(entry, 2);
-                    if (event == NULL) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    Py_DECREF(event); /* entry keeps it alive */
-                }
-                PyObject *flag = PyObject_GetAttr(event, str_cancelled);
-                if (flag == NULL) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
-                int cancelled = PyObject_IsTrue(flag);
-                Py_DECREF(flag);
-                if (cancelled < 0) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
-                if (cancelled) {
-                    if (PyObject_SetAttr(event, str__scheduler, Py_None) < 0) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    self->cancelled -= 1;
-                    index += 1;
-                    Py_DECREF(entry);
-                    continue;
-                }
+            /* Every producer builds tuples; anything else is refused
+             * rather than read out of bounds. */
+            if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) < 4) {
+                PyErr_Format(PyExc_TypeError,
+                             "queue entry must be a (time, seq, callback, "
+                             "label[, arg]) tuple, not %R",
+                             entry);
+                Py_DECREF(entry);
+                failed = 1;
+                break;
             }
             if (have_limit && fired >= limit) {
                 stopped = 1;
@@ -894,70 +657,27 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
                 }
             }
             index += 1;
-            PyObject *result;
-            if (esize == 3) {
-                if (PyObject_SetAttr(event, str__scheduler, Py_None) < 0) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
-                PyObject *callback = PyObject_GetAttr(event, str_callback);
-                if (callback == NULL) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
-                result = PyObject_CallNoArgs(callback);
-                Py_DECREF(callback);
-                if (result == NULL) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
-                Py_DECREF(result);
-                fired += 1;
-                if (on_fire != NULL) {
-                    PyObject *label = PyObject_GetAttr(event, str_label);
-                    if (label == NULL) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    PyObject *hooked = PyObject_CallFunctionObjArgs(
-                        on_fire, time_obj, label, NULL);
-                    Py_DECREF(label);
-                    if (hooked == NULL) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    Py_DECREF(hooked);
-                }
+            PyObject *callback = PyTuple_GET_ITEM(entry, 2);
+            PyObject *result =
+                PyTuple_GET_SIZE(entry) == 5
+                    ? PyObject_CallOneArg(callback, PyTuple_GET_ITEM(entry, 4))
+                    : PyObject_CallNoArgs(callback);
+            if (result == NULL) {
+                Py_DECREF(entry);
+                failed = 1;
+                break;
             }
-            else {
-                PyObject *callback = PyTuple_GET_ITEM(entry, 2);
-                if (esize == 5)
-                    result = PyObject_CallOneArg(callback,
-                                                 PyTuple_GET_ITEM(entry, 4));
-                else
-                    result = PyObject_CallNoArgs(callback);
-                if (result == NULL) {
+            Py_DECREF(result);
+            fired += 1;
+            if (on_fire != NULL) {
+                PyObject *hooked = PyObject_CallFunctionObjArgs(
+                    on_fire, time_obj, PyTuple_GET_ITEM(entry, 3), NULL);
+                if (hooked == NULL) {
                     Py_DECREF(entry);
                     failed = 1;
                     break;
                 }
-                Py_DECREF(result);
-                fired += 1;
-                if (on_fire != NULL) {
-                    PyObject *hooked = PyObject_CallFunctionObjArgs(
-                        on_fire, time_obj, PyTuple_GET_ITEM(entry, 3), NULL);
-                    if (hooked == NULL) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    Py_DECREF(hooked);
-                }
+                Py_DECREF(hooked);
             }
             Py_DECREF(entry);
         }
@@ -1032,7 +752,6 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
 
     /* finally: */
     self->fired = fired;
-    Py_XSETREF(self->active_time, Py_NewRef(Py_None));
     Py_DECREF(buckets);
     Py_DECREF(times);
     Py_XDECREF(on_fire);
@@ -1044,28 +763,12 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
 }
 
 static PyMethodDef Scheduler_methods[] = {
-    {"_push", (PyCFunction)(void (*)(void))Scheduler__push, METH_FASTCALL,
-     "Append entry to the bucket for time (creating it if new)."},
-    {"schedule_at", (PyCFunction)(void (*)(void))Scheduler_schedule_at,
-     METH_VARARGS | METH_KEYWORDS,
-     "Schedule callback at absolute cycle time; returns an Event."},
-    {"schedule_after", (PyCFunction)(void (*)(void))Scheduler_schedule_after,
-     METH_VARARGS | METH_KEYWORDS,
-     "Schedule callback delay cycles from now; returns an Event."},
-    {"schedule_at_fast",
-     (PyCFunction)(void (*)(void))Scheduler_schedule_at_fast, METH_FASTCALL,
-     "Schedule a non-cancellable callback at absolute cycle time."},
     {"schedule_after_fast",
      (PyCFunction)(void (*)(void))Scheduler_schedule_after_fast, METH_FASTCALL,
-     "Schedule a non-cancellable callback delay cycles from now."},
-    {"schedule_at_fast1",
-     (PyCFunction)(void (*)(void))Scheduler_schedule_at_fast1, METH_FASTCALL,
-     "Fast-path schedule of callback(arg) at absolute cycle time."},
+     "Schedule callback() delay cycles from now."},
     {"schedule_after_fast1",
      (PyCFunction)(void (*)(void))Scheduler_schedule_after_fast1,
-     METH_FASTCALL, "Fast-path schedule of callback(arg) after delay cycles."},
-    {"_note_cancel", (PyCFunction)Scheduler__note_cancel, METH_NOARGS,
-     "Lazy-cancellation accounting (called by Event.cancel)."},
+     METH_FASTCALL, "Schedule callback(arg) delay cycles from now."},
     {"run", (PyCFunction)(void (*)(void))Scheduler_run,
      METH_VARARGS | METH_KEYWORDS,
      "Run events until the queue drains or a stop condition is met."},
@@ -2349,18 +2052,12 @@ cext_sched_push(PyObject *Py_UNUSED(module), PyObject *const *args,
     Py_RETURN_NONE;
 }
 
-/* _init_classes(Event, SimulationError): inject the Python classes the
- * extension needs.  Called by repro.sim.scheduler right after import. */
+/* _init_classes(SimulationError): inject the error class the scheduler
+ * raises.  Called by repro.sim.scheduler when it builds the compiled class. */
 static PyObject *
-cext_init_classes(PyObject *Py_UNUSED(module), PyObject *args)
+cext_init_classes(PyObject *Py_UNUSED(module), PyObject *error_class)
 {
-    PyObject *event_class, *error_class;
-    if (!PyArg_ParseTuple(args, "OO", &event_class, &error_class))
-        return NULL;
-    Py_INCREF(event_class);
-    Py_XSETREF(EventClass, event_class);
-    Py_INCREF(error_class);
-    Py_XSETREF(SimulationErrorClass, error_class);
+    Py_XSETREF(SimulationErrorClass, Py_NewRef(error_class));
     Py_RETURN_NONE;
 }
 
@@ -2375,8 +2072,8 @@ static PyMethodDef cext_methods[] = {
      "Component.count (None for any that is patched)."},
     {"_type_version", cext_type_version, METH_O,
      "A class's type version tag (0 when it has none)."},
-    {"_init_classes", cext_init_classes, METH_VARARGS,
-     "Inject the Event and SimulationError classes."},
+    {"_init_classes", cext_init_classes, METH_O,
+     "Inject the SimulationError class."},
     {NULL}
 };
 
@@ -2406,11 +2103,6 @@ PyInit__cext(void)
             return NULL;                                                       \
     } while (0)
 
-    INTERN(str_cancelled, "cancelled");
-    INTERN(str__scheduler, "_scheduler");
-    INTERN(str_callback, "callback");
-    INTERN(str_label, "label");
-    INTERN(str__compact, "_compact");
     INTERN(str_occupancy_cycles, "occupancy_cycles");
     INTERN(str__occupancy_cache, "_occupancy_cache");
     INTERN(str__order_sequence, "_order_sequence");

@@ -22,8 +22,8 @@ protocol handler with no node-level dispatch frame.  Plain callables
 the simulator's hottest path, so the per-hop pipeline is compiled once per
 ``(message type, node)`` into closures that share the scheduler's fast-path
 heap representation (``(time, sequence, callback, label, arg)`` — see
-:meth:`repro.sim.scheduler.Scheduler.schedule_at_fast1`, whose bounds check is
-unnecessary here because link transmit times never precede ``now``).
+:mod:`repro.sim.scheduler`) and push entries at link transmit times, which
+never precede ``now``.
 """
 
 from __future__ import annotations

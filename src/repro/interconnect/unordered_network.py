@@ -10,9 +10,8 @@ Like the ordered network, delivery is table-driven: nodes registered through
 type)`` entries that the network schedules directly, so the fired delivery
 event is the protocol handler itself.  The per-hop pipeline is compiled once
 per message type (injection) and once per ``(type, destination, unit)``
-(delivery) and pushes the scheduler's fast-path heap entries inline (transmit
-times never precede ``now``, so the bounds check in ``schedule_at_fast1`` is
-unnecessary here).
+(delivery) and pushes the scheduler's fast-path heap entries inline at
+transmit times, which never precede ``now``.
 """
 
 from __future__ import annotations

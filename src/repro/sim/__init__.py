@@ -10,13 +10,11 @@ resolves the selection lazily; see :mod:`repro._core` for the contract.
 from .._core import backend_info, set_backend, use_backend
 from .arena import SimulationArena
 from .component import Component
-from .event import Event
 from .scheduler import Scheduler, active_scheduler_class
 from .simulator import Simulator
 
 __all__ = [
     "Component",
-    "Event",
     "Scheduler",
     "SimulationArena",
     "Simulator",

@@ -6,7 +6,6 @@ from typing import Any, Callable
 
 from .._core import stock
 from ..common.stats import StatsRegistry
-from .event import Event
 from .scheduler import Scheduler
 
 
@@ -15,9 +14,9 @@ class Component:
     """Anything that lives on the simulated clock and records statistics.
 
     A component holds a reference to the shared :class:`Scheduler` and the
-    run-wide :class:`StatsRegistry`; subclasses use :meth:`schedule` to model
-    latency and the ``stats`` attribute to record metrics under a name prefixed
-    with the component's own name.
+    run-wide :class:`StatsRegistry`; subclasses use :meth:`schedule_fast` to
+    model latency and the ``stats`` attribute to record metrics under a name
+    prefixed with the component's own name.
     """
 
     def __init__(self, name: str, scheduler: Scheduler, stats: StatsRegistry) -> None:
@@ -36,46 +35,20 @@ class Component:
         """Current simulation time."""
         return self.scheduler.now
 
-    def schedule(self, delay: int, callback: Callable[[], Any], label: str = "") -> Event:
-        """Schedule ``callback`` after ``delay`` cycles, tagged with this component."""
-        full = self._label_cache.get(label)
-        if full is None:
-            full = self._label_prefix + label
-            self._label_cache[label] = full
-        return self.scheduler.schedule_after(delay, callback, full)
-
     def schedule_fast(self, delay: int, callback: Callable[[], Any], label: str = "") -> None:
-        """Like :meth:`schedule` but non-cancellable and allocation-free.
-
-        Use for fire-and-forget latency modelling on hot paths; there is no
-        returned handle to cancel.
-        """
+        """Schedule ``callback`` after ``delay`` cycles, tagged with this component."""
         full = self._label_cache.get(label)
         if full is None:
             full = self._label_prefix + label
             self._label_cache[label] = full
         self.scheduler.schedule_after_fast(delay, callback, full)
 
-    def schedule_fast1(
-        self, delay: int, callback: Callable[[Any], Any], arg: Any, label: str = ""
-    ) -> None:
-        """Like :meth:`schedule_fast` but for ``callback(arg)``.
-
-        The argument rides in the heap entry, so call sites reuse one bound
-        callable instead of allocating a closure or partial per event.
-        """
-        full = self._label_cache.get(label)
-        if full is None:
-            full = self._label_prefix + label
-            self._label_cache[label] = full
-        self.scheduler.schedule_after_fast1(delay, callback, arg, full)
-
     def full_label(self, label: str) -> str:
         """The component-prefixed event label for ``label``, memoised.
 
         Hot call sites resolve their labels once at construction and pass the
         result straight to the scheduler fast-path API, skipping the per-call
-        cache probe in :meth:`schedule_fast`/:meth:`schedule_fast1`.
+        cache probe in :meth:`schedule_fast`.
         """
         full = self._label_cache.get(label)
         if full is None:

@@ -10,20 +10,19 @@ throughput-driven:
   node at the same cycle — so the multiprocessor workloads average ~5 events
   per distinct time, and a push is usually a C-level ``dict.get`` +
   ``list.append`` instead of a heap sift;
-* entries are plain tuples — ``(time, sequence, event)`` for cancellable
-  events, ``(time, sequence, callback, label[, arg])`` for the fast paths —
-  appended in schedule order, which *is* ``sequence`` order, so FIFO draining
-  reproduces the classic ``(time, sequence)`` heap order exactly;
-* cancellation is *lazy*: cancelled events stay queued (cheap ``O(1)``
-  cancel) and are skipped when their bucket drains, with a periodic
-  compaction pass when cancelled entries dominate;
+* an entry has one of two shapes: ``(time, sequence, callback, label)``,
+  fired as ``callback()``, or ``(time, sequence, callback, label, arg)``,
+  fired as ``callback(arg)``.  Entries are appended in schedule order, which
+  *is* ``sequence`` order, so FIFO draining reproduces the classic
+  ``(time, sequence)`` heap order exactly;
+* events cannot be cancelled: every queued entry fires unless a bound stops
+  the run or :meth:`drain` discards the queue;
 * :meth:`run` inlines the drain fast path — no per-event method calls beyond
   the event callback itself, and the clock and bound checks are paid once per
   *bucket* rather than once per event.
 
-``pending`` counts only *live* (non-cancelled) events, and ``run(until=...)``
-stops the clock at ``until`` without firing or leaking any later event,
-cancelled heads included.
+``pending`` is the number of queued entries, and ``run(until=...)`` stops the
+clock at ``until`` without firing or leaking any later event.
 
 The network fast paths (see :mod:`repro.interconnect.ordered_network` /
 ``unordered_network``) push entries directly into ``_buckets``/``_times``;
@@ -38,17 +37,10 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .. import _core
 from ..errors import SimulationError
-from .event import Event
-
-#: Compaction threshold: rebuild the buckets once this many cancelled events
-#: are queued *and* they outnumber the live ones.
-_COMPACT_MIN_CANCELLED = 64
 
 #: Sentinel bound for `run`'s until/max_events checks: larger than any event
 #: time or counter, so "no bound" needs no per-event None test.
 _NO_BOUND = float("inf")
-
-_new_event = object.__new__
 
 
 class Scheduler:
@@ -60,9 +52,6 @@ class Scheduler:
         "now",
         "_sequence",
         "_fired",
-        "_cancelled",
-        "_compact_watermark",
-        "_active_time",
         "on_fire",
         "_fire_hooks",
         "_installed_fire",
@@ -72,8 +61,7 @@ class Scheduler:
     def __init__(self) -> None:
         #: time -> FIFO list of entries scheduled for that cycle.
         self._buckets: Dict[int, list] = {}
-        #: Min-heap of bucket timestamps.  May contain stale times whose
-        #: bucket was exhausted or compacted away; the drain loops skip those.
+        #: Min-heap of the bucket timestamps.
         self._times: List[int] = []
         #: Current simulation time in cycles.  A plain attribute (not a
         #: property): it is read on every schedule call and in most event
@@ -81,13 +69,6 @@ class Scheduler:
         self.now = 0
         self._sequence = 0
         self._fired = 0
-        self._cancelled = 0
-        #: Outstanding-cancel count at which the next compaction check runs;
-        #: backed off geometrically by _note_cancel (see there).
-        self._compact_watermark = _COMPACT_MIN_CANCELLED
-        #: Timestamp of the bucket currently being drained by run()/step();
-        #: compaction skips it (the drain loop holds a live index into it).
-        self._active_time: Optional[int] = None
         #: Optional per-fired-event hook ``(time, label) -> None`` used by the
         #: golden-trace tests and ad-hoc tracing; ``None`` costs one branch.
         #: Multiple observers (e.g. a golden-trace recorder plus a
@@ -112,8 +93,8 @@ class Scheduler:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(map(len, self._buckets.values())) - self._cancelled
+        """Number of events still queued."""
+        return sum(map(len, self._buckets.values()))
 
     @property
     def fired(self) -> int:
@@ -177,79 +158,15 @@ class Scheduler:
 
     # -------------------------------------------------------------- scheduling
 
-    def _push(self, time: int, entry: tuple) -> None:
-        """Append ``entry`` to the bucket for ``time`` (creating it if new)."""
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [entry]
-            _heappush(self._times, time)
-        else:
-            bucket.append(entry)
-
-    def schedule_at(
-        self, time: int, callback: Callable[[], Any], label: str = ""
-    ) -> Event:
-        """Schedule ``callback`` at absolute cycle ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event {label!r} at {time} before current "
-                f"time {self.now}"
-            )
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        # Inlined Event construction (object.__new__ + slot stores) to skip
-        # the __init__ call on the hottest allocation in the simulator.
-        event = _new_event(Event)
-        event.time = time
-        event.sequence = sequence
-        event.callback = callback
-        event.label = label
-        event.cancelled = False
-        event._scheduler = self
-        self._push(time, (time, sequence, event))
-        return event
-
-    def schedule_after(
-        self, delay: int, callback: Callable[[], Any], label: str = ""
-    ) -> Event:
-        """Schedule ``callback`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self.now + delay, callback, label)
-
-    # ------------------------------------------------------------ fast paths
-
-    def schedule_at_fast(
-        self, time: int, callback: Callable[[], Any], label: str = ""
-    ) -> None:
-        """Schedule a *non-cancellable* callback at absolute cycle ``time``.
-
-        The hot internal call sites (network hops, sequencer steps) never
-        cancel their events, so this path appends a bare ``(time, sequence,
-        callback, label)`` tuple and skips the :class:`Event` allocation
-        entirely.  Use :meth:`schedule_at` when the caller needs the returned
-        handle.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event {label!r} at {time} before current "
-                f"time {self.now}"
-            )
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        self._push(time, (time, sequence, callback, label))
-
     def schedule_after_fast(
         self, delay: int, callback: Callable[[], Any], label: str = ""
     ) -> None:
-        """Schedule a *non-cancellable* callback ``delay`` cycles from now."""
+        """Schedule ``callback()`` ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         time = self.now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        # _push inlined: this is called between every pair of protocol events.
         buckets = self._buckets
         bucket = buckets.get(time)
         if bucket is None:
@@ -258,35 +175,20 @@ class Scheduler:
         else:
             bucket.append((time, sequence, callback, label))
 
-    def schedule_at_fast1(
-        self, time: int, callback: Callable[[Any], Any], arg: Any, label: str = ""
+    def schedule_after_fast1(
+        self, delay: int, callback: Callable[[Any], Any], arg: Any, label: str = ""
     ) -> None:
-        """Fast-path schedule of ``callback(arg)`` at absolute cycle ``time``.
+        """Schedule ``callback(arg)`` ``delay`` cycles from now.
 
         Carrying the single argument in the queue entry lets hot call sites
         reuse one prebound callable per (node, kind) instead of allocating a
         ``partial`` per event.
         """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event {label!r} at {time} before current "
-                f"time {self.now}"
-            )
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        self._push(time, (time, sequence, callback, label, arg))
-
-    def schedule_after_fast1(
-        self, delay: int, callback: Callable[[Any], Any], arg: Any, label: str = ""
-    ) -> None:
-        """Fast-path schedule of ``callback(arg)`` after ``delay`` cycles."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         time = self.now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        # _push inlined: the single-argument fast path carries most protocol
-        # latency modelling (data responses, markers, forwards, retries).
         buckets = self._buckets
         bucket = buckets.get(time)
         if bucket is None:
@@ -295,111 +197,7 @@ class Scheduler:
         else:
             bucket.append((time, sequence, callback, label, arg))
 
-    # ------------------------------------------------------- lazy cancellation
-
-    def _note_cancel(self) -> None:
-        """Called by :meth:`Event.cancel` while the event is still queued.
-
-        Sizing the queue means summing every bucket, so the check runs only
-        at a geometrically backed-off watermark: whatever a compaction
-        attempt leaves uncollected (cancelled entries in the actively
-        draining bucket are skipped), the next attempt waits until the
-        outstanding count doubles — keeping ``cancel()`` amortised O(1) even
-        for cancel-heavy workloads.
-        """
-        self._cancelled += 1
-        if self._cancelled >= self._compact_watermark:
-            total = sum(map(len, self._buckets.values()))
-            if self._cancelled * 2 > total:
-                self._compact()
-            self._compact_watermark = max(
-                _COMPACT_MIN_CANCELLED, self._cancelled * 2
-            )
-
-    def _compact(self) -> None:
-        """Physically drop cancelled entries from every idle bucket.
-
-        The bucket currently being drained (if any) is skipped — the drain
-        loop holds a live index into it; its cancelled entries are skipped
-        (and accounted) when they surface.  Emptied buckets are deleted; their
-        timestamps go stale in the heap and are discarded on pop.
-        """
-        buckets = self._buckets
-        active = self._active_time
-        for time in list(buckets):
-            if time == active:
-                continue
-            entries = buckets[time]
-            live = [
-                entry
-                for entry in entries
-                if len(entry) != 3 or not entry[2].cancelled
-            ]
-            dropped = len(entries) - len(live)
-            if not dropped:
-                continue
-            for entry in entries:
-                if len(entry) == 3 and entry[2].cancelled:
-                    entry[2]._scheduler = None
-            self._cancelled -= dropped
-            if live:
-                entries[:] = live
-            else:
-                del buckets[time]
-
     # ---------------------------------------------------------------- running
-
-    def step(self) -> Optional[Event]:
-        """Pop and fire the next non-cancelled event; return it (or None).
-
-        Events scheduled through the fast path have no :class:`Event` handle;
-        for those, a transient handle is materialised for the return value.
-        """
-        buckets = self._buckets
-        times = self._times
-        while times:
-            time = times[0]
-            bucket = buckets.get(time)
-            if not bucket:
-                _heappop(times)
-                if bucket is not None:
-                    del buckets[time]
-                continue
-            entry = bucket.pop(0)
-            if not bucket:
-                del buckets[time]
-                _heappop(times)
-            if len(entry) != 3:
-                callback = entry[2]
-                self.now = time
-                self._active_time = time
-                try:
-                    if len(entry) == 5:
-                        callback(entry[4])
-                    else:
-                        callback()
-                finally:
-                    self._active_time = None
-                self._fired += 1
-                if self.on_fire is not None:
-                    self.on_fire(time, entry[3])
-                return Event(time, entry[1], callback, entry[3])
-            event = entry[2]
-            event._scheduler = None
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self.now = time
-            self._active_time = time
-            try:
-                event.callback()
-            finally:
-                self._active_time = None
-            self._fired += 1
-            if self.on_fire is not None:
-                self.on_fire(event.time, event.label)
-            return event
-        return None
 
     def run(
         self,
@@ -414,7 +212,9 @@ class Scheduler:
         cheaper alternative for drivers that *know* when they are done: a
         one-element list whose slot 0 an event callback flips to True.
         Checking it costs a C-level subscript per event instead of a Python
-        call.  Returns the number of events fired by this call.
+        call.  Returns the number of events fired by this call.  An ``until``
+        before the current time raises :class:`SimulationError`: the clock
+        never moves backwards.
 
         Two loops share the semantics: a specialised one for the driver
         configuration every multiprocessor run uses (stop cell, no predicate,
@@ -424,6 +224,10 @@ class Scheduler:
         one timestamp fire in scheduling order (the bucket is FIFO), exactly
         as the previous ``(time, sequence)`` heap ordered them.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until}) is before the current time {self.now}"
+            )
         buckets = self._buckets
         times = self._times
         fired_before = fired = self._fired
@@ -438,14 +242,7 @@ class Scheduler:
                 time = _heappop(times)
                 bucket = buckets.get(time)
                 if bucket is None:
-                    continue  # stale timestamp (bucket compacted/exhausted)
-                # Mark the bucket active *before* any user code can run: the
-                # stop_when predicate below may cancel events, and a
-                # cancellation-triggered compaction must not collect the
-                # bucket this loop is holding a live alias to (it would
-                # double-decrement the cancel accounting when the alias is
-                # drained).
-                self._active_time = time
+                    continue  # a timestamp with no bucket has nothing to fire
                 if time > until_bound:
                     _heappush(times, time)
                     self.now = until
@@ -465,13 +262,13 @@ class Scheduler:
                 stopped = False
                 try:
                     if fast:
-                        # Single fast-entry bucket: the guard above already proved
+                        # Single-entry bucket: the guard above already proved
                         # the stop cell clear and the budget open, so the one
                         # event fires with no further checks.  Directory-protocol
                         # traffic is mostly unicast (one event per cycle), making
                         # this the common case there.
-                        entry = bucket[0]
-                        if len(bucket) == 1 and len(entry) != 3:
+                        if len(bucket) == 1:
+                            entry = bucket[0]
                             # Consumed before firing: a raising callback must
                             # not leave its own entry queued for re-delivery.
                             index = 1
@@ -493,7 +290,7 @@ class Scheduler:
                         # scheduling) without a len() call per event.
                         length = len(bucket)
                         while index < length or index < (length := len(bucket)):
-                            if stop_flag[0]:
+                            if stop_flag[0] or fired >= limit:
                                 stopped = True
                                 break
                             try:
@@ -503,30 +300,12 @@ class Scheduler:
                                 # `length` was still caching its old size (zero
                                 # cost when not raised on 3.11+).
                                 break
-                            if len(entry) == 3:
-                                event = entry[2]
-                                if event.cancelled:
-                                    event._scheduler = None
-                                    self._cancelled -= 1
-                                    index += 1
-                                    continue
-                                if fired >= limit:
-                                    stopped = True
-                                    break
-                                index += 1
-                                event._scheduler = None
-                                event.callback()
-                                fired += 1
+                            index += 1
+                            if len(entry) == 5:
+                                entry[2](entry[4])
                             else:
-                                if fired >= limit:
-                                    stopped = True
-                                    break
-                                index += 1
-                                if len(entry) == 5:
-                                    entry[2](entry[4])
-                                else:
-                                    entry[2]()
-                                fired += 1
+                                entry[2]()
+                            fired += 1
                     else:
                         length = len(bucket)
                         while index < length or index < (length := len(bucket)):
@@ -537,35 +316,19 @@ class Scheduler:
                                 entry = bucket[index]
                             except IndexError:
                                 break  # mid-callback drain(); see the fast loop
-                            size = len(entry)
-                            if size == 3:
-                                event = entry[2]
-                                if event.cancelled:
-                                    event._scheduler = None
-                                    self._cancelled -= 1
-                                    index += 1
-                                    continue
                             if fired >= limit or (
                                 stop_when is not None and stop_when()
                             ):
                                 stopped = True
                                 break
                             index += 1
-                            if size == 3:
-                                event = entry[2]
-                                event._scheduler = None
-                                event.callback()
-                                fired += 1
-                                if on_fire is not None:
-                                    on_fire(time, event.label)
+                            if len(entry) == 5:
+                                entry[2](entry[4])
                             else:
-                                if size == 5:
-                                    entry[2](entry[4])
-                                else:
-                                    entry[2]()
-                                fired += 1
-                                if on_fire is not None:
-                                    on_fire(time, entry[3])
+                                entry[2]()
+                            fired += 1
+                            if on_fire is not None:
+                                on_fire(time, entry[3])
                 except BaseException:
                     # The old heap loop popped each entry before firing,
                     # so a raising callback was exception-safe by
@@ -595,15 +358,11 @@ class Scheduler:
                     del buckets[time]
         finally:
             self._fired = fired
-            self._active_time = None
         return fired - fired_before
 
     def drain(self) -> None:
         """Discard all pending events without running them."""
         for bucket in self._buckets.values():
-            for entry in bucket:
-                if len(entry) == 3 and isinstance(entry[2], Event):
-                    entry[2]._scheduler = None
             # Each bucket list is cleared in place as well as the dict: a
             # drain issued from *inside* a fired callback (Simulator.finish
             # mid-run) must stop the loop, which is still indexing into the
@@ -613,8 +372,6 @@ class Scheduler:
         # containers, and they must observe the emptied queue.
         self._buckets.clear()
         self._times.clear()
-        self._cancelled = 0
-        self._compact_watermark = _COMPACT_MIN_CANCELLED
 
     def reset(self) -> None:
         """Re-arm the scheduler for a fresh run: empty queue, time zero.
@@ -636,7 +393,7 @@ class Scheduler:
 # The compiled backend (repro._core._cext) implements only the scheduler's
 # hot methods in C, against the *same* observable data layout (`_buckets`
 # dict of tuple-entry lists, `_times` heap, integer counters).  Everything
-# cold — drain/reset/step/compaction/fire hooks — is the pure implementation
+# cold — drain/reset/fire hooks — is the pure implementation
 # above, reused verbatim as class attributes of a thin Python subclass.  The
 # pure class therefore stays the executable specification: any behavioural
 # divergence between backends is a bug in the extension.
@@ -650,7 +407,7 @@ def _build_compiled_scheduler() -> type:
     extension is not built.
     """
     _cext = _core.load_extension()
-    _cext._init_classes(Event, SimulationError)
+    _cext._init_classes(SimulationError)
 
     class CompiledScheduler(_cext.SchedulerBase):
         """Bucket-queue scheduler with the hot methods compiled to C.
@@ -672,8 +429,6 @@ def _build_compiled_scheduler() -> type:
         remove_fire_hook = Scheduler.remove_fire_hook
         _sync_external_assignment = Scheduler._sync_external_assignment
         _rebind_fire_hooks = Scheduler._rebind_fire_hooks
-        _compact = Scheduler._compact
-        step = Scheduler.step
         drain = Scheduler.drain
         reset = Scheduler.reset
 

@@ -164,7 +164,7 @@ class RandomProtocolTester:
 
     def _schedule_next_issue(self, node_id: int) -> None:
         delay = self.rng.randrange(1, 200)
-        self.system.simulator.scheduler.schedule_after(
+        self.system.simulator.scheduler.schedule_after_fast(
             delay, lambda: self._issue_random(node_id), f"tester-issue-n{node_id}"
         )
 

@@ -274,7 +274,7 @@ def run_with_invalidation(backend: str, protocol: ProtocolName):
         for node in system.nodes:
             node.invalidate_dispatch_cache()
 
-    scheduler.schedule_at(300, invalidate, "invalidate")
+    scheduler.schedule_after_fast(300, invalidate, "invalidate")
     fired = []
     scheduler.on_fire = lambda time, label: fired.append((time, label))
     result = system.run()

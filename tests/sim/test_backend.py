@@ -61,7 +61,7 @@ class TestPureBypass:
             "import sys, json\n"
             "from repro.sim import Simulator, Scheduler, backend_info\n"
             "sim = Simulator()\n"
-            "sim.scheduler.schedule_after(1, lambda: None, label='t')\n"
+            "sim.scheduler.schedule_after_fast(1, lambda: None, 't')\n"
             "fired = sim.run()\n"
             "print(json.dumps({\n"
             "    'info': backend_info(),\n"

@@ -1,339 +1,330 @@
-"""Discrete-event scheduler."""
+"""Discrete-event scheduler, on both event-core backends."""
 
 import pytest
 
+from repro import _core
 from repro.errors import SimulationError
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import active_scheduler_class
 from repro.sim.simulator import Simulator
 
 
+@pytest.fixture
+def scheduler(backend):
+    """A fresh scheduler of each backend."""
+    return active_scheduler_class()()
+
+
+@pytest.fixture(params=["generic", "stop-cell"])
+def run(request):
+    """``scheduler.run()`` through each of the pure backend's two loops.
+
+    A stop cell with no predicate and no fire hook takes the pure
+    scheduler's specialised loop; plain ``run()`` takes the generic one.
+    The compiled backend has one loop, so both legs pin it against both.
+    """
+    if request.param == "generic":
+        return lambda scheduler, **bounds: scheduler.run(**bounds)
+    return lambda scheduler, **bounds: scheduler.run(stop_flag=[False], **bounds)
+
+
+def queued_shapes(scheduler):
+    return sorted(
+        {len(entry) for bucket in scheduler._buckets.values() for entry in bucket}
+    )
+
+
 class TestScheduler:
-    def test_events_fire_in_time_order(self):
-        scheduler = Scheduler()
+    def test_events_fire_in_time_order(self, scheduler):
         fired = []
-        scheduler.schedule_at(30, lambda: fired.append("c"))
-        scheduler.schedule_at(10, lambda: fired.append("a"))
-        scheduler.schedule_at(20, lambda: fired.append("b"))
+        scheduler.schedule_after_fast(30, lambda: fired.append("c"))
+        scheduler.schedule_after_fast(10, lambda: fired.append("a"))
+        scheduler.schedule_after_fast(20, lambda: fired.append("b"))
         scheduler.run()
         assert fired == ["a", "b", "c"]
         assert scheduler.now == 30
 
-    def test_ties_break_by_insertion_order(self):
-        scheduler = Scheduler()
+    def test_ties_break_by_insertion_order(self, scheduler):
         fired = []
         for name in "abcd":
-            scheduler.schedule_at(5, lambda n=name: fired.append(n))
+            scheduler.schedule_after_fast(5, lambda n=name: fired.append(n))
         scheduler.run()
         assert fired == ["a", "b", "c", "d"]
 
-    def test_schedule_after_is_relative(self):
-        scheduler = Scheduler()
+    def test_schedule_after_is_relative(self, scheduler):
         times = []
-        scheduler.schedule_at(10, lambda: scheduler.schedule_after(5, lambda: times.append(scheduler.now)))
+        scheduler.schedule_after_fast(
+            10,
+            lambda: scheduler.schedule_after_fast(
+                5, lambda: times.append(scheduler.now)
+            ),
+        )
         scheduler.run()
         assert times == [15]
 
-    def test_cannot_schedule_in_the_past(self):
-        scheduler = Scheduler()
-        scheduler.schedule_at(10, lambda: None)
+    def test_negative_delay_is_rejected(self, scheduler):
+        scheduler.schedule_after_fast(10, lambda: None)
         scheduler.run()
-        with pytest.raises(SimulationError):
-            scheduler.schedule_at(5, lambda: None)
-        with pytest.raises(SimulationError):
-            scheduler.schedule_after(-1, lambda: None)
-
-    def test_cancelled_events_are_skipped(self):
-        scheduler = Scheduler()
-        fired = []
-        event = scheduler.schedule_at(10, lambda: fired.append("x"))
-        event.cancel()
-        scheduler.run()
-        assert fired == []
-
-    def test_pending_excludes_cancelled_events(self):
-        scheduler = Scheduler()
-        events = [scheduler.schedule_at(10 + i, lambda: None) for i in range(4)]
-        assert scheduler.pending == 4
-        events[0].cancel()
-        events[2].cancel()
-        assert scheduler.pending == 2
-        # Cancelling twice must not double-count.
-        events[0].cancel()
-        assert scheduler.pending == 2
-        scheduler.run()
+        with pytest.raises(SimulationError, match="delay must be non-negative, got -1"):
+            scheduler.schedule_after_fast(-1, lambda: None)
+        with pytest.raises(SimulationError, match="delay must be non-negative, got -2"):
+            scheduler.schedule_after_fast1(-2, print, None)
         assert scheduler.pending == 0
-        assert scheduler.fired == 2
+        assert scheduler._sequence == 1
 
-    def test_cancel_after_fire_does_not_corrupt_pending(self):
-        scheduler = Scheduler()
-        event = scheduler.schedule_at(5, lambda: None)
-        scheduler.schedule_at(10, lambda: None)
-        scheduler.run(until=7)
-        event.cancel()  # already fired; must be a no-op
-        assert scheduler.pending == 1
-        scheduler.run()
-        assert scheduler.pending == 0
+    def test_fast_paths_interleave(self, scheduler, run):
+        # Both entry shapes share one sequence counter, so a 4-tuple and a
+        # 5-tuple entry at the same cycle fire in schedule order.
+        fired, labels = [], []
+        scheduler.schedule_after_fast(10, lambda: fired.append("plain10"), "p10")
+        scheduler.schedule_after_fast1(5, fired.append, "arg5", "a5")
+        scheduler.schedule_after_fast(5, lambda: fired.append("plain5"), "p5")
+        scheduler.schedule_after_fast1(7, fired.append, "arg7", "a7")
+        scheduler.schedule_after_fast1(5, fired.append, "arg5b", "a5b")
+        assert queued_shapes(scheduler) == [4, 5]
+        assert scheduler.pending == 5
+        scheduler.add_fire_hook(lambda time, label: labels.append((time, label)))
+        # The fire hook forces the generic loop; remove it to let the
+        # stop-cell leg take the specialised one for the second half.
+        assert run(scheduler, until=6) == 3
+        assert labels == [(5, "a5"), (5, "p5"), (5, "a5b")]
+        scheduler.on_fire = None
+        assert run(scheduler) == 2
+        assert fired == ["arg5", "plain5", "arg5b", "arg7", "plain10"]
+        assert labels == [(5, "a5"), (5, "p5"), (5, "a5b")]
+        assert scheduler.now == 10
+        assert scheduler.fired == 5
 
-    def test_drain_resets_cancellation_accounting(self):
-        scheduler = Scheduler()
-        events = [scheduler.schedule_at(10 + i, lambda: None) for i in range(3)]
-        events[1].cancel()
-        scheduler.drain()
-        assert scheduler.pending == 0
-        # Cancelling an event that was drained must not go negative.
-        events[2].cancel()
-        assert scheduler.pending == 0
-        scheduler.schedule_at(50, lambda: None)
-        assert scheduler.pending == 1
-
-    def test_run_until_with_cancelled_head(self):
-        # A cancelled event at the head of the queue must neither stop the
-        # clock early nor let a later event leak past ``until``.
-        scheduler = Scheduler()
-        fired = []
-        stale = scheduler.schedule_at(10, lambda: fired.append("stale"))
-        scheduler.schedule_at(20, lambda: fired.append("live"))
-        scheduler.schedule_at(90, lambda: fired.append("late"))
-        stale.cancel()
-        scheduler.run(until=50)
-        assert fired == ["live"]
-        assert scheduler.now == 50
-        assert scheduler.pending == 1
-
-    def test_run_until_cancelled_head_beyond_until(self):
-        scheduler = Scheduler()
-        fired = []
-        stale = scheduler.schedule_at(80, lambda: fired.append("stale"))
-        scheduler.schedule_at(90, lambda: fired.append("late"))
-        stale.cancel()
-        scheduler.run(until=50)
-        assert fired == []
-        assert scheduler.now == 50
-        assert scheduler.pending == 1
-
-    def test_mass_cancellation_triggers_compaction(self):
-        scheduler = Scheduler()
-        events = [scheduler.schedule_at(100 + i, lambda: None) for i in range(300)]
-        survivors = events[::10]
-        for index, event in enumerate(events):
-            if index % 10:
-                event.cancel()
-        assert scheduler.pending == len(survivors)
-        # Compaction must have physically removed most cancelled entries.
-        queued = sum(len(bucket) for bucket in scheduler._buckets.values())
-        assert queued < len(events)
-        assert scheduler.run() == len(survivors)
-
-    def test_compaction_from_inside_a_callback_is_safe(self):
-        # A fired callback that mass-cancels (triggering compaction) must not
-        # desynchronise the running loop from the queue: events scheduled
-        # after the compaction still fire, nothing fires twice, and the
-        # accounting stays exact.
-        scheduler = Scheduler()
-        fired = []
-        victims = []
-
-        def cancel_everything():
-            for victim in victims:
-                victim.cancel()
-            scheduler.schedule_at(500, lambda: fired.append("after-compaction"))
-
-        scheduler.schedule_at(1, cancel_everything)
-        victims.extend(
-            scheduler.schedule_at(100 + i, lambda i=i: fired.append(i))
-            for i in range(200)
-        )
-        scheduler.schedule_at(400, lambda: fired.append("survivor"))
-        scheduler.run()
-        assert fired == ["survivor", "after-compaction"]
-        assert scheduler.pending == 0
-        assert scheduler.fired == 3
-        scheduler.run()
-        assert fired == ["survivor", "after-compaction"]
-
-    def test_fast_path_interleaves_with_cancellable_events(self):
-        scheduler = Scheduler()
-        fired = []
-        scheduler.schedule_at_fast(10, lambda: fired.append("fast10"))
-        scheduler.schedule_at(5, lambda: fired.append("event5"))
-        scheduler.schedule_at_fast1(7, fired.append, "fast1-7")
-        victim = scheduler.schedule_at(6, lambda: fired.append("cancelled"))
-        victim.cancel()
-        scheduler.run()
-        assert fired == ["event5", "fast1-7", "fast10"]
-
-    def test_drain_from_inside_a_callback_stops_the_run(self):
+    def test_drain_from_inside_a_callback_stops_the_run(self, scheduler, run):
         # Simulator.finish() (which drains) can be called by a fired event;
         # the loop must stop cleanly: no later event fires — same-cycle
         # events included — and the queue ends empty.
-        scheduler = Scheduler()
         fired = []
-        scheduler.schedule_at(5, lambda: (fired.append("drainer"), scheduler.drain()))
-        scheduler.schedule_at(5, lambda: fired.append("same-cycle"))
-        scheduler.schedule_at(9, lambda: fired.append("later"))
-        scheduler.run()
+        scheduler.schedule_after_fast(
+            5, lambda: (fired.append("drainer"), scheduler.drain())
+        )
+        scheduler.schedule_after_fast(5, lambda: fired.append("same-cycle"))
+        scheduler.schedule_after_fast(9, lambda: fired.append("later"))
+        assert run(scheduler) == 1
         assert fired == ["drainer"]
         assert scheduler.pending == 0
+        assert scheduler._times == []
         # The scheduler remains usable afterwards.
-        scheduler.schedule_at(20, lambda: fired.append("fresh"))
-        scheduler.run()
+        scheduler.schedule_after_fast(15, lambda: fired.append("fresh"))
+        run(scheduler)
         assert fired == ["drainer", "fresh"]
+        assert scheduler.now == 20
 
-    def test_drain_then_reschedule_same_cycle_from_callback(self):
-        scheduler = Scheduler()
+    def test_drain_from_a_single_entry_bucket(self, scheduler, run):
+        fired = []
+        scheduler.schedule_after_fast(5, scheduler.drain)
+        scheduler.schedule_after_fast(9, lambda: fired.append("later"))
+        assert run(scheduler) == 1
+        assert fired == []
+        assert scheduler.pending == 0
+        assert scheduler.now == 5
+
+    def test_drain_then_reschedule_same_cycle_from_callback(self, scheduler, run):
         fired = []
 
         def drain_and_rearm():
             scheduler.drain()
-            scheduler.schedule_at_fast(scheduler.now, lambda: fired.append("rearmed"))
+            scheduler.schedule_after_fast(0, lambda: fired.append("rearmed"))
 
-        scheduler.schedule_at_fast(5, drain_and_rearm)
-        scheduler.schedule_at_fast(5, lambda: fired.append("victim"))
-        scheduler.schedule_at_fast(9, lambda: fired.append("later"))
-        scheduler.run()
+        scheduler.schedule_after_fast(5, drain_and_rearm)
+        scheduler.schedule_after_fast(5, lambda: fired.append("victim"))
+        scheduler.schedule_after_fast(9, lambda: fired.append("later"))
+        run(scheduler)
         assert fired == ["rearmed"]
         assert scheduler.pending == 0
+        assert scheduler.now == 5
 
-    def test_raising_callback_keeps_remaining_events_reachable(self):
+    def test_raising_callback_keeps_remaining_events_reachable(self, scheduler, run):
         # The heap loop popped each entry before firing, so a raising
         # callback was exception-safe; the bucket loop must match: the
         # raising event is consumed, same-cycle survivors still fire on a
         # later run(), and new events at that cycle are not swallowed.
-        scheduler = Scheduler()
         fired = []
 
         def boom():
             raise RuntimeError("boom")
 
-        scheduler.schedule_at_fast(5, lambda: fired.append("first"))
-        scheduler.schedule_at_fast(5, boom)
-        scheduler.schedule_at_fast(5, lambda: fired.append("survivor"))
-        scheduler.schedule_at_fast(9, lambda: fired.append("later"))
-        with pytest.raises(RuntimeError):
-            scheduler.run()
+        scheduler.schedule_after_fast(5, lambda: fired.append("first"))
+        scheduler.schedule_after_fast(5, boom)
+        scheduler.schedule_after_fast1(5, fired.append, "survivor")
+        scheduler.schedule_after_fast(9, lambda: fired.append("later"))
+        with pytest.raises(RuntimeError, match="boom"):
+            run(scheduler)
         assert fired == ["first"]
         assert scheduler.pending == 2
-        scheduler.schedule_at_fast(5, lambda: fired.append("rescheduled"))
-        scheduler.run()
+        assert scheduler.fired == 1
+        assert scheduler.now == 5
+        scheduler.schedule_after_fast(0, lambda: fired.append("rescheduled"))
+        assert run(scheduler) == 3
         assert fired == ["first", "survivor", "rescheduled", "later"]
         assert scheduler.pending == 0
 
-    def test_raising_single_event_is_consumed(self):
-        scheduler = Scheduler()
-
+    def test_raising_single_event_is_consumed(self, scheduler, run):
         def boom():
             raise RuntimeError("boom")
 
-        scheduler.schedule_at_fast(5, boom)
+        scheduler.schedule_after_fast(5, boom)
         with pytest.raises(RuntimeError):
-            scheduler.run()
+            run(scheduler)
         assert scheduler.pending == 0
-        assert scheduler.run() == 0  # nothing re-fires
+        assert scheduler._buckets == {}
+        assert run(scheduler) == 0  # nothing re-fires
 
-    def test_run_until_bound(self):
-        scheduler = Scheduler()
+    def test_raising_last_event_of_a_bucket_drops_the_bucket(self, scheduler, run):
+        def boom():
+            raise RuntimeError("boom")
+
+        scheduler.schedule_after_fast(5, lambda: None)
+        scheduler.schedule_after_fast(5, boom)
+        scheduler.schedule_after_fast(9, lambda: None)
+        with pytest.raises(RuntimeError):
+            run(scheduler)
+        assert list(scheduler._buckets) == [9]
+        assert scheduler._times == [9]
+
+    def test_run_until_bound(self, scheduler, run):
         fired = []
-        scheduler.schedule_at(10, lambda: fired.append(10))
-        scheduler.schedule_at(100, lambda: fired.append(100))
-        scheduler.run(until=50)
+        scheduler.schedule_after_fast(10, lambda: fired.append(10))
+        scheduler.schedule_after_fast(100, lambda: fired.append(100))
+        run(scheduler, until=50)
         assert fired == [10]
         assert scheduler.now == 50
         assert scheduler.pending == 1
 
-    def test_run_max_events(self):
-        scheduler = Scheduler()
+    def test_run_until_now_fires_nothing_later(self, scheduler, run):
+        fired = []
+        scheduler.schedule_after_fast(10, lambda: fired.append(10))
+        scheduler.schedule_after_fast(15, lambda: fired.append(15))
+        run(scheduler, until=10)
+        assert run(scheduler, until=10) == 0
+        assert fired == [10]
+        assert scheduler.now == 10
+
+    def test_run_until_before_now_raises_and_keeps_the_clock(self, scheduler):
+        fired = []
+        scheduler.schedule_after_fast(10, lambda: fired.append(10))
+        scheduler.schedule_after_fast(15, lambda: fired.append(15))
+        scheduler.run(max_events=1)
+        assert scheduler.now == 10
+        buckets, times = dict(scheduler._buckets), list(scheduler._times)
+        with pytest.raises(
+            SimulationError, match=r"run\(until=3\) is before the current time 10"
+        ):
+            scheduler.run(until=3)
+        assert scheduler.now == 10
+        assert scheduler._buckets == buckets
+        assert scheduler._times == times
+        # A zero-delay event still lands at the current cycle, not the rewound one.
+        scheduler.schedule_after_fast(0, lambda: fired.append(scheduler.now))
+        assert list(scheduler._buckets) == [15, 10]
+        scheduler.run()
+        assert fired == [10, 10, 15]
+
+    def test_run_max_events(self, scheduler, run):
         for i in range(10):
-            scheduler.schedule_at(i, lambda: None)
-        assert scheduler.run(max_events=3) == 3
+            scheduler.schedule_after_fast(i, lambda: None)
+        assert run(scheduler, max_events=3) == 3
         assert scheduler.fired == 3
+        assert scheduler.now == 2
+        assert scheduler.pending == 7
 
-    def test_mass_cancel_from_stop_when_keeps_accounting_exact(self):
-        # A stop_when predicate that cancels events can trigger compaction
-        # while run() holds an alias to the bucket it is about to drain;
-        # the accounting must not double-count those cancellations.
-        scheduler = Scheduler()
-        current = [scheduler.schedule_at(5, lambda: None) for _ in range(10)]
-        later = [scheduler.schedule_at(100 + i, lambda: None) for i in range(70)]
-        cancelled = []
+    def test_max_events_stops_inside_a_bucket(self, scheduler, run):
+        fired = []
+        for name in "abc":
+            scheduler.schedule_after_fast(4, lambda n=name: fired.append(n))
+        assert run(scheduler, max_events=2) == 2
+        assert fired == ["a", "b"]
+        assert scheduler.pending == 1
+        assert run(scheduler) == 1
+        assert fired == ["a", "b", "c"]
 
-        def cancel_everything():
-            if not cancelled:
-                for event in current + later:
-                    event.cancel()
-                cancelled.append(True)
-            return False
+    def test_stop_cell_set_by_a_callback(self, scheduler):
+        cell = [False]
+        fired = []
+        scheduler.schedule_after_fast(3, lambda: (fired.append("a"), cell.__setitem__(0, True)))
+        scheduler.schedule_after_fast(3, lambda: fired.append("b"))
+        scheduler.schedule_after_fast(8, lambda: fired.append("c"))
+        assert scheduler.run(stop_flag=cell) == 1
+        assert fired == ["a"]
+        assert scheduler.now == 3
+        assert scheduler.pending == 2
+        cell[0] = False
+        assert scheduler.run(stop_flag=cell) == 2
+        assert fired == ["a", "b", "c"]
 
-        scheduler.run(stop_when=cancel_everything)
-        assert scheduler.pending == 0
-        assert scheduler._cancelled == 0
-        assert scheduler.fired == 0
-
-    def test_stop_when_predicate(self):
-        scheduler = Scheduler()
+    def test_stop_when_predicate(self, scheduler):
         seen = []
         for i in range(10):
-            scheduler.schedule_at(i, lambda i=i: seen.append(i))
+            scheduler.schedule_after_fast(i, lambda i=i: seen.append(i))
         scheduler.run(stop_when=lambda: len(seen) >= 4)
         assert len(seen) == 4
+        assert scheduler.now == 3
+        assert scheduler.pending == 6
+
+    def test_reset_rearms_the_clock_and_sequence(self, scheduler):
+        scheduler.schedule_after_fast(4, lambda: None)
+        scheduler.schedule_after_fast(9, lambda: None)
+        scheduler.run(max_events=1)
+        scheduler.reset()
+        assert (scheduler.now, scheduler._sequence, scheduler.fired) == (0, 0, 0)
+        assert scheduler.pending == 0
+        assert scheduler._times == []
 
 
 class TestFireHooks:
-    def test_multiple_hooks_each_see_every_event(self):
-        scheduler = Scheduler()
+    def test_multiple_hooks_each_see_every_event(self, scheduler):
         first, second = [], []
         scheduler.add_fire_hook(lambda t, label: first.append((t, label)))
         scheduler.add_fire_hook(lambda t, label: second.append((t, label)))
-        scheduler.schedule_at_fast(5, lambda: None, "a")
-        scheduler.schedule_at_fast(9, lambda: None, "b")
+        scheduler.schedule_after_fast(5, lambda: None, "a")
+        scheduler.schedule_after_fast(9, lambda: None, "b")
         scheduler.run()
         assert first == [(5, "a"), (9, "b")]
         assert second == first
 
-    def test_remove_fire_hook_stops_delivery(self):
-        scheduler = Scheduler()
+    def test_remove_fire_hook_stops_delivery(self, scheduler):
         seen = []
         hook = lambda t, label: seen.append(label)
         scheduler.add_fire_hook(hook)
-        scheduler.schedule_at_fast(1, lambda: None, "x")
+        scheduler.schedule_after_fast(1, lambda: None, "x")
         scheduler.run()
         scheduler.remove_fire_hook(hook)
         assert scheduler.on_fire is None
-        scheduler.schedule_at_fast(2, lambda: None, "y")
+        scheduler.schedule_after_fast(1, lambda: None, "y")
         scheduler.run()
         assert seen == ["x"]
 
-    def test_remove_unknown_hook_is_idempotent(self):
-        scheduler = Scheduler()
+    def test_remove_unknown_hook_is_idempotent(self, scheduler):
         scheduler.remove_fire_hook(lambda t, label: None)
         assert scheduler.on_fire is None
 
-    def test_directly_assigned_on_fire_is_adopted_as_first_hook(self):
-        scheduler = Scheduler()
+    def test_directly_assigned_on_fire_is_adopted_as_first_hook(self, scheduler):
         order = []
         scheduler.on_fire = lambda t, label: order.append("legacy")
         scheduler.add_fire_hook(lambda t, label: order.append("added"))
-        scheduler.schedule_at_fast(3, lambda: None, "e")
+        scheduler.schedule_after_fast(3, lambda: None, "e")
         scheduler.run()
         assert order == ["legacy", "added"]
 
-    def test_single_hook_binds_without_fan_out_wrapper(self):
-        scheduler = Scheduler()
+    def test_single_hook_binds_without_fan_out_wrapper(self, scheduler):
         hook = lambda t, label: None
         scheduler.add_fire_hook(hook)
         assert scheduler.on_fire is hook
 
-    def test_legacy_direct_assignment_can_be_removed(self):
-        scheduler = Scheduler()
+    def test_legacy_direct_assignment_can_be_removed(self, scheduler):
         hook = lambda t, label: None
         scheduler.on_fire = hook
         scheduler.remove_fire_hook(hook)
         assert scheduler.on_fire is None
 
-    def test_direct_clear_after_adoption_is_not_resurrected(self):
+    def test_direct_clear_after_adoption_is_not_resurrected(self, scheduler):
         # A tracer assigned directly, adopted by add_fire_hook, then cleared
         # directly must stay gone when the added hook is removed — the legacy
         # surface is authoritative.
-        scheduler = Scheduler()
         seen = []
         scheduler.on_fire = lambda t, label: seen.append(label)
         added = lambda t, label: None
@@ -341,39 +332,69 @@ class TestFireHooks:
         scheduler.on_fire = None
         scheduler.remove_fire_hook(added)
         assert scheduler.on_fire is None
-        scheduler.schedule_at_fast(1, lambda: None, "late")
+        scheduler.schedule_after_fast(1, lambda: None, "late")
         scheduler.run()
         assert seen == []
 
-    def test_direct_reassignment_after_adoption_wins(self):
-        scheduler = Scheduler()
+    def test_direct_reassignment_after_adoption_wins(self, scheduler):
         order = []
         scheduler.on_fire = lambda t, label: order.append("old")
         hook = lambda t, label: order.append("hook")
         scheduler.add_fire_hook(hook)
         scheduler.on_fire = lambda t, label: order.append("new")
         scheduler.add_fire_hook(hook)
-        scheduler.schedule_at_fast(1, lambda: None, "e")
+        scheduler.schedule_after_fast(1, lambda: None, "e")
         scheduler.run()
         assert order == ["new", "hook"]
 
-    def test_hooks_survive_reset(self):
-        scheduler = Scheduler()
+    def test_hooks_survive_reset(self, scheduler):
         seen = []
         scheduler.add_fire_hook(lambda t, label: seen.append(label))
-        scheduler.schedule_at_fast(1, lambda: None, "before")
+        scheduler.schedule_after_fast(1, lambda: None, "before")
         scheduler.run()
         scheduler.reset()
-        scheduler.schedule_at_fast(1, lambda: None, "after")
+        scheduler.schedule_after_fast(1, lambda: None, "after")
         scheduler.run()
         assert seen == ["before", "after"]
 
+    def test_raising_hook_consumes_the_fired_event(self, scheduler):
+        def hook(time, label):
+            raise ValueError(label)
 
+        fired = []
+        scheduler.on_fire = hook
+        scheduler.schedule_after_fast1(2, fired.append, "x", "lx")
+        scheduler.schedule_after_fast1(2, fired.append, "y", "ly")
+        with pytest.raises(ValueError, match="lx"):
+            scheduler.run()
+        assert fired == ["x"]
+        assert scheduler.fired == 1
+        assert scheduler.pending == 1
+
+
+@pytest.mark.skipif(
+    not _core.compiled_available(),
+    reason="compiled extension not built (python -m repro._core.build)",
+)
+def test_compiled_loop_refuses_a_malformed_entry():
+    # The C loop reads entries without Python's bounds checks, so it tests
+    # the shape first.
+    with _core.use_backend(_core.COMPILED):
+        scheduler = active_scheduler_class()()
+    scheduler._buckets[4] = [(4, 0, lambda: None)]
+    scheduler._times.append(4)
+    with pytest.raises(TypeError, match="queue entry must be a"):
+        scheduler.run()
+    assert scheduler.fired == 0
+    assert scheduler.pending == 1
+
+
+@pytest.mark.usefixtures("backend")
 class TestSimulator:
     def test_run_until_quiescent(self):
         simulator = Simulator()
         fired = []
-        simulator.scheduler.schedule_at(5, lambda: fired.append(1))
+        simulator.scheduler.schedule_after_fast(5, lambda: fired.append(1))
         simulator.run_until_quiescent()
         assert fired == [1]
 
@@ -381,9 +402,9 @@ class TestSimulator:
         simulator = Simulator()
 
         def rearm():
-            simulator.scheduler.schedule_after(1, rearm)
+            simulator.scheduler.schedule_after_fast(1, rearm)
 
-        simulator.scheduler.schedule_at(0, rearm)
+        simulator.scheduler.schedule_after_fast(0, rearm)
         with pytest.raises(SimulationError):
             simulator.run_until_quiescent(max_events=100)
 

@@ -18,9 +18,12 @@ class TestComponent:
         stats = StatsRegistry()
         component = Component("widget", scheduler, stats)
         fired = []
-        component.schedule(10, lambda: fired.append(component.now), "tick")
+        labels = []
+        scheduler.on_fire = lambda time, label: labels.append(label)
+        component.schedule_fast(10, lambda: fired.append(component.now), "tick")
         scheduler.run()
         assert fired == [10]
+        assert labels == ["widget:tick"]
         component.count("things", 3)
         component.record("value", 2.5)
         assert stats.counters()["widget.things"] == 3
@@ -156,9 +159,9 @@ class TestErrorHierarchy:
 
     def test_simulation_error_is_catchable_as_repro_error(self):
         scheduler = Scheduler()
-        scheduler.schedule_at(5, lambda: None)
+        scheduler.schedule_after_fast(5, lambda: None)
         scheduler.run()
         with pytest.raises(ReproError):
-            scheduler.schedule_at(1, lambda: None)
+            scheduler.schedule_after_fast(-1, lambda: None)
         with pytest.raises(SimulationError):
-            scheduler.schedule_at(1, lambda: None)
+            scheduler.run(until=1)

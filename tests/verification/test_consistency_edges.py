@@ -221,7 +221,7 @@ class TestMonitorPieces:
         block.data_token = 555
         monitor.check_address(0)
         # The "invalidation" lands before the confirm probe: candidate clears.
-        system.simulator.scheduler.schedule_after(
+        system.simulator.scheduler.schedule_after_fast(
             10, lambda: setattr(block, "data_token", original), "heal"
         )
         system.simulator.run(until=system.simulator.now + 500)

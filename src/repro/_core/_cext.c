@@ -40,7 +40,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.7.0"
+#define CORE_VERSION "1.8.0"
 
 /* Class injected by repro.sim.scheduler via _init_classes(). */
 static PyObject *SimulationErrorClass = NULL;
@@ -896,12 +896,12 @@ cext_type_version(PyObject *Py_UNUSED(module), PyObject *cls)
  *
  * The compiled form of link_push in repro/interconnect/link.py: the
  * unit-cost "occupy the incoming link, then push the delivery entry" closure
- * shared by the ordered network's arrival path, the unordered network's
- * delivery path and the issue chain's inlined sends.  Calling it with a
- * message performs the inlined EndpointLink.transmit plus the scheduler
- * bucket push, all in C.  The link stays the source of truth for its
- * scalars: they are read and written in the link's own slots, so reset,
- * the Python transmit path and the busy-time queries observe every update.
+ * shared by the ordered network's arrival path and the unordered network's
+ * delivery path.  Calling it with a message performs the inlined
+ * EndpointLink.transmit plus the scheduler bucket push, all in C.  The link
+ * stays the source of truth for its scalars: they are read and written in
+ * the link's own slots, so reset, the Python transmit path and the
+ * busy-time queries observe every update.
  * The occupancy memo dict is prebound, the same object the pure closure
  * captures.
  *
@@ -1929,7 +1929,12 @@ ordered_send(OrderedSendObject *self, PyObject *message, PyObject *recipients)
     PyObject *msg_type = *SLOT_CELL(message, fields[MSG_MSG_TYPE]);
     if (msg_type == NULL)
         return send_pure(base, argv, 2);
-    int subset = PyObject_RichCompareBool(recipients, self->node_ids, Py_LE);
+    /* The network's own node-id set (what Interconnect.all_nodes returns)
+     * is every node; anything else takes the subset test. */
+    int subset = recipients == self->node_ids
+                     ? 1
+                     : PyObject_RichCompareBool(recipients, self->node_ids,
+                                                Py_LE);
     if (subset <= 0)
         return subset < 0 ? NULL : send_pure(base, argv, 2);
     int broadcast =
@@ -2029,29 +2034,6 @@ static PyTypeObject OrderedSend_Type = {
 
 /* -------------------------------------------------------- module functions */
 
-/* sched_push(scheduler, time, callback, label, message):
- * the networks' inline injection push as one C call. */
-static PyObject *
-cext_sched_push(PyObject *Py_UNUSED(module), PyObject *const *args,
-                Py_ssize_t nargs)
-{
-    if (nargs != 5) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "sched_push expects (scheduler, time, callback, label, message)");
-        return NULL;
-    }
-    if (!Scheduler_CheckExactBase(args[0])) {
-        PyErr_SetString(PyExc_TypeError,
-                        "sched_push requires a compiled SchedulerBase");
-        return NULL;
-    }
-    if (push_fast((SchedulerObject *)args[0], args[1], args[2], args[3],
-                     args[4]) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
 /* _init_classes(SimulationError): inject the error class the scheduler
  * raises.  Called by repro.sim.scheduler when it builds the compiled class. */
 static PyObject *
@@ -2062,9 +2044,6 @@ cext_init_classes(PyObject *Py_UNUSED(module), PyObject *error_class)
 }
 
 static PyMethodDef cext_methods[] = {
-    {"sched_push", (PyCFunction)(void (*)(void))cext_sched_push,
-     METH_FASTCALL,
-     "Push one (time, seq, callback, label, message) fast-path entry."},
     {"_init_message", cext_init_message, METH_O,
      "Resolve the slots of the Message fields the compiled objects read."},
     {"_init_stock", cext_init_stock, METH_VARARGS,

@@ -40,19 +40,13 @@
 
 #include "_core.h"
 
-/* Protocol singletons injected via _init_protocol().  MessageType and
- * MOSIState members are compared by identity throughout the pure code
- * (`is` comparisons, __hash__ = object.__hash__), so raw pointer equality
- * is the faithful mirror. */
-static PyObject *MT_GETS = NULL;
-static PyObject *MT_GETM = NULL;
-static PyObject *MT_FWD_GETS = NULL;
-static PyObject *MT_FWD_GETM = NULL;
-static PyObject *ST_MODIFIED = NULL;
-static PyObject *ST_OWNED = NULL;
-static PyObject *ST_SHARED = NULL;
-static PyObject *ST_INVALID = NULL;
-static long long MEMORY_OWNER_ID = -1;
+/* The protocol singletons every unit shares (_core.h), set by
+ * _init_protocol() below. */
+PyObject *MT_GETS, *MT_GETM, *MT_PUTM, *MT_DATA, *MT_MARKER;
+PyObject *MT_FWD_GETS, *MT_FWD_GETM;
+PyObject *ST_MODIFIED, *ST_OWNED, *ST_SHARED, *ST_INVALID;
+PyObject *DU_CACHE_U, *DU_MEMORY_U, *EMPTY_RECIPIENTS;
+long long MEMORY_OWNER_ID = -1;
 
 /* Interned attribute / counter names (module lifetime). */
 static PyObject *s_address;
@@ -90,18 +84,6 @@ static PyObject *ll_one;
 static PyObject *empty_args;
 
 /* ------------------------------------------------------------------ helpers */
-
-static int
-protocol_injected(void)
-{
-    if (MT_GETS == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "protocol members not injected; call _init_protocol() "
-                        "before constructing compiled delivery objects");
-        return 0;
-    }
-    return 1;
-}
 
 /* Truth value of an attribute; -1 with error set, else 0/1. */
 static int
@@ -2319,41 +2301,35 @@ static PyTypeObject BashSample_Type = {
 
 /* ------------------------------------------------------------- module glue */
 
-/* _init_protocol(GETS, GETM, FWD_GETS, FWD_GETM, MODIFIED, OWNED, SHARED,
- * INVALID, memory_owner): inject the enum singletons the fast paths compare
- * by identity.  Idempotent; called by repro.protocols.dispatch on first
- * use. */
+/* _init_protocol(GETS, GETM, PUTM, DATA, MARKER, FWD_GETS, FWD_GETM,
+ * MODIFIED, OWNED, SHARED, INVALID, du_cache, du_memory, empty_recipients,
+ * memory_owner): inject the singletons of _core.h that every compiled
+ * protocol object compares by identity.  Idempotent; called by
+ * repro.protocols.dispatch on first use. */
 static PyObject *
 chandlers_init_protocol(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *gets, *getm, *fwd_gets, *fwd_getm, *modified, *owned, *shared;
-    PyObject *invalid;
+    PyObject *objects[14];
     long long memory_owner;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOL", &gets, &getm, &fwd_gets,
-                          &fwd_getm, &modified, &owned, &shared, &invalid,
-                          &memory_owner))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOL", &objects[0], &objects[1],
+                          &objects[2], &objects[3], &objects[4], &objects[5],
+                          &objects[6], &objects[7], &objects[8], &objects[9],
+                          &objects[10], &objects[11], &objects[12],
+                          &objects[13], &memory_owner))
         return NULL;
-    Py_INCREF(gets);
-    Py_XSETREF(MT_GETS, gets);
-    Py_INCREF(getm);
-    Py_XSETREF(MT_GETM, getm);
-    Py_XSETREF(MT_FWD_GETS, Py_NewRef(fwd_gets));
-    Py_XSETREF(MT_FWD_GETM, Py_NewRef(fwd_getm));
-    Py_INCREF(modified);
-    Py_XSETREF(ST_MODIFIED, modified);
-    Py_INCREF(owned);
-    Py_XSETREF(ST_OWNED, owned);
-    Py_INCREF(shared);
-    Py_XSETREF(ST_SHARED, shared);
-    Py_INCREF(invalid);
-    Py_XSETREF(ST_INVALID, invalid);
+    PyObject **targets[14] = {
+        &MT_GETS,     &MT_GETM,     &MT_PUTM,    &MT_DATA,    &MT_MARKER,
+        &MT_FWD_GETS, &MT_FWD_GETM, &ST_MODIFIED, &ST_OWNED,  &ST_SHARED,
+        &ST_INVALID,  &DU_CACHE_U,  &DU_MEMORY_U, &EMPTY_RECIPIENTS};
+    for (int i = 0; i < 14; i++)
+        Py_XSETREF(*targets[i], Py_NewRef(objects[i]));
     MEMORY_OWNER_ID = memory_owner;
     Py_RETURN_NONE;
 }
 
 static PyMethodDef chandlers_methods[] = {
     {"_init_protocol", chandlers_init_protocol, METH_VARARGS,
-     "Inject the MessageType/MOSIState members the fast paths compare by "
+     "Inject the protocol singletons the compiled objects compare by "
      "identity."},
     {NULL}};
 

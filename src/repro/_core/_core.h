@@ -13,12 +13,40 @@
 #include <structmember.h>
 
 /* Register DataDeliver/SnoopDeliver/DirDeliver/BashSample and
- * _init_protocol on the extension module.  Returns 0 on success, -1 with an exception set. */
+ * _init_protocol on the extension module.  Returns 0 on success, -1 with an
+ * exception set. */
 int chandlers_add_types(PyObject *module);
 
-/* Register SequencerStep/MemServe/DirHome and _init_issue on the extension
- * module.  Returns 0 on success, -1 with an exception set. */
+/* Register SequencerStep/MemServe/DirHome on the extension module.
+ * Returns 0 on success, -1 with an exception set. */
 int issue_add_types(PyObject *module);
+
+/* Protocol singletons, defined in _chandlers.c and injected once through
+ * _init_protocol() (repro.protocols.dispatch calls it): the MessageType,
+ * MOSIState and DestinationUnit members the pure code compares by identity
+ * (`is` tests, object.__hash__), so pointer equality is the faithful
+ * mirror; Message.__init__'s default recipients frozenset, so a recycled
+ * message gets the very object a pure construction would; and
+ * MEMORY_OWNER.  The objects are NULL until injected. */
+extern PyObject *MT_GETS, *MT_GETM, *MT_PUTM, *MT_DATA, *MT_MARKER;
+extern PyObject *MT_FWD_GETS, *MT_FWD_GETM;
+extern PyObject *ST_MODIFIED, *ST_OWNED, *ST_SHARED, *ST_INVALID;
+extern PyObject *DU_CACHE_U, *DU_MEMORY_U, *EMPTY_RECIPIENTS;
+extern long long MEMORY_OWNER_ID;
+
+/* 1 when the singletons are injected, else 0 with RuntimeError set (every
+ * protocol object's constructor checks, so a missed call fails loudly). */
+static inline int
+protocol_injected(void)
+{
+    if (MT_GETS == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "protocol members not injected; call _init_protocol() "
+                        "before constructing compiled protocol objects");
+        return 0;
+    }
+    return 1;
+}
 
 /* One controller's DATA reply (_issue.c): MemoryControllerBase._send_data
  * or CacheControllerBase._send_data plus the schedule_after_fast1 push,

@@ -15,10 +15,11 @@
  * the Python method redoes its read-only checks and takes over exactly
  * where the pure path would have been.
  *
- * Sends are inlined by calling prebuilt LinkPush objects (the same C
- * per-hop machinery the networks compile): the message lands in the
- * scheduler's buckets with the identical (time, seq, callback, label, arg)
- * entry the pure network send would have pushed, with zero Python frames.
+ * Sends go through the controller's own bound _ordered_send /
+ * _unordered_send, the callable the pure _send_request/_send_writeback
+ * call: the network's compiled OrderedSend/UnorderedSend on a stock
+ * network, its Python send otherwise.  The step builds the message as the
+ * pure body does and hands it over; the network does the rest.
  * Transaction/Message allocation pops the SimulationArena's free lists
  * directly (the same `_transactions`/`_messages` lists the pure
  * arena.message/arena.transaction pop) and re-initialises every field
@@ -34,27 +35,6 @@
 #include <structmember.h>
 
 #include "_core.h"
-
-/* Protocol singletons injected via _init_issue().  Enum members are
- * compared by identity throughout the pure code, so raw pointer equality
- * is the faithful mirror. */
-static PyObject *MT_GETS = NULL;
-static PyObject *MT_GETM = NULL;
-static PyObject *MT_PUTM = NULL;
-static PyObject *MT_DATA = NULL;
-static PyObject *MT_MARKER = NULL;
-static PyObject *MT_FWD_GETS = NULL;
-static PyObject *MT_FWD_GETM = NULL;
-static PyObject *ST_MODIFIED = NULL;
-static PyObject *ST_OWNED = NULL;
-static PyObject *ST_SHARED = NULL;
-static PyObject *ST_INVALID = NULL;
-static PyObject *DU_CACHE_U = NULL;
-static PyObject *DU_MEMORY_U = NULL;
-/* Message.__init__'s default-argument frozenset, so recycled messages get
- * the very same `recipients` object a pure construction would. */
-static PyObject *EMPTY_RECIPIENTS = NULL;
-static long long MEMORY_OWNER_ID = -1;
 
 /* Interned attribute / counter names (module lifetime). */
 static PyObject *s_address;
@@ -133,18 +113,6 @@ static PyObject *ll_one;
 static PyObject *issue_empty_tuple;
 
 /* ------------------------------------------------------------------ helpers */
-
-static int
-issue_injected(void)
-{
-    if (MT_GETS == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "issue-chain members not injected; call _init_issue() "
-                        "before constructing SequencerStep/MemServe objects");
-        return 0;
-    }
-    return 1;
-}
 
 /* Truth value of an attribute; -1 with error set, else 0/1. */
 static int
@@ -350,7 +318,7 @@ MemServe_init(MemServeObject *self, PyObject *args, PyObject *kwds)
                                      &msg_id_next, &data_bytes, &msg_pool,
                                      &from_memory, &data_counter))
         return -1;
-    if (!issue_injected())
+    if (!protocol_injected())
         return -1;
     if (!core_scheduler_check(scheduler)) {
         PyErr_SetString(PyExc_TypeError,
@@ -572,7 +540,7 @@ DirHome_init(DirHomeObject *self, PyObject *args, PyObject *kwds)
             &marker_label, &forward_label, &request_bytes, &memory_responses,
             &message_release))
         return -1;
-    if (!issue_injected())
+    if (!protocol_injected())
         return -1;
     if (!issue_is_memserve(serve) || !PyDict_Check(entries) ||
         !PyDict_Check(singletons)) {
@@ -969,17 +937,18 @@ static PyTypeObject DirHome_Type = {
  * the perform/retry callback in place of the bound Python method, it runs
  * hit accounting, the miss retry, LRU eviction (silent or writeback),
  * issue_request/issue_writeback with arena-backed allocation, the protocol
- * _send_* message build, the network send (via prebuilt LinkPush objects),
- * workload accounting and the think-time reschedule — all without entering
- * the interpreter on the common path.  Its `complete` method mirrors
- * _complete_miss and is installed as the transaction completion callback.
+ * _send_* body, workload accounting and the think-time reschedule — all
+ * without entering the interpreter on the common path.  Its `complete`
+ * method mirrors _complete_miss and is installed as the transaction
+ * completion callback.
  *
  * send_mode: 0 = delegate sends to the stored bound _send_request /
- * _send_writeback (still compiled issue bookkeeping); 1 = inline the
- * snooping ordered broadcast; 2 = inline the directory unordered unicast;
- * 3 = inline BASH's adaptive send: the LFSR draw against the policy
- * counter, then an ordered broadcast or a {home, requester} dualcast
- * (writebacks always dualcast).
+ * _send_writeback (still compiled issue bookkeeping); 1 = the snooping
+ * body: broadcast on the controller's _ordered_send; 2 = the directory
+ * body: unicast to the home on its _unordered_send; 3 = BASH's body: the
+ * LFSR draw against the policy counter, then a broadcast or a
+ * {home, requester} dualcast on _ordered_send (writebacks always dualcast).
+ * Mode 1 is mode 3 with every request's decision fixed to broadcast.
  */
 
 /* Widest policy counter the C integer path holds: the LFSR draw is packed
@@ -1028,12 +997,9 @@ typedef struct {
     PyObject *msg_id_next;     /* bound _message_ids.__next__ */
     PyObject *request_bytes;   /* boxed config.request_message_bytes */
     PyObject *data_bytes;      /* boxed config.data_message_bytes (mode 2) */
-    PyObject *all_nodes;       /* interconnect.all_nodes frozenset (mode 1) */
-    PyObject *push_gets;       /* per-kind LinkPush: transmit + bucket push */
-    PyObject *push_getm;
-    PyObject *push_putm;
-    PyObject *net_messages;    /* network messages counter (modes 1 and 2) */
-    PyObject *net_broadcasts;  /* ordered broadcasts counter (mode 1) */
+    PyObject *all_nodes;       /* interconnect.all_nodes (modes 1 and 3) */
+    PyObject *send;            /* cache._ordered_send (modes 1 and 3) or
+                                  cache._unordered_send (mode 2) */
     PyObject *ctr_unicast;     /* _ctr_unicast_requests (mode 2) */
     PyObject *complete_cb;     /* bound self.complete */
     /* Mode 3 (BASH): the node's mechanism and its LFSR and policy counter
@@ -1044,7 +1010,6 @@ typedef struct {
     PyObject *policy;          /* UnsignedSaturatingCounter */
     PyObject *sys_broadcast_decisions; /* system.*_decisions Counters */
     PyObject *sys_unicast_decisions;
-    PyObject *net_multicasts;  /* ordered multicasts counter */
     long long num_procs;       /* the home mapping (modes 2 and 3) */
     unsigned long long lfsr_mask;
     int lfsr_top;
@@ -1126,12 +1091,10 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     PyObject *ctr_requests, *ctr_requests_gets, *ctr_requests_getm;
     PyObject *txn_cls, *txn_id_next, *msg_cls, *msg_id_next, *request_bytes;
     PyObject *on_complete = Py_None, *txn_pool = Py_None, *msg_pool = Py_None;
-    PyObject *data_bytes = Py_None, *all_nodes = Py_None;
-    PyObject *push_gets = Py_None, *push_getm = Py_None, *push_putm = Py_None;
-    PyObject *net_messages = Py_None, *net_broadcasts = Py_None;
+    PyObject *data_bytes = Py_None, *all_nodes = Py_None, *send = Py_None;
     PyObject *ctr_unicast = Py_None;
     PyObject *adaptive = Py_None, *sys_broadcast_decisions = Py_None;
-    PyObject *sys_unicast_decisions = Py_None, *net_multicasts = Py_None;
+    PyObject *sys_unicast_decisions = Py_None;
     long long node_id, block_bytes, capacity, num_procs = 0;
     int send_mode;
     static char *kwlist[] = {
@@ -1146,14 +1109,12 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
         "txn_cls",        "txn_id_next",       "msg_cls",
         "msg_id_next",    "request_bytes",     "send_mode",
         "on_complete",    "txn_pool",          "msg_pool",
-        "data_bytes",     "all_nodes",         "push_gets",
-        "push_getm",      "push_putm",         "net_messages",
-        "net_broadcasts", "ctr_unicast",       "adaptive",
-        "sys_broadcast_decisions", "sys_unicast_decisions", "net_multicasts",
-        "num_procs",
+        "data_bytes",     "all_nodes",         "send",
+        "ctr_unicast",    "adaptive",          "sys_broadcast_decisions",
+        "sys_unicast_decisions",               "num_procs",
         NULL};
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOOOOOOL",
+            args, kwds, "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOL",
             kwlist, &sequencer, &scheduler, &cache, &node_id, &block_bytes,
             &capacity, &blocks, &transactions, &writebacks, &perform,
             &finish_stream, &next_operation, &schedule_after, &send_request,
@@ -1161,13 +1122,11 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
             &ctr_misses, &sys_operations, &sys_instructions, &ctr_requests,
             &ctr_requests_gets, &ctr_requests_getm, &txn_cls, &txn_id_next,
             &msg_cls, &msg_id_next, &request_bytes, &send_mode, &on_complete,
-            &txn_pool, &msg_pool, &data_bytes, &all_nodes, &push_gets,
-            &push_getm, &push_putm, &net_messages, &net_broadcasts,
-            &ctr_unicast, &adaptive,
-            &sys_broadcast_decisions, &sys_unicast_decisions,
-            &net_multicasts, &num_procs))
+            &txn_pool, &msg_pool, &data_bytes, &all_nodes, &send,
+            &ctr_unicast, &adaptive, &sys_broadcast_decisions,
+            &sys_unicast_decisions, &num_procs))
         return -1;
-    if (!issue_injected())
+    if (!protocol_injected())
         return -1;
     if (!core_scheduler_check(scheduler)) {
         PyErr_SetString(PyExc_TypeError,
@@ -1194,29 +1153,22 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "arena pools must be lists or None");
         return -1;
     }
-    if (send_mode != 0 &&
-        (push_gets == Py_None || push_getm == Py_None ||
-         push_putm == Py_None || net_messages == Py_None)) {
+    if (send_mode != 0 && !PyCallable_Check(send)) {
         PyErr_SetString(PyExc_TypeError,
-                        "inlined sends require push_gets/push_getm/push_putm "
-                        "and net_messages");
+                        "send modes 1-3 require a send callable");
         return -1;
     }
-    if ((send_mode == 1 || send_mode == 3) &&
-        (!PyFrozenSet_CheckExact(all_nodes) || net_broadcasts == Py_None)) {
+    if ((send_mode == 1 || send_mode == 3) && all_nodes == Py_None) {
         PyErr_SetString(PyExc_TypeError,
-                        "send modes 1 and 3 require all_nodes (frozenset) "
-                        "and net_broadcasts");
+                        "send modes 1 and 3 require all_nodes");
         return -1;
     }
     if (send_mode == 3) {
         if (adaptive == Py_None || sys_broadcast_decisions == Py_None ||
-            sys_unicast_decisions == Py_None || net_multicasts == Py_None ||
-            num_procs <= 0 || PySet_GET_SIZE(all_nodes) != num_procs) {
+            sys_unicast_decisions == Py_None || num_procs <= 0) {
             PyErr_SetString(PyExc_TypeError,
                             "send_mode 3 requires adaptive, the decision "
-                            "counters, net_multicasts and num_procs matching "
-                            "all_nodes");
+                            "counters and num_procs");
             return -1;
         }
         if (sstep_bind_adaptive(self, adaptive) < 0)
@@ -1280,16 +1232,11 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     STORE_OPT(msg_pool, msg_pool);
     STORE_OPT(data_bytes, data_bytes);
     STORE_OPT(all_nodes, all_nodes);
-    STORE_OPT(push_gets, push_gets);
-    STORE_OPT(push_getm, push_getm);
-    STORE_OPT(push_putm, push_putm);
-    STORE_OPT(net_messages, net_messages);
-    STORE_OPT(net_broadcasts, net_broadcasts);
+    STORE_OPT(send, send);
     STORE_OPT(ctr_unicast, ctr_unicast);
     STORE_OPT(adaptive, adaptive);
     STORE_OPT(sys_broadcast_decisions, sys_broadcast_decisions);
     STORE_OPT(sys_unicast_decisions, sys_unicast_decisions);
-    STORE_OPT(net_multicasts, net_multicasts);
 #undef STORE_OPT
     self->num_procs = num_procs;
     PyObject *complete_cb = PyObject_GetAttr((PyObject *)self, s_complete);
@@ -1335,11 +1282,7 @@ SequencerStep_traverse(SequencerStepObject *self, visitproc visit, void *arg)
     Py_VISIT(self->request_bytes);
     Py_VISIT(self->data_bytes);
     Py_VISIT(self->all_nodes);
-    Py_VISIT(self->push_gets);
-    Py_VISIT(self->push_getm);
-    Py_VISIT(self->push_putm);
-    Py_VISIT(self->net_messages);
-    Py_VISIT(self->net_broadcasts);
+    Py_VISIT(self->send);
     Py_VISIT(self->ctr_unicast);
     Py_VISIT(self->complete_cb);
     Py_VISIT(self->adaptive);
@@ -1347,7 +1290,6 @@ SequencerStep_traverse(SequencerStepObject *self, visitproc visit, void *arg)
     Py_VISIT(self->policy);
     Py_VISIT(self->sys_broadcast_decisions);
     Py_VISIT(self->sys_unicast_decisions);
-    Py_VISIT(self->net_multicasts);
     return 0;
 }
 
@@ -1386,11 +1328,7 @@ SequencerStep_clear(SequencerStepObject *self)
     Py_CLEAR(self->request_bytes);
     Py_CLEAR(self->data_bytes);
     Py_CLEAR(self->all_nodes);
-    Py_CLEAR(self->push_gets);
-    Py_CLEAR(self->push_getm);
-    Py_CLEAR(self->push_putm);
-    Py_CLEAR(self->net_messages);
-    Py_CLEAR(self->net_broadcasts);
+    Py_CLEAR(self->send);
     Py_CLEAR(self->ctr_unicast);
     Py_CLEAR(self->complete_cb);
     Py_CLEAR(self->adaptive);
@@ -1398,7 +1336,6 @@ SequencerStep_clear(SequencerStepObject *self)
     Py_CLEAR(self->policy);
     Py_CLEAR(self->sys_broadcast_decisions);
     Py_CLEAR(self->sys_unicast_decisions);
-    Py_CLEAR(self->net_multicasts);
     return 0;
 }
 
@@ -1482,30 +1419,57 @@ sstep_dualcast(SequencerStepObject *self, PyObject *address)
     return recipients;
 }
 
-/* TotallyOrderedNetwork.send for a mode-3 request: build the (unpooled)
- * request message carrying its recipients, count it as a broadcast when it
- * reaches every node and as a multicast otherwise, then inject it through
- * the prebuilt LinkPush.  Steals no references; 0 / -1. */
+/* Modes 1 and 3: the snooping _send_request (GETS/GETM) or _send_writeback
+ * (PUTM) body.  Build the message as _build_request_message does
+ * (unpooled, default recipients), choose the recipients -- every node in
+ * mode 1; in mode 3 BASH's adaptive decision for a request and the
+ * {home, requester} dualcast for a writeback -- count a request, and hand
+ * message and recipients to the controller's _ordered_send.  0 / -1. */
 static int
-sstep_ordered_send(SequencerStepObject *self, PyObject *push,
-                   PyObject *kind, PyObject *address, PyObject *recipients,
-                   PyObject *txn_id, PyObject *token, PyObject *now_obj)
+sstep_ordered_send(SequencerStepObject *self, PyObject *txn, PyObject *kind,
+                   PyObject *address, PyObject *txn_id, PyObject *token,
+                   PyObject *now_obj)
 {
-    int is_broadcast =
-        PySet_GET_SIZE(recipients) == PySet_GET_SIZE(self->all_nodes);
+    int request = kind != MT_PUTM;
     PyObject *msg = build_message(
         NULL, self->msg_cls, self->msg_id_next, kind, self->node_id_obj,
         address, self->request_bytes, self->node_id_obj, Py_None, DU_CACHE_U,
-        recipients, txn_id, is_broadcast ? Py_True : Py_False, token,
-        now_obj);
+        EMPTY_RECIPIENTS, txn_id, Py_False, token, now_obj);
     if (msg == NULL)
         return -1;
     int rc = 0;
-    if (bump_attr(self->net_messages, s__count, ll_one) < 0 ||
-        bump_attr(is_broadcast ? self->net_broadcasts : self->net_multicasts,
-                  s__count, ll_one) < 0 ||
-        call_discard1(push, msg) < 0)
-        rc = -1;
+    int broadcast = self->send_mode == 1;
+    if (request && !broadcast) {
+        /* transaction.was_broadcast is True unless the decision says no. */
+        broadcast = sstep_bash_decide(self);
+        if (broadcast < 0 ||
+            PyObject_SetAttr(txn, s_was_broadcast,
+                             broadcast ? Py_True : Py_False) < 0 ||
+            count_stat(self->cache, broadcast ? n_broadcast_decisions
+                                              : n_unicast_decisions) < 0 ||
+            bump_attr(broadcast ? self->sys_broadcast_decisions
+                                : self->sys_unicast_decisions,
+                      s__count, ll_one) < 0)
+            rc = -1;
+    }
+    PyObject *recipients = NULL;
+    if (rc == 0) {
+        recipients = broadcast ? Py_NewRef(self->all_nodes)
+                               : sstep_dualcast(self, address);
+        if (recipients == NULL)
+            rc = -1;
+    }
+    if (rc == 0 && request)
+        rc = count_stat(self->cache, broadcast ? n_broadcast_requests
+                                               : n_unicast_requests);
+    if (rc == 0) {
+        PyObject *argv[2] = {msg, recipients};
+        PyObject *result = PyObject_Vectorcall(self->send, argv, 2, NULL);
+        if (result == NULL)
+            rc = -1;
+        Py_XDECREF(result);
+    }
+    Py_XDECREF(recipients);
     Py_DECREF(msg);
     return rc;
 }
@@ -1542,58 +1506,14 @@ sstep_issue_request(SequencerStepObject *self, PyObject *address,
         if (call_discard1(self->send_request, txn) < 0)
             goto fail;
     }
-    else if (self->send_mode == 1) {
-        /* Snooping: bare message build (ordered requests are never pooled),
-         * broadcast recipients, the broadcast count, then the ordered send
-         * via the prebuilt LinkPush (transmit + bucket push). */
-        PyObject *msg = build_message(
-            NULL, self->msg_cls, self->msg_id_next, kind, self->node_id_obj,
-            address, self->request_bytes, self->node_id_obj, Py_None,
-            DU_CACHE_U, self->all_nodes, txn_id, Py_True, token, now_obj);
-        if (msg == NULL)
-            goto fail;
-        /* transaction.was_broadcast is already True (the default). */
-        if (count_stat(self->cache, n_broadcast_requests) < 0 ||
-            bump_attr(self->net_messages, s__count, ll_one) < 0 ||
-            bump_attr(self->net_broadcasts, s__count, ll_one) < 0 ||
-            call_discard1(is_getm ? self->push_getm : self->push_gets,
-                          msg) < 0) {
-            Py_DECREF(msg);
-            goto fail;
-        }
-        Py_DECREF(msg);
-    }
-    else if (self->send_mode == 3) {
-        /* BASH: the adaptive decision, its counters, the recipients, the
-         * request count, then the ordered send. */
-        int broadcast = sstep_bash_decide(self);
-        if (broadcast < 0)
-            goto fail;
-        if (PyObject_SetAttr(txn, s_was_broadcast,
-                             broadcast ? Py_True : Py_False) < 0 ||
-            count_stat(self->cache, broadcast ? n_broadcast_decisions
-                                              : n_unicast_decisions) < 0 ||
-            bump_attr(broadcast ? self->sys_broadcast_decisions
-                                : self->sys_unicast_decisions,
-                      s__count, ll_one) < 0)
-            goto fail;
-        PyObject *recipients = broadcast ? Py_NewRef(self->all_nodes)
-                                         : sstep_dualcast(self, address);
-        if (recipients == NULL)
-            goto fail;
-        int rc = count_stat(self->cache, broadcast ? n_broadcast_requests
-                                                   : n_unicast_requests);
-        if (rc == 0)
-            rc = sstep_ordered_send(
-                self, is_getm ? self->push_getm : self->push_gets, kind,
-                address, recipients, txn_id, token, now_obj);
-        Py_DECREF(recipients);
-        if (rc < 0)
+    else if (self->send_mode != 2) {
+        if (sstep_ordered_send(self, txn, kind, address, txn_id, token,
+                               now_obj) < 0)
             goto fail;
     }
     else {
         /* Directory: unicast to the home, pooled message, owner-upgrade
-         * downgrade of expects_data, then the unordered send inline. */
+         * downgrade of expects_data, then the unordered send. */
         if (is_getm && block != NULL &&
             (state == ST_MODIFIED || state == ST_OWNED) &&
             PyObject_SetAttr(txn, s_expects_data, Py_False) < 0)
@@ -1612,9 +1532,7 @@ sstep_issue_request(SequencerStepObject *self, PyObject *address,
         if (msg == NULL)
             goto fail;
         if (bump_attr(self->ctr_unicast, s__count, ll_one) < 0 ||
-            bump_attr(self->net_messages, s__count, ll_one) < 0 ||
-            call_discard1(is_getm ? self->push_getm : self->push_gets,
-                          msg) < 0) {
+            call_discard1(self->send, msg) < 0) {
             Py_DECREF(msg);
             goto fail;
         }
@@ -1654,33 +1572,11 @@ sstep_issue_writeback(SequencerStepObject *self, PyObject *address,
         if (call_discard1(self->send_writeback, txn) < 0)
             goto fail;
     }
-    else if (self->send_mode == 1) {
-        /* Snooping: a PUTM broadcast carrying the request-message size and
-         * the transaction's (zero) store token. */
-        PyObject *msg = build_message(
-            NULL, self->msg_cls, self->msg_id_next, MT_PUTM,
-            self->node_id_obj, address, self->request_bytes,
-            self->node_id_obj, Py_None, DU_CACHE_U, self->all_nodes, txn_id,
-            Py_True, ll_zero, now_obj);
-        if (msg == NULL)
-            goto fail;
-        if (bump_attr(self->net_messages, s__count, ll_one) < 0 ||
-            bump_attr(self->net_broadcasts, s__count, ll_one) < 0 ||
-            call_discard1(self->push_putm, msg) < 0) {
-            Py_DECREF(msg);
-            goto fail;
-        }
-        Py_DECREF(msg);
-    }
-    else if (self->send_mode == 3) {
-        /* BASH: writebacks always dualcast to {home, writer}. */
-        PyObject *recipients = sstep_dualcast(self, address);
-        if (recipients == NULL)
-            goto fail;
-        int rc = sstep_ordered_send(self, self->push_putm, MT_PUTM, address,
-                                    recipients, txn_id, ll_zero, now_obj);
-        Py_DECREF(recipients);
-        if (rc < 0)
+    else if (self->send_mode != 2) {
+        /* A PUTM carrying the request-message size and the transaction's
+         * (zero) store token. */
+        if (sstep_ordered_send(self, txn, MT_PUTM, address, txn_id, ll_zero,
+                               now_obj) < 0)
             goto fail;
     }
     else {
@@ -1703,12 +1599,10 @@ sstep_issue_writeback(SequencerStepObject *self, PyObject *address,
         Py_DECREF(data_token);
         if (msg == NULL)
             goto fail;
-        if (bump_attr(self->net_messages, s__count, ll_one) < 0 ||
-            call_discard1(self->push_putm, msg) < 0) {
-            Py_DECREF(msg);
-            goto fail;
-        }
+        int rc = call_discard1(self->send, msg);
         Py_DECREF(msg);
+        if (rc < 0)
+            goto fail;
     }
     Py_DECREF(txn_id);
     Py_DECREF(txn);
@@ -2145,8 +2039,8 @@ static PyMethodDef SequencerStep_methods[] = {
 
 static PyMemberDef SequencerStep_members[] = {
     {"send_mode", T_INT, offsetof(SequencerStepObject, send_mode), READONLY,
-     "0: delegated sends, 1: inlined ordered broadcast, 2: inlined unicast, "
-     "3: inlined BASH adaptive send"},
+     "0: delegated sends, 1: snooping broadcast, 2: directory unicast, "
+     "3: BASH adaptive send"},
     {"node_id", T_LONGLONG, offsetof(SequencerStepObject, node_id), READONLY,
      NULL},
     {NULL}};
@@ -2170,58 +2064,6 @@ static PyTypeObject SequencerStep_Type = {
 };
 
 /* ------------------------------------------------------------- module glue */
-
-/* _init_issue(GETS, GETM, PUTM, DATA, MARKER, FWD_GETS, FWD_GETM,
- * MODIFIED, OWNED, SHARED, INVALID, du_cache, du_memory, empty_recipients,
- * memory_owner): inject the singletons the issue chain and the home
- * compare by identity, plus Message.__init__'s default recipients
- * frozenset.  Idempotent; called by repro.protocols.dispatch. */
-static PyObject *
-issue_init(PyObject *Py_UNUSED(module), PyObject *args)
-{
-    PyObject *gets, *getm, *putm, *data, *marker, *fwd_gets, *fwd_getm;
-    PyObject *modified, *owned, *shared, *invalid, *du_cache, *du_memory;
-    PyObject *empty_recipients;
-    long long memory_owner;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOL", &gets, &getm, &putm, &data,
-                          &marker, &fwd_gets, &fwd_getm, &modified, &owned,
-                          &shared, &invalid, &du_cache, &du_memory,
-                          &empty_recipients, &memory_owner))
-        return NULL;
-    Py_XSETREF(MT_MARKER, Py_NewRef(marker));
-    Py_XSETREF(MT_FWD_GETS, Py_NewRef(fwd_gets));
-    Py_XSETREF(MT_FWD_GETM, Py_NewRef(fwd_getm));
-    MEMORY_OWNER_ID = memory_owner;
-    Py_INCREF(gets);
-    Py_XSETREF(MT_GETS, gets);
-    Py_INCREF(getm);
-    Py_XSETREF(MT_GETM, getm);
-    Py_INCREF(putm);
-    Py_XSETREF(MT_PUTM, putm);
-    Py_INCREF(data);
-    Py_XSETREF(MT_DATA, data);
-    Py_INCREF(modified);
-    Py_XSETREF(ST_MODIFIED, modified);
-    Py_INCREF(owned);
-    Py_XSETREF(ST_OWNED, owned);
-    Py_INCREF(shared);
-    Py_XSETREF(ST_SHARED, shared);
-    Py_INCREF(invalid);
-    Py_XSETREF(ST_INVALID, invalid);
-    Py_INCREF(du_cache);
-    Py_XSETREF(DU_CACHE_U, du_cache);
-    Py_INCREF(du_memory);
-    Py_XSETREF(DU_MEMORY_U, du_memory);
-    Py_INCREF(empty_recipients);
-    Py_XSETREF(EMPTY_RECIPIENTS, empty_recipients);
-    Py_RETURN_NONE;
-}
-
-static PyMethodDef issue_module_methods[] = {
-    {"_init_issue", issue_init, METH_VARARGS,
-     "Inject the enum singletons and the default recipients frozenset the "
-     "issue chain compares by identity."},
-    {NULL}};
 
 int
 issue_add_types(PyObject *module)
@@ -2322,8 +2164,6 @@ issue_add_types(PyObject *module)
                               (PyObject *)&DirHome_Type) < 0 ||
         PyModule_AddObjectRef(module, "SequencerStep",
                               (PyObject *)&SequencerStep_Type) < 0)
-        return -1;
-    if (PyModule_AddFunctions(module, issue_module_methods) < 0)
         return -1;
     return 0;
 }

@@ -117,6 +117,14 @@ def _coerce_protocol(value) -> ProtocolName:
         ) from None
 
 
+def _cast(name: str, value, kind: type, what: str):
+    """``kind(value)`` for the numeric field ``name``, failing with a clear error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise StudyError(f"{name} must be {what}, got {value!r}") from None
+
+
 # ----------------------------------------------------------------- the grid
 
 
@@ -218,11 +226,11 @@ class StudyGrid:
         # differently — identical points must share one key.
         for name in ("bandwidth", "threshold", "broadcast_cost_factor"):
             if name in spec_kwargs:
-                spec_kwargs[name] = float(spec_kwargs[name])
+                spec_kwargs[name] = _cast(name, spec_kwargs[name], float, "a number")
         for name in ("num_processors", "cache_capacity_blocks"):
             value = spec_kwargs.get(name)
             if value is not None:
-                if int(value) != value:
+                if _cast(name, value, int, "a whole number") != value:
                     raise StudyError(
                         f"{name} must be a whole number, got {value!r}"
                     )

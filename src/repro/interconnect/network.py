@@ -50,14 +50,15 @@ class Interconnect:
             config.latency.network_traversal,
             stats,
         )
-        # The broadcast destination set is requested once per broadcast
-        # request, so build it once rather than per call.
-        self._all_nodes: FrozenSet[int] = frozenset(range(self.num_nodes))
 
     @property
     def all_nodes(self) -> FrozenSet[int]:
-        """The full set of node identifiers (a broadcast destination)."""
-        return self._all_nodes
+        """The full set of node identifiers (a broadcast destination).
+
+        The ordered network's own node-id set, which its compiled send
+        recognises by identity as every node.
+        """
+        return self.ordered._node_ids
 
     def reset(self, config: SystemConfig) -> None:
         """Re-arm the whole interconnect for a fresh run under ``config``.

@@ -90,9 +90,9 @@ class TotallyOrderedNetwork:
         self._sorted_recipients: Dict[FrozenSet[int], Tuple[int, ...]] = {}
         self._fanout_memo: Dict[object, Tuple[Tuple[Callable, str], ...]] = {}
         # Compiled-backend accelerator (repro._core._cext) when the scheduler
-        # is a compiled instance, else None: C replacements for the inline
-        # injection push, the switch entry and the unit-cost arrival
-        # closures below — same entries, same ordering, no bytecode.
+        # is a compiled instance, else None: C replacements for the send,
+        # the switch entry and the unit-cost arrival closures below — same
+        # entries, same ordering, no bytecode.
         self._accel = interconnect_accelerator(scheduler)
         self._enter_switch_callback = self._compile_enter_switch()
         self._send_callback = self._compile_send()
@@ -176,16 +176,6 @@ class TotallyOrderedNetwork:
         if label is None:
             label = f"ordered-inject:{msg_type}"
             self._inject_labels[msg_type] = label
-        accel = self._accel
-        if accel is not None:
-            accel.sched_push(
-                scheduler,
-                injection_time,
-                self._enter_switch_callback,
-                label,
-                message,
-            )
-            return
         sequence = scheduler._sequence
         scheduler._sequence = sequence + 1
         entry = (injection_time, sequence, self._enter_switch_callback, label, message)

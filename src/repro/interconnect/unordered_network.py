@@ -127,10 +127,6 @@ class UnorderedNetwork:
         entry = self._inject_entries.get(message.msg_type)
         if entry is None:
             entry = self._compile_injection(message.msg_type)
-        accel = self._accel
-        if accel is not None:
-            accel.sched_push(scheduler, injection_time, entry[1], entry[0], message)
-            return
         sequence = scheduler._sequence
         scheduler._sequence = sequence + 1
         item = (injection_time, sequence, entry[1], entry[0], message)

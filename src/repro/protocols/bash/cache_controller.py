@@ -338,27 +338,24 @@ def _bash_sampler(controller, ext):
     )
 
 
-def compile_issue_send(cache, ext):
-    """``(3, kwargs)`` inlining BASH's adaptive send into C, or None.
+def compile_issue_send(cache):
+    """``(3, kwargs)`` for the C step's BASH send body, or None.
 
-    Send mode 3 replicates :meth:`BashCacheController._request_recipients`
-    (:meth:`BandwidthAdaptiveMechanism.should_broadcast` with its LFSR draw,
-    the decision counters, the broadcast or ``{home, requester}`` dualcast)
-    inside the snooping ``_send_request``/``_send_writeback`` bodies and
-    :meth:`TotallyOrderedNetwork.send`.  It takes mode 1's network-shape
-    rules (:func:`repro.protocols.snooping.cache_controller.compile_issue_send`)
-    and adds its own: an unpatched stock mechanism, LFSR, policy counter and
+    Send mode 3 is the snooping mode 1 with
+    :meth:`BashCacheController._request_recipients` in place of the fixed
+    broadcast: the mechanism's ``should_broadcast`` with its LFSR draw, the
+    decision counters, and the broadcast or ``{home, requester}`` dualcast
+    (writebacks always dualcast), all handed to the controller's own
+    ``_ordered_send``.  It
+    needs an unpatched stock mechanism, LFSR, policy counter, config and
     decision counters, a policy counter of at most :data:`C_POLICY_BITS`
     bits, and nodes numbered ``0..num_processors-1`` under the stock home
     mapping.  Any other shape returns None and the issue chain keeps send
     mode 0.
     """
-    shape = snooping_issue_send(cache, ext)
-    if shape is None:
-        return None
-    _, extra = shape
     mechanism = cache.adaptive
     config = cache.config
+    _, extra = snooping_issue_send(cache)
     if (
         not is_stock(
             mechanism,
@@ -376,7 +373,6 @@ def compile_issue_send(cache, ext):
         adaptive=mechanism,
         sys_broadcast_decisions=cache._sys_broadcast_decisions,
         sys_unicast_decisions=cache._sys_unicast_decisions,
-        net_multicasts=cache.interconnect.ordered._multicasts_counter,
         num_procs=config.num_processors,
     )
     return 3, extra

@@ -355,48 +355,24 @@ class DirectoryCacheController(CacheControllerBase):
         transaction.clear_deferred()
 
 
-def compile_issue_send(cache, ext):
-    """``(send_mode, kwargs)`` inlining the unicast send into C, or None.
+def compile_issue_send(cache):
+    """``(2, kwargs)`` for the C step's directory send body, or None.
 
-    Mode 2 replicates :meth:`DirectoryCacheController._send_request` /
-    ``_send_writeback`` + :meth:`UnorderedNetwork.send` for the exact stock
-    shapes only: unpatched stock controller and config (whose
-    block-interleaved home mapping the C send computes inline), stock
-    unordered network with compiled injection entries, and a stock endpoint
-    link.  Any other shape returns None and the issue chain falls back to send
-    mode 0 — C bookkeeping around the bound Python ``_send_*``
-    methods, faithful by construction.
+    Send mode 2 mirrors :meth:`DirectoryCacheController._send_request` /
+    ``_send_writeback``: the pooled unicast to the home, then a call of the
+    controller's own ``_unordered_send`` — the callable the pure bodies
+    call, so any network shape is faithful by construction.  The C body
+    computes the stock block-interleaved home and takes the message sizes
+    at selection, so it needs a stock config; any other returns None and
+    the issue chain keeps send mode 0.
     """
-    from ...interconnect.link import link_push  # noqa: PLC0415
-    from ...interconnect.unordered_network import UnorderedNetwork  # noqa: PLC0415
-
-    net = cache.interconnect.unordered
-    if type(net) is not UnorderedNetwork:
+    config = cache.config
+    if not is_stock(config):
         return None
-    if cache._unordered_send is not net._send_callback:
-        return None
-    pair = net.links.get(cache.node_id)
-    if (
-        net._accel is not ext
-        or pair is None
-        or not is_stock(cache, cache.config, net, pair.outgoing)
-    ):
-        return None
-    extra = {
-        "net_messages": net._messages_counter,
+    return 2, {
+        "send": cache._unordered_send,
         "ctr_unicast": cache._ctr_unicast_requests,
-        "num_procs": cache.config.num_processors,
-        "data_bytes": cache.config.data_message_bytes,
+        "num_procs": config.num_processors,
+        "data_bytes": config.data_message_bytes,
         "request_bytes": cache._request_bytes,
     }
-    for key, kind in (
-        ("push_gets", MessageType.GETS),
-        ("push_getm", MessageType.GETM),
-        ("push_putm", MessageType.PUTM),
-    ):
-        entry = net._inject_entries.get(kind)
-        if entry is None:
-            entry = net._compile_injection(kind)
-        inject_label, relay = entry
-        extra[key] = link_push(net.scheduler, pair.outgoing, relay, inject_label)
-    return 2, extra

@@ -44,8 +44,8 @@ HandlerTable = Dict[MessageType, Callable[[Message], None]]
 
 #: ``Message.__init__``'s default recipients frozenset — a singleton shared by
 #: every message built without an explicit recipient set.  The C message
-#: builder receives it via ``_init_issue`` so recycled messages carry the very
-#: same object a pure construction would.
+#: builder receives it via ``_init_protocol`` so recycled messages carry the
+#: very same object a pure construction would.
 _EMPTY_RECIPIENTS = inspect.signature(Message.__init__).parameters[
     "recipients"
 ].default
@@ -72,17 +72,19 @@ def compile_handlers(
     return table
 
 
-def handler_accelerator(controller):
-    """The extension module when compiled delivery entries apply, else None.
+def handler_accelerator(owner):
+    """The extension module when compiled protocol objects apply, else None.
 
-    Compiled handler fast paths are keyed off the controller's *scheduler
-    instance* (exactly like the interconnect's C closures): a controller
-    wired to a compiled scheduler gets C delivery objects, one wired to a
-    pure scheduler keeps the reference Python entries — so pure and
-    compiled systems interoperate in one process.  Injects the protocol
-    singletons the C side compares by identity on first use.
+    Compiled fast paths are keyed off ``owner``'s *scheduler instance*
+    (exactly like the interconnect's C closures): a controller or sequencer
+    wired to a compiled scheduler gets C objects, one wired to a pure
+    scheduler keeps the reference Python code — so pure and compiled
+    systems interoperate in one process.  Injects the protocol singletons
+    the C side compares by identity (idempotent; it must precede the
+    construction of any compiled protocol object, which the C side refuses
+    otherwise).  :func:`issue_accelerator` builds on it.
     """
-    scheduler = getattr(controller, "scheduler", None)
+    scheduler = getattr(owner, "scheduler", None)
     if scheduler is None:
         return None
     ext = _core.accelerator_for(scheduler)
@@ -93,12 +95,18 @@ def handler_accelerator(controller):
     ext._init_protocol(
         MessageType.GETS,
         MessageType.GETM,
+        MessageType.PUTM,
+        MessageType.DATA,
+        MessageType.MARKER,
         MessageType.FWD_GETS,
         MessageType.FWD_GETM,
         MOSIState.MODIFIED,
         MOSIState.OWNED,
         MOSIState.SHARED,
         MOSIState.INVALID,
+        DestinationUnit.CACHE,
+        DestinationUnit.MEMORY,
+        _EMPTY_RECIPIENTS,
         MEMORY_OWNER,
     )
     return ext
@@ -110,10 +118,10 @@ def inject_stock_classes(ext) -> None:
     Each of ``Counter``, ``RunningMean``, ``Component.count`` and
     ``CacheBlock`` is passed only while its class is stock
     (:func:`repro._core.is_stock`); a patched one is passed as None, so the
-    C side calls the Python method (or constructor) instead.  Runs with
-    :func:`inject_issue_singletons`, so at least once per node at the start
-    of every compiled run; a class patched later fails the C side's
-    per-call type version check instead.
+    C side calls the Python method (or constructor) instead.  Runs from
+    :func:`issue_accelerator` and :func:`compile_data_reply`, so at least
+    once per node at the start of every compiled run; a class patched later
+    fails the C side's per-call type version check instead.
     """
     from ..common.stats import Counter, RunningMean  # noqa: PLC0415
     from ..sim.component import Component  # noqa: PLC0415
@@ -158,35 +166,6 @@ def rejecter(controller: object, network: str) -> Callable[[Message], None]:
 # --------------------------------------------------------------- issue chain
 
 
-def inject_issue_singletons(ext) -> None:
-    """Inject the identity-compared singletons into the issue-chain C layer.
-
-    Idempotent; must run before any ``SequencerStep``, ``MemServe`` or
-    ``DirHome`` object is constructed (the C side refuses to build them
-    otherwise, so a missed call fails loudly rather than misbehaving).
-    """
-    from ..coherence.state import MEMORY_OWNER, MOSIState  # noqa: PLC0415
-
-    ext._init_issue(
-        MessageType.GETS,
-        MessageType.GETM,
-        MessageType.PUTM,
-        MessageType.DATA,
-        MessageType.MARKER,
-        MessageType.FWD_GETS,
-        MessageType.FWD_GETM,
-        MOSIState.MODIFIED,
-        MOSIState.OWNED,
-        MOSIState.SHARED,
-        MOSIState.INVALID,
-        DestinationUnit.CACHE,
-        DestinationUnit.MEMORY,
-        _EMPTY_RECIPIENTS,
-        MEMORY_OWNER,
-    )
-    inject_stock_classes(ext)
-
-
 def compile_data_reply(controller, ext, from_memory: bool):
     """A C ``MemServe`` for ``controller``'s DATA replies, or None.
 
@@ -199,7 +178,8 @@ def compile_data_reply(controller, ext, from_memory: bool):
     forward) send through it.  Only offered for a stock controller whose
     prebound scheduling and allocation still point at the scheduler and
     arena; any customisation keeps the Python reply, which is always
-    faithful.
+    faithful.  ``ext`` comes from :func:`handler_accelerator`, so the
+    protocol singletons are already injected.
     """
     from ..interconnect.message import _message_ids  # noqa: PLC0415
 
@@ -224,7 +204,7 @@ def compile_data_reply(controller, ext, from_memory: bool):
         if controller._new_message is not Message:
             return None
         msg_pool = None
-    inject_issue_singletons(ext)
+    inject_stock_classes(ext)
     return ext.MemServe(
         controller=controller,
         scheduler=scheduler,
@@ -247,16 +227,11 @@ def compile_data_reply(controller, ext, from_memory: bool):
 def issue_accelerator(sequencer):
     """The extension module when the compiled issue chain applies, else None.
 
-    Mirrors :func:`handler_accelerator`: keyed off the sequencer's scheduler
-    *instance*, and injects the singletons the C side compares by identity.
+    :func:`handler_accelerator` plus :func:`inject_stock_classes`.
     """
-    scheduler = getattr(sequencer, "scheduler", None)
-    if scheduler is None:
-        return None
-    ext = _core.accelerator_for(scheduler)
-    if ext is None:
-        return None
-    inject_issue_singletons(ext)
+    ext = handler_accelerator(sequencer)
+    if ext is not None:
+        inject_stock_classes(ext)
     return ext
 
 
@@ -264,9 +239,10 @@ def note_issue_selection(sequencer, status: str, send_status: str = "") -> None:
     """Record one per-node issue-chain decision and its send-mode decision.
 
     ``Sequencer<N>.step`` says whether the C step runs; ``Sequencer<N>.send``
-    whether it also inlines the protocol's send (modes 1-3) rather than
-    calling the bound Python ``_send_*`` methods (mode 0).  A declined step
-    declines its send too.
+    whether it also runs the protocol's ``_send_*`` body (modes 1-3, which
+    end in the controller's own network send) rather than calling the bound
+    Python ``_send_*`` methods (mode 0).  A declined step declines its send
+    too.
     """
     node = sequencer.node_id
     _core.note_handler_selection(f"Sequencer{node}.step", status)
@@ -278,14 +254,16 @@ def compile_sequencer_step(sequencer):
 
     The returned object replaces ``Sequencer._perform`` as the scheduled
     delivery entry for one node: block probe, hit test, eviction, the
-    GETS/GETM/PUTM issue (transaction allocation, MSHR insert, counters,
-    message build and network injection) and the completion/refetch
-    bookkeeping all run in C.  Selection follows the compiled-handler
-    contract: per node, unpatched stock objects only
-    (:func:`repro._core.is_stock`), with the pure implementation remaining
-    the executable specification — any unusual shape (subclass, class or
-    instance patch, swapped workload entry point, non-stock arena or
-    network) declines to the pure path for that node, recorded via
+    GETS/GETM/PUTM issue (transaction allocation, MSHR insert, counters and
+    the protocol's message build) and the completion/refetch bookkeeping
+    all run in C.  The message then goes to the controller's own bound
+    ``_ordered_send``/``_unordered_send``, the callable the pure
+    ``_send_*`` bodies call, so the network side needs no check of its own.
+    Selection follows the compiled-handler contract: per node, unpatched
+    stock objects only (:func:`repro._core.is_stock`), with the pure
+    implementation remaining the executable specification — any unusual
+    shape (subclass, class or instance patch, swapped workload entry point,
+    non-stock arena) declines to the pure path for that node, recorded via
     :func:`note_issue_selection`.
 
     Called from ``Sequencer.start`` once per run, so constants baked into the
@@ -371,16 +349,16 @@ def compile_sequencer_step(sequencer):
         ):
             return decline()
         txn_pool = msg_pool = None
-    # Protocol-specific send inlining: mode 1 (snooping broadcast), mode 2
+    # The protocol's send body in C: mode 1 (snooping broadcast), mode 2
     # (directory unicast) or mode 3 (BASH adaptive broadcast/dualcast) when
-    # the whole send pipeline is stock, else mode 0 (C bookkeeping, bound
-    # Python _send_* call — always faithful).
+    # the protocol-side objects it mirrors are stock, else mode 0 (C
+    # bookkeeping, bound Python _send_* call — always faithful).
     if cache_cls is SnoopingCacheController:
-        send = snooping_issue_send(cache, ext)
+        send = snooping_issue_send(cache)
     elif cache_cls is DirectoryCacheController:
-        send = directory_issue_send(cache, ext)
+        send = directory_issue_send(cache)
     else:
-        send = bash_issue_send(cache, ext)
+        send = bash_issue_send(cache)
     send_mode, extra = send if send is not None else (0, {})
     # The directory controller prebinds its request size at construction;
     # its helper supplies that binding so the compiled build matches it.

@@ -575,51 +575,17 @@ def _home_inline_args(memory_controller):
     return {}
 
 
-def compile_issue_send(cache, ext):
-    """``(send_mode, kwargs)`` inlining the broadcast send into C, or None.
+def compile_issue_send(cache):
+    """``(1, kwargs)``: the C step runs the snooping send body.
 
-    Mode 1 replicates :meth:`SnoopingCacheController._send_request` /
-    ``_send_writeback`` + :meth:`TotallyOrderedNetwork.send` for the exact
-    stock shapes only: unpatched stock controller, network with unit
-    broadcast cost, the full-node recipient set, and a stock endpoint link
-    (whose transmit the prebuilt ``LinkPush`` objects inline).  Any other
-    shape returns None and the issue chain falls back to send mode 0 — C
-    bookkeeping around the bound Python ``_send_*`` methods, faithful by
-    construction.
+    Send mode 1 mirrors :meth:`SnoopingCacheController._send_request` /
+    ``_send_writeback``: the message build, the broadcast to
+    ``interconnect.all_nodes`` and the ``broadcast_requests`` count, then a
+    call of the controller's own ``_ordered_send`` — the callable the pure
+    bodies call, so any network shape is faithful by construction.  The
+    controller itself is checked stock by the caller.
     """
-    from ...interconnect.ordered_network import TotallyOrderedNetwork  # noqa: PLC0415
-    from ...interconnect.link import link_push  # noqa: PLC0415
-
-    net = cache.interconnect.ordered
-    if type(net) is not TotallyOrderedNetwork:
-        return None
-    if cache._ordered_send is not net._send_callback:
-        return None
-    if net.broadcast_cost_factor != 1.0 or net._accel is not ext:
-        return None
-    all_nodes = cache.interconnect.all_nodes
-    if type(all_nodes) is not frozenset or all_nodes != net._node_ids:
-        return None
-    pair = net.links.get(cache.node_id)
-    if pair is None or not is_stock(cache, net, pair.outgoing):
-        return None
-    labels = net._inject_labels
-    extra = {
-        "all_nodes": all_nodes,
-        "net_messages": net._messages_counter,
-        "net_broadcasts": net._broadcasts_counter,
+    return 1, {
+        "send": cache._ordered_send,
+        "all_nodes": cache.interconnect.all_nodes,
     }
-    for key, kind in (
-        ("push_gets", MessageType.GETS),
-        ("push_getm", MessageType.GETM),
-        ("push_putm", MessageType.PUTM),
-    ):
-        label = labels.get(kind)
-        if label is None:
-            # Fill the network's own memo so pure and compiled sends of this
-            # type share the one label object.
-            label = labels[kind] = f"ordered-inject:{kind}"
-        extra[key] = link_push(
-            net.scheduler, pair.outgoing, net._enter_switch_callback, label
-        )
-    return 1, extra

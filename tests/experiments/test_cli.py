@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.experiments.scenario import SCENARIOS
 
@@ -77,6 +79,15 @@ class TestRun:
     def test_malformed_axis_fails_cleanly(self, capsys):
         assert main(["run", "figure1", "--axis", "bandwidth"]) == 2
         assert "--axis expects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario,axis",
+        [("figure1", "bandwidth"), ("figure8", "num_processors")],
+    )
+    def test_non_numeric_axis_value_fails_cleanly(self, capsys, scenario, axis):
+        assert main(["run", scenario, "--axis", f"{axis}=abc"]) == 2
+        err = capsys.readouterr().err
+        assert axis in err and "'abc'" in err
 
     def test_unknown_axis_fails_cleanly(self, capsys):
         assert main(["run", "figure1", "--axis", "volume=11"]) == 2

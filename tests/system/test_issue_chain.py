@@ -12,15 +12,23 @@ the backend-parametrized golden traces and the full-stats equivalence here).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import _core
 from repro.coherence.block import CacheBlock
 from repro.coherence.state import MOSIState
+from repro.common.config import ProtocolName
+from repro.interconnect import network as network_module
+from repro.interconnect.message import MessageType
+from repro.interconnect.ordered_network import TotallyOrderedNetwork
+from repro.interconnect.unordered_network import UnorderedNetwork
 from repro.protocols.dispatch import compile_sequencer_step
 from repro.system.multiprocessor import MultiprocessorSystem, simulate
 from repro.system.sequencer import Sequencer
 from repro.workloads.microbenchmark import LockingMicrobenchmark
+from repro.workloads.synthetic import SyntheticCommercialWorkload
 
 from ..conftest import ALL_PROTOCOLS, run_microbenchmark, small_config
 
@@ -219,3 +227,124 @@ class TestIssueChainEquivalence:
                 results[name] = run_microbenchmark(protocol, acquires=25)
         assert results["pure"].stats == results["compiled"].stats
         assert results["pure"].cycles == results["compiled"].cycles
+
+
+SEND_MODES = {
+    ProtocolName.SNOOPING: 1,
+    ProtocolName.DIRECTORY: 2,
+    ProtocolName.BASH: 3,
+}
+REQUEST_KINDS = (MessageType.GETS, MessageType.GETM, MessageType.PUTM)
+
+
+def _send_system(protocol, **overrides):
+    """A small system whose runs issue requests and writebacks."""
+    config = small_config(
+        protocol, bandwidth=400.0, cache_capacity_blocks=8, **overrides
+    )
+    workload = SyntheticCommercialWorkload("oltp", operations_per_processor=300)
+    return MultiprocessorSystem(config, workload)
+
+
+def _observed(system):
+    """Run ``system``: result, memory image, statistics and fired events."""
+    fired = []
+    system.simulator.scheduler.on_fire = lambda time, label: fired.append(
+        (time, label)
+    )
+    result = system.run()
+    return (
+        dataclasses.asdict(result),
+        system.final_memory_image(),
+        system.stats.snapshot(),
+        fired,
+    )
+
+
+def _assert_send_compiled(system, protocol):
+    selections = _core.handler_selections()
+    for node in system.nodes:
+        assert node.sequencer._perform_entry.send_mode == SEND_MODES[protocol]
+        assert selections[f"Sequencer{node.node_id}.send"] == "compiled"
+
+
+def _record_requests(sends, message):
+    if message.msg_type in REQUEST_KINDS:
+        sends.append((message.src, message.msg_type, message.address))
+
+
+@needs_compiled
+class TestStepSendsThroughTheNetwork:
+    """The step hands its message to the controller's own network send."""
+
+    @pytest.mark.parametrize(
+        "protocol", [ProtocolName.SNOOPING, ProtocolName.BASH], ids=str
+    )
+    def test_expensive_broadcasts_keep_the_send_compiled(self, protocol):
+        """At 4x broadcast cost the network's send takes its Python path."""
+        observed = {}
+        for backend in ("pure", "compiled"):
+            with _core.use_backend(backend):
+                system = _send_system(protocol, broadcast_cost_factor=4.0)
+                observed[backend] = _observed(system)
+        _assert_send_compiled(system, protocol)
+        assert observed["compiled"] == observed["pure"]
+        writebacks = f"{system.nodes[0].cache_controller.name}.writebacks"
+        assert observed["pure"][2][writebacks]
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=str)
+    def test_step_calls_the_controllers_send(self, protocol):
+        """A spy set as the cache's send sees the same requests on both."""
+        name = (
+            "_unordered_send"
+            if protocol is ProtocolName.DIRECTORY
+            else "_ordered_send"
+        )
+        observed = {}
+        for backend in ("pure", "compiled"):
+            sends = []
+            with _core.use_backend(backend):
+                system = _send_system(protocol)
+                for node in system.nodes:
+                    cache = node.cache_controller
+                    original = getattr(cache, name)
+
+                    def spy(message, *rest, original=original):
+                        _record_requests(sends, message)
+                        return original(message, *rest)
+
+                    setattr(cache, name, spy)
+                observed[backend] = (_observed(system), sends)
+        _assert_send_compiled(system, protocol)
+        assert observed["compiled"] == observed["pure"]
+        kinds = {kind for _, kind, _ in observed["pure"][1]}
+        assert kinds == set(REQUEST_KINDS)
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=str)
+    def test_subclassed_network_keeps_the_send_compiled(
+        self, protocol, monkeypatch
+    ):
+        """The step calls a subclassed network's own ``send``."""
+        base = (
+            UnorderedNetwork
+            if protocol is ProtocolName.DIRECTORY
+            else TotallyOrderedNetwork
+        )
+        sends = []
+
+        class CountingNetwork(base):
+            def send(self, message, *rest):
+                _record_requests(sends, message)
+                super().send(message, *rest)
+
+        monkeypatch.setattr(network_module, base.__name__, CountingNetwork)
+        observed = {}
+        for backend in ("pure", "compiled"):
+            sends.clear()
+            with _core.use_backend(backend):
+                system = _send_system(protocol)
+                observed[backend] = (_observed(system), list(sends))
+        _assert_send_compiled(system, protocol)
+        assert _core.handler_selections()["CountingNetwork.send"] == "declined"
+        assert observed["compiled"] == observed["pure"]
+        assert {kind for _, kind, _ in observed["pure"][1]} == set(REQUEST_KINDS)

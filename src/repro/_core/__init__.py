@@ -105,6 +105,7 @@ REQUIRED_TYPES = (
     "MemServe",
     "DirHome",
     "BashSample",
+    "ZipfTable",
 )
 
 

@@ -40,7 +40,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.8.0"
+#define CORE_VERSION "1.9.0"
 
 /* Class injected by repro.sim.scheduler via _init_classes(). */
 static PyObject *SimulationErrorClass = NULL;
@@ -922,35 +922,49 @@ static const char *link_slot_text[LINK_SEND_SLOTS] = {
 static PyObject *link_slot_names[LINK_SEND_SLOTS];
 static SlotLayout link_layout;
 
-/* The unit-cost EndpointLink.transmit(now, message.size_bytes) on `link`,
- * whose scalars live at `slots` and whose occupancy memo is `occupancy`:
- * 1 with *done_obj (a new reference) the cycle the transfer completes, 0
- * when the message is not exactly the stock Message or a scalar is not a
- * plain int (nothing written; the caller takes the pure code), -1 on
- * error.  Every read and check precedes the first write to the link (the
- * memo the pure code re-reads holds what it would have stored itself). */
+/* EndpointLink.transmit(now, message.size_bytes, factor) on `link`, whose
+ * scalars live at `slots` and whose occupancy memo is `occupancy`; `factor`
+ * is NULL for a unit-cost transfer, else the network's broadcast cost
+ * factor (a value that is not 1): 1 with *done_obj (a new reference) the
+ * cycle the transfer completes, 0 when the message is not exactly the
+ * stock Message or a scalar is not a plain int (nothing written; the
+ * caller takes the pure code), -1 on error.  Every read and check precedes
+ * the first write to the link (the memo the pure code re-reads holds what
+ * it would have stored itself). */
 static int
 link_transmit(PyObject *link, const Py_ssize_t *slots, PyObject *occupancy,
-              PyObject *message, long long now, PyObject **done_obj)
+              PyObject *message, PyObject *factor, long long now,
+              PyObject **done_obj)
 {
     const Py_ssize_t size_slot = core_message_layout.offsets[MSG_SIZE_BYTES];
     long long size, cycles = 0, busy_until, busy_total, messages, bytes;
     if (!core_is_message(message) || !slot_ll(message, size_slot, &size))
         return 0;
     PyObject *size_obj = Py_NewRef(*SLOT_CELL(message, size_slot));
-    /* Occupancy memo: size -> cycles, filled through the link method on a
-     * miss (exactly like the pure closure, so the memo dict the reset path
-     * clears is the one populated here). */
-    PyObject *cycles_obj = PyDict_GetItemWithError(occupancy, size_obj);
+    /* Occupancy memo, kept as Link.transmit keeps it (so the memo dict the
+     * reset path clears is the one populated here): a unit-cost transfer
+     * under its size, filled here through occupancy_cycles on a miss; any
+     * other cost factor under (size, factor), which occupancy_cycles fills
+     * itself. */
+    PyObject *key = factor == NULL ? Py_NewRef(size_obj)
+                                   : PyTuple_Pack(2, size_obj, factor);
+    PyObject *cycles_obj =
+        key == NULL ? NULL : PyDict_GetItemWithError(occupancy, key);
     if (cycles_obj != NULL)
         Py_INCREF(cycles_obj);
-    else if (!PyErr_Occurred()) {
-        cycles_obj =
-            PyObject_CallMethodOneArg(link, str_occupancy_cycles, size_obj);
-        if (cycles_obj != NULL &&
-            PyDict_SetItem(occupancy, size_obj, cycles_obj) < 0)
-            Py_CLEAR(cycles_obj);
+    else if (key != NULL && !PyErr_Occurred()) {
+        if (factor == NULL) {
+            cycles_obj = PyObject_CallMethodOneArg(link, str_occupancy_cycles,
+                                                   size_obj);
+            if (cycles_obj != NULL &&
+                PyDict_SetItem(occupancy, size_obj, cycles_obj) < 0)
+                Py_CLEAR(cycles_obj);
+        }
+        else
+            cycles_obj = PyObject_CallMethodObjArgs(
+                link, str_occupancy_cycles, size_obj, factor, NULL);
     }
+    Py_XDECREF(key);
     Py_DECREF(size_obj);
     if (cycles_obj == NULL)
         return -1;
@@ -1107,7 +1121,7 @@ LinkPush_vectorcall(LinkPushObject *self, PyObject *const *args,
     PyObject *message = args[0];
     PyObject *done_obj;
     int rc = link_transmit(self->link, self->slots, self->occupancy, message,
-                           self->sched->now, &done_obj);
+                           NULL, self->sched->now, &done_obj);
     if (rc == 0)
         return link_push_fallback(self, message);
     if (rc < 0)
@@ -1572,10 +1586,12 @@ static PyTypeObject UnorderedArrive_Type = {
  * (links, injection memos, counters) are the ones its Python method uses.
  * Both read a message by slot, so anything but the stock Message -- and an
  * unknown node, a link of another class (or its class patched since
- * construction), a recipient set that is not a plain set, a broadcast
- * whose cost factor is not 1, a label memo miss -- calls the network's
- * Python send method before anything is written, which raises or handles
- * it exactly as the pure path does. */
+ * construction), a recipient set that is not a plain set, a label memo
+ * miss -- calls the network's Python send method before anything is
+ * written, which raises or handles it exactly as the pure path does.  A
+ * broadcast occupies the link at the network's broadcast_cost_factor,
+ * memoised under (size, factor) when that is not 1, as Link.transmit
+ * does. */
 
 /* The fields both sends share. */
 typedef struct {
@@ -1650,10 +1666,12 @@ send_clear(SendObject *self)
     return 0;
 }
 
-/* The source link's transmit for a stock `message`: 1 with *done_obj set,
- * 0 when the pure send must run (nothing written), -1 on error. */
+/* The source link's transmit for a stock `message` at cost `factor` (NULL
+ * for unit cost): 1 with *done_obj set, 0 when the pure send must run
+ * (nothing written), -1 on error. */
 static int
-send_transmit(SendObject *self, PyObject *message, PyObject **done_obj)
+send_transmit(SendObject *self, PyObject *message, PyObject *factor,
+              PyObject **done_obj)
 {
     PyObject *src = *SLOT_CELL(message, core_message_layout.offsets[MSG_SRC]);
     if (src == NULL)
@@ -1685,8 +1703,8 @@ send_transmit(SendObject *self, PyObject *message, PyObject **done_obj)
     /* A memo miss runs the link's Python occupancy_cycles. */
     Py_INCREF(link);
     Py_INCREF(occupancy);
-    int rc = link_transmit(link, slots, occupancy, message, self->sched->now,
-                           done_obj);
+    int rc = link_transmit(link, slots, occupancy, message, factor,
+                           self->sched->now, done_obj);
     Py_DECREF(occupancy);
     Py_DECREF(link);
     return rc;
@@ -1796,7 +1814,7 @@ UnorderedSend_vectorcall(UnorderedSendObject *self, PyObject *const *args,
         return send_pure(base, args, 1);
     }
     PyObject *done_obj;
-    int rc = send_transmit(base, message, &done_obj);
+    int rc = send_transmit(base, message, NULL, &done_obj);
     if (rc <= 0) {
         Py_DECREF(entry);
         return rc < 0 ? NULL : send_pure(base, args, 1);
@@ -1939,31 +1957,37 @@ ordered_send(OrderedSendObject *self, PyObject *message, PyObject *recipients)
         return subset < 0 ? NULL : send_pure(base, argv, 2);
     int broadcast =
         PySet_GET_SIZE(recipients) == PySet_GET_SIZE(self->node_ids);
-    if (broadcast) {
-        /* Only a unit-cost broadcast occupies the link like LinkPush. */
-        PyObject *factor =
-            PyObject_GetAttr(base->network, str_broadcast_cost_factor);
-        if (factor == NULL)
-            return NULL;
-        int unit = PyObject_RichCompareBool(factor, float_one, Py_EQ);
-        Py_DECREF(factor);
-        if (unit <= 0)
-            return unit < 0 ? NULL : send_pure(base, argv, 2);
-    }
     PyObject *label = PyDict_GetItemWithError(self->labels, msg_type);
     if (label == NULL)
         return PyErr_Occurred() ? NULL : send_pure(base, argv, 2);
+    /* A broadcast occupies the link at the network's cost factor; the
+     * factor is passed on only when it is not 1 (the memo key changes). */
+    PyObject *factor = NULL;
+    if (broadcast) {
+        factor = PyObject_GetAttr(base->network, str_broadcast_cost_factor);
+        if (factor == NULL)
+            return NULL;
+        int unit = PyObject_RichCompareBool(factor, float_one, Py_EQ);
+        if (unit < 0) {
+            Py_DECREF(factor);
+            return NULL;
+        }
+        if (unit)
+            Py_CLEAR(factor);
+    }
     Py_INCREF(label);
     /* frozenset(recipients): an exact frozenset is returned as is. */
     PyObject *frozen = PyFrozenSet_CheckExact(recipients)
                            ? Py_NewRef(recipients)
                            : PyFrozenSet_New(recipients);
     if (frozen == NULL) {
+        Py_XDECREF(factor);
         Py_DECREF(label);
         return NULL;
     }
     PyObject *done_obj = NULL;
-    int rc = send_transmit(base, message, &done_obj);
+    int rc = send_transmit(base, message, factor, &done_obj);
+    Py_XDECREF(factor);
     if (rc == 0) {
         Py_DECREF(frozen);
         Py_DECREF(label);

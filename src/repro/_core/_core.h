@@ -17,7 +17,7 @@
  * exception set. */
 int chandlers_add_types(PyObject *module);
 
-/* Register SequencerStep/MemServe/DirHome on the extension module.
+/* Register SequencerStep/MemServe/DirHome/ZipfTable on the extension module.
  * Returns 0 on success, -1 with an exception set. */
 int issue_add_types(PyObject *module);
 

@@ -28,6 +28,17 @@
  * The same message builder serves the reply side: MemServe is one
  * controller's DATA reply (_send_data), and DirHome the Directory home's
  * GETS/GETM entry with its memory reply, marker and forward.
+ *
+ * For a stock stationary TrafficWorkload or LockingMicrobenchmark the step
+ * is also the workload (source modes 1 and 2): it makes the next
+ * MemoryOperation and counts each completion itself -- the pure
+ * next_operation/on_complete in repro/workloads/traffic.py and
+ * microbenchmark.py -- drawing from the workload's own random.Random
+ * through its C random/getrandbits and updating the workload's own
+ * _issued/_completed/_last_lock dicts.  Because every draw and count lands
+ * on that shared state, the Python methods (the first fetch in
+ * Sequencer.start, a bail, a declined neighbour on the same RNG) continue
+ * the very same stream.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -108,6 +119,12 @@ static PyObject *n_forwards;
 static PyObject *s__cache_response_latency;
 static PyObject *s_owner;
 static PyObject *s_sharers;
+static PyObject *s_label;
+static PyObject *s_random;
+static PyObject *s_getrandbits;
+static PyObject *s_svc_read;
+static PyObject *s_svc_write;
+static PyObject *s_lock_acquire;
 static PyObject *ll_zero;
 static PyObject *ll_one;
 static PyObject *issue_empty_tuple;
@@ -931,6 +948,90 @@ static PyTypeObject DirHome_Type = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ---------------------------------------------------------------- ZipfTable
+ *
+ * One C copy of a ZipfSampler's cumulative weights (its `_cumulative` list
+ * of floats), built once per sampler and shared by every node's step, so
+ * the traffic source's key draw is bisect.bisect_left over doubles: the
+ * comparisons the pure bisect makes over the list's floats, in the same
+ * order, with no Python object per draw. */
+
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t size;
+    double *cumulative;
+} ZipfTableObject;
+
+static int
+ZipfTable_init(ZipfTableObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *cumulative;
+    static char *kwlist[] = {"cumulative", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!", kwlist, &PyList_Type,
+                                     &cumulative))
+        return -1;
+    Py_ssize_t size = PyList_GET_SIZE(cumulative);
+    double *values = PyMem_New(double, size > 0 ? size : 1);
+    if (values == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < size; i++) {
+        PyObject *item = PyList_GET_ITEM(cumulative, i);
+        if (!PyFloat_CheckExact(item)) {
+            PyMem_Free(values);
+            PyErr_SetString(PyExc_TypeError,
+                            "ZipfTable needs a list of floats");
+            return -1;
+        }
+        values[i] = PyFloat_AS_DOUBLE(item);
+    }
+    PyMem_Free(self->cumulative);
+    self->cumulative = values;
+    self->size = size;
+    return 0;
+}
+
+static void
+ZipfTable_dealloc(ZipfTableObject *self)
+{
+    PyMem_Free(self->cumulative);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* ZipfSampler.rank(u) for x = u * total: bisect_left, then the clamp to
+ * the last key. */
+static long long
+zipf_rank(const ZipfTableObject *table, double x, long long keys)
+{
+    Py_ssize_t lo = 0, hi = table->size;
+    while (lo < hi) {
+        Py_ssize_t mid = (Py_ssize_t)(((size_t)lo + (size_t)hi) / 2);
+        if (table->cumulative[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < keys - 1 ? lo : keys - 1;
+}
+
+static PyMemberDef ZipfTable_members[] = {
+    {"size", T_PYSSIZET, offsetof(ZipfTableObject, size), READONLY,
+     "number of cumulative weights"},
+    {NULL}};
+
+static PyTypeObject ZipfTable_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._core._cext.ZipfTable",
+    .tp_basicsize = sizeof(ZipfTableObject),
+    .tp_dealloc = (destructor)ZipfTable_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "C copy of a ZipfSampler's cumulative weights.",
+    .tp_members = ZipfTable_members,
+    .tp_init = (initproc)ZipfTable_init,
+    .tp_new = PyType_GenericNew,
+};
+
 /* -------------------------------------------------------------- SequencerStep
  *
  * The fused Sequencer._perform + _fetch_next delivery object: scheduled as
@@ -949,6 +1050,16 @@ static PyTypeObject DirHome_Type = {
  * LFSR draw against the policy counter, then a broadcast or a
  * {home, requester} dualcast on _ordered_send (writebacks always dualcast).
  * Mode 1 is mode 3 with every request's decision fixed to broadcast.
+ *
+ * source_mode: 0 = call the stored bound workload next_operation /
+ * on_complete; 1 = the stationary TrafficWorkload (a Zipf key from the
+ * node's own RNG, the read/write draw, the think jitter); 2 = the
+ * LockingMicrobenchmark (a lock from the shared RNG, stepped past the
+ * node's last lock, the think jitter).  Modes 1 and 2 draw through the
+ * RNG's own C methods, build the MemoryOperation by slot and count
+ * _issued/_completed in the workload's dicts; an entry those dicts hold in
+ * an unexpected shape (missing, not an exact int) sends that one call to
+ * the bound Python method before anything is drawn.
  */
 
 /* Widest policy counter the C integer path holds: the LFSR draw is packed
@@ -1016,7 +1127,80 @@ typedef struct {
     int lfsr_taps;
     int lfsr_shifts[BASH_MAX_TAPS];
     int policy_bits;
+    /* Source modes 1 and 2: the workload's RNG methods and dicts, the
+     * MemoryOperation slots and the parameters fixed at selection. */
+    int source_mode;
+    PyObject *rng_random;      /* rng.random (the C method, bound) */
+    PyObject *rng_getrandbits; /* rng.getrandbits */
+    PyObject *issued;          /* workload._issued */
+    PyObject *completed;       /* workload._completed */
+    PyObject *last_lock;       /* workload._last_lock (mode 2) */
+    PyObject *zipf;            /* ZipfTable of the sampler (mode 1) */
+    SlotLayout op_layout;      /* MemoryOperation's field slots */
+    long long quota;           /* operations / acquires per processor */
+    long long think;           /* base think cycles */
+    long long jitter;          /* think jitter (randrange(jitter + 1)) */
+    long long keys;            /* sampler.num_keys / num_locks */
+    long long key_base;        /* the node's tenant key base (mode 1) */
+    long long op_block_bytes;  /* workload.block_bytes */
+    double zipf_total;         /* sampler._total (mode 1) */
+    double write_fraction;     /* (mode 1) */
 } SequencerStepObject;
+
+/* MemoryOperation's fields, in the order op_layout resolves them. */
+enum { OP_ADDRESS, OP_IS_WRITE, OP_THINK_CYCLES, OP_INSTRUCTIONS, OP_LABEL,
+       OP_FIELDS };
+static PyObject *op_names[OP_FIELDS];
+
+/* Source modes 1 and 2 selection: resolve the operation class's slots,
+ * bind the RNG's methods and check every parameter the C arithmetic
+ * uses.  0 / -1. */
+static int
+sstep_bind_source(SequencerStepObject *self, PyObject *op_cls, PyObject *rng,
+                  PyObject *issued, PyObject *completed, PyObject *last_lock,
+                  PyObject *zipf)
+{
+    int mode = self->source_mode;
+    long long top, span;
+    if (!PyType_Check(op_cls) || rng == Py_None || !PyDict_Check(issued) ||
+        !PyDict_Check(completed) || (mode == 2 && !PyDict_Check(last_lock)) ||
+        (mode == 1 && !Py_IS_TYPE(zipf, &ZipfTable_Type))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "source modes 1 and 2 need op_cls, rng, the issued "
+                        "and completed dicts, and last_lock (mode 2) or "
+                        "zipf (mode 1)");
+        return -1;
+    }
+    if (self->quota < 0 || self->think < 0 || self->jitter < 0 ||
+        self->keys < 1 || self->key_base < 0 || self->op_block_bytes < 0 ||
+        __builtin_add_overflow(self->think, self->jitter, &top) ||
+        __builtin_add_overflow(self->key_base, self->keys, &span) ||
+        __builtin_mul_overflow(span, self->op_block_bytes, &top)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "source parameters must be non-negative, keys "
+                        "positive, and every address and think time must "
+                        "fit in 64 bits");
+        return -1;
+    }
+    if (slot_layout_required(&self->op_layout, (PyTypeObject *)op_cls,
+                             op_names, OP_FIELDS) < 0)
+        return -1;
+    PyObject *random = PyObject_GetAttr(rng, s_random);
+    if (random == NULL)
+        return -1;
+    PyObject *getrandbits = PyObject_GetAttr(rng, s_getrandbits);
+    if (getrandbits == NULL) {
+        Py_DECREF(random);
+        return -1;
+    }
+    Py_XSETREF(self->rng_random, random);
+    Py_XSETREF(self->rng_getrandbits, getrandbits);
+    Py_XSETREF(self->issued, Py_NewRef(issued));
+    Py_XSETREF(self->completed, Py_NewRef(completed));
+    Py_XSETREF(self->last_lock, mode == 2 ? Py_NewRef(last_lock) : NULL);
+    Py_XSETREF(self->zipf, mode == 1 ? Py_NewRef(zipf) : NULL);
+    return 0;
+}
 
 /* Mode 3 selection: bind the mechanism's LFSR and policy counter and fix
  * the LFSR's taps, mask and width.  0 / -1 (ValueError on any shape the
@@ -1095,8 +1279,13 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     PyObject *ctr_unicast = Py_None;
     PyObject *adaptive = Py_None, *sys_broadcast_decisions = Py_None;
     PyObject *sys_unicast_decisions = Py_None;
+    PyObject *op_cls = Py_None, *rng = Py_None, *issued = Py_None;
+    PyObject *completed = Py_None, *last_lock = Py_None, *zipf = Py_None;
     long long node_id, block_bytes, capacity, num_procs = 0;
-    int send_mode;
+    long long quota = 0, think = 0, jitter = 0, keys = 0, key_base = 0;
+    long long op_block_bytes = 0;
+    double zipf_total = 0.0, write_fraction = 0.0;
+    int send_mode, source_mode = 0;
     static char *kwlist[] = {
         "sequencer",      "scheduler",         "cache",
         "node_id",        "block_bytes",       "capacity",
@@ -1112,9 +1301,15 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
         "data_bytes",     "all_nodes",         "send",
         "ctr_unicast",    "adaptive",          "sys_broadcast_decisions",
         "sys_unicast_decisions",               "num_procs",
+        "source_mode",    "op_cls",            "rng",
+        "issued",         "completed",         "last_lock",
+        "zipf",           "quota",             "think",
+        "jitter",         "keys",              "key_base",
+        "op_block_bytes", "zipf_total",        "write_fraction",
         NULL};
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOL",
+            args, kwds,
+            "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOLiOOOOOOLLLLLLdd",
             kwlist, &sequencer, &scheduler, &cache, &node_id, &block_bytes,
             &capacity, &blocks, &transactions, &writebacks, &perform,
             &finish_stream, &next_operation, &schedule_after, &send_request,
@@ -1124,7 +1319,9 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
             &msg_cls, &msg_id_next, &request_bytes, &send_mode, &on_complete,
             &txn_pool, &msg_pool, &data_bytes, &all_nodes, &send,
             &ctr_unicast, &adaptive, &sys_broadcast_decisions,
-            &sys_unicast_decisions, &num_procs))
+            &sys_unicast_decisions, &num_procs, &source_mode, &op_cls, &rng,
+            &issued, &completed, &last_lock, &zipf, &quota, &think, &jitter,
+            &keys, &key_base, &op_block_bytes, &zipf_total, &write_fraction))
         return -1;
     if (!protocol_injected())
         return -1;
@@ -1147,6 +1344,26 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     if (send_mode < 0 || send_mode > 3) {
         PyErr_SetString(PyExc_ValueError, "send_mode must be 0, 1, 2 or 3");
         return -1;
+    }
+    if (source_mode < 0 || source_mode > 2) {
+        PyErr_SetString(PyExc_ValueError, "source_mode must be 0, 1 or 2");
+        return -1;
+    }
+    self->source_mode = source_mode;
+    if (source_mode != 0) {
+        self->quota = quota;
+        self->think = think;
+        self->jitter = jitter;
+        self->keys = keys;
+        self->key_base = key_base;
+        self->op_block_bytes = op_block_bytes;
+        self->zipf_total = zipf_total;
+        self->write_fraction = write_fraction;
+        if (sstep_bind_source(self, op_cls, rng, issued, completed, last_lock,
+                              zipf) < 0) {
+            self->source_mode = 0;
+            return -1;
+        }
     }
     if ((txn_pool != Py_None && !PyList_Check(txn_pool)) ||
         (msg_pool != Py_None && !PyList_Check(msg_pool))) {
@@ -1290,6 +1507,13 @@ SequencerStep_traverse(SequencerStepObject *self, visitproc visit, void *arg)
     Py_VISIT(self->policy);
     Py_VISIT(self->sys_broadcast_decisions);
     Py_VISIT(self->sys_unicast_decisions);
+    Py_VISIT(self->rng_random);
+    Py_VISIT(self->rng_getrandbits);
+    Py_VISIT(self->issued);
+    Py_VISIT(self->completed);
+    Py_VISIT(self->last_lock);
+    Py_VISIT(self->zipf);
+    Py_VISIT(self->op_layout.cls);
     return 0;
 }
 
@@ -1336,6 +1560,14 @@ SequencerStep_clear(SequencerStepObject *self)
     Py_CLEAR(self->policy);
     Py_CLEAR(self->sys_broadcast_decisions);
     Py_CLEAR(self->sys_unicast_decisions);
+    Py_CLEAR(self->rng_random);
+    Py_CLEAR(self->rng_getrandbits);
+    Py_CLEAR(self->issued);
+    Py_CLEAR(self->completed);
+    Py_CLEAR(self->last_lock);
+    Py_CLEAR(self->zipf);
+    Py_CLEAR(self->op_layout.cls);
+    self->source_mode = 0;
     return 0;
 }
 
@@ -1613,12 +1845,243 @@ fail:
     return -1;
 }
 
-/* _fetch_next: ask the workload for the next reference; reschedule this
- * step after the think time, or finish the stream. */
+/* ------------------------------------------------ reference sources (1, 2) */
+
+/* A workload dict's entry for this node as long long: 1 read, 0 when the
+ * entry is missing, not an exact int or out of range (no error set), -1
+ * on error. */
+static int
+source_entry(SequencerStepObject *self, PyObject *dict, long long *out)
+{
+    PyObject *value = PyDict_GetItemWithError(dict, self->node_id_obj);
+    if (value == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if (!PyLong_CheckExact(value))
+        return 0;
+    int overflow;
+    *out = PyLong_AsLongLongAndOverflow(value, &overflow);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    return !overflow && *out < LLONG_MAX;
+}
+
+/* dict[node_id] = value; 0 / -1. */
+static int
+source_store(SequencerStepObject *self, PyObject *dict, long long value)
+{
+    PyObject *boxed = PyLong_FromLongLong(value);
+    if (boxed == NULL)
+        return -1;
+    int rc = PyDict_SetItem(dict, self->node_id_obj, boxed);
+    Py_DECREF(boxed);
+    return rc;
+}
+
+/* rng.random(); 0 / -1. */
+static int
+source_random(SequencerStepObject *self, double *out)
+{
+    PyObject *draw = PyObject_CallNoArgs(self->rng_random);
+    if (draw == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(draw);
+    Py_DECREF(draw);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* rng.randrange(n) for 0 < n < 2**62, as CPython 3.10-3.12 write it
+ * (_randbelow_with_getrandbits): k = n.bit_length(), then getrandbits(k)
+ * until the draw is below n.  -1 with an error set. */
+static long long
+source_randbelow(SequencerStepObject *self, long long n)
+{
+    PyObject *bits =
+        PyLong_FromLong(64 - __builtin_clzll((unsigned long long)n));
+    if (bits == NULL)
+        return -1;
+    long long draw;
+    do {
+        PyObject *value = PyObject_CallOneArg(self->rng_getrandbits, bits);
+        if (value == NULL) {
+            draw = -1;
+            break;
+        }
+        draw = PyLong_AsLongLong(value);
+        Py_DECREF(value);
+    } while (draw >= n);
+    Py_DECREF(bits);
+    return draw;
+}
+
+/* think_cycles plus the optional randrange(jitter + 1); -1 on error. */
+static long long
+source_think(SequencerStepObject *self)
+{
+    if (self->jitter == 0)
+        return self->think;
+    long long extra = source_randbelow(self, self->jitter + 1);
+    return extra < 0 ? -1 : self->think + extra;
+}
+
+/* MemoryOperation(address, is_write, think, 0, label), built as
+ * alloc_from builds a Transaction: a blank instance of the class, then
+ * every field assigned, here straight into its slots. */
+static PyObject *
+source_operation(SequencerStepObject *self, long long address, int is_write,
+                 long long think, PyObject *label)
+{
+    PyTypeObject *cls = self->op_layout.cls;
+    PyObject *operation = cls->tp_new(cls, issue_empty_tuple, NULL);
+    if (operation == NULL)
+        return NULL;
+    const Py_ssize_t *slots = self->op_layout.offsets;
+    if (slot_store(operation, slots[OP_ADDRESS],
+                   PyLong_FromLongLong(address)) < 0 ||
+        slot_store(operation, slots[OP_IS_WRITE], PyBool_FromLong(is_write)) <
+            0 ||
+        slot_store(operation, slots[OP_THINK_CYCLES],
+                   PyLong_FromLongLong(think)) < 0 ||
+        slot_store(operation, slots[OP_INSTRUCTIONS], Py_NewRef(ll_zero)) <
+            0 ||
+        slot_store(operation, slots[OP_LABEL], Py_NewRef(label)) < 0) {
+        Py_DECREF(operation);
+        return NULL;
+    }
+    return operation;
+}
+
+/* TrafficWorkload.next_operation on a stationary workload: the quota
+ * test, then _draw_operation's draws (the Zipf key, read or write, the
+ * think jitter) from the node's RNG. */
+static PyObject *
+source_traffic(SequencerStepObject *self, long long issued)
+{
+    double key_draw, write_draw;
+    if (source_random(self, &key_draw) < 0)
+        return NULL;
+    long long rank = zipf_rank((ZipfTableObject *)self->zipf,
+                               key_draw * self->zipf_total, self->keys);
+    if (source_random(self, &write_draw) < 0)
+        return NULL;
+    int is_write = write_draw < self->write_fraction;
+    long long think = source_think(self);
+    if (think < 0)
+        return NULL;
+    PyObject *operation = source_operation(
+        self, (self->key_base + rank) * self->op_block_bytes, is_write, think,
+        is_write ? s_svc_write : s_svc_read);
+    if (operation != NULL &&
+        source_store(self, self->issued, issued + 1) < 0)
+        Py_CLEAR(operation);
+    return operation;
+}
+
+/* LockingMicrobenchmark.next_operation: a lock from the shared RNG,
+ * stepped past the node's last one (`last`, read before any draw). */
+static PyObject *
+source_locking(SequencerStepObject *self, long long issued, long long last)
+{
+    long long lock = source_randbelow(self, self->keys);
+    if (lock < 0)
+        return NULL;
+    if (lock == last)
+        lock = (lock + 1) % self->keys;
+    if (source_store(self, self->last_lock, lock) < 0 ||
+        source_store(self, self->issued, issued + 1) < 0)
+        return NULL;
+    long long think = source_think(self);
+    if (think < 0)
+        return NULL;
+    return source_operation(self, lock * self->op_block_bytes, 1, think,
+                            s_lock_acquire);
+}
+
+/* The workload's next reference in C: 1 with *operation (a new reference,
+ * None when the node's quota is done), 0 when this call must go to the
+ * bound Python next_operation (an odd dict entry, or the operation class
+ * modified since selection; nothing drawn yet), -1 on error. */
+static int
+source_next(SequencerStepObject *self, PyObject **operation)
+{
+    long long issued, last = 0;
+    PyTypeObject *cls = self->op_layout.cls;
+    if (cls->tp_version_tag != self->op_layout.version)
+        return 0;
+    int rc = source_entry(self, self->issued, &issued);
+    if (rc <= 0)
+        return rc;
+    if (issued >= self->quota) {
+        *operation = Py_NewRef(Py_None);
+        return 1;
+    }
+    if (self->source_mode == 2) {
+        rc = source_entry(self, self->last_lock, &last);
+        if (rc <= 0)
+            return rc;
+    }
+    *operation = self->source_mode == 1 ? source_traffic(self, issued)
+                                        : source_locking(self, issued, last);
+    return *operation == NULL ? -1 : 1;
+}
+
+/* The workload's on_complete count: traffic's
+ * `_completed[node] = _completed.get(node, 0) + 1`, locking's
+ * `_completed[node] += 1`.  1 counted, 0 when the bound Python method
+ * must run instead (nothing written), -1 on error. */
+static int
+source_complete(SequencerStepObject *self)
+{
+    long long completed = 0;
+    int rc = source_entry(self, self->completed, &completed);
+    if (rc < 0)
+        return -1;
+    if (rc == 0) {
+        int present = PyDict_Contains(self->completed, self->node_id_obj);
+        if (present != 0 || self->source_mode != 1)
+            return present < 0 ? -1 : 0;
+    }
+    return source_store(self, self->completed, completed + 1) < 0 ? -1 : 1;
+}
+
+/* _finish_stream: the reference stream is exhausted. */
+static int
+sstep_finish(SequencerStepObject *self)
+{
+    PyObject *result = PyObject_CallNoArgs(self->finish_stream);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* _fetch_next: ask the workload for the next reference (in C for source
+ * modes 1 and 2); reschedule this step after the think time, or finish
+ * the stream. */
 static int
 sstep_fetch_next(SequencerStepObject *self)
 {
     long long now = core_scheduler_now(self->scheduler);
+    if (self->source_mode != 0) {
+        PyObject *operation = NULL;
+        int rc = source_next(self, &operation);
+        if (rc < 0)
+            return -1;
+        if (rc > 0) {
+            if (operation == Py_None) {
+                Py_DECREF(operation);
+                return sstep_finish(self);
+            }
+            /* think_cycles was drawn non-negative. */
+            long long think = 0;
+            slot_ll(operation, self->op_layout.offsets[OP_THINK_CYCLES],
+                    &think);
+            rc = core_push_fast(self->scheduler, now + think,
+                                (PyObject *)self, self->perform_label,
+                                operation);
+            Py_DECREF(operation);
+            return rc;
+        }
+    }
     PyObject *now_obj = PyLong_FromLongLong(now);
     if (now_obj == NULL)
         return -1;
@@ -1632,11 +2095,7 @@ sstep_fetch_next(SequencerStepObject *self)
     if (operation == Py_None) {
         Py_DECREF(operation);
         Py_DECREF(now_obj);
-        PyObject *result = PyObject_CallNoArgs(self->finish_stream);
-        if (result == NULL)
-            return -1;
-        Py_DECREF(result);
-        return 0;
+        return sstep_finish(self);
     }
     int rc = -1;
     PyObject *think = PyObject_GetAttr(operation, s_think_cycles);
@@ -1676,8 +2135,8 @@ done:
     return rc;
 }
 
-/* _account: completion bookkeeping plus the optional workload hook, then
- * the next fetch. */
+/* _account: completion bookkeeping plus the workload's count (in C for
+ * source modes 1 and 2) or its optional hook, then the next fetch. */
 static int
 sstep_account(SequencerStepObject *self, PyObject *operation,
               PyObject *latency, int was_miss, PyObject *now_obj)
@@ -1694,6 +2153,13 @@ sstep_account(SequencerStepObject *self, PyObject *operation,
         return -1;
     }
     Py_DECREF(instructions);
+    if (self->source_mode != 0) {
+        int rc = source_complete(self);
+        if (rc < 0)
+            return -1;
+        if (rc > 0)
+            return sstep_fetch_next(self);
+    }
     if (self->on_complete != NULL) {
         PyObject *argv[5] = {self->node_id_obj, operation, latency,
                              was_miss ? Py_True : Py_False, now_obj};
@@ -2043,6 +2509,9 @@ static PyMemberDef SequencerStep_members[] = {
      "3: BASH adaptive send"},
     {"node_id", T_LONGLONG, offsetof(SequencerStepObject, node_id), READONLY,
      NULL},
+    {"source_mode", T_INT, offsetof(SequencerStepObject, source_mode),
+     READONLY,
+     "0: bound workload calls, 1: stationary traffic, 2: locking"},
     {NULL}};
 
 static PyTypeObject SequencerStep_Type = {
@@ -2070,6 +2539,7 @@ issue_add_types(PyObject *module)
 {
     if (PyType_Ready(&MemServe_Type) < 0 ||
         PyType_Ready(&DirHome_Type) < 0 ||
+        PyType_Ready(&ZipfTable_Type) < 0 ||
         PyType_Ready(&SequencerStep_Type) < 0)
         return -1;
 
@@ -2151,7 +2621,18 @@ issue_add_types(PyObject *module)
     INTERN(s__cache_response_latency, "_cache_response_latency");
     INTERN(s_owner, "owner");
     INTERN(s_sharers, "sharers");
+    INTERN(s_label, "label");
+    INTERN(s_random, "random");
+    INTERN(s_getrandbits, "getrandbits");
+    INTERN(s_svc_read, "svc-read");
+    INTERN(s_svc_write, "svc-write");
+    INTERN(s_lock_acquire, "lock-acquire");
 #undef INTERN
+    op_names[OP_ADDRESS] = s_address;
+    op_names[OP_IS_WRITE] = s_is_write;
+    op_names[OP_THINK_CYCLES] = s_think_cycles;
+    op_names[OP_INSTRUCTIONS] = s_instructions;
+    op_names[OP_LABEL] = s_label;
     ll_zero = PyLong_FromLong(0);
     ll_one = PyLong_FromLong(1);
     issue_empty_tuple = PyTuple_New(0);
@@ -2162,6 +2643,8 @@ issue_add_types(PyObject *module)
                               (PyObject *)&MemServe_Type) < 0 ||
         PyModule_AddObjectRef(module, "DirHome",
                               (PyObject *)&DirHome_Type) < 0 ||
+        PyModule_AddObjectRef(module, "ZipfTable",
+                              (PyObject *)&ZipfTable_Type) < 0 ||
         PyModule_AddObjectRef(module, "SequencerStep",
                               (PyObject *)&SequencerStep_Type) < 0)
         return -1;

@@ -192,9 +192,11 @@ class TotallyOrderedNetwork:
 
         On a compiled scheduler the stock network gets the C
         ``OrderedSend``: :meth:`send` in C, with the source link's
-        transmit inlined as ``LinkPush`` runs it.  It calls this method
-        for any shape it does not take (an unknown recipient, a broadcast
-        whose cost factor is not 1).  Called with the message alone it
+        transmit inlined as ``LinkPush`` runs it (a broadcast at the
+        network's cost factor, memoised as :meth:`Link.transmit` does).  It
+        calls this method for any shape it does not take (an unknown
+        recipient, a recipient set that is not a plain set).  Called with
+        the message alone it
         sends to ``message.recipients``, the Directory home's inject.  A
         subclassed or patched network, link or message class keeps the
         bound method.

@@ -235,18 +235,45 @@ def issue_accelerator(sequencer):
     return ext
 
 
-def note_issue_selection(sequencer, status: str, send_status: str = "") -> None:
-    """Record one per-node issue-chain decision and its send-mode decision.
+def note_issue_selection(
+    sequencer, status: str, send_status: str = "", source_status: str = ""
+) -> None:
+    """Record one per-node issue-chain decision and its mode decisions.
 
     ``Sequencer<N>.step`` says whether the C step runs; ``Sequencer<N>.send``
     whether it also runs the protocol's ``_send_*`` body (modes 1-3, which
     end in the controller's own network send) rather than calling the bound
-    Python ``_send_*`` methods (mode 0).  A declined step declines its send
-    too.
+    Python ``_send_*`` methods (mode 0); ``Sequencer<N>.workload`` whether
+    it draws the workload's next reference and counts its completion in C
+    (source modes 1-2) rather than calling the bound ``next_operation`` /
+    ``on_complete`` (source mode 0).  A declined step declines both.
     """
     node = sequencer.node_id
     _core.note_handler_selection(f"Sequencer{node}.step", status)
     _core.note_handler_selection(f"Sequencer{node}.send", send_status or status)
+    _core.note_handler_selection(
+        f"Sequencer{node}.workload", source_status or status
+    )
+
+
+def compile_issue_source(sequencer):
+    """The workload's ``(source mode, kwargs)`` for the C step, or None.
+
+    Dispatches on the workload's exact class to the workload module's own
+    ``compile_issue_source``: the stationary Zipfian traffic
+    (:mod:`repro.workloads.traffic`, mode 1) and the locking
+    microbenchmark (:mod:`repro.workloads.microbenchmark`, mode 2).  Any
+    other workload keeps source mode 0, the bound Python calls.
+    """
+    from ..workloads import microbenchmark, traffic  # noqa: PLC0415
+
+    workload = sequencer.workload
+    kind = type(workload)
+    if kind is traffic.TrafficWorkload:
+        return traffic.compile_issue_source(workload, sequencer)
+    if kind is microbenchmark.LockingMicrobenchmark:
+        return microbenchmark.compile_issue_source(workload, sequencer)
+    return None
 
 
 def compile_sequencer_step(sequencer):
@@ -259,6 +286,12 @@ def compile_sequencer_step(sequencer):
     all run in C.  The message then goes to the controller's own bound
     ``_ordered_send``/``_unordered_send``, the callable the pure
     ``_send_*`` bodies call, so the network side needs no check of its own.
+    For a stock stationary :class:`~repro.workloads.traffic.TrafficWorkload`
+    or :class:`~repro.workloads.microbenchmark.LockingMicrobenchmark` the
+    step also makes the next reference and counts each completion in C
+    (:func:`compile_issue_source`), drawing from the workload's own RNG and
+    dicts; the first fetch in ``Sequencer.start``, every bail and every
+    declined node use the Python methods on that same state.
     Selection follows the compiled-handler contract: per node, unpatched
     stock objects only (:func:`repro._core.is_stock`), with the pure
     implementation remaining the executable specification — any unusual
@@ -363,6 +396,11 @@ def compile_sequencer_step(sequencer):
     # The directory controller prebinds its request size at construction;
     # its helper supplies that binding so the compiled build matches it.
     request_bytes = extra.pop("request_bytes", config.request_message_bytes)
+    # The workload's next reference and completion count in C (source
+    # modes 1-2) when the workload is one the C step mirrors, else the
+    # bound Python calls (mode 0).
+    source = compile_issue_source(sequencer)
+    source_mode, source_extra = source if source is not None else (0, {})
     # Workload.on_complete is an empty hook; elide the call when it is
     # untouched so the hot path skips a Python frame per reference.
     on_complete = sequencer._on_complete
@@ -405,9 +443,14 @@ def compile_sequencer_step(sequencer):
         on_complete=on_complete,
         txn_pool=txn_pool,
         msg_pool=msg_pool,
+        source_mode=source_mode,
         **extra,
+        **source_extra,
     )
     note_issue_selection(
-        sequencer, "compiled", "compiled" if send_mode else "declined"
+        sequencer,
+        "compiled",
+        "compiled" if send_mode else "declined",
+        "compiled" if source_mode else "declined",
     )
     return step

@@ -6,10 +6,39 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .._core import is_stock, stock
 from ..coherence.state import MOSIState
 from ..errors import WorkloadError
 
+# The compiled issue step draws stock workloads' references from their
+# random.Random through its C methods; registering the class lets a
+# class-level patch of it (randrange, _randbelow, ...) decline that path.
+stock(random.Random)
 
+#: The C methods of random.Random the compiled reference sources call.
+_RNG_C_METHODS = frozenset(("random", "getrandbits"))
+
+#: Bound on every integer the compiled reference sources compute with, so
+#: their 64-bit sums and products cannot overflow.
+C_INT_LIMIT = 2**62
+
+
+def stock_rng(rng) -> bool:
+    """Is ``rng`` a plain, unpatched ``random.Random``?
+
+    Besides :func:`repro._core.is_stock`, no instance attribute may shadow
+    the C ``random``/``getrandbits`` the pure draws reach through
+    ``self``.
+    """
+    return is_stock(rng) and _RNG_C_METHODS.isdisjoint(vars(rng))
+
+
+def c_ints(*values) -> bool:
+    """True when every value is an exact ``int`` in ``[0, C_INT_LIMIT)``."""
+    return all(type(value) is int and 0 <= value < C_INT_LIMIT for value in values)
+
+
+@stock
 @dataclass(slots=True)
 class MemoryOperation:
     """One memory reference a processor will perform after some think time.

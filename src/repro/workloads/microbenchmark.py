@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from .._core import is_stock, stock
 from ..errors import WorkloadError
-from .base import MemoryOperation, Workload
+from .base import C_INT_LIMIT, MemoryOperation, Workload, c_ints, stock_rng
 
 
+@stock
 class LockingMicrobenchmark(Workload):
     """Uncontended lock acquire/release stream with configurable think time."""
 
@@ -60,7 +62,12 @@ class LockingMicrobenchmark(Workload):
         return lock_index * self.block_bytes
 
     def next_operation(self, node_id: int, now: int) -> Optional[MemoryOperation]:
-        if self._issued[node_id] >= self.acquires_per_processor:
+        try:
+            issued = self._issued[node_id]
+        except KeyError:
+            self.require_bound()
+            raise
+        if issued >= self.acquires_per_processor:
             return None
         # Pick a lock different from the one we just released so that the
         # acquire cannot trivially hit in our own cache.
@@ -68,7 +75,7 @@ class LockingMicrobenchmark(Workload):
         if lock == self._last_lock[node_id]:
             lock = (lock + 1) % self.num_locks
         self._last_lock[node_id] = lock
-        self._issued[node_id] += 1
+        self._issued[node_id] = issued + 1
         think = self.think_cycles
         if self.think_jitter:
             think += self.rng.randrange(self.think_jitter + 1)
@@ -98,3 +105,50 @@ class LockingMicrobenchmark(Workload):
             f"acquires/proc={self.acquires_per_processor}, "
             f"think={self.think_cycles})"
         )
+
+
+def compile_issue_source(workload: LockingMicrobenchmark, sequencer):
+    """``(2, kwargs)`` for the C step's locking source, or None.
+
+    Source mode 2 mirrors :meth:`LockingMicrobenchmark.next_operation` and
+    :meth:`~LockingMicrobenchmark.on_complete`: the ``_issued`` quota test,
+    the lock draw (``randrange`` as CPython writes it, through the shared
+    RNG's C ``getrandbits``), the step past ``_last_lock``, the think
+    jitter, the ``MemoryOperation`` and the ``_completed`` count -- on the
+    workload's own RNG and dicts, which every node shares, so a node on the
+    pure path draws from the same stream in the same order.  It needs a
+    stock workload, ``MemoryOperation`` and RNG
+    (:func:`~repro.workloads.base.stock_rng`) and exact-int parameters whose
+    arithmetic stays inside 64 bits; any other shape returns None and the
+    step calls the bound Python methods.  ``sequencer`` is unused: every
+    node draws from the same state.
+    """
+    block_bytes = workload.block_bytes
+    if not (
+        is_stock(workload, MemoryOperation)
+        and stock_rng(workload.rng)
+        and c_ints(
+            workload.num_locks,
+            workload.acquires_per_processor,
+            workload.think_cycles,
+            workload.think_jitter,
+            block_bytes,
+        )
+        and workload.num_locks * block_bytes < C_INT_LIMIT
+        and type(workload._issued) is dict
+        and type(workload._completed) is dict
+        and type(workload._last_lock) is dict
+    ):
+        return None
+    return 2, {
+        "op_cls": MemoryOperation,
+        "rng": workload.rng,
+        "issued": workload._issued,
+        "completed": workload._completed,
+        "last_lock": workload._last_lock,
+        "quota": workload.acquires_per_processor,
+        "think": workload.think_cycles,
+        "jitter": workload.think_jitter,
+        "keys": workload.num_locks,
+        "op_block_bytes": block_bytes,
+    }

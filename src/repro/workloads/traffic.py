@@ -28,7 +28,14 @@ can be replayed bit-identically through every protocol, pre-materialised into
 a trace (:func:`build_traffic_trace`) or streamed in bounded windows
 (:mod:`repro.workloads.streaming`).  Only the *think time* of the diurnal and
 bursty shapes depends on simulated time; the stationary shapes (plain Zipfian
-and multi-tenant) are therefore exactly streamable.
+and multi-tenant) are therefore exactly streamable.  One helper,
+``_draw_operation``, makes every reference: the streams call it with an RNG
+of their own, and a bound :class:`TrafficWorkload` with the per-node RNGs it
+keeps on itself (``_rngs``, rebuilt by every ``bind``).  Because that state
+is on the workload, the compiled issue step (:func:`compile_issue_source`)
+can draw a stationary workload's references in C from the very same RNG and
+counters, and a node may pass between the C and the Python draw at any
+reference without changing its stream.
 
 Each shape ships as a frozen picklable spec (``__call__(seed) -> Workload``
 plus ``cache_token()``) mirroring the PR-4 pattern specs, so the sweep
@@ -41,16 +48,20 @@ import bisect
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
+from .. import _core
+from .._core import is_stock, stock
 from ..errors import WorkloadError
-from .base import MemoryOperation, Workload
+from .base import C_INT_LIMIT, MemoryOperation, Workload, c_ints, stock_rng
 
 #: Default block size used when materialising traffic outside a bound system.
 DEFAULT_BLOCK_BYTES = 64
 
 
+@stock
 class ZipfSampler:
     """Inverse-CDF sampler for a Zipf(``exponent``) law over ranked keys.
 
@@ -100,6 +111,43 @@ def tenant_of(node: int, num_processors: int, tenant_groups: int) -> int:
     return node * groups // num_processors
 
 
+def _validate_stream(write_fraction, base_think: int, think_jitter: int) -> None:
+    """Reject a read/write mix or think time no stream can draw."""
+    if not 0.0 <= write_fraction <= 1.0:
+        raise WorkloadError(f"write_fraction must be in [0, 1], got {write_fraction}")
+    if base_think < 0 or think_jitter < 0:
+        raise WorkloadError("think time parameters must be non-negative")
+
+
+def _draw_operation(
+    rng: random.Random,
+    sampler: ZipfSampler,
+    write_fraction: float,
+    base_think: int,
+    think_jitter: int,
+    key_base: int,
+    block_bytes: int,
+) -> MemoryOperation:
+    """One reference of a node's stream, drawn from ``rng``.
+
+    The draws -- key rank, read or write, think jitter, in that order --
+    define the stream; the compiled issue step makes the same draws from
+    the same RNG in the same order.
+    """
+    rank = sampler.sample(rng)
+    is_write = rng.random() < write_fraction
+    think = base_think
+    if think_jitter:
+        think += rng.randrange(think_jitter + 1)
+    return MemoryOperation(
+        address=(key_base + rank) * block_bytes,
+        is_write=is_write,
+        think_cycles=think,
+        instructions=0,
+        label="svc-write" if is_write else "svc-read",
+    )
+
+
 def traffic_operation_stream(
     node: int,
     *,
@@ -124,30 +172,23 @@ def traffic_operation_stream(
     """
     if num_processors < 1:
         raise WorkloadError(f"num_processors must be positive, got {num_processors}")
-    if not 0.0 <= write_fraction <= 1.0:
-        raise WorkloadError(f"write_fraction must be in [0, 1], got {write_fraction}")
-    if base_think < 0 or think_jitter < 0:
-        raise WorkloadError("think time parameters must be non-negative")
+    _validate_stream(write_fraction, base_think, think_jitter)
     if sampler is None:
         sampler = ZipfSampler(num_keys, zipf_exponent)
     elif sampler.num_keys != num_keys or sampler.exponent != zipf_exponent:
         raise WorkloadError("sampler does not match the requested Zipf law")
     rng = random.Random((seed << 16) ^ node)
-    tenant = tenant_of(node, num_processors, tenant_groups)
-    tenant_base = tenant * num_keys
+    key_base = tenant_of(node, num_processors, tenant_groups) * num_keys
     counter = range(operations) if operations is not None else itertools.count()
     for _ in counter:
-        rank = sampler.sample(rng)
-        is_write = rng.random() < write_fraction
-        think = base_think
-        if think_jitter:
-            think += rng.randrange(think_jitter + 1)
-        yield MemoryOperation(
-            address=(tenant_base + rank) * block_bytes,
-            is_write=is_write,
-            think_cycles=think,
-            instructions=0,
-            label="svc-write" if is_write else "svc-read",
+        yield _draw_operation(
+            rng,
+            sampler,
+            write_fraction,
+            base_think,
+            think_jitter,
+            key_base,
+            block_bytes,
         )
 
 
@@ -191,6 +232,7 @@ def build_traffic_trace(
     }
 
 
+@stock
 class TrafficWorkload(Workload):
     """Closed-loop internet-service traffic with time-varying offered load.
 
@@ -232,6 +274,9 @@ class TrafficWorkload(Workload):
             raise WorkloadError(
                 f"burst_factor must be >= 1 during bursts, got {burst_factor}"
             )
+        _validate_stream(write_fraction, base_think, think_jitter)
+        if tenant_groups < 1:
+            raise WorkloadError(f"tenant_groups must be positive, got {tenant_groups}")
         self.operations_per_processor = operations_per_processor
         self.seed = seed
         self.num_keys = num_keys
@@ -246,29 +291,21 @@ class TrafficWorkload(Workload):
         self.burst_factor = burst_factor
         self.tenant_groups = tenant_groups
         self._sampler = ZipfSampler(num_keys, zipf_exponent)
-        self._streams: Dict[int, Iterator[MemoryOperation]] = {}
+        self._rngs: Dict[int, random.Random] = {}
+        self._key_bases: Dict[int, int] = {}
         self._issued: Dict[int, int] = {}
         self._completed: Dict[int, int] = {}
 
     def bind(self, num_processors: int, block_bytes: int, rng) -> None:
         super().bind(num_processors, block_bytes, rng)
-        # Fresh per-node generators on every bind: re-binding (system reset,
-        # sweep reuse) replays the identical traffic from the start.
-        self._streams = {
-            node: traffic_operation_stream(
-                node,
-                seed=self.seed,
-                num_processors=num_processors,
-                block_bytes=block_bytes,
-                num_keys=self.num_keys,
-                zipf_exponent=self.zipf_exponent,
-                write_fraction=self.write_fraction,
-                base_think=self.base_think,
-                think_jitter=self.think_jitter,
-                tenant_groups=self.tenant_groups,
-                operations=self.operations_per_processor,
-                sampler=self._sampler,
-            )
+        # Fresh per-node RNGs on every bind: re-binding (system reset, sweep
+        # reuse) replays the identical traffic from the start.
+        self._rngs = {
+            node: random.Random((self.seed << 16) ^ node)
+            for node in range(num_processors)
+        }
+        self._key_bases = {
+            node: tenant_of(node, num_processors, self.tenant_groups) * self.num_keys
             for node in range(num_processors)
         }
         self._issued = {node: 0 for node in range(num_processors)}
@@ -291,10 +328,23 @@ class TrafficWorkload(Workload):
     # ------------------------------------------------------ workload contract
 
     def next_operation(self, node_id: int, now: int) -> Optional[MemoryOperation]:
-        if self._issued.get(node_id, 0) >= self.operations_per_processor:
+        try:
+            issued = self._issued[node_id]
+        except KeyError:
+            self.require_bound()
+            raise
+        if issued >= self.operations_per_processor:
             return None
-        operation = next(self._streams[node_id])
-        self._issued[node_id] += 1
+        operation = _draw_operation(
+            self._rngs[node_id],
+            self._sampler,
+            self.write_fraction,
+            self.base_think,
+            self.think_jitter,
+            self._key_bases[node_id],
+            self.block_bytes,
+        )
+        self._issued[node_id] = issued + 1
         factor = self.load_factor(now)
         if factor != 1.0:
             operation.think_cycles = int(round(operation.think_cycles / factor))
@@ -315,6 +365,95 @@ class TrafficWorkload(Workload):
         if self.tenant_groups > 1:
             shape.append(f"tenants={self.tenant_groups}")
         return f"Traffic({', '.join(shape)})"
+
+
+#: The C copy of each sampler's cumulative table, shared by every node's
+#: step: sampler -> (the list it copies, the extension's ZipfTable).
+_zipf_tables: "weakref.WeakKeyDictionary[ZipfSampler, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _zipf_table(sampler: ZipfSampler):
+    """The extension's copy of ``sampler._cumulative``, built once, or None.
+
+    None when the table holds anything but floats (the C bisect compares
+    doubles).
+    """
+    cumulative = sampler._cumulative
+    cached = _zipf_tables.get(sampler)
+    if cached is not None and cached[0] is cumulative:
+        return cached[1]
+    try:
+        table = _core.extension_loaded().ZipfTable(cumulative)
+    except TypeError:
+        return None
+    _zipf_tables[sampler] = (cumulative, table)
+    return table
+
+
+def compile_issue_source(workload: TrafficWorkload, sequencer):
+    """``(1, kwargs)`` for the C step's traffic source, or None.
+
+    Source mode 1 mirrors :meth:`TrafficWorkload.next_operation` and
+    :meth:`~TrafficWorkload.on_complete` on a stationary workload: the
+    ``_issued`` quota test, ``_draw_operation``'s draws from the node's own
+    RNG (its C ``random`` for the key and the read/write mix, its C
+    ``getrandbits`` as ``randrange`` calls it for the jitter), the
+    ``MemoryOperation`` it builds and the ``_completed`` count -- on the
+    workload's own RNG and dicts, so pure and C draws interleave freely.
+    It needs a stock workload, sampler, ``MemoryOperation`` and RNG
+    (:func:`~repro.workloads.base.stock_rng`), no diurnal or burst
+    modulation, exact-int parameters whose arithmetic stays inside 64 bits
+    and a cumulative table of floats; any other shape returns None and the
+    step calls the bound Python methods.  Runs per node at the start of
+    every compiled run, after ``bind``.
+    """
+    node = sequencer.node_id
+    sampler = workload._sampler
+    rng = workload._rngs.get(node)
+    key_base = workload._key_bases.get(node)
+    block_bytes = workload.block_bytes
+    if not (
+        is_stock(workload, sampler, MemoryOperation)
+        and stock_rng(rng)
+        and c_ints(
+            workload.operations_per_processor,
+            workload.base_think,
+            workload.think_jitter,
+            workload.diurnal_period,
+            workload.burst_on,
+            sampler.num_keys,
+            key_base,
+            block_bytes,
+        )
+        and workload.diurnal_period == 0
+        and workload.burst_on == 0
+        and (key_base + sampler.num_keys) * block_bytes < C_INT_LIMIT
+        and type(workload.write_fraction) in (int, float)
+        and type(sampler._total) is float
+        and type(workload._issued) is dict
+        and type(workload._completed) is dict
+    ):
+        return None
+    table = _zipf_table(sampler)
+    if table is None:
+        return None
+    return 1, {
+        "op_cls": MemoryOperation,
+        "rng": rng,
+        "issued": workload._issued,
+        "completed": workload._completed,
+        "quota": workload.operations_per_processor,
+        "think": workload.base_think,
+        "jitter": workload.think_jitter,
+        "keys": sampler.num_keys,
+        "key_base": key_base,
+        "op_block_bytes": block_bytes,
+        "zipf": table,
+        "zipf_total": sampler._total,
+        "write_fraction": float(workload.write_fraction),
+    }
 
 
 class OpenLoopHomeWorkload(Workload):

@@ -3,9 +3,15 @@
 The golden traces pin sixteen fixed configurations.  This draws protocol x
 processor count x bandwidth x broadcast cost x workload x seed and requires
 both backends to produce the same full ``RunResult`` (statistics included)
-and the same final memory image.  A broadcast cost of 4 sends ordered
-broadcasts through ``EndpointLink.transmit`` in Python while unordered
-deliveries use the C ``LinkPush``, so both update the same incoming links.
+and the same final memory image.  A broadcast cost of 4 makes the C
+``OrderedSend`` occupy links at that cost (memoised under ``(size, cost)``),
+while a BASH retry's broadcast takes ``EndpointLink.transmit`` in Python.
+
+Locking and Zipfian traffic are drawn in shape as well (lock counts that are
+and are not powers of two, think jitter or none, key counts, a uniform or a
+skewed law, all-read or all-write mixes, tenant groups), because the
+compiled issue step draws their references in C from the workload's own RNG
+and counters; their counters and RNG states must match too.
 
 Besides locking and Zipfian traffic, two workloads stress the reply paths:
 a mixed read/write trace on a small cache (dirty evictions, so writebacks
@@ -33,7 +39,7 @@ from repro.system.multiprocessor import MultiprocessorSystem
 from repro.workloads.microbenchmark import LockingMicrobenchmark
 from repro.workloads.patterns import MixedTraceWorkloadSpec
 from repro.workloads.streaming import StreamingTrafficSpec
-from repro.workloads.traffic import ZipfianTrafficSpec
+from repro.workloads.traffic import TrafficWorkload, ZipfianTrafficSpec
 
 from ..conftest import ALL_PROTOCOLS, FAST_ADAPTIVE
 
@@ -51,10 +57,36 @@ KINDS = ["locking", "zipfian", "mixed", "streaming"]
 MIXED_CACHE_BLOCKS = 24
 
 
-def make_workload(kind: str, seed: int, num_processors: int):
+#: Shape of the locking and Zipfian workloads (the other kinds ignore it).
+shapes = st.fixed_dictionaries(
+    {
+        "num_locks": st.sampled_from([2, 3, 32, 48, 64, 100]),
+        "think_jitter": st.sampled_from([0, 1, 16]),
+        "num_keys": st.sampled_from([1, 7, 64]),
+        "zipf_exponent": st.sampled_from([0.0, 0.9, 1.5]),
+        "write_fraction": st.sampled_from([0.0, 0.1, 1.0]),
+        "tenant_groups": st.sampled_from([1, 3]),
+    }
+)
+
+#: The default shape: the workloads this draw started from.
+DEFAULT_SHAPE = {
+    "num_locks": 32,
+    "think_jitter": 16,
+    "num_keys": 64,
+    "zipf_exponent": 0.9,
+    "write_fraction": 0.1,
+    "tenant_groups": 1,
+}
+
+
+def make_workload(kind: str, seed: int, num_processors: int, shape=None):
+    shape = DEFAULT_SHAPE if shape is None else shape
     if kind == "locking":
         return LockingMicrobenchmark(
-            num_locks=32, acquires_per_processor=20, think_jitter=16
+            num_locks=shape["num_locks"],
+            acquires_per_processor=20,
+            think_jitter=shape["think_jitter"],
         )
     if kind == "mixed":
         return MixedTraceWorkloadSpec(
@@ -70,16 +102,44 @@ def make_workload(kind: str, seed: int, num_processors: int):
             write_fraction=0.4,
             window_ops=16,
         )(seed)
-    return ZipfianTrafficSpec(operations_per_processor=80, num_keys=64)(seed)
+    return ZipfianTrafficSpec(
+        operations_per_processor=80,
+        num_keys=shape["num_keys"],
+        zipf_exponent=shape["zipf_exponent"],
+        write_fraction=shape["write_fraction"],
+        think_jitter=shape["think_jitter"],
+        tenant_groups=shape["tenant_groups"],
+    )(seed)
 
 
-def run_on(backend: str, config: SystemConfig, kind: str):
+def workload_state(workload):
+    """The locking/traffic counters and RNG states (None for other kinds)."""
+    if not isinstance(workload, (LockingMicrobenchmark, TrafficWorkload)):
+        return None
+    state = {
+        name: dict(getattr(workload, name))
+        for name in ("_issued", "_completed", "_last_lock")
+        if hasattr(workload, name)
+    }
+    state["rng"] = workload.rng.getstate()
+    state["rngs"] = {
+        node: rng.getstate() for node, rng in getattr(workload, "_rngs", {}).items()
+    }
+    return state
+
+
+def run_on(backend: str, config: SystemConfig, kind: str, shape=None):
     with _core.use_backend(backend):
-        system = MultiprocessorSystem(
-            config, make_workload(kind, config.random_seed, config.num_processors)
+        workload = make_workload(
+            kind, config.random_seed, config.num_processors, shape
         )
+        system = MultiprocessorSystem(config, workload)
         result = system.run()
-    return dataclasses.asdict(result), system.final_memory_image()
+    return (
+        dataclasses.asdict(result),
+        system.final_memory_image(),
+        workload_state(workload),
+    )
 
 
 @pytest.mark.skipif(
@@ -93,6 +153,7 @@ def run_on(backend: str, config: SystemConfig, kind: str):
     broadcast_cost=st.sampled_from([1.0, 4.0]),
     kind=st.sampled_from(KINDS),
     seed=st.integers(min_value=0, max_value=2**16),
+    shape=shapes,
 )
 def test_pure_and_compiled_agree(
     protocol: ProtocolName,
@@ -101,6 +162,7 @@ def test_pure_and_compiled_agree(
     broadcast_cost: float,
     kind: str,
     seed: int,
+    shape,
 ):
     config = SystemConfig(
         num_processors=num_processors,
@@ -111,10 +173,11 @@ def test_pure_and_compiled_agree(
         random_seed=seed,
         **({"cache_capacity_blocks": MIXED_CACHE_BLOCKS} if kind == "mixed" else {}),
     )
-    pure_result, pure_memory = run_on(_core.PURE, config, kind)
-    compiled_result, compiled_memory = run_on(_core.COMPILED, config, kind)
-    assert compiled_result == pure_result
-    assert compiled_memory == pure_memory
+    pure_result, pure_memory, pure_state = run_on(_core.PURE, config, kind, shape)
+    compiled = run_on(_core.COMPILED, config, kind, shape)
+    assert compiled[0] == pure_result
+    assert compiled[1] == pure_memory
+    assert compiled[2] == pure_state
     assert pure_result["operations"] > 0
 
 

@@ -13,6 +13,7 @@ the backend-parametrized golden traces and the full-stats equivalence here).
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -281,7 +282,7 @@ class TestStepSendsThroughTheNetwork:
         "protocol", [ProtocolName.SNOOPING, ProtocolName.BASH], ids=str
     )
     def test_expensive_broadcasts_keep_the_send_compiled(self, protocol):
-        """At 4x broadcast cost the network's send takes its Python path."""
+        """At 4x broadcast cost the step still runs its send body."""
         observed = {}
         for backend in ("pure", "compiled"):
             with _core.use_backend(backend):
@@ -291,6 +292,41 @@ class TestStepSendsThroughTheNetwork:
         assert observed["compiled"] == observed["pure"]
         writebacks = f"{system.nodes[0].cache_controller.name}.writebacks"
         assert observed["pure"][2][writebacks]
+
+    @pytest.mark.parametrize(
+        "protocol", [ProtocolName.SNOOPING, ProtocolName.BASH], ids=str
+    )
+    def test_expensive_broadcasts_stay_in_c(self, protocol):
+        """At 4x cost ``OrderedSend`` occupies the link itself.
+
+        The pure send runs once per request the step issues; the compiled
+        run enters it only on the network's first send of each request type
+        (its label memo miss), exactly as at unit cost.  BASH retries are
+        not the step's sends (``Interconnect.send_ordered`` makes them in
+        Python on both backends), so they are not counted.
+        """
+        code = TotallyOrderedNetwork.send.__code__
+        observed, requests = {}, {}
+        for backend in ("pure", "compiled"):
+            sends = []
+
+            def profile(frame, event, arg, sends=sends):
+                if event == "call" and frame.f_code is code:
+                    message = frame.f_locals["message"]
+                    if not message.is_retry:
+                        _record_requests(sends, message)
+
+            with _core.use_backend(backend):
+                system = _send_system(protocol, broadcast_cost_factor=4.0)
+                sys.setprofile(profile)
+                try:
+                    observed[backend] = _observed(system)
+                finally:
+                    sys.setprofile(None)
+            requests[backend] = sends
+        assert observed["compiled"] == observed["pure"]
+        assert len(requests["compiled"]) <= len(REQUEST_KINDS)
+        assert len(requests["pure"]) > 100
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=str)
     def test_step_calls_the_controllers_send(self, protocol):

@@ -209,6 +209,18 @@ class TestTimeVaryingDeterminism:
             TrafficWorkload(10, diurnal_period=-1)
         with pytest.raises(WorkloadError):
             TrafficWorkload(10, burst_on=10, burst_off=10, burst_factor=0.5)
+        # Checked at construction, not at the first draw.
+        with pytest.raises(WorkloadError, match="write_fraction"):
+            TrafficWorkload(5, write_fraction=1.5)
+        with pytest.raises(WorkloadError, match="think time"):
+            TrafficWorkload(5, base_think=-1)
+        with pytest.raises(WorkloadError, match="think time"):
+            TrafficWorkload(5, think_jitter=-1)
+        with pytest.raises(WorkloadError, match="tenant_groups"):
+            TrafficWorkload(5, tenant_groups=0)
+        # An unbound workload names the missing bind, not a bare KeyError.
+        with pytest.raises(WorkloadError, match="not bound to a system yet"):
+            TrafficWorkload(5).next_operation(0, 0)
 
 
 class TestMultiTenant:

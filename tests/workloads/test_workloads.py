@@ -10,6 +10,7 @@ from repro.workloads.microbenchmark import LockingMicrobenchmark
 from repro.workloads.presets import WORKLOAD_ORDER, WORKLOAD_PRESETS, preset
 from repro.workloads.synthetic import SyntheticCommercialWorkload
 from repro.workloads.trace import TraceWorkload
+from repro.workloads.traffic import TrafficWorkload
 
 
 def bind(workload, processors=4, block=64, seed=1):
@@ -291,3 +292,20 @@ class TestUnboundWorkloadContract:
         workload = LockingMicrobenchmark(num_locks=4, acquires_per_processor=1)
         with pytest.raises(WorkloadError, match="LockingMicrobenchmark"):
             workload.require_bound()
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            LockingMicrobenchmark(num_locks=4, acquires_per_processor=1),
+            TrafficWorkload(5),
+        ],
+        ids=lambda workload: type(workload).__name__,
+    )
+    def test_next_operation_before_bind_raises_workload_error(self, workload):
+        with pytest.raises(WorkloadError, match=type(workload).__name__):
+            workload.next_operation(0, 0)
+
+    def test_bound_workload_still_rejects_an_unknown_node(self):
+        workload = bind(TrafficWorkload(5), processors=2)
+        with pytest.raises(KeyError):
+            workload.next_operation(7, 0)

@@ -40,7 +40,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.9.0"
+#define CORE_VERSION "1.10.0"
 
 /* Class injected by repro.sim.scheduler via _init_classes(). */
 static PyObject *SimulationErrorClass = NULL;
@@ -895,10 +895,14 @@ cext_type_version(PyObject *Py_UNUSED(module), PyObject *cls)
 /* ---------------------------------------------------------------- LinkPush
  *
  * The compiled form of link_push in repro/interconnect/link.py: the
- * unit-cost "occupy the incoming link, then push the delivery entry" closure
- * shared by the ordered network's arrival path and the unordered network's
- * delivery path.  Calling it with a message performs the inlined
- * EndpointLink.transmit plus the scheduler bucket push, all in C.  The link
+ * "occupy the incoming link at a cost factor, then push the delivery entry"
+ * closure shared by the ordered network's arrival path (a broadcast at the
+ * network's broadcast cost factor, anything else at unit cost) and the
+ * unordered network's delivery path (unit cost).  Calling it with a message
+ * performs the inlined EndpointLink.transmit plus the scheduler bucket
+ * push, all in C.  The factor is held as NULL at unit cost, so the
+ * occupancy memo is keyed by size there and by (size, factor) otherwise,
+ * as EndpointLink.transmit keys it.  The link
  * stays the source of truth for its scalars: they are read and written in
  * the link's own slots, so reset, the Python transmit path and the
  * busy-time queries observe every update.
@@ -924,8 +928,8 @@ static SlotLayout link_layout;
 
 /* EndpointLink.transmit(now, message.size_bytes, factor) on `link`, whose
  * scalars live at `slots` and whose occupancy memo is `occupancy`; `factor`
- * is NULL for a unit-cost transfer, else the network's broadcast cost
- * factor (a value that is not 1): 1 with *done_obj (a new reference) the
+ * is NULL for a unit-cost transfer, else the broadcast cost factor (a value
+ * that is not 1): 1 with *done_obj (a new reference) the
  * cycle the transfer completes, 0 when the message is not exactly the
  * stock Message or a scalar is not a plain int (nothing written; the
  * caller takes the pure code), -1 on error.  Every read and check precedes
@@ -1016,7 +1020,8 @@ typedef struct {
     PyObject *occupancy; /* link._occupancy_cache (dict) */
     PyObject *deliver;   /* delivery callable */
     PyObject *label;     /* delivery label */
-    PyObject *factory;   /* builds the pure closure from the four above */
+    PyObject *factory;   /* builds the pure closure from the fields above */
+    PyObject *factor;    /* cost factor, NULL at unit cost */
     PyObject *fallback;  /* that closure, or NULL until first needed */
     Py_ssize_t slots[LINK_SLOTS];
 } LinkPushObject;
@@ -1028,12 +1033,20 @@ static PyObject *LinkPush_vectorcall(LinkPushObject *self,
 static int
 LinkPush_init(LinkPushObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *sched, *link, *deliver, *label, *factory;
+    PyObject *sched, *link, *deliver, *label, *factory, *factor = NULL;
     static char *kwlist[] = {"scheduler", "link", "deliver", "label",
-                             "factory", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO", kwlist, &sched,
-                                     &link, &deliver, &label, &factory))
+                             "factory", "factor", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO|O", kwlist, &sched,
+                                     &link, &deliver, &label, &factory,
+                                     &factor))
         return -1;
+    if (factor != NULL) {
+        int unit = PyObject_RichCompareBool(factor, float_one, Py_EQ);
+        if (unit < 0)
+            return -1;
+        if (unit)
+            factor = NULL;
+    }
     if (!Scheduler_CheckExactBase(sched)) {
         PyErr_SetString(PyExc_TypeError,
                         "LinkPush requires a compiled SchedulerBase");
@@ -1058,6 +1071,7 @@ LinkPush_init(LinkPushObject *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->deliver, Py_NewRef(deliver));
     Py_XSETREF(self->label, Py_NewRef(label));
     Py_XSETREF(self->factory, Py_NewRef(factory));
+    Py_XSETREF(self->factor, Py_XNewRef(factor));
     Py_CLEAR(self->fallback);
     self->vectorcall = (vectorcallfunc)LinkPush_vectorcall;
     return 0;
@@ -1072,6 +1086,7 @@ LinkPush_traverse(LinkPushObject *self, visitproc visit, void *arg)
     Py_VISIT(self->deliver);
     Py_VISIT(self->label);
     Py_VISIT(self->factory);
+    Py_VISIT(self->factor);
     Py_VISIT(self->fallback);
     return 0;
 }
@@ -1085,6 +1100,7 @@ LinkPush_clear(LinkPushObject *self)
     Py_CLEAR(self->deliver);
     Py_CLEAR(self->label);
     Py_CLEAR(self->factory);
+    Py_CLEAR(self->factor);
     Py_CLEAR(self->fallback);
     return 0;
 }
@@ -1102,9 +1118,10 @@ static PyObject *
 link_push_fallback(LinkPushObject *self, PyObject *message)
 {
     if (self->fallback == NULL) {
-        PyObject *argv[4] = {(PyObject *)self->sched, self->link,
-                             self->deliver, self->label};
-        PyObject *closure = PyObject_Vectorcall(self->factory, argv, 4, NULL);
+        PyObject *argv[5] = {(PyObject *)self->sched, self->link,
+                             self->deliver, self->label, self->factor};
+        PyObject *closure = PyObject_Vectorcall(
+            self->factory, argv, self->factor == NULL ? 4 : 5, NULL);
         if (closure == NULL)
             return NULL;
         Py_XSETREF(self->fallback, closure);
@@ -1121,7 +1138,7 @@ LinkPush_vectorcall(LinkPushObject *self, PyObject *const *args,
     PyObject *message = args[0];
     PyObject *done_obj;
     int rc = link_transmit(self->link, self->slots, self->occupancy, message,
-                           NULL, self->sched->now, &done_obj);
+                           self->factor, self->sched->now, &done_obj);
     if (rc == 0)
         return link_push_fallback(self, message);
     if (rc < 0)
@@ -1142,7 +1159,7 @@ static PyTypeObject LinkPush_Type = {
     .tp_call = PyVectorcall_Call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
                 Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_doc = "Compiled unit-cost link-occupancy + delivery-push closure.",
+    .tp_doc = "Compiled link-occupancy + delivery-push closure.",
     .tp_traverse = (traverseproc)LinkPush_traverse,
     .tp_clear = (inquiry)LinkPush_clear,
     .tp_init = (initproc)LinkPush_init,

@@ -9,6 +9,7 @@ Experiment drivers construct these and hand them to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -150,14 +151,16 @@ class SystemConfig:
             raise ConfigurationError(
                 f"need at least 2 processors, got {self.num_processors}"
             )
-        if self.bandwidth_mb_per_second <= 0:
+        # Written so that NaN fails each test (every comparison with NaN is
+        # False) instead of slipping through to the first link transfer.
+        if not self.bandwidth_mb_per_second > 0:
             raise ConfigurationError(
                 "bandwidth_mb_per_second must be positive, got "
                 f"{self.bandwidth_mb_per_second}"
             )
-        if self.broadcast_cost_factor < 1.0:
+        if not 1.0 <= self.broadcast_cost_factor < math.inf:
             raise ConfigurationError(
-                "broadcast_cost_factor must be >= 1, got "
+                "broadcast_cost_factor must be finite and >= 1, got "
                 f"{self.broadcast_cost_factor}"
             )
         if self.cache_capacity_blocks < 1:

@@ -12,13 +12,14 @@ A link's state is O(1): besides its running totals it keeps only the current
 busy period (back-to-back transfers merge into one period) and the busy total
 before it.  That answers every present-time utilization query exactly; the
 link keeps no history before the current period.  This module owns the format:
-the unit-cost push closure below and its C mirror (``LinkPush`` in
+the push closure below (any cost factor) and its C mirror (``LinkPush`` in
 ``repro/_core/_cext.c``, which reads and writes the scalars in the class's
 slots) are the only other code that touches it.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappush as _heappush
 from typing import Callable, Dict, Optional, Tuple
 
@@ -45,7 +46,7 @@ class EndpointLink:
     )
 
     def __init__(self, name: str, bytes_per_cycle: float) -> None:
-        if bytes_per_cycle <= 0:
+        if not bytes_per_cycle > 0:
             raise NetworkError(
                 f"link {name!r} bandwidth must be positive, got {bytes_per_cycle}"
             )
@@ -86,8 +87,10 @@ class EndpointLink:
             return cached
         if size_bytes <= 0:
             raise NetworkError(f"message size must be positive, got {size_bytes}")
-        if cost_factor < 1.0:
-            raise NetworkError(f"cost factor must be >= 1, got {cost_factor}")
+        if not 1.0 <= cost_factor < math.inf:
+            raise NetworkError(
+                f"cost factor must be finite and >= 1, got {cost_factor}"
+            )
         cycles = transfer_cycles(size_bytes * cost_factor, self.bytes_per_cycle)
         self._occupancy_cache[(size_bytes, cost_factor)] = cycles
         return cycles
@@ -100,19 +103,15 @@ class EndpointLink:
         waits until the earlier transfers finish.
         """
         # Unit cost dominates, so it is cached under the bare size (an int key
-        # hashes in C and needs no tuple allocation); other cost factors fall
-        # back to the (size, cost) tuple key.  The two key shapes cannot
-        # collide in the shared dict.
-        cache = self._occupancy_cache
-        if cost_factor == 1.0:
-            cycles = cache.get(size_bytes)
-            if cycles is None:
-                cycles = self.occupancy_cycles(size_bytes, cost_factor)
-                cache[size_bytes] = cycles
-        else:
-            cycles = cache.get((size_bytes, cost_factor))
-            if cycles is None:
-                cycles = self.occupancy_cycles(size_bytes, cost_factor)
+        # hashes in C and needs no tuple allocation); other cost factors use
+        # the (size, cost) tuple key.  The two key shapes cannot collide in
+        # the shared dict.
+        key = size_bytes if cost_factor == 1.0 else (size_bytes, cost_factor)
+        cycles = self._occupancy_cache.get(key)
+        if cycles is None:
+            cycles = self._occupancy_cache[key] = self.occupancy_cycles(
+                size_bytes, cost_factor
+            )
         busy_until = self._busy_until
         if now > busy_until:
             # The link was idle: a new busy period opens.
@@ -135,7 +134,7 @@ class EndpointLink:
         stay valid.
         """
         if bytes_per_cycle is not None and bytes_per_cycle != self.bytes_per_cycle:
-            if bytes_per_cycle <= 0:
+            if not bytes_per_cycle > 0:
                 raise NetworkError(
                     f"link {self.name!r} bandwidth must be positive, "
                     f"got {bytes_per_cycle}"
@@ -181,22 +180,28 @@ def interconnect_accelerator(scheduler):
 
 
 def link_push(
-    scheduler, link: EndpointLink, deliver: Callable, label: str
+    scheduler,
+    link: EndpointLink,
+    deliver: Callable,
+    label: str,
+    factor: float = 1.0,
 ) -> Callable:
-    """The unit-cost "occupy ``link``, then schedule ``deliver``" closure.
+    """The "occupy ``link`` at cost ``factor``, then schedule ``deliver``" closure.
 
     Calling it with a message transmits the message on ``link`` at the
-    scheduler's current cycle (:meth:`EndpointLink.transmit` inlined, unit
-    cost) and pushes the delivery event ``(done, sequence, deliver, label,
-    message)`` straight into the scheduler's bucket queue.  The ordered
-    network's arrivals and the unordered network's deliveries both run it —
-    a broadcast fan-out once per recipient, making it the hottest code in the
-    repository.  On a compiled scheduler it is the C ``LinkPush`` object,
-    which performs the same steps and hands any message that is not exactly
-    a :class:`Message` to the pure closure (:func:`_push_closure`, built on
-    first use).  A link class that does not keep its scalars in plain slots
-    keeps the pure closure outright (recorded as a ``<LinkClass>.link_push``
-    decline).
+    scheduler's current cycle (:meth:`EndpointLink.transmit` inlined, with
+    its occupancy memo keyed the same way: by size at unit cost, by ``(size,
+    factor)`` otherwise) and pushes the delivery event ``(done, sequence,
+    deliver, label, message)`` straight into the scheduler's bucket queue.
+    The ordered network's arrivals (a broadcast at the network's broadcast
+    cost factor, anything else at unit cost) and the unordered network's
+    deliveries (always unit cost) all run it — a broadcast fan-out once per
+    recipient, making it the hottest code in the repository.  On a compiled
+    scheduler it is the C ``LinkPush`` object, which performs the same steps
+    and hands any message that is not exactly a :class:`Message` to the pure
+    closure (:func:`_push_closure`, built on first use).  A link class that
+    does not keep its scalars in plain slots keeps the pure closure outright
+    (recorded as a ``<LinkClass>.link_push`` decline).
 
     It holds only objects that survive a system reset (the link, its occupancy
     memo dict, the scheduler's containers), so it stays valid across resets.
@@ -204,15 +209,21 @@ def link_push(
     accel = interconnect_accelerator(scheduler)
     if accel is not None:
         try:
-            return accel.LinkPush(scheduler, link, deliver, label, _push_closure)
+            return accel.LinkPush(
+                scheduler, link, deliver, label, _push_closure, factor
+            )
         except TypeError:
             # The link's scalars are not plain object slots.
             note_handler_selection(f"{type(link).__name__}.link_push", "declined")
-    return _push_closure(scheduler, link, deliver, label)
+    return _push_closure(scheduler, link, deliver, label, factor)
 
 
 def _push_closure(
-    scheduler, link: EndpointLink, deliver: Callable, label: str
+    scheduler,
+    link: EndpointLink,
+    deliver: Callable,
+    label: str,
+    factor: float = 1.0,
 ) -> Callable:
     """The pure-Python :func:`link_push` closure."""
     buckets = scheduler._buckets
@@ -220,12 +231,14 @@ def _push_closure(
     times = scheduler._times
     occupancy = link._occupancy_cache
     occupancy_get = occupancy.get
+    unit = factor == 1.0
 
     def push(message) -> None:
         size = message.size_bytes
-        cycles = occupancy_get(size)
+        key = size if unit else (size, factor)
+        cycles = occupancy_get(key)
         if cycles is None:
-            cycles = occupancy[size] = link.occupancy_cycles(size)
+            cycles = occupancy[key] = link.occupancy_cycles(size, factor)
         now = scheduler.now
         busy_until = link._busy_until
         if now > busy_until:

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet
 
 from ..common.config import SystemConfig
 from ..common.stats import StatsRegistry
 from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
 from .link import LinkPair
-from .message import Message
-from .ordered_network import OrderedHandler, TotallyOrderedNetwork
-from .unordered_network import UnorderedHandler, UnorderedNetwork
+from .ordered_network import TotallyOrderedNetwork
+from .unordered_network import UnorderedNetwork
 
 
 class Interconnect:
@@ -81,18 +80,6 @@ class Interconnect:
         self.ordered.reset(config.broadcast_cost_factor)
         self.unordered.reset()
 
-    def register_node(
-        self,
-        node_id: int,
-        ordered_handler: OrderedHandler,
-        unordered_handler: UnorderedHandler,
-    ) -> None:
-        """Attach a node's delivery handlers to both virtual networks."""
-        if node_id not in self.links:
-            raise NetworkError(f"node {node_id} is outside this interconnect")
-        self.ordered.register(node_id, ordered_handler)
-        self.unordered.register(node_id, unordered_handler)
-
     def attach_node(self, node_id: int, dispatcher: object) -> None:
         """Attach a node's compiled dispatch tables to both virtual networks.
 
@@ -105,18 +92,6 @@ class Interconnect:
             raise NetworkError(f"node {node_id} is outside this interconnect")
         self.ordered.register_dispatcher(node_id, dispatcher)
         self.unordered.register_dispatcher(node_id, dispatcher)
-
-    def send_ordered(self, message: Message, recipients: Iterable[int]) -> None:
-        """Send a request on the totally ordered network."""
-        self.ordered.send(message, frozenset(recipients))
-
-    def broadcast(self, message: Message) -> None:
-        """Send a request to every node on the totally ordered network."""
-        self.ordered.send(message, self.all_nodes)
-
-    def send_unordered(self, message: Message) -> None:
-        """Send a point-to-point message on the unordered network."""
-        self.unordered.send(message)
 
     def mean_endpoint_utilization(self, now: int) -> float:
         """Average endpoint-link utilization over ``[0, now)`` (Figure 6).

@@ -17,13 +17,12 @@ property the protocols depend on to avoid explicit acknowledgements.
 Delivery is table-driven: a node registered through :meth:`register_dispatcher`
 exposes compiled per-message-type entries (see :class:`repro.system.node.Node`)
 that the network schedules *directly* — the fired delivery event runs the
-protocol handler with no node-level dispatch frame.  Plain callables
-(:meth:`register`) remain supported for tests and tools.  This module sits on
+protocol handler with no node-level dispatch frame.  This module sits on
 the simulator's hottest path, so the per-hop pipeline is compiled once per
-``(message type, node)`` into closures that share the scheduler's fast-path
-heap representation (``(time, sequence, callback, label, arg)`` — see
-:mod:`repro.sim.scheduler`) and push entries at link transmit times, which
-never precede ``now``.
+``(message type, node, cost factor)`` into closures that share the
+scheduler's fast-path heap representation (``(time, sequence, callback,
+label, arg)`` — see :mod:`repro.sim.scheduler`) and push entries at link
+transmit times, which never precede ``now``.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
 from .link import EndpointLink, LinkPair, interconnect_accelerator, link_push
 from .message import Message, MessageType
-
-#: Signature of a node's handler for ordered (request network) deliveries.
-OrderedHandler = Callable[[Message], None]
-
 
 @stock
 class TotallyOrderedNetwork:
@@ -64,23 +59,22 @@ class TotallyOrderedNetwork:
         self.traversal_cycles = traversal_cycles
         self.stats = stats
         self.broadcast_cost_factor = broadcast_cost_factor
-        self._handlers: Dict[int, OrderedHandler] = {}
         self._dispatchers: Dict[int, object] = {}
         self._order_sequence = 0
         self._node_ids: FrozenSet[int] = frozenset(links)
         # Hot-path caches: stat handles hoisted out of the per-message path,
-        # memoised inject labels, and per-(type, node) compiled arrival
-        # closures (each carries its labels, incoming link and resolved
-        # delivery entry, so the broadcast fan-out allocates nothing per
-        # recipient and the delivery event fires the protocol handler
-        # directly).
+        # memoised inject labels, and per-(type, node, cost factor) compiled
+        # arrival closures (each carries its labels, incoming link, cost
+        # factor and resolved delivery entry, so the broadcast fan-out
+        # allocates nothing per recipient and the delivery event fires the
+        # protocol handler directly).
         self._messages_counter = stats.counter("network.ordered.messages")
         self._broadcasts_counter = stats.counter("network.ordered.broadcasts")
         self._multicasts_counter = stats.counter("network.ordered.multicasts")
         self._out_transmit: Dict[int, Callable] = {}
         self._inject_labels: Dict[MessageType, str] = {}
         self._arrive_entries: Dict[
-            Tuple[MessageType, int], Tuple[str, Callable[[Message], None]]
+            Tuple[MessageType, int, float], Tuple[str, Callable[[Message], None]]
         ] = {}
         # Recipient sets recur (all-nodes broadcasts, {home, requester}
         # dualcasts), and frozensets cache their hash, so memoising the sorted
@@ -91,8 +85,8 @@ class TotallyOrderedNetwork:
         self._fanout_memo: Dict[object, Tuple[Tuple[Callable, str], ...]] = {}
         # Compiled-backend accelerator (repro._core._cext) when the scheduler
         # is a compiled instance, else None: C replacements for the send,
-        # the switch entry and the unit-cost arrival closures below — same
-        # entries, same ordering, no bytecode.
+        # the switch entry and the arrival closures below — same entries,
+        # same ordering, no bytecode.
         self._accel = interconnect_accelerator(scheduler)
         self._enter_switch_callback = self._compile_enter_switch()
         self._send_callback = self._compile_send()
@@ -108,8 +102,9 @@ class TotallyOrderedNetwork:
         The global order restarts from sequence zero.  Compiled arrival
         closures are kept — they capture only objects that survive a system
         reset (links, scheduler, delivery entries) — unless the broadcast
-        cost factor changes, which is baked into each closure and forces a
-        recompile.
+        cost factor changes: broadcast arrivals hold it, so a change drops
+        the arrivals and the fan-outs resolved from them, and the next
+        fan-outs rebuild them.
         """
         self._order_sequence = 0
         if (
@@ -124,14 +119,6 @@ class TotallyOrderedNetwork:
         self._arrive_entries.clear()
         self._fanout_memo.clear()
 
-    def register(self, node_id: int, handler: OrderedHandler) -> None:
-        """Register a plain delivery callable for ``node_id``."""
-        if node_id not in self.links:
-            raise NetworkError(f"node {node_id} has no endpoint link")
-        self._handlers[node_id] = handler
-        self._dispatchers.pop(node_id, None)
-        self._invalidate_compiled()
-
     def register_dispatcher(self, node_id: int, dispatcher: object) -> None:
         """Register a node whose compiled dispatch entries are indexed directly.
 
@@ -141,7 +128,6 @@ class TotallyOrderedNetwork:
         if node_id not in self.links:
             raise NetworkError(f"node {node_id} has no endpoint link")
         self._dispatchers[node_id] = dispatcher
-        self._handlers.pop(node_id, None)
         self._invalidate_compiled()
         # Let the dispatcher invalidate our compiled copies of its entries
         # (Node.invalidate_dispatch_cache calls these after table swaps).
@@ -258,84 +244,54 @@ class TotallyOrderedNetwork:
         """Resolve and memoise the fan-out of ``msg_type`` to ``recipients``.
 
         One ``(arrival closure, label)`` pair per recipient, in delivery
-        (node id) order.
+        (node id) order.  A fan-out to every node is a broadcast, which is
+        how both sends set ``message.is_broadcast``; its arrivals occupy the
+        incoming links at the broadcast cost factor, any other fan-out's at
+        unit cost.  At a unit broadcast cost the two share their arrivals.
         """
         order = self._sorted_recipients.get(recipients)
         if order is None:
             order = tuple(sorted(recipients))
             self._sorted_recipients[recipients] = order
+        if len(recipients) == len(self._node_ids):
+            factor = self.broadcast_cost_factor
+        else:
+            factor = 1.0
         entries = self._arrive_entries
         resolved = []
         for node_id in order:
-            entry = entries.get((msg_type, node_id))
+            entry = entries.get((msg_type, node_id, factor))
             if entry is None:
-                entry = self._compile_arrival(msg_type, node_id)
+                entry = self._compile_arrival(msg_type, node_id, factor)
             resolved.append((entry[1], entry[0]))
         fanout = tuple(resolved)
         self._fanout_memo[(msg_type, recipients)] = fanout
         return fanout
 
     def _compile_arrival(
-        self, msg_type: MessageType, node_id: int
+        self, msg_type: MessageType, node_id: int, factor: float
     ) -> Tuple[str, Callable[[Message], None]]:
         """Build the arrival closure for one ``(message type, node)`` pair.
 
-        The closure queues the message on the recipient's incoming link and
-        schedules the resolved delivery entry; a node with neither dispatcher
-        nor handler registered compiles to an arrival that fails loudly when
-        it fires (matching the pre-compiled implementation's timing).
+        The closure is :func:`~repro.interconnect.link.link_push` on the
+        recipient's incoming link (C ``LinkPush`` on a compiled scheduler):
+        it occupies the link at cost ``factor`` (the broadcast cost factor
+        for a broadcast, 1 otherwise) and schedules the node's resolved
+        delivery entry.  A node with no dispatcher registered raises
+        :class:`NetworkError`.
         """
-        deliver = self._resolve_delivery(msg_type, node_id)
-        arrive_label = f"ordered-arrive:{msg_type}:n{node_id}"
-        deliver_label = f"ordered-deliver:{msg_type}:n{node_id}"
-        in_link = self.links[node_id].incoming
-        scheduler = self.scheduler
-        broadcast_cost = self.broadcast_cost_factor
-
-        if deliver is None:
-
-            def arrive(message: Message) -> None:
-                raise NetworkError(
-                    f"no ordered handler registered for node {node_id}"
-                )
-
-        elif broadcast_cost == 1.0:
-            # Unit broadcast cost (the default): every message on this link
-            # costs occupancy_cycles(size), so the shared unit-cost push
-            # closure applies (C LinkPush on a compiled scheduler).  A changed
-            # broadcast cost factor recompiles it (Interconnect.reset).
-            arrive = link_push(scheduler, in_link, deliver, deliver_label)
-
-        else:
-            buckets = scheduler._buckets
-            buckets_get = buckets.get
-            times = scheduler._times
-            transmit = in_link.transmit
-
-            def arrive(message: Message) -> None:
-                done = transmit(
-                    scheduler.now,
-                    message.size_bytes,
-                    broadcast_cost if message.is_broadcast else 1.0,
-                )
-                sequence = scheduler._sequence
-                scheduler._sequence = sequence + 1
-                entry = (done, sequence, deliver, deliver_label, message)
-                bucket = buckets_get(done)
-                if bucket is None:
-                    buckets[done] = [entry]
-                    _heappush(times, done)
-                else:
-                    bucket.append(entry)
-
-        entry = (arrive_label, arrive)
-        self._arrive_entries[(msg_type, node_id)] = entry
-        return entry
-
-    def _resolve_delivery(
-        self, msg_type: MessageType, node_id: int
-    ) -> Optional[Callable[[Message], None]]:
         dispatcher = self._dispatchers.get(node_id)
-        if dispatcher is not None:
-            return dispatcher.ordered_entry(msg_type)
-        return self._handlers.get(node_id)
+        if dispatcher is None:
+            raise NetworkError(f"no ordered dispatcher registered for node {node_id}")
+        entry = (
+            f"ordered-arrive:{msg_type}:n{node_id}",
+            link_push(
+                self.scheduler,
+                self.links[node_id].incoming,
+                dispatcher.ordered_entry(msg_type),
+                f"ordered-deliver:{msg_type}:n{node_id}",
+                factor,
+            ),
+        )
+        self._arrive_entries[(msg_type, node_id, factor)] = entry
+        return entry

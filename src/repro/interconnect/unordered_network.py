@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from heapq import heappush as _heappush
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .._core import is_stock, note_handler_selection, stock
 from ..common.stats import StatsRegistry
@@ -26,10 +26,6 @@ from ..errors import NetworkError
 from ..sim.scheduler import Scheduler
 from .link import EndpointLink, LinkPair, interconnect_accelerator, link_push
 from .message import DestinationUnit, Message, MessageType
-
-#: Signature of a node's handler for unordered (point-to-point) deliveries.
-UnorderedHandler = Callable[[Message], None]
-
 
 @stock
 class UnorderedNetwork:
@@ -50,7 +46,6 @@ class UnorderedNetwork:
         self.links = links
         self.traversal_cycles = traversal_cycles
         self.stats = stats
-        self._handlers: Dict[int, UnorderedHandler] = {}
         self._dispatchers: Dict[int, object] = {}
         # Hot-path caches mirroring the ordered network's (see there): the
         # injection entry per message type carries the inject label and a
@@ -82,14 +77,6 @@ class UnorderedNetwork:
         and exists to keep the reset protocol uniform across both networks.
         """
 
-    def register(self, node_id: int, handler: UnorderedHandler) -> None:
-        """Register a plain delivery callable for ``node_id``."""
-        if node_id not in self.links:
-            raise NetworkError(f"node {node_id} has no endpoint link")
-        self._handlers[node_id] = handler
-        self._dispatchers.pop(node_id, None)
-        self._deliver_entries.clear()
-
     def register_dispatcher(self, node_id: int, dispatcher: object) -> None:
         """Register a node whose compiled dispatch entries are indexed directly.
 
@@ -99,7 +86,6 @@ class UnorderedNetwork:
         if node_id not in self.links:
             raise NetworkError(f"node {node_id} has no endpoint link")
         self._dispatchers[node_id] = dispatcher
-        self._handlers.pop(node_id, None)
         self._deliver_entries.clear()
         # Let the dispatcher invalidate our compiled copies of its entries
         # (Node.invalidate_dispatch_cache calls these after table swaps).
@@ -239,9 +225,10 @@ class UnorderedNetwork:
         (ordered messages, which *can* be parked in deferred/held queues, are
         never recycled).
         """
-        deliver = self._resolve_delivery(msg_type, dest, dest_unit)
-        if deliver is None:
-            raise NetworkError(f"no unordered handler registered for node {dest}")
+        dispatcher = self._dispatchers.get(dest)
+        if dispatcher is None:
+            raise NetworkError(f"no unordered dispatcher registered for node {dest}")
+        deliver = dispatcher.unordered_entry(dest_unit, msg_type)
         arena = getattr(self.scheduler, "arena", None)
         if arena is not None and not getattr(deliver, "releases_message", False):
             # A compiled entry that advertises releases_message has the
@@ -260,11 +247,3 @@ class UnorderedNetwork:
         entry = (label, deliver, occupy)
         self._deliver_entries[(msg_type, dest, dest_unit)] = entry
         return entry
-
-    def _resolve_delivery(
-        self, msg_type: MessageType, dest: int, dest_unit: DestinationUnit
-    ) -> Optional[Callable[[Message], None]]:
-        dispatcher = self._dispatchers.get(dest)
-        if dispatcher is not None:
-            return dispatcher.unordered_entry(dest_unit, msg_type)
-        return self._handlers.get(dest)

@@ -232,7 +232,7 @@ class BashCacheController(SnoopingCacheController):
         self.count("nacks")
         self.stats.counter("system.nacks").increment()
         reissue = self._build_request_message(transaction, transaction.kind)
-        self.interconnect.send_ordered(reissue, self.interconnect.all_nodes)
+        self._ordered_send(reissue, self.interconnect.all_nodes)
 
     def _matching_transaction(self, message: Message) -> Optional[Transaction]:
         transaction = self.transactions.get(message.address)

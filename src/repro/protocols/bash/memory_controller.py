@@ -113,7 +113,7 @@ class BashMemoryController(OrderedHomeMemoryController):
         retry.src = self.node_id
         self.schedule_fast(
             self.config.latency.dram_access,
-            lambda: self.interconnect.send_ordered(retry, recipients),
+            lambda: self._ordered_send(retry, recipients),
             "bash-retry",
         )
 
@@ -140,4 +140,4 @@ class BashMemoryController(OrderedHomeMemoryController):
             transaction_id=message.transaction_id,
             issue_time=self.now,
         )
-        self.interconnect.send_unordered(nack)
+        self._unordered_send(nack)

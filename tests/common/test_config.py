@@ -99,3 +99,15 @@ class TestSystemConfig:
             SystemConfig(broadcast_cost_factor=0.5)
         with pytest.raises(ConfigurationError):
             SystemConfig(cache_capacity_blocks=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("broadcast_cost_factor", float("nan")),
+            ("broadcast_cost_factor", float("inf")),
+            ("bandwidth_mb_per_second", float("nan")),
+        ],
+    )
+    def test_non_finite_link_parameters_are_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**{field: value})

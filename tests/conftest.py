@@ -69,6 +69,21 @@ def small_config(
     )
 
 
+class StubDispatcher:
+    """A node stand-in for the networks: every ordered delivery runs
+    ``ordered`` and every point-to-point delivery runs ``unordered``."""
+
+    def __init__(self, ordered, unordered) -> None:
+        self._ordered = ordered
+        self._unordered = unordered
+
+    def ordered_entry(self, msg_type):
+        return self._ordered
+
+    def unordered_entry(self, dest_unit, msg_type):
+        return self._unordered
+
+
 def run_microbenchmark(
     protocol: ProtocolName,
     num_processors: int = 4,

@@ -28,7 +28,7 @@ from repro.protocols.bash.cache_controller import compile_sampler
 from repro.system.multiprocessor import MultiprocessorSystem
 from repro.workloads.microbenchmark import LockingMicrobenchmark
 
-from ..conftest import ALL_PROTOCOLS, small_config
+from ..conftest import ALL_PROTOCOLS, StubDispatcher, small_config
 
 pytestmark = pytest.mark.skipif(
     not _core.compiled_available(),
@@ -84,11 +84,17 @@ def deliver(message) -> None:  # pragma: no cover - never fired here
 PUSHES = ((0, 8), (0, 8), (3, 72), (500, 8), (500, 72), (9_000, 136))
 
 
-def replay(backend: str, link_cls=EndpointLink, message_cls=Message, bytes_carried=0):
+def replay(
+    backend: str,
+    link_cls=EndpointLink,
+    message_cls=Message,
+    bytes_carried=0,
+    factor=1.0,
+):
     scheduler = new_scheduler(backend)
     link = link_cls("node0.in", 8.0)
     link._bytes = bytes_carried
-    push = link_push(scheduler, link, deliver, "deliver:n0")
+    push = link_push(scheduler, link, deliver, "deliver:n0", factor)
     for msg_id, (now, size) in enumerate(PUSHES):
         scheduler.now = now
         push(message(size, cls=message_cls, msg_id=msg_id))
@@ -105,6 +111,28 @@ class TestLinkPush:
         # One entry per push, each one queued behind the last in its period.
         assert len(pure[1][0]) == len(PUSHES)
         assert pure[0][4] == len(PUSHES)
+
+    @pytest.mark.parametrize("factor", [4.0, 2.5])
+    def test_cost_factor_matches_the_pure_closure(self, factor):
+        """Occupancy at ``factor``, memoised under ``(size, factor)``."""
+        _, *pure = replay(_core.PURE, factor=factor)
+        c_push, *compiled = replay(_core.COMPILED, factor=factor)
+        assert type(c_push).__name__ == "LinkPush"
+        assert compiled == pure
+        _, *unit = replay(_core.PURE)
+        assert pure[0][1] > unit[0][1]  # busier than at unit cost
+        assert all(type(key) is tuple and key[1] == factor for key in pure[2])
+        # The same link occupancy EndpointLink.transmit gives.
+        link = EndpointLink("node0.in", 8.0)
+        for now, size in PUSHES:
+            link.transmit(now, size, factor)
+        assert link_state(link) == pure[0]
+
+    def test_unit_factor_is_the_unit_cost_push(self):
+        _, *unit = replay(_core.COMPILED)
+        _, *one = replay(_core.COMPILED, factor=1)
+        assert one == unit
+        assert {size for _, size in PUSHES} <= set(unit[2])  # keyed by size
 
     def test_scalar_past_the_c_range_takes_the_pure_closure(self):
         _, *pure = replay(_core.PURE, bytes_carried=2**70)
@@ -128,11 +156,16 @@ class TestLinkPush:
             def size_bytes(self, value):
                 Message.size_bytes.__set__(self, value)
 
-        _, *pure = replay(_core.PURE)
-        c_push, *compiled = replay(_core.COMPILED, message_cls=TracedMessage)
-        assert type(c_push).__name__ == "LinkPush"
-        assert compiled == pure
-        assert len(reads) == len(PUSHES)  # every push read through the property
+        for factor in (1.0, 4.0):
+            reads.clear()
+            _, *pure = replay(_core.PURE, factor=factor)
+            c_push, *compiled = replay(
+                _core.COMPILED, message_cls=TracedMessage, factor=factor
+            )
+            assert type(c_push).__name__ == "LinkPush"
+            assert compiled == pure
+            # every push read through the property
+            assert len(reads) == len(PUSHES)
 
     def test_link_with_a_shadowed_slot_declines_to_the_pure_closure(self):
         class ShadowedLink(EndpointLink):
@@ -178,10 +211,14 @@ def build_interconnect(backend: str, num_nodes: int = 4):
     interconnect = Interconnect(config, scheduler, StatsRegistry())
     log = []
     for node in range(num_nodes):
-        interconnect.register_node(
+        interconnect.attach_node(
             node,
-            lambda msg, n=node: log.append(("ordered", n, msg.msg_id, msg.order_seq)),
-            lambda msg, n=node: log.append(("unordered", n, msg.msg_id)),
+            StubDispatcher(
+                lambda msg, n=node: log.append(
+                    ("ordered", n, msg.msg_id, msg.order_seq)
+                ),
+                lambda msg, n=node: log.append(("unordered", n, msg.msg_id)),
+            ),
         )
     fired = []
     scheduler.on_fire = lambda time, label: fired.append((time, label))
@@ -197,12 +234,13 @@ def drive_networks(backend: str):
         ({1, 3}, MessageType.GETM),
     )
     for msg_id, (recipients, msg_type) in enumerate(sends):
-        interconnect.send_ordered(
-            message(msg_type=msg_type, src=msg_id % 4, msg_id=msg_id), recipients
+        interconnect.ordered.send(
+            message(msg_type=msg_type, src=msg_id % 4, msg_id=msg_id),
+            frozenset(recipients),
         )
     scheduler.run(until=40)
     for msg_id in range(10, 14):
-        interconnect.send_unordered(
+        interconnect.unordered.send(
             message(
                 72,
                 msg_type=MessageType.DATA,

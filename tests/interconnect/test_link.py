@@ -81,3 +81,19 @@ class TestEndpointLink:
             link.occupancy_cycles(0)
         with pytest.raises(NetworkError):
             link.occupancy_cycles(8, cost_factor=0.5)
+
+    @pytest.mark.parametrize("cost_factor", [float("nan"), float("inf")])
+    def test_non_finite_cost_factor_is_rejected(self, cost_factor):
+        link = EndpointLink("l", bytes_per_cycle=1.0)
+        with pytest.raises(NetworkError, match="cost factor"):
+            link.occupancy_cycles(8, cost_factor=cost_factor)
+        with pytest.raises(NetworkError, match="cost factor"):
+            link.transmit(now=0, size_bytes=8, cost_factor=cost_factor)
+        assert link.messages_carried == 0
+
+    def test_nan_bandwidth_is_rejected(self):
+        with pytest.raises(NetworkError, match="bandwidth"):
+            EndpointLink("l", bytes_per_cycle=float("nan"))
+        link = EndpointLink("l", bytes_per_cycle=1.0)
+        with pytest.raises(NetworkError, match="bandwidth"):
+            link.reset(bytes_per_cycle=float("nan"))

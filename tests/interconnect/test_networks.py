@@ -9,6 +9,8 @@ from repro.interconnect.message import DestinationUnit, Message, MessageType
 from repro.interconnect.network import Interconnect
 from repro.sim.scheduler import Scheduler
 
+from ..conftest import StubDispatcher
+
 
 def make_interconnect(num_nodes=4, bandwidth=100_000.0, broadcast_cost_factor=1.0):
     config = SystemConfig(
@@ -21,12 +23,18 @@ def make_interconnect(num_nodes=4, bandwidth=100_000.0, broadcast_cost_factor=1.
     interconnect = Interconnect(config, scheduler, stats)
     deliveries = {n: [] for n in range(num_nodes)}
     for node in range(num_nodes):
-        interconnect.register_node(
+        interconnect.attach_node(
             node,
-            lambda msg, n=node: deliveries[n].append(("ordered", msg)),
-            lambda msg, n=node: deliveries[n].append(("unordered", msg)),
+            StubDispatcher(
+                lambda msg, n=node: deliveries[n].append(("ordered", msg)),
+                lambda msg, n=node: deliveries[n].append(("unordered", msg)),
+            ),
         )
     return config, scheduler, interconnect, deliveries
+
+
+def broadcast(interconnect, message):
+    interconnect.ordered.send(message, interconnect.all_nodes)
 
 
 def request(src, address=0, msg_type=MessageType.GETM, dest=None):
@@ -44,13 +52,13 @@ def request(src, address=0, msg_type=MessageType.GETM, dest=None):
 class TestOrderedNetwork:
     def test_broadcast_reaches_every_node(self):
         _, scheduler, interconnect, deliveries = make_interconnect()
-        interconnect.broadcast(request(src=0))
+        broadcast(interconnect, request(src=0))
         scheduler.run()
         assert all(len(deliveries[n]) == 1 for n in range(4))
 
     def test_multicast_reaches_only_recipients(self):
         _, scheduler, interconnect, deliveries = make_interconnect()
-        interconnect.send_ordered(request(src=1), recipients={0, 1})
+        interconnect.ordered.send(request(src=1), frozenset({0, 1}))
         scheduler.run()
         assert len(deliveries[0]) == 1
         assert len(deliveries[1]) == 1
@@ -59,7 +67,7 @@ class TestOrderedNetwork:
     def test_total_order_is_consistent_across_nodes(self):
         _, scheduler, interconnect, deliveries = make_interconnect(bandwidth=200.0)
         for src in range(4):
-            interconnect.broadcast(request(src=src, address=src * 64))
+            broadcast(interconnect, request(src=src, address=src * 64))
         scheduler.run()
         orders = []
         for node in range(4):
@@ -72,15 +80,15 @@ class TestOrderedNetwork:
 
     def test_order_seq_assigned_monotonically(self):
         _, scheduler, interconnect, deliveries = make_interconnect()
-        interconnect.broadcast(request(src=0))
-        interconnect.broadcast(request(src=1))
+        broadcast(interconnect, request(src=0))
+        broadcast(interconnect, request(src=1))
         scheduler.run()
         seqs = [msg.order_seq for _, msg in deliveries[2]]
         assert seqs == [0, 1]
 
     def test_fixed_traversal_latency(self):
         config, scheduler, interconnect, deliveries = make_interconnect()
-        interconnect.broadcast(request(src=0))
+        broadcast(interconnect, request(src=0))
         scheduler.run()
         # One out-link cycle + 50 traversal + one in-link cycle.
         assert scheduler.now == pytest.approx(config.latency.network_traversal + 2)
@@ -88,17 +96,26 @@ class TestOrderedNetwork:
     def test_requires_recipients_and_known_nodes(self):
         _, scheduler, interconnect, _ = make_interconnect()
         with pytest.raises(NetworkError):
-            interconnect.send_ordered(request(src=0), recipients=set())
+            interconnect.ordered.send(request(src=0), frozenset())
         with pytest.raises(NetworkError):
-            interconnect.send_ordered(request(src=0), recipients={99})
+            interconnect.ordered.send(request(src=0), frozenset({99}))
+
+    def test_node_without_a_dispatcher_fails_loudly(self):
+        scheduler = Scheduler()
+        interconnect = Interconnect(
+            SystemConfig(num_processors=2), scheduler, StatsRegistry()
+        )
+        broadcast(interconnect, request(src=0))
+        with pytest.raises(NetworkError, match="no ordered dispatcher"):
+            scheduler.run()
 
     def test_broadcast_cost_factor_slows_broadcasts_only(self):
         _, sched_plain, icn_plain, _ = make_interconnect(bandwidth=800.0)
         _, sched_costly, icn_costly, _ = make_interconnect(
             bandwidth=800.0, broadcast_cost_factor=4.0
         )
-        icn_plain.broadcast(request(src=0))
-        icn_costly.broadcast(request(src=0))
+        broadcast(icn_plain, request(src=0))
+        broadcast(icn_costly, request(src=0))
         sched_plain.run()
         sched_costly.run()
         assert sched_costly.now > sched_plain.now
@@ -109,21 +126,30 @@ class TestUnorderedNetwork:
         _, scheduler, interconnect, deliveries = make_interconnect()
         message = request(src=0, dest=2, msg_type=MessageType.DATA)
         message.dest_unit = DestinationUnit.CACHE
-        interconnect.send_unordered(message)
+        interconnect.unordered.send(message)
         scheduler.run()
         assert len(deliveries[2]) == 1
         kind, delivered = deliveries[2][0]
         assert kind == "unordered"
         assert delivered.msg_type is MessageType.DATA
 
+    def test_node_without_a_dispatcher_fails_loudly(self):
+        scheduler = Scheduler()
+        interconnect = Interconnect(
+            SystemConfig(num_processors=2), scheduler, StatsRegistry()
+        )
+        interconnect.unordered.send(request(src=0, dest=1, msg_type=MessageType.DATA))
+        with pytest.raises(NetworkError, match="no unordered dispatcher"):
+            scheduler.run()
+
     def test_requires_destination(self):
         _, _, interconnect, _ = make_interconnect()
         with pytest.raises(NetworkError):
-            interconnect.send_unordered(request(src=0, dest=None))
+            interconnect.unordered.send(request(src=0, dest=None))
 
     def test_mean_endpoint_utilization(self):
         _, scheduler, interconnect, _ = make_interconnect(bandwidth=800.0)
-        interconnect.broadcast(request(src=0))
+        broadcast(interconnect, request(src=0))
         scheduler.run()
         assert 0.0 < interconnect.mean_endpoint_utilization(scheduler.now) <= 1.0
 

@@ -31,7 +31,12 @@ from repro.system.sequencer import Sequencer
 from repro.workloads.microbenchmark import LockingMicrobenchmark
 from repro.workloads.synthetic import SyntheticCommercialWorkload
 
-from ..conftest import ALL_PROTOCOLS, run_microbenchmark, small_config
+from ..conftest import (
+    ALL_PROTOCOLS,
+    FAST_ADAPTIVE,
+    run_microbenchmark,
+    small_config,
+)
 
 needs_compiled = pytest.mark.skipif(
     not _core.compiled_available(),
@@ -299,11 +304,11 @@ class TestStepSendsThroughTheNetwork:
     def test_expensive_broadcasts_stay_in_c(self, protocol):
         """At 4x cost ``OrderedSend`` occupies the link itself.
 
-        The pure send runs once per request the step issues; the compiled
-        run enters it only on the network's first send of each request type
-        (its label memo miss), exactly as at unit cost.  BASH retries are
-        not the step's sends (``Interconnect.send_ordered`` makes them in
-        Python on both backends), so they are not counted.
+        The pure send runs once per request sent; the compiled run enters
+        it only on the network's first send of each request type (its label
+        memo miss), exactly as at unit cost.  BASH retries and NACK
+        reissues count too: the controllers send them through the same
+        bound ``_ordered_send``.
         """
         code = TotallyOrderedNetwork.send.__code__
         observed, requests = {}, {}
@@ -312,9 +317,7 @@ class TestStepSendsThroughTheNetwork:
 
             def profile(frame, event, arg, sends=sends):
                 if event == "call" and frame.f_code is code:
-                    message = frame.f_locals["message"]
-                    if not message.is_retry:
-                        _record_requests(sends, message)
+                    _record_requests(sends, frame.f_locals["message"])
 
             with _core.use_backend(backend):
                 system = _send_system(protocol, broadcast_cost_factor=4.0)
@@ -327,6 +330,49 @@ class TestStepSendsThroughTheNetwork:
         assert observed["compiled"] == observed["pure"]
         assert len(requests["compiled"]) <= len(REQUEST_KINDS)
         assert len(requests["pure"]) > 100
+
+    @pytest.mark.parametrize("cost", [1.0, 4.0])
+    def test_bash_retries_and_nacks_stay_in_c(self, cost):
+        """With one retry buffer per home, BASH retries, NACKs and reissues.
+
+        Each of them goes through the controllers' bound network sends, so
+        a compiled run enters a Python network ``send`` only on that
+        network's label memo miss for the message type.
+        """
+        adaptive = dataclasses.replace(FAST_ADAPTIVE, retry_buffer_size=1)
+        codes = (TotallyOrderedNetwork.send.__code__, UnorderedNetwork.send.__code__)
+        observed, calls = {}, {}
+        for backend in ("pure", "compiled"):
+            seen = calls[backend] = {"misses": 0, "hits": []}
+
+            def profile(frame, event, arg, seen=seen):
+                if event == "call" and frame.f_code in codes:
+                    network = frame.f_locals["self"]
+                    message = frame.f_locals["message"]
+                    labels = getattr(network, "_inject_labels", None)
+                    if labels is None:
+                        labels = network._inject_entries
+                    if message.msg_type in labels:
+                        seen["hits"].append(message.msg_type)
+                    else:
+                        seen["misses"] += 1
+
+            with _core.use_backend(backend):
+                system = _send_system(
+                    ProtocolName.BASH, adaptive=adaptive, broadcast_cost_factor=cost
+                )
+                sys.setprofile(profile)
+                try:
+                    observed[backend] = _observed(system)
+                finally:
+                    sys.setprofile(None)
+        _assert_send_compiled(system, ProtocolName.BASH)
+        assert observed["compiled"] == observed["pure"]
+        stats = observed["pure"][2]
+        assert stats["system.nacks"] and stats["system.retries"]
+        assert calls["compiled"]["hits"] == []
+        assert len(calls["pure"]["hits"]) > 100
+        assert calls["compiled"]["misses"] <= calls["pure"]["misses"]
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=str)
     def test_step_calls_the_controllers_send(self, protocol):

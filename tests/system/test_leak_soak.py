@@ -9,7 +9,12 @@ stay flat.  The second soak builds, runs and drops a whole system per cycle,
 so a slip in constructing or freeing the compiled objects (each holds class
 references and slot offsets) leaks once per build.
 
-The run count scales with the hypothesis profile: 360 reset-path runs and 180
+The reset-path soak also alternates each protocol between unit and 4x
+broadcast cost, so every round drops the ordered network's arrival closures
+and rebuilds them holding the factor (the compiled ``LinkPush`` keeps it as a
+reference of its own).
+
+The run count scales with the hypothesis profile: 480 reset-path runs and 180
 build cycles per backend in tier-1, ten times that under
 ``--hypothesis-profile=deep``.
 """
@@ -50,12 +55,23 @@ BANDWIDTHS = (200.0, 1600.0, 12800.0)
 BLOCKS_PER_RUN = 0.5
 
 
+#: (bandwidth, broadcast cost factor) points per protocol: the 4x point
+#: follows the unit-cost ones, and the next round returns to unit cost.
+POINTS = tuple((bandwidth, 1.0) for bandwidth in BANDWIDTHS) + ((1600.0, 4.0),)
+
+
 def _specs():
     workload = microbenchmark_factory(SOAK)
     return [
-        PointSpec(scale=SOAK, protocol=protocol, bandwidth=bandwidth, workload=workload)
+        PointSpec(
+            scale=SOAK,
+            protocol=protocol,
+            bandwidth=bandwidth,
+            workload=workload,
+            broadcast_cost_factor=factor,
+        )
         for protocol in ProtocolName
-        for bandwidth in BANDWIDTHS
+        for bandwidth, factor in POINTS
     ]
 
 

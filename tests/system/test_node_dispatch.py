@@ -108,7 +108,7 @@ class TestNodeDispatch:
                 msg_type=MessageType.DATA, src=0, dest=1, address=0, size_bytes=72,
                 requester=1, dest_unit=DestinationUnit.CACHE,
             )
-            system.interconnect.send_unordered(message)
+            system.interconnect.unordered.send(message)
             scheduler.run()
 
         # Prime the network's compiled delivery cache with the real handler.

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro import _core
 from repro.common.config import AdaptiveConfig, ProtocolName, SystemConfig
 from repro.experiments.batch import BatchRunner
 from repro.experiments.parallel import PointSpec
 from repro.experiments.runner import QUICK, microbenchmark_factory, run_point
+from repro.interconnect.link import EndpointLink
 from repro.sim.arena import SimulationArena
 from repro.system.multiprocessor import MultiprocessorSystem, simulate
 from repro.workloads.microbenchmark import LockingMicrobenchmark
@@ -123,6 +126,63 @@ class TestResetEquivalence:
         reset_result = system.reset(_workload(), config).run()
         assert set(reset_result.stats) == set(fresh.stats)
         assert reset_result.stats == fresh.stats
+
+
+def _observe(system):
+    """Run ``system``: its result, stats snapshot and fired ``(time, label)``s."""
+    fired = []
+    system.simulator.scheduler.on_fire = lambda time, label: fired.append(
+        (time, label)
+    )
+    result = system.run()
+    return result, system.stats.snapshot(), fired
+
+
+class TestCostFactorReset:
+    def test_unit_to_4x_and_back_matches_fresh(self, protocol, backend):
+        """A reset that changes the broadcast cost factor rebuilds the arrivals.
+
+        At 4x on a compiled system every arrival closure is a ``LinkPush``
+        holding the factor, so no message enters the Python
+        ``EndpointLink.transmit`` (the network sends' label memos are warm
+        after the first run, so no send falls back to Python either).
+        """
+
+        def config(factor):
+            return dataclasses.replace(
+                _config(protocol, 1, bandwidth=800.0),
+                broadcast_cost_factor=factor,
+            )
+
+        def workload():
+            return LockingMicrobenchmark(num_locks=16, acquires_per_processor=10)
+
+        transmit = EndpointLink.transmit.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is transmit:
+                calls.append(frame)
+
+        system = MultiprocessorSystem(config(1.0), workload())
+        fresh = {}
+        for step, factor in enumerate((1.0, 4.0, 1.0)):
+            fresh[factor] = _observe(MultiprocessorSystem(config(factor), workload()))
+            if step:
+                system.reset(workload(), config(factor))
+            sys.setprofile(profile)
+            try:
+                observed = _observe(system)
+            finally:
+                sys.setprofile(None)
+            assert observed == fresh[factor], f"step {step} at {factor}x diverged"
+            arrivals = system.interconnect.ordered._arrive_entries.values()
+            if factor == 4.0 and backend == _core.COMPILED:
+                assert all(type(push).__name__ == "LinkPush" for _, push in arrivals)
+                assert calls == []
+            calls.clear()
+        if protocol is not ProtocolName.DIRECTORY:  # it seldom broadcasts
+            assert fresh[4.0][0].cycles != fresh[1.0][0].cycles
 
 
 class TestGoldenTraceAfterReset:

@@ -24,8 +24,9 @@
  *
  * Like the compiled scheduler, the delivery objects prebind containers
  * that every system reset clears *in place* (the transaction dict, the
- * block store's raw dict, the directory's entry dict, the node's home
- * memo) plus stable bound methods and statistics objects.  Counts go
+ * block store's raw dict, the directory's entry dict), the memory
+ * controller's home memo (fixed by the structural config, so never
+ * cleared) plus stable bound methods and statistics objects.  Counts go
  * through _core.h's count_stat (the component's own counter cache, so a
  * reset-pruned name is re-resolved by count()) and running means through
  * mean_record_int; a patched Counter, RunningMean or Component.count keeps
@@ -881,8 +882,9 @@ static PyTypeObject DataDeliver_Type = {
 /* --------------------------------------------------------------- SnoopDeliver
  *
  * One compiled ordered-network delivery entry for GETS or GETM on a
- * Snooping or BASH node: the fused snoop-and-home path.  Replaces the
- * pure `snoop_and_home` closure from SnoopingCacheController.
+ * Snooping or BASH node: the snoop and the home's memory side in one call.
+ * Replaces the node's pure `deliver_home_filtered` entry around
+ * SnoopingCacheController._snoop_request.
  *
  *   requester's own delivery -> stale check, retry bookkeeping, marker
  *     recording and the upgrade-at-marker completion, in C (completion
@@ -918,7 +920,7 @@ typedef struct {
     PyObject *handle_other;   /* bound _handle_other_request */
     PyObject *finish_getm;    /* bound _finish_getm */
     PyObject *own_sufficient; /* bound _own_request_sufficient */
-    PyObject *home_filter;    /* node's home memo (dict), or NULL */
+    PyObject *home_filter;    /* memory controller's home memo, or NULL */
     PyObject *is_home_for;    /* bound memoised home test, or NULL */
     PyObject *mem_handler;    /* bound _ordered_request, or NULL */
     PyObject *mem_controller; /* memory controller (count() calls), or NULL */
@@ -1509,8 +1511,8 @@ done:
     return rc;
 }
 
-/* The node's cached home test (the same memo dict the pure fused closure
- * fills), then the memory side. */
+/* The home test (inline arithmetic, else the memory controller's memo --
+ * the dict the node's pure entry reads and fills), then the memory side. */
 static int
 snoop_home(SnoopDeliverObject *self, PyObject *message, PyObject *address,
            long long requester)

@@ -21,6 +21,19 @@ from . import constants
 from .units import mb_per_second_to_bytes_per_cycle
 
 
+def _require_int(name: str, value, minimum=None) -> None:
+    """Reject a non-integral (a float, NaN, a bool) or out-of-range field.
+
+    A float slips past plain ``<`` tests (every comparison with NaN is
+    False) and would fail only deep in a run, or differently on the two
+    backends; this fails at construction, naming the field.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 class ProtocolName(str, Enum):
     """The three protocols evaluated in the paper."""
 
@@ -42,9 +55,7 @@ class LatencyConfig:
 
     def __post_init__(self) -> None:
         for name in ("network_traversal", "dram_access", "cache_response"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigurationError(f"{name} must be non-negative, got {value}")
+            _require_int(name, getattr(self, name), 0)
 
     @property
     def memory_fetch(self) -> int:
@@ -91,27 +102,15 @@ class AdaptiveConfig:
                 "utilization_threshold must be strictly between 0 and 1, got "
                 f"{self.utilization_threshold}"
             )
-        if self.sampling_interval <= 0:
-            raise ConfigurationError(
-                f"sampling_interval must be positive, got {self.sampling_interval}"
-            )
-        if self.policy_counter_bits <= 0:
-            raise ConfigurationError(
-                f"policy_counter_bits must be positive, got {self.policy_counter_bits}"
-            )
-        if self.max_retries_before_broadcast < 1:
-            raise ConfigurationError(
-                "max_retries_before_broadcast must be at least 1, got "
-                f"{self.max_retries_before_broadcast}"
-            )
-        if self.retry_buffer_size < 1:
-            raise ConfigurationError(
-                f"retry_buffer_size must be at least 1, got {self.retry_buffer_size}"
-            )
-        if self.history_capacity < 1:
-            raise ConfigurationError(
-                f"history_capacity must be at least 1, got {self.history_capacity}"
-            )
+        for name in (
+            "sampling_interval",
+            "policy_counter_bits",
+            "max_retries_before_broadcast",
+            "retry_buffer_size",
+            "history_capacity",
+        ):
+            _require_int(name, getattr(self, name), 1)
+        _require_int("lfsr_seed", self.lfsr_seed)
 
     def counter_increments(self) -> Tuple[int, int]:
         """The (busy, idle) deltas of the utilization counter.
@@ -147,10 +146,15 @@ class SystemConfig:
     random_seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_processors < 2:
-            raise ConfigurationError(
-                f"need at least 2 processors, got {self.num_processors}"
-            )
+        _require_int("num_processors", self.num_processors, 2)
+        for name in (
+            "cache_capacity_blocks",
+            "cache_block_bytes",
+            "request_message_bytes",
+            "data_message_bytes",
+        ):
+            _require_int(name, getattr(self, name), 1)
+        _require_int("random_seed", self.random_seed)
         # Written so that NaN fails each test (every comparison with NaN is
         # False) instead of slipping through to the first link transfer.
         if not self.bandwidth_mb_per_second > 0:
@@ -163,13 +167,6 @@ class SystemConfig:
                 "broadcast_cost_factor must be finite and >= 1, got "
                 f"{self.broadcast_cost_factor}"
             )
-        if self.cache_capacity_blocks < 1:
-            raise ConfigurationError(
-                "cache_capacity_blocks must be positive, got "
-                f"{self.cache_capacity_blocks}"
-            )
-        if self.request_message_bytes <= 0 or self.data_message_bytes <= 0:
-            raise ConfigurationError("message sizes must be positive")
         if not isinstance(self.protocol, ProtocolName):
             object.__setattr__(self, "protocol", ProtocolName(self.protocol))
 

@@ -326,14 +326,13 @@ class CacheControllerBase(ProtocolController):
 
 @stock
 class MemoryControllerBase(ProtocolController):
-    """Common memory-side behaviour: directory store and data responses."""
+    """Common memory-side behaviour: directory store and data responses.
 
-    #: When True, ordered deliveries only matter for home addresses, so the
-    #: node's compiled dispatch entry may skip this controller entirely for
-    #: non-home deliveries.  Every controller in this repository satisfies the
-    #: contract (the Directory home consumes nothing from the ordered network
-    #: at all).
-    ordered_home_only = True
+    A memory controller acts on an ordered delivery only when it is the home
+    for the address (the Directory home consumes nothing ordered at all), so
+    the node's ordered entries skip it for foreign addresses through
+    :meth:`is_home_for`'s memo.
+    """
 
     def __init__(
         self,
@@ -348,7 +347,8 @@ class MemoryControllerBase(ProtocolController):
         )
         self.directory = DirectoryStore()
         # Home interleaving is fixed per run, and every ordered delivery asks
-        # "is this mine?" — memoise the answer per block address.
+        # "is this mine?" — memoise the answer per block address.  The node's
+        # ordered entries (pure and compiled) read and fill this same dict.
         self._home_cache: Dict[int, bool] = {}
         self._memory_data_label = self.full_label("memory-data")
 

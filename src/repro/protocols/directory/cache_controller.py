@@ -91,7 +91,7 @@ class DirectoryCacheController(CacheControllerBase):
 
     # --------------------------------------------------- compiled delivery
 
-    def compile_accelerated_ordered(self, msg_type, memory_controller, home_filter):
+    def compile_accelerated_ordered(self, msg_type, memory_controller):
         """A C delivery object for MARKER / forwarded-request entries.
 
         Same shape as the snooping variant: per-handler, exact unpatched

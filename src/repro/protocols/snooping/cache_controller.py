@@ -44,27 +44,25 @@ class SnoopingCacheController(CacheControllerBase):
 
     # --------------------------------------------------- compiled delivery
 
-    def compile_accelerated_ordered(self, msg_type, memory_controller, home_filter):
+    def compile_accelerated_ordered(self, msg_type, memory_controller):
         """A C delivery object for one ordered entry, or None to decline.
 
         Only offered for GETS/GETM when this controller's scheduler is a
-        compiled instance; within that, the decline rule is *per handler*
-        and strictly more conservative than :meth:`compile_fused_ordered`'s:
+        compiled instance; within that, the decline rule is *per handler*:
         the controller must be an exact, unpatched Snooping/BASH class
         (:func:`repro._core.is_stock`) and the dispatch-table entry must
-        still be the default bound method.  The memory side compiles only
-        for the exact, unpatched stock memory controllers; a present but
-        custom memory handler is kept as a Python call behind the C home
-        filter, and systems without a home filter decline entirely.  Every
+        still be the default :meth:`_snoop_request`.  The memory side
+        compiles only for the exact, unpatched stock memory controllers; a
+        present but custom memory handler is kept as a Python call behind
+        the C home test, the same call the node's pure entry makes.  Every
         decision is recorded via :func:`repro.protocols.dispatch.note_selection`
         so ``repro backend`` can show what actually ran compiled.
 
-        The C objects prebind the same reset-stable containers as the
-        fused closures (the transaction dict, the block store's raw dict,
-        the node's home memo, the directory's entry dict), so they survive
-        system resets; table swaps go through
-        ``Node.invalidate_dispatch_cache`` which recompiles and re-runs
-        this selection.
+        The C objects prebind reset-stable containers (the transaction
+        dict, the block store's raw dict, the memory controller's home
+        memo, the directory's entry dict), so they survive system resets;
+        table swaps go through ``Node.invalidate_dispatch_cache`` which
+        recompiles and re-runs this selection.
         """
         if msg_type is not MessageType.GETS and msg_type is not MessageType.GETM:
             return None  # PUTM: rare writebacks always run the pure handlers
@@ -89,11 +87,6 @@ class SnoopingCacheController(CacheControllerBase):
         mem_handler = memory_controller.ordered_handlers.get(msg_type)
         if mem_handler is None:
             mem_mode = 0
-        elif home_filter is None:
-            # No cached home test: the generic deliver-both path is the
-            # only faithful shape, so decline the whole entry.
-            note_selection(self, msg_type, "declined")
-            return None
         elif (
             type(memory_controller) in (SnoopingMemoryController, BashMemoryController)
             and mem_handler == memory_controller._ordered_request
@@ -128,7 +121,7 @@ class SnoopingCacheController(CacheControllerBase):
             own_sufficient=self._own_request_sufficient,
             mem_mode=mem_mode,
             mem_bash=mem_bash if mem_mode == 2 else 0,
-            home_filter=home_filter,
+            home_filter=memory_controller._home_cache,
             is_home_for=memory_controller.is_home_for,
             mem_handler=mem_handler,
             mem_controller=memory_controller if mem_mode == 2 else None,
@@ -196,65 +189,6 @@ class SnoopingCacheController(CacheControllerBase):
                 message_arena.release_message if message_arena is not None else None
             ),
         )
-
-    # ------------------------------------------------------- fused delivery
-
-    def compile_fused_ordered(self, msg_type, memory_handler, home_filter, is_home_for):
-        """One closure running snoop early-out + home-filtered memory handling.
-
-        A broadcast fans out to every node, so the per-delivery frames are the
-        hottest code in the repository: this folds :meth:`_snoop_request` and
-        the node's home-filtered memory dispatch into a single callable with
-        prebound dict accessors.  Only compiled when the dispatch table still
-        routes GETS/GETM to the default snoop handler (tests that swap
-        handler tables keep the generic table-driven path).  The prebound
-        ``.get``\\ s target dicts that every reset clears *in place*, so the
-        closure survives system resets.
-        """
-        if msg_type is not MessageType.GETS and msg_type is not MessageType.GETM:
-            return None
-        if self.ordered_handlers.get(msg_type) != self._snoop_request:
-            return None
-        node_id = self.node_id
-        transactions_get = self.transactions.get
-        blocks_get = self.blocks._blocks.get  # raw dict: cleared in place on reset
-        handle_own = self._handle_own_request
-        handle_other = self._handle_other_request
-        if memory_handler is None:
-
-            def snoop_only(message: Message) -> None:
-                if message.requester == node_id:
-                    handle_own(message)
-                    return
-                address = message.address
-                transaction = transactions_get(address)
-                if blocks_get(address) is None and (
-                    transaction is None or transaction.completed
-                ):
-                    return
-                handle_other(message)
-
-            return snoop_only
-
-        home_filter_get = home_filter.get
-
-        def snoop_and_home(message: Message) -> None:
-            address = message.address
-            if message.requester == node_id:
-                handle_own(message)
-            else:
-                transaction = transactions_get(address)
-                if blocks_get(address) is not None or (
-                    transaction is not None and not transaction.completed
-                ):
-                    handle_other(message)
-            home = home_filter_get(address)
-            if home is None:
-                home = home_filter[address] = is_home_for(address)
-            if home:
-                memory_handler(message)
-
-        return snoop_and_home
 
     # ------------------------------------------------------------- sending
 

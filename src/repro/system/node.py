@@ -8,6 +8,13 @@ delivery event lands in the protocol handler with no intermediate
 :meth:`deliver_unordered` remain as the generic entry points (tests and tools
 deliver messages by hand through them); both just index the same compiled
 entries.
+
+An ordered entry has one pure shape: the cache controller's handler (every
+node snoops every ordered request), then — only at the address's home — the
+memory controller's handler, with the home test read from the memory
+controller's own memo (:meth:`MemoryControllerBase.is_home_for`).  A compiled
+backend may substitute a C delivery object for a stock entry; it reads the
+same memo.
 """
 
 from __future__ import annotations
@@ -43,14 +50,6 @@ class Node:
         self.cache_controller = cache_controller
         self.memory_controller = memory_controller
         self.sequencer = sequencer
-        # Memory controllers that declare ``ordered_home_only`` act on ordered
-        # deliveries only for their home addresses, so the compiled entry can
-        # pre-filter with a cached home test instead of paying a call per
-        # delivery.  The getattr default keeps plain test doubles on the
-        # unfiltered path.
-        self._home_filter = (
-            {} if getattr(memory_controller, "ordered_home_only", False) else None
-        )
         self._ordered_entries: Dict[MessageType, DeliveryEntry] = {}
         self._unordered_entries: Dict[
             Tuple[DestinationUnit, MessageType], DeliveryEntry
@@ -106,58 +105,38 @@ class Node:
         return entry
 
     def _compile_ordered(self, msg_type: MessageType) -> DeliveryEntry:
-        memory_handler = self.memory_controller.ordered_handlers.get(msg_type)
+        memory = self.memory_controller
         # A compiled backend may offer a C delivery object for this entry
         # (the coherence fast paths); protocols decline per handler —
         # returning None — whenever their dispatch tables have been
-        # customised, falling through to the fused closure and then the
-        # generic table-driven path, which stay authoritative.
+        # customised, falling through to the table-driven entry below, which
+        # stays authoritative.
         compile_accelerated = getattr(
             self.cache_controller, "compile_accelerated_ordered", None
         )
         if compile_accelerated is not None:
-            accelerated = compile_accelerated(
-                msg_type, self.memory_controller, self._home_filter
-            )
+            accelerated = compile_accelerated(msg_type, memory)
             if accelerated is not None:
                 return accelerated
-        # Protocols may offer a fully fused delivery closure (snoop early-out
-        # plus home-filtered memory dispatch in one frame) for their hottest
-        # ordered types; they decline — returning None — whenever the dispatch
-        # tables have been customised, keeping the generic path authoritative.
-        compile_fused = getattr(self.cache_controller, "compile_fused_ordered", None)
-        if compile_fused is not None and self._home_filter is not None:
-            fused = compile_fused(
-                msg_type,
-                memory_handler,
-                self._home_filter,
-                self.memory_controller.is_home_for,
-            )
-            if fused is not None:
-                return fused
         cache_handler = self.cache_controller.ordered_handlers.get(msg_type)
         if cache_handler is None:
             cache_handler = rejecter(self.cache_controller, "ordered")
+        memory_handler = memory.ordered_handlers.get(msg_type)
         if memory_handler is None:
             # The memory side ignores this type: deliver to the cache alone.
             return cache_handler
-        home_filter = self._home_filter
-        if home_filter is None:
-
-            def deliver_both(message: Message) -> None:
-                cache_handler(message)
-                memory_handler(message)
-
-            return deliver_both
-
-        is_home_for = self.memory_controller.is_home_for
+        # Memory acts on an ordered request only at its home (the paper's
+        # integrated nodes), so the entry pre-filters with the memory
+        # controller's own home memo instead of paying a call per delivery.
+        home_memo = memory._home_cache
+        is_home_for = memory.is_home_for
 
         def deliver_home_filtered(message: Message) -> None:
             cache_handler(message)
             address = message.address
-            home = home_filter.get(address)
+            home = home_memo.get(address)
             if home is None:
-                home = home_filter[address] = is_home_for(address)
+                home = home_memo[address] = is_home_for(address)
             if home:
                 memory_handler(message)
 

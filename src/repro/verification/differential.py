@@ -38,6 +38,11 @@ Two replay modes trade determinism against race coverage:
 Both modes run the mid-run :class:`~repro.verification.invariants.InvariantMonitor`
 at every transaction completion and a deadlock/livelock watchdog that turns
 "no completions within a cycle budget" into a structured failure dump.
+
+The windowed checker (:mod:`repro.verification.windowed`) shares this
+module's one trace generator and one comparison: :func:`generate_trace` is a
+single window of :class:`WindowedTraceSource`, and :func:`compare_results`
+takes the memory image a window starts from (all zeros here).
 """
 
 from __future__ import annotations
@@ -130,22 +135,35 @@ class MemoryTrace:
             counts[op.block] = rank + 1
         return ranks
 
-    def predicted_final_tokens(self) -> Dict[int, int]:
+    def predicted_final_tokens(
+        self, carry: Optional[Dict[int, int]] = None
+    ) -> Dict[int, int]:
         """The model's final token per block: the last write in trace order.
 
-        Exact for ``strict`` traces (the replay serialises each block to the
-        trace order) and for single-writer ``racy`` traces (one node's writes
-        to a block complete in its program order).
+        ``carry`` is the memory image the trace starts from (the windowed
+        checker threads one window's prediction into the next); blocks it
+        omits start at token 0.  Exact for ``strict`` traces (the replay
+        serialises each block to the trace order) and for single-writer
+        ``racy`` traces (one node's writes to a block complete in its
+        program order).
         """
         final: Dict[int, int] = {block: 0 for block in range(self.num_blocks)}
+        if carry:
+            final.update(carry)
         for op in self.ops:
             if op.kind == WRITE:
                 final[op.block] = op.token
         return final
 
-    def expected_read_tokens(self) -> Dict[int, int]:
-        """Global index -> the value each read must observe in strict replay."""
-        current: Dict[int, int] = {}
+    def expected_read_tokens(
+        self, carry: Optional[Dict[int, int]] = None
+    ) -> Dict[int, int]:
+        """Global index -> the value each read must observe in strict replay.
+
+        Reads before any write to their block observe ``carry``'s token
+        (0 for a block it omits).
+        """
+        current: Dict[int, int] = dict(carry) if carry else {}
         expected: Dict[int, int] = {}
         for index, op in enumerate(self.ops):
             if op.kind == WRITE:
@@ -218,6 +236,93 @@ class MemoryTrace:
         )
 
 
+class WindowedTraceSource:
+    """Records a random trace concentrating traffic on a few hot blocks.
+
+    ``racy`` traces give every block a single writer (readers everywhere) so
+    the final image stays deterministic under races; ``strict`` traces let
+    ownership migrate between writers, since the replay serialises each
+    block.  Writebacks are only recorded for the node the model says owns the
+    block, so a ``strict`` replay must always perform them.
+
+    The per-block writer map is drawn up front, then every operation
+    consumes (node, block, delay, choice) draws in order.  ``next_window(n)``
+    hands out the next ``n`` operations and keeps the generator state (rng,
+    token counter, owner model) for the next call, so consecutive windows
+    concatenate to exactly the trace one ``next_window`` call of the total
+    length would give — while only one window is ever resident.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        num_processors: int = 4,
+        num_blocks: int = 4,
+        mode: str = RACY,
+        write_fraction: float = 0.45,
+        writeback_fraction: float = 0.10,
+        max_delay: Optional[int] = None,
+    ) -> None:
+        if mode not in (STRICT, RACY):
+            raise VerificationError(f"unknown trace mode {mode!r}")
+        self.seed = seed
+        self.num_processors = num_processors
+        self.num_blocks = num_blocks
+        self.mode = mode
+        self.write_fraction = write_fraction
+        self.writeback_fraction = writeback_fraction
+        self.max_delay = (
+            (40 if mode == STRICT else 150) if max_delay is None else max_delay
+        )
+        self.single_writer = mode == RACY
+        self._rng = random.Random(seed)
+        self._writer_of = {
+            block: self._rng.randrange(num_processors)
+            for block in range(num_blocks)
+        }
+        self._owner: Dict[int, Optional[int]] = {
+            block: None for block in range(num_blocks)
+        }
+        self._token = 0
+        #: Total operations handed out so far.
+        self.generated = 0
+
+    def next_window(self, operations: int) -> MemoryTrace:
+        """The next ``operations`` ops as a standalone :class:`MemoryTrace`."""
+        rng = self._rng
+        ops: List[TraceOp] = []
+        while len(ops) < operations:
+            node = rng.randrange(self.num_processors)
+            block = rng.randrange(self.num_blocks)
+            delay = rng.randrange(1, self.max_delay)
+            choice = rng.random()
+            kind = READ
+            if choice < self.writeback_fraction:
+                if self._owner[block] is not None:
+                    node = self._owner[block]
+                    kind = WRITEBACK
+                    self._owner[block] = None
+            elif choice < self.writeback_fraction + self.write_fraction:
+                kind = WRITE
+                if self.single_writer:
+                    node = self._writer_of[block]
+                self._owner[block] = node
+            if kind == WRITE:
+                self._token += 1
+                ops.append(TraceOp(node, block, WRITE, self._token, delay))
+            else:
+                ops.append(TraceOp(node, block, kind, 0, delay))
+        self.generated += len(ops)
+        return MemoryTrace(
+            num_processors=self.num_processors,
+            num_blocks=self.num_blocks,
+            mode=self.mode,
+            seed=self.seed,
+            single_writer=self.single_writer,
+            ops=tuple(ops),
+        )
+
+
 def generate_trace(
     seed: int,
     num_processors: int = 4,
@@ -228,55 +333,16 @@ def generate_trace(
     writeback_fraction: float = 0.10,
     max_delay: Optional[int] = None,
 ) -> MemoryTrace:
-    """Record one random trace concentrating traffic on a few hot blocks.
-
-    ``racy`` traces give every block a single writer (readers everywhere) so
-    the final image stays deterministic under races; ``strict`` traces let
-    ownership migrate between writers, since the replay serialises each
-    block.  Writebacks are only recorded for the node the model says owns the
-    block, so a ``strict`` replay must always perform them.
-    """
-    if mode not in (STRICT, RACY):
-        raise VerificationError(f"unknown trace mode {mode!r}")
-    rng = random.Random(seed)
-    if max_delay is None:
-        max_delay = 40 if mode == STRICT else 150
-    single_writer = mode == RACY
-    writer_of = {
-        block: rng.randrange(num_processors) for block in range(num_blocks)
-    }
-    owner: Dict[int, Optional[int]] = {block: None for block in range(num_blocks)}
-    ops: List[TraceOp] = []
-    token = 0
-    while len(ops) < operations:
-        node = rng.randrange(num_processors)
-        block = rng.randrange(num_blocks)
-        delay = rng.randrange(1, max_delay)
-        choice = rng.random()
-        kind = READ
-        if choice < writeback_fraction:
-            if owner[block] is not None:
-                node = owner[block]
-                kind = WRITEBACK
-                owner[block] = None
-        elif choice < writeback_fraction + write_fraction:
-            kind = WRITE
-            if single_writer:
-                node = writer_of[block]
-            owner[block] = node
-        if kind == WRITE:
-            token += 1
-            ops.append(TraceOp(node, block, WRITE, token, delay))
-        else:
-            ops.append(TraceOp(node, block, kind, 0, delay))
-    return MemoryTrace(
+    """Record one whole random trace (see :class:`WindowedTraceSource`)."""
+    return WindowedTraceSource(
+        seed,
         num_processors=num_processors,
         num_blocks=num_blocks,
         mode=mode,
-        seed=seed,
-        single_writer=single_writer,
-        ops=tuple(ops),
-    )
+        write_fraction=write_fraction,
+        writeback_fraction=writeback_fraction,
+        max_delay=max_delay,
+    ).next_window(operations)
 
 
 # --------------------------------------------------------------------- replay
@@ -772,10 +838,18 @@ class DifferentialResult:
         }
 
 
-def _compare_results(
-    trace: MemoryTrace, results: Dict[ProtocolName, ReplayResult]
+def compare_results(
+    trace: MemoryTrace,
+    results: Dict[ProtocolName, ReplayResult],
+    carry: Optional[Dict[int, int]] = None,
 ) -> List[str]:
-    """Cross-protocol (and model) comparison of replay outcomes."""
+    """Cross-protocol and model comparison of one trace's replay outcomes.
+
+    ``carry`` is the memory image the replay started from (see
+    :meth:`MemoryTrace.predicted_final_tokens`): empty for a replay on fresh
+    systems, the previous windows' prediction for a windowed one.  In strict
+    mode every read is also checked against the model's serialisation.
+    """
     failures: List[str] = []
     for result in results.values():
         failures.extend(result.failures())
@@ -784,14 +858,14 @@ def _compare_results(
         for protocol, result in results.items()
         if result.completed == result.operations
     }
-    predicted = trace.predicted_final_tokens()
+    predicted = trace.predicted_final_tokens(carry)
     for protocol, result in complete.items():
         for block, want in predicted.items():
             got = result.final_image.get(block, 0)
             if got != want:
                 failures.append(
                     f"{protocol}: block {block} ended with token {got}, "
-                    f"trace predicts {want}"
+                    f"the carried model predicts {want}"
                 )
     protocols = list(complete)
     if len(protocols) >= 2:
@@ -819,15 +893,32 @@ def _compare_results(
                         if lhs is None or rhs is None:
                             continue
                         same = (
-                            lhs[:3] == rhs[:3]
-                            if not compare_performed
-                            else lhs == rhs
+                            lhs == rhs if compare_performed else lhs[:3] == rhs[:3]
                         )
                         if not same:
                             failures.append(
                                 f"observation diverges at node {node} op "
                                 f"{slot}: {reference}={lhs} vs {other}={rhs}"
                             )
+    if trace.mode == STRICT:
+        expected = trace.expected_read_tokens(carry)
+        slot_of: Dict[int, Tuple[int, int]] = {}
+        for node, stream in trace.per_node().items():
+            for slot, (index, _op) in enumerate(stream):
+                slot_of[index] = (node, slot)
+        for protocol, result in complete.items():
+            for index, want in expected.items():
+                node, slot = slot_of[index]
+                observed = result.observations[node][slot]
+                if observed is None:
+                    continue
+                got = observed[2]
+                if got != want:
+                    failures.append(
+                        f"{protocol}: node {node} read op {slot} observed "
+                        f"token {got}, the carried serialisation requires "
+                        f"{want}"
+                    )
     return failures
 
 
@@ -846,36 +937,9 @@ def run_differential(
         system = acquire(config, empty_trace_workload(trace.num_processors))
         replayer = TraceReplayer(system, trace, replay)
         results[ProtocolName(protocol)] = replayer.run()
-    failures = _compare_results(trace, results)
-    if trace.mode == STRICT:
-        failures.extend(_check_reads_against_model(trace, results))
     return DifferentialResult(
-        trace=trace, replay=replay, results=results, failures=failures
+        trace=trace,
+        replay=replay,
+        results=results,
+        failures=compare_results(trace, results),
     )
-
-
-def _check_reads_against_model(
-    trace: MemoryTrace, results: Dict[ProtocolName, ReplayResult]
-) -> List[str]:
-    """Strict replays are fully determined: every read must match the model."""
-    failures: List[str] = []
-    expected = trace.expected_read_tokens()
-    slot_of: Dict[int, Tuple[int, int]] = {}
-    for node, stream in trace.per_node().items():
-        for slot, (index, _op) in enumerate(stream):
-            slot_of[index] = (node, slot)
-    for protocol, result in results.items():
-        if result.completed != result.operations:
-            continue
-        for index, want in expected.items():
-            node, slot = slot_of[index]
-            observed = result.observations[node][slot]
-            if observed is None:
-                continue
-            got = observed[2]
-            if got != want:
-                failures.append(
-                    f"{protocol}: node {node} read op {slot} observed token "
-                    f"{got}, the trace serialisation requires {want}"
-                )
-    return failures

@@ -9,19 +9,22 @@ of operations is never exercised.
 
 This module runs the same cross-protocol comparison **window by window**:
 
-* a :class:`WindowedTraceSource` draws the identical random stream as
-  :func:`~repro.verification.differential.generate_trace` but hands out
-  bounded windows of operations, carrying the generator state (rng, token
-  counter, per-block writer/owner model) across calls — the concatenation of
-  its windows is op-for-op identical to one monolithic trace with the same
-  seed and shape, yet only one window is ever resident;
+* the :class:`~repro.verification.differential.WindowedTraceSource` that
+  records every differential trace (a monolithic trace is its single window)
+  hands out bounded windows of operations, carrying the generator state (rng,
+  token counter, per-block writer/owner model) across calls — the
+  concatenation of its windows is op-for-op identical to one monolithic trace
+  with the same seed and shape, yet only one window is ever resident;
 * one live system **per protocol stays alive across windows** — caches stay
   warm, directories keep their sharer sets, the adaptive policy keeps its
   counters — and a fresh :class:`TraceReplayer` drives each window through
   it;
 * the model's view of memory (the *carry*: last written token per block) is
-  threaded across windows, so per-window final images, strict read values
-  and consistency chains are all checked against history the current window
+  threaded across windows, and each window goes through the monolithic
+  checker's own comparison
+  (:func:`~repro.verification.differential.compare_results`) started from
+  that carry, so per-window final images, strict read values and
+  consistency chains are all checked against history the current window
   never saw.
 
 Cross-window consistency needs one piece of glue: each window's fresh
@@ -38,7 +41,6 @@ legitimately differ, so later windows would only cascade the first failure.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,17 +49,13 @@ from ..errors import VerificationError
 from ..system.multiprocessor import MultiprocessorSystem
 from .differential import (
     ALL_PROTOCOLS,
-    MemoryTrace,
     RACY,
-    READ,
     ReplayConfig,
     ReplayResult,
-    STRICT,
     SystemAcquirer,
-    TraceOp,
     TraceReplayer,
-    WRITE,
-    WRITEBACK,
+    WindowedTraceSource,
+    compare_results,
     empty_trace_workload,
 )
 
@@ -71,117 +69,7 @@ CARRY_NODE = -1
 CARRY_ORDER = -1
 
 
-class WindowedTraceSource:
-    """Generates a random trace window by window, carrying generator state.
-
-    Draws the same random stream as
-    :func:`~repro.verification.differential.generate_trace`: the per-block
-    writer map is fixed up front, then every operation consumes (node,
-    block, delay, choice) draws in order.  ``next_window(n)`` therefore
-    yields windows whose concatenation is identical to one monolithic
-    ``generate_trace`` call with ``operations`` equal to the total — while
-    holding only ``n`` operations at a time.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        num_processors: int = 4,
-        num_blocks: int = 4,
-        mode: str = RACY,
-        write_fraction: float = 0.45,
-        writeback_fraction: float = 0.10,
-        max_delay: Optional[int] = None,
-    ) -> None:
-        if mode not in (STRICT, RACY):
-            raise VerificationError(f"unknown trace mode {mode!r}")
-        self.seed = seed
-        self.num_processors = num_processors
-        self.num_blocks = num_blocks
-        self.mode = mode
-        self.write_fraction = write_fraction
-        self.writeback_fraction = writeback_fraction
-        self.max_delay = (
-            (40 if mode == STRICT else 150) if max_delay is None else max_delay
-        )
-        self.single_writer = mode == RACY
-        self._rng = random.Random(seed)
-        self._writer_of = {
-            block: self._rng.randrange(num_processors)
-            for block in range(num_blocks)
-        }
-        self._owner: Dict[int, Optional[int]] = {
-            block: None for block in range(num_blocks)
-        }
-        self._token = 0
-        #: Total operations handed out so far.
-        self.generated = 0
-
-    def next_window(self, operations: int) -> MemoryTrace:
-        """The next ``operations`` ops as a standalone :class:`MemoryTrace`."""
-        rng = self._rng
-        ops: List[TraceOp] = []
-        while len(ops) < operations:
-            node = rng.randrange(self.num_processors)
-            block = rng.randrange(self.num_blocks)
-            delay = rng.randrange(1, self.max_delay)
-            choice = rng.random()
-            kind = READ
-            if choice < self.writeback_fraction:
-                if self._owner[block] is not None:
-                    node = self._owner[block]
-                    kind = WRITEBACK
-                    self._owner[block] = None
-            elif choice < self.writeback_fraction + self.write_fraction:
-                kind = WRITE
-                if self.single_writer:
-                    node = self._writer_of[block]
-                self._owner[block] = node
-            if kind == WRITE:
-                self._token += 1
-                ops.append(TraceOp(node, block, WRITE, self._token, delay))
-            else:
-                ops.append(TraceOp(node, block, kind, 0, delay))
-        self.generated += len(ops)
-        return MemoryTrace(
-            num_processors=self.num_processors,
-            num_blocks=self.num_blocks,
-            mode=self.mode,
-            seed=self.seed,
-            single_writer=self.single_writer,
-            ops=tuple(ops),
-        )
-
-
 # --------------------------------------------------------------- model carry
-
-
-def apply_window_writes(trace: MemoryTrace, carry: Dict[int, int]) -> Dict[int, int]:
-    """The model's per-block token map after replaying ``trace`` over ``carry``."""
-    updated = dict(carry)
-    for op in trace.ops:
-        if op.kind == WRITE:
-            updated[op.block] = op.token
-    return updated
-
-
-def expected_reads_with_carry(
-    trace: MemoryTrace, carry: Dict[int, int]
-) -> Dict[int, int]:
-    """Global index -> the token each strict-mode read must observe.
-
-    Like :meth:`MemoryTrace.expected_read_tokens` but starting from the
-    carried memory image instead of all-zeros, so first reads of a block a
-    window never writes expect the value written windows ago.
-    """
-    current = dict(carry)
-    expected: Dict[int, int] = {}
-    for index, op in enumerate(trace.ops):
-        if op.kind == WRITE:
-            current[op.block] = op.token
-        elif op.kind == READ:
-            expected[index] = current.get(op.block, 0)
-    return expected
 
 
 def _seed_checker(replayer: TraceReplayer, carry: Dict[int, int]) -> None:
@@ -192,89 +80,6 @@ def _seed_checker(replayer: TraceReplayer, carry: Dict[int, int]) -> None:
         replayer.checker.record_write(
             CARRY_NODE, replayer._address(block), token, CARRY_ORDER, 0
         )
-
-
-# ----------------------------------------------------------------- comparison
-
-
-def _compare_window(
-    trace: MemoryTrace,
-    results: Dict[ProtocolName, ReplayResult],
-    carry: Dict[int, int],
-) -> List[str]:
-    """Cross-protocol and model comparison of one window's outcomes.
-
-    The windowed twin of the monolithic checker's ``_compare_results``: the
-    model prediction starts from the carried image, and strict read values
-    are checked against :func:`expected_reads_with_carry`.
-    """
-    failures: List[str] = []
-    for result in results.values():
-        failures.extend(result.failures())
-    complete = {
-        protocol: result
-        for protocol, result in results.items()
-        if result.completed == result.operations
-    }
-    predicted = apply_window_writes(trace, carry)
-    for protocol, result in complete.items():
-        for block, want in predicted.items():
-            got = result.final_image.get(block, 0)
-            if got != want:
-                failures.append(
-                    f"{protocol}: block {block} ended with token {got}, "
-                    f"the carried model predicts {want}"
-                )
-    protocols = list(complete)
-    if len(protocols) >= 2:
-        reference = protocols[0]
-        base = complete[reference]
-        compare_performed = all(r.evictions == 0 for r in complete.values())
-        for other in protocols[1:]:
-            candidate = complete[other]
-            for block in range(trace.num_blocks):
-                left = base.final_image.get(block, 0)
-                right = candidate.final_image.get(block, 0)
-                if left != right:
-                    failures.append(
-                        f"final image diverges on block {block}: "
-                        f"{reference}={left} vs {other}={right}"
-                    )
-            if trace.mode == STRICT:
-                for node in range(trace.num_processors):
-                    for slot, (lhs, rhs) in enumerate(
-                        zip(base.observations[node], candidate.observations[node])
-                    ):
-                        if lhs is None or rhs is None:
-                            continue
-                        same = (
-                            lhs == rhs if compare_performed else lhs[:3] == rhs[:3]
-                        )
-                        if not same:
-                            failures.append(
-                                f"observation diverges at node {node} op "
-                                f"{slot}: {reference}={lhs} vs {other}={rhs}"
-                            )
-    if trace.mode == STRICT:
-        expected = expected_reads_with_carry(trace, carry)
-        slot_of: Dict[int, Tuple[int, int]] = {}
-        for node, stream in trace.per_node().items():
-            for slot, (index, _op) in enumerate(stream):
-                slot_of[index] = (node, slot)
-        for protocol, result in complete.items():
-            for index, want in expected.items():
-                node, slot = slot_of[index]
-                observed = result.observations[node][slot]
-                if observed is None:
-                    continue
-                got = observed[2]
-                if got != want:
-                    failures.append(
-                        f"{protocol}: node {node} read op {slot} observed "
-                        f"token {got}, the carried serialisation requires "
-                        f"{want}"
-                    )
-    return failures
 
 
 # ------------------------------------------------------------------------ run
@@ -405,14 +210,14 @@ def run_windowed_differential(
             cycles[str(protocol)] = system.simulator.now
             if result.watchdog_failure is not None:
                 watchdog_dumps[str(protocol)] = result.watchdog_failure
-        problems = _compare_window(window, results, carry)
+        problems = compare_results(window, results, carry)
         if problems:
             window_failures[index] = problems
             failures.extend(f"window {index}: {line}" for line in problems)
             # Protocol states may legitimately diverge after a real failure;
             # later windows would only cascade it.
             break
-        carry = apply_window_writes(window, carry)
+        carry = window.predicted_final_tokens(carry)
         completed_windows += 1
     return WindowedDifferentialResult(
         seed=seed,

@@ -2,6 +2,8 @@
 
 import pytest
 
+NAN = float("nan")
+
 from repro.common.config import AdaptiveConfig, LatencyConfig, ProtocolName, SystemConfig
 from repro.errors import ConfigurationError
 
@@ -21,6 +23,14 @@ class TestLatencyConfig:
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             LatencyConfig(network_traversal=-1)
+
+    @pytest.mark.parametrize(
+        "field", ["network_traversal", "dram_access", "cache_response"]
+    )
+    @pytest.mark.parametrize("value", [NAN, 2.5, 25.0, True, "25"])
+    def test_rejects_non_integral_latency(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            LatencyConfig(**{field: value})
 
 
 class TestAdaptiveConfig:
@@ -57,6 +67,26 @@ class TestAdaptiveConfig:
             AdaptiveConfig(sampling_interval=0)
         with pytest.raises(ConfigurationError):
             AdaptiveConfig(retry_buffer_size=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sampling_interval", NAN),
+            ("sampling_interval", 512.0),
+            ("policy_counter_bits", NAN),
+            ("policy_counter_bits", 0),
+            ("max_retries_before_broadcast", NAN),
+            ("max_retries_before_broadcast", 0),
+            ("retry_buffer_size", 1.5),
+            ("history_capacity", NAN),
+            ("history_capacity", 0),
+            ("lfsr_seed", NAN),
+            ("lfsr_seed", 1.0),
+        ],
+    )
+    def test_integer_fields_are_integral_and_in_range(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            AdaptiveConfig(**{field: value})
 
 
 class TestSystemConfig:
@@ -111,3 +141,32 @@ class TestSystemConfig:
     def test_non_finite_link_parameters_are_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_processors", NAN),
+            ("num_processors", 4.0),
+            ("cache_capacity_blocks", NAN),
+            ("cache_capacity_blocks", 8.5),
+            ("cache_block_bytes", 0),
+            ("cache_block_bytes", -64),
+            ("cache_block_bytes", NAN),
+            ("request_message_bytes", NAN),
+            ("request_message_bytes", 0),
+            ("data_message_bytes", 72.0),
+            ("random_seed", NAN),
+            ("random_seed", 1.5),
+        ],
+    )
+    def test_integer_fields_are_integral_and_in_range(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**{field: value})
+
+    def test_nested_nan_latency_fails_before_any_run(self):
+        # A NaN latency must fail here, not in a run: there the pure backend
+        # completed while the compiled one raised TypeError.
+        with pytest.raises(ConfigurationError, match="network_traversal"):
+            SystemConfig(
+                num_processors=2, latency=LatencyConfig(network_traversal=NAN)
+            )

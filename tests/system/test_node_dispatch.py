@@ -98,6 +98,58 @@ class TestNodeDispatch:
         node.deliver_ordered(request)
         assert calls == ["cache"]
 
+    @pytest.mark.parametrize(
+        "protocol", [ProtocolName.SNOOPING, ProtocolName.BASH], ids=str
+    )
+    def test_ordered_entry_shares_the_memory_controllers_home_memo(
+        self, protocol, backend
+    ):
+        """Pure and compiled entries read one home memo: the memory
+        controller's.  The cache table stays stock, so a compiled backend
+        still selects ``SnoopDeliver``; the wrapped ``is_home_for`` keeps the
+        home test out of C arithmetic, so the memo is what it reads."""
+        system = self._system(protocol)
+        node = system.nodes[2]
+        memory = node.memory_controller
+        served = []
+        memory.ordered_handlers[MessageType.GETS] = served.append
+        stock_is_home_for = memory.is_home_for
+        home_tests = []
+
+        def is_home_for(address):
+            home_tests.append(address)
+            return stock_is_home_for(address)
+
+        memory.is_home_for = is_home_for
+        node.invalidate_dispatch_cache()
+        entry = node.ordered_entry(MessageType.GETS)
+        if backend == "compiled":
+            assert type(entry).__name__ == "SnoopDeliver"
+        foreign, home = 5 * 64, 6 * 64  # homed at nodes 1 and 2
+
+        def deliver(address):
+            request = Message(
+                msg_type=MessageType.GETS, src=0, address=address,
+                size_bytes=8, requester=0,
+            )
+            node.deliver_ordered(request)
+            return request
+
+        deliver(foreign)
+        assert served == []
+        home_request = deliver(home)
+        assert served == [home_request]
+        assert memory._home_cache == {foreign: False, home: True}
+        # A second delivery of each answers from the memo.
+        deliver(foreign)
+        deliver(home)
+        assert home_tests == [foreign, home]
+        assert len(served) == 2
+        # The node keeps no memo of its own.
+        for value in vars(node).values():
+            if isinstance(value, dict):
+                assert foreign not in value and home not in value
+
     def test_invalidate_dispatch_cache_reaches_network_caches(self):
         system = self._system()
         scheduler = system.simulator.scheduler

@@ -197,25 +197,8 @@ class TestBugDetection:
                 break
         assert caught
 
-    def test_lost_invalidation_is_caught(self, monkeypatch):
+    def test_lost_invalidation_is_caught(self, lost_invalidation):
         """A snooping sharer that ignores invalidations trips the checks."""
-        from repro.protocols.snooping.cache_controller import (
-            SnoopingCacheController,
-        )
-
-        original = SnoopingCacheController._serve_stable
-
-        def never_invalidate(self, block, message):
-            if (
-                message.request_kind is MessageType.GETM
-                and block.state is MOSIState.SHARED
-            ):
-                return  # bug: keep the stale shared copy
-            return original(self, block, message)
-
-        monkeypatch.setattr(
-            SnoopingCacheController, "_serve_stable", never_invalidate
-        )
         caught = False
         for seed in range(4):
             trace = generate_trace(seed, operations=50, mode=RACY)

@@ -18,15 +18,14 @@ from repro.verification.differential import (
     ReplayResult,
     TraceOp,
     WRITE,
+    compare_results,
     generate_trace,
+    run_differential,
 )
 from repro.verification.invariants import InvariantReport
 from repro.verification.windowed import (
     WindowedTraceSource,
-    apply_window_writes,
-    expected_reads_with_carry,
     run_windowed_differential,
-    _compare_window,
 )
 
 
@@ -72,11 +71,11 @@ class TestCarryModel:
             ops=tuple(ops),
         )
 
-    def test_apply_window_writes_threads_history(self):
+    def test_predicted_final_tokens_thread_the_carry(self):
         trace = self._trace(
             [TraceOp(0, 0, WRITE, 7, 1), TraceOp(1, 1, "read", 0, 1)]
         )
-        carry = apply_window_writes(trace, {0: 3, 1: 4})
+        carry = trace.predicted_final_tokens({0: 3, 1: 4})
         assert carry == {0: 7, 1: 4}
 
     def test_expected_reads_start_from_the_carry(self):
@@ -87,12 +86,12 @@ class TestCarryModel:
                 TraceOp(1, 0, "read", 0, 1),  # sees this window's write
             ]
         )
-        expected = expected_reads_with_carry(trace, {0: 3, 1: 4})
+        expected = trace.expected_read_tokens({0: 3, 1: 4})
         assert expected == {0: 4, 2: 9}
 
     def test_expected_reads_default_to_zero_without_carry(self):
         trace = self._trace([TraceOp(0, 0, "read", 0, 1)])
-        assert expected_reads_with_carry(trace, {}) == {0: 0}
+        assert trace.expected_read_tokens({}) == {0: 0}
 
 
 def _fake_result(protocol, final_image, operations=2):
@@ -128,7 +127,7 @@ class TestCompareWindow:
 
     def test_agreement_with_carry_passes(self):
         image = {0: 5, 1: 4}  # block 1 keeps the carried token
-        failures = _compare_window(
+        failures = compare_results(
             self._trace(),
             {
                 ProtocolName.SNOOPING: _fake_result(
@@ -143,7 +142,7 @@ class TestCompareWindow:
     def test_losing_a_carried_value_is_reported(self):
         # a protocol that "forgets" block 1's carried token diverges from
         # the model even though this window never wrote block 1
-        failures = _compare_window(
+        failures = compare_results(
             self._trace(),
             {
                 ProtocolName.BASH: _fake_result(
@@ -155,7 +154,7 @@ class TestCompareWindow:
         assert any("carried model predicts 4" in line for line in failures)
 
     def test_cross_protocol_divergence_is_reported(self):
-        failures = _compare_window(
+        failures = compare_results(
             self._trace(),
             {
                 ProtocolName.SNOOPING: _fake_result(
@@ -211,6 +210,36 @@ class TestRunWindowedDifferential:
         assert payload["windows_completed"] == 2
         assert payload["operations"] == 40
         assert payload["protocols"] == ["snooping", "directory"]
+
+
+class TestOneChecker:
+    """A one-window windowed run is the monolithic check, line for line."""
+
+    @pytest.mark.parametrize("mode", [STRICT, RACY])
+    def test_failures_match_the_monolithic_checker(self, mode, lost_invalidation):
+        operations = 50
+        failing = 0
+        for seed in range(6):
+            monolithic = run_differential(
+                generate_trace(seed, operations=operations, mode=mode),
+                protocols=[ProtocolName.SNOOPING],
+            )
+            windowed = run_windowed_differential(
+                seed,
+                windows=1,
+                window_ops=operations,
+                mode=mode,
+                protocols=[ProtocolName.SNOOPING],
+            )
+            prefix = "window 0: "
+            assert all(line.startswith(prefix) for line in windowed.failures)
+            assert [
+                line[len(prefix):] for line in windowed.failures
+            ] == monolithic.failures
+            failing += not monolithic.ok
+        # The injected bug must actually trip the comparison somewhere, or
+        # the equality above would only compare empty lists.
+        assert failing
 
 
 class TestWindowedCampaignIntegration:

@@ -945,29 +945,18 @@ link_transmit(PyObject *link, const Py_ssize_t *slots, PyObject *occupancy,
     if (!core_is_message(message) || !slot_ll(message, size_slot, &size))
         return 0;
     PyObject *size_obj = Py_NewRef(*SLOT_CELL(message, size_slot));
-    /* Occupancy memo, kept as Link.transmit keeps it (so the memo dict the
-     * reset path clears is the one populated here): a unit-cost transfer
-     * under its size, filled here through occupancy_cycles on a miss; any
-     * other cost factor under (size, factor), which occupancy_cycles fills
-     * itself. */
+    /* Occupancy memo, read under the key EndpointLink.occupancy_cycles
+     * stores (the size at unit cost, else (size, factor)); a miss calls
+     * occupancy_cycles, the memo's one writer. */
     PyObject *key = factor == NULL ? Py_NewRef(size_obj)
                                    : PyTuple_Pack(2, size_obj, factor);
     PyObject *cycles_obj =
         key == NULL ? NULL : PyDict_GetItemWithError(occupancy, key);
     if (cycles_obj != NULL)
         Py_INCREF(cycles_obj);
-    else if (key != NULL && !PyErr_Occurred()) {
-        if (factor == NULL) {
-            cycles_obj = PyObject_CallMethodOneArg(link, str_occupancy_cycles,
-                                                   size_obj);
-            if (cycles_obj != NULL &&
-                PyDict_SetItem(occupancy, size_obj, cycles_obj) < 0)
-                Py_CLEAR(cycles_obj);
-        }
-        else
-            cycles_obj = PyObject_CallMethodObjArgs(
-                link, str_occupancy_cycles, size_obj, factor, NULL);
-    }
+    else if (key != NULL && !PyErr_Occurred())
+        cycles_obj = PyObject_CallMethodObjArgs(link, str_occupancy_cycles,
+                                                size_obj, factor, NULL);
     Py_XDECREF(key);
     Py_DECREF(size_obj);
     if (cycles_obj == NULL)

@@ -24,12 +24,10 @@
  *
  * Like the compiled scheduler, the delivery objects prebind containers
  * that every system reset clears *in place* (the transaction dict, the
- * block store's raw dict, the directory's entry dict), the memory
- * controller's home memo (fixed by the structural config, so never
- * cleared) plus stable bound methods and statistics objects.  Counts go
- * through _core.h's count_stat (the component's own counter cache, so a
- * reset-pruned name is re-resolved by count()) and running means through
- * mean_record_int; a patched Counter, RunningMean or Component.count keeps
+ * block store's raw dict, the directory's entry dict) plus stable bound
+ * methods and statistics objects.  Counts go through _core.h's count_stat
+ * (the component's own counter cache, so a reset-pruned name is
+ * re-resolved by count()) and running means through mean_record_int; a patched Counter, RunningMean or Component.count keeps
  * the Python methods.  Message fields are read through message_get()
  * (_core.h): by slot for the stock Message, by attribute for anything
  * else.
@@ -86,36 +84,6 @@ static PyObject *empty_args;
 
 /* ------------------------------------------------------------------ helpers */
 
-/* Truth value of an attribute; -1 with error set, else 0/1. */
-static int
-attr_truth(PyObject *obj, PyObject *name)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL)
-        return -1;
-    int result = PyObject_IsTrue(value);
-    Py_DECREF(value);
-    return result;
-}
-
-/* Read an int attribute as long long; sets *error on failure. */
-static long long
-attr_ll(PyObject *obj, PyObject *name, int *error)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL) {
-        *error = 1;
-        return -1;
-    }
-    long long result = PyLong_AsLongLong(value);
-    Py_DECREF(value);
-    if (result == -1 && PyErr_Occurred()) {
-        *error = 1;
-        return -1;
-    }
-    return result;
-}
-
 /* The truth value of a message field; -1 with error set, else 0/1. */
 static int
 message_truth(PyObject *message, int field)
@@ -144,17 +112,6 @@ message_ll(PyObject *message, int field, int *error)
         return -1;
     }
     return result;
-}
-
-/* Call callable(arg), discarding the result; 0 / -1. */
-static int
-call_discard1(PyObject *callable, PyObject *arg)
-{
-    PyObject *result = PyObject_CallOneArg(callable, arg);
-    if (result == NULL)
-        return -1;
-    Py_DECREF(result);
-    return 0;
 }
 
 static int
@@ -894,11 +851,16 @@ static PyTypeObject DataDeliver_Type = {
  *     DATA reply (owner_serve, with BASH's owner-side sufficiency check)
  *     entirely in C; live transactions, which may defer or note an
  *     invalidation, delegate to _handle_other_request;
- *   home node                -> the home memo, the memory's DATA reply
- *     (issue_mem_serve) and the directory's grant_exclusive/add_sharer
- *     bookkeeping (plus the BASH sufficiency check) in C; anything that
- *     retries, nacks or holds requests delegates to the memory
- *     controller's _ordered_request.
+ *   home node                -> the home test (the stock block-interleaved
+ *     arithmetic), the memory's DATA reply (issue_mem_serve) and the
+ *     directory's grant_exclusive/add_sharer bookkeeping (plus the BASH
+ *     sufficiency check) in C; anything that retries, nacks or holds
+ *     requests delegates to the memory controller's _ordered_request.
+ *
+ * The entry is built whole or not at all: the Python selection offers it
+ * only when the cache, the memory controller, their config and every
+ * reply object (completer, data_serve, mem_serve) are stock, so each
+ * field below is always set.
  */
 
 typedef struct {
@@ -907,12 +869,9 @@ typedef struct {
     PyObject *msg_kind;       /* MessageType.GETS or .GETM */
     long long node_id;
     int bash;                 /* owner-side sufficiency check enabled */
-    int mem_mode;             /* 0: no memory side; 1: delegate to Python
-                                 handler when home; 2: C home-serve */
     int mem_bash;             /* home-serve follows BASH semantics */
-    int home_inline;          /* home test as C arithmetic (stock config) */
-    long long block_bytes;    /* config.cache_block_bytes (home_inline) */
-    long long num_procs;      /* config.num_processors (home_inline) */
+    long long block_bytes;    /* config.cache_block_bytes (home test) */
+    long long num_procs;      /* config.num_processors (home test) */
     PyObject *controller;     /* cache controller (count() calls) */
     PyObject *transactions;   /* controller.transactions (dict) */
     PyObject *blocks;         /* controller.blocks._blocks (dict) */
@@ -920,16 +879,14 @@ typedef struct {
     PyObject *handle_other;   /* bound _handle_other_request */
     PyObject *finish_getm;    /* bound _finish_getm */
     PyObject *own_sufficient; /* bound _own_request_sufficient */
-    PyObject *home_filter;    /* memory controller's home memo, or NULL */
-    PyObject *is_home_for;    /* bound memoised home test, or NULL */
-    PyObject *mem_handler;    /* bound _ordered_request, or NULL */
-    PyObject *mem_controller; /* memory controller (count() calls), or NULL */
-    PyObject *dir_entries;    /* directory._entries (dict), or NULL */
-    PyObject *dir_lookup;     /* bound DirectoryStore.lookup, or NULL */
-    PyObject *completer;      /* DataDeliver for upgrade-at-marker, or NULL */
-    PyObject *mem_serve;      /* MemServe C data serve (_issue.c), or NULL */
-    PyObject *data_serve;     /* the cache's MemServe (owner replies), or
-                                 NULL: owners delegate */
+    PyObject *is_home_for;    /* bound memory-side home test: addresses the
+                                 arithmetic cannot take */
+    PyObject *mem_handler;    /* bound _ordered_request */
+    PyObject *dir_entries;    /* directory._entries (dict) */
+    PyObject *dir_lookup;     /* bound DirectoryStore.lookup */
+    PyObject *completer;      /* DataDeliver for upgrade-at-marker */
+    PyObject *mem_serve;      /* the home memory's MemServe (_issue.c) */
+    PyObject *data_serve;     /* the cache's MemServe (owner replies) */
 } SnoopDeliverObject;
 
 static PyObject *SnoopDeliver_vectorcall(SnoopDeliverObject *self,
@@ -940,45 +897,35 @@ static int
 SnoopDeliver_init(SnoopDeliverObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *kind, *controller, *transactions, *blocks, *blocks_lookup;
-    PyObject *handle_other, *finish_getm, *own_sufficient;
-    PyObject *home_filter = Py_None, *is_home_for = Py_None;
-    PyObject *mem_handler = Py_None, *mem_controller = Py_None;
-    PyObject *dir_entries = Py_None, *dir_lookup = Py_None;
-    PyObject *completer = Py_None, *mem_serve = Py_None;
-    PyObject *data_serve = Py_None;
-    long long node_id, block_bytes = 0, num_procs = 0;
-    int bash, mem_mode, mem_bash = 0, home_inline = 0;
+    PyObject *handle_other, *finish_getm, *own_sufficient, *is_home_for;
+    PyObject *mem_handler, *dir_entries, *dir_lookup;
+    PyObject *completer, *mem_serve, *data_serve;
+    long long node_id, block_bytes, num_procs;
+    int bash, mem_bash;
     static char *kwlist[] = {
         "kind",          "node_id",      "bash",        "controller",
         "transactions",  "blocks",       "blocks_lookup",
         "handle_other",  "finish_getm",  "own_sufficient",
-        "mem_mode",      "mem_bash",     "home_filter", "is_home_for",
-        "mem_handler",   "mem_controller", "dir_entries", "dir_lookup",
-        "home_inline",   "block_bytes",  "num_procs",  "completer",
+        "mem_bash",      "is_home_for",  "mem_handler", "dir_entries",
+        "dir_lookup",    "block_bytes",  "num_procs",   "completer",
         "mem_serve",     "data_serve",   NULL};
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OLiOOOOOOOi|iOOOOOOiLLOOO", kwlist, &kind, &node_id,
+            args, kwds, "OLiOOOOOOOiOOOOLLOOO", kwlist, &kind, &node_id,
             &bash, &controller, &transactions, &blocks, &blocks_lookup,
-            &handle_other, &finish_getm, &own_sufficient, &mem_mode,
-            &mem_bash, &home_filter, &is_home_for, &mem_handler,
-            &mem_controller, &dir_entries, &dir_lookup, &home_inline,
+            &handle_other, &finish_getm, &own_sufficient, &mem_bash,
+            &is_home_for, &mem_handler, &dir_entries, &dir_lookup,
             &block_bytes, &num_procs, &completer, &mem_serve, &data_serve))
         return -1;
-    if (completer != Py_None &&
-        !PyObject_TypeCheck(completer, &DataDeliver_Type)) {
-        PyErr_SetString(PyExc_TypeError, "completer must be a DataDeliver");
-        return -1;
-    }
-    if ((mem_serve != Py_None && !issue_is_memserve(mem_serve)) ||
-        (data_serve != Py_None && !issue_is_memserve(data_serve))) {
+    if (!PyObject_TypeCheck(completer, &DataDeliver_Type) ||
+        !issue_is_memserve(mem_serve) || !issue_is_memserve(data_serve)) {
         PyErr_SetString(PyExc_TypeError,
-                        "mem_serve and data_serve must be MemServe objects");
+                        "completer must be a DataDeliver, mem_serve and "
+                        "data_serve MemServe objects");
         return -1;
     }
-    if (home_inline && (block_bytes <= 0 || num_procs <= 0)) {
+    if (block_bytes <= 0 || num_procs <= 0) {
         PyErr_SetString(PyExc_ValueError,
-                        "home_inline requires positive block_bytes and "
-                        "num_procs");
+                        "block_bytes and num_procs must be positive");
         return -1;
     }
     if (!protocol_injected())
@@ -988,70 +935,34 @@ SnoopDeliver_init(SnoopDeliverObject *self, PyObject *args, PyObject *kwds)
                         "SnoopDeliver handles GETS or GETM entries only");
         return -1;
     }
-    if (!PyDict_Check(transactions) || !PyDict_Check(blocks)) {
+    if (!PyDict_Check(transactions) || !PyDict_Check(blocks) ||
+        !PyDict_Check(dir_entries)) {
         PyErr_SetString(PyExc_TypeError,
-                        "transactions and blocks must be dicts");
-        return -1;
-    }
-    if (mem_mode < 0 || mem_mode > 2) {
-        PyErr_SetString(PyExc_ValueError, "mem_mode must be 0, 1 or 2");
-        return -1;
-    }
-    if (mem_mode != 0 &&
-        (!PyDict_Check(home_filter) || is_home_for == Py_None ||
-         mem_handler == Py_None)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "mem_mode > 0 requires home_filter (dict), "
-                        "is_home_for and mem_handler");
-        return -1;
-    }
-    if (mem_mode == 2 &&
-        (!PyDict_Check(dir_entries) || dir_lookup == Py_None ||
-         mem_controller == Py_None)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "mem_mode 2 requires dir_entries (dict), dir_lookup "
-                        "and mem_controller");
+                        "transactions, blocks and dir_entries must be dicts");
         return -1;
     }
     self->node_id = node_id;
     self->bash = bash;
-    self->mem_mode = mem_mode;
     self->mem_bash = mem_bash;
-    self->home_inline = home_inline;
     self->block_bytes = block_bytes;
     self->num_procs = num_procs;
-    Py_INCREF(kind);
-    Py_XSETREF(self->msg_kind, kind);
-    Py_INCREF(controller);
-    Py_XSETREF(self->controller, controller);
-    Py_INCREF(transactions);
-    Py_XSETREF(self->transactions, transactions);
-    Py_INCREF(blocks);
-    Py_XSETREF(self->blocks, blocks);
-    Py_INCREF(blocks_lookup);
-    Py_XSETREF(self->blocks_lookup, blocks_lookup);
-    Py_INCREF(handle_other);
-    Py_XSETREF(self->handle_other, handle_other);
-    Py_INCREF(finish_getm);
-    Py_XSETREF(self->finish_getm, finish_getm);
-    Py_INCREF(own_sufficient);
-    Py_XSETREF(self->own_sufficient, own_sufficient);
-#define STORE_OPT(field, value)                                                \
-    do {                                                                       \
-        PyObject *boxed = (value) == Py_None ? NULL : (value);                 \
-        Py_XINCREF(boxed);                                                     \
-        Py_XSETREF(self->field, boxed);                                        \
-    } while (0)
-    STORE_OPT(home_filter, home_filter);
-    STORE_OPT(is_home_for, is_home_for);
-    STORE_OPT(mem_handler, mem_handler);
-    STORE_OPT(mem_controller, mem_controller);
-    STORE_OPT(dir_entries, dir_entries);
-    STORE_OPT(dir_lookup, dir_lookup);
-    STORE_OPT(completer, completer);
-    STORE_OPT(mem_serve, mem_serve);
-    STORE_OPT(data_serve, data_serve);
-#undef STORE_OPT
+#define STORE(field) Py_XSETREF(self->field, Py_NewRef(field))
+    Py_XSETREF(self->msg_kind, Py_NewRef(kind));
+    STORE(controller);
+    STORE(transactions);
+    STORE(blocks);
+    STORE(blocks_lookup);
+    STORE(handle_other);
+    STORE(finish_getm);
+    STORE(own_sufficient);
+    STORE(is_home_for);
+    STORE(mem_handler);
+    STORE(dir_entries);
+    STORE(dir_lookup);
+    STORE(completer);
+    STORE(mem_serve);
+    STORE(data_serve);
+#undef STORE
     self->vectorcall = (vectorcallfunc)SnoopDeliver_vectorcall;
     return 0;
 }
@@ -1067,10 +978,8 @@ SnoopDeliver_traverse(SnoopDeliverObject *self, visitproc visit, void *arg)
     Py_VISIT(self->handle_other);
     Py_VISIT(self->finish_getm);
     Py_VISIT(self->own_sufficient);
-    Py_VISIT(self->home_filter);
     Py_VISIT(self->is_home_for);
     Py_VISIT(self->mem_handler);
-    Py_VISIT(self->mem_controller);
     Py_VISIT(self->dir_entries);
     Py_VISIT(self->dir_lookup);
     Py_VISIT(self->completer);
@@ -1090,10 +999,8 @@ SnoopDeliver_clear(SnoopDeliverObject *self)
     Py_CLEAR(self->handle_other);
     Py_CLEAR(self->finish_getm);
     Py_CLEAR(self->own_sufficient);
-    Py_CLEAR(self->home_filter);
     Py_CLEAR(self->is_home_for);
     Py_CLEAR(self->mem_handler);
-    Py_CLEAR(self->mem_controller);
     Py_CLEAR(self->dir_entries);
     Py_CLEAR(self->dir_lookup);
     Py_CLEAR(self->completer);
@@ -1226,15 +1133,13 @@ snoop_own(SnoopDeliverObject *self, PyObject *message, PyObject *address)
                     Py_DECREF(block);
                     goto fail;
                 }
-                int finished = 1; /* 1 = take the Python path */
-                if (self->completer != NULL) {
-                    finished = data_finish_getm(
-                        (DataDeliverObject *)self->completer, transaction,
-                        block, address);
-                    if (finished < 0) {
-                        Py_DECREF(block);
-                        goto fail;
-                    }
+                /* 1 = take the Python path */
+                int finished = data_finish_getm(
+                    (DataDeliverObject *)self->completer, transaction, block,
+                    address);
+                if (finished < 0) {
+                    Py_DECREF(block);
+                    goto fail;
                 }
                 if (finished == 1 &&
                     call_discard2(self->finish_getm, transaction, block) < 0) {
@@ -1322,21 +1227,17 @@ snoop_other(SnoopDeliverObject *self, PyObject *message, PyObject *address,
         return call_discard1(self->handle_other, message);
     int rc = 0;
     if (owner) {
-        rc = 1;
-        if (self->data_serve != NULL) {
-            int sufficient =
-                kind == MT_GETM && self->bash
-                    ? owner_getm_sufficient(self, block, message, requester)
-                    : 1;
-            if (sufficient == 0)
-                rc = count_stat(self->controller, s_insufficient_observed);
-            else if (sufficient == 1)
-                rc = owner_serve(self->data_serve, self->controller,
-                                 self->blocks, block, message,
-                                 kind == MT_GETM);
-            else if (sufficient < 0)
-                rc = -1;
-        }
+        int sufficient =
+            kind == MT_GETM && self->bash
+                ? owner_getm_sufficient(self, block, message, requester)
+                : 1;
+        if (sufficient == 0)
+            rc = count_stat(self->controller, s_insufficient_observed);
+        else if (sufficient == 1)
+            rc = owner_serve(self->data_serve, self->controller, self->blocks,
+                             block, message, kind == MT_GETM);
+        else /* -1 error, 2 containers only the Python check reads */
+            rc = sufficient < 0 ? -1 : 1;
         if (rc == 1)
             rc = call_discard1(self->handle_other, message);
     }
@@ -1465,17 +1366,16 @@ home_serve(SnoopDeliverObject *self, PyObject *message, PyObject *address,
             goto done;
         }
     }
-    /* Data-sending branches delegate — unless the compiled MemServe entry
-     * (_issue.c) can build and schedule the DATA reply itself, in which
-     * case the directory bookkeeping below still runs in C. */
+    /* The memory's DATA reply goes out through the compiled MemServe
+     * (_issue.c); the directory bookkeeping below still runs in C.  When
+     * the controller's latency is not a plain int (issue_mem_serve returns
+     * 1, nothing sent), the whole request delegates. */
     if (self->mem_bash ? (is_getm ? owner == MEMORY_OWNER_ID
                                   : (owner == MEMORY_OWNER_ID ||
                                      owner == requester))
                        : owner == MEMORY_OWNER_ID) {
-        int served = -1;
-        if (self->mem_serve != NULL)
-            served = issue_mem_serve(self->mem_serve, message, entry);
-        if (served < 0 && PyErr_Occurred())
+        int served = issue_mem_serve(self->mem_serve, message, entry);
+        if (served < 0)
             goto done;
         if (served != 0) {
             rc = call_discard1(self->mem_handler, message);
@@ -1511,39 +1411,24 @@ done:
     return rc;
 }
 
-/* The home test (inline arithmetic, else the memory controller's memo --
- * the dict the node's pure entry reads and fills), then the memory side. */
+/* The home test, then the memory side.  home_node(address) == node_id
+ * with the stock block-interleaved mapping for the non-negative
+ * machine-size addresses every run uses; any other address asks the
+ * memory controller's own home test. */
 static int
 snoop_home(SnoopDeliverObject *self, PyObject *message, PyObject *address,
            long long requester)
 {
-    int is_home = -2; /* unresolved */
-    if (self->home_inline) {
-        /* home_node(address) == node_id with the stock block-interleaved
-         * mapping; the mapping is only compiled in for non-negative
-         * machine-size addresses (others take the memoised Python test). */
-        long long addr = PyLong_AsLongLong(address);
-        if (addr == -1 && PyErr_Occurred())
-            PyErr_Clear();
-        else if (addr >= 0)
-            is_home = (addr / self->block_bytes) % self->num_procs ==
-                      self->node_id;
-    }
-    if (is_home == -2) {
-        PyObject *home = PyDict_GetItemWithError(self->home_filter, address);
-        if (home == NULL) {
-            if (PyErr_Occurred())
-                return -1;
-            home = PyObject_CallOneArg(self->is_home_for, address);
-            if (home == NULL)
-                return -1;
-            if (PyDict_SetItem(self->home_filter, address, home) < 0) {
-                Py_DECREF(home);
-                return -1;
-            }
-        }
-        else
-            Py_INCREF(home);
+    int is_home;
+    long long addr = PyLong_AsLongLong(address);
+    if (addr == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    if (addr >= 0)
+        is_home = (addr / self->block_bytes) % self->num_procs == self->node_id;
+    else {
+        PyObject *home = PyObject_CallOneArg(self->is_home_for, address);
+        if (home == NULL)
+            return -1;
         is_home = PyObject_IsTrue(home);
         Py_DECREF(home);
         if (is_home < 0)
@@ -1551,8 +1436,6 @@ snoop_home(SnoopDeliverObject *self, PyObject *message, PyObject *address,
     }
     if (!is_home)
         return 0;
-    if (self->mem_mode == 1)
-        return call_discard1(self->mem_handler, message);
     return home_serve(self, message, address, requester);
 }
 
@@ -1577,7 +1460,7 @@ SnoopDeliver_vectorcall(SnoopDeliverObject *self, PyObject *const *args,
         rc = snoop_own(self, message, address);
     else
         rc = snoop_other(self, message, address, requester);
-    if (rc == 0 && self->mem_mode != 0)
+    if (rc == 0)
         rc = snoop_home(self, message, address, requester);
     Py_DECREF(address);
     if (rc < 0)
@@ -1612,7 +1495,9 @@ static PyTypeObject SnoopDeliver_Type = {
  * transaction runs _serve_forward in C: the owner's DATA reply
  * (owner_serve), the SHARED invalidation on FWD_GETM, and the
  * stale_forwards / invalidations counts; a live transaction (which may
- * defer the forward) delegates to _handle_other_forward. */
+ * defer the forward) delegates to _handle_other_forward.  Like
+ * SnoopDeliver it is built whole: every entry has its completer, and a
+ * forward entry its data_serve. */
 
 typedef struct {
     PyObject_HEAD
@@ -1621,13 +1506,13 @@ typedef struct {
     long long node_id;
     PyObject *controller;   /* cache controller (count() calls) */
     PyObject *transactions; /* controller.transactions (dict) */
-    PyObject *handle_other; /* bound _handle_other_forward, or NULL */
     PyObject *try_complete; /* bound _try_complete */
-    PyObject *completer;    /* DataDeliver for marker completion, or NULL */
-    PyObject *blocks;       /* controller.blocks._blocks (dict), or NULL */
-    PyObject *blocks_lookup; /* bound CacheBlockStore.lookup, or NULL */
-    PyObject *data_serve;   /* the cache's MemServe, or NULL: other nodes'
-                               forwards delegate */
+    PyObject *completer;    /* DataDeliver for marker completion */
+    /* Forward entries only (NULL on the MARKER entry): */
+    PyObject *handle_other; /* bound _handle_other_forward */
+    PyObject *blocks;       /* controller.blocks._blocks (dict) */
+    PyObject *blocks_lookup; /* bound CacheBlockStore.lookup */
+    PyObject *data_serve;   /* the cache's MemServe (owner replies) */
 } DirDeliverObject;
 
 static PyObject *DirDeliver_vectorcall(DirDeliverObject *self,
@@ -1637,32 +1522,22 @@ static PyObject *DirDeliver_vectorcall(DirDeliverObject *self,
 static int
 DirDeliver_init(DirDeliverObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *controller, *transactions, *try_complete;
-    PyObject *handle_other = Py_None, *completer = Py_None;
-    PyObject *blocks = Py_None, *blocks_lookup = Py_None;
-    PyObject *data_serve = Py_None;
+    PyObject *controller, *transactions, *try_complete, *completer;
+    PyObject *handle_other = Py_None, *blocks = Py_None;
+    PyObject *blocks_lookup = Py_None, *data_serve = Py_None;
     long long node_id;
     int forward;
     static char *kwlist[] = {"forward",      "node_id",      "controller",
-                             "transactions", "try_complete", "handle_other",
-                             "completer",    "blocks",       "blocks_lookup",
+                             "transactions", "try_complete", "completer",
+                             "handle_other", "blocks",       "blocks_lookup",
                              "data_serve",   NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iLOOO|OOOOO", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iLOOOO|OOOO", kwlist,
                                      &forward, &node_id, &controller,
-                                     &transactions, &try_complete,
-                                     &handle_other, &completer, &blocks,
-                                     &blocks_lookup, &data_serve))
+                                     &transactions, &try_complete, &completer,
+                                     &handle_other, &blocks, &blocks_lookup,
+                                     &data_serve))
         return -1;
-    if (data_serve != Py_None &&
-        (!issue_is_memserve(data_serve) || !PyDict_Check(blocks) ||
-         blocks_lookup == Py_None)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "data_serve must be a MemServe, with blocks (dict) "
-                        "and blocks_lookup");
-        return -1;
-    }
-    if (completer != Py_None &&
-        !PyObject_TypeCheck(completer, &DataDeliver_Type)) {
+    if (!PyObject_TypeCheck(completer, &DataDeliver_Type)) {
         PyErr_SetString(PyExc_TypeError, "completer must be a DataDeliver");
         return -1;
     }
@@ -1670,29 +1545,23 @@ DirDeliver_init(DirDeliverObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "transactions must be a dict");
         return -1;
     }
-    if (forward && handle_other == Py_None) {
+    if (forward && (handle_other == Py_None || !issue_is_memserve(data_serve) ||
+                    !PyDict_Check(blocks) || blocks_lookup == Py_None)) {
         PyErr_SetString(PyExc_TypeError,
-                        "forward entries require handle_other");
+                        "forward entries require handle_other, a MemServe "
+                        "data_serve, blocks (dict) and blocks_lookup");
         return -1;
     }
     self->forward = forward;
     self->node_id = node_id;
-    Py_INCREF(controller);
-    Py_XSETREF(self->controller, controller);
-    Py_INCREF(transactions);
-    Py_XSETREF(self->transactions, transactions);
-    Py_INCREF(try_complete);
-    Py_XSETREF(self->try_complete, try_complete);
-    PyObject *other = handle_other == Py_None ? NULL : handle_other;
-    Py_XINCREF(other);
-    Py_XSETREF(self->handle_other, other);
-    PyObject *comp = completer == Py_None ? NULL : completer;
-    Py_XINCREF(comp);
-    Py_XSETREF(self->completer, comp);
-    int serves = data_serve != Py_None;
-    Py_XSETREF(self->blocks, serves ? Py_NewRef(blocks) : NULL);
-    Py_XSETREF(self->blocks_lookup, serves ? Py_NewRef(blocks_lookup) : NULL);
-    Py_XSETREF(self->data_serve, serves ? Py_NewRef(data_serve) : NULL);
+    Py_XSETREF(self->controller, Py_NewRef(controller));
+    Py_XSETREF(self->transactions, Py_NewRef(transactions));
+    Py_XSETREF(self->try_complete, Py_NewRef(try_complete));
+    Py_XSETREF(self->completer, Py_NewRef(completer));
+    Py_XSETREF(self->handle_other, forward ? Py_NewRef(handle_other) : NULL);
+    Py_XSETREF(self->blocks, forward ? Py_NewRef(blocks) : NULL);
+    Py_XSETREF(self->blocks_lookup, forward ? Py_NewRef(blocks_lookup) : NULL);
+    Py_XSETREF(self->data_serve, forward ? Py_NewRef(data_serve) : NULL);
     self->vectorcall = (vectorcallfunc)DirDeliver_vectorcall;
     return 0;
 }
@@ -1787,8 +1656,6 @@ dir_serve_forward(DirDeliverObject *self, PyObject *block, PyObject *message)
 static int
 dir_other_forward(DirDeliverObject *self, PyObject *message)
 {
-    if (self->data_serve == NULL)
-        return call_discard1(self->handle_other, message);
     PyObject *address = message_get(message, MSG_ADDRESS);
     if (address == NULL)
         return -1;
@@ -1883,13 +1750,11 @@ DirDeliver_vectorcall(DirDeliverObject *self, PyObject *const *args,
             Py_RETURN_NONE;
         }
     }
-    int done = 1; /* 1 = take the Python path */
-    if (self->completer != NULL) {
-        done = data_try_complete((DataDeliverObject *)self->completer,
-                                 transaction);
-        if (done < 0)
-            goto fail;
-    }
+    /* 1 = take the Python path */
+    int done =
+        data_try_complete((DataDeliverObject *)self->completer, transaction);
+    if (done < 0)
+        goto fail;
     if (done == 1 && call_discard1(self->try_complete, transaction) < 0)
         goto fail;
     Py_DECREF(transaction);
@@ -1974,8 +1839,7 @@ typedef struct {
     PyObject *link_out;
     PyObject *pure;            /* bound _sample_utilization (bail target) */
     PyObject *policy;          /* UnsignedSaturatingCounter */
-    PyObject *history;         /* mechanism.history: list or deque */
-    PyObject *history_append;  /* bound deque.append, NULL for a list */
+    PyObject *history_append;  /* bound mechanism.history.append (a deque) */
     PyObject *sample_cls;      /* AdaptiveSample */
     PyObject *means[3];        /* RunningMeans: node and system utilisation,
                                   system unicast probability */
@@ -2053,12 +1917,9 @@ BashSample_init(BashSampleObject *self, PyObject *args, PyObject *kwds)
         copy_slots(&policy_layout, Py_TYPE(policy), policy_slot_names,
                    POLICY_SLOTS, self->policy_slots) < 0)
         return -1;
-    PyObject *append = NULL;
-    if (!PyList_CheckExact(history)) {
-        append = PyObject_GetAttr(history, s_append);
-        if (append == NULL)
-            return -1;
-    }
+    PyObject *append = PyObject_GetAttr(history, s_append);
+    if (append == NULL)
+        return -1;
     Py_XSETREF(self->history_append, append);
     self->busy_delta = busy_delta;
     self->idle_delta = idle_delta;
@@ -2073,7 +1934,6 @@ BashSample_init(BashSampleObject *self, PyObject *args, PyObject *kwds)
     STORE_SAMPLE(link_out, link_out);
     STORE_SAMPLE(pure, pure);
     STORE_SAMPLE(policy, policy);
-    STORE_SAMPLE(history, history);
     STORE_SAMPLE(sample_cls, sample_cls);
     STORE_SAMPLE(means[0], mean_node);
     STORE_SAMPLE(means[1], mean_util);
@@ -2093,7 +1953,6 @@ BashSample_traverse(BashSampleObject *self, visitproc visit, void *arg)
     Py_VISIT(self->link_out);
     Py_VISIT(self->pure);
     Py_VISIT(self->policy);
-    Py_VISIT(self->history);
     Py_VISIT(self->history_append);
     Py_VISIT(self->sample_cls);
     Py_VISIT(self->means[0]);
@@ -2112,7 +1971,6 @@ BashSample_clear(BashSampleObject *self)
     Py_CLEAR(self->link_out);
     Py_CLEAR(self->pure);
     Py_CLEAR(self->policy);
-    Py_CLEAR(self->history);
     Py_CLEAR(self->history_append);
     Py_CLEAR(self->sample_cls);
     Py_CLEAR(self->means[0]);
@@ -2270,9 +2128,7 @@ BashSample_vectorcall(BashSampleObject *self, PyObject *const *Py_UNUSED(args),
         new_sample(self, now, utilization, value, moved, probability);
     if (sample == NULL)
         return NULL;
-    int rc = self->history_append == NULL
-                 ? PyList_Append(self->history, sample)
-                 : call_discard1(self->history_append, sample);
+    int rc = call_discard1(self->history_append, sample);
     Py_DECREF(sample);
     if (rc < 0 ||
         mean_record(self->mean_slots, self->means[0], utilization, NULL) < 0 ||

@@ -95,6 +95,49 @@ vectorcall_args(const char *name, size_t nargsf, PyObject *kwnames,
     return 1;
 }
 
+/* --------------------------------------------------------- attribute helpers */
+
+/* Truth value of an attribute; -1 with error set, else 0/1. */
+static inline int
+attr_truth(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    int result = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return result;
+}
+
+/* Read an int attribute as long long; sets *error on failure. */
+static inline long long
+attr_ll(PyObject *obj, PyObject *name, int *error)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL) {
+        *error = 1;
+        return -1;
+    }
+    long long result = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    if (result == -1 && PyErr_Occurred()) {
+        *error = 1;
+        return -1;
+    }
+    return result;
+}
+
+/* Call callable(arg), discarding the result; 0 / -1. */
+static inline int
+call_discard1(PyObject *callable, PyObject *arg)
+{
+    PyObject *result = PyObject_CallOneArg(callable, arg);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
 /* ----------------------------------------------------------- slot access
  *
  * The Python state the compiled objects read on every call lives in

@@ -131,47 +131,6 @@ static PyObject *issue_empty_tuple;
 
 /* ------------------------------------------------------------------ helpers */
 
-/* Truth value of an attribute; -1 with error set, else 0/1. */
-static int
-attr_truth(PyObject *obj, PyObject *name)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL)
-        return -1;
-    int result = PyObject_IsTrue(value);
-    Py_DECREF(value);
-    return result;
-}
-
-/* Read an int attribute as long long; sets *error on failure. */
-static long long
-attr_ll(PyObject *obj, PyObject *name, int *error)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL) {
-        *error = 1;
-        return -1;
-    }
-    long long result = PyLong_AsLongLong(value);
-    Py_DECREF(value);
-    if (result == -1 && PyErr_Occurred()) {
-        *error = 1;
-        return -1;
-    }
-    return result;
-}
-
-/* Call callable(arg), discarding the result; 0 / -1. */
-static int
-call_discard1(PyObject *callable, PyObject *arg)
-{
-    PyObject *result = PyObject_CallOneArg(callable, arg);
-    if (result == NULL)
-        return -1;
-    Py_DECREF(result);
-    return 0;
-}
-
 /* obj.name += delta with generic numeric semantics (mirrors `+=` on a
  * plain attribute, including non-int instruction counts). */
 static int
@@ -1043,12 +1002,11 @@ static PyTypeObject ZipfTable_Type = {
  * method mirrors _complete_miss and is installed as the transaction
  * completion callback.
  *
- * send_mode: 0 = delegate sends to the stored bound _send_request /
- * _send_writeback (still compiled issue bookkeeping); 1 = the snooping
- * body: broadcast on the controller's _ordered_send; 2 = the directory
- * body: unicast to the home on its _unordered_send; 3 = BASH's body: the
- * LFSR draw against the policy counter, then a broadcast or a
- * {home, requester} dualcast on _ordered_send (writebacks always dualcast).
+ * send_mode: 1 = the snooping body: broadcast on the controller's
+ * _ordered_send; 2 = the directory body: unicast to the home on its
+ * _unordered_send; 3 = BASH's body: the LFSR draw against the policy
+ * counter, then a broadcast or a {home, requester} dualcast on
+ * _ordered_send (writebacks always dualcast).
  * Mode 1 is mode 3 with every request's decision fixed to broadcast.
  *
  * source_mode: 0 = call the stored bound workload next_operation /
@@ -1064,8 +1022,8 @@ static PyTypeObject ZipfTable_Type = {
 
 /* Widest policy counter the C integer path holds: the LFSR draw is packed
  * into 64 bits, and the sampler's policy/maximum division is exact only
- * below 2**53.  Wider counters keep send mode 0 (checked on the Python
- * side as well). */
+ * below 2**53.  A wider counter declines the whole step (checked on the
+ * Python side as well). */
 #define BASH_MAX_POLICY_BITS 53
 #define BASH_MAX_TAPS 8
 
@@ -1089,8 +1047,6 @@ typedef struct {
     PyObject *on_complete;     /* bound workload.on_complete, or NULL (elided
                                   when the stock no-op) */
     PyObject *schedule_after;  /* bound scheduler.schedule_after_fast1 */
-    PyObject *send_request;    /* bound cache._send_request */
-    PyObject *send_writeback;  /* bound cache._send_writeback */
     PyObject *perform_label;
     PyObject *retry_label;
     PyObject *ctr_hits;        /* hoisted Counter handles (._count bumps) */
@@ -1269,13 +1225,13 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *sequencer, *scheduler, *cache, *blocks, *transactions;
     PyObject *writebacks, *perform, *finish_stream, *next_operation;
-    PyObject *schedule_after, *send_request, *send_writeback;
+    PyObject *schedule_after, *send;
     PyObject *perform_label, *retry_label;
     PyObject *ctr_hits, *ctr_misses, *sys_operations, *sys_instructions;
     PyObject *ctr_requests, *ctr_requests_gets, *ctr_requests_getm;
     PyObject *txn_cls, *txn_id_next, *msg_cls, *msg_id_next, *request_bytes;
     PyObject *on_complete = Py_None, *txn_pool = Py_None, *msg_pool = Py_None;
-    PyObject *data_bytes = Py_None, *all_nodes = Py_None, *send = Py_None;
+    PyObject *data_bytes = Py_None, *all_nodes = Py_None;
     PyObject *ctr_unicast = Py_None;
     PyObject *adaptive = Py_None, *sys_broadcast_decisions = Py_None;
     PyObject *sys_unicast_decisions = Py_None;
@@ -1291,15 +1247,15 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
         "node_id",        "block_bytes",       "capacity",
         "blocks",         "transactions",      "writebacks",
         "perform",        "finish_stream",     "next_operation",
-        "schedule_after", "send_request",      "send_writeback",
-        "perform_label",  "retry_label",       "ctr_hits",
-        "ctr_misses",     "sys_operations",    "sys_instructions",
-        "ctr_requests",   "ctr_requests_gets", "ctr_requests_getm",
+        "schedule_after", "send",              "perform_label",
+        "retry_label",    "ctr_hits",          "ctr_misses",
+        "sys_operations", "sys_instructions",  "ctr_requests",
+        "ctr_requests_gets",                   "ctr_requests_getm",
         "txn_cls",        "txn_id_next",       "msg_cls",
         "msg_id_next",    "request_bytes",     "send_mode",
         "on_complete",    "txn_pool",          "msg_pool",
-        "data_bytes",     "all_nodes",         "send",
-        "ctr_unicast",    "adaptive",          "sys_broadcast_decisions",
+        "data_bytes",     "all_nodes",         "ctr_unicast",
+        "adaptive",       "sys_broadcast_decisions",
         "sys_unicast_decisions",               "num_procs",
         "source_mode",    "op_cls",            "rng",
         "issued",         "completed",         "last_lock",
@@ -1309,16 +1265,16 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
         NULL};
     if (!PyArg_ParseTupleAndKeywords(
             args, kwds,
-            "OOOLLLOOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOOLiOOOOOOLLLLLLdd",
+            "OOOLLLOOOOOOOOOOOOOOOOOOOOOOi|OOOOOOOOOLiOOOOOOLLLLLLdd",
             kwlist, &sequencer, &scheduler, &cache, &node_id, &block_bytes,
             &capacity, &blocks, &transactions, &writebacks, &perform,
-            &finish_stream, &next_operation, &schedule_after, &send_request,
-            &send_writeback, &perform_label, &retry_label, &ctr_hits,
-            &ctr_misses, &sys_operations, &sys_instructions, &ctr_requests,
+            &finish_stream, &next_operation, &schedule_after, &send,
+            &perform_label, &retry_label, &ctr_hits, &ctr_misses,
+            &sys_operations, &sys_instructions, &ctr_requests,
             &ctr_requests_gets, &ctr_requests_getm, &txn_cls, &txn_id_next,
             &msg_cls, &msg_id_next, &request_bytes, &send_mode, &on_complete,
-            &txn_pool, &msg_pool, &data_bytes, &all_nodes, &send,
-            &ctr_unicast, &adaptive, &sys_broadcast_decisions,
+            &txn_pool, &msg_pool, &data_bytes, &all_nodes, &ctr_unicast,
+            &adaptive, &sys_broadcast_decisions,
             &sys_unicast_decisions, &num_procs, &source_mode, &op_cls, &rng,
             &issued, &completed, &last_lock, &zipf, &quota, &think, &jitter,
             &keys, &key_base, &op_block_bytes, &zipf_total, &write_fraction))
@@ -1341,8 +1297,8 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
                         "block_bytes and capacity must be positive");
         return -1;
     }
-    if (send_mode < 0 || send_mode > 3) {
-        PyErr_SetString(PyExc_ValueError, "send_mode must be 0, 1, 2 or 3");
+    if (send_mode < 1 || send_mode > 3) {
+        PyErr_SetString(PyExc_ValueError, "send_mode must be 1, 2 or 3");
         return -1;
     }
     if (source_mode < 0 || source_mode > 2) {
@@ -1370,9 +1326,8 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "arena pools must be lists or None");
         return -1;
     }
-    if (send_mode != 0 && !PyCallable_Check(send)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "send modes 1-3 require a send callable");
+    if (!PyCallable_Check(send)) {
+        PyErr_SetString(PyExc_TypeError, "send must be callable");
         return -1;
     }
     if ((send_mode == 1 || send_mode == 3) && all_nodes == Py_None) {
@@ -1421,8 +1376,7 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     STORE_REQ(finish_stream, finish_stream);
     STORE_REQ(next_operation, next_operation);
     STORE_REQ(schedule_after, schedule_after);
-    STORE_REQ(send_request, send_request);
-    STORE_REQ(send_writeback, send_writeback);
+    STORE_REQ(send, send);
     STORE_REQ(perform_label, perform_label);
     STORE_REQ(retry_label, retry_label);
     STORE_REQ(ctr_hits, ctr_hits);
@@ -1449,7 +1403,6 @@ SequencerStep_init(SequencerStepObject *self, PyObject *args, PyObject *kwds)
     STORE_OPT(msg_pool, msg_pool);
     STORE_OPT(data_bytes, data_bytes);
     STORE_OPT(all_nodes, all_nodes);
-    STORE_OPT(send, send);
     STORE_OPT(ctr_unicast, ctr_unicast);
     STORE_OPT(adaptive, adaptive);
     STORE_OPT(sys_broadcast_decisions, sys_broadcast_decisions);
@@ -1479,8 +1432,6 @@ SequencerStep_traverse(SequencerStepObject *self, visitproc visit, void *arg)
     Py_VISIT(self->next_operation);
     Py_VISIT(self->on_complete);
     Py_VISIT(self->schedule_after);
-    Py_VISIT(self->send_request);
-    Py_VISIT(self->send_writeback);
     Py_VISIT(self->perform_label);
     Py_VISIT(self->retry_label);
     Py_VISIT(self->ctr_hits);
@@ -1532,8 +1483,6 @@ SequencerStep_clear(SequencerStepObject *self)
     Py_CLEAR(self->next_operation);
     Py_CLEAR(self->on_complete);
     Py_CLEAR(self->schedule_after);
-    Py_CLEAR(self->send_request);
-    Py_CLEAR(self->send_writeback);
     Py_CLEAR(self->perform_label);
     Py_CLEAR(self->retry_label);
     Py_CLEAR(self->ctr_hits);
@@ -1734,11 +1683,7 @@ sstep_issue_request(SequencerStepObject *self, PyObject *address,
         bump_attr(is_getm ? self->ctr_requests_getm : self->ctr_requests_gets,
                   s__count, ll_one) < 0)
         goto fail;
-    if (self->send_mode == 0) {
-        if (call_discard1(self->send_request, txn) < 0)
-            goto fail;
-    }
-    else if (self->send_mode != 2) {
+    if (self->send_mode != 2) {
         if (sstep_ordered_send(self, txn, kind, address, txn_id, token,
                                now_obj) < 0)
             goto fail;
@@ -1800,11 +1745,7 @@ sstep_issue_writeback(SequencerStepObject *self, PyObject *address,
         goto fail;
     if (count_stat(self->cache, n_writebacks) < 0)
         goto fail;
-    if (self->send_mode == 0) {
-        if (call_discard1(self->send_writeback, txn) < 0)
-            goto fail;
-    }
-    else if (self->send_mode != 2) {
+    if (self->send_mode != 2) {
         /* A PUTM carrying the request-message size and the transaction's
          * (zero) store token. */
         if (sstep_ordered_send(self, txn, MT_PUTM, address, txn_id, ll_zero,

@@ -91,10 +91,9 @@ class AdaptiveConfig:
     retry_buffer_size: int = 16
     #: Ring-buffer capacity of each mechanism's sample history.  PAPER-scale
     #: runs take millions of samples per node; only the most recent
-    #: ``history_capacity`` are kept unless ``record_full_history`` opts into
-    #: unbounded recording (plots and tests that replay whole traces).
+    #: ``history_capacity`` are kept (a caller that needs a whole run's
+    #: samples sets a capacity above the samples the run takes).
     history_capacity: int = 512
-    record_full_history: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.utilization_threshold < 1.0:

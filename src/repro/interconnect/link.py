@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappush as _heappush
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .._core import accelerator_for, note_handler_selection, stock
 from ..common.units import transfer_cycles
@@ -60,10 +60,11 @@ class EndpointLink:
         self._period_prefix = 0
         self._messages = 0
         self._bytes = 0
-        # Memoised (size_bytes, cost_factor) -> occupancy cycles; messages come
-        # in a handful of distinct sizes, so the exact ceiling is computed once
-        # per size instead of on the transmit fast path.
-        self._occupancy_cache: Dict[Tuple[int, float], int] = {}
+        # Memoised occupancy cycles; messages come in a handful of distinct
+        # sizes, so the exact ceiling is computed once per size instead of on
+        # the transmit fast path.  occupancy_cycles is the one writer (see its
+        # key rule); the transmit paths read it and call it on a miss.
+        self._occupancy_cache: Dict[Union[int, Tuple[int, float]], int] = {}
 
     @property
     def busy_until(self) -> int:
@@ -81,8 +82,14 @@ class EndpointLink:
         return self._bytes
 
     def occupancy_cycles(self, size_bytes: int, cost_factor: float = 1.0) -> int:
-        """Cycles this link is occupied by a message of ``size_bytes``."""
-        cached = self._occupancy_cache.get((size_bytes, cost_factor))
+        """Cycles this link is occupied by a message of ``size_bytes``.
+
+        Memoised under the bare size at unit cost (an int key hashes in C and
+        needs no tuple allocation) and under ``(size, cost factor)``
+        otherwise; the two key shapes cannot collide in the one dict.
+        """
+        key = size_bytes if cost_factor == 1.0 else (size_bytes, cost_factor)
+        cached = self._occupancy_cache.get(key)
         if cached is not None:
             return cached
         if size_bytes <= 0:
@@ -92,7 +99,7 @@ class EndpointLink:
                 f"cost factor must be finite and >= 1, got {cost_factor}"
             )
         cycles = transfer_cycles(size_bytes * cost_factor, self.bytes_per_cycle)
-        self._occupancy_cache[(size_bytes, cost_factor)] = cycles
+        self._occupancy_cache[key] = cycles
         return cycles
 
     def transmit(self, now: int, size_bytes: int, cost_factor: float = 1.0) -> int:
@@ -102,16 +109,10 @@ class EndpointLink:
         serviced in arrival order, so a message arriving while the link is busy
         waits until the earlier transfers finish.
         """
-        # Unit cost dominates, so it is cached under the bare size (an int key
-        # hashes in C and needs no tuple allocation); other cost factors use
-        # the (size, cost) tuple key.  The two key shapes cannot collide in
-        # the shared dict.
         key = size_bytes if cost_factor == 1.0 else (size_bytes, cost_factor)
         cycles = self._occupancy_cache.get(key)
         if cycles is None:
-            cycles = self._occupancy_cache[key] = self.occupancy_cycles(
-                size_bytes, cost_factor
-            )
+            cycles = self.occupancy_cycles(size_bytes, cost_factor)
         busy_until = self._busy_until
         if now > busy_until:
             # The link was idle: a new busy period opens.
@@ -229,8 +230,7 @@ def _push_closure(
     buckets = scheduler._buckets
     buckets_get = buckets.get
     times = scheduler._times
-    occupancy = link._occupancy_cache
-    occupancy_get = occupancy.get
+    occupancy_get = link._occupancy_cache.get
     unit = factor == 1.0
 
     def push(message) -> None:
@@ -238,7 +238,7 @@ def _push_closure(
         key = size if unit else (size, factor)
         cycles = occupancy_get(key)
         if cycles is None:
-            cycles = occupancy[key] = link.occupancy_cycles(size, factor)
+            cycles = link.occupancy_cycles(size, factor)
         now = scheduler.now
         busy_until = link._busy_until
         if now > busy_until:

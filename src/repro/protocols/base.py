@@ -330,8 +330,8 @@ class MemoryControllerBase(ProtocolController):
 
     A memory controller acts on an ordered delivery only when it is the home
     for the address (the Directory home consumes nothing ordered at all), so
-    the node's ordered entries skip it for foreign addresses through
-    :meth:`is_home_for`'s memo.
+    the node's ordered entries skip it for foreign addresses through the
+    controller's home memo (:meth:`ProtocolController.home_of`).
     """
 
     def __init__(
@@ -346,19 +346,14 @@ class MemoryControllerBase(ProtocolController):
             f"memory{node_id}", node_id, config, interconnect, scheduler, stats
         )
         self.directory = DirectoryStore()
-        # Home interleaving is fixed per run, and every ordered delivery asks
-        # "is this mine?" — memoise the answer per block address.  The node's
-        # ordered entries (pure and compiled) read and fill this same dict.
-        self._home_cache: Dict[int, bool] = {}
         self._memory_data_label = self.full_label("memory-data")
 
     def is_home_for(self, address: int) -> bool:
         """True when this controller is the home for ``address``."""
-        cached = self._home_cache.get(address)
-        if cached is None:
-            cached = self.config.home_node(address) == self.node_id
-            self._home_cache[address] = cached
-        return cached
+        home = self._home_memo.get(address)
+        if home is None:
+            home = self.home_of(address)
+        return home == self.node_id
 
     def reset_state(self, config: SystemConfig) -> None:
         """Reset memory-side state: every directory entry reverts to memory-owned."""

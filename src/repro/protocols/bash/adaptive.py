@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, MutableSequence, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 from ..._core import stock
 from ...common.config import AdaptiveConfig
@@ -69,15 +69,9 @@ class BandwidthAdaptiveMechanism:
         self.utilization_counter = SignedSaturatingCounter(limit=limit)
         self.policy_counter = UnsignedSaturatingCounter(bits=config.policy_counter_bits)
         self.lfsr = LinearFeedbackShiftRegister(seed=seed)
-        #: Recent samples.  Bounded by default (PAPER-scale runs take millions
-        #: of samples per node and used to grow memory without limit — ROADMAP
-        #: open item); ``record_full_history`` opts into an unbounded list for
-        #: plots and tests that replay whole traces.
-        self.history: MutableSequence[AdaptiveSample] = (
-            []
-            if config.record_full_history
-            else deque(maxlen=config.history_capacity)
-        )
+        #: The most recent ``history_capacity`` samples (PAPER-scale runs take
+        #: millions of samples per node).
+        self.history: Deque[AdaptiveSample] = deque(maxlen=config.history_capacity)
         self._broadcasts = 0
         self._unicasts = 0
 

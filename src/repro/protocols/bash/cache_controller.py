@@ -317,7 +317,7 @@ def _bash_sampler(controller, ext):
         )
         or controller._schedule_after_fast != controller.scheduler.schedule_after_fast
         or policy.bits > C_POLICY_BITS
-        or type(mechanism.history) not in (list, deque)
+        or type(mechanism.history) is not deque
     ):
         return None
     return ext.BashSample(
@@ -350,8 +350,8 @@ def compile_issue_send(cache):
     needs an unpatched stock mechanism, LFSR, policy counter, config and
     decision counters, a policy counter of at most :data:`C_POLICY_BITS`
     bits, and nodes numbered ``0..num_processors-1`` under the stock home
-    mapping.  Any other shape returns None and the issue chain keeps send
-    mode 0.
+    mapping.  Any other shape returns None and the node's whole issue step
+    declines to the pure path.
     """
     mechanism = cache.adaptive
     config = cache.config

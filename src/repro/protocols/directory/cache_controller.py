@@ -96,47 +96,59 @@ class DirectoryCacheController(CacheControllerBase):
 
         Same shape as the snooping variant: per-handler, exact unpatched
         class (:func:`repro._core.is_stock`) and default-table-entry
-        checks, declining to the generic path on any customisation.  The
-        Directory home consumes nothing ordered, so a memory controller
-        that *does* register an ordered handler for the type means a
-        customised system — decline.  A forward entry also serves other
-        nodes' forwards in C (:meth:`_serve_forward`, with the DATA reply
-        through :func:`repro.protocols.dispatch.compile_data_reply`) when
-        the block store is stock.  PUT_ACK/PUT_NACK stay pure (rare, and
-        they complete writebacks).
+        checks, and built whole or not at all.  The Directory home consumes
+        nothing ordered, so a memory controller that *does* register an
+        ordered handler for the type means a customised system — decline.
+        Every entry completes through the compiled ``DataDeliver``, and a
+        forward entry also serves other nodes' forwards in C
+        (:meth:`_serve_forward`, with the DATA reply through
+        :func:`repro.protocols.dispatch.compile_data_reply`); when either
+        does not compile, the entry declines.  PUT_ACK/PUT_NACK stay pure
+        (rare, and they complete writebacks).
         """
         ext = handler_accelerator(self)
         if ext is None or type(self) is not DirectoryCacheController:
             return None
         if memory_controller.ordered_handlers.get(msg_type) is not None:
             return None
-        if not is_stock(self, Transaction):
-            note_selection(self, msg_type, "declined")
-            return None
         if msg_type is MessageType.MARKER:
-            expected, forward = self._handle_marker, 0
+            expected, forward = self._handle_marker, False
         elif msg_type in (MessageType.FWD_GETS, MessageType.FWD_GETM):
-            expected, forward = self._handle_forward, 1
+            expected, forward = self._handle_forward, True
         else:
             return None
-        if self.ordered_handlers.get(msg_type) != expected:
-            note_selection(self, msg_type, "declined")
+        entry = None
+        if (
+            is_stock(self, Transaction)
+            and self.ordered_handlers.get(msg_type) == expected
+        ):
+            entry = self._dir_deliver(ext, forward)
+        note_selection(self, msg_type, "declined" if entry is None else "compiled")
+        return entry
+
+    def _dir_deliver(self, ext, forward):
+        completer = self._compiled_data_deliver(ext)
+        if completer is None:
             return None
-        note_selection(self, msg_type, "compiled")
-        data_serve = None
-        if forward and is_stock(self.blocks, CacheBlock):
+        extra = {}
+        if forward:
             data_serve = compile_data_reply(self, ext, from_memory=False)
+            if data_serve is None:
+                return None
+            extra = {
+                "handle_other": self._handle_other_forward,
+                "blocks": self.blocks._blocks,
+                "blocks_lookup": self.blocks.lookup,
+                "data_serve": data_serve,
+            }
         return ext.DirDeliver(
             forward=forward,
             node_id=self.node_id,
             controller=self,
             transactions=self.transactions,
             try_complete=self._try_complete,
-            handle_other=self._handle_other_forward if forward else None,
-            completer=self._compiled_data_deliver(ext),
-            blocks=self.blocks._blocks,
-            blocks_lookup=self.blocks.lookup,
-            data_serve=data_serve,
+            completer=completer,
+            **extra,
         )
 
     def compile_accelerated_unordered(self, msg_type):
@@ -364,7 +376,7 @@ def compile_issue_send(cache):
     call, so any network shape is faithful by construction.  The C body
     computes the stock block-interleaved home and takes the message sizes
     at selection, so it needs a stock config; any other returns None and
-    the issue chain keeps send mode 0.
+    the node's whole issue step declines to the pure path.
     """
     config = cache.config
     if not is_stock(config):

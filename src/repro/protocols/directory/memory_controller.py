@@ -78,7 +78,8 @@ class DirectoryMemoryController(MemoryControllerBase):
         marker or forward and the sharer/owner update, pushing markers and
         forwards to the network's compiled ordered send.  Offered only on a
         compiled scheduler for the exact stock controller, directory,
-        config and message classes with the default table entry; the
+        config and message classes with the default table entry, a
+        compiled DATA reply and the network's C ``OrderedSend``; the
         decision is recorded as ``DirectoryMemoryController<N>.<TYPE>``.
         PUTM (rare writebacks) always runs the pure handler.  The entry
         carries ``releases_message`` when an arena is attached: the
@@ -111,13 +112,11 @@ class DirectoryMemoryController(MemoryControllerBase):
         ):
             return None
         serve = compile_data_reply(self, ext, from_memory=True)
-        if serve is None:
+        # Markers and forwards go straight to the compiled ordered send,
+        # which takes the recipients from the message as _inject_ordered
+        # does; a Python network send declines the entry.
+        if serve is None or not isinstance(self._ordered_send, ext.OrderedSend):
             return None
-        # Markers and forwards go straight to the compiled ordered send
-        # when the controller has it; else through _inject_ordered.
-        inject = self._ordered_send
-        if not isinstance(inject, ext.OrderedSend):
-            inject = self._inject_ordered
         arena = getattr(self.scheduler, "arena", None)
         getm = msg_type is MessageType.GETM
         forward = MessageType.FWD_GETM if getm else MessageType.FWD_GETS
@@ -133,7 +132,7 @@ class DirectoryMemoryController(MemoryControllerBase):
             entries=self.directory._entries,
             lookup=self._directory_lookup,
             singletons=self._singletons,
-            inject=inject,
+            inject=self._ordered_send,
             marker_label=self._marker_label,
             forward_label=self._forward_labels[forward],
             request_bytes=self._request_bytes,

@@ -166,6 +166,38 @@ def rejecter(controller: object, network: str) -> Callable[[Message], None]:
 # --------------------------------------------------------------- issue chain
 
 
+def arena_pools(controller, transactions: bool = False):
+    """The arena free lists the C allocation pops for ``controller``, or None.
+
+    The compiled objects allocate as the controller's prebound
+    ``_new_message`` (and, with ``transactions``, ``_new_transaction``)
+    does: from a stock arena those must be that arena's own methods, and
+    the C side pops the same free lists; without an arena they must be the
+    plain constructors, and the pools are None.  Returns the ``msg_pool``
+    (and ``txn_pool``) kwargs, or None for any other shape, which only the
+    Python allocation mirrors.
+    """
+    makers = [(controller._new_message, Message, SimulationArena.message)]
+    if transactions:
+        makers.append(
+            (controller._new_transaction, Transaction, SimulationArena.transaction)
+        )
+    arena = controller._arena
+    if arena is None:
+        if any(bound is not cls for bound, cls, _ in makers):
+            return None
+    elif not _core.is_stock(arena) or any(
+        getattr(bound, "__self__", None) is not arena
+        or getattr(bound, "__func__", None) is not method
+        for bound, _, method in makers
+    ):
+        return None
+    pools = {"msg_pool": None if arena is None else arena._messages}
+    if transactions:
+        pools["txn_pool"] = None if arena is None else arena._transactions
+    return pools
+
+
 def compile_data_reply(controller, ext, from_memory: bool):
     """A C ``MemServe`` for ``controller``'s DATA replies, or None.
 
@@ -177,9 +209,9 @@ def compile_data_reply(controller, ext, from_memory: bool):
     serves (the Snooping/BASH home and owner, the Directory home and
     forward) send through it.  Only offered for a stock controller whose
     prebound scheduling and allocation still point at the scheduler and
-    arena; any customisation keeps the Python reply, which is always
-    faithful.  ``ext`` comes from :func:`handler_accelerator`, so the
-    protocol singletons are already injected.
+    arena (:func:`arena_pools`); on any customisation the entry that would
+    hold it declines whole.  ``ext`` comes from :func:`handler_accelerator`,
+    so the protocol singletons are already injected.
     """
     from ..interconnect.message import _message_ids  # noqa: PLC0415
 
@@ -190,20 +222,9 @@ def compile_data_reply(controller, ext, from_memory: bool):
     scheduler = controller.scheduler
     if controller._schedule_after_fast1 != scheduler.schedule_after_fast1:
         return None
-    arena = controller._arena
-    if arena is not None:
-        if not _core.is_stock(arena):
-            return None
-        if (
-            getattr(controller._new_message, "__self__", None) is not arena
-            or controller._new_message.__func__ is not SimulationArena.message
-        ):
-            return None
-        msg_pool = arena._messages
-    else:
-        if controller._new_message is not Message:
-            return None
-        msg_pool = None
+    pools = arena_pools(controller)
+    if pools is None:
+        return None
     inject_stock_classes(ext)
     return ext.MemServe(
         controller=controller,
@@ -218,9 +239,9 @@ def compile_data_reply(controller, ext, from_memory: bool):
         msg_cls=Message,
         msg_id_next=_message_ids.__next__,
         data_bytes=controller.config.data_message_bytes,
-        msg_pool=msg_pool,
         from_memory=from_memory,
         data_counter=None if from_memory else controller._ctr_data_responses,
+        **pools,
     )
 
 
@@ -235,22 +256,17 @@ def issue_accelerator(sequencer):
     return ext
 
 
-def note_issue_selection(
-    sequencer, status: str, send_status: str = "", source_status: str = ""
-) -> None:
-    """Record one per-node issue-chain decision and its mode decisions.
+def note_issue_selection(sequencer, status: str, source_status: str = "") -> None:
+    """Record one per-node issue-chain decision and its source decision.
 
-    ``Sequencer<N>.step`` says whether the C step runs; ``Sequencer<N>.send``
-    whether it also runs the protocol's ``_send_*`` body (modes 1-3, which
-    end in the controller's own network send) rather than calling the bound
-    Python ``_send_*`` methods (mode 0); ``Sequencer<N>.workload`` whether
-    it draws the workload's next reference and counts its completion in C
+    ``Sequencer<N>.step`` says whether the C step runs, the protocol's
+    ``_send_*`` body included; ``Sequencer<N>.workload`` whether it also
+    draws the workload's next reference and counts its completion in C
     (source modes 1-2) rather than calling the bound ``next_operation`` /
     ``on_complete`` (source mode 0).  A declined step declines both.
     """
     node = sequencer.node_id
     _core.note_handler_selection(f"Sequencer{node}.step", status)
-    _core.note_handler_selection(f"Sequencer{node}.send", send_status or status)
     _core.note_handler_selection(
         f"Sequencer{node}.workload", source_status or status
     )
@@ -282,7 +298,7 @@ def compile_sequencer_step(sequencer):
     The returned object replaces ``Sequencer._perform`` as the scheduled
     delivery entry for one node: block probe, hit test, eviction, the
     GETS/GETM/PUTM issue (transaction allocation, MSHR insert, counters and
-    the protocol's message build) and the completion/refetch bookkeeping
+    the protocol's ``_send_*`` body) and the completion/refetch bookkeeping
     all run in C.  The message then goes to the controller's own bound
     ``_ordered_send``/``_unordered_send``, the callable the pure
     ``_send_*`` bodies call, so the network side needs no check of its own.
@@ -296,8 +312,8 @@ def compile_sequencer_step(sequencer):
     stock objects only (:func:`repro._core.is_stock`), with the pure
     implementation remaining the executable specification — any unusual
     shape (subclass, class or instance patch, swapped workload entry point,
-    non-stock arena) declines to the pure path for that node, recorded via
-    :func:`note_issue_selection`.
+    non-stock arena, a send body the C step does not mirror) declines to the
+    pure path for that node, recorded via :func:`note_issue_selection`.
 
     Called from ``Sequencer.start`` once per run, so constants baked into the
     C object (capacity, block size, message sizes) are re-derived after every
@@ -360,39 +376,22 @@ def compile_sequencer_step(sequencer):
     capacity = blocks.capacity_blocks
     if block_bytes < 1 or capacity < 1:
         return decline()
-    # Allocation: either the stock arena's free lists (popped C-side) or the
-    # plain constructors; anything else keeps the pure issue path.
-    arena = cache._arena
-    if arena is not None:
-        if not _core.is_stock(arena):
-            return decline()
-        if (
-            getattr(cache._new_transaction, "__self__", None) is not arena
-            or cache._new_transaction.__func__ is not SimulationArena.transaction
-            or getattr(cache._new_message, "__self__", None) is not arena
-            or cache._new_message.__func__ is not SimulationArena.message
-        ):
-            return decline()
-        txn_pool = arena._transactions
-        msg_pool = arena._messages
-    else:
-        if (
-            cache._new_transaction is not Transaction
-            or cache._new_message is not Message
-        ):
-            return decline()
-        txn_pool = msg_pool = None
+    pools = arena_pools(cache, transactions=True)
+    if pools is None:
+        return decline()
     # The protocol's send body in C: mode 1 (snooping broadcast), mode 2
-    # (directory unicast) or mode 3 (BASH adaptive broadcast/dualcast) when
-    # the protocol-side objects it mirrors are stock, else mode 0 (C
-    # bookkeeping, bound Python _send_* call — always faithful).
+    # (directory unicast) or mode 3 (BASH adaptive broadcast/dualcast), when
+    # the protocol-side objects it mirrors are stock; else the whole step
+    # declines.
     if cache_cls is SnoopingCacheController:
         send = snooping_issue_send(cache)
     elif cache_cls is DirectoryCacheController:
         send = directory_issue_send(cache)
     else:
         send = bash_issue_send(cache)
-    send_mode, extra = send if send is not None else (0, {})
+    if send is None:
+        return decline()
+    send_mode, extra = send
     # The directory controller prebinds its request size at construction;
     # its helper supplies that binding so the compiled build matches it.
     request_bytes = extra.pop("request_bytes", config.request_message_bytes)
@@ -423,8 +422,6 @@ def compile_sequencer_step(sequencer):
         finish_stream=sequencer._finish_stream,
         next_operation=sequencer._next_operation,
         schedule_after=sequencer._schedule_after_fast1,
-        send_request=cache._send_request,
-        send_writeback=cache._send_writeback,
         perform_label=sequencer._perform_label,
         retry_label=sequencer._retry_label,
         ctr_hits=sequencer._ctr_hits,
@@ -441,16 +438,12 @@ def compile_sequencer_step(sequencer):
         request_bytes=request_bytes,
         send_mode=send_mode,
         on_complete=on_complete,
-        txn_pool=txn_pool,
-        msg_pool=msg_pool,
         source_mode=source_mode,
+        **pools,
         **extra,
         **source_extra,
     )
     note_issue_selection(
-        sequencer,
-        "compiled",
-        "compiled" if send_mode else "declined",
-        "compiled" if source_mode else "declined",
+        sequencer, "compiled", "compiled" if source_mode else "declined"
     )
     return step

@@ -17,7 +17,7 @@ or broadcasts."
 
 from __future__ import annotations
 
-from ..._core import is_stock, note_handler_selection, stock
+from ..._core import is_stock, stock
 from ...coherence.block import CacheBlock
 from ...coherence.directory import DirectoryEntry
 from ...coherence.state import MOSIState
@@ -48,21 +48,23 @@ class SnoopingCacheController(CacheControllerBase):
         """A C delivery object for one ordered entry, or None to decline.
 
         Only offered for GETS/GETM when this controller's scheduler is a
-        compiled instance; within that, the decline rule is *per handler*:
-        the controller must be an exact, unpatched Snooping/BASH class
-        (:func:`repro._core.is_stock`) and the dispatch-table entry must
-        still be the default :meth:`_snoop_request`.  The memory side
-        compiles only for the exact, unpatched stock memory controllers; a
-        present but custom memory handler is kept as a Python call behind
-        the C home test, the same call the node's pure entry makes.  Every
-        decision is recorded via :func:`repro.protocols.dispatch.note_selection`
-        so ``repro backend`` can show what actually ran compiled.
+        compiled instance, and only whole: the controller must be an exact,
+        unpatched Snooping/BASH class (:func:`repro._core.is_stock`) whose
+        dispatch-table entry is still the default :meth:`_snoop_request`;
+        the memory controller, its directory and the config must be the
+        unpatched stock objects with the default ``_ordered_request``
+        entry (the home test is C arithmetic on the config); and every
+        reply the entry makes — the upgrade completion and both DATA
+        replies — must compile too.  Anything else declines the whole entry
+        to the node's pure one.  Every decision is recorded via
+        :func:`repro.protocols.dispatch.note_selection` so ``repro backend``
+        can show what actually ran compiled.
 
-        The C objects prebind reset-stable containers (the transaction
-        dict, the block store's raw dict, the memory controller's home
-        memo, the directory's entry dict), so they survive system resets;
-        table swaps go through ``Node.invalidate_dispatch_cache`` which
-        recompiles and re-runs this selection.
+        The C object prebinds reset-stable containers (the transaction
+        dict, the block store's raw dict, the directory's entry dict), so
+        it survives system resets; table swaps go through
+        ``Node.invalidate_dispatch_cache`` which recompiles and re-runs
+        this selection.
         """
         if msg_type is not MessageType.GETS and msg_type is not MessageType.GETM:
             return None  # PUTM: rare writebacks always run the pure handlers
@@ -70,44 +72,43 @@ class SnoopingCacheController(CacheControllerBase):
         if ext is None:
             return None
         from ..bash.cache_controller import BashCacheController  # noqa: PLC0415
-        from ..bash.memory_controller import BashMemoryController  # noqa: PLC0415
-        from .memory_controller import SnoopingMemoryController  # noqa: PLC0415
 
         bash = type(self) is BashCacheController
         if not bash and type(self) is not SnoopingCacheController:
             return None  # unknown subclass: its overrides stay authoritative
+        entry = self._snoop_deliver(ext, msg_type, memory_controller, bash)
+        note_selection(self, msg_type, "declined" if entry is None else "compiled")
+        return entry
+
+    def _snoop_deliver(self, ext, msg_type, memory, bash):
+        from ..bash.memory_controller import BashMemoryController  # noqa: PLC0415
+        from .memory_controller import SnoopingMemoryController  # noqa: PLC0415
+
+        config = memory.config
+        mem_handler = memory.ordered_handlers.get(msg_type)
         if (
-            not is_stock(self, self.blocks, Transaction, CacheBlock)
+            type(memory) not in (SnoopingMemoryController, BashMemoryController)
+            or not is_stock(
+                self,
+                self.blocks,
+                Transaction,
+                CacheBlock,
+                memory,
+                memory.directory,
+                DirectoryEntry,
+                config,
+            )
             or self.ordered_handlers.get(msg_type) != self._snoop_request
+            or mem_handler != memory._ordered_request
         ):
             # A patched class (bug-injection tests do this on purpose) or a
             # swapped table entry: the pure path is the only faithful one.
-            note_selection(self, msg_type, "declined")
             return None
-        mem_handler = memory_controller.ordered_handlers.get(msg_type)
-        if mem_handler is None:
-            mem_mode = 0
-        elif (
-            type(memory_controller) in (SnoopingMemoryController, BashMemoryController)
-            and mem_handler == memory_controller._ordered_request
-            and is_stock(memory_controller, memory_controller.directory, DirectoryEntry)
-        ):
-            mem_mode = 2
-        else:
-            # Custom or patched memory controller, or a swapped table entry:
-            # keep the memory side as a Python call behind the C home filter
-            # (always faithful — it is the same bound table entry the pure
-            # path would call).
-            mem_mode = 1
-        note_selection(self, msg_type, "compiled")
-        mem_bash = type(memory_controller) is BashMemoryController
-        mem_serve = None
-        if mem_mode == 2:
-            mem_serve = compile_data_reply(memory_controller, ext, from_memory=True)
-            note_handler_selection(
-                f"MemoryController{memory_controller.node_id}.serve",
-                "declined" if mem_serve is None else "compiled",
-            )
+        completer = self._compiled_data_deliver(ext)
+        mem_serve = compile_data_reply(memory, ext, from_memory=True)
+        data_serve = compile_data_reply(self, ext, from_memory=False)
+        if completer is None or mem_serve is None or data_serve is None:
+            return None
         return ext.SnoopDeliver(
             kind=msg_type,
             node_id=self.node_id,
@@ -119,18 +120,16 @@ class SnoopingCacheController(CacheControllerBase):
             handle_other=self._handle_other_request,
             finish_getm=self._finish_getm,
             own_sufficient=self._own_request_sufficient,
-            mem_mode=mem_mode,
-            mem_bash=mem_bash if mem_mode == 2 else 0,
-            home_filter=memory_controller._home_cache,
-            is_home_for=memory_controller.is_home_for,
+            mem_bash=type(memory) is BashMemoryController,
+            is_home_for=memory.is_home_for,
             mem_handler=mem_handler,
-            mem_controller=memory_controller if mem_mode == 2 else None,
-            dir_entries=memory_controller.directory._entries if mem_mode == 2 else None,
-            dir_lookup=memory_controller.directory.lookup if mem_mode == 2 else None,
-            completer=self._compiled_data_deliver(ext),
+            dir_entries=memory.directory._entries,
+            dir_lookup=memory.directory.lookup,
+            block_bytes=config.cache_block_bytes,
+            num_procs=config.num_processors,
+            completer=completer,
             mem_serve=mem_serve,
-            data_serve=compile_data_reply(self, ext, from_memory=False),
-            **(_home_inline_args(memory_controller) if mem_mode else {}),
+            data_serve=data_serve,
         )
 
     def compile_accelerated_unordered(self, msg_type):
@@ -491,22 +490,6 @@ class SnoopingCacheController(CacheControllerBase):
                     continue
             self._serve_stable(block, deferred)
         transaction.clear_deferred()
-
-
-def _home_inline_args(memory_controller):
-    """Kwargs compiling the stock block-interleaved home test into C.
-
-    Empty — keeping the memoised ``is_home_for`` fallback — unless the
-    memory controller and its config are unpatched stock objects.
-    """
-    config = memory_controller.config
-    if is_stock(memory_controller, config):
-        return {
-            "home_inline": 1,
-            "block_bytes": config.cache_block_bytes,
-            "num_procs": config.num_processors,
-        }
-    return {}
 
 
 def compile_issue_send(cache):

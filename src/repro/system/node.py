@@ -11,10 +11,10 @@ entries.
 
 An ordered entry has one pure shape: the cache controller's handler (every
 node snoops every ordered request), then — only at the address's home — the
-memory controller's handler, with the home test read from the memory
-controller's own memo (:meth:`MemoryControllerBase.is_home_for`).  A compiled
-backend may substitute a C delivery object for a stock entry; it reads the
-same memo.
+memory controller's handler, with the home read from the memory controller's
+own memo (:meth:`ProtocolController.home_of`).  A compiled backend may
+substitute a C delivery object for a wholly stock entry; it computes the
+same home with the stock block-interleaved arithmetic.
 """
 
 from __future__ import annotations
@@ -128,16 +128,17 @@ class Node:
         # Memory acts on an ordered request only at its home (the paper's
         # integrated nodes), so the entry pre-filters with the memory
         # controller's own home memo instead of paying a call per delivery.
-        home_memo = memory._home_cache
-        is_home_for = memory.is_home_for
+        home_memo_get = memory._home_memo.get
+        home_of = memory.home_of
+        node_id = memory.node_id
 
         def deliver_home_filtered(message: Message) -> None:
             cache_handler(message)
             address = message.address
-            home = home_memo.get(address)
+            home = home_memo_get(address)
             if home is None:
-                home = home_memo[address] = is_home_for(address)
-            if home:
+                home = home_of(address)
+            if home == node_id:
                 memory_handler(message)
 
         return deliver_home_filtered

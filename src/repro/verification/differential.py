@@ -265,15 +265,24 @@ class WindowedTraceSource:
     ) -> None:
         if mode not in (STRICT, RACY):
             raise VerificationError(f"unknown trace mode {mode!r}")
+        if max_delay is None:
+            max_delay = 40 if mode == STRICT else 150
+        # Each operation draws its node, block and delay from these ranges
+        # (delays from [1, max_delay)), so each must be non-empty.
+        for name, value, least in (
+            ("num_processors", num_processors, 1),
+            ("num_blocks", num_blocks, 1),
+            ("max_delay", max_delay, 2),
+        ):
+            if value < least:
+                raise VerificationError(f"{name} must be at least {least}, got {value}")
         self.seed = seed
         self.num_processors = num_processors
         self.num_blocks = num_blocks
         self.mode = mode
         self.write_fraction = write_fraction
         self.writeback_fraction = writeback_fraction
-        self.max_delay = (
-            (40 if mode == STRICT else 150) if max_delay is None else max_delay
-        )
+        self.max_delay = max_delay
         self.single_writer = mode == RACY
         self._rng = random.Random(seed)
         self._writer_of = {
@@ -509,7 +518,8 @@ class TraceReplayer:
         self._watchdog_active = False
         self._watchdog_last = -1
         self._recent_events: deque = deque(maxlen=replay.recent_events)
-        self._done = [False]
+        # An empty trace is complete before it starts: no _record will run.
+        self._done = [not trace.ops]
         scheduler = system.simulator.scheduler
         self._schedule_after = scheduler.schedule_after_fast1
         self._now = lambda: scheduler.now

@@ -112,6 +112,14 @@ class TestLinkPush:
         assert len(pure[1][0]) == len(PUSHES)
         assert pure[0][4] == len(PUSHES)
 
+    @pytest.mark.parametrize("backend_name", [_core.PURE, _core.COMPILED])
+    def test_one_unit_cost_transfer_leaves_one_memo_entry(self, backend_name):
+        """occupancy_cycles is the memo's one writer, under the bare size."""
+        link = EndpointLink("node0.in", 8.0)
+        push = link_push(new_scheduler(backend_name), link, deliver, "deliver:n0")
+        push(message(8))
+        assert link._occupancy_cache == {8: 1}
+
     @pytest.mark.parametrize("factor", [4.0, 2.5])
     def test_cost_factor_matches_the_pure_closure(self, factor):
         """Occupancy at ``factor``, memoised under ``(size, factor)``."""

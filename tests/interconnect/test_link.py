@@ -16,6 +16,13 @@ class TestEndpointLink:
         link = EndpointLink("l", bytes_per_cycle=1.6)
         assert link.occupancy_cycles(8, cost_factor=4.0) == 20
 
+    def test_one_unit_cost_transfer_leaves_one_memo_entry(self):
+        link = EndpointLink("l", bytes_per_cycle=2.0)
+        link.transmit(now=0, size_bytes=8)
+        assert link._occupancy_cache == {8: 4}
+        link.transmit(now=0, size_bytes=8, cost_factor=4.0)
+        assert link._occupancy_cache == {8: 4, (8, 4.0): 16}
+
     def test_transmit_when_idle(self):
         link = EndpointLink("l", bytes_per_cycle=2.0)
         assert link.transmit(now=100, size_bytes=8) == 104

@@ -115,12 +115,12 @@ class TestHistoryBounds:
         # The ring keeps the most recent samples.
         assert [sample.time for sample in mechanism.history] == [6, 7, 8, 9]
 
-    def test_full_recording_is_opt_in(self):
-        config = AdaptiveConfig(history_capacity=4, record_full_history=True)
+    def test_capacity_above_the_samples_keeps_every_one(self):
+        config = AdaptiveConfig(history_capacity=16)
         mechanism = BandwidthAdaptiveMechanism(config)
         for index in range(10):
             mechanism.observe_interval(utilization=0.5, time=index)
-        assert len(mechanism.history) == 10
+        assert [sample.time for sample in mechanism.history] == list(range(10))
 
     def test_history_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):

@@ -29,6 +29,7 @@ from repro.interconnect.message import (
     MessageType,
     _message_ids,
 )
+from repro.interconnect.ordered_network import TotallyOrderedNetwork
 from repro.interconnect.unordered_network import UnorderedNetwork
 from repro.protocols.directory.memory_controller import DirectoryMemoryController
 from repro.sim.component import Component
@@ -394,6 +395,21 @@ class TestOwnerServe:
         assert outcomes[1] == outcomes[0]
 
 
+class TestSnoopHomeTest:
+    @pytest.mark.parametrize("protocol", [SNOOPING, BASH], ids=str)
+    @pytest.mark.parametrize("node", [HOME, OWNER])
+    def test_address_past_the_arithmetic_asks_the_memory(self, protocol, node):
+        """A negative address takes the memory controller's own home test:
+        -BLOCK is homed at node 3, whose memory replies; node 1's does not."""
+        outcome = both(
+            protocol,
+            lambda system: None,
+            snoop(node, request(GETS, {0, 1, 2, 3}, is_broadcast=True, address=-BLOCK)),
+            in_c=("_ordered_request",) if node == HOME else (),
+        )
+        assert pushed_types(outcome) == ([DATA] if node == HOME else [])
+
+
 class TestForwardServe:
     @pytest.mark.parametrize(
         "kind, state",
@@ -466,6 +482,30 @@ class TestDirectoryHome:
                 home_deliver(message)(system)()
             errors.append(str(caught.value))
         assert errors[0] == errors[1]
+
+    def test_python_ordered_send_declines_and_matches_pure(self, monkeypatch):
+        """The entry pushes markers and forwards to the C ``OrderedSend``
+        only; with the network's Python send the whole entry declines."""
+        sent = []
+        original = TotallyOrderedNetwork.send
+
+        def spy(self, message, *rest):
+            sent.append(message.msg_type)
+            original(self, message, *rest)
+
+        monkeypatch.setattr(TotallyOrderedNetwork, "send", spy)
+        outcome = both(
+            DIRECTORY,
+            lambda system: set_entry(system, owner=OWNER),
+            home_deliver(
+                request(GETS, dest=HOME, dest_unit=DestinationUnit.MEMORY)
+            ),
+        )
+        assert pushed_types(outcome) == [MessageType.FWD_GETS]
+        assert _core.handler_selections()[f"DirectoryMemoryController{HOME}.GETS"] == (
+            "declined"
+        )
+        assert sent == [MessageType.FWD_GETS] * 2  # once per backend
 
     def test_subclassed_controller_declines(self):
         class HomeSpy(DirectoryMemoryController):

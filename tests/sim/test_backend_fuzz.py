@@ -219,6 +219,11 @@ def run_bash_legs(backend: str, configs, kind: str):
     return legs
 
 
+#: A sample-history capacity above any leg's sample count, so the
+#: comparison covers every sample each node took.
+WHOLE_RUN_HISTORY = 1 << 20
+
+
 bash_legs = st.fixed_dictionaries(
     {
         "bandwidth": st.sampled_from([200.0, 350.0, 1600.0]),
@@ -247,7 +252,7 @@ def test_bash_adaptive_path_agrees(num_processors: int, kind: str, legs):
             adaptive=AdaptiveConfig(
                 sampling_interval=leg["sampling_interval"],
                 policy_counter_bits=leg["policy_counter_bits"],
-                record_full_history=True,
+                history_capacity=WHOLE_RUN_HISTORY,
             ),
             random_seed=leg["seed"],
         )
@@ -257,3 +262,9 @@ def test_bash_adaptive_path_agrees(num_processors: int, kind: str, legs):
     compiled = run_bash_legs(_core.COMPILED, configs, kind)
     assert compiled == pure
     assert all(state["history"] for state in pure[0][2])
+    # A ring that dropped a sample would sit at its capacity.
+    assert all(
+        len(state["history"]) < WHOLE_RUN_HISTORY
+        for _, _, states in pure
+        for state in states
+    )

@@ -2,14 +2,15 @@
 
 On a compiled scheduler each BASH node runs three C entries: the sampling
 event (``BashSample``, chosen when ``_schedule_sampling`` runs at
-construction and on every reset), the adaptive send (``SequencerStep`` send
-mode 3, chosen when the sequencer starts) and the home memory's DATA reply
-(``MemServe``).  Each is offered only for unpatched stock objects; a class
-patch, an instance hook, a subclass or a policy counter wider than the C
-integer path keeps the pure code for that node, records ``declined``, and
-runs the patched code (each patch here is a spy that counts its calls and
-then defers to the original, so the run stays bit-identical to a stock pure
-run).
+construction and on every reset), the issue step with its adaptive send
+(``SequencerStep`` send mode 3, chosen when the sequencer starts) and the
+ordered snoop-and-home entry with the home memory's DATA reply
+(``SnoopDeliver`` with its ``MemServe``).  Each is offered only whole, for
+unpatched stock objects; a class patch, an instance hook, a subclass or a
+policy counter wider than the C integer path declines the whole entry for
+that node to the pure code, records ``declined``, and runs the patched code
+(each patch here is a spy that counts its calls and then defers to the
+original, so the run stays bit-identical to a stock pure run).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro import _core
 from repro.common.config import AdaptiveConfig, ProtocolName
 from repro.common.lfsr import LinearFeedbackShiftRegister
 from repro.experiments.runner import QUICK, microbenchmark_config, microbenchmark_factory
+from repro.interconnect.message import MessageType
 from repro.protocols.bash.adaptive import BandwidthAdaptiveMechanism
 from repro.protocols.bash.cache_controller import BashCacheController
 from repro.protocols.dispatch import compile_sequencer_step
@@ -46,13 +48,23 @@ def _config(**overrides):
     return small_config(BASH, bandwidth=400.0, **overrides)
 
 
-def _entries(node_id):
-    """The node's sampler, send and serve selections, in that order."""
+def _entries(system, node_id):
+    """The node's sampler, issue step and home serve selections, in order.
+
+    The home memory's DATA reply runs inside the node's ordered entries, so
+    it is compiled exactly when both GETS and GETM entries are the C
+    ``SnoopDeliver``.
+    """
     selections = _core.handler_selections()
+    node = system.nodes[node_id]
+    serve = all(
+        type(node.ordered_entry(kind)).__name__ == "SnoopDeliver"
+        for kind in (MessageType.GETS, MessageType.GETM)
+    )
     return (
         selections.get(f"BashCacheController{node_id}.sample"),
-        selections.get(f"Sequencer{node_id}.send"),
-        selections.get(f"MemoryController{node_id}.serve"),
+        selections.get(f"Sequencer{node_id}.step"),
+        "compiled" if serve else "declined",
     )
 
 
@@ -99,7 +111,7 @@ class TestSelection:
         assert all(step.send_mode == 3 for step in steps)
         assert all(isinstance(step, ext.SequencerStep) for step in steps)
         for node in system.nodes:
-            assert _entries(node.node_id) == ("compiled",) * 3
+            assert _entries(system, node.node_id) == ("compiled",) * 3
         assert observed == _pure_reference(config)
 
     def test_sampling_event_is_the_c_object(self):
@@ -140,9 +152,8 @@ class TestSelection:
                     system.reset(spec(1), config)
                 system.run()
                 for node in system.nodes:
-                    assert _entries(node.node_id) == ("compiled",) * 3, bandwidth
-                    selections = _core.handler_selections()
-                    assert selections[f"Sequencer{node.node_id}.step"] == "compiled"
+                    entries = _entries(system, node.node_id)
+                    assert entries == ("compiled",) * 3, bandwidth
 
 
 #: Every BASH method the compiled entries mirror: (class, method, where the
@@ -169,14 +180,14 @@ class TestDeclineDiscipline:
             observed = _observed(system, system.run())
         assert calls, f"the patched {name} never ran"
         for node in system.nodes:
-            sample, send, _ = _entries(node.node_id)
-            assert (sample, send) == ("declined", "declined")
+            sample, step, _ = _entries(system, node.node_id)
+            assert (sample, step) == ("declined", "declined")
         monkeypatch.undo()
         assert observed == _pure_reference(config)
 
     @pytest.mark.parametrize("cls,name,owner", PATCH_TARGETS, ids=PATCH_IDS)
     def test_instance_hook_runs_pure_on_that_node(self, cls, name, owner):
-        """A hook on node 0's object declines node 0 only.
+        """A hook on node 0's object declines node 0's whole step only.
 
         The sampler is chosen at reset and the send at run start, so the
         hook goes in before a reset that re-selects the sampler.  That reset
@@ -197,12 +208,12 @@ class TestDeclineDiscipline:
                 setattr(target, name, _spy(calls, getattr(target, name)))
             observed = _observed(system, system.run())
         assert calls, f"the hooked {name} never ran"
-        sample, send, _ = _entries(0)
-        assert send == "declined"
+        sample, step, _ = _entries(system, 0)
+        assert step == "declined"
         expected_sample = "compiled" if cls is LinearFeedbackShiftRegister else "declined"
         assert sample == expected_sample
         for node in system.nodes[1:]:
-            assert _entries(node.node_id)[:2] == ("compiled", "compiled")
+            assert _entries(system, node.node_id)[:2] == ("compiled", "compiled")
         assert observed == _pure_reference(config)
 
     def test_subclassed_controller_runs_pure(self):
@@ -220,13 +231,16 @@ class TestDeclineDiscipline:
             system.reset(_workload(), config)
             observed = _observed(system, system.run())
         assert calls
-        assert _entries(0)[:2] == ("declined", "declined")
-        assert _core.handler_selections()["Sequencer0.step"] == "declined"
-        assert _entries(1)[:2] == ("compiled", "compiled")
+        assert _entries(system, 0) == ("declined",) * 3
+        assert _entries(system, 1) == ("compiled",) * 3
         assert observed == _pure_reference(config)
 
     def test_policy_counter_wider_than_the_c_path_declines(self):
-        """70 bits is a legal config, but past the C integer path."""
+        """70 bits is a legal config, but past the C integer path.
+
+        The sampler and the whole issue step decline; the snoop-and-home
+        entry reads no policy counter and stays compiled.
+        """
         config = _config(
             adaptive=AdaptiveConfig(sampling_interval=64, policy_counter_bits=70)
         )
@@ -234,8 +248,5 @@ class TestDeclineDiscipline:
             system = MultiprocessorSystem(config, _workload())
             observed = _observed(system, system.run())
         for node in system.nodes:
-            assert _entries(node.node_id)[:2] == ("declined", "declined")
-            assert _core.handler_selections()[f"Sequencer{node.node_id}.step"] == (
-                "compiled"
-            )
+            assert _entries(system, node.node_id) == ("declined", "declined", "compiled")
         assert observed == _pure_reference(config)

@@ -268,10 +268,12 @@ def _observed(system):
 
 
 def _assert_send_compiled(system, protocol):
+    """Every node runs the C step, and with it the protocol's send body."""
     selections = _core.handler_selections()
     for node in system.nodes:
         assert node.sequencer._perform_entry.send_mode == SEND_MODES[protocol]
-        assert selections[f"Sequencer{node.node_id}.send"] == "compiled"
+        assert selections[f"Sequencer{node.node_id}.step"] == "compiled"
+        assert f"Sequencer{node.node_id}.send" not in selections
 
 
 def _record_requests(sends, message):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import _core
 from repro.common.config import ProtocolName
 from repro.common.stats import StatsRegistry
 from repro.errors import ProtocolError, ReproError, SimulationError
@@ -104,27 +105,30 @@ class TestNodeDispatch:
     def test_ordered_entry_shares_the_memory_controllers_home_memo(
         self, protocol, backend
     ):
-        """Pure and compiled entries read one home memo: the memory
-        controller's.  The cache table stays stock, so a compiled backend
-        still selects ``SnoopDeliver``; the wrapped ``is_home_for`` keeps the
-        home test out of C arithmetic, so the memo is what it reads."""
+        """An ordered entry reads one home memo: the memory controller's.
+
+        Swapping the memory's GETS entry for a spy makes a compiled backend
+        decline the whole entry (the C entry serves only the stock memory
+        side), so both backends run the pure entry and behave the same."""
         system = self._system(protocol)
         node = system.nodes[2]
         memory = node.memory_controller
         served = []
         memory.ordered_handlers[MessageType.GETS] = served.append
-        stock_is_home_for = memory.is_home_for
+        stock_home_of = memory.home_of
         home_tests = []
 
-        def is_home_for(address):
+        def home_of(address):
             home_tests.append(address)
-            return stock_is_home_for(address)
+            return stock_home_of(address)
 
-        memory.is_home_for = is_home_for
+        memory.home_of = home_of
         node.invalidate_dispatch_cache()
         entry = node.ordered_entry(MessageType.GETS)
+        assert type(entry).__name__ != "SnoopDeliver"
         if backend == "compiled":
-            assert type(entry).__name__ == "SnoopDeliver"
+            controller = type(node.cache_controller).__name__
+            assert _core.handler_selections()[f"{controller}.GETS"] == "declined"
         foreign, home = 5 * 64, 6 * 64  # homed at nodes 1 and 2
 
         def deliver(address):
@@ -139,7 +143,7 @@ class TestNodeDispatch:
         assert served == []
         home_request = deliver(home)
         assert served == [home_request]
-        assert memory._home_cache == {foreign: False, home: True}
+        assert memory._home_memo == {foreign: 1, home: 2}
         # A second delivery of each answers from the memo.
         deliver(foreign)
         deliver(home)

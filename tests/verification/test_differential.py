@@ -58,6 +58,14 @@ class TestTraceGeneration:
         with pytest.raises(VerificationError):
             generate_trace(1, mode="chaotic")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("num_processors", 0), ("num_blocks", 0), ("max_delay", 1)],
+    )
+    def test_empty_draw_ranges_rejected_by_name(self, field, value):
+        with pytest.raises(VerificationError, match=field):
+            generate_trace(1, **{field: value})
+
     def test_json_round_trip(self):
         trace = generate_trace(3, operations=40)
         clone = MemoryTrace.from_jsonable(trace.to_jsonable())
@@ -108,6 +116,14 @@ class TestDifferentialRuns:
             assert replay.final_image == trace.predicted_final_tokens()
             assert replay.midrun_report is not None
             assert replay.midrun_report.blocks_checked >= replay.operations
+
+    @pytest.mark.parametrize("mode", [RACY, STRICT])
+    def test_empty_trace_finishes_and_passes(self, mode, backend):
+        outcome = run_differential(generate_trace(0, operations=0, mode=mode))
+        assert outcome.ok, outcome.failures
+        for result in outcome.results.values():
+            assert result.completed == result.operations == 0
+            assert result.watchdog_failure is None
 
     def test_strict_observation_streams_identical(self):
         trace = generate_trace(7, operations=50, mode=STRICT)

@@ -10,7 +10,7 @@ points, reproducing the insensitivity result of Figure 7.
 from __future__ import annotations
 
 from repro.common.config import AdaptiveConfig
-from repro.experiments import QUICK, figure7_threshold_sensitivity
+from repro.experiments import QUICK, run_scenario
 from repro.protocols.bash.adaptive import (
     BandwidthAdaptiveMechanism,
     utilization_counter_trace,
@@ -44,9 +44,11 @@ def policy_convergence() -> None:
 
 def threshold_sweep() -> None:
     print("Figure 7: sensitivity to the utilization threshold")
-    sweeps = figure7_threshold_sensitivity(
-        QUICK, thresholds=(0.55, 0.75, 0.95), bandwidths=(400, 3200)
-    )
+    sweeps = run_scenario(
+        "figure7",
+        scale=QUICK,
+        axes={"threshold": (0.55, 0.75, 0.95), "bandwidth": (400, 3200)},
+    ).data
     print(f"{'threshold':>10} {'400 MB/s':>12} {'3200 MB/s':>12}")
     for threshold, points in sweeps.items():
         row = "".join(f"{p.performance:>12.4f}" for p in points)

@@ -3,7 +3,9 @@
 
 Sweeps the endpoint link bandwidth, runs all three protocols at each point and
 prints performance (absolute and normalised to BASH) plus endpoint link
-utilization — the data behind Figures 1, 5 and 6 of the paper.
+utilization — the data behind Figures 1, 5 and 6 of the paper.  Figures 5 and
+6 present the same grid as Figure 1, so the sweep runs once and their
+scenarios' presenters derive them from Figure 1's result frame.
 
 Usage::
 
@@ -19,12 +21,11 @@ from repro.common.config import ProtocolName
 from repro.experiments import (
     PAPER,
     QUICK,
+    SCENARIOS,
     crossover_summary,
-    figure1_microbenchmark_performance,
-    figure5_normalized_performance,
-    figure6_link_utilization,
     format_curves,
     format_normalized,
+    run_scenario,
 )
 
 
@@ -40,7 +41,8 @@ def main() -> None:
 
     print(f"Running the {scale.name} bandwidth sweep "
           f"({scale.microbenchmark_processors} processors)...\n")
-    curves = figure1_microbenchmark_performance(scale)
+    figure1 = run_scenario("figure1", scale=scale)
+    curves = figure1.data
     xs = [point.x for point in curves[ProtocolName.BASH]]
 
     print(format_curves("Figure 1: performance vs available bandwidth (MB/s)", curves))
@@ -48,13 +50,13 @@ def main() -> None:
     print(
         format_normalized(
             "Figure 5: performance normalised to BASH",
-            figure5_normalized_performance(curves),
+            SCENARIOS["figure5"].present(figure1.frame, scale),
             xs,
         )
     )
     print()
     print("Figure 6: endpoint link utilization")
-    utilization = figure6_link_utilization(curves)
+    utilization = SCENARIOS["figure6"].present(figure1.frame, scale)
     for protocol, points in utilization.items():
         row = "  ".join(f"{p['bandwidth']:>6.0f}:{p['utilization']:.2f}" for p in points)
         print(f"  {str(protocol):>10} {row}")

@@ -12,7 +12,7 @@ Directory (and for a BASH unicast that needs one retry).
 from __future__ import annotations
 
 from repro.common.config import ProtocolName, SystemConfig
-from repro.experiments import figure4_transaction_walkthrough
+from repro.experiments import run_scenario
 from repro.interconnect.message import MessageType
 from repro.system.multiprocessor import MultiprocessorSystem
 from repro.workloads.trace import TraceWorkload
@@ -65,7 +65,7 @@ def show_dispatch_tables() -> None:
 def main() -> None:
     show_dispatch_tables()
     print("Figure 4: transaction walk-throughs (4 processors, uncontended)\n")
-    walkthrough = figure4_transaction_walkthrough()
+    walkthrough = run_scenario("figure4").data
     print(f"{'scenario':<34} {'latency (ns)':>13} {'ordered msgs':>13} {'unordered msgs':>15}")
     for name, metrics in walkthrough.items():
         print(

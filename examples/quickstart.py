@@ -8,21 +8,20 @@ throughput, miss latency, link utilization and broadcast fraction of each.
 Running the figures fast
 ------------------------
 
-Every figure driver in :mod:`repro.experiments.figures` is a sweep of
-independent simulations, and every sweep accepts ``workers`` and
-``cache_dir``::
+Every figure is a named scenario in one registry, and every figure sweep is
+a grid of independent simulations; :func:`run_scenario` accepts ``workers``
+and ``cache_dir``, and ``axes``/``fixed`` overrides to narrow the grid::
 
-    from repro.experiments.figures import figure1_microbenchmark_performance
-    from repro.experiments.runner import QUICK, PAPER
+    from repro.experiments import PAPER, QUICK, run_scenario
 
     # Fan the 21 sweep points across 8 job-store worker processes.
-    curves = figure1_microbenchmark_performance(QUICK, workers=8)
+    curves = run_scenario("figure1", scale=QUICK, workers=8).data
 
     # Keep completed points in a job store: re-running a figure (or resuming
     # an interrupted PAPER-scale reproduction) skips everything already done.
-    curves = figure1_microbenchmark_performance(
-        PAPER, workers=8, cache_dir="~/.cache/repro-sweeps"
-    )
+    curves = run_scenario(
+        "figure1", scale=PAPER, workers=8, cache_dir="~/.cache/repro-sweeps"
+    ).data
 
 ``workers=0`` means "auto" ($REPRO_SWEEP_WORKERS, else the CPU count); the
 default (``None``) stays serial.  Parallel and serial runs are guaranteed to
@@ -41,12 +40,11 @@ point.  A reset system is contractually identical to a fresh one
 (bit-identical event traces); ``repro.experiments.runner.run_point`` builds
 fresh systems if you want to verify that on your own configuration.
 
-Running the figures without Python: the scenario engine
--------------------------------------------------------
+Running the figures without Python
+----------------------------------
 
-Every figure (and several non-paper studies) is registered as a named,
-declarative scenario; the ``repro`` package is executable and drives them
-from the command line::
+The same registry (which also holds several non-paper studies) drives the
+command line; the ``repro`` package is executable::
 
     python -m repro list
     python -m repro run figure1 --scale quick

@@ -1,20 +1,5 @@
-"""Experiment harness regenerating every figure and table of the evaluation."""
+"""Experiment harness: the scenario registry behind every figure and table of the evaluation."""
 
-from .figures import (
-    figure1_microbenchmark_performance,
-    figure2_queueing_delay,
-    figure3_utilization_counter,
-    figure4_transaction_walkthrough,
-    figure5_normalized_performance,
-    figure6_link_utilization,
-    figure7_threshold_sensitivity,
-    figure8_system_size,
-    figure9_think_time,
-    figure10_workloads,
-    figure11_workloads_4x_broadcast,
-    figure12_workload_bars,
-    table1_complexity,
-)
 from .report import (
     crossover_summary,
     format_bars,
@@ -48,19 +33,6 @@ from .service import (
 from .study import Axis, ResultFrame, StudyError, StudyGrid, to_jsonable
 
 __all__ = [
-    "figure1_microbenchmark_performance",
-    "figure2_queueing_delay",
-    "figure3_utilization_counter",
-    "figure4_transaction_walkthrough",
-    "figure5_normalized_performance",
-    "figure6_link_utilization",
-    "figure7_threshold_sensitivity",
-    "figure8_system_size",
-    "figure9_think_time",
-    "figure10_workloads",
-    "figure11_workloads_4x_broadcast",
-    "figure12_workload_bars",
-    "table1_complexity",
     "crossover_summary",
     "format_bars",
     "format_curves",

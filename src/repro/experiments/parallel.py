@@ -10,9 +10,8 @@ nothing *semantically* but share almost everything *structurally*:
 * :func:`run_units` is the single dispatch rule for sweep points and
   verification tasks alike (see below),
 * :func:`run_sweep` runs a list of specs through it, returning
-  :class:`SweepPoint` results in input order,
-* :func:`sweep_curves` groups flat results back into the per-protocol curve
-  dictionaries the figure drivers consume.
+  :class:`SweepPoint` results in input order (a scenario's
+  :class:`~repro.experiments.study.ResultFrame` groups them into curves).
 
 The dispatch rule: with no store and ``workers <= 1`` (counting at most one
 worker per portable unit), units run serially on one
@@ -62,7 +61,7 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 #: Environment variable consulted when ``cache_dir`` is not given explicitly:
 #: point it at a job-store directory and every sweep (including the
-#: PAPER-scale figure drivers) keeps its points there, so an interrupted
+#: PAPER-scale figure scenarios) keeps its points there, so an interrupted
 #: reproduction resumes from the completed points instead of recomputing them.
 CACHE_ENV = "REPRO_SWEEP_CACHE"
 
@@ -256,15 +255,3 @@ def run_sweep(
         portable=PointSpec.is_portable,
     )
     return points
-
-
-def sweep_curves(
-    specs: Sequence[PointSpec],
-    points: Sequence[SweepPoint],
-    protocols: Sequence[ProtocolName],
-) -> Dict[ProtocolName, List[SweepPoint]]:
-    """Group flat (spec, point) pairs into per-protocol curves, input-ordered."""
-    curves: Dict[ProtocolName, List[SweepPoint]] = {p: [] for p in protocols}
-    for spec, point in zip(specs, points):
-        curves[spec.protocol].append(point)
-    return curves

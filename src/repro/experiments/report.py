@@ -23,8 +23,8 @@ def format_curves(
 
     Every curve must have been measured on the same x grid: the rows are
     indexed by the first curve's x values, so a mismatched grid would
-    silently pair unrelated points.  Mirroring the ``normalize_to`` guard,
-    mismatches raise a clear error instead.
+    silently pair unrelated points, so mismatches raise a clear error
+    instead.
     """
     protocols = list(curves)
     lines = [title]

@@ -1,17 +1,19 @@
-"""Shared infrastructure for the per-figure experiment drivers.
+"""Sweep points: scales, per-point configurations, workload specs.
 
 Every figure in the paper's evaluation is a sweep: vary one knob (available
 bandwidth, utilization threshold, processor count, think time, workload) and
-run the three protocols at each point.  :class:`ExperimentScale` controls how
-large those sweeps are — ``QUICK`` keeps the pytest-benchmark harness fast,
-``PAPER`` approaches the paper's configuration (64 processors, long runs) for
-offline reproduction runs.
+run the three protocols at each point.  The scenarios of
+:mod:`repro.experiments.scenario` declare those sweeps; this module holds
+what one point of them is.  :class:`ExperimentScale` controls how large the
+sweeps are — ``QUICK`` keeps the test suite and CI fast, ``PAPER``
+approaches the paper's configuration (64 processors, long runs) for offline
+reproduction runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..common.config import AdaptiveConfig, ProtocolName, SystemConfig
 from ..system.multiprocessor import RunResult, simulate
@@ -47,7 +49,7 @@ class ExperimentScale:
         The paper's 512-cycle interval and 8-bit counter need on the order of
         a thousand misses to swing across their full range; the QUICK scale
         shrinks both so the mechanism reaches its operating point within the
-        shorter runs used by the automated benchmarks.
+        its shorter runs.
         """
         return AdaptiveConfig(
             utilization_threshold=threshold,
@@ -56,7 +58,7 @@ class ExperimentScale:
         )
 
 
-#: Fast sweeps for CI / pytest-benchmark.
+#: Fast sweeps for the test suite and CI.
 QUICK = ExperimentScale(
     name="quick",
     microbenchmark_processors=16,
@@ -117,7 +119,9 @@ def microbenchmark_config(
 ) -> SystemConfig:
     """System configuration for a microbenchmark run at one sweep point."""
     return SystemConfig(
-        num_processors=num_processors or scale.microbenchmark_processors,
+        num_processors=(
+            scale.microbenchmark_processors if num_processors is None else num_processors
+        ),
         protocol=protocol,
         bandwidth_mb_per_second=bandwidth,
         broadcast_cost_factor=broadcast_cost_factor,
@@ -268,64 +272,3 @@ def synthetic_factory(scale: ExperimentScale, preset_name: str) -> SyntheticWork
     return SyntheticWorkloadSpec(
         preset_name, operations_per_processor=scale.operations_per_processor
     )
-
-
-def protocol_sweep(
-    scale: ExperimentScale,
-    bandwidths: Iterable[float],
-    workload_factory_builder,
-    protocols: Sequence[ProtocolName] = PROTOCOLS,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    **run_kwargs,
-) -> Dict[ProtocolName, List[SweepPoint]]:
-    """Run every protocol across a bandwidth sweep.
-
-    ``workers`` and ``cache_dir`` are forwarded to
-    :func:`repro.experiments.parallel.run_sweep`: the sweep's (protocol,
-    bandwidth) points are independent simulations, so they fan out across
-    job-store worker processes and are kept in the store's result cache.  The
-    default (``None``) runs serially and produces point-for-point identical
-    results.
-    """
-    from .parallel import PointSpec, run_sweep, sweep_curves
-
-    bandwidths = tuple(bandwidths)
-    specs = [
-        PointSpec(
-            scale=scale,
-            protocol=protocol,
-            bandwidth=bandwidth,
-            workload=workload_factory_builder,
-            **run_kwargs,
-        )
-        for protocol in protocols
-        for bandwidth in bandwidths
-    ]
-    points = run_sweep(specs, workers=workers, cache_dir=cache_dir)
-    return sweep_curves(specs, points, protocols)
-
-
-def normalize_to(
-    curves: Dict[ProtocolName, List[SweepPoint]], reference: ProtocolName
-) -> Dict[ProtocolName, List[float]]:
-    """Normalise each curve point-by-point to a reference protocol (Figure 5).
-
-    Points whose x-value has no counterpart on the reference curve (curves
-    measured on mismatched sweep grids), and points where the reference
-    performance is zero, normalise to 0.0 rather than failing.
-    """
-    if reference not in curves:
-        raise KeyError(
-            f"reference protocol {reference} not present in curves "
-            f"({sorted(str(p) for p in curves)})"
-        )
-    reference_points = {point.x: point.performance for point in curves[reference]}
-    normalised: Dict[ProtocolName, List[float]] = {}
-    for protocol, points in curves.items():
-        row: List[float] = []
-        for point in points:
-            baseline = reference_points.get(point.x, 0.0)
-            row.append(point.performance / baseline if baseline else 0.0)
-        normalised[protocol] = row
-    return normalised

@@ -10,13 +10,12 @@ output shape.  :class:`AnalyticScenario` wraps the handful of non-sweep
 artefacts (queueing model, counter walk-through, transaction examples,
 complexity table) behind the same interface.
 
-All scenarios live in the :data:`SCENARIOS` registry; ``python -m repro list``
-enumerates them and ``python -m repro run <name>`` executes one, so
-PAPER-scale campaigns run, resume (via the sweep cache) and export without
-writing Python.  The ``figure*`` drivers in
-:mod:`repro.experiments.figures` are thin wrappers over these entries —
-their QUICK-scale outputs are pinned field-identical to the pre-engine
-implementations by ``tests/experiments/test_figure_snapshots.py``.
+All scenarios live in the :data:`SCENARIOS` registry, the one way to produce
+a figure: :func:`run_scenario` runs one by name from Python, ``python -m
+repro list`` enumerates them and ``python -m repro run <name>`` executes one,
+so PAPER-scale campaigns run, resume (via the sweep cache) and export without
+writing Python.  The QUICK-scale outputs are pinned field-identical by
+``tests/experiments/test_figure_snapshots.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .runner import (
     QUICK,
     ExperimentScale,
     microbenchmark_factory,
-    normalize_to,
     synthetic_factory,
 )
 from .study import Axis, ResultFrame, StudyError, StudyGrid, to_jsonable
@@ -83,9 +81,9 @@ def resolve_scale(scale) -> ExperimentScale:
 class ScenarioResult:
     """What running one scenario produced.
 
-    ``data`` is the scenario's published output shape (identical to the
-    legacy ``figure*`` return values for the paper scenarios); ``frame`` is
-    the unified result table behind it (``None`` for analytic scenarios).
+    ``data`` is the scenario's published output shape (for the paper
+    scenarios, the shape pinned by the figure snapshots); ``frame`` is the
+    unified result table behind it (``None`` for analytic scenarios).
     """
 
     name: str
@@ -308,26 +306,17 @@ def _synthetic_cache_blocks(scale: ExperimentScale, coords: Mapping):
 
 
 def _present_normalized(frame: ResultFrame, scale) -> Dict[ProtocolName, List[float]]:
-    return normalize_to(frame.curves(by="protocol"), ProtocolName.BASH)
+    return frame.normalized(name="normalized").curves(by="protocol", value="normalized")
 
 
-def link_utilization_curves(curves: Mapping) -> Dict:
-    """Reduce per-protocol SweepPoint curves to (bandwidth, utilization) rows.
-
-    Shared by the ``figure6`` scenario presenter and the legacy
-    ``figure6_link_utilization(curves=...)`` path so the two cannot drift.
-    """
+def _present_link_utilization(frame: ResultFrame, scale) -> Dict:
     return {
         protocol: [
             {"bandwidth": point.x, "utilization": point.link_utilization}
             for point in points
         ]
-        for protocol, points in curves.items()
+        for protocol, points in frame.curves(by="protocol").items()
     }
-
-
-def _present_link_utilization(frame: ResultFrame, scale) -> Dict:
-    return link_utilization_curves(frame.curves(by="protocol"))
 
 
 def _present_per_workload_curves(frame: ResultFrame, scale) -> Dict[str, Dict]:
@@ -338,16 +327,16 @@ def _present_per_workload_curves(frame: ResultFrame, scale) -> Dict[str, Dict]:
 
 
 def _present_workload_bars(frame: ResultFrame, scale) -> Dict[str, Dict[str, float]]:
-    bars: Dict[str, Dict[str, float]] = {}
-    for name, curves in _present_per_workload_curves(frame, scale).items():
-        bash_perf = curves[ProtocolName.BASH][0].performance
-        bars[name] = {
-            str(protocol): (
-                points[0].performance / bash_perf if bash_perf else 0.0
-            )
-            for protocol, points in curves.items()
+    frame = frame.normalized(name="normalized")
+    return {
+        name: {
+            str(protocol): values[0]
+            for protocol, values in frame.filter(workload=name)
+            .curves(by="protocol", value="normalized")
+            .items()
         }
-    return bars
+        for name in frame.unique("workload")
+    }
 
 
 def _render_normalized(result: ScenarioResult) -> str:
@@ -513,28 +502,82 @@ register(
 )
 
 
-def _compute_figure2(scale: ExperimentScale) -> List[Dict[str, float]]:
-    from .figures import figure2_queueing_delay
+# The analytic bodies import what they use when they run: none of it is
+# needed to build or sweep a system, so importing the registry stays cheap.
 
-    return figure2_queueing_delay()
+
+def _compute_figure2(scale: ExperimentScale) -> List[Dict[str, float]]:
+    from ..queueing.mva import delay_versus_utilization
+
+    return [
+        {
+            "think_time": point.think_time,
+            "utilization": point.utilization,
+            "queueing_delay": point.queueing_delay,
+        }
+        for point in delay_versus_utilization(customers=16)
+    ]
 
 
 def _compute_figure3(scale: ExperimentScale) -> Dict[str, List]:
-    from .figures import figure3_utilization_counter
+    # The paper's example observes the link over seven cycles (busy on four
+    # of them) with a 75% target, ending at -5.
+    from ..protocols.bash.adaptive import utilization_counter_trace
 
-    return figure3_utilization_counter()
+    pattern = [False, True, True, False, True, False, True]
+    return {"busy_pattern": pattern, "counter_values": utilization_counter_trace(pattern)}
 
 
-def _compute_figure4(scale: ExperimentScale) -> Dict:
-    from .figures import figure4_transaction_walkthrough
+def _compute_figure4(scale: ExperimentScale) -> Dict[str, Dict[str, float]]:
+    # memory-to-cache, (a)/(b)/(c): P0 obtains exclusive access to a block
+    # owned by memory.  cache-to-cache, (d)/(e)/(f): P0 obtains exclusive
+    # access to a block owned by P1 with P3 sharing.
+    return {
+        f"{protocol}:{kind}": _single_transfer(protocol, cache_owned)
+        for protocol in PROTOCOLS
+        for kind, cache_owned in (("memory-to-cache", False), ("cache-to-cache", True))
+    }
 
-    return figure4_transaction_walkthrough()
+
+def _single_transfer(protocol: ProtocolName, cache_owned: bool) -> Dict[str, float]:
+    """Measure one GETM by P0, optionally after P1 takes ownership and P3 shares."""
+    from ..common.config import SystemConfig
+    from ..system.multiprocessor import MultiprocessorSystem
+    from ..workloads.base import MemoryOperation
+    from ..workloads.trace import TraceWorkload
+
+    config = SystemConfig(
+        num_processors=4,
+        protocol=protocol,
+        # Very high, so the latencies are the uncontended protocol latencies
+        # of Section 4.2.
+        bandwidth_mb_per_second=100_000.0,
+        random_seed=1,
+    )
+    block = config.cache_block_bytes * 4  # homed at node 0
+    operations: Dict[int, List[MemoryOperation]] = {n: [] for n in range(4)}
+    if cache_owned:
+        operations[1] = [MemoryOperation(address=block, is_write=True)]
+        operations[3] = [MemoryOperation(address=block, is_write=False, think_cycles=600)]
+        operations[0] = [MemoryOperation(address=block, is_write=True, think_cycles=2000)]
+    else:
+        operations[0] = [MemoryOperation(address=block, is_write=True)]
+    result = MultiprocessorSystem(config, TraceWorkload(operations)).run(
+        max_cycles=1_000_000
+    )
+    return {
+        "requester_miss_latency": result.stats.get("cache0.miss_latency", 0.0),
+        "mean_miss_latency": result.mean_miss_latency,
+        "ordered_messages": result.stats.get("network.ordered.messages", 0),
+        "unordered_messages": result.stats.get("network.unordered.messages", 0),
+    }
 
 
 def _compute_table1(scale: ExperimentScale) -> Dict:
-    from .figures import table1_complexity
+    # This repo's protocol complexity counts alongside the published Table 1.
+    from ..protocols.complexity import PAPER_TABLE_1, complexity_table
 
-    return table1_complexity()
+    return {"reproduction": complexity_table(), "paper": PAPER_TABLE_1}
 
 
 register(

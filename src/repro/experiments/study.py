@@ -131,9 +131,9 @@ def _cast(name: str, value, kind: type, what: str):
 class StudyGrid:
     """The expanded cross-product of a scenario's axes at one scale.
 
-    Expansion is row-major in axis order: the *last* axis varies fastest,
-    matching the nested ``for`` loops of the hand-rolled figure drivers it
-    replaces (so sweep results, cache keys and curve ordering are identical).
+    Expansion is row-major in axis order: the *last* axis varies fastest, as
+    in nested ``for`` loops over the axes (so sweep results, cache keys and
+    curve ordering match the frozen figure snapshots).
     """
 
     def __init__(
@@ -276,7 +276,7 @@ class ResultFrame:
     standard :class:`SweepPoint` metrics, and any derived columns added by
     :meth:`with_column` / :meth:`normalized`.  The underlying
     :class:`SweepPoint` objects (with their per-seed ``RunResult``\\ s) ride
-    along so legacy curve consumers lose nothing.
+    along so curve consumers lose nothing.
     """
 
     #: Metric columns extracted from every SweepPoint.
@@ -304,8 +304,8 @@ class ResultFrame:
         self.points: List[SweepPoint] = list(points or [])
         #: The full axis domains of the grid that produced this frame (kept
         #: through filtering), so an *empty* frame still knows its intended
-        #: curve keys — e.g. a zero-point sweep yields {protocol: []} curves
-        #: like the legacy drivers did, not {}.
+        #: curve keys — a zero-point sweep yields {protocol: []} curves, not
+        #: {}.
         self.domains: Dict[str, List] = {
             name: list(values) for name, values in (domains or {}).items()
         }
@@ -411,10 +411,16 @@ class ResultFrame:
         ``baseline`` picks the reference rows (default: the BASH protocol);
         every row is matched to the baseline row agreeing on all *other*
         axis columns.  Rows with no baseline counterpart, or a zero baseline
-        value, normalise to 0.0 — mirroring ``runner.normalize_to`` — but a
-        baseline slice that matches nothing at all raises ``KeyError``.
+        value, normalise to 0.0, and a frame with no rows gets an empty
+        column; but a baseline slice that matches no row of a non-empty
+        frame raises ``KeyError``.
         """
         baseline = dict(baseline or {"protocol": ProtocolName.BASH})
+        if name is None:
+            tag = "_".join(str(v) for v in baseline.values())
+            name = f"{value}_vs_{tag}"
+        if not len(self):
+            return self.with_column(name, [])
         match_columns = [c for c in self.axis_names if c not in baseline]
         reference: Dict[Tuple, float] = {}
         found = False
@@ -427,9 +433,6 @@ class ResultFrame:
             raise KeyError(
                 f"baseline {baseline} matches no rows of this frame"
             )
-        if name is None:
-            tag = "_".join(str(v) for v in baseline.values())
-            name = f"{value}_vs_{tag}"
         values = self.column(value)
         normalised = []
         for index in range(len(self)):
@@ -485,29 +488,37 @@ class ResultFrame:
     # --------------------------------------------------------------- curves
 
     def curves(
-        self, by: str = "protocol", order: Optional[Sequence] = None
-    ) -> Dict[object, List[SweepPoint]]:
-        """Group the underlying points into per-``by``-value curve lists.
+        self,
+        by: str = "protocol",
+        order: Optional[Sequence] = None,
+        value: Optional[str] = None,
+    ) -> Dict[object, List]:
+        """Group the rows into per-``by``-value curve lists.
 
-        This is the bridge to the legacy figure-driver output shape
-        (``Dict[ProtocolName, List[SweepPoint]]``); row order within each
-        curve is preserved, so the x grid follows the sweep's axis order.
+        Each curve holds its rows' :class:`SweepPoint`\\ s, or with
+        ``value`` that column's values (``Dict[ProtocolName,
+        List[SweepPoint]]`` is the figures' curve shape); row order within
+        each curve is preserved, so the x grid follows the sweep's axis
+        order.  A frame with no rows (an empty axis) gives one empty curve
+        per value of the ``by`` axis domain.
         """
-        if not self.points:
-            if len(self):
-                raise StudyError(
-                    "this frame carries no SweepPoints (aggregated frames "
-                    "cannot be regrouped into curves)"
-                )
-            # A zero-point sweep (empty axis): keyed empty curves, matching
-            # the legacy drivers' output shape.
+        if not len(self):
             keys = list(order) if order is not None else list(self.domains.get(by, []))
             return {key: [] for key in keys}
+        if value is not None:
+            items = self.column(value)
+        elif self.points:
+            items = self.points
+        else:
+            raise StudyError(
+                "this frame carries no SweepPoints (aggregated frames "
+                "cannot be regrouped into curves)"
+            )
         keys = list(order) if order is not None else self.unique(by)
-        curves: Dict[object, List[SweepPoint]] = {key: [] for key in keys}
-        for value, point in zip(self.column(by), self.points):
-            if value in curves:
-                curves[value].append(point)
+        curves: Dict[object, List] = {key: [] for key in keys}
+        for key, item in zip(self.column(by), items):
+            if key in curves:
+                curves[key].append(item)
         return curves
 
     # ----------------------------------------------------------------- JSON

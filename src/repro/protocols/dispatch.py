@@ -135,9 +135,14 @@ def inject_stock_classes(ext) -> None:
 
 
 def note_selection(controller: object, msg_type: MessageType, status: str) -> None:
-    """Record a per-handler compile/decline decision in the backend registry."""
+    """Record one node's compile/decline decision in the backend registry.
+
+    The record is ``<Class><node>.<MSG>`` (e.g. ``BashCacheController3.GETS``),
+    like every other per-node selection, so one node's decline is never
+    overwritten by another node's compile.
+    """
     _core.note_handler_selection(
-        f"{type(controller).__name__}.{msg_type.name}", status
+        f"{type(controller).__name__}{controller.node_id}.{msg_type.name}", status
     )
 
 

@@ -89,6 +89,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert axis in err and "'abc'" in err
 
+    def test_zero_processor_axis_is_rejected(self, capsys):
+        # Zero must reach SystemConfig's check, not stand for the default.
+        assert main(
+            ["run", "figure8", "--scale", "quick", "--axis", "num_processors=0",
+             "--axis", "protocol=bash"]
+        ) == 2
+        assert "num_processors must be >= 2, got 0" in capsys.readouterr().err
+
     def test_unknown_axis_fails_cleanly(self, capsys):
         assert main(["run", "figure1", "--axis", "volume=11"]) == 2
         assert "unknown axis" in capsys.readouterr().err

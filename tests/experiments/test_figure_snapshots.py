@@ -1,18 +1,18 @@
-"""Figure-equivalence: migrated drivers match frozen pre-refactor snapshots.
+"""Figure-equivalence: every paper scenario matches its frozen snapshot.
 
-``tests/data/figure_snapshots_quick.json`` was captured from the hand-rolled
-``figure*`` drivers immediately before they were migrated onto the scenario
-engine, at QUICK scale.  Every driver must keep producing *field-identical*
-output — same protocols, same x grids, same per-seed RunResults, same floats
-bit for bit (the simulator is deterministic and floats round-trip exactly
-through JSON).  Regenerate the snapshot deliberately (and say so in the PR)
-only when the event schedule or the drivers' published shape is *meant* to
+``tests/data/figure_snapshots_quick.json`` holds, at QUICK scale, the output
+of every paper figure and Table 1, each keyed by its scenario's name, an
+underscore and a description.  Each registered paper scenario must
+keep producing *field-identical* output through :func:`run_scenario` — same
+protocols, same x grids, same per-seed RunResults, same floats bit for bit
+(the simulator is deterministic and floats round-trip exactly through JSON).
+Regenerate the snapshot deliberately (and say so in the change log) only
+when the event schedule or a scenario's published shape is *meant* to
 change.
 
 The whole module shares one on-disk sweep cache: figures 1, 5 and 6 run the
 same grid, and figure 12 is a slice of figure 11, so points computed once are
-reused — which simultaneously exercises the cache threading the migration
-added to every driver.
+reused — which also exercises the cache threading of ``run_scenario``.
 """
 
 import json
@@ -20,11 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import figures
 from repro.experiments.runner import QUICK
+from repro.experiments.scenario import run_scenario
 from repro.experiments.study import to_jsonable
 
 SNAPSHOT_PATH = Path(__file__).parent.parent / "data" / "figure_snapshots_quick.json"
+
+#: The paper's artefacts, in the order they share the sweep cache.
+PAPER_SCENARIOS = tuple(f"figure{i}" for i in range(1, 13)) + ("table1",)
 
 
 @pytest.fixture(scope="module")
@@ -37,93 +40,20 @@ def sweep_cache(tmp_path_factory):
     return tmp_path_factory.mktemp("figure-snapshot-cache")
 
 
-def assert_matches(snapshots, name, value):
-    encoded = json.loads(json.dumps(to_jsonable(value)))
-    assert encoded == snapshots[name], (
-        f"{name} no longer matches its frozen pre-refactor snapshot"
+def snapshot_key(snapshots, name):
+    (key,) = [key for key in snapshots if key.startswith(f"{name}_")]
+    return key
+
+
+def test_every_snapshot_belongs_to_one_scenario(snapshots):
+    keys = [snapshot_key(snapshots, name) for name in PAPER_SCENARIOS]
+    assert sorted(keys) == sorted(snapshots)
+
+
+@pytest.mark.parametrize("name", PAPER_SCENARIOS)
+def test_scenario_matches_snapshot(snapshots, sweep_cache, name):
+    data = run_scenario(name, scale=QUICK, cache_dir=sweep_cache).data
+    encoded = json.loads(json.dumps(to_jsonable(data)))
+    assert encoded == snapshots[snapshot_key(snapshots, name)], (
+        f"{name} no longer matches its frozen snapshot"
     )
-
-
-class TestLightweightSnapshots:
-    def test_figure2(self, snapshots):
-        assert_matches(snapshots, "figure2_queueing_delay", figures.figure2_queueing_delay())
-
-    def test_figure3(self, snapshots):
-        assert_matches(
-            snapshots, "figure3_utilization_counter", figures.figure3_utilization_counter()
-        )
-
-    def test_figure4(self, snapshots):
-        assert_matches(
-            snapshots,
-            "figure4_transaction_walkthrough",
-            figures.figure4_transaction_walkthrough(),
-        )
-
-    def test_table1(self, snapshots):
-        assert_matches(snapshots, "table1_complexity", figures.table1_complexity())
-
-
-class TestSweepSnapshots:
-    def test_figure1(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure1_microbenchmark_performance",
-            figures.figure1_microbenchmark_performance(QUICK, cache_dir=sweep_cache),
-        )
-
-    def test_figure5(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure5_normalized_performance",
-            figures.figure5_normalized_performance(scale=QUICK, cache_dir=sweep_cache),
-        )
-
-    def test_figure6(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure6_link_utilization",
-            figures.figure6_link_utilization(scale=QUICK, cache_dir=sweep_cache),
-        )
-
-    def test_figure7(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure7_threshold_sensitivity",
-            figures.figure7_threshold_sensitivity(QUICK, cache_dir=sweep_cache),
-        )
-
-    def test_figure8(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure8_system_size",
-            figures.figure8_system_size(QUICK, cache_dir=sweep_cache),
-        )
-
-    def test_figure9(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure9_think_time",
-            figures.figure9_think_time(QUICK, cache_dir=sweep_cache),
-        )
-
-    def test_figure10(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure10_workloads",
-            figures.figure10_workloads(QUICK, cache_dir=sweep_cache),
-        )
-
-    def test_figure11(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure11_workloads_4x_broadcast",
-            figures.figure11_workloads_4x_broadcast(QUICK, cache_dir=sweep_cache),
-        )
-
-    def test_figure12(self, snapshots, sweep_cache):
-        assert_matches(
-            snapshots,
-            "figure12_workload_bars",
-            figures.figure12_workload_bars(QUICK, cache_dir=sweep_cache),
-        )

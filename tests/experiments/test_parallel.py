@@ -12,19 +12,14 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.experiments import parallel as parallel_module
 from repro.experiments.batch import BatchRunner
 from repro.experiments.jobstore import DONE, JobStore
-from repro.experiments.parallel import (
-    PointSpec,
-    available_workers,
-    run_sweep,
-    sweep_curves,
-)
+from repro.experiments.parallel import PointSpec, available_workers, run_sweep
 from repro.experiments.runner import (
     PROTOCOLS,
     QUICK,
     LockingWorkloadSpec,
     microbenchmark_factory,
-    protocol_sweep,
 )
+from repro.experiments.scenario import SCENARIOS, run_scenario
 from repro.experiments.service import unit_for_spec
 
 #: A deliberately tiny scale so each test point simulates in milliseconds.
@@ -79,10 +74,9 @@ class TestDeterminism:
         parallel = run_sweep(specs, workers=2)
         assert [_key(p) for p in serial] == [_key(p) for p in parallel]
 
-    def test_protocol_sweep_parallel_matches_serial(self):
-        workload = microbenchmark_factory(TINY)
-        serial = protocol_sweep(TINY, TINY.bandwidth_points, workload)
-        parallel = protocol_sweep(TINY, TINY.bandwidth_points, workload, workers=2)
+    def test_scenario_parallel_matches_serial(self):
+        serial = run_scenario("figure1", scale=TINY).data
+        parallel = run_scenario("figure1", scale=TINY, workers=2).data
         for protocol in serial:
             assert [_key(p) for p in serial[protocol]] == [
                 _key(p) for p in parallel[protocol]
@@ -180,10 +174,8 @@ class TestFallbacks:
         ):
             available_workers()
 
-    def test_sweep_curves_groups_in_input_order(self):
-        specs = _specs()
-        points = run_sweep(specs, workers=1)
-        curves = sweep_curves(specs, points, PROTOCOLS)
+    def test_frame_curves_group_in_input_order(self):
+        curves = SCENARIOS["figure1"].grid(TINY).run(workers=1).curves()
         for protocol in PROTOCOLS:
             assert [p.x for p in curves[protocol]] == list(TINY.bandwidth_points)
             assert all(p.protocol is protocol for p in curves[protocol])

@@ -7,12 +7,12 @@ import pickle
 import pytest
 
 from repro.common.config import ProtocolName
+from repro.errors import ConfigurationError
 from repro.experiments.parallel import PointSpec
 from repro.experiments.runner import (
     PROTOCOLS,
     microbenchmark_factory,
-    normalize_to,
-    protocol_sweep,
+    run_point,
     synthetic_factory,
 )
 from repro.experiments.scenario import (
@@ -161,6 +161,11 @@ class TestStudyGrid:
         specs = grid.specs()
         assert [spec.scale.seeds for spec in specs] == [(1,), (2,)]
 
+    def test_zero_processor_fixed_value_is_rejected(self):
+        # Zero must reach SystemConfig's check, not stand for the default.
+        with pytest.raises(ConfigurationError, match="must be >= 2, got 0"):
+            run_scenario("figure1", scale=TINY, fixed={"num_processors": 0})
+
     def test_missing_protocol_axis_raises(self):
         grid = StudyGrid(
             TINY,
@@ -170,13 +175,17 @@ class TestStudyGrid:
         with pytest.raises(StudyError, match="protocol"):
             grid.specs()
 
-    def test_engine_matches_direct_protocol_sweep(self):
-        # The tentpole contract: the declarative path produces exactly what
-        # the direct protocol_sweep path produces.
+    def test_engine_matches_fresh_run_points(self):
+        # The declarative path (batched, reset systems) produces exactly the
+        # points fresh systems give for the same specs.
         frame = SCENARIOS["figure1"].grid(TINY).run()
-        direct = protocol_sweep(
-            TINY, TINY.bandwidth_points, microbenchmark_factory(TINY)
-        )
+        direct = {
+            protocol: [
+                run_point(TINY, protocol, bandwidth, microbenchmark_factory(TINY))
+                for bandwidth in TINY.bandwidth_points
+            ]
+            for protocol in PROTOCOLS
+        }
         assert frame.curves(by="protocol") == direct
 
 
@@ -207,13 +216,21 @@ class TestResultFrame:
         assert bash.unique("protocol") == [ProtocolName.BASH]
         assert frame.unique("bandwidth") == list(TINY.bandwidth_points)
 
-    def test_normalized_matches_normalize_to(self, frame):
+    def test_normalized_divides_by_the_baseline_at_the_same_point(self, frame):
         normalised = frame.normalized("performance", baseline={"protocol": ProtocolName.BASH})
-        legacy = normalize_to(frame.curves(by="protocol"), ProtocolName.BASH)
         column = normalised.column("performance_vs_bash")
+        bash = {
+            row["bandwidth"]: row["performance"]
+            for row in frame.filter(protocol=ProtocolName.BASH).rows()
+        }
         for index, row in enumerate(normalised.rows()):
-            position = list(TINY.bandwidth_points).index(row["bandwidth"])
-            assert column[index] == pytest.approx(legacy[row["protocol"]][position])
+            assert column[index] == row["performance"] / bash[row["bandwidth"]]
+
+    def test_curves_group_a_column_by_axis(self, frame):
+        curves = frame.curves(by="protocol", value="performance")
+        assert list(curves) == list(PROTOCOLS)
+        for protocol, values in curves.items():
+            assert values == frame.filter(protocol=protocol).column("performance")
 
     def test_speedup_baseline_rows_are_one(self, frame):
         speedup = frame.speedup()
@@ -334,11 +351,10 @@ class TestNewScenarios:
         assert build_mixed_trace(seed=7, **kwargs) != build_mixed_trace(seed=8, **kwargs)
 
 
-class TestFigureDriverPlumbing:
-    def test_figure5_threads_workers_and_cache_dir(self, monkeypatch, tmp_path):
-        # Historically figure5 rebuilt Figure 1 serially and uncached; the
-        # registry migration threads both knobs through to run_sweep.
-        from repro.experiments import figures, study
+class TestScenarioPlumbing:
+    def test_run_scenario_threads_workers_and_cache_dir(self, monkeypatch, tmp_path):
+        # run_scenario forwards both knobs through the grid to run_sweep.
+        from repro.experiments import study
 
         captured = {}
         original = study.run_sweep
@@ -349,18 +365,14 @@ class TestFigureDriverPlumbing:
             return original(specs, workers=None, cache_dir=cache_dir)
 
         monkeypatch.setattr(study, "run_sweep", spy)
-        figures.figure5_normalized_performance(
-            scale=TINY, workers=3, cache_dir=tmp_path
-        )
+        run_scenario("figure5", scale=TINY, workers=3, cache_dir=tmp_path)
         assert captured["workers"] == 3
         assert captured["cache_dir"] == tmp_path
         assert (tmp_path / "store.sqlite3").exists()  # points actually kept
 
-    def test_figure5_cached_rerun_matches(self, tmp_path):
-        from repro.experiments import figures
-
-        first = figures.figure5_normalized_performance(scale=TINY, cache_dir=tmp_path)
-        second = figures.figure5_normalized_performance(scale=TINY, cache_dir=tmp_path)
+    def test_cached_rerun_matches(self, tmp_path):
+        first = run_scenario("figure5", scale=TINY, cache_dir=tmp_path).data
+        second = run_scenario("figure5", scale=TINY, cache_dir=tmp_path).data
         assert first == second
 
     def test_custom_scenario_registration_round_trip(self):
@@ -385,18 +397,10 @@ class TestFigureDriverPlumbing:
         finally:
             SCENARIOS.pop("_test_custom", None)
 
-    def test_analytic_scenarios_match_driver_functions(self):
-        from repro.experiments import figures
-
-        assert run_scenario("figure3").data == figures.figure3_utilization_counter()
-        assert run_scenario("table1").data == figures.table1_complexity()
-
     def test_empty_axis_override_yields_keyed_empty_curves(self):
-        # Parity with the pre-engine drivers: a zero-point sweep returns
-        # {protocol: []} per protocol, not an exception or a bare {}.
-        from repro.experiments import figures
-
-        curves = figures.figure9_think_time(scale=TINY, think_times=())
+        # A zero-point sweep returns {protocol: []} per protocol, not an
+        # exception or a bare {}.
+        curves = run_scenario("figure9", scale=TINY, axes={"think_time": ()}).data
         assert curves == {protocol: [] for protocol in PROTOCOLS}
 
     def test_text_rendering_uses_the_scenario_subject(self):

@@ -1,16 +1,19 @@
 """Qualitative claims of the evaluation, checked end-to-end on small systems.
 
-These are the headline behaviours of Figures 1, 5, 6, 8 and 9: Directory wins
+These are the headline behaviours of Figures 1 and 5–12: Directory wins
 when bandwidth is scarce, Snooping wins when bandwidth is plentiful, and BASH
 tracks whichever is better (and is never far from the best static choice).
-The systems here are smaller and the runs shorter than the paper's, so the
-assertions are deliberately qualitative.
+The figure-level claims run the paper's scenarios through the registry at
+``CLAIM_SCALE``; the rest run single systems.  The systems here are smaller
+and the runs shorter than the paper's, so the assertions are deliberately
+qualitative.
 """
 
 import pytest
 
 from repro.common.config import AdaptiveConfig, ProtocolName, SystemConfig
-from repro.system.multiprocessor import simulate
+from repro.experiments import ExperimentScale, crossover_summary, run_scenario
+from repro.system.multiprocessor import MultiprocessorSystem, simulate
 from repro.workloads.microbenchmark import LockingMicrobenchmark
 
 FAST_ADAPTIVE = AdaptiveConfig(sampling_interval=128, policy_counter_bits=6)
@@ -133,3 +136,160 @@ class TestScalingClaims:
         assert dir_scaling > snoop_scaling
         assert snoop_scaling < 0.75  # snooping visibly degrades
         assert dir_scaling > 0.7     # directory stays nearly flat
+
+
+#: The reduced scale of the figure-level claims: 16 processors (8 for the
+#: commercial workloads), 50 acquires over 512 locks, a four-point grid.
+CLAIM_SCALE = ExperimentScale(
+    name="claims",
+    microbenchmark_processors=16,
+    workload_processors=8,
+    acquires_per_processor=50,
+    operations_per_processor=50,
+    num_locks=512,
+    bandwidth_points=(200, 800, 3200, 12800),
+    workload_bandwidth_points=(800, 3200),
+    processor_counts=(4, 8, 16),
+    think_times=(0, 400, 800),
+    sampling_interval=128,
+    policy_counter_bits=6,
+    seeds=(1,),
+)
+
+SNOOPING, DIRECTORY, BASH = (
+    ProtocolName.SNOOPING, ProtocolName.DIRECTORY, ProtocolName.BASH,
+)
+
+
+def assert_bash_near_best_static(curves):
+    for b, s, d in zip(curves[BASH], curves[SNOOPING], curves[DIRECTORY]):
+        assert b.performance > 0.6 * max(s.performance, d.performance)
+
+
+class TestFigureClaims:
+    def test_figure1_bash_near_best_static_and_protocols_trade_places(self):
+        curves = run_scenario("figure1", scale=CLAIM_SCALE).data
+        # BASH is never catastrophically worse than the best static protocol.
+        assert crossover_summary(curves)["bash_worst_ratio_vs_best_static"] > 0.6
+        # Snooping gains on Directory as bandwidth grows.
+        snooping, directory = curves[SNOOPING], curves[DIRECTORY]
+        first_ratio = snooping[0].performance / directory[0].performance
+        last_ratio = snooping[-1].performance / directory[-1].performance
+        assert last_ratio > first_ratio
+
+    def test_figure6_snooping_overuses_and_directory_underuses_links(self):
+        utilization = run_scenario(
+            "figure6", scale=CLAIM_SCALE, axes={"bandwidth": (200, 3200)}
+        ).data
+        snooping, directory = utilization[SNOOPING], utilization[DIRECTORY]
+        assert snooping[0]["utilization"] > 0.75
+        assert directory[-1]["utilization"] < 0.4
+        assert all(s["utilization"] > d["utilization"] for s, d in zip(snooping, directory))
+
+    def test_figure7_bash_is_insensitive_to_the_threshold(self):
+        sweeps = run_scenario(
+            "figure7", scale=CLAIM_SCALE, axes={"bandwidth": (400, 3200)}
+        ).data
+        assert list(sweeps) == [0.55, 0.75, 0.95]
+        for index in range(2):
+            values = [points[index].performance for points in sweeps.values()]
+            assert max(values) < 1.6 * min(values)
+
+    def test_figure8_scaling_and_bash_per_processor(self):
+        curves = run_scenario(
+            "figure8", scale=CLAIM_SCALE, axes={"num_processors": (4, 16)}
+        ).data
+        directory, snooping, bash = curves[DIRECTORY], curves[SNOOPING], curves[BASH]
+
+        def scaling(points):
+            return points[-1].performance_per_processor / points[0].performance_per_processor
+
+        # At 4 -> 16 processors and 1600 MB/s per processor neither protocol
+        # is bandwidth-starved yet, so both scale sensibly (the separation at
+        # larger sizes is TestScalingClaims' 4x-broadcast-cost proxy).
+        assert scaling(directory) >= 0.6 * scaling(snooping)
+        assert scaling(directory) > 0.6 and scaling(snooping) > 0.6
+        for index in range(2):
+            best = max(
+                snooping[index].performance_per_processor,
+                directory[index].performance_per_processor,
+            )
+            assert bash[index].performance_per_processor > 0.6 * best
+
+    def test_figure9_snooping_latency_falls_with_think_time(self):
+        curves = run_scenario(
+            "figure9",
+            scale=CLAIM_SCALE,
+            axes={"think_time": (0, 800)},
+            fixed={"bandwidth": 800.0},
+        ).data
+        snooping = curves[SNOOPING]
+        assert snooping[-1].mean_miss_latency < snooping[0].mean_miss_latency
+
+    def test_figure10_bash_near_best_static(self):
+        sweeps = run_scenario(
+            "figure10", scale=CLAIM_SCALE, axes={"workload": ("oltp", "specjbb")}
+        ).data
+        assert list(sweeps) == ["oltp", "specjbb"]
+        for curves in sweeps.values():
+            assert_bash_near_best_static(curves)
+
+    def test_figure11_bash_near_best_static_at_4x_broadcast_cost(self):
+        sweeps = run_scenario(
+            "figure11", scale=CLAIM_SCALE, axes={"workload": ("microbenchmark", "oltp")}
+        ).data
+        assert list(sweeps) == ["microbenchmark", "oltp"]
+        for curves in sweeps.values():
+            assert_bash_near_best_static(curves)
+
+    def test_figure12_best_static_within_bash_bound(self):
+        bars = run_scenario(
+            "figure12", scale=CLAIM_SCALE, axes={"workload": ("oltp", "specjbb")}
+        ).data
+        assert list(bars) == ["oltp", "specjbb"]
+        for row in bars.values():
+            assert row[str(BASH)] == 1.0
+            # BASH matches or exceeds the best static protocol within tolerance.
+            assert max(row[str(SNOOPING)], row[str(DIRECTORY)]) < 1.35
+
+
+class TestAdaptivityAblation:
+    """What the adaptive decision buys BASH over a pinned one.
+
+    BASH's decision is pinned to always-broadcast and to always-unicast and
+    compared with the adaptive policy at 16 processors with the 4x
+    broadcast-cost proxy, where neither static choice is right everywhere.
+    """
+
+    BANDWIDTHS = (400.0, 1600.0, 6400.0)
+
+    @staticmethod
+    def _performance(policy, bandwidth):
+        config = SystemConfig(
+            num_processors=16,
+            protocol=BASH,
+            bandwidth_mb_per_second=bandwidth,
+            broadcast_cost_factor=4.0,
+            adaptive=FAST_ADAPTIVE,
+            random_seed=1,
+        )
+        workload = LockingMicrobenchmark(num_locks=512, acquires_per_processor=60)
+        system = MultiprocessorSystem(config, workload)
+        if policy is not None:
+            for node in system.nodes:
+                node.cache_controller.adaptive.should_broadcast = lambda: policy
+        return system.run().performance
+
+    def test_adaptive_policy_stays_near_the_better_pinned_policy(self):
+        adaptive, broadcast, unicast = (
+            {bw: self._performance(policy, bw) for bw in self.BANDWIDTHS}
+            for policy in (None, True, False)
+        )
+        # The adaptive policy stays within a modest factor of the better
+        # pinned policy at every point.
+        for bandwidth in self.BANDWIDTHS:
+            assert adaptive[bandwidth] > 0.6 * max(broadcast[bandwidth], unicast[bandwidth])
+        # And the two pinned policies really do trade places across the sweep.
+        low, high = self.BANDWIDTHS[0], self.BANDWIDTHS[-1]
+        assert unicast[low] > broadcast[low]
+        assert broadcast[high] >= 0.95 * unicast[high]

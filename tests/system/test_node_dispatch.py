@@ -128,7 +128,7 @@ class TestNodeDispatch:
         assert type(entry).__name__ != "SnoopDeliver"
         if backend == "compiled":
             controller = type(node.cache_controller).__name__
-            assert _core.handler_selections()[f"{controller}.GETS"] == "declined"
+            assert _core.handler_selections()[f"{controller}2.GETS"] == "declined"
         foreign, home = 5 * 64, 6 * 64  # homed at nodes 1 and 2
 
         def deliver(address):
@@ -153,6 +153,33 @@ class TestNodeDispatch:
         for value in vars(node).values():
             if isinstance(value, dict):
                 assert foreign not in value and home not in value
+
+    @pytest.mark.parametrize(
+        "protocol, msg_type",
+        [
+            (ProtocolName.SNOOPING, MessageType.GETS),
+            (ProtocolName.BASH, MessageType.GETS),
+            (ProtocolName.DIRECTORY, MessageType.FWD_GETS),
+        ],
+        ids=str,
+    )
+    def test_selections_are_recorded_per_node(self, protocol, msg_type, monkeypatch):
+        """Node 0's declined entry keeps its own record beside the others'."""
+        if not _core.compiled_available():
+            pytest.skip("compiled extension not built")
+        monkeypatch.setattr(_core, "_handler_selections", {})
+        with _core.use_backend("compiled"):
+            system = self._system(protocol)
+            hooked = system.nodes[0]
+            hooked.cache_controller.ordered_handlers[msg_type] = lambda message: None
+            hooked.invalidate_dispatch_cache()
+            for node in system.nodes:
+                node.ordered_entry(msg_type)
+        selections = _core.handler_selections()
+        controller = type(hooked.cache_controller).__name__
+        assert selections[f"{controller}0.{msg_type.name}"] == "declined"
+        for node_id in range(1, len(system.nodes)):
+            assert selections[f"{controller}{node_id}.{msg_type.name}"] == "compiled"
 
     def test_invalidate_dispatch_cache_reaches_network_caches(self):
         system = self._system()

@@ -63,8 +63,14 @@ def main() -> None:
     print()
     summary = crossover_summary(curves)
     print("Summary:")
-    print(f"  Snooping first matches Directory at "
-          f"{summary['snooping_beats_directory_at']:.0f} MB/s")
+    crossover = summary["snooping_beats_directory_at"]
+    if crossover >= 0:
+        print(f"  Snooping first matches Directory at {crossover:.0f} MB/s")
+    else:
+        snooping = curves[ProtocolName.SNOOPING][0].performance
+        directory = curves[ProtocolName.DIRECTORY][0].performance
+        leader = "Snooping" if snooping >= directory else "Directory"
+        print(f"  {leader} leads across the whole grid (no crossover)")
     print(f"  BASH worst case vs best static protocol: "
           f"{summary['bash_worst_ratio_vs_best_static']:.2f}x")
     print(f"  BASH best gain over best static protocol: "

@@ -17,8 +17,9 @@ resumes instead of recomputing; ``$REPRO_SWEEP_CACHE`` supplies the default),
 plotting.
 
 ``verify`` runs the protocol verification campaigns — differential trace
-replays across all three protocols plus the random tester, with mid-run
-invariant monitoring and failure-trace shrinking::
+replays across all three protocols (strict, racy, windowed, and contended
+replays standing in for the paper's random tester), with mid-run invariant
+monitoring and failure-trace shrinking::
 
     python -m repro verify --campaign quick
     python -m repro verify --campaign deep --workers 8 --seed-range 0:100

@@ -15,7 +15,7 @@ class CacheBlock:
     """One cache line as seen by its cache controller.
 
     ``data_token`` is a verification aid: every store installs a fresh token so
-    the invariant checkers and the random tester can confirm that readers
+    the invariant and consistency checkers can confirm that readers
     observe the value written by the most recent store in coherence order.
 
     ``tracked_sharers`` implements footnote 2 of the paper: an *owner* cache in

@@ -32,7 +32,7 @@ class WorkloadError(ReproError):
 
 
 class VerificationError(ReproError):
-    """A verification check (invariant, consistency, random test) failed."""
+    """A verification check (invariant, consistency, trace replay) failed."""
 
 
 class JobStoreError(ReproError):

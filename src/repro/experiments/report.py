@@ -143,16 +143,21 @@ def format_bars(title: str, bars: Dict[str, Dict[str, float]]) -> str:
 def crossover_summary(curves: Curves) -> Dict[str, float]:
     """Summarise who wins where in a bandwidth sweep.
 
-    Reports the lowest bandwidth at which Snooping beats Directory, and how
-    BASH compares with the best static protocol at every point (the paper's
+    Reports the crossover — the first bandwidth at which Snooping matches
+    Directory after Directory led at some lower one, or -1.0 when the grid
+    holds no such point (one protocol leads throughout) — and how BASH
+    compares with the best static protocol at every point (the paper's
     headline claim is that BASH is never much worse and wins in the middle).
     """
     snooping = curves[ProtocolName.SNOOPING]
     directory = curves[ProtocolName.DIRECTORY]
     bash = curves[ProtocolName.BASH]
-    crossover = None
+    crossover = -1.0
+    directory_led = False
     for s_point, d_point in zip(snooping, directory):
-        if s_point.performance >= d_point.performance:
+        if s_point.performance < d_point.performance:
+            directory_led = True
+        elif directory_led:
             crossover = s_point.x
             break
     worst_ratio = 1.0
@@ -164,7 +169,7 @@ def crossover_summary(curves: Curves) -> Dict[str, float]:
             worst_ratio = min(worst_ratio, ratio)
             best_gain = max(best_gain, ratio - 1.0)
     return {
-        "snooping_beats_directory_at": crossover if crossover is not None else -1.0,
+        "snooping_beats_directory_at": crossover,
         "bash_worst_ratio_vs_best_static": worst_ratio,
         "bash_best_gain_over_best_static": best_gain,
     }

@@ -1,5 +1,6 @@
-"""Protocol verification: invariants, value consistency, random testing,
-differential cross-protocol checking, and fuzz campaigns with trace shrinking."""
+"""Protocol verification: invariants, value consistency, differential
+cross-protocol trace replay (contended random-tester traces included), and
+fuzz campaigns with trace shrinking."""
 
 from .campaign import (
     CAMPAIGNS,
@@ -37,8 +38,6 @@ from .invariants import (
     check_settled_block,
     check_single_owner,
 )
-from .random_tester import RandomProtocolTester, RandomTestResult, run_random_campaign
-from .windowed import WindowedDifferentialResult, run_windowed_differential
 
 __all__ = [
     "CAMPAIGNS",
@@ -52,8 +51,6 @@ __all__ = [
     "MemoryTrace",
     "ObservedAccess",
     "QUICK_CAMPAIGN",
-    "RandomProtocolTester",
-    "RandomTestResult",
     "ReplayConfig",
     "ReplayResult",
     "TaskOutcome",
@@ -61,7 +58,6 @@ __all__ = [
     "TraceReplayer",
     "VerificationCampaign",
     "VerificationTask",
-    "WindowedDifferentialResult",
     "WindowedTraceSource",
     "check_invariants",
     "check_settled_block",
@@ -72,9 +68,7 @@ __all__ = [
     "run_campaign",
     "run_campaign_tasks",
     "run_differential",
-    "run_random_campaign",
     "run_task",
-    "run_windowed_differential",
     "shrink_trace",
     "write_artifact",
 ]

@@ -1,19 +1,22 @@
 """Campaign engine: fuzz all three protocols at sweep-executor scale.
 
-A :class:`VerificationCampaign` fans verification *tasks* — differential
-trace replays (see :mod:`repro.verification.differential`) and random-tester
-runs (see :mod:`repro.verification.random_tester`) — across seeds × protocols
-× configuration axes (processors, hot blocks, bandwidth, outstanding
-operations per node, adaptive thresholds, cache capacity).  Tasks run under
-the same rule as sweep points (:func:`repro.experiments.parallel.run_units`):
-serially on one :class:`~repro.experiments.batch.BatchRunner`, whose pooled
-systems are *reset*, not rebuilt, between tasks — or, with a store or several
-workers, as units of the job-store service.
+A :class:`VerificationCampaign` fans verification *tasks* across seeds ×
+protocols × configuration axes (processors, hot blocks, bandwidth,
+outstanding operations per node, adaptive thresholds, cache capacity).  Every
+task is one :func:`~repro.verification.differential.run_differential` replay
+of a recorded trace — ``strict``, ``racy`` or ``contended`` (the paper's
+random tester as a replayable trace) — in one window or in several windows
+through long-lived systems.  Tasks run under the same rule as sweep points
+(:func:`repro.experiments.parallel.run_units`): serially on one
+:class:`~repro.experiments.batch.BatchRunner`, whose pooled systems are
+*reset*, not rebuilt, between tasks — or, with a store or several workers, as
+units of the job-store service.
 
-When a task fails, the campaign **shrinks** the failing trace to a minimal
-reproducer — greedy chunked op-removal, re-running the differential checker
-after every removal — and writes it as a replayable JSON artifact.  Load one
-back with :func:`load_artifact` / :func:`replay_artifact`, or from the shell::
+When a one-window task fails, the campaign **shrinks** the failing trace to a
+minimal reproducer — greedy chunked op-removal, re-running the differential
+checker after every removal — and writes it as a replayable JSON artifact.
+Load one back with :func:`load_artifact` / :func:`replay_artifact`, or from
+the shell::
 
     python -m repro verify --campaign quick
     python - <<'PY'
@@ -29,7 +32,16 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..common.config import ProtocolName
 from ..errors import VerificationError
@@ -38,29 +50,27 @@ from ..experiments.parallel import run_units
 from ..experiments.service import run_service_campaign
 from .differential import (
     ALL_PROTOCOLS,
+    CONTENDED,
+    DifferentialResult,
     MemoryTrace,
     RACY,
     ReplayConfig,
     STRICT,
-    generate_trace,
+    WindowedTraceSource,
     run_differential,
 )
-from .random_tester import RandomProtocolTester
-from .windowed import run_windowed_differential
 
-#: Task kinds.
-DIFFERENTIAL = "differential"
-RANDOM = "random"
-WINDOWED = "windowed"
+#: The failure-artifact format :func:`write_artifact` writes and
+#: :func:`load_artifact` reads (v1 artifacts carried a task ``kind``).
+ARTIFACT_FORMAT = "repro-verification-failure-v2"
 
 
 @dataclass(frozen=True)
 class VerificationTask:
     """One unit of campaign work (a job-store unit via its JSON form)."""
 
-    kind: str
     seed: int
-    mode: str = RACY  # trace mode for differential tasks
+    mode: str = RACY
     protocols: Tuple[str, ...] = tuple(str(p) for p in ALL_PROTOCOLS)
     num_processors: int = 4
     num_blocks: int = 4
@@ -69,19 +79,30 @@ class VerificationTask:
     max_outstanding_per_node: int = 1
     utilization_threshold: float = 0.75
     cache_capacity_blocks: Optional[int] = None
-    #: Windowed tasks replay this many windows of ``operations`` ops each
-    #: through long-lived systems (ignored by the other kinds).
+    #: The task replays this many windows of ``operations`` ops each
+    #: through long-lived systems.
     windows: int = 1
 
-    def trace(self) -> MemoryTrace:
-        """The recorded trace a differential task replays."""
-        return generate_trace(
+    def _generator(self) -> WindowedTraceSource:
+        return WindowedTraceSource(
             self.seed,
             num_processors=self.num_processors,
             num_blocks=self.num_blocks,
-            operations=self.operations,
             mode=self.mode,
         )
+
+    def trace(self) -> MemoryTrace:
+        """The recorded trace of the first window: the whole trace of a
+        one-window task, and what the shrinker reduces."""
+        return self._generator().next_window(self.operations)
+
+    def source(self) -> Union[MemoryTrace, Iterable[MemoryTrace]]:
+        """What :func:`run_differential` replays: the trace, or its windows."""
+        if self.windows < 1:
+            raise VerificationError(f"windows must be >= 1 (got {self.windows})")
+        if self.windows == 1:
+            return self.trace()
+        return self._generator().windows(self.windows, self.operations)
 
     def replay_config(self) -> ReplayConfig:
         return ReplayConfig(
@@ -96,11 +117,8 @@ class VerificationTask:
             f"seed={self.seed} p={self.num_processors} blocks={self.num_blocks} "
             f"bw={self.bandwidth_mb_per_second:g} out={self.max_outstanding_per_node}"
         )
-        if self.kind == DIFFERENTIAL:
-            return f"differential[{self.mode}] {axes}"
-        if self.kind == WINDOWED:
-            return f"windowed[{self.mode}] {axes} windows={self.windows}"
-        return f"random[{'+'.join(self.protocols)}] {axes}"
+        protocols = "+".join(self.protocols)
+        return f"{self.mode}[{protocols}] {axes} windows={self.windows}"
 
     def to_jsonable(self) -> Dict:
         return dataclasses.asdict(self)
@@ -108,7 +126,12 @@ class VerificationTask:
     @classmethod
     def from_jsonable(cls, data: Dict) -> "VerificationTask":
         """Rebuild a task written by :meth:`to_jsonable` (tuples restored)."""
-        return cls(**{**data, "protocols": tuple(data["protocols"])})
+        try:
+            return cls(**{**data, "protocols": tuple(data["protocols"])})
+        except (KeyError, TypeError) as error:
+            raise VerificationError(
+                f"malformed verification task {data!r}: {error}"
+            ) from error
 
 
 @dataclass
@@ -152,75 +175,20 @@ def run_task(
     task: VerificationTask, runner: Optional[BatchRunner] = None
 ) -> TaskOutcome:
     """Execute one verification task, reusing ``runner``'s pooled systems."""
-    acquire = runner.acquire if runner is not None else None
-    if task.kind == DIFFERENTIAL:
-        trace = task.trace()
-        result = run_differential(
-            trace,
-            protocols=[ProtocolName(p) for p in task.protocols],
-            replay=task.replay_config(),
-            acquire=acquire,
-        )
-        return TaskOutcome(
-            task=task,
-            ok=result.ok,
-            failures=list(result.failures),
-            protocol_runs=len(result.results),
-            operations=len(trace.ops) * len(result.results),
-            watchdog_dumps={
-                str(protocol): replay_result.watchdog_failure
-                for protocol, replay_result in result.results.items()
-                if replay_result.watchdog_failure is not None
-            },
-        )
-    if task.kind == WINDOWED:
-        windowed = run_windowed_differential(
-            task.seed,
-            windows=task.windows,
-            window_ops=task.operations,
-            num_processors=task.num_processors,
-            num_blocks=task.num_blocks,
-            mode=task.mode,
-            protocols=[ProtocolName(p) for p in task.protocols],
-            replay=task.replay_config(),
-            acquire=acquire,
-        )
-        return TaskOutcome(
-            task=task,
-            ok=windowed.ok,
-            failures=list(windowed.failures),
-            protocol_runs=len(task.protocols),
-            operations=windowed.operations * len(task.protocols),
-            watchdog_dumps=dict(windowed.watchdog_dumps),
-        )
-    if task.kind == RANDOM:
-        failures: List[str] = []
-        runs = 0
-        operations = 0
-        for protocol in task.protocols:
-            tester = RandomProtocolTester(
-                ProtocolName(protocol),
-                num_processors=task.num_processors,
-                num_blocks=task.num_blocks,
-                operations=task.operations,
-                seed=task.seed + 1,
-                bandwidth_mb_per_second=task.bandwidth_mb_per_second,
-                max_outstanding_per_node=task.max_outstanding_per_node,
-                acquire=acquire,
-            )
-            result = tester.run()
-            runs += 1
-            operations += result.operations_issued
-            if not result.ok:
-                failures.extend(result.describe_failures())
-        return TaskOutcome(
-            task=task,
-            ok=not failures,
-            failures=failures,
-            protocol_runs=runs,
-            operations=operations,
-        )
-    raise VerificationError(f"unknown verification task kind {task.kind!r}")
+    result = run_differential(
+        task.source(),
+        protocols=[ProtocolName(p) for p in task.protocols],
+        replay=task.replay_config(),
+        acquire=runner.acquire if runner is not None else None,
+    )
+    return TaskOutcome(
+        task=task,
+        ok=result.ok,
+        failures=list(result.failures),
+        protocol_runs=len(result.results),
+        operations=result.operations * len(result.results),
+        watchdog_dumps=result.watchdog_dumps,
+    )
 
 
 # ------------------------------------------------------------------ shrinking
@@ -308,14 +276,15 @@ def write_artifact(
         "full" if task.cache_capacity_blocks is None else task.cache_capacity_blocks
     )
     name = (
-        f"{task.kind}-{task.mode}-seed{task.seed}-p{task.num_processors}"
+        f"{task.mode}-seed{task.seed}-p{task.num_processors}"
         f"-b{task.num_blocks}-bw{task.bandwidth_mb_per_second:g}"
         f"-out{task.max_outstanding_per_node}"
-        f"-thr{task.utilization_threshold:g}-cap{capacity}.json"
+        f"-thr{task.utilization_threshold:g}-cap{capacity}"
+        f"-w{task.windows}.json"
     )
     path = directory / name
     payload = {
-        "format": "repro-verification-failure-v1",
+        "format": ARTIFACT_FORMAT,
         "task": task.to_jsonable(),
         "replay_config": dataclasses.asdict(task.replay_config()),
         "failures": list(failures),
@@ -333,33 +302,31 @@ def write_artifact(
 def load_artifact(path) -> Dict:
     """Load a failure artifact written by :func:`write_artifact`."""
     data = json.loads(Path(path).read_text())
-    if data.get("format") != "repro-verification-failure-v1":
-        raise VerificationError(f"{path} is not a verification failure artifact")
+    found = data.get("format") if isinstance(data, dict) else None
+    if found != ARTIFACT_FORMAT:
+        raise VerificationError(
+            f"{path} has artifact format {found!r}; this version reads "
+            f"{ARTIFACT_FORMAT!r} (rerun the campaign to regenerate it)"
+        )
     return data
 
 
-def replay_artifact(path):
+def replay_artifact(path) -> DifferentialResult:
     """Re-run the failing check recorded in a failure artifact.
 
-    Differential artifacts replay the shrunk trace when one was recorded
-    (the minimal reproducer), falling back to regenerating the original
-    trace from the task metadata, and return a
-    :class:`~repro.verification.differential.DifferentialResult`.
-    Random-tester artifacts re-run the recorded task exactly (same seed and
-    knobs) and return its :class:`TaskOutcome` — a differential replay of a
-    synthesised trace would not reproduce what actually failed.
+    Replays the shrunk trace when one was recorded (the minimal reproducer),
+    else regenerates the task's trace or windows from its metadata.
     """
     data = load_artifact(path)
     task = VerificationTask.from_jsonable(data["task"])
-    if task.kind != DIFFERENTIAL:
-        return run_task(task)
-    replay = ReplayConfig(**data["replay_config"])
     if data.get("shrunk_trace"):
-        trace = MemoryTrace.from_jsonable(data["shrunk_trace"])
+        source = MemoryTrace.from_jsonable(data["shrunk_trace"])
     else:
-        trace = task.trace()
+        source = task.source()
     return run_differential(
-        trace, protocols=[ProtocolName(p) for p in task.protocols], replay=replay
+        source,
+        protocols=[ProtocolName(p) for p in task.protocols],
+        replay=ReplayConfig(**data["replay_config"]),
     )
 
 
@@ -381,8 +348,11 @@ class CampaignSpec:
     outstanding: Tuple[int, ...] = (1,)
     thresholds: Tuple[float, ...] = (0.75,)
     capacities: Tuple[Optional[int], ...] = (None,)
-    random_seeds: Tuple[int, ...] = ()
-    random_operations: int = 150
+    #: Contended tasks: the paper's random tester as a one-window racy
+    #: replay of a trace with several writers per block, one task per seed
+    #: and outstanding-operations limit.
+    contended_seeds: Tuple[int, ...] = ()
+    contended_operations: int = 150
     #: Windowed differential tasks: each seed replays ``windowed_windows``
     #: windows of ``windowed_operations`` ops through long-lived systems
     #: (caches stay warm across windows; memory stays bounded per window).
@@ -403,7 +373,6 @@ class CampaignSpec:
                                     for capacity in self.capacities:
                                         expanded.append(
                                             VerificationTask(
-                                                kind=DIFFERENTIAL,
                                                 seed=seed,
                                                 mode=mode,
                                                 protocols=self.protocols,
@@ -420,7 +389,6 @@ class CampaignSpec:
             for mode in self.modes:
                 expanded.append(
                     VerificationTask(
-                        kind=WINDOWED,
                         seed=seed,
                         mode=mode,
                         protocols=self.protocols,
@@ -431,16 +399,16 @@ class CampaignSpec:
                         windows=self.windowed_windows,
                     )
                 )
-        for seed in self.random_seeds:
+        for seed in self.contended_seeds:
             for outstanding in self.outstanding:
                 expanded.append(
                     VerificationTask(
-                        kind=RANDOM,
                         seed=seed,
+                        mode=CONTENDED,
                         protocols=self.protocols,
                         num_processors=self.processors[0],
                         num_blocks=min(self.blocks),
-                        operations=self.random_operations,
+                        operations=self.contended_operations,
                         bandwidth_mb_per_second=self.bandwidths[0],
                         max_outstanding_per_node=outstanding,
                     )
@@ -458,8 +426,10 @@ class CampaignSpec:
             changes["protocols"] = tuple(str(ProtocolName(p)) for p in protocols)
         if seeds is not None:
             changes["seeds"] = tuple(seeds)
-            if self.random_seeds:
-                changes["random_seeds"] = tuple(seeds)[: len(self.random_seeds)]
+            if self.contended_seeds:
+                changes["contended_seeds"] = tuple(seeds)[
+                    : len(self.contended_seeds)
+                ]
             if self.windowed_seeds:
                 changes["windowed_seeds"] = tuple(seeds)[
                     : len(self.windowed_seeds)
@@ -468,7 +438,8 @@ class CampaignSpec:
 
 
 #: The CI smoke campaign: >= 50 differential traces x 3 protocols plus a
-#: handful of random-tester runs, sized to finish in well under 90 s.
+#: handful of windowed and contended replays, sized to finish in well under
+#: 90 s.
 QUICK_CAMPAIGN = CampaignSpec(
     name="quick",
     seeds=tuple(range(7)),
@@ -476,8 +447,8 @@ QUICK_CAMPAIGN = CampaignSpec(
     bandwidths=(400.0, 1600.0),
     outstanding=(1, 2),
     operations=50,
-    random_seeds=(0, 1),
-    random_operations=150,
+    contended_seeds=(0, 1),
+    contended_operations=150,
     windowed_seeds=(0, 1),
     windowed_windows=3,
     windowed_operations=40,
@@ -495,8 +466,8 @@ DEEP_CAMPAIGN = CampaignSpec(
     outstanding=(1, 2),
     thresholds=(0.6, 0.75),
     capacities=(None, 2),
-    random_seeds=tuple(range(10)),
-    random_operations=300,
+    contended_seeds=tuple(range(10)),
+    contended_operations=300,
     windowed_seeds=tuple(range(6)),
     windowed_windows=6,
     windowed_operations=80,
@@ -553,7 +524,8 @@ class CampaignResult:
 
     @property
     def traces(self) -> int:
-        return sum(1 for o in self.outcomes if o.task.kind == DIFFERENTIAL)
+        """Tasks whose replays are cross-checked between protocols."""
+        return sum(1 for o in self.outcomes if o.task.mode != CONTENDED)
 
     @property
     def protocol_runs(self) -> int:
@@ -645,7 +617,7 @@ class VerificationCampaign:
             if outcome.ok:
                 continue
             failure = TaskFailure(task=outcome.task, failures=outcome.failures)
-            if self.shrink and outcome.task.kind == DIFFERENTIAL:
+            if self.shrink and outcome.task.windows == 1:
                 predicate = differential_failure_predicate(outcome.task, runner)
                 trace = outcome.task.trace()
                 try:

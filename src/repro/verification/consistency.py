@@ -1,8 +1,9 @@
 """Value/order consistency checking for completed coherence transactions.
 
-The stand-alone random tester (like the paper's, which uses random
-action/check pairs in the style of Wood et al.) records every completed
-transaction together with the point at which it was ordered.  This module
+The differential trace replayer — whose ``contended`` traces are the
+paper's random tester, random action/check pairs in the style of Wood et
+al. — records every completed transaction together with the point at which
+it was ordered.  This module
 holds those observations and checks them against the memory consistency
 argument all three protocols rely on: because requests are totally ordered,
 the value a load observes must be the value written by the most recent store

@@ -15,7 +15,7 @@ semantics are compared:
 A bug in any one protocol therefore shows up as a divergence from the other
 two (and from the model), even when its own invariants happen to hold.
 
-Two replay modes trade determinism against race coverage:
+Three replay modes trade determinism against race coverage:
 
 ``strict``
     Conflicting operations on the same block are serialised by the trace's
@@ -28,29 +28,50 @@ Two replay modes trade determinism against race coverage:
 
 ``racy``
     Only per-node program order is enforced; same-block requests from
-    different nodes collide in flight exactly like the random tester's
-    traffic.  Load values then legitimately depend on protocol timing, so
-    each block has a *single writer* (readers everywhere), which keeps the
-    final image deterministic: it is compared across protocols and against
-    the model, while load values are checked per protocol by the
-    silent-store-aware :class:`~repro.verification.consistency.ConsistencyChecker`.
+    different nodes collide in flight.  Load values then legitimately depend
+    on protocol timing, so each block has a *single writer* (readers
+    everywhere), which keeps the final image deterministic: it is compared
+    across protocols and against the model, while load values are checked
+    per protocol by the silent-store-aware
+    :class:`~repro.verification.consistency.ConsistencyChecker`.
 
-Both modes run the mid-run :class:`~repro.verification.invariants.InvariantMonitor`
+``contended``
+    The paper's random tester (Section 3.4): racy replay of a trace whose
+    blocks have several writers, so racing GETM/GETS/PUTM transactions
+    collide constantly on a few hot blocks.  Final images then depend on
+    timing too, so each protocol is checked on its own — completion, the
+    watchdog, mid-run and final invariants and value consistency — and never
+    against the model or the other protocols.
+
+Every mode runs the mid-run :class:`~repro.verification.invariants.InvariantMonitor`
 at every transaction completion and a deadlock/livelock watchdog that turns
 "no completions within a cycle budget" into a structured failure dump.
 
-The windowed checker (:mod:`repro.verification.windowed`) shares this
-module's one trace generator and one comparison: :func:`generate_trace` is a
-single window of :class:`WindowedTraceSource`, and :func:`compare_results`
-takes the memory image a window starts from (all zeros here).
+:func:`run_differential` is the one runner.  It replays a trace, or
+consecutive windows of one drawn from a :class:`WindowedTraceSource`, through
+one live system per protocol, so long campaigns stay bounded in memory while
+deep protocol state (warm caches, directory sharer sets, adaptive-policy
+counters) carries across windows; :func:`compare_results` checks each window
+against the memory image the earlier windows left (all zeros for the first).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..common.config import AdaptiveConfig, ProtocolName, SystemConfig
 from ..errors import VerificationError
@@ -74,6 +95,9 @@ WRITEBACK = "writeback"
 #: Replay modes (see the module docstring).
 STRICT = "strict"
 RACY = "racy"
+CONTENDED = "contended"
+MODES = (STRICT, RACY, CONTENDED)
+OP_KINDS = (READ, WRITE, WRITEBACK)
 
 #: Delay before re-attempting an issue blocked on an in-flight same-address
 #: transaction (mirrors the sequencer's retry-busy path).
@@ -223,17 +247,91 @@ class MemoryTrace:
 
     @classmethod
     def from_jsonable(cls, data: Dict) -> "MemoryTrace":
-        return cls(
-            num_processors=int(data["num_processors"]),
-            num_blocks=int(data["num_blocks"]),
-            mode=str(data["mode"]),
-            seed=int(data["seed"]),
-            single_writer=bool(data["single_writer"]),
-            ops=tuple(
-                TraceOp(int(n), int(b), str(k), int(t), int(d))
-                for n, b, k, t, d in data["ops"]
-            ),
+        """Rebuild a trace written by :meth:`to_jsonable`, checking every field.
+
+        Failure artifacts are edited by hand, so a malformed trace raises
+        :class:`~repro.errors.VerificationError` naming the field (and the op
+        index) here, instead of a bare ``KeyError`` deep inside a replay.
+        """
+        if not isinstance(data, dict):
+            raise VerificationError(f"trace must be a JSON object, got {data!r}")
+        missing = [name for name in _TRACE_FIELDS if name not in data]
+        if missing:
+            raise VerificationError(f"trace is missing field(s) {missing}")
+        num_processors = _checked_int(
+            data["num_processors"], "trace num_processors", 1
         )
+        num_blocks = _checked_int(data["num_blocks"], "trace num_blocks", 1)
+        mode = data["mode"]
+        if mode not in MODES:
+            raise VerificationError(
+                f"trace mode must be one of {list(MODES)}, got {mode!r}"
+            )
+        single_writer = data["single_writer"]
+        if not isinstance(single_writer, bool):
+            raise VerificationError(
+                f"trace single_writer must be true or false, got {single_writer!r}"
+            )
+        rows = data["ops"]
+        if not isinstance(rows, list):
+            raise VerificationError(f"trace ops must be a list, got {rows!r}")
+        ops = []
+        writer_of: Dict[int, int] = {}
+        for index, row in enumerate(rows):
+            where = f"trace op {index}"
+            if not isinstance(row, list) or len(row) != 5:
+                raise VerificationError(
+                    f"{where}: expected [node, block, kind, token, delay], "
+                    f"got {row!r}"
+                )
+            node, block, kind, token, delay = row
+            if kind not in OP_KINDS:
+                raise VerificationError(
+                    f"{where} kind must be one of {list(OP_KINDS)}, got {kind!r}"
+                )
+            op = TraceOp(
+                _checked_int(node, f"{where} node", 0, num_processors - 1),
+                _checked_int(block, f"{where} block", 0, num_blocks - 1),
+                kind,
+                _checked_int(token, f"{where} token"),
+                _checked_int(delay, f"{where} delay", 1),
+            )
+            # A racy replay's model is exact only with one writer per block;
+            # a second one would turn timing into reported protocol bugs.
+            if mode == RACY and kind == WRITE:
+                first = writer_of.setdefault(op.block, op.node)
+                if first != op.node:
+                    raise VerificationError(
+                        f"{where} node: a racy trace has one writer per block, "
+                        f"and block {op.block} is written by node {first}"
+                    )
+            ops.append(op)
+        return cls(
+            num_processors=num_processors,
+            num_blocks=num_blocks,
+            mode=mode,
+            seed=_checked_int(data["seed"], "trace seed"),
+            single_writer=single_writer,
+            ops=tuple(ops),
+        )
+
+
+#: The keys :meth:`MemoryTrace.to_jsonable` writes.
+_TRACE_FIELDS = (
+    "num_processors", "num_blocks", "mode", "seed", "single_writer", "ops"
+)
+
+
+def _checked_int(
+    value, where: str, low: Optional[int] = None, high: Optional[int] = None
+) -> int:
+    """``value`` if it is an integer within ``[low, high]``, else a loud error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise VerificationError(f"{where} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise VerificationError(f"{where} must be {bound}, got {value}")
+    return value
 
 
 class WindowedTraceSource:
@@ -242,8 +340,9 @@ class WindowedTraceSource:
     ``racy`` traces give every block a single writer (readers everywhere) so
     the final image stays deterministic under races; ``strict`` traces let
     ownership migrate between writers, since the replay serialises each
-    block.  Writebacks are only recorded for the node the model says owns the
-    block, so a ``strict`` replay must always perform them.
+    block, and ``contended`` traces draw their writers the same way for a
+    racy replay.  Writebacks are only recorded for the node the model says
+    owns the block, so a ``strict`` replay must always perform them.
 
     The per-block writer map is drawn up front, then every operation
     consumes (node, block, delay, choice) draws in order.  ``next_window(n)``
@@ -263,7 +362,7 @@ class WindowedTraceSource:
         writeback_fraction: float = 0.10,
         max_delay: Optional[int] = None,
     ) -> None:
-        if mode not in (STRICT, RACY):
+        if mode not in MODES:
             raise VerificationError(f"unknown trace mode {mode!r}")
         if max_delay is None:
             max_delay = 40 if mode == STRICT else 150
@@ -331,6 +430,11 @@ class WindowedTraceSource:
             ops=tuple(ops),
         )
 
+    def windows(self, count: int, operations: int) -> Iterator[MemoryTrace]:
+        """``count`` consecutive windows of ``operations`` ops, drawn lazily."""
+        for _ in range(count):
+            yield self.next_window(operations)
+
 
 def generate_trace(
     seed: int,
@@ -379,6 +483,8 @@ class ReplayResult:
     midrun_report: Optional[InvariantReport]
     final_report: InvariantReport
     watchdog_failure: Optional[Dict] = None
+    #: Highest number of operations any one node had in flight at once.
+    max_outstanding_observed: int = 0
 
     @property
     def ok(self) -> bool:
@@ -465,10 +571,9 @@ def empty_trace_workload(num_processors: int) -> TraceWorkload:
 class TraceReplayer:
     """Drives one system's cache controllers through a recorded trace.
 
-    The replayer bypasses the sequencers (like the random tester) so it can
-    observe every completed transaction, enforce the trace's dependency
-    structure, and keep issuing under ``max_outstanding_per_node`` in-flight
-    operations per node.
+    The replayer bypasses the sequencers so it can observe every completed
+    transaction, enforce the trace's dependency structure, and keep issuing
+    under ``max_outstanding_per_node`` in-flight operations per node.
     """
 
     def __init__(
@@ -511,6 +616,7 @@ class TraceReplayer:
         self.silent_stores = 0
         self.skipped_writebacks = 0
         self.evictions = 0
+        self.max_outstanding_observed = 0
         self.observations: Dict[int, List[Optional[Tuple[int, str, int, bool]]]] = {
             node: [None] * len(stream) for node, stream in self._streams.items()
         }
@@ -574,7 +680,10 @@ class TraceReplayer:
             return
         self._node_issue_pending[node] = False
         self._node_position[node] = slot + 1
-        self._node_outstanding[node] += 1
+        outstanding = self._node_outstanding[node] + 1
+        self._node_outstanding[node] = outstanding
+        if outstanding > self.max_outstanding_observed:
+            self.max_outstanding_observed = outstanding
         state = cache.state_of(address)
         if op.kind == READ:
             # In strict mode only *owner* copies may satisfy a read locally: a
@@ -777,6 +886,7 @@ class TraceReplayer:
             midrun_report=monitor.report() if monitor is not None else None,
             final_report=check_invariants(self.system, expect_quiescent=True),
             watchdog_failure=self.watchdog_failure,
+            max_outstanding_observed=self.max_outstanding_observed,
         )
 
 
@@ -795,23 +905,69 @@ ALL_PROTOCOLS: Tuple[ProtocolName, ...] = (
 #: (see :class:`repro.experiments.batch.BatchRunner.acquire`).
 SystemAcquirer = Callable[[SystemConfig, TraceWorkload], MultiprocessorSystem]
 
+#: Synthetic "node" recorded for carried-in block values when seeding a
+#: window's consistency checker (never a real processor id).
+CARRY_NODE = -1
+
+#: Order position assigned to carried-in values: strictly before every
+#: transaction any window orders (real order sequences are non-negative and
+#: keep increasing across windows because the systems stay alive).
+CARRY_ORDER = -1
+
 
 def _build_system(config: SystemConfig, workload: TraceWorkload) -> MultiprocessorSystem:
     return MultiprocessorSystem(config, workload)
 
 
+def _seed_checker(replayer: TraceReplayer, carry: Dict[int, int]) -> None:
+    """Teach a window's fresh checker the values carried in from history.
+
+    Each carried token becomes a synthetic store ordered before everything
+    the window orders, so reads of values written windows ago (and silent
+    store chains based on them) resolve instead of reporting unknown tokens.
+    """
+    for block, token in carry.items():
+        if token == 0:
+            continue
+        replayer.checker.record_write(
+            CARRY_NODE, replayer._address(block), token, CARRY_ORDER, 0
+        )
+
+
 @dataclass
 class DifferentialResult:
-    """Outcome of replaying one trace through several protocols."""
+    """Outcome of replaying a trace (or windows of one) through several protocols."""
 
+    #: The last window replayed: the whole trace for a one-window run.
     trace: MemoryTrace
     replay: ReplayConfig
+    #: That window's replay outcome per protocol.
     results: Dict[ProtocolName, ReplayResult]
     failures: List[str] = field(default_factory=list)
+    #: Windows replayed, a failing one included.
+    windows: int = 1
+    #: Trace operations each protocol replayed, across every window.
+    operations: int = 0
+    #: The model's per-block token map after the last passing window (the
+    #: carry a next window would start from; timing-dependent, so not
+    #: meaningful, for ``contended`` traces).
+    final_tokens: Dict[int, int] = field(default_factory=dict)
+    #: Peak number of trace operations materialised at any moment — the
+    #: bounded-memory contract: one window, never the whole campaign.
+    max_resident_ops: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def watchdog_dumps(self) -> Dict[str, Dict]:
+        """The deadlock watchdog's stall dump per protocol that tripped it."""
+        return {
+            str(protocol): result.watchdog_failure
+            for protocol, result in self.results.items()
+            if result.watchdog_failure is not None
+        }
 
     def raise_on_failure(self) -> None:
         if self.failures:
@@ -826,6 +982,12 @@ class DifferentialResult:
             "trace": self.trace.to_jsonable(),
             "ok": self.ok,
             "failures": list(self.failures),
+            "windows": self.windows,
+            "operations": self.operations,
+            "max_resident_ops": self.max_resident_ops,
+            "final_tokens": {
+                str(block): token for block, token in sorted(self.final_tokens.items())
+            },
             "protocols": {
                 str(protocol): {
                     "operations": result.operations,
@@ -837,6 +999,7 @@ class DifferentialResult:
                     "evictions": result.evictions,
                     "retries": result.retries,
                     "nacks": result.nacks,
+                    "max_outstanding_observed": result.max_outstanding_observed,
                     "final_image": {
                         str(block): token
                         for block, token in sorted(result.final_image.items())
@@ -857,12 +1020,16 @@ def compare_results(
 
     ``carry`` is the memory image the replay started from (see
     :meth:`MemoryTrace.predicted_final_tokens`): empty for a replay on fresh
-    systems, the previous windows' prediction for a windowed one.  In strict
-    mode every read is also checked against the model's serialisation.
+    systems, the previous windows' prediction for a later window.  In strict
+    mode every read is also checked against the model's serialisation; a
+    ``contended`` trace is checked per protocol only.
     """
     failures: List[str] = []
     for result in results.values():
         failures.extend(result.failures())
+    if trace.mode == CONTENDED:
+        # Racing writers make final images and read values timing-dependent.
+        return failures
     complete = {
         protocol: result
         for protocol, result in results.items()
@@ -933,23 +1100,85 @@ def compare_results(
 
 
 def run_differential(
-    trace: MemoryTrace,
+    source: Union[MemoryTrace, Iterable[MemoryTrace]],
     protocols: Sequence[ProtocolName] = ALL_PROTOCOLS,
     replay: ReplayConfig = ReplayConfig(),
     acquire: Optional[SystemAcquirer] = None,
 ) -> DifferentialResult:
-    """Replay ``trace`` under every protocol and cross-check the outcomes."""
+    """Replay a trace, or consecutive windows of one, under every protocol.
+
+    A :class:`MemoryTrace` is one window; an iterable of windows (say,
+    :meth:`WindowedTraceSource.windows`) is consumed lazily, so only one is
+    ever resident.  Each protocol's system is acquired once and stays alive:
+    window ``k+1`` starts from whatever cache, directory and policy state
+    window ``k`` left, and the model's per-block token map (the *carry*) is
+    threaded between windows, seeding each window's consistency checker and
+    :func:`compare_results`.  ``replay.max_cycles`` is applied per window,
+    relative to each system's clock.  Failure lines of an iterable's windows
+    are prefixed ``window k:``.  A failing window stops the run: after a
+    divergence the protocols' states may legitimately differ, so later
+    windows would only cascade it.  A ``contended`` trace must be the only
+    window: racing writers leave no model image to carry on.
+    """
     if acquire is None:
         acquire = _build_system
+    windowed = not isinstance(source, MemoryTrace)
+    windows = source if windowed else (source,)
+    resolved = [ProtocolName(p) for p in protocols]
+    systems: Dict[ProtocolName, MultiprocessorSystem] = {}
+    trace: Optional[MemoryTrace] = None
+    carry: Dict[int, int] = {}
     results: Dict[ProtocolName, ReplayResult] = {}
-    for protocol in protocols:
-        config = replay.system_config(trace, protocol)
-        system = acquire(config, empty_trace_workload(trace.num_processors))
-        replayer = TraceReplayer(system, trace, replay)
-        results[ProtocolName(protocol)] = replayer.run()
+    failures: List[str] = []
+    replayed = operations = max_resident = 0
+    for index, window in enumerate(windows):
+        if trace is None:
+            carry = {block: 0 for block in range(window.num_blocks)}
+        elif CONTENDED in (window.mode, trace.mode) or (
+            window.num_processors,
+            window.num_blocks,
+        ) != (trace.num_processors, trace.num_blocks):
+            raise VerificationError(
+                f"window {index} cannot follow window {index - 1}: windows "
+                "must share one shape, and a contended trace is a single window"
+            )
+        trace = window
+        replayed += 1
+        operations += len(window.ops)
+        max_resident = max(max_resident, len(window.ops))
+        results = {}
+        for protocol in resolved:
+            system = systems.get(protocol)
+            if system is None:
+                system = systems[protocol] = acquire(
+                    replay.system_config(window, protocol),
+                    empty_trace_workload(window.num_processors),
+                )
+            replayer = TraceReplayer(
+                system,
+                window,
+                dataclasses.replace(
+                    replay, max_cycles=system.simulator.now + replay.max_cycles
+                ),
+            )
+            _seed_checker(replayer, carry)
+            results[protocol] = replayer.run()
+        problems = compare_results(window, results, carry)
+        if problems:
+            failures.extend(
+                f"window {index}: {line}" if windowed else line for line in problems
+            )
+            break
+        carry = window.predicted_final_tokens(carry)
+    if trace is None:
+        raise VerificationError("run_differential needs at least one trace window")
     return DifferentialResult(
         trace=trace,
         replay=replay,
         results=results,
-        failures=compare_results(trace, results),
+        failures=failures,
+        windows=replayed,
+        operations=operations,
+        final_tokens=carry,
+        max_resident_ops=max_resident,
     )

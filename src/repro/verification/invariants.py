@@ -1,9 +1,9 @@
 """Coherence invariants checked over a simulated system's state.
 
 The paper validates its protocols with a stand-alone random tester plus formal
-methods.  This module provides the invariant checks the random tester, the
-differential verification engine, and the integration tests apply to this
-reproduction:
+methods.  This module provides the invariant checks the differential trace
+replayer (whose ``contended`` traces play the random tester's part) and the
+integration tests apply to this reproduction:
 
 * **Single owner** — for every block, at most one cache is in M or O.
 * **Exclusive modified** — if some cache holds a block in M, no other cache

@@ -48,6 +48,7 @@ from typing import (
 
 from ..errors import WorkloadError
 from .base import MemoryOperation, Workload
+from .trace import operation_from_row
 from .traffic import traffic_operation_stream
 
 #: JSONL trace format marker + version (the header's ``format`` field).
@@ -194,31 +195,22 @@ def write_trace_jsonl(
 
 
 def _parse_trace_row(line: str, line_number: int) -> Tuple[int, MemoryOperation]:
+    where = f"trace line {line_number}"
     try:
         row = json.loads(line)
     except json.JSONDecodeError as error:
-        raise WorkloadError(
-            f"trace line {line_number}: not valid JSON ({error})"
-        ) from error
+        raise WorkloadError(f"{where}: not valid JSON ({error})") from error
     if not isinstance(row, list) or len(row) != 6:
         raise WorkloadError(
-            f"trace line {line_number}: expected "
+            f"{where}: expected "
             "[node, address, is_write, think_cycles, instructions, label], "
             f"got {row!r}"
         )
-    node, address, is_write, think_cycles, instructions, label = row
     try:
-        return int(node), MemoryOperation(
-            address=int(address),
-            is_write=bool(is_write),
-            think_cycles=int(think_cycles),
-            instructions=int(instructions),
-            label=str(label),
-        )
+        node = int(row[0])
     except (TypeError, ValueError) as error:
-        raise WorkloadError(
-            f"trace line {line_number}: malformed field in {row!r} ({error})"
-        ) from error
+        raise WorkloadError(f"{where}: malformed field in {row!r} ({error})") from error
+    return node, operation_from_row(row[1:], where)
 
 
 class JsonlTraceReader(OperationStream):

@@ -6,11 +6,13 @@ captured elsewhere.  A trace is a per-processor list of
 :class:`~repro.workloads.base.MemoryOperation`.
 
 Traces round-trip through JSON (:func:`operations_to_jsonable` /
-:func:`operations_from_jsonable`), which is how the verification campaign's
-shrunk failure artifacts stay replayable: a minimal reproducer written by the
-shrinker can be loaded back and driven through any protocol, either through
-this workload (the full sequencer stack) or through the differential
-replayer's direct drive.
+:func:`operations_from_jsonable`); every row, here and in the streaming JSONL
+reader, goes through the one validator :func:`operation_from_row`.  (The
+verification campaign's failure artifacts hold a different, block-level trace,
+:class:`~repro.verification.differential.MemoryTrace`, which round-trips
+through its own ``to_jsonable``/``from_jsonable``; its
+:meth:`~repro.verification.differential.MemoryTrace.to_workload` drives such a
+trace through this workload's full sequencer stack.)
 """
 
 from __future__ import annotations
@@ -38,17 +40,18 @@ def operations_to_jsonable(
     }
 
 
-def operation_from_row(row: Sequence, node: object, index: int) -> MemoryOperation:
+def operation_from_row(row: Sequence, where: str) -> MemoryOperation:
     """One serialised row back into a :class:`MemoryOperation`.
 
-    Artifact files are edited by hand (shrunk reproducers) and produced by
-    external tools, so every row is validated individually: a short, extra or
-    mistyped row raises :class:`~repro.errors.WorkloadError` naming the node
-    and row index instead of leaking a bare ``ValueError``/``TypeError``.
+    Trace files are edited by hand and produced by external tools, so every
+    row is validated individually: a short, extra, mistyped or negative row
+    raises :class:`~repro.errors.WorkloadError` prefixed with ``where`` (say,
+    ``"node 3 row 1"``) instead of leaking a bare ``ValueError``/``TypeError``
+    or running a nonsensical reference.
     """
     if not isinstance(row, (list, tuple)) or len(row) != 5:
         raise WorkloadError(
-            f"node {node} row {index}: expected "
+            f"{where}: expected "
             "[address, is_write, think_cycles, instructions, label], "
             f"got {row!r}"
         )
@@ -63,12 +66,12 @@ def operation_from_row(row: Sequence, node: object, index: int) -> MemoryOperati
         )
     except (TypeError, ValueError) as error:
         raise WorkloadError(
-            f"node {node} row {index}: malformed field in {row!r} ({error})"
+            f"{where}: malformed field in {row!r} ({error})"
         ) from error
     if operation.address < 0 or operation.think_cycles < 0:
         raise WorkloadError(
-            f"node {node} row {index}: address and think_cycles must be "
-            f"non-negative, got {row!r}"
+            f"{where}: address and think_cycles must be non-negative, "
+            f"got {row!r}"
         )
     return operation
 
@@ -86,7 +89,8 @@ def operations_from_jsonable(
                 f"trace node key {node!r} is not an integer"
             ) from error
         traces[node_id] = [
-            operation_from_row(row, node, index) for index, row in enumerate(rows)
+            operation_from_row(row, f"node {node} row {index}")
+            for index, row in enumerate(rows)
         ]
     return traces
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,7 +196,8 @@ class TestVerify:
             ["verify", "--seed-range", "0:3", "--artifact-dir", str(tmp_path)]
         ) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "FAILED differential" in out
+        assert "FAIL" in out
+        assert re.search(r"FAILED (strict|racy|contended)\[\S+\] seed=", out)
         artifacts = list(tmp_path.glob("*.json"))
         assert artifacts
         from repro.verification.campaign import load_artifact

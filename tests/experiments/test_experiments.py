@@ -95,6 +95,39 @@ class TestAnalyticFigures:
         assert table["paper"]["BASH"]["total_transitions"] == 114
 
 
+def _curves(snooping, directory):
+    """Hand-built Snooping/Directory/BASH curves over 200, 400, ... MB/s."""
+    from repro.experiments.runner import SweepPoint
+
+    def curve(protocol, values):
+        return [
+            SweepPoint(protocol, 200.0 * 2**index, value, value, 0.0, 0.0, 0.0, 0, [])
+            for index, value in enumerate(values)
+        ]
+
+    return {
+        ProtocolName.SNOOPING: curve(ProtocolName.SNOOPING, snooping),
+        ProtocolName.DIRECTORY: curve(ProtocolName.DIRECTORY, directory),
+        ProtocolName.BASH: curve(ProtocolName.BASH, snooping),
+    }
+
+
+class TestCrossoverSummary:
+    @pytest.mark.parametrize(
+        "snooping,directory,crossover",
+        [
+            ([2.0, 3.0, 4.0], [1.0, 1.0, 1.0], -1.0),  # Snooping leads throughout
+            ([1.0, 2.0, 4.0], [2.0, 2.0, 3.0], 400.0),  # crosses mid-grid
+            ([1.0, 1.0, 1.0], [2.0, 3.0, 4.0], -1.0),  # Directory leads throughout
+        ],
+    )
+    def test_crossover_needs_directory_to_lead_first(
+        self, snooping, directory, crossover
+    ):
+        summary = crossover_summary(_curves(snooping, directory))
+        assert summary["snooping_beats_directory_at"] == crossover
+
+
 class TestSweepFigures:
     def test_figure5_and_6_from_one_figure1_run(self):
         result = run_scenario("figure1", scale=TINY, axes={"bandwidth": (800, 6400)})

@@ -11,7 +11,12 @@ import pytest
 
 from repro.common.config import ProtocolName
 from repro.verification.invariants import check_invariants
-from repro.verification.random_tester import RandomProtocolTester
+from repro.verification.differential import (
+    CONTENDED,
+    ReplayConfig,
+    generate_trace,
+    run_differential,
+)
 from repro.workloads.base import MemoryOperation
 from repro.workloads.microbenchmark import LockingMicrobenchmark
 from repro.system.multiprocessor import MultiprocessorSystem
@@ -78,12 +83,14 @@ class TestFalseSharingStress:
         check_invariants(system).raise_on_violation()
 
     def test_random_tester_with_two_hot_blocks(self, protocol):
-        tester = RandomProtocolTester(
-            protocol, num_processors=5, num_blocks=2, operations=250, seed=23,
-            bandwidth_mb_per_second=300.0,
+        trace = generate_trace(
+            23, num_processors=5, num_blocks=2, operations=250, mode=CONTENDED
         )
-        result = tester.run()
-        result.raise_on_failure()
+        run_differential(
+            trace,
+            protocols=[protocol],
+            replay=ReplayConfig(bandwidth_mb_per_second=300.0),
+        ).raise_on_failure()
 
 
 class TestBashWindowOfVulnerability:

@@ -30,19 +30,34 @@ TINY = CampaignSpec(
     seeds=(0, 1),
     modes=("strict", "racy"),
     operations=30,
-    random_seeds=(0,),
-    random_operations=60,
+    contended_seeds=(0,),
+    contended_operations=60,
 )
 
 
 class TestSpecs:
     def test_quick_campaign_meets_the_issue_floor(self):
         tasks = QUICK_CAMPAIGN.tasks()
-        differential = [t for t in tasks if t.kind == "differential"]
+        differential = [
+            t for t in tasks if t.mode != "contended" and t.windows == 1
+        ]
         assert len(differential) >= 50
         assert all(len(t.protocols) == 3 for t in differential)
         assert any(t.max_outstanding_per_node >= 2 for t in differential)
         assert {t.mode for t in differential} == {"strict", "racy"}
+
+    @pytest.mark.parametrize(
+        "spec,one_window,windowed,contended",
+        [(QUICK_CAMPAIGN, 56, 4, 4), (DEEP_CAMPAIGN, 7680, 12, 20)],
+    )
+    def test_campaign_task_shapes(self, spec, one_window, windowed, contended):
+        tasks = spec.tasks()
+        assert sum(t.mode != "contended" and t.windows == 1 for t in tasks) == (
+            one_window
+        )
+        assert sum(t.windows > 1 for t in tasks) == windowed
+        assert sum(t.mode == "contended" for t in tasks) == contended
+        assert all(t.windows == 1 for t in tasks if t.mode == "contended")
 
     def test_deep_campaign_is_a_superset_of_axes(self):
         tasks = DEEP_CAMPAIGN.tasks()
@@ -55,16 +70,16 @@ class TestSpecs:
             protocols=["directory"], seeds=[3, 4]
         )
         tasks = spec.tasks()
-        assert {t.seed for t in tasks if t.kind == "differential"} == {3, 4}
+        assert {t.seed for t in tasks if t.mode != "contended"} == {3, 4}
         assert all(t.protocols == ("directory",) for t in tasks)
 
     def test_unknown_campaign_name_raises(self):
         with pytest.raises(VerificationError):
             run_campaign("nope")
 
-    def test_unknown_task_kind_raises(self):
+    def test_unknown_task_mode_raises(self):
         with pytest.raises(VerificationError):
-            run_task(VerificationTask(kind="mystery", seed=0))
+            run_task(VerificationTask(seed=0, mode="mystery"))
 
 
 class TestExecution:
@@ -72,7 +87,7 @@ class TestExecution:
         result = VerificationCampaign(TINY).run()
         assert result.ok, [f.failures for f in result.failures]
         assert result.traces == 4
-        assert result.protocol_runs == 4 * 3 + 3  # differential + random
+        assert result.protocol_runs == 4 * 3 + 3  # cross-checked + contended
         assert result.wall_seconds > 0
         payload = result.to_jsonable()
         assert payload["ok"] is True
@@ -136,9 +151,7 @@ class TestShrinking:
         runner = BatchRunner()
         failing_task = None
         for seed in range(8):
-            task = VerificationTask(
-                kind="differential", seed=seed, mode="strict", operations=50
-            )
+            task = VerificationTask(seed=seed, mode="strict", operations=50)
             if not run_task(task, runner).ok:
                 failing_task = task
                 break
@@ -149,7 +162,7 @@ class TestShrinking:
         assert predicate(shrunk)  # the reproducer still fails
 
     def test_shrink_requires_a_failing_trace(self):
-        task = VerificationTask(kind="differential", seed=0, operations=20)
+        task = VerificationTask(seed=0, operations=20)
         with pytest.raises(VerificationError):
             shrink_trace(task.trace(), lambda trace: False)
 
@@ -169,31 +182,69 @@ class TestShrinking:
         # The artifact replays to the same verdict while the bug is in place.
         assert not replay_artifact(failure.artifact_path).ok
 
+    def test_contended_failure_is_shrunk_written_and_reproduced(
+        self, lost_invalidation, tmp_path
+    ):
+        spec = CampaignSpec(
+            name="bughunt",
+            seeds=(),
+            protocols=("snooping",),
+            contended_seeds=(0,),
+            contended_operations=60,
+        )
+        result = VerificationCampaign(spec, artifact_dir=tmp_path).run()
+        assert not result.ok
+        failure = result.failures[0]
+        assert failure.task.mode == "contended"
+        assert failure.shrunk_trace is not None
+        assert len(failure.shrunk_trace.ops) < 60
+        assert failure.shrunk_trace.mode == "contended"
+        assert "contended-seed0" in failure.artifact_path
+        assert not replay_artifact(failure.artifact_path).ok
+
     def test_artifact_format_guard(self, tmp_path):
         bogus = tmp_path / "x.json"
         bogus.write_text(json.dumps({"format": "other"}))
         with pytest.raises(VerificationError):
             load_artifact(bogus)
 
+    def test_v1_artifact_is_rejected_by_format(self, tmp_path):
+        task = VerificationTask(seed=1, operations=30)
+        path = write_artifact(tmp_path, task, ["boom"], None)
+        payload = json.loads(path.read_text())
+        payload["format"] = "repro-verification-failure-v1"
+        payload["task"]["kind"] = "differential"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            VerificationError, match="repro-verification-failure-v1"
+        ):
+            replay_artifact(path)
+
+    def test_task_with_unknown_field_fails_loudly(self):
+        payload = VerificationTask(seed=1).to_jsonable()
+        payload["kind"] = "differential"
+        with pytest.raises(VerificationError, match="kind"):
+            VerificationTask.from_jsonable(payload)
+
     def test_artifact_without_shrunk_trace_replays_the_original(self, tmp_path):
-        task = VerificationTask(kind="differential", seed=1, operations=30)
+        task = VerificationTask(seed=1, operations=30)
         path = write_artifact(tmp_path, task, ["boom"], None)
         result = replay_artifact(path)
         assert result.ok  # no bug injected: the regenerated trace passes
 
-    def test_random_artifact_replays_the_random_task(self, tmp_path):
+    def test_contended_artifact_replays_the_contended_trace(self, tmp_path):
         task = VerificationTask(
-            kind="random", seed=2, operations=60, protocols=("snooping",)
+            seed=2, mode="contended", operations=60, protocols=("snooping",)
         )
         path = write_artifact(tmp_path, task, ["boom"], None)
-        outcome = replay_artifact(path)
-        # Random artifacts re-run the recorded tester task, not a synthetic
-        # differential trace.
-        assert outcome.task == task
-        assert outcome.ok
+        result = replay_artifact(path)
+        # Without a shrunk trace the artifact regenerates the task's own
+        # contended trace.
+        assert result.trace == task.trace()
+        assert result.ok
 
     def test_artifact_names_distinguish_every_axis(self, tmp_path):
-        base = dict(kind="differential", seed=0, mode="strict")
+        base = dict(seed=0, mode="strict")
         first = VerificationTask(bandwidth_mb_per_second=400.0, **base)
         second = VerificationTask(bandwidth_mb_per_second=1600.0, **base)
         paths = {
@@ -229,21 +280,21 @@ class TestServiceCampaign:
 
 class TestWatchdogEvidence:
     def test_task_outcome_round_trips_through_jsonable(self):
-        task = VerificationTask(kind="differential", seed=0, operations=30)
+        task = VerificationTask(seed=0, operations=30)
         outcome = run_task(task, BatchRunner())
         outcome.watchdog_dumps = {"bash": {"cycle": 9, "completed": 3}}
         clone = type(outcome).from_jsonable(outcome.to_jsonable())
         assert clone.to_jsonable() == outcome.to_jsonable()
 
     def test_write_artifact_embeds_watchdog_dumps(self, tmp_path):
-        task = VerificationTask(kind="differential", seed=1, operations=30)
+        task = VerificationTask(seed=1, operations=30)
         dumps = {"bash": {"cycle": 120, "completed": 7, "operations": 30}}
         path = write_artifact(tmp_path, task, ["hang"], None, watchdog_dumps=dumps)
         payload = json.loads(path.read_text())
         assert payload["watchdog_dumps"] == dumps
         # Absent dumps serialise as None, keeping the artifact format stable.
         bare = write_artifact(
-            tmp_path, VerificationTask(kind="differential", seed=2), ["x"], None
+            tmp_path, VerificationTask(seed=2), ["x"], None
         )
         assert json.loads(bare.read_text())["watchdog_dumps"] is None
 

@@ -8,6 +8,7 @@ from repro.errors import VerificationError
 from repro.experiments.batch import BatchRunner
 from repro.interconnect.message import MessageType
 from repro.verification.differential import (
+    CONTENDED,
     MemoryTrace,
     RACY,
     ReplayConfig,
@@ -66,10 +67,75 @@ class TestTraceGeneration:
         with pytest.raises(VerificationError, match=field):
             generate_trace(1, **{field: value})
 
-    def test_json_round_trip(self):
-        trace = generate_trace(3, operations=40)
+    @pytest.mark.parametrize("mode", [STRICT, RACY, CONTENDED])
+    def test_json_round_trip(self, mode):
+        trace = generate_trace(3, operations=40, mode=mode)
         clone = MemoryTrace.from_jsonable(trace.to_jsonable())
         assert clone == trace
+
+    def test_contended_traces_have_several_writers_per_block(self):
+        trace = generate_trace(2, operations=120, mode=CONTENDED)
+        assert not trace.single_writer
+        writers = {}
+        for op in trace.ops:
+            if op.kind == "write":
+                writers.setdefault(op.block, set()).add(op.node)
+        assert any(len(nodes) > 1 for nodes in writers.values())
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ([7, 0, "write", 1, 1], r"trace op 1 node must be in \[0, 1\], got 7"),
+            ([0, 9, "read", 0, 1], r"trace op 1 block must be in \[0, 1\], got 9"),
+            ([0, 0, "read"], r"trace op 1: expected \[node, block, kind"),
+            ([0, 0, "wrte", 1, 1], r"trace op 1 kind must be one of"),
+            ([0, 0, "write", "5", 1], r"trace op 1 token must be an integer"),
+            ([0, 0, "write", 5, 0], r"trace op 1 delay must be at least 1, got 0"),
+            ([0, True, "read", 0, 1], r"trace op 1 block must be an integer"),
+        ],
+    )
+    def test_hand_edited_ops_fail_loudly(self, row, message):
+        data = MemoryTrace(
+            num_processors=2, num_blocks=2, mode=STRICT, seed=0,
+            single_writer=False, ops=(TraceOp(0, 0, "write", 1),),
+        ).to_jsonable()
+        data["ops"].append(row)
+        with pytest.raises(VerificationError, match=message):
+            MemoryTrace.from_jsonable(data)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("mode", "chaotic", "trace mode must be one of"),
+            ("num_blocks", 0, "trace num_blocks must be at least 1"),
+            ("single_writer", "no", "trace single_writer must be true or false"),
+            ("ops", None, "trace ops must be a list"),
+        ],
+    )
+    def test_hand_edited_header_fails_loudly(self, field, value, message):
+        data = generate_trace(1, operations=5).to_jsonable()
+        data[field] = value
+        with pytest.raises(VerificationError, match=message):
+            MemoryTrace.from_jsonable(data)
+
+    def test_racy_trace_with_a_second_writer_is_rejected(self):
+        # Replayed, node 1's write lands first, so every correct protocol
+        # would end with node 0's token and be reported as failing.
+        data = {
+            "num_processors": 2, "num_blocks": 1, "mode": RACY, "seed": 0,
+            "single_writer": True,
+            "ops": [[0, 0, "write", 1, 100], [1, 0, "write", 2, 1]],
+        }
+        with pytest.raises(VerificationError, match="trace op 1 node: a racy"):
+            MemoryTrace.from_jsonable(data)
+        data["mode"] = STRICT
+        assert len(MemoryTrace.from_jsonable(data).ops) == 2
+
+    def test_missing_header_field_is_named(self):
+        data = generate_trace(1, operations=5).to_jsonable()
+        del data["seed"]
+        with pytest.raises(VerificationError, match="seed"):
+            MemoryTrace.from_jsonable(data)
 
     def test_subset_keeps_selected_ops_in_order(self):
         trace = generate_trace(4, operations=20)
@@ -212,6 +278,15 @@ class TestBugDetection:
                 assert any("directory" in f for f in result.failures)
                 break
         assert caught
+
+    def test_lost_invalidation_is_caught_by_contended_replay(
+        self, lost_invalidation
+    ):
+        """Several racing writers expose the bug on every seed."""
+        for seed in range(6):
+            trace = generate_trace(seed, operations=60, mode=CONTENDED)
+            result = run_differential(trace, protocols=[ProtocolName.SNOOPING])
+            assert not result.ok, seed
 
     def test_lost_invalidation_is_caught(self, lost_invalidation):
         """A snooping sharer that ignores invalidations trips the checks."""

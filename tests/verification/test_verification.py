@@ -1,4 +1,5 @@
-"""Invariant checking, value consistency, and the random protocol tester."""
+"""Invariant checking, value consistency, and the random tester as contended
+trace replays."""
 
 import pytest
 
@@ -6,12 +7,18 @@ from repro.coherence.state import MOSIState
 from repro.common.config import ProtocolName
 from repro.errors import VerificationError
 from repro.experiments.batch import BatchRunner
+from repro.system.multiprocessor import MultiprocessorSystem
+from repro.verification.campaign import CampaignSpec
 from repro.verification.consistency import ConsistencyChecker
-from repro.verification.invariants import check_invariants
-from repro.verification.random_tester import (
-    RandomProtocolTester,
-    run_random_campaign,
+from repro.verification.differential import (
+    CONTENDED,
+    ReplayConfig,
+    TraceReplayer,
+    empty_trace_workload,
+    generate_trace,
+    run_differential,
 )
+from repro.verification.invariants import check_invariants
 from repro.workloads.base import MemoryOperation
 from repro.workloads.trace import TraceWorkload
 
@@ -99,53 +106,72 @@ class TestConsistencyChecker:
         assert checker.reads == 1
 
 
+def contended(
+    protocol,
+    seed,
+    num_processors=4,
+    num_blocks=4,
+    operations=400,
+    acquire=None,
+    **replay,
+):
+    """One protocol's contended replay: the paper's random tester as a trace."""
+    trace = generate_trace(
+        seed,
+        num_processors=num_processors,
+        num_blocks=num_blocks,
+        operations=operations,
+        mode=CONTENDED,
+    )
+    result = run_differential(
+        trace, protocols=[protocol], replay=ReplayConfig(**replay), acquire=acquire
+    )
+    result.raise_on_failure()
+    return result.results[ProtocolName(protocol)]
+
+
 class TestRandomTester:
+    """False sharing on a few hot blocks under several racing writers."""
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_campaign_passes_for_every_protocol(self, protocol, seed):
-        tester = RandomProtocolTester(
-            protocol, num_processors=4, num_blocks=3, operations=200, seed=seed
+        result = contended(
+            protocol, seed, num_processors=4, num_blocks=3, operations=200
         )
-        result = tester.run()
-        assert result.operations_completed == result.operations_issued
-        result.raise_on_failure()
+        assert result.completed == result.operations == 200
         assert result.ok
 
     def test_bash_campaign_exercises_retries(self):
-        tester = RandomProtocolTester(
-            ProtocolName.BASH,
-            num_processors=4,
-            num_blocks=2,
-            operations=300,
-            seed=5,
-            bandwidth_mb_per_second=1600.0,
+        trace = generate_trace(
+            5, num_processors=4, num_blocks=2, operations=300, mode=CONTENDED
+        )
+        replay = ReplayConfig(bandwidth_mb_per_second=1600.0, policy_counter_bits=8)
+        system = MultiprocessorSystem(
+            replay.system_config(trace, ProtocolName.BASH), empty_trace_workload(4)
         )
         # Force a unicast-heavy mix so insufficiency and retries are common.
-        for node in tester.system.nodes:
+        for node in system.nodes:
             node.cache_controller.adaptive.policy_counter.reset(200)
-        result = tester.run()
-        result.raise_on_failure()
+        result = TraceReplayer(system, trace, replay).run()
+        assert result.ok, result.failures()
         assert result.retries > 0
 
     def test_false_sharing_campaign_with_low_bandwidth(self, protocol):
-        tester = RandomProtocolTester(
+        contended(
             protocol,
+            11,
             num_processors=6,
             num_blocks=2,
             operations=150,
-            seed=11,
             bandwidth_mb_per_second=200.0,
         )
-        result = tester.run()
-        result.raise_on_failure()
 
     def test_midrun_monitor_runs_by_default(self, protocol):
-        tester = RandomProtocolTester(
-            protocol, num_processors=4, num_blocks=3, operations=120, seed=3
+        result = contended(
+            protocol, 3, num_processors=4, num_blocks=3, operations=120
         )
-        result = tester.run()
-        result.raise_on_failure()
         assert result.midrun_report is not None
-        assert result.midrun_report.blocks_checked >= result.operations_completed
+        assert result.midrun_report.blocks_checked >= result.completed
 
 
 class TestOutstandingConcurrency:
@@ -153,65 +179,73 @@ class TestOutstandingConcurrency:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_two_outstanding_ops_pass_every_check(self, protocol, seed):
-        tester = RandomProtocolTester(
+        result = contended(
             protocol,
+            seed,
             num_processors=4,
             num_blocks=4,
             operations=250,
-            seed=seed,
             max_outstanding_per_node=2,
         )
-        result = tester.run()
-        result.raise_on_failure()
         assert result.ok
         # The concurrency must actually have happened, not just been allowed.
         assert result.max_outstanding_observed >= 2
 
     def test_four_outstanding_with_low_bandwidth(self, protocol):
-        tester = RandomProtocolTester(
+        result = contended(
             protocol,
+            7,
             num_processors=4,
             num_blocks=6,
             operations=200,
-            seed=7,
             bandwidth_mb_per_second=200.0,
             max_outstanding_per_node=4,
         )
-        result = tester.run()
-        result.raise_on_failure()
         assert result.max_outstanding_observed >= 3
 
     def test_blocking_default_never_exceeds_one(self, protocol):
-        tester = RandomProtocolTester(
-            protocol, num_processors=4, num_blocks=3, operations=100, seed=5
+        result = contended(
+            protocol, 5, num_processors=4, num_blocks=3, operations=100
         )
-        result = tester.run()
-        result.raise_on_failure()
         assert result.max_outstanding_observed == 1
 
     def test_campaign_helper_threads_the_new_parameters(self):
-        results = run_random_campaign(
-            ProtocolName.DIRECTORY,
-            seeds=range(2),
-            operations=120,
-            bandwidth_mb_per_second=800.0,
-            max_outstanding_per_node=2,
+        spec = CampaignSpec(
+            name="contended",
+            seeds=(),
+            protocols=("directory",),
+            bandwidths=(800.0,),
+            outstanding=(2,),
+            contended_seeds=(1, 2),
+            contended_operations=120,
         )
-        assert len(results) == 2
-        for result in results:
+        tasks = spec.tasks()
+        assert len(tasks) == 2
+        for task in tasks:
+            assert task.mode == CONTENDED
+            result = run_differential(
+                task.source(),
+                protocols=[ProtocolName.DIRECTORY],
+                replay=task.replay_config(),
+            )
             result.raise_on_failure()
-            assert result.max_outstanding_observed >= 2
+            replay = result.results[ProtocolName.DIRECTORY]
+            assert replay.max_outstanding_observed >= 2
 
     def test_reset_reuse_through_acquire(self):
         runner = BatchRunner()
-        first = RandomProtocolTester(
-            ProtocolName.SNOOPING, operations=100, seed=2, acquire=runner.acquire
-        ).run()
-        second = RandomProtocolTester(
-            ProtocolName.SNOOPING, operations=100, seed=2, acquire=runner.acquire
-        ).run()
-        first.raise_on_failure()
-        second.raise_on_failure()
+        first = contended(
+            ProtocolName.SNOOPING, 2, operations=100, acquire=runner.acquire
+        )
+        second = contended(
+            ProtocolName.SNOOPING, 2, operations=100, acquire=runner.acquire
+        )
         assert len(runner._systems) == 1
-        assert first.operations_issued == second.operations_issued
-        assert first.reads == second.reads and first.writes == second.writes
+        assert first.completed == second.completed == 100
+        assert (first.hits, first.silent_stores, first.retries, first.cycles) == (
+            second.hits,
+            second.silent_stores,
+            second.retries,
+            second.cycles,
+        )
+        assert first.observations == second.observations

@@ -7,26 +7,28 @@ from repro.errors import VerificationError
 from repro.verification.campaign import (
     QUICK_CAMPAIGN,
     VerificationTask,
-    WINDOWED,
     run_task,
 )
 from repro.verification.differential import (
+    CONTENDED,
     RACY,
     STRICT,
     MemoryTrace,
-    ReplayConfig,
     ReplayResult,
     TraceOp,
     WRITE,
+    WindowedTraceSource,
     compare_results,
     generate_trace,
     run_differential,
 )
 from repro.verification.invariants import InvariantReport
-from repro.verification.windowed import (
-    WindowedTraceSource,
-    run_windowed_differential,
-)
+
+
+def run_windows(seed, windows, window_ops, mode=RACY, **kwargs):
+    """Replay ``windows`` windows of one recorded trace through live systems."""
+    source = WindowedTraceSource(seed, mode=mode)
+    return run_differential(source.windows(windows, window_ops), **kwargs)
 
 
 class TestWindowedTraceSource:
@@ -172,50 +174,58 @@ class TestCompareWindow:
 class TestRunWindowedDifferential:
     @pytest.mark.parametrize("mode", [RACY, STRICT])
     def test_clean_run_across_live_windows(self, mode):
-        result = run_windowed_differential(
-            seed=0, windows=3, window_ops=30, mode=mode
-        )
+        result = run_windows(0, 3, 30, mode=mode)
         assert result.ok, result.failures
-        assert result.windows_completed == 3
+        assert result.windows == 3
         assert result.operations == 90
         # bounded-memory contract: one window resident, never the campaign
         assert result.max_resident_ops == 30
-        # systems stayed alive: every protocol accumulated cycles
-        assert set(result.cycles) == {str(p) for p in result.protocols}
-        assert all(cycles > 0 for cycles in result.cycles.values())
+        # systems stayed alive: every protocol's clock ran on past window 0
+        assert len(result.results) == 3
+        assert all(r.cycles > 0 for r in result.results.values())
         result.raise_on_failure()  # no-op when ok
 
     def test_final_tokens_match_a_monolithic_model(self):
-        result = run_windowed_differential(seed=2, windows=4, window_ops=25)
+        result = run_windows(2, 4, 25)
         monolithic = generate_trace(2, operations=100)
         assert result.final_tokens == monolithic.predicted_final_tokens()
 
     def test_parameter_validation(self):
         with pytest.raises(VerificationError):
-            run_windowed_differential(seed=0, windows=0)
+            run_windows(0, 0, 50)
         with pytest.raises(VerificationError):
-            run_windowed_differential(seed=0, window_ops=0)
+            run_task(VerificationTask(seed=0, windows=0))
+        with pytest.raises(VerificationError, match="one shape"):
+            run_differential(
+                [generate_trace(0, num_blocks=2), generate_trace(0, num_blocks=3)]
+            )
+
+    def test_contended_trace_is_a_single_window(self):
+        with pytest.raises(VerificationError, match="single window"):
+            run_windows(0, 2, 20, mode=CONTENDED)
+        with pytest.raises(VerificationError, match="single window"):
+            run_task(VerificationTask(seed=0, mode=CONTENDED, windows=2))
 
     def test_result_round_trips_to_json(self):
         import json
 
-        result = run_windowed_differential(
-            seed=1,
-            windows=2,
-            window_ops=20,
+        result = run_windows(
+            1,
+            2,
+            20,
             protocols=(ProtocolName.SNOOPING, ProtocolName.DIRECTORY),
         )
         payload = json.loads(json.dumps(result.to_jsonable()))
         assert payload["ok"] is True
-        assert payload["windows_completed"] == 2
+        assert payload["windows"] == 2
         assert payload["operations"] == 40
-        assert payload["protocols"] == ["snooping", "directory"]
+        assert list(payload["protocols"]) == ["snooping", "directory"]
 
 
 class TestOneChecker:
-    """A one-window windowed run is the monolithic check, line for line."""
+    """A one-window run is the plain-trace check, line for line."""
 
-    @pytest.mark.parametrize("mode", [STRICT, RACY])
+    @pytest.mark.parametrize("mode", [STRICT, RACY, CONTENDED])
     def test_failures_match_the_monolithic_checker(self, mode, lost_invalidation):
         operations = 50
         failing = 0
@@ -224,12 +234,8 @@ class TestOneChecker:
                 generate_trace(seed, operations=operations, mode=mode),
                 protocols=[ProtocolName.SNOOPING],
             )
-            windowed = run_windowed_differential(
-                seed,
-                windows=1,
-                window_ops=operations,
-                mode=mode,
-                protocols=[ProtocolName.SNOOPING],
+            windowed = run_windows(
+                seed, 1, operations, mode=mode, protocols=[ProtocolName.SNOOPING]
             )
             prefix = "window 0: "
             assert all(line.startswith(prefix) for line in windowed.failures)
@@ -245,30 +251,23 @@ class TestOneChecker:
 class TestWindowedCampaignIntegration:
     def test_quick_campaign_schedules_windowed_tasks(self):
         tasks = QUICK_CAMPAIGN.tasks()
-        windowed = [task for task in tasks if task.kind == WINDOWED]
+        windowed = [task for task in tasks if task.windows > 1]
         assert len(windowed) == 4  # 2 seeds x 2 modes
         assert {task.mode for task in windowed} == {RACY, STRICT}
         for task in windowed:
             assert task.windows == QUICK_CAMPAIGN.windowed_windows
-            assert "windowed[" in task.describe()
             assert f"windows={task.windows}" in task.describe()
 
     def test_run_task_executes_a_windowed_unit(self):
-        task = VerificationTask(
-            kind=WINDOWED,
-            seed=0,
-            mode=RACY,
-            operations=20,
-            windows=2,
-        )
+        task = VerificationTask(seed=0, mode=RACY, operations=20, windows=2)
         outcome = run_task(task)
         assert outcome.ok, outcome.failures
-        # operations accumulate per protocol, like differential tasks
+        # operations accumulate per protocol, like one-window tasks
         assert outcome.operations == 40 * len(task.protocols)
         assert outcome.protocol_runs == len(task.protocols)
 
     def test_legacy_task_payload_defaults_to_one_window(self):
-        task = VerificationTask(kind=WINDOWED, seed=3, windows=5)
+        task = VerificationTask(seed=3, windows=5)
         payload = task.to_jsonable()
         clone = VerificationTask.from_jsonable(payload)
         assert clone == task

@@ -172,6 +172,19 @@ class TestReaderDiagnostics:
         with pytest.raises(WorkloadError, match="line 2: malformed field"):
             reader.next_window(0, 4)
 
+    def test_negative_address_and_think_time_are_rejected(self, tmp_path):
+        # The same row validator as the JSON trace loader.
+        path = self._file_with_rows(tmp_path, ['[0, -64, true, -5, 1, "x"]'])
+        reader = JsonlTraceReader(path)
+        with pytest.raises(WorkloadError, match="line 2: address and think_cycles"):
+            reader.next_window(0, 4)
+
+    def test_non_integer_node_names_the_line(self, tmp_path):
+        path = self._file_with_rows(tmp_path, ['["n0", 64, false, 1, 0, "x"]'])
+        reader = JsonlTraceReader(path)
+        with pytest.raises(WorkloadError, match="line 2: malformed field"):
+            reader.next_window(0, 4)
+
     def test_processor_count_mismatch_is_rejected_at_bind(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         write_trace_jsonl(path, build_traffic_trace(2, 10, seed=1))

@@ -15,7 +15,7 @@ The event engine ships two interchangeable backends:
 
   mypyc was the first candidate for this backend and Cython the second, but
   neither can express the engine's load-bearing idioms profitably — the
-  polymorphic 3/4/5-tuple bucket entries, the per-``(type, node)`` closure
+  polymorphic 2/3-tuple bucket entries, the per-``(type, node)`` closure
   tables that alias the scheduler's containers, and the cross-module
   monkey-free reset contract — and neither is installable as a build
   dependency in a hermetic environment.  A small hand-written extension
@@ -109,12 +109,21 @@ REQUIRED_TYPES = (
 )
 
 
+#: The ``CORE_VERSION`` of the extension this Python code is written
+#: against.  The C side bumps it whenever a layout both sides share changes
+#: (queue entries, the slots it reads): an older build has the same types
+#: but reads and writes the old layout, so it is refused whole.
+CORE_VERSION = "1.11.0"
+
+
 def load_extension():
     """Import and return ``repro._core._cext``; raise ImportError if absent.
 
-    Also raises ImportError, naming the missing types, when the module lacks
-    any of :data:`REQUIRED_TYPES`.  The import is attempted once; subsequent
-    calls return the cached module or re-raise the cached failure.
+    Also raises ImportError when the module is a stale build: one lacking
+    any of :data:`REQUIRED_TYPES` (naming them) or one whose
+    ``CORE_VERSION`` is not :data:`CORE_VERSION` (naming both).  The import
+    is attempted once; subsequent calls return the cached module or
+    re-raise the cached failure.
     """
     global _ext, _ext_attempted, _import_error
     if _ext is not None:
@@ -131,6 +140,13 @@ def load_extension():
     if missing:
         _import_error = (
             f"{_cext.__file__} is a stale build lacking {', '.join(missing)}"
+        )
+        raise ImportError(_import_error)
+    version = getattr(_cext, "CORE_VERSION", None)
+    if version != CORE_VERSION:
+        _import_error = (
+            f"{_cext.__file__} is a stale build: its CORE_VERSION is "
+            f"{version}, this code expects {CORE_VERSION}"
         )
         raise ImportError(_import_error)
     _ext = _cext

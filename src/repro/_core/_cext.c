@@ -14,8 +14,8 @@
  * list managed as a heap, counters exposed as integer members — because the
  * pure network closures push entries into those containers directly and must
  * keep working unchanged against a compiled scheduler.  Every queue entry is
- * a (time, seq, callback, label) or (time, seq, callback, label, arg) tuple;
- * events cannot be cancelled.  Only the hot methods (the two relative
+ * a (callback, label) or (callback, label, arg) tuple in the bucket of its
+ * time; events cannot be cancelled.  Only the hot methods (the two relative
  * schedule calls and run) are implemented in C; the cold ones (drain/reset/
  * fire hooks) are reused verbatim from the pure class by the Python subclass
  * built in repro/sim/scheduler.py.
@@ -40,7 +40,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.10.0"
+#define CORE_VERSION "1.11.0"
 
 /* Class injected by repro.sim.scheduler via _init_classes(). */
 static PyObject *SimulationErrorClass = NULL;
@@ -217,7 +217,6 @@ typedef struct {
     PyObject *buckets;           /* dict: time -> FIFO list of entry tuples */
     PyObject *times;             /* list managed as a min-heap of times */
     long long now;
-    long long sequence;
     long long fired;
     PyObject *on_fire;           /* callable(time, label) or None */
     PyObject *fire_hooks;        /* list backing the composed on_fire */
@@ -255,7 +254,6 @@ Scheduler_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->times, times);
     Py_XSETREF(self->fire_hooks, hooks);
     self->now = 0;
-    self->sequence = 0;
     self->fired = 0;
     Py_XSETREF(self->on_fire, Py_NewRef(Py_None));
     Py_XSETREF(self->installed_fire, Py_NewRef(Py_None));
@@ -302,7 +300,6 @@ static PyMemberDef Scheduler_members[] = {
      "min-heap of bucket timestamps (may contain stale times)"},
     {"now", T_LONGLONG, offsetof(SchedulerObject, now), 0,
      "current simulation time in cycles"},
-    {"_sequence", T_LONGLONG, offsetof(SchedulerObject, sequence), 0, NULL},
     {"_fired", T_LONGLONG, offsetof(SchedulerObject, fired), 0, NULL},
     {"on_fire", T_OBJECT_EX, offsetof(SchedulerObject, on_fire), 0,
      "optional per-fired-event hook (time, label) -> None"},
@@ -349,20 +346,14 @@ raise_negative_delay(long long delay)
     return NULL;
 }
 
-/* Pack and push a fast-path entry; seq consumed from the scheduler. */
+/* Pack and push a fast-path entry, (callback, label[, arg]). */
 static int
 push_fast(SchedulerObject *self, PyObject *time_obj, PyObject *callback,
           PyObject *label, PyObject *arg)
 {
-    PyObject *seq = PyLong_FromLongLong(self->sequence);
-    if (seq == NULL)
-        return -1;
-    self->sequence += 1;
     PyObject *entry = (arg == NULL)
-                          ? PyTuple_Pack(4, time_obj, seq, callback, label)
-                          : PyTuple_Pack(5, time_obj, seq, callback, label,
-                                         arg);
-    Py_DECREF(seq);
+                          ? PyTuple_Pack(2, callback, label)
+                          : PyTuple_Pack(3, callback, label, arg);
     if (entry == NULL)
         return -1;
     int rc = push_entry(self, time_obj, entry);
@@ -622,10 +613,10 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
             Py_INCREF(entry); /* the callback may clear the bucket */
             /* Every producer builds tuples; anything else is refused
              * rather than read out of bounds. */
-            if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) < 4) {
+            if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) < 2) {
                 PyErr_Format(PyExc_TypeError,
-                             "queue entry must be a (time, seq, callback, "
-                             "label[, arg]) tuple, not %R",
+                             "queue entry must be a (callback, label[, arg]) "
+                             "tuple, not %R",
                              entry);
                 Py_DECREF(entry);
                 failed = 1;
@@ -657,10 +648,10 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
                 }
             }
             index += 1;
-            PyObject *callback = PyTuple_GET_ITEM(entry, 2);
+            PyObject *callback = PyTuple_GET_ITEM(entry, 0);
             PyObject *result =
-                PyTuple_GET_SIZE(entry) == 5
-                    ? PyObject_CallOneArg(callback, PyTuple_GET_ITEM(entry, 4))
+                PyTuple_GET_SIZE(entry) == 3
+                    ? PyObject_CallOneArg(callback, PyTuple_GET_ITEM(entry, 2))
                     : PyObject_CallNoArgs(callback);
             if (result == NULL) {
                 Py_DECREF(entry);
@@ -671,7 +662,7 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
             fired += 1;
             if (on_fire != NULL) {
                 PyObject *hooked = PyObject_CallFunctionObjArgs(
-                    on_fire, time_obj, PyTuple_GET_ITEM(entry, 3), NULL);
+                    on_fire, time_obj, PyTuple_GET_ITEM(entry, 1), NULL);
                 if (hooked == NULL) {
                     Py_DECREF(entry);
                     failed = 1;
@@ -917,34 +908,37 @@ cext_type_version(PyObject *Py_UNUSED(module), PyObject *cls)
  * passes in. */
 
 enum { LINK_BUSY_UNTIL, LINK_BUSY_TOTAL, LINK_PERIOD_START, LINK_PERIOD_PREFIX,
-       LINK_MESSAGES, LINK_BYTES, LINK_SLOTS,
+       LINK_SLOTS,
        /* the sends also read the occupancy memo from its slot */
        LINK_OCCUPANCY = LINK_SLOTS, LINK_SEND_SLOTS };
 static const char *link_slot_text[LINK_SEND_SLOTS] = {
     "_busy_until", "_busy_total", "_period_start", "_period_prefix",
-    "_messages",   "_bytes",      "_occupancy_cache"};
+    "_occupancy_cache"};
 static PyObject *link_slot_names[LINK_SEND_SLOTS];
 static SlotLayout link_layout;
 
 /* EndpointLink.transmit(now, message.size_bytes, factor) on `link`, whose
  * scalars live at `slots` and whose occupancy memo is `occupancy`; `factor`
  * is NULL for a unit-cost transfer, else the broadcast cost factor (a value
- * that is not 1): 1 with *done_obj (a new reference) the
- * cycle the transfer completes, 0 when the message is not exactly the
- * stock Message or a scalar is not a plain int (nothing written; the
- * caller takes the pure code), -1 on error.  Every read and check precedes
- * the first write to the link (the memo the pure code re-reads holds what
- * it would have stored itself). */
+ * that is not 1): 1 with *done_obj (a new reference) the cycle the
+ * transfer completes, 0 when the message is not exactly the stock Message
+ * with its size set, or the occupancy cycles or a link scalar is not a
+ * plain int (nothing written; the caller takes the pure code), -1 on
+ * error.  Every read and check precedes the first write to the link (the
+ * memo the pure code re-reads holds what it would have stored itself). */
 static int
 link_transmit(PyObject *link, const Py_ssize_t *slots, PyObject *occupancy,
               PyObject *message, PyObject *factor, long long now,
               PyObject **done_obj)
 {
-    const Py_ssize_t size_slot = core_message_layout.offsets[MSG_SIZE_BYTES];
-    long long size, cycles = 0, busy_until, busy_total, messages, bytes;
-    if (!core_is_message(message) || !slot_ll(message, size_slot, &size))
+    long long cycles = 0, busy_until, busy_total;
+    if (!core_is_message(message))
         return 0;
-    PyObject *size_obj = Py_NewRef(*SLOT_CELL(message, size_slot));
+    PyObject *size_obj =
+        *SLOT_CELL(message, core_message_layout.offsets[MSG_SIZE_BYTES]);
+    if (size_obj == NULL)
+        return 0;
+    Py_INCREF(size_obj);
     /* Occupancy memo, read under the key EndpointLink.occupancy_cycles
      * stores (the size at unit cost, else (size, factor)); a miss calls
      * occupancy_cycles, the memo's one writer. */
@@ -965,16 +959,12 @@ link_transmit(PyObject *link, const Py_ssize_t *slots, PyObject *occupancy,
     if (PyLong_CheckExact(cycles_obj))
         cycles = PyLong_AsLongLongAndOverflow(cycles_obj, &overflow);
     Py_DECREF(cycles_obj);
-    long long done, total, count, carried;
+    long long done, total;
     if (overflow || !slot_ll(link, slots[LINK_BUSY_UNTIL], &busy_until) ||
         !slot_ll(link, slots[LINK_BUSY_TOTAL], &busy_total) ||
-        !slot_ll(link, slots[LINK_MESSAGES], &messages) ||
-        !slot_ll(link, slots[LINK_BYTES], &bytes) ||
         __builtin_add_overflow(now > busy_until ? now : busy_until, cycles,
                                &done) ||
-        __builtin_add_overflow(busy_total, cycles, &total) ||
-        __builtin_add_overflow(messages, 1, &count) ||
-        __builtin_add_overflow(bytes, size, &carried))
+        __builtin_add_overflow(busy_total, cycles, &total))
         return 0;
     if (now > busy_until) {
         /* The link was idle: a new busy period opens. */
@@ -989,10 +979,6 @@ link_transmit(PyObject *link, const Py_ssize_t *slots, PyObject *occupancy,
     if (finish == NULL ||
         slot_store(link, slots[LINK_BUSY_UNTIL], Py_NewRef(finish)) < 0 ||
         slot_store(link, slots[LINK_BUSY_TOTAL], PyLong_FromLongLong(total)) <
-            0 ||
-        slot_store(link, slots[LINK_MESSAGES], PyLong_FromLongLong(count)) <
-            0 ||
-        slot_store(link, slots[LINK_BYTES], PyLong_FromLongLong(carried)) <
             0) {
         Py_XDECREF(finish);
         return -1;
@@ -1158,7 +1144,7 @@ static PyTypeObject LinkPush_Type = {
 /* ------------------------------------------------------------------- Relay
  *
  * The compiled form of the unordered network's traverse closure: push
- * (now + delay, seq, callback, label, message). */
+ * (callback, label, message) at now + delay. */
 
 typedef struct {
     PyObject_HEAD
@@ -1264,9 +1250,9 @@ static PyTypeObject Relay_Type = {
  * message its total-order sequence number (the network's
  * `_order_sequence`, read and written through its attributes), look up the
  * resolved fan-out for (msg_type, recipients) in the network's memo, and
- * append one (exit, seq, arrive, label, message) entry per recipient to
- * the exit cycle's bucket.  A memo miss calls the network's `_fanout`
- * method, which fills the memo exactly as the pure method does. */
+ * append one (arrive, label, message) entry per recipient to the exit
+ * cycle's bucket.  A memo miss calls the network's `_fanout` method, which
+ * fills the memo exactly as the pure method does. */
 
 typedef struct {
     PyObject_HEAD
@@ -1422,16 +1408,8 @@ SwitchEnter_vectorcall(SwitchEnterObject *self, PyObject *const *args,
             rc = -1;
             break;
         }
-        PyObject *seq = PyLong_FromLongLong(sched->sequence);
-        if (seq == NULL) {
-            rc = -1;
-            break;
-        }
-        sched->sequence += 1;
-        PyObject *entry =
-            PyTuple_Pack(5, time_obj, seq, PyTuple_GET_ITEM(pair, 0),
-                         PyTuple_GET_ITEM(pair, 1), message);
-        Py_DECREF(seq);
+        PyObject *entry = PyTuple_Pack(3, PyTuple_GET_ITEM(pair, 0),
+                                       PyTuple_GET_ITEM(pair, 1), message);
         rc = entry == NULL ? -1 : PyList_Append(bucket, entry);
         Py_XDECREF(entry);
     }

@@ -16,8 +16,9 @@
  * Sending: the objects push messages only through the pushes the pure
  * handlers make.  An owner's or a home memory's DATA reply goes through
  * issue_send_data (_issue.c): the same message build, data_responses count
- * and schedule_after_fast1 entry -- time, sequence number, callback (the
- * controller's _unordered_send) and label -- as the pure _send_data.
+ * and schedule_after_fast1 entry -- callback (the controller's
+ * _unordered_send), label and message, in the bucket of its time -- as the
+ * pure _send_data.
  * Retries, nacks and writebacks stay in the delegated Python methods.
  * BashSample, the BASH sampling event, re-arms itself exactly as the pure
  * _sample_utilization does.

@@ -8,10 +8,11 @@ message already in flight.  The same links also provide the *local utilization
 estimate* that drives BASH's adaptive mechanism and the endpoint-utilization
 curves of Figure 6.
 
-A link's state is O(1): besides its running totals it keeps only the current
-busy period (back-to-back transfers merge into one period) and the busy total
-before it.  That answers every present-time utilization query exactly; the
-link keeps no history before the current period.  This module owns the format:
+A link's state is O(1): besides its running busy total it keeps only the
+current busy period (back-to-back transfers merge into one period), as its
+end, its start and the busy total before it.  That answers every
+present-time utilization query exactly; the link keeps no history before
+the current period.  This module owns the format:
 the push closure below (any cost factor) and its C mirror (``LinkPush`` in
 ``repro/_core/_cext.c``, which reads and writes the scalars in the class's
 slots) are the only other code that touches it.
@@ -40,8 +41,6 @@ class EndpointLink:
         "_busy_total",
         "_period_start",
         "_period_prefix",
-        "_messages",
-        "_bytes",
         "_occupancy_cache",
     )
 
@@ -58,8 +57,6 @@ class EndpointLink:
         # the busy total accumulated before it.
         self._period_start = 0
         self._period_prefix = 0
-        self._messages = 0
-        self._bytes = 0
         # Memoised occupancy cycles; messages come in a handful of distinct
         # sizes, so the exact ceiling is computed once per size instead of on
         # the transmit fast path.  occupancy_cycles is the one writer (see its
@@ -70,16 +67,6 @@ class EndpointLink:
     def busy_until(self) -> int:
         """Cycle at which the link becomes idle again."""
         return self._busy_until
-
-    @property
-    def messages_carried(self) -> int:
-        """Number of messages transmitted over this link."""
-        return self._messages
-
-    @property
-    def bytes_carried(self) -> int:
-        """Total payload bytes carried (before any broadcast cost factor)."""
-        return self._bytes
 
     def occupancy_cycles(self, size_bytes: int, cost_factor: float = 1.0) -> int:
         """Cycles this link is occupied by a message of ``size_bytes``.
@@ -122,8 +109,6 @@ class EndpointLink:
         finish = busy_until + cycles
         self._busy_until = finish
         self._busy_total += cycles
-        self._messages += 1
-        self._bytes += size_bytes
         return finish
 
     def reset(self, bytes_per_cycle: Optional[float] = None) -> None:
@@ -146,8 +131,6 @@ class EndpointLink:
         self._busy_total = 0
         self._period_start = 0
         self._period_prefix = 0
-        self._messages = 0
-        self._bytes = 0
 
     def busy_time_up_to(self, time: int) -> int:
         """Total busy cycles in ``[0, time)``.
@@ -192,8 +175,9 @@ def link_push(
     Calling it with a message transmits the message on ``link`` at the
     scheduler's current cycle (:meth:`EndpointLink.transmit` inlined, with
     its occupancy memo keyed the same way: by size at unit cost, by ``(size,
-    factor)`` otherwise) and pushes the delivery event ``(done, sequence,
-    deliver, label, message)`` straight into the scheduler's bucket queue.
+    factor)`` otherwise) and pushes the delivery event ``(deliver, label,
+    message)`` into the scheduler's bucket for the cycle ``done`` the
+    transfer completes.
     The ordered network's arrivals (a broadcast at the network's broadcast
     cost factor, anything else at unit cost) and the unordered network's
     deliveries (always unit cost) all run it — a broadcast fan-out once per
@@ -248,11 +232,7 @@ def _push_closure(
         done = busy_until + cycles
         link._busy_until = done
         link._busy_total += cycles
-        link._messages += 1
-        link._bytes += size
-        sequence = scheduler._sequence
-        scheduler._sequence = sequence + 1
-        entry = (done, sequence, deliver, label, message)
+        entry = (deliver, label, message)
         bucket = buckets_get(done)
         if bucket is None:
             buckets[done] = [entry]

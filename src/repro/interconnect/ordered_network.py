@@ -20,8 +20,8 @@ that the network schedules *directly* — the fired delivery event runs the
 protocol handler with no node-level dispatch frame.  This module sits on
 the simulator's hottest path, so the per-hop pipeline is compiled once per
 ``(message type, node, cost factor)`` into closures that share the
-scheduler's fast-path heap representation (``(time, sequence, callback,
-label, arg)`` — see :mod:`repro.sim.scheduler`) and push entries at link
+scheduler's queue entry shape (``(callback, label, arg)`` in the bucket for
+its time — see :mod:`repro.sim.scheduler`) and push entries at link
 transmit times, which never precede ``now``.
 """
 
@@ -162,9 +162,7 @@ class TotallyOrderedNetwork:
         if label is None:
             label = f"ordered-inject:{msg_type}"
             self._inject_labels[msg_type] = label
-        sequence = scheduler._sequence
-        scheduler._sequence = sequence + 1
-        entry = (injection_time, sequence, self._enter_switch_callback, label, message)
+        entry = (self._enter_switch_callback, label, message)
         buckets = scheduler._buckets
         bucket = buckets.get(injection_time)
         if bucket is None:
@@ -232,11 +230,8 @@ class TotallyOrderedNetwork:
             bucket = buckets[exit_time] = []
             _heappush(scheduler._times, exit_time)
         append = bucket.append
-        sequence = scheduler._sequence
         for callback, label in fanout:
-            append((exit_time, sequence, callback, label, message))
-            sequence += 1
-        scheduler._sequence = sequence
+            append((callback, label, message))
 
     def _fanout(
         self, msg_type: MessageType, recipients: FrozenSet[int]

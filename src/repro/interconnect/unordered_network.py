@@ -113,9 +113,7 @@ class UnorderedNetwork:
         entry = self._inject_entries.get(message.msg_type)
         if entry is None:
             entry = self._compile_injection(message.msg_type)
-        sequence = scheduler._sequence
-        scheduler._sequence = sequence + 1
-        item = (injection_time, sequence, entry[1], entry[0], message)
+        item = (entry[1], entry[0], message)
         buckets = scheduler._buckets
         bucket = buckets.get(injection_time)
         if bucket is None:
@@ -166,9 +164,7 @@ class UnorderedNetwork:
         def traverse(message: Message) -> None:
             """Cross the switch fabric and head for the destination's link."""
             time = scheduler.now + traversal
-            sequence = scheduler._sequence
-            scheduler._sequence = sequence + 1
-            entry = (time, sequence, arrive, arrive_label, message)
+            entry = (arrive, arrive_label, message)
             bucket = buckets_get(time)
             if bucket is None:
                 buckets[time] = [entry]

@@ -182,10 +182,6 @@ class CacheControllerBase(ProtocolController):
         """True when a request or writeback for ``address`` is in flight."""
         return address in self.transactions or address in self.writebacks
 
-    def outstanding_count(self) -> int:
-        """Number of in-flight transactions (requests plus writebacks)."""
-        return len(self.transactions) + len(self.writebacks)
-
     def issue_request(
         self,
         address: int,
@@ -381,30 +377,3 @@ class MemoryControllerBase(ProtocolController):
             self._dram_latency, self._unordered_send, message, self._memory_data_label
         )
 
-    def _send_control(
-        self,
-        msg_type: MessageType,
-        dest: int,
-        address: int,
-        transaction_id: int,
-        dest_unit: DestinationUnit = DestinationUnit.CACHE,
-        delay: int = 0,
-    ) -> None:
-        """Send a small control message (ack, nack, marker) point-to-point."""
-        message = self._new_message(
-            msg_type=msg_type,
-            src=self.node_id,
-            dest=dest,
-            dest_unit=dest_unit,
-            address=address,
-            size_bytes=self.config.request_message_bytes,
-            requester=dest,
-            transaction_id=transaction_id,
-            issue_time=self.now,
-        )
-        self._schedule_after_fast1(
-            delay,
-            self._unordered_send,
-            message,
-            self.full_label(f"control-{msg_type}"),
-        )

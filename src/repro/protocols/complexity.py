@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..common.config import ProtocolName
 from .bash import spec as bash_spec
 from .directory import spec as directory_spec
 from .snooping import spec as snooping_spec
@@ -64,16 +63,6 @@ def protocol_specs() -> Dict[str, ProtocolSpec]:
         "Snooping": snooping_spec.protocol_spec(),
         "Directory": directory_spec.protocol_spec(),
     }
-
-
-def spec_for(protocol: ProtocolName) -> ProtocolSpec:
-    """The specification of one protocol by configuration name."""
-    mapping = {
-        ProtocolName.BASH: "BASH",
-        ProtocolName.SNOOPING: "Snooping",
-        ProtocolName.DIRECTORY: "Directory",
-    }
-    return protocol_specs()[mapping[ProtocolName(protocol)]]
 
 
 def complexity_table() -> Dict[str, Dict[str, int]]:

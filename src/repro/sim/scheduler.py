@@ -10,11 +10,11 @@ throughput-driven:
   node at the same cycle — so the multiprocessor workloads average ~5 events
   per distinct time, and a push is usually a C-level ``dict.get`` +
   ``list.append`` instead of a heap sift;
-* an entry has one of two shapes: ``(time, sequence, callback, label)``,
-  fired as ``callback()``, or ``(time, sequence, callback, label, arg)``,
-  fired as ``callback(arg)``.  Entries are appended in schedule order, which
-  *is* ``sequence`` order, so FIFO draining reproduces the classic
-  ``(time, sequence)`` heap order exactly;
+* an entry has one of two shapes: ``(callback, label)``, fired as
+  ``callback()``, or ``(callback, label, arg)``, fired as ``callback(arg)``.
+  Its time is the key of its bucket, and entries are appended in schedule
+  order, so FIFO draining reproduces the classic ``(time, sequence)`` heap
+  order exactly without storing either;
 * events cannot be cancelled: every queued entry fires unless a bound stops
   the run or :meth:`drain` discards the queue;
 * :meth:`run` inlines the drain fast path — no per-event method calls beyond
@@ -50,7 +50,6 @@ class Scheduler:
         "_buckets",
         "_times",
         "now",
-        "_sequence",
         "_fired",
         "on_fire",
         "_fire_hooks",
@@ -67,7 +66,6 @@ class Scheduler:
         #: property): it is read on every schedule call and in most event
         #: callbacks, where a Python-level descriptor call is measurable.
         self.now = 0
-        self._sequence = 0
         self._fired = 0
         #: Optional per-fired-event hook ``(time, label) -> None`` used by the
         #: golden-trace tests and ad-hoc tracing; ``None`` costs one branch.
@@ -165,15 +163,13 @@ class Scheduler:
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         time = self.now + delay
-        sequence = self._sequence
-        self._sequence = sequence + 1
         buckets = self._buckets
         bucket = buckets.get(time)
         if bucket is None:
-            buckets[time] = [(time, sequence, callback, label)]
+            buckets[time] = [(callback, label)]
             _heappush(self._times, time)
         else:
-            bucket.append((time, sequence, callback, label))
+            bucket.append((callback, label))
 
     def schedule_after_fast1(
         self, delay: int, callback: Callable[[Any], Any], arg: Any, label: str = ""
@@ -187,15 +183,13 @@ class Scheduler:
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         time = self.now + delay
-        sequence = self._sequence
-        self._sequence = sequence + 1
         buckets = self._buckets
         bucket = buckets.get(time)
         if bucket is None:
-            buckets[time] = [(time, sequence, callback, label, arg)]
+            buckets[time] = [(callback, label, arg)]
             _heappush(self._times, time)
         else:
-            bucket.append((time, sequence, callback, label, arg))
+            bucket.append((callback, label, arg))
 
     # ---------------------------------------------------------------- running
 
@@ -272,10 +266,10 @@ class Scheduler:
                             # Consumed before firing: a raising callback must
                             # not leave its own entry queued for re-delivery.
                             index = 1
-                            if len(entry) == 5:
-                                entry[2](entry[4])
+                            if len(entry) == 3:
+                                entry[0](entry[2])
                             else:
-                                entry[2]()
+                                entry[0]()
                             fired += 1
                             if len(bucket) == 1:
                                 del buckets[time]
@@ -301,10 +295,10 @@ class Scheduler:
                                 # cost when not raised on 3.11+).
                                 break
                             index += 1
-                            if len(entry) == 5:
-                                entry[2](entry[4])
+                            if len(entry) == 3:
+                                entry[0](entry[2])
                             else:
-                                entry[2]()
+                                entry[0]()
                             fired += 1
                     else:
                         length = len(bucket)
@@ -322,13 +316,13 @@ class Scheduler:
                                 stopped = True
                                 break
                             index += 1
-                            if len(entry) == 5:
-                                entry[2](entry[4])
+                            if len(entry) == 3:
+                                entry[0](entry[2])
                             else:
-                                entry[2]()
+                                entry[0]()
                             fired += 1
                             if on_fire is not None:
-                                on_fire(time, entry[3])
+                                on_fire(time, entry[1])
                 except BaseException:
                     # The old heap loop popped each entry before firing,
                     # so a raising callback was exception-safe by
@@ -384,7 +378,6 @@ class Scheduler:
         """
         self.drain()
         self.now = 0
-        self._sequence = 0
         self._fired = 0
 
 

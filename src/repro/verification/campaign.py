@@ -61,8 +61,9 @@ from .differential import (
 )
 
 #: The failure-artifact format :func:`write_artifact` writes and
-#: :func:`load_artifact` reads (v1 artifacts carried a task ``kind``).
-ARTIFACT_FORMAT = "repro-verification-failure-v2"
+#: :func:`load_artifact` reads (v1 artifacts carried a task ``kind``, v2
+#: traces a ``single_writer`` flag, now derived from the mode).
+ARTIFACT_FORMAT = "repro-verification-failure-v3"
 
 
 @dataclass(frozen=True)

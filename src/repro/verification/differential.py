@@ -132,11 +132,15 @@ class MemoryTrace:
     num_blocks: int
     mode: str
     seed: int
-    single_writer: bool
     ops: Tuple[TraceOp, ...]
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    @property
+    def single_writer(self) -> bool:
+        """One node writes each block: true of exactly the ``racy`` traces."""
+        return self.mode == RACY
 
     # ------------------------------------------------------------ projections
 
@@ -204,7 +208,6 @@ class MemoryTrace:
             num_blocks=self.num_blocks,
             mode=self.mode,
             seed=self.seed,
-            single_writer=self.single_writer,
             ops=kept,
         )
 
@@ -239,7 +242,6 @@ class MemoryTrace:
             "num_blocks": self.num_blocks,
             "mode": self.mode,
             "seed": self.seed,
-            "single_writer": self.single_writer,
             "ops": [
                 [op.node, op.block, op.kind, op.token, op.delay] for op in self.ops
             ],
@@ -266,11 +268,6 @@ class MemoryTrace:
         if mode not in MODES:
             raise VerificationError(
                 f"trace mode must be one of {list(MODES)}, got {mode!r}"
-            )
-        single_writer = data["single_writer"]
-        if not isinstance(single_writer, bool):
-            raise VerificationError(
-                f"trace single_writer must be true or false, got {single_writer!r}"
             )
         rows = data["ops"]
         if not isinstance(rows, list):
@@ -311,15 +308,12 @@ class MemoryTrace:
             num_blocks=num_blocks,
             mode=mode,
             seed=_checked_int(data["seed"], "trace seed"),
-            single_writer=single_writer,
             ops=tuple(ops),
         )
 
 
 #: The keys :meth:`MemoryTrace.to_jsonable` writes.
-_TRACE_FIELDS = (
-    "num_processors", "num_blocks", "mode", "seed", "single_writer", "ops"
-)
+_TRACE_FIELDS = ("num_processors", "num_blocks", "mode", "seed", "ops")
 
 
 def _checked_int(
@@ -382,7 +376,6 @@ class WindowedTraceSource:
         self.write_fraction = write_fraction
         self.writeback_fraction = writeback_fraction
         self.max_delay = max_delay
-        self.single_writer = mode == RACY
         self._rng = random.Random(seed)
         self._writer_of = {
             block: self._rng.randrange(num_processors)
@@ -412,7 +405,7 @@ class WindowedTraceSource:
                     self._owner[block] = None
             elif choice < self.writeback_fraction + self.write_fraction:
                 kind = WRITE
-                if self.single_writer:
+                if self.mode == RACY:
                     node = self._writer_of[block]
                 self._owner[block] = node
             if kind == WRITE:
@@ -426,7 +419,6 @@ class WindowedTraceSource:
             num_blocks=self.num_blocks,
             mode=self.mode,
             seed=self.seed,
-            single_writer=self.single_writer,
             ops=tuple(ops),
         )
 

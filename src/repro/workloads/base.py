@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .._core import is_stock, stock
-from ..coherence.state import MOSIState
 from ..errors import WorkloadError
 
 # The compiled issue step draws stock workloads' references from their
@@ -105,9 +104,6 @@ class Workload:
         now: int,
     ) -> None:
         """Called when a reference has been performed."""
-
-    def state_hint(self, node_id: int, address: int, state: MOSIState) -> None:
-        """Optional hook giving the workload the cache state it just touched."""
 
     def finished(self, node_id: int) -> bool:
         """True when ``node_id`` has completed its share of the work."""

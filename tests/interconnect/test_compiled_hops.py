@@ -6,8 +6,8 @@ On a compiled scheduler a message's path through the interconnect runs in C:
 ``LinkPush`` (endpoint-link occupancy plus the delivery push).  Each test
 drives the C object and its pure twin (:func:`repro.interconnect.link.link_push`
 on a pure scheduler, the networks' Python methods) with identical inputs and
-requires identical link scalars, pushed entries, sequence numbers and event
-streams, including on the shapes that must fall back to the pure code.
+requires identical link scalars, pushed entries and event streams, including
+on the shapes that must fall back to the pure code.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ LINK_FIELDS = (
     "_busy_total",
     "_period_start",
     "_period_prefix",
-    "_messages",
-    "_bytes",
 )
 
 
@@ -64,14 +62,16 @@ def link_state(link):
 
 
 def queue_state(scheduler):
-    """Every pushed entry (its message by id), by bucket, plus the sequence."""
+    """Every pushed entry (its time from the bucket key, its message by id)."""
     return (
         {
-            time: [(*entry[:4], entry[4].msg_id) for entry in bucket]
+            time: [
+                (time, callback, label, arg.msg_id)
+                for callback, label, arg in bucket
+            ]
             for time, bucket in scheduler._buckets.items()
         },
         sorted(scheduler._times),
-        scheduler._sequence,
     )
 
 
@@ -88,12 +88,12 @@ def replay(
     backend: str,
     link_cls=EndpointLink,
     message_cls=Message,
-    bytes_carried=0,
+    busy_total=0,
     factor=1.0,
 ):
     scheduler = new_scheduler(backend)
     link = link_cls("node0.in", 8.0)
-    link._bytes = bytes_carried
+    link._busy_total = busy_total
     push = link_push(scheduler, link, deliver, "deliver:n0", factor)
     for msg_id, (now, size) in enumerate(PUSHES):
         scheduler.now = now
@@ -110,7 +110,7 @@ class TestLinkPush:
         assert compiled == pure
         # One entry per push, each one queued behind the last in its period.
         assert len(pure[1][0]) == len(PUSHES)
-        assert pure[0][4] == len(PUSHES)
+        assert sum(map(len, pure[1][0].values())) == len(PUSHES)
 
     @pytest.mark.parametrize("backend_name", [_core.PURE, _core.COMPILED])
     def test_one_unit_cost_transfer_leaves_one_memo_entry(self, backend_name):
@@ -143,10 +143,11 @@ class TestLinkPush:
         assert {size for _, size in PUSHES} <= set(unit[2])  # keyed by size
 
     def test_scalar_past_the_c_range_takes_the_pure_closure(self):
-        _, *pure = replay(_core.PURE, bytes_carried=2**70)
-        _, *compiled = replay(_core.COMPILED, bytes_carried=2**70)
+        _, *pure = replay(_core.PURE, busy_total=2**70)
+        _, *compiled = replay(_core.COMPILED, busy_total=2**70)
         assert compiled == pure
-        assert pure[0][5] == 2**70 + sum(size for _, size in PUSHES)
+        # 8 bytes per cycle: each push adds ceil(size / 8) busy cycles.
+        assert pure[0][1] == 2**70 + sum(-(-size // 8) for _, size in PUSHES)
 
     def test_message_subclass_takes_the_pure_closure(self):
         reads = []

@@ -73,13 +73,6 @@ class TestEndpointLink:
         assert link.transmit(now=0, size_bytes=10) == 5
         assert link.busy_time_up_to(3) == 3
 
-    def test_counters(self):
-        link = EndpointLink("l", bytes_per_cycle=1.0)
-        link.transmit(now=0, size_bytes=8)
-        link.transmit(now=0, size_bytes=72)
-        assert link.messages_carried == 2
-        assert link.bytes_carried == 80
-
     def test_validation(self):
         with pytest.raises(NetworkError):
             EndpointLink("l", bytes_per_cycle=0)
@@ -96,7 +89,8 @@ class TestEndpointLink:
             link.occupancy_cycles(8, cost_factor=cost_factor)
         with pytest.raises(NetworkError, match="cost factor"):
             link.transmit(now=0, size_bytes=8, cost_factor=cost_factor)
-        assert link.messages_carried == 0
+        # Nothing was written: the link is idle with no busy time.
+        assert (link.busy_until, link.busy_time_up_to(100)) == (0, 0)
 
     def test_nan_bandwidth_is_rejected(self):
         with pytest.raises(NetworkError, match="bandwidth"):

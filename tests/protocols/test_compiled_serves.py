@@ -62,8 +62,6 @@ LINK_FIELDS = (
     "_busy_total",
     "_period_start",
     "_period_prefix",
-    "_messages",
-    "_bytes",
 )
 
 
@@ -165,12 +163,13 @@ def observe(system, action, until=3_000):
     scheduler = system.simulator.scheduler
     first_id = next(_message_ids)
     calls = python_calls(action)
-    pushed = sorted(
-        (entry[0], entry[1], entry[3], message_fields(entry[4], first_id))
-        for bucket in scheduler._buckets.values()
+    # By time, then in each bucket's FIFO (schedule) order.
+    pushed = [
+        (time, entry[1], message_fields(entry[2], first_id))
+        for time, bucket in sorted(scheduler._buckets.items())
         for entry in bucket
-        if len(entry) == 5 and isinstance(entry[4], Message)
-    )
+        if len(entry) == 3 and isinstance(entry[2], Message)
+    ]
     fired = []
     scheduler.on_fire = lambda time, label: fired.append((time, label))
     scheduler.run(until=until)
@@ -290,7 +289,7 @@ class TestSends:
         outcome = both(
             SNOOPING, lambda system: None, deliver, in_c, broadcast_cost_factor=4.0
         )
-        fields = outcome[0][0][3]
+        fields = outcome[0][0][2]
         assert fields[Message.__slots__.index("recipients")] == frozenset(recipients)
         assert outcome[2][3]["network.ordered.messages"] == 1.0
 

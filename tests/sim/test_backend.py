@@ -118,6 +118,34 @@ class TestPureBypass:
         assert "SchedulerBase" not in str(error.value)
         assert not _core.compiled_available()
 
+    @needs_compiled
+    def test_build_of_another_layout_version_is_refused_whole(self):
+        """A build with every type but another CORE_VERSION does not load.
+
+        Such a build reads and writes an older layout (queue entries, link
+        slots), so ``auto`` falls back to pure and records why, and
+        ``compiled`` fails naming both versions.
+        """
+        code = (
+            "import json, repro._core._cext as cext\n"
+            "cext.CORE_VERSION = '0.0.1'\n"
+            "from repro._core import backend_info\n"
+            "from repro.sim import Simulator\n"
+            "Simulator()\n"
+            "print(json.dumps(backend_info()))\n"
+        )
+        proc = _run_python(code, {})
+        assert proc.returncode == 0, proc.stderr
+        info = json.loads(proc.stdout)
+        assert (info["name"], info["selected_by"]) == ("pure", "fallback")
+        assert info["compiled_loaded"] is False
+        error = info["compiled_import_error"]
+        assert "0.0.1" in error and _core.CORE_VERSION in error
+        proc = _run_python(code, {_core.ENV_VAR: "compiled"})
+        assert proc.returncode != 0
+        assert "BackendError" in proc.stderr
+        assert "0.0.1" in proc.stderr and _core.CORE_VERSION in proc.stderr
+
     def test_set_backend_rejects_unknown_names(self):
         with pytest.raises(_core.BackendError, match="turbo"):
             _core.set_backend("turbo")

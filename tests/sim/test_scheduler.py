@@ -68,19 +68,20 @@ class TestScheduler:
             scheduler.schedule_after_fast(-1, lambda: None)
         with pytest.raises(SimulationError, match="delay must be non-negative, got -2"):
             scheduler.schedule_after_fast1(-2, print, None)
+        # A rejected delay queues nothing: no bucket, no heap time.
         assert scheduler.pending == 0
-        assert scheduler._sequence == 1
+        assert (scheduler._buckets, scheduler._times) == ({}, [])
 
     def test_fast_paths_interleave(self, scheduler, run):
-        # Both entry shapes share one sequence counter, so a 4-tuple and a
-        # 5-tuple entry at the same cycle fire in schedule order.
+        # Both entry shapes share one FIFO bucket per cycle, so a 2-tuple
+        # and a 3-tuple entry at the same cycle fire in schedule order.
         fired, labels = [], []
         scheduler.schedule_after_fast(10, lambda: fired.append("plain10"), "p10")
         scheduler.schedule_after_fast1(5, fired.append, "arg5", "a5")
         scheduler.schedule_after_fast(5, lambda: fired.append("plain5"), "p5")
         scheduler.schedule_after_fast1(7, fired.append, "arg7", "a7")
         scheduler.schedule_after_fast1(5, fired.append, "arg5b", "a5b")
-        assert queued_shapes(scheduler) == [4, 5]
+        assert queued_shapes(scheduler) == [2, 3]
         assert scheduler.pending == 5
         scheduler.add_fire_hook(lambda time, label: labels.append((time, label)))
         # The fire hook forces the generic loop; remove it to let the
@@ -265,14 +266,15 @@ class TestScheduler:
         assert scheduler.now == 3
         assert scheduler.pending == 6
 
-    def test_reset_rearms_the_clock_and_sequence(self, scheduler):
+    def test_reset_rearms_the_clock_and_queue(self, scheduler):
         scheduler.schedule_after_fast(4, lambda: None)
         scheduler.schedule_after_fast(9, lambda: None)
         scheduler.run(max_events=1)
+        assert (scheduler.now, scheduler.fired, scheduler.pending) == (4, 1, 1)
         scheduler.reset()
-        assert (scheduler.now, scheduler._sequence, scheduler.fired) == (0, 0, 0)
+        assert (scheduler.now, scheduler.fired) == (0, 0)
         assert scheduler.pending == 0
-        assert scheduler._times == []
+        assert (scheduler._buckets, scheduler._times) == ({}, [])
 
 
 class TestFireHooks:
@@ -381,7 +383,7 @@ def test_compiled_loop_refuses_a_malformed_entry():
     # the shape first.
     with _core.use_backend(_core.COMPILED):
         scheduler = active_scheduler_class()()
-    scheduler._buckets[4] = [(4, 0, lambda: None)]
+    scheduler._buckets[4] = [(lambda: None,)]
     scheduler._times.append(4)
     with pytest.raises(TypeError, match="queue entry must be a"):
         scheduler.run()

@@ -119,7 +119,7 @@ class TestSelection:
         with _core.use_backend("compiled"):
             system = MultiprocessorSystem(_config(), _workload())
         callbacks = [
-            entry[2]
+            entry[0]
             for bucket in system.simulator.scheduler._buckets.values()
             for entry in bucket
         ]
@@ -131,7 +131,7 @@ class TestSelection:
         with _core.use_backend("pure"):
             system = MultiprocessorSystem(_config(), _workload())
         callbacks = [
-            entry[2]
+            entry[0]
             for bucket in system.simulator.scheduler._buckets.values()
             for entry in bucket
         ]

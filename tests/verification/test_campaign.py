@@ -220,6 +220,19 @@ class TestShrinking:
         ):
             replay_artifact(path)
 
+    def test_v2_artifact_is_rejected_by_format(self, tmp_path):
+        """v2 traces carried a ``single_writer`` flag; v3 derives it."""
+        task = VerificationTask(seed=1, operations=30)
+        path = write_artifact(tmp_path, task, ["boom"], None)
+        payload = json.loads(path.read_text())
+        assert payload["format"] == "repro-verification-failure-v3"
+        payload["format"] = "repro-verification-failure-v2"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            VerificationError, match="repro-verification-failure-v2"
+        ):
+            replay_artifact(path)
+
     def test_task_with_unknown_field_fails_loudly(self):
         payload = VerificationTask(seed=1).to_jsonable()
         payload["kind"] = "differential"

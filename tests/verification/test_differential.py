@@ -97,7 +97,7 @@ class TestTraceGeneration:
     def test_hand_edited_ops_fail_loudly(self, row, message):
         data = MemoryTrace(
             num_processors=2, num_blocks=2, mode=STRICT, seed=0,
-            single_writer=False, ops=(TraceOp(0, 0, "write", 1),),
+            ops=(TraceOp(0, 0, "write", 1),),
         ).to_jsonable()
         data["ops"].append(row)
         with pytest.raises(VerificationError, match=message):
@@ -108,7 +108,6 @@ class TestTraceGeneration:
         [
             ("mode", "chaotic", "trace mode must be one of"),
             ("num_blocks", 0, "trace num_blocks must be at least 1"),
-            ("single_writer", "no", "trace single_writer must be true or false"),
             ("ops", None, "trace ops must be a list"),
         ],
     )
@@ -123,7 +122,6 @@ class TestTraceGeneration:
         # would end with node 0's token and be reported as failing.
         data = {
             "num_processors": 2, "num_blocks": 1, "mode": RACY, "seed": 0,
-            "single_writer": True,
             "ops": [[0, 0, "write", 1, 100], [1, 0, "write", 2, 1]],
         }
         with pytest.raises(VerificationError, match="trace op 1 node: a racy"):
@@ -145,7 +143,6 @@ class TestTraceGeneration:
     def test_predicted_final_tokens_follow_last_write(self):
         trace = MemoryTrace(
             num_processors=2, num_blocks=2, mode=STRICT, seed=0,
-            single_writer=False,
             ops=(
                 TraceOp(0, 0, "write", 1),
                 TraceOp(1, 0, "write", 2),
@@ -158,7 +155,6 @@ class TestTraceGeneration:
     def test_to_workload_drops_writebacks(self):
         trace = MemoryTrace(
             num_processors=2, num_blocks=1, mode=RACY, seed=0,
-            single_writer=True,
             ops=(
                 TraceOp(0, 0, "write", 1),
                 TraceOp(0, 0, "writeback"),

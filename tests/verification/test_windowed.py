@@ -69,7 +69,6 @@ class TestCarryModel:
             num_blocks=2,
             mode=STRICT,
             seed=0,
-            single_writer=False,
             ops=tuple(ops),
         )
 
@@ -123,7 +122,6 @@ class TestCompareWindow:
             num_blocks=2,
             mode=RACY,
             seed=0,
-            single_writer=True,
             ops=(TraceOp(0, 0, WRITE, 5, 1), TraceOp(1, 1, "read", 0, 1)),
         )
 

@@ -16,13 +16,18 @@ Quick start::
     print(result.performance, result.mean_miss_latency)
 """
 
-from .common.config import AdaptiveConfig, LatencyConfig, ProtocolName, SystemConfig
-from .protocols.bash.adaptive import BandwidthAdaptiveMechanism
-from .protocols.complexity import complexity_table, format_table
-from .system.multiprocessor import MultiprocessorSystem, RunResult, simulate
-from .workloads.microbenchmark import LockingMicrobenchmark
-from .workloads.presets import WORKLOAD_PRESETS
-from .workloads.synthetic import SyntheticCommercialWorkload
+from typing import TYPE_CHECKING
+
+from ._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from .common.config import AdaptiveConfig, LatencyConfig, ProtocolName, SystemConfig
+    from .protocols.bash.adaptive import BandwidthAdaptiveMechanism
+    from .protocols.complexity import complexity_table, format_table
+    from .system.multiprocessor import MultiprocessorSystem, RunResult, simulate
+    from .workloads.microbenchmark import LockingMicrobenchmark
+    from .workloads.presets import WORKLOAD_PRESETS
+    from .workloads.synthetic import SyntheticCommercialWorkload
 
 __version__ = "1.0.0"
 
@@ -42,3 +47,23 @@ __all__ = [
     "format_table",
     "__version__",
 ]
+
+# The public names load their modules on first use, so ``import repro``
+# costs no simulator imports (see ``repro._exports``).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".common.config": (
+            "AdaptiveConfig",
+            "LatencyConfig",
+            "ProtocolName",
+            "SystemConfig",
+        ),
+        ".protocols.bash.adaptive": ("BandwidthAdaptiveMechanism",),
+        ".protocols.complexity": ("complexity_table", "format_table"),
+        ".system.multiprocessor": ("MultiprocessorSystem", "RunResult", "simulate"),
+        ".workloads.microbenchmark": ("LockingMicrobenchmark",),
+        ".workloads.presets": ("WORKLOAD_PRESETS",),
+        ".workloads.synthetic": ("SyntheticCommercialWorkload",),
+    },
+)

@@ -296,9 +296,10 @@ def handler_selections() -> Dict[str, str]:
 
 #: Each stock class's namespace as it was when the class was created.
 _namespaces: Dict[type, dict] = {}
-#: Stock class -> (type version tag, namespace unchanged?) at its last full
-#: comparison.  Any class-level assignment to the class or a base resets
-#: its tag, so an unchanged nonzero tag carries the verdict over.
+#: Stock class -> (its type version tag, every stock class in its MRO
+#: unchanged?) at its last full comparison.  Any class-level assignment to
+#: the class or to any base resets the class's own tag, so an unchanged
+#: nonzero tag carries the verdict over.
 _verdicts: Dict[type, Tuple[int, bool]] = {}
 #: Stock class -> (the ``(class, namespace)`` pairs of every stock class in
 #: its MRO, the names of every function those classes define).
@@ -347,31 +348,28 @@ def is_stock(*objects) -> bool:
         if registered is None:
             return False
         snapshots, functions = registered
-        for klass, namespace in snapshots:
-            if not _namespace_unchanged(klass, namespace):
-                return False
+        if not _classes_unchanged(cls, snapshots):
+            return False
         if instance_vars and not functions.isdisjoint(instance_vars):
             return False
     return True
 
 
-def _namespace_unchanged(klass: type, namespace: dict) -> bool:
-    """Is ``vars(klass)`` still ``namespace``?
+def _classes_unchanged(cls: type, snapshots) -> bool:
+    """Does every stock class in ``cls``'s MRO still have its namespace?
 
-    With the extension loaded the verdict is cached under the class's type
-    version tag (the one the C slot layouts trust); a tag of 0 or a
-    changed tag compares the namespaces in full.
+    With the extension loaded the verdict is cached under ``cls``'s own
+    type version tag (the one the C slot layouts trust), so a repeat check
+    is one tag read and one dict probe; a tag of 0 or a changed tag
+    compares the namespaces in full.
     """
-    ext = _ext
-    if ext is None:
-        return vars(klass) == namespace
-    tag = ext._type_version(klass)
-    cached = _verdicts.get(klass)
+    tag = _ext._type_version(cls) if _ext is not None else 0
+    cached = _verdicts.get(cls)
     if tag and cached is not None and cached[0] == tag:
         return cached[1]
-    unchanged = vars(klass) == namespace
+    unchanged = all(vars(klass) == namespace for klass, namespace in snapshots)
     if tag:
-        _verdicts[klass] = (tag, unchanged)
+        _verdicts[cls] = (tag, unchanged)
     return unchanged
 
 

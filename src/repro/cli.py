@@ -59,18 +59,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
 from . import _core
 from .errors import ReproError
-from .experiments.scenario import (
-    SCALES,
-    SCENARIOS,
-    get_scenario,
-    run_scenario,
-)
-from .verification.campaign import CAMPAIGNS, run_campaign
+
+# Each subcommand imports the modules it runs, so ``backend`` loads no
+# simulator code and ``run`` no verification code.
 
 
 def _parse_seed_range(text: Optional[str]):
@@ -115,6 +112,18 @@ def _parse_axis_overrides(entries: Optional[List[str]]):
     return overrides
 
 
+class _CampaignNames:
+    """The registered campaign names, read only when argparse needs them."""
+
+    def __iter__(self):
+        from .verification.campaign import CAMPAIGNS
+
+        return iter(sorted(CAMPAIGNS))
+
+    def __contains__(self, name) -> bool:
+        return name in list(self)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -136,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("scenario", help="a scenario name from `list`")
     run_parser.add_argument(
         "--scale", default="quick", metavar="NAME",
-        help=f"experiment scale ({', '.join(sorted(SCALES))}; default: quick)",
+        help="experiment scale (paper, quick; default: quick)",
     )
     run_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -166,8 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fuzz all three protocols differentially and check invariants",
     )
     verify_parser.add_argument(
-        "--campaign", default="quick", choices=sorted(CAMPAIGNS),
-        help="campaign preset (default: quick)",
+        "--campaign", default="quick", choices=_CampaignNames(), metavar="NAME",
+        help="campaign preset (%(choices)s; default: quick)",
     )
     verify_parser.add_argument(
         "--protocol", action="append", dest="protocols", metavar="NAME",
@@ -223,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--scale", default="quick", metavar="NAME",
-        help=f"experiment scale ({', '.join(sorted(SCALES))}; default: quick)",
+        help="experiment scale (paper, quick; default: quick)",
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -352,6 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list(args) -> int:
+    from .experiments.scenario import SCENARIOS
+
     # Sorted with the paper's figures first (figure1..figure12, table1),
     # then the non-paper scenarios alphabetically.
     def sort_key(name: str):
@@ -429,6 +440,8 @@ def _command_backend(args) -> int:
 
 
 def _command_run(args) -> int:
+    from .experiments.scenario import get_scenario, run_scenario
+
     scenario = get_scenario(args.scenario)
     axes = _parse_axis_overrides(args.axes)
     result = run_scenario(
@@ -471,6 +484,7 @@ def _service_config(args, workers=None):
 def _command_serve(args) -> int:
     import time
 
+    from .experiments.scenario import get_scenario
     from .experiments.service import run_service_sweep
 
     scenario = get_scenario(args.scenario)
@@ -596,6 +610,8 @@ def _command_trace(args) -> int:
 
 
 def _command_verify(args) -> int:
+    from .verification.campaign import run_campaign
+
     service = None
     if args.service_store is not None:
         service = _service_config(args, workers=args.workers)
@@ -639,6 +655,19 @@ def _command_verify(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``python -m repro list | head``).
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten output is silent, and stop quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
+
+
+def _dispatch(args) -> int:
     try:
         if args.command == "list":
             return _command_list(args)

@@ -33,10 +33,13 @@ import inspect
 
 from .. import _core
 from ..coherence.block import CacheBlock
+from ..coherence.state import MEMORY_OWNER, MOSIState
 from ..coherence.transaction import Transaction
+from ..common.stats import Counter, RunningMean
 from ..errors import ProtocolError
 from ..interconnect.message import DestinationUnit, Message, MessageType
 from ..sim.arena import SimulationArena
+from ..sim.component import Component
 
 #: A compiled dispatch table: message type -> bound handler.
 HandlerTable = Dict[MessageType, Callable[[Message], None]]
@@ -72,6 +75,11 @@ def compile_handlers(
     return table
 
 
+#: The extension :func:`handler_accelerator` has injected the protocol
+#: singletons into (they never change, so once per loaded extension).
+_protocol_ext = None
+
+
 def handler_accelerator(owner):
     """The extension module when compiled protocol objects apply, else None.
 
@@ -80,18 +88,17 @@ def handler_accelerator(owner):
     wired to a compiled scheduler gets C objects, one wired to a pure
     scheduler keeps the reference Python code — so pure and compiled
     systems interoperate in one process.  Injects the protocol singletons
-    the C side compares by identity (idempotent; it must precede the
+    the C side compares by identity on first use (they must precede the
     construction of any compiled protocol object, which the C side refuses
     otherwise).  :func:`issue_accelerator` builds on it.
     """
+    global _protocol_ext
     scheduler = getattr(owner, "scheduler", None)
     if scheduler is None:
         return None
     ext = _core.accelerator_for(scheduler)
-    if ext is None:
-        return None
-    from ..coherence.state import MEMORY_OWNER, MOSIState  # noqa: PLC0415
-
+    if ext is None or ext is _protocol_ext:
+        return ext
     ext._init_protocol(
         MessageType.GETS,
         MessageType.GETM,
@@ -109,7 +116,13 @@ def handler_accelerator(owner):
         _EMPTY_RECIPIENTS,
         MEMORY_OWNER,
     )
+    _protocol_ext = ext
     return ext
+
+
+#: The type version tags of the four classes :func:`inject_stock_classes`
+#: last passed to an extension, with that extension.
+_stock_tags = None
 
 
 def inject_stock_classes(ext) -> None:
@@ -120,18 +133,23 @@ def inject_stock_classes(ext) -> None:
     (:func:`repro._core.is_stock`); a patched one is passed as None, so the
     C side calls the Python method (or constructor) instead.  Runs from
     :func:`issue_accelerator` and :func:`compile_data_reply`, so at least
-    once per node at the start of every compiled run; a class patched later
-    fails the C side's per-call type version check instead.
+    once per node at the start of every compiled run, but re-injects only
+    when one of the four classes' type version tags has changed since (or
+    one has no tag); a class patched later fails the C side's per-call type
+    version check instead.
     """
-    from ..common.stats import Counter, RunningMean  # noqa: PLC0415
-    from ..sim.component import Component  # noqa: PLC0415
-
+    global _stock_tags
+    classes = (Counter, RunningMean, Component, CacheBlock)
+    tags = (ext, *map(ext._type_version, classes))
+    if tags == _stock_tags:
+        return
     ext._init_stock(
         Counter if _core.is_stock(Counter) else None,
         RunningMean if _core.is_stock(RunningMean) else None,
         vars(Component)["count"] if _core.is_stock(Component) else None,
         CacheBlock if _core.is_stock(CacheBlock) else None,
     )
+    _stock_tags = tags if all(tags[1:]) else None
 
 
 def note_selection(controller: object, msg_type: MessageType, status: str) -> None:

@@ -206,25 +206,50 @@ class TestVerify:
 
 
 class TestModuleEntryPoint:
+    REPO_ROOT = Path(__file__).resolve().parents[2]
+
+    def env(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(self.REPO_ROOT / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        return env
+
     def test_python_dash_m_repro(self):
         # The real subprocess path: `python -m repro list` must work from a
         # clean interpreter (this is what the CI smoke step runs).
-        repo_root = Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(repo_root / "src")]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
         result = subprocess.run(
             [sys.executable, "-m", "repro", "list"],
             capture_output=True,
             text=True,
             check=False,
-            cwd=repo_root,
-            env=env,
+            cwd=self.REPO_ROOT,
+            env=self.env(),
         )
         assert result.returncode == 0, result.stderr
         assert "figure1" in result.stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [["backend"], ["list"], ["run", "table1", "--json", "-"]],
+        ids=["backend", "list", "run-json"],
+    )
+    def test_a_closed_reader_ends_the_command_quietly(self, args):
+        # `python -m repro list | head -1`: the reader goes away before the
+        # output is written, which must neither fail nor print a traceback.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=self.REPO_ROOT,
+            env=self.env(),
+        )
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 0, stderr
+        assert stderr == ""
 
 
 class TestServe:

@@ -561,6 +561,29 @@ class TestStatisticsDecline:
         # Each backend wrote the counter once, through the patched descriptor.
         assert writes.count(f"cache{OWNER}.cache_to_cache") == 2
 
+    def test_counter_patched_after_a_compiled_run_counts_through_python(
+        self, monkeypatch
+    ):
+        """The stock classes injected by an earlier run do not outlive a patch."""
+        build(_core.COMPILED, BASH).run()
+        writes = []
+        slot = Counter._count
+
+        def set_count(self, value):
+            if value:
+                writes.append(self.name)
+            slot.__set__(self, value)
+
+        monkeypatch.setattr(Counter, "_count", property(slot.__get__, set_count))
+        results = {}
+        for backend in BACKENDS:
+            del writes[:]
+            system = build(backend, BASH)
+            results[backend] = (system.run(), sorted(writes))
+        compiled_result, compiled_writes = results[_core.COMPILED]
+        assert compiled_writes, "the compiled run wrote no counter through Python"
+        assert results[_core.PURE] == (compiled_result, compiled_writes)
+
     def test_subclassed_counter_counts_through_python(self):
         class SpyCounter(Counter):
             __slots__ = ("bumps",)
